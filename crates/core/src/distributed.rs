@@ -54,8 +54,7 @@ use graph_store::{
 use moctopus_runtime::{chunk_ranges, WorkerPool};
 use pim_sim::{Phase, PimSystem, Timeline};
 use rpq::{optimizer, LabelSpec, Nfa, PlanStrategy, RpqExpr};
-use sparse::EpochMarks;
-use std::collections::HashSet;
+use sparse::{EpochMarks, OrderedBitmap, ProductSet};
 use std::ops::Range;
 
 /// Bytes of one routed frontier entry: the destination node id. Query
@@ -188,54 +187,70 @@ impl HopCtx {
     }
 }
 
-/// Per-worker context of one NFA-product execute stage: a local product-pair
-/// dedup set (cleared per query) plus per-query candidate lists.
+/// Per-worker context of one NFA-product execute stage: epoch marks over
+/// product keys (one generation per `(query, hop)`) plus per-query candidate
+/// lists.
 ///
 /// Unlike the k-hop loop the product traversal's cross-hop dedup lives in the
-/// per-query *global* visited sets; this local set only bounds what one
-/// worker emits within one `(query, hop)` so candidate lists stay
-/// duplicate-free before the merge.
+/// per-query *global* visited sets; the marks only bound what one worker
+/// emits within one `(query, hop)` so candidate lists stay duplicate-free
+/// before the merge.
 #[derive(Debug, Clone, Default)]
 struct NfaHopCtx {
-    seen: HashSet<(NodeId, u32)>,
+    marks: EpochMarks,
     nexts: Vec<Vec<(NodeId, u32)>>,
 }
 
+/// Frontier entries each *additional* worker of a hop must bring. Handing a
+/// hop to a scoped thread costs ≈ 16 µs (`runtime.pool.dispatch_us` in the
+/// `perf` record) and one frontier entry expands in 0.1–0.9 µs
+/// (`core.query.ns_per_expansion`), so dispatch alone is 20–160 entries of
+/// work; a worker has to repay it several times over — and the redundant
+/// frontier scan and the wider merge with it — before the second thread
+/// saves wall-clock rather than costing it.
+const ENTRIES_PER_EXTRA_WORKER: usize = 1024;
+
 /// Worker count actually used for one hop: the batch-level layout width
-/// clamped by the hop's total frontier size. A long-tail hop with three
-/// entries gets at most three workers, and an empty one still gets one so
-/// the merge has a delta to reduce; the determinism contract makes any
-/// clamp value produce identical output, so this is purely a wall-clock
-/// decision (spawn/join is not worth microseconds of expansion work).
-fn active_workers(module_ranges: &[Range<usize>], frontier_entries: usize) -> usize {
-    module_ranges.len().min(frontier_entries).max(1)
+/// clamped by the hop's *work*, one worker plus one more per
+/// [`ENTRIES_PER_EXTRA_WORKER`] frontier entries. Long-tail closure hops and
+/// small batches therefore run inline on the calling thread. The determinism
+/// contract makes any clamp value produce identical output (CONCURRENCY.md
+/// §4: no step of the argument uses which worker owns a module), so this is
+/// purely a wall-clock decision.
+fn active_workers(layout_width: usize, frontier_entries: usize) -> usize {
+    (1 + frontier_entries / ENTRIES_PER_EXTRA_WORKER).min(layout_width).max(1)
 }
 
 /// The k-hop merge stage: unions each query's per-worker candidate lists
-/// into the hop's next frontier (worker-id order), sorts, and — when more
-/// than one worker produced candidates — deduplicates entries that distinct
-/// workers discovered independently.
+/// (worker-id order) into the hop's next frontier — the sorted set of all
+/// next-hops produced this hop.
 ///
-/// The sequential loop's next frontier is the sorted set of all next-hops
-/// produced this hop; worker-local epoch marks already make each candidate
-/// list duplicate-free, so concatenate + sort + cross-worker dedup yields
-/// exactly that set. With a single worker the candidate list *is* the
-/// frontier (buffers are swapped, not copied), which is byte-for-byte the
-/// sequential code path.
-fn merge_khop_frontiers(ctxs: &mut [HopCtx], next_frontiers: &mut [Vec<NodeId>]) {
-    if let [only] = ctxs {
-        for (next, candidates) in next_frontiers.iter_mut().zip(only.nexts.iter_mut()) {
-            std::mem::swap(next, candidates);
-            next.sort_unstable();
-        }
-    } else {
-        for (q, next) in next_frontiers.iter_mut().enumerate() {
+/// Worker-local epoch marks make each candidate list duplicate-free, so the
+/// union only has to order the entries and drop what distinct workers
+/// discovered independently. Node ids inside the owner directory are dense
+/// keys, so [`OrderedBitmap::sort_dedup`] does both with bit sets and a word
+/// scan when the hop is dense enough, and with a comparison sort otherwise;
+/// either way the result is the same vector. With a single worker the
+/// candidate list is swapped in, not copied.
+fn merge_khop_frontiers(
+    ctxs: &mut [HopCtx],
+    next_frontiers: &mut [Vec<NodeId>],
+    id_bound: u64,
+    bitmap: &mut OrderedBitmap,
+) {
+    for (q, next) in next_frontiers.iter_mut().enumerate() {
+        if let [only] = ctxs {
+            std::mem::swap(next, &mut only.nexts[q]);
+        } else {
             for ctx in ctxs.iter() {
                 next.extend_from_slice(&ctx.nexts[q]);
             }
-            next.sort_unstable();
-            next.dedup();
         }
+        bitmap.sort_dedup(
+            next,
+            |n: NodeId| (n.0 < id_bound).then(|| n.index()),
+            |key| NodeId(key as u64),
+        );
     }
     // Recycle every worker's spent candidate buffers into its own pool.
     for ctx in ctxs {
@@ -244,6 +259,20 @@ fn merge_khop_frontiers(ctxs: &mut [HopCtx], next_frontiers: &mut [Vec<NodeId>])
             ctx.scratch.recycle(buf);
         }
     }
+}
+
+/// What an executed non-forward plan adds to the canonical NFA-product loop
+/// ([`DistributedPimEngine::nfa_product_batch_impl`]).
+struct Pruning<'a> {
+    /// Only these pairs are expanded (`None` = every pair, the split plan's
+    /// suffix leg).
+    useful: Option<&'a ProductSet>,
+    /// Acceptance is restricted to these nodes (the split plan's prefix leg;
+    /// a one-state [`ProductSet`]).
+    accept_nodes: Option<&'a ProductSet>,
+    /// Charges made before the loop — the backward useful-set sweep plus
+    /// seed gathering — billed up front as one aggregate bulk phase.
+    preamble: StatsDelta,
 }
 
 /// Distributed graph engine over a simulated PIM platform.
@@ -263,6 +292,9 @@ pub struct DistributedPimEngine {
     /// One private [`NfaHopCtx`] per worker, persisted across `rpq_batch`
     /// calls for the same reason.
     nfa_scratch: Vec<NfaHopCtx>,
+    /// The merge stages' bitmap (all-zero between hops), shared by both
+    /// loops and sized once to the largest key a hop has produced.
+    merge_bitmap: OrderedBitmap,
 }
 
 impl DistributedPimEngine {
@@ -284,6 +316,7 @@ impl DistributedPimEngine {
             scratch: FrontierScratch::default(),
             worker_scratch: Vec::new(),
             nfa_scratch: Vec::new(),
+            merge_bitmap: OrderedBitmap::new(),
         }
     }
 
@@ -334,7 +367,7 @@ impl DistributedPimEngine {
 
     /// Takes the per-worker NFA-product contexts out of the engine, sized to
     /// `workers` (grown on demand when the thread count rose since the last
-    /// batch), so their hash-set and buffer capacities survive across
+    /// batch), so their marks and buffer capacities survive across
     /// `rpq_batch` calls like the k-hop worker scratch does.
     fn take_nfa_ctxs(&mut self, workers: usize) -> Vec<NfaHopCtx> {
         self.nfa_scratch.resize_with(workers.max(self.nfa_scratch.len()), Default::default);
@@ -417,6 +450,15 @@ impl DistributedPimEngine {
     /// (the `elem_position_map` / `free_list_map` shards).
     fn aux_module(&self, row: NodeId) -> usize {
         (row.0.wrapping_mul(0xff51_afd7_ed55_8ccd) % self.config.pim.num_modules as u64) as usize
+    }
+
+    /// Size of the dense owner directory: every node a row can name — as a
+    /// source or as a destination — has an id below it, because both
+    /// partitioners place both endpoints of an edge on arrival. It bounds the
+    /// key space of the hop loops' dense sets; ids at or past it (query
+    /// sources the graph has never seen) are handled without indexing.
+    fn directory_bound(&self) -> u64 {
+        self.policy.assignment().id_bound()
     }
 
     /// Where the row of `node` currently lives. Falls back to a hash placement
@@ -786,6 +828,7 @@ impl DistributedPimEngine {
 
         let module_ranges = self.worker_layout();
         let mut ctxs = self.take_hop_ctxs(module_ranges.len());
+        let id_bound = self.directory_bound();
 
         if let Some(deps) = track.as_deref_mut() {
             for &s in sources {
@@ -811,11 +854,10 @@ impl DistributedPimEngine {
             expansions += frontier_entries;
 
             // ---- execute: embarrassingly parallel over module slices. The
-            // worker count is additionally clamped by the hop's total
-            // frontier size: a long-tail hop with a handful of entries is
-            // not worth a spawn/join barrier (output is thread-count
-            // invariant, so re-chunking per hop is free).
-            let active = active_workers(&module_ranges, frontier_entries);
+            // worker count is additionally clamped by the hop's work: a hop
+            // too small to repay a spawn/join barrier runs inline (output is
+            // thread-count invariant, so re-chunking per hop is free).
+            let active = active_workers(module_ranges.len(), frontier_entries);
             let hop_ranges = chunk_ranges(module_count, active);
             for ctx in &mut ctxs[..active] {
                 ctx.prepare(frontiers.len());
@@ -856,7 +898,12 @@ impl DistributedPimEngine {
                 let buf = scratch.take_buffer();
                 next_frontiers.push(buf);
             }
-            merge_khop_frontiers(&mut ctxs[..active], &mut next_frontiers);
+            merge_khop_frontiers(
+                &mut ctxs[..active],
+                &mut next_frontiers,
+                id_bound,
+                &mut self.merge_bitmap,
+            );
             std::mem::swap(&mut frontiers, &mut next_frontiers);
             for spent in next_frontiers.drain(..) {
                 scratch.recycle(spent);
@@ -985,7 +1032,7 @@ impl DistributedPimEngine {
             return self.k_hop_batch(sources, k);
         }
         let nfa = Nfa::from_expr(expr);
-        self.nfa_product_batch_impl(&nfa, sources, None)
+        self.nfa_product_batch_impl(&nfa, sources, None, None)
     }
 
     /// [`DistributedPimEngine::rpq_batch`] plus the execution's dependency
@@ -1002,7 +1049,7 @@ impl DistributedPimEngine {
         }
         let nfa = Nfa::from_expr(expr);
         let mut deps = QueryDeps::default();
-        let (results, stats) = self.nfa_product_batch_impl(&nfa, sources, Some(&mut deps));
+        let (results, stats) = self.nfa_product_batch_impl(&nfa, sources, None, Some(&mut deps));
         (results, stats, deps)
     }
 
@@ -1016,7 +1063,8 @@ impl DistributedPimEngine {
     /// [`PlanStrategy::Forward`] *is* the canonical path — same code, same
     /// charges — and k-hop shapes always take it (plan choice is about label
     /// asymmetry, which `.{k}` does not have). The non-forward strategies run
-    /// a sequential pruned product over the reverse adjacency index:
+    /// the same product loop — worker pool included — pruned with what a
+    /// sweep over the reverse adjacency index found:
     ///
     /// * [`PlanStrategy::Bidirectional`] first sweeps the reversed automaton
     ///   backward over the in-adjacency rows to compute the *useful* product
@@ -1042,9 +1090,10 @@ impl DistributedPimEngine {
             _ if expr.as_k_hop().is_some() => self.rpq_batch(expr, sources),
             PlanStrategy::Bidirectional => {
                 let nfa = Nfa::from_expr(expr);
-                let mut backward = StatsDelta::new(self.config.pim.num_modules);
-                let useful = self.useful_pairs(&nfa, None, &mut backward);
-                self.pruned_product(&nfa, sources, Some(&useful), None, backward)
+                let mut preamble = StatsDelta::new(self.config.pim.num_modules);
+                let useful = self.useful_pairs(&nfa, None, &mut preamble);
+                let pruning = Pruning { useful: Some(&useful), accept_nodes: None, preamble };
+                self.nfa_product_batch_impl(&nfa, sources, Some(pruning), None)
             }
             PlanStrategy::RareLabelSplit { split_at } => {
                 let Some((prefix, suffix, pivot)) = optimizer::split_for(expr, split_at) else {
@@ -1138,9 +1187,9 @@ impl DistributedPimEngine {
         nfa: &Nfa,
         accept_nodes: Option<&[NodeId]>,
         delta: &mut StatsDelta,
-    ) -> HashSet<(NodeId, u32)> {
+    ) -> ProductSet {
         let rev = nfa.reversed_transitions();
-        let mut useful: HashSet<(NodeId, u32)> = HashSet::new();
+        let mut useful = self.product_set(nfa);
         let mut work: Vec<(NodeId, u32)> = Vec::new();
 
         // Base: pairs one matching transition away from an accepting pair.
@@ -1152,7 +1201,7 @@ impl DistributedPimEngine {
                 match accept_nodes {
                     None => {
                         for n in self.spec_sources(spec, delta) {
-                            if useful.insert((n, from as u32)) {
+                            if useful.insert(n.0, from as u32) {
                                 work.push((n, from as u32));
                                 delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
                             }
@@ -1162,7 +1211,7 @@ impl DistributedPimEngine {
                         for &m in ms {
                             self.charge_rev_scan(m, delta);
                             for &(n, label) in self.rev_row_of(m) {
-                                if spec.matches(label) && useful.insert((n, from as u32)) {
+                                if spec.matches(label) && useful.insert(n.0, from as u32) {
                                     work.push((n, from as u32));
                                     delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
                                 }
@@ -1178,7 +1227,7 @@ impl DistributedPimEngine {
             for &(spec, p) in &rev[q as usize] {
                 self.charge_rev_scan(n, delta);
                 for &(m, label) in self.rev_row_of(n) {
-                    if spec.matches(label) && useful.insert((m, p as u32)) {
+                    if spec.matches(label) && useful.insert(m.0, p as u32) {
                         work.push((m, p as u32));
                         delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
                     }
@@ -1186,195 +1235,6 @@ impl DistributedPimEngine {
             }
         }
         useful
-    }
-
-    /// The sequential pruned NFA product shared by the executed non-forward
-    /// plans: the canonical forward expansion with the frontier restricted to
-    /// `useful` pairs (`None` = no pruning, the split plan's suffix leg) and,
-    /// for the split prefix leg, acceptance restricted to `accept_nodes`.
-    ///
-    /// Per-hop charges mirror the canonical loop's formulas — scan bytes per
-    /// expanded row, routed bytes per matched transition, the 25-instruction
-    /// host re-route per inter-PIM message, the final host reduce — and the
-    /// caller's `preamble` delta (the backward useful-set sweep plus seed
-    /// gathering) is charged up front as one aggregate bulk phase.
-    fn pruned_product(
-        &mut self,
-        nfa: &Nfa,
-        sources: &[NodeId],
-        useful: Option<&HashSet<(NodeId, u32)>>,
-        accept_nodes: Option<&HashSet<NodeId>>,
-        preamble: StatsDelta,
-    ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        let module_count = self.config.pim.num_modules;
-        let host_resident_bytes = self.host_store.live_bytes();
-        let mut timeline = Timeline::new();
-
-        // The backward sweep: one aggregate bulk phase (its discovered pairs
-        // were gathered to the coordinating host over the CPC link).
-        let pre_pim = self.pim.parallel_step(&preamble.per_module);
-        timeline.charge(Phase::PimCompute, pre_pim);
-        timeline.charge(Phase::HostCompute, preamble.host_time);
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(preamble.cpc_bytes));
-        timeline.transfers.record_pim_to_cpu(preamble.cpc_bytes, 1);
-
-        // Dispatch: every PIM-resident source ships with the start state.
-        let dispatch_bytes: u64 =
-            sources.iter().filter(|&&s| matches!(self.owner(s), Some(PartitionId::Pim(_)))).count()
-                as u64
-                * (ENTRY_BYTES + STATE_BYTES);
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(dispatch_bytes));
-        timeline.transfers.record_cpu_to_pim(dispatch_bytes, 1);
-
-        let start = nfa.start() as u32;
-        let accepts_empty = nfa.accepts_empty();
-        let mut visited: Vec<HashSet<(NodeId, u32)>> = sources
-            .iter()
-            .map(|&s| {
-                let mut seen = HashSet::new();
-                seen.insert((s, start));
-                seen
-            })
-            .collect();
-        let mut results: Vec<Vec<NodeId>> = sources
-            .iter()
-            .map(|&s| {
-                if accepts_empty && accept_nodes.is_none_or(|m| m.contains(&s)) {
-                    vec![s]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let mut frontiers: Vec<Vec<(NodeId, u32)>> = sources
-            .iter()
-            .map(|&s| {
-                // A start pair outside the useful set can only contribute the
-                // empty path, already reported above.
-                if useful.is_none_or(|u| u.contains(&(s, start))) {
-                    vec![(s, start)]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-
-        let mut hops = 0usize;
-        let mut expansions = 0usize;
-        let mut candidates: Vec<(NodeId, u32)> = Vec::new();
-
-        while frontiers.iter().any(|f| !f.is_empty()) {
-            hops += 1;
-            let frontier_entries = frontiers.iter().map(Vec::len).sum::<usize>();
-            expansions += frontier_entries;
-            let mut delta = StatsDelta::new(module_count);
-            let mut new_frontiers: Vec<Vec<(NodeId, u32)>> = Vec::with_capacity(frontiers.len());
-
-            for (q, frontier) in frontiers.iter().enumerate() {
-                candidates.clear();
-                for &(v, state) in frontier {
-                    let transitions = nfa.transitions_from(state as usize);
-                    match self.owner(v) {
-                        Some(PartitionId::Host) => {
-                            let scan_bytes =
-                                self.host_store.slot_count(v) as u64 * (ID_BYTES + LABEL_BYTES);
-                            delta.host_time +=
-                                self.pim.host_random_access_cost(1, host_resident_bytes)
-                                    + self.pim.host_sequential_read_cost(scan_bytes);
-                            for (u, label) in self.host_store.neighbors_iter(v) {
-                                for &(spec, next_state) in transitions {
-                                    if !spec.matches(label) {
-                                        continue;
-                                    }
-                                    if matches!(self.owner(u), Some(PartitionId::Pim(_))) {
-                                        delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
-                                    }
-                                    let pair = (u, next_state as u32);
-                                    if !visited[q].contains(&pair) {
-                                        candidates.push(pair);
-                                    }
-                                }
-                            }
-                        }
-                        Some(PartitionId::Pim(m)) => {
-                            let m = m as usize;
-                            let row = self.local_stores[m].row(v).unwrap_or(&[]);
-                            let scan_bytes = row.len() as u64 * (ID_BYTES + LABEL_BYTES);
-                            delta.per_module[m] += self.pim.pim_hash_lookup_cost(scan_bytes);
-                            for &(u, label) in row {
-                                for &(spec, next_state) in transitions {
-                                    if !spec.matches(label) {
-                                        continue;
-                                    }
-                                    match self.owner(u) {
-                                        Some(PartitionId::Pim(m2)) if m2 as usize == m => {}
-                                        Some(PartitionId::Pim(_)) => {
-                                            delta.ipc_bytes += ENTRY_BYTES + STATE_BYTES;
-                                            delta.ipc_messages += 1;
-                                        }
-                                        _ => {
-                                            delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
-                                        }
-                                    }
-                                    let pair = (u, next_state as u32);
-                                    if !visited[q].contains(&pair) {
-                                        candidates.push(pair);
-                                    }
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                candidates.sort_unstable();
-                candidates.dedup();
-                let mut next: Vec<(NodeId, u32)> = Vec::new();
-                for &pair in &candidates {
-                    visited[q].insert(pair);
-                    let (u, state) = pair;
-                    if nfa.is_accepting(state as usize)
-                        && accept_nodes.is_none_or(|m| m.contains(&u))
-                    {
-                        results[q].push(u);
-                    }
-                    if useful.is_none_or(|set| set.contains(&pair)) {
-                        next.push(pair);
-                    }
-                }
-                new_frontiers.push(next);
-            }
-
-            let pim_time = self.pim.parallel_step(&delta.per_module);
-            timeline.charge(Phase::PimCompute, pim_time);
-            timeline.charge(Phase::HostCompute, delta.host_time);
-            timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(delta.cpc_bytes));
-            timeline.charge(
-                Phase::Ipc,
-                self.pim.ipc_transfer_cost(delta.ipc_bytes)
-                    + self.pim.host_instructions_cost(delta.ipc_messages * 25),
-            );
-            timeline.transfers.record_pim_to_cpu(delta.cpc_bytes, 1);
-            timeline.transfers.record_inter_pim(delta.ipc_bytes, delta.ipc_messages);
-            frontiers = new_frontiers;
-        }
-
-        for r in results.iter_mut() {
-            r.sort_unstable();
-            r.dedup();
-        }
-        let matched_pairs: usize = results.iter().map(Vec::len).sum();
-        let gather_bytes = matched_pairs as u64 * ENTRY_BYTES;
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(gather_bytes));
-        timeline.transfers.record_pim_to_cpu(gather_bytes, 1);
-        timeline.charge(
-            Phase::Reduce,
-            self.pim.host_sequential_read_cost(gather_bytes)
-                + self.pim.host_instructions_cost(matched_pairs as u64 * 8),
-        );
-
-        let stats =
-            QueryStats { timeline, batch_size: sources.len(), hops, matched_pairs, expansions };
-        (results, stats)
     }
 
     /// Executes the rare-label-split plan: the suffix automaton runs forward
@@ -1398,35 +1258,35 @@ impl DistributedPimEngine {
 
         // Suffix leg: full forward product from the pivot sources (every
         // pivot row feeds the join, so there is nothing to prune).
+        let seeded = Pruning { useful: None, accept_nodes: None, preamble: seed_delta };
         let (suffix_results, suffix_stats) =
-            self.pruned_product(&suffix_nfa, &pivots, None, None, seed_delta);
+            self.nfa_product_batch_impl(&suffix_nfa, &pivots, Some(seeded), None);
 
         // Prefix leg: pruned toward the pivots — only pairs that can still
         // reach an accepting pair *at a pivot node* stay in the frontier.
         let mut backward = StatsDelta::new(module_count);
         let prefix_useful = self.useful_pairs(&prefix_nfa, Some(&pivots), &mut backward);
-        let accept_set: HashSet<NodeId> = pivots.iter().copied().collect();
-        let (mid_results, prefix_stats) = self.pruned_product(
-            &prefix_nfa,
-            sources,
-            Some(&prefix_useful),
-            Some(&accept_set),
-            backward,
-        );
+        let mut accept_set = ProductSet::new(self.directory_bound(), 1);
+        for &m in &pivots {
+            accept_set.insert(m.0, 0);
+        }
+        let toward_pivots = Pruning {
+            useful: Some(&prefix_useful),
+            accept_nodes: Some(&accept_set),
+            preamble: backward,
+        };
+        let (mid_results, prefix_stats) =
+            self.nfa_product_batch_impl(&prefix_nfa, sources, Some(toward_pivots), None);
 
         // Join on the host: each source's answer is the union of the suffix
-        // answers of the pivots its prefix reached.
-        let mut pivot_index: std::collections::HashMap<NodeId, usize> =
-            std::collections::HashMap::new();
-        for (i, &m) in pivots.iter().enumerate() {
-            pivot_index.insert(m, i);
-        }
+        // answers of the pivots its prefix reached (`pivots` is ascending,
+        // and `suffix_results` is in its order).
         let mut join_bytes = 0u64;
         let mut results: Vec<Vec<NodeId>> = Vec::with_capacity(sources.len());
         for mids in &mid_results {
             let mut ans: Vec<NodeId> = Vec::new();
             for m in mids {
-                if let Some(&i) = pivot_index.get(m) {
+                if let Ok(i) = pivots.binary_search(m) {
                     ans.extend_from_slice(&suffix_results[i]);
                     join_bytes += suffix_results[i].len() as u64 * ID_BYTES;
                 }
@@ -1479,22 +1339,101 @@ impl DistributedPimEngine {
         nfa: &Nfa,
         sources: &[NodeId],
     ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.nfa_product_batch_impl(nfa, sources, None)
+        self.nfa_product_batch_impl(nfa, sources, None, None)
     }
 
-    /// The shared NFA-product loop; the tracked entry point passes a deps
-    /// accumulator filled from the per-query visited sets (which contain
-    /// every visited product pair, sources included) and the merged per-hop
-    /// deltas (host lane).
+    /// An empty product-pair set over this engine's key space for `nfa`:
+    /// `directory bound × automaton states` node-major keys.
+    fn product_set(&self, nfa: &Nfa) -> ProductSet {
+        let states = u32::try_from(nfa.state_count()).unwrap_or(u32::MAX);
+        ProductSet::new(self.directory_bound(), states)
+    }
+
+    /// The shared NFA-product entry point: charges a non-forward plan's
+    /// preamble, runs the hop loop, and reads answers (and, for the tracked
+    /// entry point, dependencies) off the per-query visited sets.
+    ///
+    /// The visited sets contain every reached product pair — sources included
+    /// — in `(node, state)` order, so an ordered scan yields each query's
+    /// accepted nodes already ascending (a node reached in several accepting
+    /// states is adjacent to itself) and exactly its node-dependency set.
     fn nfa_product_batch_impl(
         &mut self,
         nfa: &Nfa,
         sources: &[NodeId],
+        pruning: Option<Pruning>,
         mut track: Option<&mut QueryDeps>,
     ) -> (Vec<Vec<NodeId>>, QueryStats) {
+        let mut timeline = Timeline::new();
+        let (useful, accept_nodes) = match pruning {
+            Some(Pruning { useful, accept_nodes, preamble }) => {
+                // Its discovered pairs were gathered to the coordinating
+                // host over the CPC link.
+                let pre_pim = self.pim.parallel_step(&preamble.per_module);
+                timeline.charge(Phase::PimCompute, pre_pim);
+                timeline.charge(Phase::HostCompute, preamble.host_time);
+                timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(preamble.cpc_bytes));
+                timeline.transfers.record_pim_to_cpu(preamble.cpc_bytes, 1);
+                (useful, accept_nodes)
+            }
+            None => (None, None),
+        };
+
+        let (visited, hops, expansions) =
+            self.nfa_product_visit(nfa, sources, useful, &mut timeline, track.as_deref_mut());
+
+        let mut results: Vec<Vec<NodeId>> = Vec::with_capacity(visited.len());
+        for seen in &visited {
+            let mut nodes: Vec<NodeId> = Vec::new();
+            for (node, state) in seen.iter() {
+                if let Some(deps) = track.as_deref_mut() {
+                    deps.nodes.insert(NodeId(node));
+                }
+                if nfa.is_accepting(state as usize)
+                    && accept_nodes.is_none_or(|set| set.contains(node, 0))
+                {
+                    nodes.push(NodeId(node));
+                }
+            }
+            nodes.dedup();
+            results.push(nodes);
+        }
+
+        // Reduction (`mwait`): gather every query's accepted destinations to
+        // the host and merge the per-module partial results.
+        let matched_pairs: usize = results.iter().map(Vec::len).sum();
+        let gather_bytes = matched_pairs as u64 * ENTRY_BYTES;
+        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(gather_bytes));
+        timeline.transfers.record_pim_to_cpu(gather_bytes, 1);
+        timeline.charge(
+            Phase::Reduce,
+            self.pim.host_sequential_read_cost(gather_bytes)
+                + self.pim.host_instructions_cost(matched_pairs as u64 * 8),
+        );
+
+        let stats =
+            QueryStats { timeline, batch_size: sources.len(), hops, matched_pairs, expansions };
+        (results, stats)
+    }
+
+    /// The NFA-product hop loop: dispatch, then plan → execute → merge per
+    /// hop until every frontier is empty. Returns the per-query visited sets
+    /// with the hop and expansion counts; every charge lands in `timeline`.
+    ///
+    /// With `useful` given, only useful pairs enter a frontier (a start pair
+    /// outside the set can only contribute the empty path, which the visited
+    /// set already records); every discovered pair still enters the visited
+    /// set, so acceptance is read off it either way.
+    fn nfa_product_visit(
+        &mut self,
+        nfa: &Nfa,
+        sources: &[NodeId],
+        useful: Option<&ProductSet>,
+        timeline: &mut Timeline,
+        mut track: Option<&mut QueryDeps>,
+    ) -> (Vec<ProductSet>, usize, usize) {
         let module_count = self.config.pim.num_modules;
         let host_resident_bytes: u64 = self.host_store.live_bytes();
-        let mut timeline = Timeline::new();
         let mut expansions = 0usize;
 
         // Dispatch: every PIM-resident source is shipped to its module
@@ -1506,24 +1445,31 @@ impl DistributedPimEngine {
         timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(dispatch_bytes));
         timeline.transfers.record_cpu_to_pim(dispatch_bytes, 1);
 
-        // Per-query visited sets are hash sets, not the k-hop loop's
-        // `EpochMarks`: those dedup per `(query, hop)` generation, but the
-        // product traversal needs every query's set to *persist across hops*
-        // simultaneously, and one shared generation-stamped array cannot hold
-        // `batch` interleaved persistent sets (per-query stamp arrays would
-        // cost `nodes × states × batch` memory, where hash sets stay
-        // proportional to what each query actually visits).
+        // One visited set per query, persisting across hops. A `ProductSet`
+        // is a tree until it holds `bound / 128` pairs and a `bound / 8`-byte
+        // bitset from then on, so a set never costs more than ≈ 16 bytes per
+        // pair it holds: a 1024-source batch of dead ends stays 1024 small
+        // trees however large the owner directory is, and only queries that
+        // actually sweep the graph pay for (and profit from) bit tests.
         let start = nfa.start() as u32;
-        let mut visited: Vec<HashSet<(NodeId, u32)>> = sources
+        let mut visited: Vec<ProductSet> = sources
             .iter()
             .map(|&s| {
-                let mut seen = HashSet::new();
-                seen.insert((s, start));
+                let mut seen = self.product_set(nfa);
+                seen.insert(s.0, start);
                 seen
             })
             .collect();
-        let mut frontiers: Vec<Vec<(NodeId, u32)>> =
-            sources.iter().map(|&s| vec![(s, start)]).collect();
+        let mut frontiers: Vec<Vec<(NodeId, u32)>> = sources
+            .iter()
+            .map(|&s| {
+                if useful.is_none_or(|set| set.contains(s.0, start)) {
+                    vec![(s, start)]
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
         let mut next_frontiers: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); frontiers.len()];
         let mut hops = 0usize;
 
@@ -1534,16 +1480,13 @@ impl DistributedPimEngine {
             hops += 1;
             let frontier_entries = frontiers.iter().map(Vec::len).sum::<usize>();
             expansions += frontier_entries;
-            for buf in next_frontiers.iter_mut() {
-                buf.clear();
-            }
 
             // ---- execute: workers expand their modules' product entries,
             // reading the per-query visited sets as an immutable snapshot
             // (they are only extended at the merge barrier below). Like the
-            // k-hop loop, the worker count is clamped by the hop's frontier
-            // size so long-tail closure hops skip the spawn/join barrier.
-            let active = active_workers(&module_ranges, frontier_entries);
+            // k-hop loop, the worker count is clamped by the hop's work so
+            // long-tail closure hops skip the spawn/join barrier.
+            let active = active_workers(module_ranges.len(), frontier_entries);
             let hop_ranges = chunk_ranges(module_count, active);
             for ctx in &mut ctxs[..active] {
                 ctx.nexts.resize(frontiers.len(), Vec::new());
@@ -1563,10 +1506,10 @@ impl DistributedPimEngine {
 
             // ---- merge: id-ordered delta reduction, then the frontier
             // union. Candidates were filtered against the visited snapshot
-            // and deduplicated per worker, so after the sorted cross-worker
-            // dedup every surviving pair enters the visited set — producing
-            // exactly the sequential loop's sorted, duplicate-free next
-            // frontier and exactly its visited-set growth.
+            // and deduplicated per worker, so once ordered and deduplicated
+            // across workers every surviving pair enters the visited set —
+            // producing exactly the sequential loop's sorted, duplicate-free
+            // next frontier and exactly its visited-set growth.
             let mut delta = StatsDelta::new(module_count);
             for worker_delta in &deltas {
                 delta.merge(worker_delta);
@@ -1584,13 +1527,28 @@ impl DistributedPimEngine {
             timeline.transfers.record_inter_pim(delta.ipc_bytes, delta.ipc_messages);
 
             for (q, next) in next_frontiers.iter_mut().enumerate() {
-                for ctx in &mut ctxs[..active] {
-                    next.append(&mut ctx.nexts[q]);
+                next.clear();
+                if let [only] = &mut ctxs[..active] {
+                    std::mem::swap(next, &mut only.nexts[q]);
+                } else {
+                    for ctx in &mut ctxs[..active] {
+                        next.append(&mut ctx.nexts[q]);
+                    }
                 }
-                next.sort_unstable();
-                next.dedup();
-                for &pair in next.iter() {
-                    visited[q].insert(pair);
+                let seen = &mut visited[q];
+                self.merge_bitmap.sort_dedup(
+                    next,
+                    |(node, state): (NodeId, u32)| seen.key(node.0, state),
+                    |key| {
+                        let (node, state) = seen.pair(key);
+                        (NodeId(node), state)
+                    },
+                );
+                for &(node, state) in next.iter() {
+                    seen.insert(node.0, state);
+                }
+                if let Some(useful) = useful {
+                    next.retain(|&(node, state)| useful.contains(node.0, state));
                 }
             }
             if let Some(deps) = track.as_deref_mut() {
@@ -1600,53 +1558,7 @@ impl DistributedPimEngine {
             std::mem::swap(&mut frontiers, &mut next_frontiers);
         }
         self.put_nfa_ctxs(ctxs);
-
-        if let Some(deps) = track {
-            // The visited sets hold every reached product pair — sources
-            // included — so they are exactly the node-dependency set. The
-            // mask union is commutative, so hash-set iteration order is
-            // irrelevant.
-            for seen in &visited {
-                // moctopus-lint: allow(hash-iter-order, reason = "set-union into DepMask is commutative; see comment above")
-                for &(node, _) in seen {
-                    deps.nodes.insert(node);
-                }
-            }
-        }
-
-        // Every visited accepting product state contributes its node to the
-        // query's answer; a node reached in several accepting states is
-        // reported once.
-        let results: Vec<Vec<NodeId>> = visited
-            .iter()
-            .map(|seen| {
-                // moctopus-lint: allow(hash-iter-order, reason = "collected then sort_unstable + dedup below before use")
-                let mut nodes: Vec<NodeId> = seen
-                    .iter()
-                    .filter(|&&(_, state)| nfa.is_accepting(state as usize))
-                    .map(|&(node, _)| node)
-                    .collect();
-                nodes.sort_unstable();
-                nodes.dedup();
-                nodes
-            })
-            .collect();
-
-        // Reduction (`mwait`): gather every query's accepted destinations to
-        // the host and merge the per-module partial results.
-        let matched_pairs: usize = results.iter().map(Vec::len).sum();
-        let gather_bytes = matched_pairs as u64 * ENTRY_BYTES;
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(gather_bytes));
-        timeline.transfers.record_pim_to_cpu(gather_bytes, 1);
-        timeline.charge(
-            Phase::Reduce,
-            self.pim.host_sequential_read_cost(gather_bytes)
-                + self.pim.host_instructions_cost(matched_pairs as u64 * 8),
-        );
-
-        let stats =
-            QueryStats { timeline, batch_size: sources.len(), hops, matched_pairs, expansions };
-        (results, stats)
+        (visited, hops, expansions)
     }
 
     /// One worker's share of an NFA-product execute stage (the labelled
@@ -1656,9 +1568,9 @@ impl DistributedPimEngine {
     /// global order, expands only product entries whose node row lives on its
     /// modules (or the host for the host-lane worker), and charges into its
     /// private delta. A candidate `(node, state)` pair is emitted when it is
-    /// new to both the query's visited snapshot (immutable during the hop)
-    /// and the worker's per-query local set; byte charges are per matched
-    /// transition, unconditional, exactly as in the sequential loop.
+    /// new to both the worker's marks for this `(query, hop)` and the query's
+    /// visited snapshot (immutable during the hop); byte charges are per
+    /// matched transition, unconditional, exactly as in the sequential loop.
     #[allow(clippy::too_many_arguments)]
     fn nfa_hop_worker(
         &self,
@@ -1666,7 +1578,7 @@ impl DistributedPimEngine {
         host_lane: bool,
         nfa: &Nfa,
         frontiers: &[Vec<(NodeId, u32)>],
-        visited: &[HashSet<(NodeId, u32)>],
+        visited: &[ProductSet],
         host_resident_bytes: u64,
         ctx: &mut NfaHopCtx,
     ) -> StatsDelta {
@@ -1674,7 +1586,19 @@ impl DistributedPimEngine {
         for (q, frontier) in frontiers.iter().enumerate() {
             let next = &mut ctx.nexts[q];
             let snapshot = &visited[q];
-            ctx.seen.clear();
+            ctx.marks.next_epoch();
+            // Marks first: duplicate productions (the common case under
+            // closures) cost one stamp compare; the visited snapshot is
+            // consulted only on first local sight. A pair without a key (its
+            // node lies outside the owner directory) skips the marks — the
+            // merge deduplicates it — and is looked up on the snapshot's
+            // sparse side.
+            let mut emit = |u: NodeId, state: u32| {
+                let first_sight = snapshot.key(u.0, state).is_none_or(|key| ctx.marks.mark(key));
+                if first_sight && !snapshot.contains(u.0, state) {
+                    next.push((u, state));
+                }
+            };
             for &(v, state) in frontier {
                 let transitions = nfa.transitions_from(state as usize);
                 match self.owner(v) {
@@ -1691,14 +1615,7 @@ impl DistributedPimEngine {
                                 if matches!(self.owner(u), Some(PartitionId::Pim(_))) {
                                     delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
                                 }
-                                // Local-set first: duplicate productions (the
-                                // common case under closures) cost one hash
-                                // probe; the visited snapshot is consulted
-                                // only on first local sight.
-                                let pair = (u, next_state as u32);
-                                if ctx.seen.insert(pair) && !snapshot.contains(&pair) {
-                                    next.push(pair);
-                                }
+                                emit(u, next_state as u32);
                             }
                         }
                     }
@@ -1722,10 +1639,7 @@ impl DistributedPimEngine {
                                         delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
                                     }
                                 }
-                                let pair = (u, next_state as u32);
-                                if ctx.seen.insert(pair) && !snapshot.contains(&pair) {
-                                    next.push(pair);
-                                }
+                                emit(u, next_state as u32);
                             }
                         }
                     }
@@ -2296,7 +2210,11 @@ mod tests {
         let graph = graph_gen::uniform::generate(400, 4.0, 17);
         let edges: Vec<(NodeId, NodeId, Label)> =
             graph.edges().map(|(s, d, _)| (s, d, Label((d.0 % 3) as u16 + 1))).collect();
-        let sources: Vec<NodeId> = (0..48u64).map(NodeId).collect();
+        // 1100 sources: the first hop already carries more than
+        // ENTRIES_PER_EXTRA_WORKER entries and the later ones several times
+        // that, so all three workers run.
+        let sources: Vec<NodeId> = (0..1100u64).map(|i| NodeId(i % 400)).collect();
+        assert!(active_workers(3, sources.len()) > 1);
 
         // Pin the baseline to one worker explicitly: `small_test()` honours
         // MOCTOPUS_THREADS, and the CI 4-thread leg must still compare the
@@ -2331,6 +2249,60 @@ mod tests {
             assert_eq!(got, want, "round {round}");
             assert_eq!(got_stats, want_stats, "round {round}");
         }
+    }
+
+    #[test]
+    fn worker_count_is_clamped_by_frontier_work() {
+        // One worker, plus one per ENTRIES_PER_EXTRA_WORKER (1024) frontier
+        // entries, never more than the layout is wide. These are the sizes
+        // the fixtures in tests/parallel_equivalence.rs are built around.
+        assert_eq!(active_workers(8, 0), 1);
+        assert_eq!(active_workers(8, 1023), 1);
+        assert_eq!(active_workers(8, 1024), 2);
+        assert_eq!(active_workers(8, 3071), 3);
+        assert_eq!(active_workers(8, 3072), 4);
+        assert_eq!(active_workers(8, 7167), 7);
+        assert_eq!(active_workers(8, 7168), 8);
+        assert_eq!(active_workers(8, usize::MAX), 8);
+        assert_eq!(active_workers(2, 7168), 2);
+        assert_eq!(active_workers(1, 7168), 1);
+        assert_eq!(active_workers(0, 7168), 1, "a degenerate layout still gets a worker");
+    }
+
+    #[test]
+    fn dead_end_batches_never_promote_a_visited_set() {
+        // A 50 001-node owner directory (the edge into node 50 000 sizes it)
+        // holding one 3000-node label-1 chain.
+        let mut e = hash_engine();
+        let mut edges: Vec<(NodeId, NodeId, Label)> =
+            (0..2999u64).map(|i| (NodeId(i), NodeId(i + 1), Label(1))).collect();
+        edges.push((NodeId(2999), NodeId(50_000), Label(2)));
+        e.insert_labeled_edges(&edges);
+        assert!(e.directory_bound() > 50_000);
+
+        // 1024 sources that go nowhere: the chain's dead end, ids the
+        // directory covers but no edge ever named, and ids far outside it.
+        let mut sources: Vec<NodeId> = vec![NodeId(50_000)];
+        sources.extend((3000..3511u64).map(NodeId));
+        sources.extend((0..512u64).map(|i| NodeId((1 << 40) + i)));
+        assert_eq!(sources.len(), 1024);
+        // ... and one that sweeps the chain.
+        sources.push(NodeId(0));
+
+        let nfa = Nfa::from_expr(&rpq::parser::parse("1+").unwrap());
+        let mut timeline = Timeline::new();
+        let (visited, hops, _) = e.nfa_product_visit(&nfa, &sources, None, &mut timeline, None);
+        assert_eq!(hops, 3000);
+        for (seen, source) in visited.iter().zip(&sources).take(1024) {
+            assert!(!seen.is_dense(), "dead-end source {source} promoted its visited set");
+            assert_eq!(seen.len(), 1);
+        }
+        // The sweep visited 3000 pairs of a `50 001 × states` key space:
+        // past `bound / 128`, so it — and only it — pays for a bitset.
+        let sweep = visited.last().unwrap();
+        assert_eq!(sweep.len(), 3000);
+        assert!(sweep.len() * 128 >= sweep.bound() && sweep.bound() > 100_000);
+        assert!(sweep.is_dense(), "a query that visits bound / 128 pairs gets its bitset");
     }
 
     #[test]

@@ -16,7 +16,12 @@
 //!   union/difference, and reductions, all over the boolean semiring.
 //! * [`EpochMarks`] — the SuiteSparse-style generation-stamped scratch set the
 //!   kernels (and the distributed query engine in `moctopus`) use to
-//!   deduplicate produced entries without per-row clearing.
+//!   deduplicate produced entries without per-row clearing, and
+//!   [`OrderedBitmap`], which sorts and deduplicates a frontier by setting
+//!   bits and scanning words.
+//! * [`ProductSet`] — a set of `(node, automaton state)` pairs that starts
+//!   sparse and promotes itself to a bitset: the per-query visited set of a
+//!   regular-path traversal.
 //!
 //! # Examples
 //!
@@ -39,10 +44,12 @@
 pub mod builder;
 pub mod matrix;
 pub mod ops;
+pub mod product;
 pub mod scratch;
 pub mod vector;
 
 pub use builder::MatrixBuilder;
 pub use matrix::SparseBoolMatrix;
-pub use scratch::EpochMarks;
+pub use product::ProductSet;
+pub use scratch::{EpochMarks, OrderedBitmap};
 pub use vector::SparseBoolVector;

@@ -215,3 +215,59 @@ fn set_threads_on_a_live_engine_keeps_outputs_identical() {
         assert_eq!(got_stats, want_stats, "stats moved after set_threads({threads})");
     }
 }
+
+/// A batch whose first hop alone engages all 8 workers that `small_test`'s 8
+/// modules allow. The hop loops clamp each hop's worker count by its work —
+/// one worker plus one per 1024 frontier entries (pinned by a unit test next
+/// to `active_workers` in `moctopus::distributed`) — and a first hop has one
+/// entry per source, so 7 × 1024 sources cross the clamp at 2, 4 and 8
+/// threads by construction. The property tests above use 16 sources and run
+/// every hop inline; these fixtures are what keeps the multi-worker execute
+/// and merge stages covered.
+const WIDE_BATCH: usize = 7 * 1024;
+
+/// The wide fixture: a 240-node labelled uniform graph and `WIDE_BATCH`
+/// sources cycling over its nodes (later hops are wider still).
+fn wide_fixture() -> (LabeledBatch, Vec<NodeId>) {
+    let topology = graph_gen::uniform::generate(240, 3.0, 23);
+    let model = relabel(&topology, &LabelMixConfig::default(), 23);
+    let edges = graph_gen::labels::labeled_edge_stream(&model);
+    let sources = (0..WIDE_BATCH as u64).map(|i| NodeId(i % 240)).collect();
+    (edges, sources)
+}
+
+/// The k-hop loop with every worker active: threads 2/4/8 match 1 exactly.
+#[test]
+fn wide_k_hop_batches_reach_every_worker_and_stay_identical() {
+    let (edges, sources) = wide_fixture();
+    let mut reference = engines_at(1, &edges);
+    let wants: Vec<_> = reference.iter_mut().map(|e| e.k_hop_batch(&sources, 3)).collect();
+    for &threads in &THREAD_COUNTS[1..] {
+        for (engine, (want, want_stats)) in engines_at(threads, &edges).iter_mut().zip(&wants) {
+            assert!(want_stats.expansions >= WIDE_BATCH, "the first hop expands every source");
+            let (got, got_stats) = engine.k_hop_batch(&sources, 3);
+            assert_eq!(&got, want, "{} k-hop results differ at {threads} threads", engine.name());
+            assert_eq!(&got_stats, want_stats, "{} k-hop stats differ at {threads}", engine.name());
+        }
+    }
+}
+
+/// The NFA-product loop with every worker active, on a transitive closure
+/// and on a closure between two label steps: threads 2/4/8 match 1 exactly.
+#[test]
+fn wide_closure_batches_reach_every_worker_and_stay_identical() {
+    let (edges, sources) = wide_fixture();
+    for text in ["1+", "1/(2|3)*/4"] {
+        let expr = rpq::parser::parse(text).expect("query set must parse");
+        let mut reference = engines_at(1, &edges);
+        let wants: Vec<_> = reference.iter_mut().map(|e| e.rpq_batch(&expr, &sources)).collect();
+        for &threads in &THREAD_COUNTS[1..] {
+            for (engine, (want, want_stats)) in engines_at(threads, &edges).iter_mut().zip(&wants) {
+                assert!(want_stats.expansions >= WIDE_BATCH, "the first hop expands every source");
+                let (got, got_stats) = engine.rpq_batch(&expr, &sources);
+                assert_eq!(&got, want, "{} {text} differs at {threads} threads", engine.name());
+                assert_eq!(&got_stats, want_stats, "{} {text} stats at {threads}", engine.name());
+            }
+        }
+    }
+}
