@@ -261,6 +261,18 @@ fn merge_khop_frontiers(
     }
 }
 
+/// An unlabelled edge as the default-labelled edge it is.
+fn unlabelled(&(src, dst): &(NodeId, NodeId)) -> (NodeId, NodeId, Label) {
+    (src, dst, Label::ANY)
+}
+
+/// The two edge writes of the update funnel ([`DistributedPimEngine::apply`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EdgeOp {
+    Insert,
+    Delete,
+}
+
 /// What an executed non-forward plan adds to the canonical NFA-product loop
 /// ([`DistributedPimEngine::nfa_product_batch_impl`]).
 struct Pruning<'a> {
@@ -475,14 +487,14 @@ impl DistributedPimEngine {
     /// routing each one to the computing node that owns the source row and
     /// charging the work to the cost model.
     pub fn insert_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-        self.insert_edges_impl(edges.iter().map(|&(s, d)| (s, d, Label::ANY)), edges.len(), None)
+        self.apply(EdgeOp::Insert, edges.iter().map(unlabelled), None)
     }
 
     /// Inserts a batch of labelled edges. The default label travels for free
     /// (it is elided on the wire); every other label is charged
     /// `LABEL_BYTES` on the CPU→PIM bus and in the MRAM write.
     pub fn insert_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-        self.insert_edges_impl(edges.iter().copied(), edges.len(), None)
+        self.apply(EdgeOp::Insert, edges.iter().copied(), None)
     }
 
     /// [`DistributedPimEngine::insert_labeled_edges`] plus the batch's
@@ -498,46 +510,95 @@ impl DistributedPimEngine {
         edges: &[(NodeId, NodeId, Label)],
     ) -> (UpdateStats, UpdateFootprint) {
         let mut footprint = UpdateFootprint::from_edges(edges);
-        let stats =
-            self.insert_edges_impl(edges.iter().copied(), edges.len(), Some(&mut footprint));
-        (stats, footprint)
+        (self.apply(EdgeOp::Insert, edges.iter().copied(), Some(&mut footprint)), footprint)
     }
 
-    /// The shared insert loop; the unlabelled entry point streams `Label::ANY`
-    /// in without materialising a labelled copy of the batch, and the tracked
-    /// entry point passes a footprint for the host-store flag.
-    fn insert_edges_impl(
+    /// Deletes a batch of unlabelled ([`Label::ANY`]) edges.
+    pub fn delete_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
+        self.apply(EdgeOp::Delete, edges.iter().map(unlabelled), None)
+    }
+
+    /// Deletes a batch of labelled edges (label-byte accounting as on the
+    /// insert path).
+    pub fn delete_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
+        self.apply(EdgeOp::Delete, edges.iter().copied(), None)
+    }
+
+    /// [`DistributedPimEngine::delete_labeled_edges`] plus the batch's
+    /// dependency footprint; see
+    /// [`DistributedPimEngine::insert_labeled_edges_tracked`].
+    pub fn delete_labeled_edges_tracked(
         &mut self,
-        edges: impl Iterator<Item = (NodeId, NodeId, Label)>,
-        batch_len: usize,
+        edges: &[(NodeId, NodeId, Label)],
+    ) -> (UpdateStats, UpdateFootprint) {
+        let mut footprint = UpdateFootprint::from_edges(edges);
+        (self.apply(EdgeOp::Delete, edges.iter().copied(), Some(&mut footprint)), footprint)
+    }
+
+    /// The update funnel: every entry point above runs this one loop (the
+    /// unlabelled ones stream `Label::ANY` in without materialising a
+    /// labelled copy; the tracked ones pass a footprint for the host-store
+    /// flag). Batches mutate the stores and the partitioner, so the loop is
+    /// sequential.
+    ///
+    /// Per edge, in this order — `per_module[m]` and `host_time` are float
+    /// accumulators, so the order is what keeps every [`UpdateStats`]
+    /// bit-identical (`tests/update_cost_golden.rs`):
+    ///
+    /// 1. the partitioner sees the edge; an insert that pushes the source
+    ///    across the degree threshold migrates its rows to the host first;
+    /// 2. the forward write at the source's owner and its charge — one probe
+    ///    of the row, whose length *before* the write prices the access;
+    /// 3. if that changed the store, the mirrored write into the reverse row
+    ///    at the destination's owner (reverse rows colocate with the node's
+    ///    forward placement, so backward sweeps read them without extra
+    ///    routing) and its charge: a PIM-resident reverse row pays the
+    ///    CPU→PIM routing of the edge plus one MRAM entry write, a
+    ///    host-resident one the host-side write (the host coordinator
+    ///    already holds the edge). The mirror cannot fail on its own: the
+    ///    forward store just deduplicated the edge, and reverse rows have no
+    ///    capacity gate (STORAGE.md).
+    fn apply(
+        &mut self,
+        op: EdgeOp,
+        edges: impl ExactSizeIterator<Item = (NodeId, NodeId, Label)>,
         mut footprint: Option<&mut UpdateFootprint>,
     ) -> UpdateStats {
-        // Update batches mutate the stores and the partitioner, so they stay
-        // sequential; the shared `StatsDelta` accumulator replaces the loose
-        // `&mut` counters the loop used to thread through every helper.
+        let batch_len = edges.len();
         let mut delta = StatsDelta::new(self.config.pim.num_modules);
+        let insert = op == EdgeOp::Insert;
 
         for (src, dst, label) in edges {
-            // Partitioning decision happens on edge arrival (radical greedy).
-            let before = self.owner(src);
-            self.policy.on_edge(src, dst);
-            // moctopus-lint: allow(panic-in-lib, reason = "on_edge unconditionally assigns src an owner on the line above")
-            let after = self.owner(src).expect("source was just assigned");
-            // Labor division: the node may have just crossed the threshold.
-            if let (Some(PartitionId::Pim(old)), PartitionId::Host) = (before, after) {
-                self.promote_to_host(src, old as usize, &mut delta);
-            }
-            if let Some(fp) = footprint.as_deref_mut() {
-                // Host-store bytes move when the row is (or becomes)
-                // host-resident — a promotion installs the row there.
-                fp.host_store |= after == PartitionId::Host;
-            }
+            let owner = if insert {
+                // Partitioning decision happens on edge arrival (radical greedy).
+                let before = self.owner(src);
+                self.policy.on_edge(src, dst);
+                // moctopus-lint: allow(panic-in-lib, reason = "on_edge unconditionally assigns src an owner on the line above")
+                let after = self.owner(src).expect("source was just assigned");
+                // Labor division: the node may have just crossed the threshold.
+                if let (Some(PartitionId::Pim(old)), PartitionId::Host) = (before, after) {
+                    self.promote_to_host(src, old as usize, &mut delta);
+                }
+                after
+            } else {
+                self.policy.on_edge_delete(src, dst);
+                let Some(owner) = self.owner(src) else { continue };
+                owner
+            };
+            // Host-store bytes move when a touched row is (or becomes)
+            // host-resident — a promotion installs the row there.
+            let mut host_store = owner == PartitionId::Host;
+            let label_bytes = label_wire_bytes(label);
 
-            match after {
+            let applied = match owner {
                 PartitionId::Host => {
-                    // Heterogeneous storage: PIM side checks existence and
-                    // allocates the slot, host writes one position.
-                    let outcome = self.host_store.insert_edge(src, dst, label);
+                    // Heterogeneous storage: the PIM side checks existence
+                    // and manages the slot, the host writes one position.
+                    let outcome = if insert {
+                        self.host_store.insert_edge(src, dst, label)
+                    } else {
+                        self.host_store.delete_edge(src, dst, label)
+                    };
                     let aux = self.aux_module(src);
                     delta.per_module[aux] += self.pim.pim_hash_lookup_cost(ID_BYTES)
                         * outcome.cost.pim_lookups as f64
@@ -547,108 +608,69 @@ impl DistributedPimEngine {
                             + self.pim.host_instructions_cost(40);
                     // The host exchanges a small request/response with the PIM
                     // side to learn the slot position.
-                    delta.cpu_to_pim_bytes += EDGE_BYTES + label_wire_bytes(label);
+                    delta.cpu_to_pim_bytes += EDGE_BYTES + label_bytes;
                     delta.pim_to_cpu_bytes += ID_BYTES;
-                    if outcome.changed {
-                        delta.applied += 1;
-                        self.edge_count += 1;
-                        self.mirror_rev_insert(src, dst, label, &mut delta, &mut footprint);
-                    }
+                    outcome.changed
                 }
                 PartitionId::Pim(m) => {
-                    let m = m as usize;
-                    delta.cpu_to_pim_bytes += EDGE_BYTES + label_wire_bytes(label);
-                    let row_bytes = self.local_stores[m]
-                        .row(src)
-                        .map(|r| r.len() as u64 * ID_BYTES)
-                        .unwrap_or(0);
-                    delta.per_module[m] += self.pim.pim_hash_lookup_cost(row_bytes)
-                        + self.pim.mram_write_cost(ID_BYTES + label_wire_bytes(label));
-                    if self.local_stores[m].insert_edge(src, dst, label).is_ok() {
-                        delta.applied += 1;
-                        self.edge_count += 1;
-                        self.mirror_rev_insert(src, dst, label, &mut delta, &mut footprint);
-                    }
+                    let store = &mut self.local_stores[m as usize];
+                    let written = if insert {
+                        store.insert_edge(src, dst, label)
+                    } else {
+                        store.remove_edge(src, dst, label)
+                    };
+                    let (row_len, applied) = match written {
+                        Ok(prior_len) => (prior_len, true),
+                        // A write that changed nothing left the row as it was.
+                        Err(_) => (store.row(src).map_or(0, <[_]>::len), false),
+                    };
+                    delta.cpu_to_pim_bytes += EDGE_BYTES + label_bytes;
+                    delta.per_module[m as usize] +=
+                        self.pim.pim_hash_lookup_cost(row_len as u64 * ID_BYTES)
+                            + self.pim.mram_write_cost(ID_BYTES + label_bytes);
+                    applied
                 }
+            };
+
+            // Both partitioners assign the destination an owner on edge
+            // arrival, so the lookup only misses for nodes outside the
+            // stream (defensive).
+            let rev_owner = if applied { self.owner(dst) } else { None };
+            delta.applied += usize::from(applied);
+            match rev_owner {
+                Some(PartitionId::Host) => {
+                    host_store = true;
+                    let _ = if insert {
+                        self.host_store.insert_rev_edge(dst, src, label)
+                    } else {
+                        self.host_store.remove_rev_edge(dst, src, label)
+                    };
+                    delta.host_time += self.pim.host_sequential_read_cost(ID_BYTES + label_bytes);
+                }
+                Some(PartitionId::Pim(m)) => {
+                    let store = &mut self.local_stores[m as usize];
+                    let _ = if insert {
+                        store.insert_rev_edge(dst, src, label)
+                    } else {
+                        store.remove_rev_edge(dst, src, label)
+                    };
+                    delta.cpu_to_pim_bytes += EDGE_BYTES + label_bytes;
+                    delta.per_module[m as usize] +=
+                        self.pim.mram_write_cost(ID_BYTES + label_bytes);
+                }
+                None => {}
+            }
+            if let Some(fp) = footprint.as_deref_mut() {
+                fp.host_store |= host_store;
             }
         }
 
-        self.charge_update_delta(delta, batch_len)
-    }
-
-    /// Mirrors one **applied** labelled insert into the in-adjacency index at
-    /// the destination row's owner (reverse rows colocate with the node's
-    /// forward placement, so backward sweeps read them without extra
-    /// routing). The mirrored write is charged explicitly: a PIM-resident
-    /// reverse row pays the CPU→PIM routing of the edge plus one MRAM entry
-    /// write; a host-resident one pays the host-side write (no bus crossing —
-    /// the host coordinator already holds the edge).
-    ///
-    /// The mirror can never independently fail: the forward store just
-    /// deduplicated the edge, and reverse rows are an unbounded secondary
-    /// index (no capacity gate — see STORAGE.md).
-    fn mirror_rev_insert(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        label: Label,
-        delta: &mut StatsDelta,
-        footprint: &mut Option<&mut UpdateFootprint>,
-    ) {
-        // Both partitioners assign the destination an owner on edge arrival,
-        // so the lookup only misses for nodes outside the stream (defensive).
-        let Some(rev_owner) = self.owner(dst) else { return };
-        if let Some(fp) = footprint.as_deref_mut() {
-            fp.host_store |= rev_owner == PartitionId::Host;
+        if insert {
+            self.edge_count += delta.applied;
+        } else {
+            self.edge_count -= delta.applied;
         }
-        match rev_owner {
-            PartitionId::Host => {
-                let _ = self.host_store.insert_rev_edge(dst, src, label);
-                delta.host_time +=
-                    self.pim.host_sequential_read_cost(ID_BYTES + label_wire_bytes(label));
-            }
-            PartitionId::Pim(m) => {
-                let m = m as usize;
-                delta.cpu_to_pim_bytes += EDGE_BYTES + label_wire_bytes(label);
-                delta.per_module[m] += self.pim.mram_write_cost(ID_BYTES + label_wire_bytes(label));
-                let _ = self.local_stores[m].insert_rev_edge(dst, src, label);
-            }
-        }
-    }
-
-    /// Mirror of [`DistributedPimEngine::mirror_rev_insert`] for the delete
-    /// path: removes the reverse entry at the destination row's owner and
-    /// charges the mirrored write identically.
-    fn mirror_rev_delete(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        label: Label,
-        delta: &mut StatsDelta,
-        footprint: &mut Option<&mut UpdateFootprint>,
-    ) {
-        let Some(rev_owner) = self.owner(dst) else { return };
-        if let Some(fp) = footprint.as_deref_mut() {
-            fp.host_store |= rev_owner == PartitionId::Host;
-        }
-        match rev_owner {
-            PartitionId::Host => {
-                let _ = self.host_store.remove_rev_edge(dst, src, label);
-                delta.host_time +=
-                    self.pim.host_sequential_read_cost(ID_BYTES + label_wire_bytes(label));
-            }
-            PartitionId::Pim(m) => {
-                let m = m as usize;
-                delta.cpu_to_pim_bytes += EDGE_BYTES + label_wire_bytes(label);
-                delta.per_module[m] += self.pim.mram_write_cost(ID_BYTES + label_wire_bytes(label));
-                let _ = self.local_stores[m].remove_rev_edge(dst, src, label);
-            }
-        }
-    }
-
-    /// Converts one update batch's accumulated [`StatsDelta`] into the
-    /// reported [`UpdateStats`] (the barrier of the update path).
-    fn charge_update_delta(&mut self, delta: StatsDelta, batch_len: usize) -> UpdateStats {
+        // The batch's barrier: the accumulated delta becomes its timeline.
         let mut timeline = Timeline::new();
         let pim_time = self.pim.parallel_step(&delta.per_module);
         timeline.charge(Phase::PimCompute, pim_time);
@@ -661,84 +683,6 @@ impl DistributedPimEngine {
         timeline.transfers.record_cpu_to_pim(delta.cpu_to_pim_bytes, batch_len as u64);
         timeline.transfers.record_pim_to_cpu(delta.pim_to_cpu_bytes, 1);
         UpdateStats { timeline, requested: batch_len, applied: delta.applied }
-    }
-
-    /// Deletes a batch of unlabelled ([`Label::ANY`]) edges.
-    pub fn delete_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-        self.delete_edges_impl(edges.iter().map(|&(s, d)| (s, d, Label::ANY)), edges.len(), None)
-    }
-
-    /// Deletes a batch of labelled edges (label-byte accounting as on the
-    /// insert path).
-    pub fn delete_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-        self.delete_edges_impl(edges.iter().copied(), edges.len(), None)
-    }
-
-    /// [`DistributedPimEngine::delete_labeled_edges`] plus the batch's
-    /// dependency footprint; see
-    /// [`DistributedPimEngine::insert_labeled_edges_tracked`].
-    pub fn delete_labeled_edges_tracked(
-        &mut self,
-        edges: &[(NodeId, NodeId, Label)],
-    ) -> (UpdateStats, UpdateFootprint) {
-        let mut footprint = UpdateFootprint::from_edges(edges);
-        let stats =
-            self.delete_edges_impl(edges.iter().copied(), edges.len(), Some(&mut footprint));
-        (stats, footprint)
-    }
-
-    /// The shared delete loop; see [`DistributedPimEngine::insert_edges_impl`].
-    fn delete_edges_impl(
-        &mut self,
-        edges: impl Iterator<Item = (NodeId, NodeId, Label)>,
-        batch_len: usize,
-        mut footprint: Option<&mut UpdateFootprint>,
-    ) -> UpdateStats {
-        let mut delta = StatsDelta::new(self.config.pim.num_modules);
-
-        for (src, dst, label) in edges {
-            self.policy.on_edge_delete(src, dst);
-            let Some(owner) = self.owner(src) else { continue };
-            if let Some(fp) = footprint.as_deref_mut() {
-                fp.host_store |= owner == PartitionId::Host;
-            }
-            match owner {
-                PartitionId::Host => {
-                    let outcome = self.host_store.delete_edge(src, dst, label);
-                    let aux = self.aux_module(src);
-                    delta.per_module[aux] += self.pim.pim_hash_lookup_cost(ID_BYTES)
-                        * outcome.cost.pim_lookups.max(1) as f64
-                        + self.pim.pim_instructions_cost(60 * outcome.cost.pim_mutations);
-                    delta.host_time +=
-                        self.pim.host_sequential_read_cost(outcome.cost.host_bytes_written)
-                            + self.pim.host_instructions_cost(40);
-                    delta.cpu_to_pim_bytes += EDGE_BYTES + label_wire_bytes(label);
-                    delta.pim_to_cpu_bytes += ID_BYTES;
-                    if outcome.changed {
-                        delta.applied += 1;
-                        self.edge_count -= 1;
-                        self.mirror_rev_delete(src, dst, label, &mut delta, &mut footprint);
-                    }
-                }
-                PartitionId::Pim(m) => {
-                    let m = m as usize;
-                    delta.cpu_to_pim_bytes += EDGE_BYTES + label_wire_bytes(label);
-                    let row_bytes = self.local_stores[m]
-                        .row(src)
-                        .map(|r| r.len() as u64 * ID_BYTES)
-                        .unwrap_or(0);
-                    delta.per_module[m] += self.pim.pim_hash_lookup_cost(row_bytes)
-                        + self.pim.mram_write_cost(ID_BYTES + label_wire_bytes(label));
-                    if self.local_stores[m].remove_edge(src, dst, label).is_ok() {
-                        delta.applied += 1;
-                        self.edge_count -= 1;
-                        self.mirror_rev_delete(src, dst, label, &mut delta, &mut footprint);
-                    }
-                }
-            }
-        }
-
-        self.charge_update_delta(delta, batch_len)
     }
 
     /// Moves a newly promoted high-degree row from its PIM module to the host
@@ -1663,19 +1607,17 @@ impl DistributedPimEngine {
     /// this because detection happens inside the modules during path matching.
     pub fn graph_view(&self) -> AdjacencyGraph {
         let mut g = AdjacencyGraph::new();
-        for store in &self.local_stores {
-            for (src, row) in store.iter() {
-                for &(dst, label) in row {
-                    g.insert_edge(src, dst, label);
-                }
-            }
-        }
-        for (src, row) in self.host_store.iter() {
-            for (dst, label) in row {
-                g.insert_edge(src, dst, label);
-            }
-        }
+        g.extend(self.stored_edges());
         g
+    }
+
+    /// Every stored edge, module stores first, then the host store; rows in
+    /// arbitrary order (consumers are order-independent or sort).
+    fn stored_edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Label)> + '_ {
+        let local = self.local_stores.iter().flat_map(LocalGraphStorage::iter);
+        let local = local.flat_map(|(src, row)| row.iter().map(move |&(dst, l)| (src, dst, l)));
+        let host = self.host_store.iter();
+        local.chain(host.flat_map(|(src, row)| row.into_iter().map(move |(dst, l)| (src, dst, l))))
     }
 
     /// Runs the adaptive refinement: detects incorrectly partitioned nodes,
@@ -1836,19 +1778,7 @@ impl DistributedPimEngine {
     /// edge lives in exactly one forward store, so the rebuilt index is
     /// independent of the iteration order used here.
     fn rebuild_rev_rows(&mut self) {
-        let mut edges: Vec<(NodeId, NodeId, Label)> = Vec::new();
-        for store in &self.local_stores {
-            for (src, row) in store.iter() {
-                for &(dst, label) in row {
-                    edges.push((src, dst, label));
-                }
-            }
-        }
-        for (src, row) in self.host_store.iter() {
-            for (dst, label) in row {
-                edges.push((src, dst, label));
-            }
-        }
+        let edges: Vec<(NodeId, NodeId, Label)> = self.stored_edges().collect();
         for (src, dst, label) in edges {
             match self.owner(dst) {
                 Some(PartitionId::Host) => {

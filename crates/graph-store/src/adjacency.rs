@@ -6,10 +6,10 @@
 //! tests. It supports the dynamic operations the paper's storage engine must
 //! handle: edge insertion, edge deletion, and incremental degree tracking.
 
-use crate::ids::{Label, NodeId};
+use crate::ids::{IdMap, Label, NodeId};
 use crate::labelstats::LabelStatsTable;
+use crate::rows::SortedRows;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A directed, labelled multigraph stored as per-node adjacency vectors.
 ///
@@ -33,12 +33,12 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AdjacencyGraph {
     /// Out-neighbours per node: `(destination, label)` pairs.
-    out_edges: HashMap<NodeId, Vec<(NodeId, Label)>>,
+    out_edges: IdMap<NodeId, Vec<(NodeId, Label)>>,
     /// In-neighbours per node: `(source, label)` pairs, kept **strictly
     /// sorted**. The whole-graph view owns both directions, so the reverse
     /// side is maintained on the same insert/delete path as the forward side
     /// (and re-derived by transposition on snapshot restore).
-    in_edges: HashMap<NodeId, Vec<(NodeId, Label)>>,
+    in_edges: SortedRows,
     /// Number of directed edges currently stored.
     edge_count: usize,
     /// Largest node id ever seen plus one; used to size dense structures.
@@ -56,13 +56,9 @@ impl AdjacencyGraph {
 
     /// Creates an empty graph with room pre-allocated for `nodes` nodes.
     pub fn with_capacity(nodes: usize) -> Self {
-        AdjacencyGraph {
-            out_edges: HashMap::with_capacity(nodes),
-            in_edges: HashMap::with_capacity(nodes),
-            edge_count: 0,
-            id_bound: 0,
-            stats: LabelStatsTable::new(),
-        }
+        let mut g = AdjacencyGraph::new();
+        g.out_edges.reserve(nodes);
+        g
     }
 
     /// Builds a graph from an iterator of unlabelled `(src, dst)` pairs.
@@ -83,56 +79,41 @@ impl AdjacencyGraph {
     ///
     /// Both endpoints become known nodes even if they had no prior edges.
     pub fn insert_edge(&mut self, src: NodeId, dst: NodeId, label: Label) -> bool {
-        self.note_node(src);
         self.note_node(dst);
+        self.id_bound = self.id_bound.max(src.0 + 1);
         let row = self.out_edges.entry(src).or_default();
-        if row.iter().any(|&(d, l)| d == dst && l == label) {
+        if row.contains(&(dst, label)) {
             return false;
         }
         row.push((dst, label));
-        let rev = self.in_edges.entry(dst).or_default();
-        if let Err(pos) = rev.binary_search(&(src, label)) {
-            rev.insert(pos, (src, label));
-        }
         self.edge_count += 1;
         self.stats.record_insert(src, dst, label);
+        self.in_edges.insert(dst, (src, label));
         self.stats.record_rev_insert(dst, label);
         true
     }
 
     /// Removes a directed edge. Returns `true` if the edge existed.
     pub fn remove_edge(&mut self, src: NodeId, dst: NodeId, label: Label) -> bool {
-        if let Some(row) = self.out_edges.get_mut(&src) {
-            if let Some(pos) = row.iter().position(|&(d, l)| d == dst && l == label) {
-                row.swap_remove(pos);
-                if let Some(rev) = self.in_edges.get_mut(&dst) {
-                    if let Ok(rpos) = rev.binary_search(&(src, label)) {
-                        rev.remove(rpos);
-                    }
-                }
-                self.edge_count -= 1;
-                self.stats.record_delete(src, dst, label);
-                self.stats.record_rev_delete(dst, label);
-                return true;
-            }
-        }
-        false
+        let Some(row) = self.out_edges.get_mut(&src) else { return false };
+        let Some(pos) = row.iter().position(|&e| e == (dst, label)) else { return false };
+        row.swap_remove(pos);
+        self.edge_count -= 1;
+        self.stats.record_delete(src, dst, label);
+        self.in_edges.remove(dst, (src, label));
+        self.stats.record_rev_delete(dst, label);
+        true
     }
 
     /// Returns `true` if the edge is present.
     pub fn has_edge(&self, src: NodeId, dst: NodeId, label: Label) -> bool {
-        self.out_edges
-            .get(&src)
-            .map(|row| row.iter().any(|&(d, l)| d == dst && l == label))
-            .unwrap_or(false)
+        self.out_edges.get(&src).is_some_and(|row| row.contains(&(dst, label)))
     }
 
     /// Registers a node without adding any edges.
     pub fn note_node(&mut self, node: NodeId) {
         self.out_edges.entry(node).or_default();
-        if node.0 + 1 > self.id_bound {
-            self.id_bound = node.0 + 1;
-        }
+        self.id_bound = self.id_bound.max(node.0 + 1);
     }
 
     /// Out-neighbours of `node` (with labels); empty slice if unknown.
@@ -153,27 +134,19 @@ impl AdjacencyGraph {
     /// In-neighbours of `node` (`(source, label)` pairs, strictly ascending);
     /// empty slice if the node has no in-edges.
     pub fn in_neighbors(&self, node: NodeId) -> &[(NodeId, Label)] {
-        self.in_edges.get(&node).map(Vec::as_slice).unwrap_or(&[])
+        self.in_edges.get(node).unwrap_or(&[])
     }
 
     /// In-degree of `node` (0 if the node has no in-edges).
     pub fn in_degree(&self, node: NodeId) -> usize {
-        self.in_edges.get(&node).map(Vec::len).unwrap_or(0)
+        self.in_neighbors(node).len()
     }
 
     /// Exports every non-empty in-adjacency row, sorted by node id, with
     /// strictly sorted contents (for tests and diagnostics; snapshots
     /// re-derive the reverse side from forward rows).
     pub fn export_rev_rows(&self) -> Vec<(NodeId, Vec<(NodeId, Label)>)> {
-        // moctopus-lint: allow(hash-iter-order, reason = "collected then sort_by_key on the next line before use")
-        let mut rows: Vec<(NodeId, Vec<(NodeId, Label)>)> = self
-            .in_edges
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(&n, v)| (n, v.clone()))
-            .collect();
-        rows.sort_by_key(|&(n, _)| n);
-        rows
+        self.in_edges.export_sorted()
     }
 
     /// Number of nodes that have been registered (with or without edges).
@@ -255,25 +228,18 @@ impl AdjacencyGraph {
     /// The edge count is recomputed from the rows; the id bound is taken
     /// as-is (it can exceed every present id after deletions).
     pub fn from_rows(rows: Vec<(NodeId, Vec<(NodeId, Label)>)>, id_bound: u64) -> Self {
-        let mut edge_count = 0;
-        let mut stats = LabelStatsTable::new();
-        let mut in_edges: HashMap<NodeId, Vec<(NodeId, Label)>> = HashMap::new();
-        let out_edges: HashMap<NodeId, Vec<(NodeId, Label)>> = rows
-            .into_iter()
-            .map(|(n, v)| {
-                edge_count += v.len();
-                stats.record_row_installed(n, &v);
-                for &(dst, label) in &v {
-                    let rev = in_edges.entry(dst).or_default();
-                    if let Err(pos) = rev.binary_search(&(n, label)) {
-                        rev.insert(pos, (n, label));
-                        stats.record_rev_insert(dst, label);
-                    }
+        let mut g = AdjacencyGraph { id_bound, ..AdjacencyGraph::default() };
+        for (n, row) in rows {
+            g.edge_count += row.len();
+            g.stats.record_row_installed(n, &row);
+            for &(dst, label) in &row {
+                if g.in_edges.insert(dst, (n, label)).1 {
+                    g.stats.record_rev_insert(dst, label);
                 }
-                (n, v)
-            })
-            .collect();
-        AdjacencyGraph { out_edges, in_edges, edge_count, id_bound, stats }
+            }
+            g.out_edges.insert(n, row);
+        }
+        g
     }
 
     /// The incrementally maintained per-label statistics of this graph.

@@ -6,9 +6,8 @@
 //! stream in so the Node Migrator can detect the exact moment a low-degree
 //! node crosses the threshold and must move to the host side.
 
-use crate::ids::NodeId;
+use crate::ids::{IdMap, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Out-degree above which a node is considered high-degree (paper, Table 1).
 pub const HIGH_DEGREE_THRESHOLD: usize = 16;
@@ -29,7 +28,7 @@ pub const HIGH_DEGREE_THRESHOLD: usize = 16;
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DegreeTracker {
-    degrees: HashMap<NodeId, usize>,
+    degrees: IdMap<NodeId, usize>,
     threshold: usize,
     high_degree_count: usize,
 }
@@ -37,7 +36,7 @@ pub struct DegreeTracker {
 impl DegreeTracker {
     /// Creates a tracker with the given high-degree threshold.
     pub fn new(threshold: usize) -> Self {
-        DegreeTracker { degrees: HashMap::new(), threshold, high_degree_count: 0 }
+        DegreeTracker { degrees: IdMap::default(), threshold, high_degree_count: 0 }
     }
 
     /// Creates a tracker with the paper's threshold of 16.
@@ -128,7 +127,7 @@ impl DegreeTracker {
     /// disagree with the table.
     pub fn from_entries(threshold: usize, entries: Vec<(NodeId, u64)>) -> Self {
         let mut high_degree_count = 0;
-        let degrees: HashMap<NodeId, usize> = entries
+        let degrees: IdMap<NodeId, usize> = entries
             .into_iter()
             .map(|(n, d)| {
                 let d = d as usize;

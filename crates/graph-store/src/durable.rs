@@ -24,8 +24,9 @@
 //! idempotent.
 
 use crate::error::GraphStoreError;
+use crate::ids::{Label, NodeId};
 use crate::snapshot::SnapshotState;
-use crate::wal::{TornTail, WalRecord, WalWriter};
+use crate::wal::{TornTail, WalOp, WalRecord, WalWriter};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -157,9 +158,15 @@ impl DurableStore {
     }
 
     /// Appends one update record to the current WAL (write-ahead: call this
-    /// before applying the update to the engine).
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), GraphStoreError> {
-        self.wal.append(record)
+    /// before applying the update to the engine). The batch is borrowed: it
+    /// is framed straight into the writer's buffer.
+    pub fn append(
+        &mut self,
+        seq: u64,
+        op: WalOp,
+        edges: &[(NodeId, NodeId, Label)],
+    ) -> Result<(), GraphStoreError> {
+        self.wal.append_batch(seq, op, edges)
     }
 
     /// Forces all appended records to stable storage.
@@ -232,8 +239,6 @@ pub fn generation_snapshot_path(dir: &Path, generation: u64) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{Label, NodeId};
-    use crate::wal::WalOp;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -244,6 +249,10 @@ mod tests {
 
     fn rec(seq: u64, op: WalOp) -> WalRecord {
         WalRecord { seq, op, edges: vec![(NodeId(seq), NodeId(seq + 1), Label(1))] }
+    }
+
+    fn append(store: &mut DurableStore, record: &WalRecord) {
+        store.append(record.seq, record.op, &record.edges).unwrap();
     }
 
     #[test]
@@ -264,8 +273,8 @@ mod tests {
         let dir = tmp_dir("walonly");
         {
             let (mut store, _) = DurableStore::open(&dir, 2).unwrap();
-            store.append(&rec(1, WalOp::Insert)).unwrap();
-            store.append(&rec(2, WalOp::Delete)).unwrap();
+            append(&mut store, &rec(1, WalOp::Insert));
+            append(&mut store, &rec(2, WalOp::Delete));
             store.sync().unwrap();
         }
         let (_, recovered) = DurableStore::open(&dir, 2).unwrap();
@@ -280,15 +289,15 @@ mod tests {
         let dir = tmp_dir("rotate");
         {
             let (mut store, _) = DurableStore::open(&dir, 1).unwrap();
-            store.append(&rec(1, WalOp::Insert)).unwrap();
+            append(&mut store, &rec(1, WalOp::Insert));
             let snap = SnapshotState { last_seq: 1, ..SnapshotState::default() };
             store.rotate(&snap).unwrap();
             assert_eq!(store.generation(), 1);
-            store.append(&rec(2, WalOp::Insert)).unwrap();
+            append(&mut store, &rec(2, WalOp::Insert));
             // Double rotation: generation 2 folds record 2 in as well.
             let snap = SnapshotState { last_seq: 2, ..SnapshotState::default() };
             store.rotate(&snap).unwrap();
-            store.append(&rec(3, WalOp::Insert)).unwrap();
+            append(&mut store, &rec(3, WalOp::Insert));
             store.sync().unwrap();
         }
         let (store, recovered) = DurableStore::open(&dir, 1).unwrap();
@@ -310,7 +319,7 @@ mod tests {
             store.rotate(&snap).unwrap();
             // Simulate a writer that re-appended already-snapshotted records.
             for seq in [4, 5, 6, 7] {
-                store.append(&rec(seq, WalOp::Insert)).unwrap();
+                append(&mut store, &rec(seq, WalOp::Insert));
             }
             store.sync().unwrap();
         }
@@ -325,8 +334,8 @@ mod tests {
         let dir = tmp_dir("torn");
         {
             let (mut store, _) = DurableStore::open(&dir, 1).unwrap();
-            store.append(&rec(1, WalOp::Insert)).unwrap();
-            store.append(&rec(2, WalOp::Insert)).unwrap();
+            append(&mut store, &rec(1, WalOp::Insert));
+            append(&mut store, &rec(2, WalOp::Insert));
             store.sync().unwrap();
         }
         // Crash mid-append: garbage half-frame at the tail.
@@ -339,7 +348,7 @@ mod tests {
         assert_eq!(recovered.records.len(), 2);
         assert!(recovered.torn.is_some());
         // The tail was truncated: appending now yields a clean log.
-        store.append(&rec(3, WalOp::Insert)).unwrap();
+        append(&mut store, &rec(3, WalOp::Insert));
         store.sync().unwrap();
         drop(store);
         let (_, recovered) = DurableStore::open(&dir, 1).unwrap();
@@ -353,7 +362,7 @@ mod tests {
         let dir = tmp_dir("badmanifest");
         {
             let (mut store, _) = DurableStore::open(&dir, 1).unwrap();
-            store.append(&rec(1, WalOp::Insert)).unwrap();
+            append(&mut store, &rec(1, WalOp::Insert));
         }
         std::fs::write(dir.join(MANIFEST_NAME), b"not a manifest\n").unwrap();
         let err = DurableStore::open(&dir, 1).unwrap_err();

@@ -20,10 +20,11 @@
 //! charge the host and the PIM module separately.
 
 use crate::error::GraphStoreError;
-use crate::ids::{Label, LabeledEdgeKey, NodeId};
+use crate::ids::{IdMap, Label, LabeledEdgeKey, NodeId};
 use crate::labelstats::LabelStatsTable;
+use crate::rows::{reverse_row_api, SortedRows};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// A sentinel stored in free slots of a `cols_vector`.
 ///
@@ -106,11 +107,11 @@ struct ColsVector {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct HeterogeneousStorage {
     /// Host side: contiguous next-hop arrays.
-    cols: HashMap<NodeId, ColsVector>,
+    cols: IdMap<NodeId, ColsVector>,
     /// PIM side: labelled edge -> position within the row's cols_vector.
-    elem_position_map: HashMap<LabeledEdgeKey, usize>,
+    elem_position_map: IdMap<LabeledEdgeKey, usize>,
     /// PIM side: row -> free positions inside its cols_vector.
-    free_list_map: HashMap<NodeId, Vec<usize>>,
+    free_list_map: IdMap<NodeId, Vec<usize>>,
     /// Number of live edges across all rows.
     edge_count: usize,
     /// Per-label statistics, maintained on every mutation path (insert,
@@ -121,9 +122,7 @@ pub struct HeterogeneousStorage {
     /// reverse scans are sequential host reads, so no slot/free-list
     /// machinery is needed. Maintained explicitly by the engine's mirrored
     /// writes; forward mutations never touch it.
-    rev_rows: HashMap<NodeId, Vec<(NodeId, Label)>>,
-    /// Number of reverse-row entries stored.
-    rev_edge_count: usize,
+    rev_rows: SortedRows,
 }
 
 impl HeterogeneousStorage {
@@ -152,12 +151,11 @@ impl HeterogeneousStorage {
 
         let mut slots = Vec::with_capacity(next_hops.len());
         for (dst, label) in next_hops {
-            if self.elem_position_map.contains_key(&(row, dst, label)) {
+            let Entry::Vacant(position) = self.elem_position_map.entry((row, dst, label)) else {
                 continue; // duplicate within the provided row
-            }
-            let pos = slots.len();
+            };
+            position.insert(slots.len());
             slots.push((dst, label));
-            self.elem_position_map.insert((row, dst, label), pos);
             self.stats.record_insert(row, dst, label);
             cost.pim_mutations += 1;
             cost.host_bytes_written += label_slot_bytes(label);
@@ -191,11 +189,12 @@ impl HeterogeneousStorage {
     /// (PIM), and a single host write into `cols_vector`.
     pub fn insert_edge(&mut self, src: NodeId, dst: NodeId, label: Label) -> UpdateOutcome {
         let mut cost = UpdateCost::default();
-        // Step 1: PIM-side existence check.
+        // Step 1: PIM-side existence check (the probe that finds the edge
+        // absent also reserves its position-map entry for step 3).
         cost.pim_lookups += 1;
-        if self.elem_position_map.contains_key(&(src, dst, label)) {
+        let Entry::Vacant(position) = self.elem_position_map.entry((src, dst, label)) else {
             return UpdateOutcome { changed: false, cost };
-        }
+        };
         let cols = self.cols.entry(src).or_default();
         // Step 2: PIM-side free-slot allocation.
         cost.pim_lookups += 1;
@@ -211,7 +210,7 @@ impl HeterogeneousStorage {
             }
         };
         // Step 3: PIM-side position-map update.
-        self.elem_position_map.insert((src, dst, label), pos);
+        position.insert(pos);
         cost.pim_mutations += 1;
         // Step 4: host writes the slot (id array, plus the label array for
         // non-default labels).
@@ -360,114 +359,14 @@ impl HeterogeneousStorage {
         Ok(())
     }
 
-    /// Inserts a reverse-row entry: `dst` is reached by an edge from `src`
-    /// with `label`. The entry lands in the reverse row of `dst`, whose
-    /// reverse placement must be the host.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphStoreError::DuplicateEdge`] when the entry already
-    /// exists.
-    pub fn insert_rev_edge(
-        &mut self,
-        dst: NodeId,
-        src: NodeId,
-        label: Label,
-    ) -> Result<(), GraphStoreError> {
-        let row = self.rev_rows.entry(dst).or_default();
-        match row.binary_search(&(src, label)) {
-            Ok(_) => Err(GraphStoreError::DuplicateEdge(src, dst)),
-            Err(pos) => {
-                row.insert(pos, (src, label));
-                self.rev_edge_count += 1;
-                self.stats.record_rev_insert(dst, label);
-                Ok(())
-            }
-        }
-    }
-
-    /// Removes a reverse-row entry from the reverse row of `dst`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphStoreError::EdgeNotFound`] when the entry is absent.
-    pub fn remove_rev_edge(
-        &mut self,
-        dst: NodeId,
-        src: NodeId,
-        label: Label,
-    ) -> Result<(), GraphStoreError> {
-        let row = self.rev_rows.get_mut(&dst).ok_or(GraphStoreError::EdgeNotFound(src, dst))?;
-        let pos = row
-            .binary_search(&(src, label))
-            .map_err(|_| GraphStoreError::EdgeNotFound(src, dst))?;
-        row.remove(pos);
-        self.rev_edge_count -= 1;
-        self.stats.record_rev_delete(dst, label);
-        if row.is_empty() {
-            self.rev_rows.remove(&dst);
-        }
-        Ok(())
-    }
-
-    /// Returns the reverse row (`(source, label)` pairs, ascending) for
-    /// `dst`, if stored here.
-    pub fn rev_row(&self, dst: NodeId) -> Option<&[(NodeId, Label)]> {
-        self.rev_rows.get(&dst).map(Vec::as_slice)
-    }
-
-    /// Removes an entire reverse row and returns its strictly sorted
-    /// contents (used when the node's placement migrates).
-    pub fn take_rev_row(&mut self, dst: NodeId) -> Option<Vec<(NodeId, Label)>> {
-        let row = self.rev_rows.remove(&dst);
-        if let Some(ref r) = row {
-            self.rev_edge_count -= r.len();
-            self.stats.record_rev_row_taken(dst, r);
-        }
-        row
-    }
-
-    /// Installs a full reverse row received from a PIM module.
-    ///
-    /// Any existing reverse row for `dst` is replaced; presorted input (the
-    /// migration path) is installed verbatim.
-    pub fn install_rev_row(&mut self, dst: NodeId, mut in_edges: Vec<(NodeId, Label)>) {
-        if !in_edges.windows(2).all(|w| w[0] < w[1]) {
-            in_edges.sort();
-            in_edges.dedup();
-        }
-        if let Some(old) = self.rev_rows.insert(dst, in_edges) {
-            self.rev_edge_count -= old.len();
-            self.stats.record_rev_row_taken(dst, &old);
-        }
-        self.rev_edge_count += self.rev_rows[&dst].len();
-        self.stats.record_rev_row_installed(dst, &self.rev_rows[&dst]);
-        if self.rev_rows[&dst].is_empty() {
-            self.rev_rows.remove(&dst);
-        }
-    }
-
-    /// Number of reverse-row entries stored.
-    pub fn rev_edge_count(&self) -> usize {
-        self.rev_edge_count
-    }
+    reverse_row_api!();
 
     /// Host bytes of the reverse index (8-byte id + 2-byte label per entry),
     /// reported separately from [`HeterogeneousStorage::live_bytes`] so
     /// forward accounting stays untouched by the mirror.
     pub fn rev_bytes(&self) -> u64 {
-        self.rev_edge_count as u64
+        self.rev_rows.entries() as u64
             * (std::mem::size_of::<NodeId>() + std::mem::size_of::<Label>()) as u64
-    }
-
-    /// Exports every reverse row, sorted by node id (for tests and
-    /// diagnostics; snapshots rebuild reverse rows from forward rows).
-    pub fn export_rev_rows(&self) -> Vec<(NodeId, Vec<(NodeId, Label)>)> {
-        // moctopus-lint: allow(hash-iter-order, reason = "collected then sort_by_key on the next line before use")
-        let mut rows: Vec<(NodeId, Vec<(NodeId, Label)>)> =
-            self.rev_rows.iter().map(|(&n, v)| (n, v.clone())).collect();
-        rows.sort_by_key(|&(n, _)| n);
-        rows
     }
 
     /// Exports every row for a durable snapshot, sorted by row id.

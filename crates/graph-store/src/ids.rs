@@ -1,7 +1,9 @@
 //! Strongly-typed identifiers shared by every crate in the workspace.
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a graph node (a row of the adjacency matrix).
 ///
@@ -136,6 +138,58 @@ impl From<u16> for Label {
         Label(v)
     }
 }
+
+/// Hasher of the storage plane's id-keyed maps ([`IdMap`]).
+///
+/// One widening multiply per written word, the product's two halves xored
+/// together: the high half carries every input bit *down*, the low half
+/// carries it *up*, so dense ids, strided ids (`i << k`) and
+/// `(src, dst, label)` triples all keep both ends of the hash spread — the
+/// low bits hashbrown indexes buckets with and the top seven it tags slots
+/// with (`tests/id_hasher_quality.rs` states the bounds). A wrapping multiply
+/// with a final rotate costs the same single `mul` but only ever moves
+/// information upward, so for ids whose entropy sits in the high bits it has
+/// to starve either the index or the tag.
+///
+/// The key is fixed, so this is **not** collision-attack resistant; see
+/// STORAGE.md §7 for why the storage plane accepts that.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// The fallback for keys that are not id-shaped: eight bytes per word,
+    /// the tail zero-padded (`Hash` impls of slices and strings delimit
+    /// themselves).
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u16(&mut self, w: u16) {
+        self.write_u64(u64::from(w));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, w: u64) {
+        let p = u128::from(self.0 ^ w) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+}
+
+/// The map type of every structure keyed by [`NodeId`] or
+/// [`LabeledEdgeKey`]: `std`'s `HashMap` over [`IdHasher`] instead of
+/// SipHash. Iteration order is as arbitrary as any hash map's (it depends on
+/// capacity and insert history), so lint rule D1 tracks this alias too.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// A directed edge expressed as a `(source, destination)` pair.
 pub type EdgeKey = (NodeId, NodeId);

@@ -15,9 +15,9 @@
 //! served results, query statistics, or dependency footprints (the
 //! plan-invariance contract in ARCHITECTURE.md §optimizer).
 
-use crate::ids::{Label, NodeId};
+use crate::ids::{IdMap, Label, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Aggregate counters for one edge label.
 ///
@@ -58,10 +58,10 @@ struct LabelEntry {
     /// Edges of this label currently stored.
     edges: u64,
     /// Out-degree (for this label) per source node with degree ≥ 1.
-    out_degree: HashMap<NodeId, u32>,
+    out_degree: IdMap<NodeId, u32>,
     /// In-degree (for this label) per target node with degree ≥ 1,
     /// maintained exclusively by the reverse-row record methods.
-    in_degree: HashMap<NodeId, u32>,
+    in_degree: IdMap<NodeId, u32>,
 }
 
 impl LabelEntry {

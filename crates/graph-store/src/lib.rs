@@ -2,7 +2,10 @@
 //!
 //! The crate provides every storage structure the paper's system relies on:
 //!
-//! * [`ids`] — strongly-typed identifiers ([`NodeId`], [`PartitionId`], [`Label`]).
+//! * [`ids`] — strongly-typed identifiers ([`NodeId`], [`PartitionId`], [`Label`])
+//!   and [`IdMap`], the hash map every id-keyed structure below uses.
+//! * [`rows`] — [`SortedRows`], the one sorted-row table behind the local
+//!   stores' forward and reverse rows and every other reverse index.
 //! * [`property`] — the property-graph data model (nodes/edges with labels and
 //!   property/value pairs) used by graph databases.
 //! * [`adjacency`] — a dynamic, labelled, directed adjacency-list graph; the
@@ -47,6 +50,7 @@ pub mod ids;
 pub mod labelstats;
 pub mod local;
 pub mod property;
+pub mod rows;
 pub mod snapshot;
 pub mod wal;
 
@@ -58,10 +62,11 @@ pub use durable::{
 };
 pub use error::GraphStoreError;
 pub use heterogeneous::{HeterogeneousStorage, UpdateCost, UpdateOutcome};
-pub use ids::{EdgeKey, Label, LabeledEdgeKey, NodeId, PartitionId};
+pub use ids::{EdgeKey, IdMap, Label, LabeledEdgeKey, NodeId, PartitionId};
 pub use labelstats::{LabelCounters, LabelStatsSnapshot, LabelStatsTable};
 pub use local::LocalGraphStorage;
 pub use property::{PropertyGraph, PropertyValue};
+pub use rows::SortedRows;
 pub use snapshot::{HostRowSnapshot, LocalModuleSnapshot, SnapshotState};
 pub use wal::{TornTail, WalDecode, WalOp, WalRecord, WalWriter};
 

@@ -17,8 +17,8 @@
 use crate::error::GraphStoreError;
 use crate::ids::{Label, NodeId};
 use crate::labelstats::LabelStatsTable;
+use crate::rows::{reverse_row_api, SortedRows};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Hash-map based adjacency-matrix segment held by one PIM module.
 ///
@@ -26,7 +26,9 @@ use std::collections::HashMap;
 /// duplicate detection on insert and the membership test on delete are binary
 /// searches instead of linear scans, and rows migrated between modules can be
 /// installed without re-normalising them. The same node pair may appear with
-/// several distinct labels (one boolean adjacency matrix per label).
+/// several distinct labels (one boolean adjacency matrix per label). Forward
+/// and reverse rows are two [`SortedRows`] tables; this type adds the
+/// capacity gate, the byte model and the statistics hooks.
 ///
 /// # Examples
 ///
@@ -42,8 +44,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LocalGraphStorage {
-    rows: HashMap<NodeId, Vec<(NodeId, Label)>>,
-    edge_count: usize,
+    rows: SortedRows,
     capacity_bytes: Option<u64>,
     /// Per-label statistics, maintained on every mutation path (insert,
     /// delete, row migration, snapshot rebuild) — never by rescanning rows.
@@ -51,14 +52,19 @@ pub struct LocalGraphStorage {
     /// Reverse rows: for each node whose reverse row this module owns, the
     /// strictly sorted `(source, label)` in-edges. Maintained explicitly by
     /// the engine's mirrored writes — forward mutations never touch it.
-    rev_rows: HashMap<NodeId, Vec<(NodeId, Label)>>,
-    /// Number of reverse-row entries stored locally.
-    rev_edge_count: usize,
+    rev_rows: SortedRows,
 }
 
 /// Modeled MRAM bytes per stored edge: an 8-byte next-hop id plus a 2-byte
 /// label in the row's parallel label array.
 const EDGE_SLOT_BYTES: u64 = (std::mem::size_of::<NodeId>() + std::mem::size_of::<Label>()) as u64;
+
+/// Modeled MRAM bytes of a table: 8 bytes of id plus 2 bytes of label per
+/// entry, and 16 bytes of hash-map entry overhead per row — a close-enough
+/// model for capacity enforcement.
+fn table_bytes(rows: &SortedRows) -> u64 {
+    rows.entries() as u64 * EDGE_SLOT_BYTES + rows.len() as u64 * 16
+}
 
 impl LocalGraphStorage {
     /// Creates an empty segment without a capacity limit.
@@ -72,7 +78,8 @@ impl LocalGraphStorage {
         LocalGraphStorage { capacity_bytes: Some(capacity_bytes), ..Self::default() }
     }
 
-    /// Inserts a directed labelled edge into the row of `src`.
+    /// Inserts a directed labelled edge into the row of `src`, returning the
+    /// row's length before the write.
     ///
     /// Duplicate edges are ignored (each per-label adjacency matrix is
     /// boolean) and reported via [`GraphStoreError::DuplicateEdge`].
@@ -87,26 +94,23 @@ impl LocalGraphStorage {
         src: NodeId,
         dst: NodeId,
         label: Label,
-    ) -> Result<(), GraphStoreError> {
+    ) -> Result<usize, GraphStoreError> {
         if let Some(cap) = self.capacity_bytes {
             let needed = self.resident_bytes() + EDGE_SLOT_BYTES;
             if needed > cap {
                 return Err(GraphStoreError::CapacityExceeded { required: needed, capacity: cap });
             }
         }
-        let row = self.rows.entry(src).or_default();
-        match row.binary_search(&(dst, label)) {
-            Ok(_) => Err(GraphStoreError::DuplicateEdge(src, dst)),
-            Err(pos) => {
-                row.insert(pos, (dst, label));
-                self.edge_count += 1;
-                self.stats.record_insert(src, dst, label);
-                Ok(())
-            }
+        let (prior, new) = self.rows.insert(src, (dst, label));
+        if !new {
+            return Err(GraphStoreError::DuplicateEdge(src, dst));
         }
+        self.stats.record_insert(src, dst, label);
+        Ok(prior)
     }
 
-    /// Removes a directed labelled edge from the row of `src`.
+    /// Removes a directed labelled edge from the row of `src`, returning the
+    /// row's length before the write.
     ///
     /// # Errors
     ///
@@ -116,40 +120,33 @@ impl LocalGraphStorage {
         src: NodeId,
         dst: NodeId,
         label: Label,
-    ) -> Result<(), GraphStoreError> {
-        let row = self.rows.get_mut(&src).ok_or(GraphStoreError::EdgeNotFound(src, dst))?;
-        let pos = row
-            .binary_search(&(dst, label))
-            .map_err(|_| GraphStoreError::EdgeNotFound(src, dst))?;
-        row.remove(pos);
-        self.edge_count -= 1;
-        self.stats.record_delete(src, dst, label);
-        if row.is_empty() {
-            self.rows.remove(&src);
+    ) -> Result<usize, GraphStoreError> {
+        let (prior, present) = self.rows.remove(src, (dst, label));
+        if !present {
+            return Err(GraphStoreError::EdgeNotFound(src, dst));
         }
-        Ok(())
+        self.stats.record_delete(src, dst, label);
+        Ok(prior)
     }
 
     /// Returns the row (`(next-hop, label)` pairs, ascending) for `src`, if
     /// stored locally.
+    #[inline]
     pub fn row(&self, src: NodeId) -> Option<&[(NodeId, Label)]> {
-        self.rows.get(&src).map(Vec::as_slice)
+        self.rows.get(src)
     }
 
     /// Returns `true` if this module stores a row for `src`.
     pub fn contains_row(&self, src: NodeId) -> bool {
-        self.rows.contains_key(&src)
+        self.rows.get(src).is_some()
     }
 
     /// Removes an entire row and returns its labelled next-hop data, strictly
     /// sorted (used when a node is migrated to another computing node).
     pub fn take_row(&mut self, src: NodeId) -> Option<Vec<(NodeId, Label)>> {
-        let row = self.rows.remove(&src);
-        if let Some(ref r) = row {
-            self.edge_count -= r.len();
-            self.stats.record_row_taken(src, r);
-        }
-        row
+        let row = self.rows.take(src)?;
+        self.stats.record_row_taken(src, &row);
+        Some(row)
     }
 
     /// Installs a full row received from another computing node.
@@ -158,18 +155,11 @@ impl LocalGraphStorage {
     /// [`LocalGraphStorage::take_row`] are already strictly sorted, so the
     /// common migration path skips normalisation entirely; unsorted input is
     /// still accepted and normalised.
-    pub fn install_row(&mut self, src: NodeId, mut next_hops: Vec<(NodeId, Label)>) {
-        if !next_hops.windows(2).all(|w| w[0] < w[1]) {
-            next_hops.sort();
-            next_hops.dedup();
-        }
-        if let Some(old) = self.rows.insert(src, next_hops) {
-            self.edge_count -= old.len();
-            self.stats.record_row_taken(src, &old);
-        }
-        self.edge_count += self.rows[&src].len();
+    pub fn install_row(&mut self, src: NodeId, next_hops: Vec<(NodeId, Label)>) {
+        self.take_row(src);
         // Stats cover exactly what was stored (post dedup/replace).
-        self.stats.record_row_installed(src, &self.rows[&src]);
+        let stored = self.rows.install(src, next_hops);
+        self.stats.record_row_installed(src, stored);
     }
 
     /// Number of rows stored locally.
@@ -179,7 +169,7 @@ impl LocalGraphStorage {
 
     /// Number of directed edges stored locally.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.rows.entries()
     }
 
     /// Returns `true` if no rows are stored.
@@ -189,19 +179,13 @@ impl LocalGraphStorage {
 
     /// Iterates over the locally stored rows in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &[(NodeId, Label)])> + '_ {
-        // moctopus-lint: allow(hash-iter-order, reason = "documented arbitrary-order API; durable exports go through export_rows, which sorts")
-        self.rows.iter().map(|(&n, v)| (n, v.as_slice()))
+        self.rows.iter()
     }
 
-    /// Approximate bytes resident in MRAM for this segment.
-    ///
-    /// Counts 8 bytes of next-hop id plus 2 bytes of label per stored edge,
-    /// and 16 bytes of hash-map entry overhead per row — a close-enough model
-    /// for capacity enforcement.
+    /// Approximate bytes resident in MRAM for this segment's forward rows
+    /// (the capacity gate's input).
     pub fn resident_bytes(&self) -> u64 {
-        let edge_bytes = self.edge_count as u64 * EDGE_SLOT_BYTES;
-        let row_overhead = self.rows.len() as u64 * 16;
-        edge_bytes + row_overhead
+        table_bytes(&self.rows)
     }
 
     /// The configured capacity in bytes, if any.
@@ -216,41 +200,21 @@ impl LocalGraphStorage {
     /// behaviour is indistinguishable from the original — the canonical,
     /// deterministic byte image the snapshot format requires.
     pub fn export_rows(&self) -> Vec<(NodeId, Vec<(NodeId, Label)>)> {
-        // moctopus-lint: allow(hash-iter-order, reason = "collected then sort_by_key on the next line before use")
-        let mut rows: Vec<(NodeId, Vec<(NodeId, Label)>)> =
-            self.rows.iter().map(|(&n, v)| (n, v.clone())).collect();
-        rows.sort_by_key(|&(n, _)| n);
-        rows
+        self.rows.export_sorted()
     }
 
     /// Rebuilds a segment from rows exported by
-    /// [`LocalGraphStorage::export_rows`].
-    ///
-    /// Rows are installed as-is (they must be strictly sorted, as exported);
-    /// the edge count is recomputed from the row contents.
+    /// [`LocalGraphStorage::export_rows`] (strictly sorted, as exported).
     pub fn from_sorted_rows(
         sorted_rows: Vec<(NodeId, Vec<(NodeId, Label)>)>,
         capacity_bytes: Option<u64>,
     ) -> Self {
-        let mut edge_count = 0;
-        let mut stats = LabelStatsTable::new();
-        let map: HashMap<NodeId, Vec<(NodeId, Label)>> = sorted_rows
-            .into_iter()
-            .map(|(n, v)| {
-                debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "snapshot row must be sorted");
-                edge_count += v.len();
-                stats.record_row_installed(n, &v);
-                (n, v)
-            })
-            .collect();
-        LocalGraphStorage {
-            rows: map,
-            edge_count,
-            capacity_bytes,
-            stats,
-            rev_rows: HashMap::new(),
-            rev_edge_count: 0,
+        let mut store = LocalGraphStorage { capacity_bytes, ..Self::default() };
+        for (node, row) in sorted_rows {
+            debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "snapshot row must be sorted");
+            store.install_row(node, row);
         }
+        store
     }
 
     /// The incrementally maintained per-label statistics of this segment.
@@ -258,120 +222,13 @@ impl LocalGraphStorage {
         &self.stats
     }
 
-    /// Inserts a reverse-row entry: `dst` is reached by an edge from `src`
-    /// with `label`. The entry lands in the reverse row of `dst`, which this
-    /// module must own.
-    ///
-    /// Reverse rows are a mirror of forward rows held elsewhere; they do not
-    /// count toward [`LocalGraphStorage::resident_bytes`] (capacity and
-    /// placement decisions stay driven by forward data alone) — their
-    /// footprint is reported separately by [`LocalGraphStorage::rev_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphStoreError::DuplicateEdge`] when the entry already
-    /// exists.
-    pub fn insert_rev_edge(
-        &mut self,
-        dst: NodeId,
-        src: NodeId,
-        label: Label,
-    ) -> Result<(), GraphStoreError> {
-        let row = self.rev_rows.entry(dst).or_default();
-        match row.binary_search(&(src, label)) {
-            Ok(_) => Err(GraphStoreError::DuplicateEdge(src, dst)),
-            Err(pos) => {
-                row.insert(pos, (src, label));
-                self.rev_edge_count += 1;
-                self.stats.record_rev_insert(dst, label);
-                Ok(())
-            }
-        }
-    }
-
-    /// Removes a reverse-row entry from the reverse row of `dst`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphStoreError::EdgeNotFound`] when the entry is absent.
-    pub fn remove_rev_edge(
-        &mut self,
-        dst: NodeId,
-        src: NodeId,
-        label: Label,
-    ) -> Result<(), GraphStoreError> {
-        let row = self.rev_rows.get_mut(&dst).ok_or(GraphStoreError::EdgeNotFound(src, dst))?;
-        let pos = row
-            .binary_search(&(src, label))
-            .map_err(|_| GraphStoreError::EdgeNotFound(src, dst))?;
-        row.remove(pos);
-        self.rev_edge_count -= 1;
-        self.stats.record_rev_delete(dst, label);
-        if row.is_empty() {
-            self.rev_rows.remove(&dst);
-        }
-        Ok(())
-    }
-
-    /// Returns the reverse row (`(source, label)` pairs, ascending) for
-    /// `dst`, if stored locally.
-    pub fn rev_row(&self, dst: NodeId) -> Option<&[(NodeId, Label)]> {
-        self.rev_rows.get(&dst).map(Vec::as_slice)
-    }
-
-    /// Removes an entire reverse row and returns its strictly sorted
-    /// contents (used when the node's placement migrates).
-    pub fn take_rev_row(&mut self, dst: NodeId) -> Option<Vec<(NodeId, Label)>> {
-        let row = self.rev_rows.remove(&dst);
-        if let Some(ref r) = row {
-            self.rev_edge_count -= r.len();
-            self.stats.record_rev_row_taken(dst, r);
-        }
-        row
-    }
-
-    /// Installs a full reverse row received from another computing node.
-    ///
-    /// Any existing reverse row for `dst` is replaced; presorted input (the
-    /// migration path) is installed verbatim.
-    pub fn install_rev_row(&mut self, dst: NodeId, mut in_edges: Vec<(NodeId, Label)>) {
-        if !in_edges.windows(2).all(|w| w[0] < w[1]) {
-            in_edges.sort();
-            in_edges.dedup();
-        }
-        if let Some(old) = self.rev_rows.insert(dst, in_edges) {
-            self.rev_edge_count -= old.len();
-            self.stats.record_rev_row_taken(dst, &old);
-        }
-        self.rev_edge_count += self.rev_rows[&dst].len();
-        self.stats.record_rev_row_installed(dst, &self.rev_rows[&dst]);
-        if self.rev_rows[&dst].is_empty() {
-            self.rev_rows.remove(&dst);
-        }
-    }
-
-    /// Number of reverse-row entries stored locally.
-    pub fn rev_edge_count(&self) -> usize {
-        self.rev_edge_count
-    }
+    reverse_row_api!();
 
     /// Approximate MRAM bytes of the reverse index, modelled exactly like
     /// forward rows but reported separately so capacity enforcement and the
     /// placement policy keep seeing forward bytes only.
     pub fn rev_bytes(&self) -> u64 {
-        let edge_bytes = self.rev_edge_count as u64 * EDGE_SLOT_BYTES;
-        let row_overhead = self.rev_rows.len() as u64 * 16;
-        edge_bytes + row_overhead
-    }
-
-    /// Exports every reverse row, sorted by node id (for tests and
-    /// diagnostics; snapshots rebuild reverse rows from forward rows).
-    pub fn export_rev_rows(&self) -> Vec<(NodeId, Vec<(NodeId, Label)>)> {
-        // moctopus-lint: allow(hash-iter-order, reason = "collected then sort_by_key on the next line before use")
-        let mut rows: Vec<(NodeId, Vec<(NodeId, Label)>)> =
-            self.rev_rows.iter().map(|(&n, v)| (n, v.clone())).collect();
-        rows.sort_by_key(|&(n, _)| n);
-        rows
+        table_bytes(&self.rev_rows)
     }
 }
 

@@ -10,7 +10,7 @@
 
 use crate::adjacency::AdjacencyGraph;
 use crate::error::GraphStoreError;
-use crate::ids::{Label, NodeId};
+use crate::ids::{IdMap, Label, LabeledEdgeKey, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -131,8 +131,8 @@ pub struct EdgeRecord {
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PropertyGraph {
-    nodes: HashMap<NodeId, NodeRecord>,
-    edges: HashMap<(NodeId, NodeId, Label), EdgeRecord>,
+    nodes: IdMap<NodeId, NodeRecord>,
+    edges: IdMap<LabeledEdgeKey, EdgeRecord>,
     next_id: u64,
 }
 

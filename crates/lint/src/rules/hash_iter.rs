@@ -1,14 +1,18 @@
-//! D1 `hash-iter-order`: iteration over `std` `HashMap`/`HashSet` in
-//! non-test code.
+//! D1 `hash-iter-order`: iteration over `std` `HashMap`/`HashSet` — under
+//! any hasher, so `graph_store::IdMap` included — in non-test code.
 //!
-//! `std` hash collections seed their hasher per process (`RandomState`), so
-//! any iteration order that reaches results, simulated costs, stdout, or
-//! on-disk bytes breaks the byte-identity contract (CONCURRENCY.md §6,
-//! STORAGE.md §7). The rule tracks names declared with an outermost
-//! `HashMap`/`HashSet` type (fields, `let` annotations and initializers, fn
-//! params) and flags ordered sinks on them: iteration adaptors and
-//! `for … in` loops. Order-insensitive uses (pure folds, collect-then-sort)
-//! are exempted per site with a written reason.
+//! A hash table's iteration order is a function of its capacity and insert
+//! history, and with `std`'s default `RandomState` of a per-process seed as
+//! well, so any iteration order that reaches results, simulated costs,
+//! stdout, or on-disk bytes breaks the byte-identity contract
+//! (CONCURRENCY.md §6, STORAGE.md §7). Behind `IdMap`'s fixed hasher a leak
+//! no longer shows as a run-to-run diff — two engines that reached the same
+//! rows by different histories would still disagree — which makes this rule
+//! the only guard. It tracks names declared with an outermost
+//! `HashMap`/`HashSet`/`IdMap` type (fields, `let` annotations and
+//! initializers, fn params) and flags ordered sinks on them: iteration
+//! adaptors and `for … in` loops. Order-insensitive uses (pure folds,
+//! collect-then-sort) are exempted per site with a written reason.
 
 use std::collections::BTreeSet;
 
@@ -19,7 +23,7 @@ use crate::rules::{RawFinding, Rule};
 /// The D1 rule value.
 pub struct HashIterOrder;
 
-const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "IdMap"];
 const SINKS: &[&str] = &[
     "iter",
     "iter_mut",
@@ -39,7 +43,7 @@ impl Rule for HashIterOrder {
     }
 
     fn summary(&self) -> &'static str {
-        "iteration over std HashMap/HashSet in determinism-critical non-test code"
+        "iteration over HashMap/HashSet/IdMap in determinism-critical non-test code"
     }
 
     fn applies(&self, meta: &FileMeta) -> bool {
@@ -69,11 +73,11 @@ fn is_punct(t: &Token, text: &str) -> bool {
 }
 
 /// Collects names whose declared type (or constructor) is an outermost
-/// `HashMap`/`HashSet`.
+/// `HashMap`/`HashSet`/`IdMap`.
 fn tracked_names(toks: &[Token]) -> BTreeSet<String> {
     let mut tracked = BTreeSet::new();
     for i in 0..toks.len() {
-        // `name: [&][mut] [path ::] HashMap/HashSet …` — fields, let
+        // `name: [&][mut] [path ::] HashMap/HashSet/IdMap …` — fields, let
         // annotations, fn params. A `::` right before `name` means `name`
         // is itself a path segment, not a binding.
         if toks[i].kind == TokKind::Ident
@@ -212,8 +216,8 @@ fn finding(name: &str, sink: &str, line: u32) -> RawFinding {
     RawFinding {
         line,
         message: format!(
-            "`{name}` (std HashMap/HashSet) is iterated via `{sink}`; \
-             std hash iteration order is randomized per process"
+            "`{name}` (a hash map or set) is iterated via `{sink}`; hash iteration order \
+             depends on capacity and insert history (and on a per-process seed under RandomState)"
         ),
         hint: "drain in sorted order (collect + sort), switch to BTreeMap/BTreeSet, or justify: \
                // moctopus-lint: allow(hash-iter-order, reason = \"...\")"

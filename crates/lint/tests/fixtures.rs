@@ -15,6 +15,8 @@ use moctopus_lint::{classify, lint_file_with_meta, Finding, Report};
 const FIXTURES: &[(&str, &str)] = &[
     ("hash_iter_order/positive.rs", "crates/core/src/d1_positive.rs"),
     ("hash_iter_order/negative.rs", "crates/core/src/d1_negative.rs"),
+    ("hash_iter_order/idmap_positive.rs", "crates/graph-store/src/d1_idmap_positive.rs"),
+    ("hash_iter_order/idmap_negative.rs", "crates/graph-store/src/d1_idmap_negative.rs"),
     ("wall_clock_in_sim/positive.rs", "crates/pim-sim/src/d2_positive.rs"),
     ("wall_clock_in_sim/negative.rs", "crates/bench/src/d2_negative.rs"),
     ("float_accum_order/positive.rs", "crates/runtime/src/d3_positive.rs"),
@@ -93,6 +95,24 @@ fn every_negative_fixture_is_clean() {
             rules_of(&findings)
         );
     }
+}
+
+/// D1 must follow `graph_store::IdMap`: behind a fixed hasher an order leak no
+/// longer shows as a run-to-run diff, so the rule is the only guard left.
+#[test]
+fn hash_iter_order_tracks_the_id_map_alias() {
+    let findings = lint_fixture(
+        "hash_iter_order/idmap_positive.rs",
+        "crates/graph-store/src/d1_idmap_positive.rs",
+    );
+    assert_eq!(rules_of(&findings), vec!["hash-iter-order"; 2], "field sink and for-loop");
+    assert!(findings[0].message.contains("`degrees`") && findings[0].message.contains("`iter`"));
+    assert!(findings[1].message.contains("`seen`") && findings[1].message.contains("`for-loop`"));
+    let findings = lint_fixture(
+        "hash_iter_order/idmap_negative.rs",
+        "crates/graph-store/src/d1_idmap_negative.rs",
+    );
+    assert!(findings.is_empty(), "point operations flagged: {:?}", rules_of(&findings));
 }
 
 #[test]

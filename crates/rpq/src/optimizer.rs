@@ -283,7 +283,7 @@ fn leading_exact_label(expr: &RpqExpr) -> Option<Label> {
 /// executors fall back to the forward plan in that case.
 ///
 /// Because the pivot is *mandatory* (never skippable via nullability, see
-/// [`leading_exact_label`]), the suffix accepts no empty word and every
+/// `leading_exact_label`), the suffix accepts no empty word and every
 /// suffix match starts with a pivot-labelled edge — so seeding evaluation at
 /// the pivot label's exact source set loses no answers.
 pub fn split_for(expr: &RpqExpr, split_at: usize) -> Option<(RpqExpr, RpqExpr, Label)> {
@@ -407,7 +407,7 @@ fn split_cost(
 ///
 /// The forward start-frontier is `batch_size`; backward-anchored plans
 /// start from the population of possible end anchors instead (see
-/// [`seed_population`]) — the caller knows its source count but never the
+/// `seed_population`) — the caller knows its source count but never the
 /// matching target set, and an executor pays for that asymmetry.
 ///
 /// # Examples

@@ -20,7 +20,7 @@
 //! through the trait's default materialisation into the labelled paths, so
 //! they are logged too.
 
-use graph_store::{DurableStore, GraphStoreError, Label, NodeId, SnapshotState, WalOp, WalRecord};
+use graph_store::{DurableStore, GraphStoreError, Label, NodeId, SnapshotState, WalOp};
 use moctopus::{GraphEngine, QueryDeps, QueryStats, UpdateFootprint, UpdateStats};
 use rpq::RpqExpr;
 use std::path::Path;
@@ -191,8 +191,7 @@ impl DurableEngine {
     /// batch under the next sequence number, then lets the caller apply it.
     fn log_update(&mut self, op: WalOp, edges: &[(NodeId, NodeId, Label)]) {
         self.seq += 1;
-        let record = WalRecord { seq: self.seq, op, edges: edges.to_vec() };
-        if let Err(e) = self.store.append(&record) {
+        if let Err(e) = self.store.append(self.seq, op, edges) {
             // moctopus-lint: allow(panic-in-lib, reason = "deliberate crash-on-WAL-failure: acknowledging an unlogged update would break the durability contract (STORAGE.md)")
             panic!("WAL append failed, cannot acknowledge update: {e}");
         }

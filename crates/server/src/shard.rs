@@ -391,10 +391,11 @@ impl GraphEngine for ShardedEngine {
         self.query_scattered(sources, |engine, chunk| engine.rpq_batch(expr, chunk))
     }
 
-    /// Planned (shadow) execution scatters exactly like [`rpq_batch`]: each
-    /// group sub-batch runs the strategy on its owning replica, so the
-    /// byte-identity contract composes — per-replica planned answers equal
-    /// the forward answers, and the merge is the same position re-placement.
+    /// Planned (shadow) execution scatters exactly like
+    /// [`GraphEngine::rpq_batch`]: each group sub-batch runs the strategy on
+    /// its owning replica, so the byte-identity contract composes —
+    /// per-replica planned answers equal the forward answers, and the merge
+    /// is the same position re-placement.
     fn rpq_batch_planned(
         &mut self,
         expr: &RpqExpr,
