@@ -19,7 +19,7 @@ use moctopus::{GraphEngine, MoctopusSystem};
 use moctopus_bench::{fmt_ms, HarnessOptions, TraceWorkload};
 
 fn main() {
-    let mut options = HarnessOptions::from_env();
+    let (mut options, _) = HarnessOptions::from_env(&[]);
     if options.traces.len() == 15 {
         // Default to one low-skew and two highly skewed traces to keep the
         // ablation quick; pass --traces to override.

@@ -15,7 +15,7 @@ use moctopus::GraphEngine;
 use moctopus_bench::{fmt_ms, geometric_mean, HarnessOptions, TraceWorkload};
 
 fn main() {
-    let options = HarnessOptions::from_env();
+    let (options, _) = HarnessOptions::from_env(&[]);
     println!(
         "Figure 4 — k-hop path query run time (simulated ms), scale = {:.4}, batch = {}\n",
         options.scale, options.batch

@@ -11,7 +11,7 @@ use moctopus::GraphEngine;
 use moctopus_bench::{fmt_ms, HarnessOptions, TraceWorkload};
 
 fn main() {
-    let options = HarnessOptions::from_env();
+    let (options, _) = HarnessOptions::from_env(&[]);
     let k = 3usize;
     println!(
         "Figure 5 — IPC cost of {k}-hop path queries (simulated ms), scale = {:.4}, batch = {}\n",

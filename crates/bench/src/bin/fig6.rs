@@ -11,7 +11,7 @@ use moctopus::GraphEngine;
 use moctopus_bench::{fmt_ms, geometric_mean, HarnessOptions, TraceWorkload};
 
 fn main() {
-    let options = HarnessOptions::from_env();
+    let (options, _) = HarnessOptions::from_env(&[]);
     println!(
         "Figure 6 — graph update run time (simulated ms), scale = {:.4}, update batch = {}\n",
         options.scale, options.batch

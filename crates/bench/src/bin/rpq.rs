@@ -16,7 +16,8 @@
 //! against `rpq::ReferenceEvaluator` on every run, so the binary doubles as
 //! an end-to-end correctness probe. All latencies are simulated milliseconds.
 //!
-//! Run with: `cargo run --release --bin rpq [--scale S] [--batch N] [--seed N]`
+//! Run with: `cargo run --release --bin rpq [--scale S] [--batch N] [--seed N]
+//! [--taxonomy [--optimize on|off] [--json [PATH]]]`
 //!
 //! `--taxonomy` switches to the PathForge AQ1–AQ28 conformance sweep
 //! ([`moctopus_bench::AQ_TAXONOMY`]): every AQ runs on all three engines over
@@ -28,18 +29,18 @@
 //! traversals over the reverse adjacency index) and is asserted byte-identical
 //! to the forward product on every engine. Plan choices, priced costs, and
 //! *measured* executed costs go to stderr in text mode, or into the record
-//! written by `--json [PATH]` (default `BENCH_PR10.json`).
+//! written by `--json [PATH]` (default `rpq_taxonomy.json`).
 
 use moctopus_bench::{
-    fmt_ms, geometric_mean, HarnessOptions, RpqWorkload, AQ_TAXONOMY, RPQ_QUERY_SET,
+    fmt_ms, geometric_mean, ExtraArgs, HarnessOptions, RpqWorkload, AQ_TAXONOMY, RPQ_FLAGS,
+    RPQ_QUERY_SET,
 };
 use rpq::{parser, ReferenceEvaluator};
 
 fn main() {
-    let options = HarnessOptions::from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--taxonomy") {
-        taxonomy(&options, &args);
+    let (options, extra) = HarnessOptions::from_env(&RPQ_FLAGS);
+    if extra.has("--taxonomy") {
+        taxonomy(&options, &extra);
         return;
     }
     println!(
@@ -182,15 +183,10 @@ fn result_checksum(results: &[Vec<graph_store::NodeId>]) -> u64 {
 /// The PathForge AQ1–AQ28 sweep. Stdout is byte-identical between
 /// `--optimize on` and `--optimize off` (the CI taxonomy job diffs it);
 /// plan/cost observables are reported out-of-band.
-fn taxonomy(options: &HarnessOptions, args: &[String]) {
-    let optimize = match args.iter().position(|a| a == "--optimize") {
-        Some(pos) => !matches!(args.get(pos + 1).map(String::as_str), Some("off")),
-        None => true,
-    };
-    let json_path = args.iter().position(|a| a == "--json").map(|pos| match args.get(pos + 1) {
-        Some(next) if !next.starts_with("--") => next.clone(),
-        _ => "BENCH_PR10.json".to_string(),
-    });
+fn taxonomy(options: &HarnessOptions, extra: &ExtraArgs) {
+    let optimize = extra.on("--optimize").unwrap_or(true);
+    let json_path =
+        extra.has("--json").then(|| extra.text("--json").unwrap_or("rpq_taxonomy.json"));
 
     println!(
         "PathForge AQ1-AQ28 taxonomy (simulated ms), scale = {:.4}, labels = {}\n",
@@ -360,7 +356,7 @@ fn taxonomy(options: &HarnessOptions, args: &[String]) {
 
     if let Some(path) = json_path {
         let json = render_taxonomy_json(options, optimize, &outcomes);
-        std::fs::write(&path, json).expect("write taxonomy baseline");
+        std::fs::write(path, json).expect("write taxonomy baseline");
         eprintln!("wrote {path}");
     }
 }

@@ -34,8 +34,9 @@
 //!
 //! Stdout is deterministic for a fixed seed — simulated times and counters
 //! only — and byte-identical at every `--threads` **and every `--shards`**
-//! value (CI diffs both); wall-clock and the shard-dependent throughput
-//! model go only into the `--json` record.
+//! value (CI diffs both); the shard-dependent throughput model goes only into
+//! the `--json` record (simulated quantities too — the harness reads no
+//! clock).
 //!
 //! Run with: `cargo run --release --bin serve [--scale S] [--seed N]
 //! [--threads N] [--shards N] [--clients N] [--requests N]
@@ -45,7 +46,9 @@
 use graph_partition::PartitionAssignment;
 use graph_store::NodeId;
 use moctopus::{GraphEngine, MoctopusSystem};
-use moctopus_bench::{HarnessOptions, RpqWorkload, ServeTrace, ServeTraceConfig};
+use moctopus_bench::{
+    ExtraArgs, HarnessOptions, RpqWorkload, ServeTrace, ServeTraceConfig, SERVE_FLAGS,
+};
 use moctopus_server::{
     CacheConfig, ConcurrentServer, ConsistencyMode, DurabilityOptions, DurableEngine, QueryServer,
     RequestKind, Response, ResponseBody, ServerConfig, Session, ShardPlan, ShardThroughput,
@@ -53,106 +56,43 @@ use moctopus_server::{
 };
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-/// One mode's deterministic outcome plus its (JSON-only) wall-clock and
-/// shard-dependent throughput model.
+/// One mode's deterministic outcome plus its (JSON-only) shard-dependent
+/// throughput model.
 struct ModeOutcome {
     name: &'static str,
     responses: Vec<Vec<Response>>,
     totals: moctopus_server::ServeTotals,
     cache: Option<moctopus_server::CacheStats>,
-    wall_ms: f64,
     throughput: ShardThroughput,
 }
 
-/// Parses the serve-specific flags (harness flags are handled by
-/// `HarnessOptions`, which ignores unknown ones).
-fn trace_config_from_args() -> ServeTraceConfig {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// The trace shape the serve-specific flags ask for.
+fn trace_config(extra: &ExtraArgs) -> ServeTraceConfig {
     let mut cfg = ServeTraceConfig {
         burst_fraction: 0.15,
         rotate_fraction: 0.25,
         ..ServeTraceConfig::default()
     };
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1);
-        match (args[i].as_str(), value) {
-            ("--clients", Some(v)) => {
-                if let Ok(n) = v.parse::<usize>() {
-                    cfg.clients = n.max(1);
-                }
-                i += 2;
-            }
-            ("--requests", Some(v)) => {
-                if let Ok(n) = v.parse::<usize>() {
-                    cfg.requests_per_client = n.max(1);
-                }
-                i += 2;
-            }
-            ("--update-fraction", Some(v)) => {
-                if let Ok(f) = v.parse::<f64>() {
-                    cfg.update_fraction = f.clamp(0.0, 1.0);
-                }
-                i += 2;
-            }
-            ("--distinct", Some(v)) => {
-                if let Ok(n) = v.parse::<usize>() {
-                    cfg.distinct_queries = n.max(1);
-                }
-                i += 2;
-            }
-            ("--burst", Some(v)) => {
-                if let Ok(f) = v.parse::<f64>() {
-                    cfg.burst_fraction = f.clamp(0.0, 1.0);
-                }
-                i += 2;
-            }
-            ("--rotate", Some(v)) => {
-                if let Ok(f) = v.parse::<f64>() {
-                    cfg.rotate_fraction = f.clamp(0.0, 1.0);
-                }
-                i += 2;
-            }
-            _ => i += 1,
-        }
+    if let Some(n) = extra.count("--clients") {
+        cfg.clients = n.max(1);
+    }
+    if let Some(n) = extra.count("--requests") {
+        cfg.requests_per_client = n.max(1);
+    }
+    if let Some(f) = extra.fraction("--update-fraction") {
+        cfg.update_fraction = f.clamp(0.0, 1.0);
+    }
+    if let Some(n) = extra.count("--distinct") {
+        cfg.distinct_queries = n.max(1);
+    }
+    if let Some(f) = extra.fraction("--burst") {
+        cfg.burst_fraction = f.clamp(0.0, 1.0);
+    }
+    if let Some(f) = extra.fraction("--rotate") {
+        cfg.rotate_fraction = f.clamp(0.0, 1.0);
     }
     cfg
-}
-
-/// Parses `--shards N` (default 1).
-fn shards_from_args() -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    args.iter()
-        .position(|a| a == "--shards")
-        .and_then(|pos| args.get(pos + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}
-
-/// Parses `--emit-trace PATH`.
-fn emit_trace_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let pos = args.iter().position(|a| a == "--emit-trace")?;
-    args.get(pos + 1).filter(|next| !next.starts_with("--")).cloned()
-}
-
-/// Parses `--snapshot-dir PATH` (enables the durability smoke).
-fn snapshot_dir_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let pos = args.iter().position(|a| a == "--snapshot-dir")?;
-    args.get(pos + 1).filter(|next| !next.starts_with("--")).cloned()
-}
-
-/// Parses `--json [PATH]` (default `BENCH_PR6.json`), as in `summary`.
-fn json_path_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let pos = args.iter().position(|a| a == "--json")?;
-    match args.get(pos + 1) {
-        Some(next) if !next.starts_with("--") => Some(next.clone()),
-        _ => Some("BENCH_PR6.json".to_string()),
-    }
 }
 
 /// One fully built replica: workload ingested, locality refined.
@@ -190,7 +130,6 @@ fn run_mode(
     plan: &ShardPlan,
     shards: usize,
 ) -> ModeOutcome {
-    let t0 = Instant::now();
     let replicas: Vec<Box<dyn GraphEngine + Send>> =
         (0..shards).map(|_| Box::new(build_replica(options, workload)) as _).collect();
     let engine = ShardedEngine::new(replicas, plan.clone(), options.threads);
@@ -217,14 +156,7 @@ fn run_mode(
     let responses = server.take_responses();
     let (totals, cache) = server.with_core(|core| (core.totals(), core.cache_stats()));
     let throughput = clock.lock().expect("shard clock poisoned").clone();
-    ModeOutcome {
-        name,
-        responses,
-        totals,
-        cache,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        throughput,
-    }
+    ModeOutcome { name, responses, totals, cache, throughput }
 }
 
 /// Asserts the self-verification invariants across modes (see module docs):
@@ -268,10 +200,9 @@ fn cross_check(reference: &ModeOutcome, cached: &[&ModeOutcome]) {
 /// throughput at a shard count, from the plane's throughput clock plus the
 /// host-side cache overhead (which shards don't touch).
 fn sim_throughput(requests: usize, outcome: &ModeOutcome) -> f64 {
-    let wall_s =
-        (outcome.throughput.makespan.as_nanos() + outcome.totals.hit_time.as_nanos()) / 1e9;
-    if wall_s > 0.0 {
-        requests as f64 / wall_s
+    let sim_s = (outcome.throughput.makespan.as_nanos() + outcome.totals.hit_time.as_nanos()) / 1e9;
+    if sim_s > 0.0 {
+        requests as f64 / sim_s
     } else {
         0.0
     }
@@ -495,13 +426,12 @@ fn render_json(
         let served = t.served_time().as_millis();
         let speedup = if served > 0.0 { no_cache_served / served } else { 1.0 };
         out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"wall_ms\": {:.3}, \"sim_served_ms\": {:.3}, \
+            "    {{\"mode\": \"{}\", \"sim_served_ms\": {:.3}, \
              \"sim_engine_ms\": {:.3}, \"sim_hit_overhead_ms\": {:.3}, \
              \"sim_avoided_ms\": {:.3}, \"sim_saved_ms\": {:.3}, \
              \"sim_speedup_vs_no_cache\": {:.3}, \"hits\": {}, \"misses\": {}, \
              \"hit_rate\": {:.4}, \"collapsed\": {}, \"invalidated\": {}, \"evictions\": {}}}{}\n",
             m.name,
-            m.wall_ms,
             served,
             t.engine_time.as_millis(),
             t.hit_time.as_millis(),
@@ -541,15 +471,14 @@ fn render_json(
 }
 
 fn main() {
-    let options = HarnessOptions::from_env();
-    let cfg = trace_config_from_args();
-    let shards = shards_from_args();
-    let json_path = json_path_from_args();
+    let (options, extra) = HarnessOptions::from_env(&SERVE_FLAGS);
+    let cfg = trace_config(&extra);
+    let shards = extra.count("--shards").map_or(1, |n| n.max(1));
 
     let workload = RpqWorkload::power_law(&options);
     let trace = ServeTrace::generate(&workload, &cfg, options.seed);
-    if let Some(path) = emit_trace_from_args() {
-        match std::fs::write(&path, trace.render()) {
+    if let Some(path) = extra.text("--emit-trace") {
+        match std::fs::write(path, trace.render()) {
             Ok(()) => eprintln!("trace written to {path}"),
             Err(e) => eprintln!("failed to write trace to {path}: {e}"),
         }
@@ -668,12 +597,13 @@ fn main() {
          serving throughput strictly increasing, zero staleness at non-zero hit rate"
     );
 
-    if let Some(dir) = snapshot_dir_from_args() {
+    if let Some(dir) = extra.text("--snapshot-dir") {
         println!();
-        run_durability_smoke(&options, &workload, &trace, Path::new(&dir));
+        run_durability_smoke(&options, &workload, &trace, Path::new(dir));
     }
 
-    if let Some(path) = json_path {
+    if extra.has("--json") {
+        let path = extra.text("--json").unwrap_or("serve_record.json");
         let sweep: Vec<(usize, &ModeOutcome)> =
             [1usize, 2, 4].into_iter().zip(sweep_runs.iter()).collect();
         let json = render_json(
@@ -685,7 +615,7 @@ fn main() {
             &sweep,
             trace.len(),
         );
-        match std::fs::write(&path, &json) {
+        match std::fs::write(path, &json) {
             Ok(()) => println!("\nServe bench baseline written to {path}"),
             Err(e) => eprintln!("\nFailed to write {path}: {e}"),
         }

@@ -7,185 +7,13 @@
 //! * 30.01x / 52.59x average insert / delete speedups over RedisGraph
 //!   (up to 81.45x / 209.31x).
 //!
-//! Run with: `cargo run --release --bin summary [--scale S] [--json [PATH]]`
-//!
-//! `--json` additionally records the harness's own *wall-clock* time per
-//! engine and trace (graph build, each k-hop batch, each update batch), plus
-//! one labelled-RPQ sweep (the `rpq` binary's power-law workload and query
-//! set, wall-clock and simulated ms per engine), and writes it all as a
-//! machine-readable bench baseline (default `BENCH_PR4.json`), so both
-//! reproduction-speed and labelled-workload regressions are visible in
-//! review. The record carries the `--threads` value the run used, so
-//! baselines at different thread counts stay distinguishable (the simulated
-//! numbers printed to stdout are byte-identical at every thread count; only
-//! wall-clock moves).
+//! Run with: `cargo run --release --bin summary [--scale S]`
 
 use moctopus::GraphEngine;
-use moctopus_bench::{geometric_mean, HarnessOptions, RpqWorkload, TraceWorkload, RPQ_QUERY_SET};
-use std::time::Instant;
-
-/// Wall-clock milliseconds of the harness itself, for one trace.
-#[derive(Debug, Clone, Default)]
-struct TraceWallClock {
-    trace_id: usize,
-    name: &'static str,
-    /// Per engine: (build_ms, khop_ms for k = 1..=3, insert_ms, delete_ms).
-    engines: Vec<EngineWallClock>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct EngineWallClock {
-    engine: &'static str,
-    build_ms: f64,
-    khop_ms: Vec<f64>,
-    /// `None` when the update path is not exercised for this engine (the
-    /// summary workload only updates Moctopus and the baseline); rendered as
-    /// JSON `null`, never as a real-looking 0 ms measurement.
-    insert_ms: Option<f64>,
-    delete_ms: Option<f64>,
-}
-
-impl EngineWallClock {
-    /// Total time spent on the query path (k-hop batches, all k).
-    fn query_path_ms(&self) -> f64 {
-        self.khop_ms.iter().sum()
-    }
-}
-
-/// One labelled-RPQ query's measurements across the three engines.
-#[derive(Debug, Clone)]
-struct RpqQueryClock {
-    query: &'static str,
-    /// Per engine: (name, wall-clock ms, simulated ms).
-    engines: Vec<(&'static str, f64, f64)>,
-}
-
-/// Runs the labelled-RPQ sweep recorded in the JSON baseline: the `rpq`
-/// binary's power-law workload and query set, one batch per engine per query.
-fn measure_rpq_sweep(options: &HarnessOptions) -> Vec<RpqQueryClock> {
-    let workload = RpqWorkload::power_law(options);
-    let mut engines = workload.all_engines(options);
-    let names = ["moctopus", "pim_hash", "redisgraph_like"];
-    RPQ_QUERY_SET
-        .iter()
-        .map(|text| {
-            let expr = rpq::parser::parse(text).expect("query set must parse");
-            let measurements = engines
-                .iter_mut()
-                .zip(names)
-                .map(|(engine, name)| {
-                    let t0 = Instant::now();
-                    let (_, stats) = engine.rpq_batch(&expr, &workload.sources);
-                    (name, ms(t0), stats.latency().as_millis())
-                })
-                .collect();
-            RpqQueryClock { query: text, engines: measurements }
-        })
-        .collect()
-}
-
-/// Renders an optional measurement as JSON: a number, or `null` if not taken.
-fn opt_ms(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |v| format!("{v:.3}"))
-}
-
-fn ms(since: Instant) -> f64 {
-    since.elapsed().as_secs_f64() * 1e3
-}
-
-/// Parses `--json [PATH]`: the flag enables the emitter, an optional non-flag
-/// argument after it overrides the default path.
-fn json_path_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let pos = args.iter().position(|a| a == "--json")?;
-    match args.get(pos + 1) {
-        Some(next) if !next.starts_with("--") => Some(next.clone()),
-        _ => Some("BENCH_PR4.json".to_string()),
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Renders the wall-clock record as JSON (two-space indent, stable order).
-fn render_json(
-    options: &HarnessOptions,
-    traces: &[TraceWallClock],
-    rpq: &[RpqQueryClock],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"summary\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", options.scale));
-    out.push_str(&format!("  \"batch\": {},\n", options.batch));
-    out.push_str(&format!("  \"seed\": {},\n", options.seed));
-    out.push_str(&format!("  \"threads\": {},\n", options.threads));
-    out.push_str("  \"unit\": \"wall_clock_ms\",\n");
-    // Aggregate query-path totals per engine, the headline regression metric.
-    out.push_str("  \"query_path_total_ms\": {");
-    let engine_names: Vec<&'static str> =
-        traces.first().map(|t| t.engines.iter().map(|e| e.engine).collect()).unwrap_or_default();
-    for (i, engine) in engine_names.iter().enumerate() {
-        let total: f64 = traces
-            .iter()
-            .flat_map(|t| t.engines.iter())
-            .filter(|e| e.engine == *engine)
-            .map(EngineWallClock::query_path_ms)
-            .sum();
-        out.push_str(&format!("{}\"{engine}\": {total:.3}", if i == 0 { "" } else { ", " }));
-    }
-    out.push_str("},\n");
-    out.push_str("  \"traces\": [\n");
-    for (ti, t) in traces.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"trace_id\": {},\n", t.trace_id));
-        out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(t.name)));
-        out.push_str("      \"engines\": [\n");
-        for (ei, e) in t.engines.iter().enumerate() {
-            let khops: Vec<String> = e.khop_ms.iter().map(|v| format!("{v:.3}")).collect();
-            out.push_str(&format!(
-                "        {{\"engine\": \"{}\", \"build_ms\": {:.3}, \"khop_ms\": [{}], \
-                 \"insert_ms\": {}, \"delete_ms\": {}}}{}\n",
-                e.engine,
-                e.build_ms,
-                khops.join(", "),
-                opt_ms(e.insert_ms),
-                opt_ms(e.delete_ms),
-                if ei + 1 == t.engines.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!("    }}{}\n", if ti + 1 == traces.len() { "" } else { "," }));
-    }
-    out.push_str("  ],\n");
-    // Labelled-RPQ sweep: the `rpq` binary's power-law workload and query
-    // set, so the labelled workload's trajectory is tracked alongside k-hop.
-    out.push_str("  \"rpq\": {\n");
-    out.push_str("    \"workload\": \"power-law\",\n");
-    out.push_str(&format!(
-        "    \"label_mix\": \"{}\",\n",
-        json_escape(&RpqWorkload::label_mix().describe())
-    ));
-    out.push_str("    \"queries\": [\n");
-    for (qi, q) in rpq.iter().enumerate() {
-        out.push_str(&format!("      {{\"query\": \"{}\", \"engines\": [", json_escape(q.query)));
-        for (ei, &(engine, wall_ms, sim_ms)) in q.engines.iter().enumerate() {
-            out.push_str(&format!(
-                "{}{{\"engine\": \"{engine}\", \"wall_ms\": {wall_ms:.3}, \"sim_ms\": {sim_ms:.3}}}",
-                if ei == 0 { "" } else { ", " }
-            ));
-        }
-        out.push_str(&format!("]}}{}\n", if qi + 1 == rpq.len() { "" } else { "," }));
-    }
-    out.push_str("    ]\n");
-    out.push_str("  }\n}\n");
-    out
-}
+use moctopus_bench::{geometric_mean, HarnessOptions, TraceWorkload};
 
 fn main() {
-    let options = HarnessOptions::from_env();
-    let json_path = json_path_from_args();
+    let (options, _) = HarnessOptions::from_env(&[]);
     println!(
         "Headline claims (scale = {:.4}, batch = {}). All latencies are simulated.\n",
         options.scale, options.batch
@@ -196,52 +24,18 @@ fn main() {
     let mut ipc_reductions: Vec<f64> = Vec::new();
     let mut insert_speedups: Vec<f64> = Vec::new();
     let mut delete_speedups: Vec<f64> = Vec::new();
-    let mut wall_clock: Vec<TraceWallClock> = Vec::new();
 
     for &trace_id in &options.traces {
         let workload = TraceWorkload::generate(trace_id, &options);
-        let t0 = Instant::now();
         let mut moctopus = workload.moctopus(&options);
-        let moctopus_build_ms = ms(t0);
-        let t0 = Instant::now();
         let mut pim_hash = workload.pim_hash(&options);
-        let pim_hash_build_ms = ms(t0);
-        let t0 = Instant::now();
         let mut baseline = workload.host_baseline(&options);
-        let baseline_build_ms = ms(t0);
-        let mut clocks = TraceWallClock {
-            trace_id,
-            name: workload.spec.name,
-            engines: vec![
-                EngineWallClock {
-                    engine: "moctopus",
-                    build_ms: moctopus_build_ms,
-                    ..Default::default()
-                },
-                EngineWallClock {
-                    engine: "pim_hash",
-                    build_ms: pim_hash_build_ms,
-                    ..Default::default()
-                },
-                EngineWallClock {
-                    engine: "redisgraph_like",
-                    build_ms: baseline_build_ms,
-                    ..Default::default()
-                },
-            ],
-        };
 
         // RPQ latencies across k = 1..3.
         for k in 1..=3usize {
-            let t0 = Instant::now();
             let (_, moc) = moctopus.k_hop_batch(&workload.sources, k);
-            clocks.engines[0].khop_ms.push(ms(t0));
-            let t0 = Instant::now();
             let (_, hash) = pim_hash.k_hop_batch(&workload.sources, k);
-            clocks.engines[1].khop_ms.push(ms(t0));
-            let t0 = Instant::now();
             let (_, host) = baseline.k_hop_batch(&workload.sources, k);
-            clocks.engines[2].khop_ms.push(ms(t0));
             rpq_speedups.push(host.latency().as_nanos() / moc.latency().as_nanos().max(1.0));
             if graph_gen::traces::TraceSpec::high_skew_ids().contains(&trace_id) {
                 hash_speedups_skewed
@@ -264,21 +58,12 @@ fn main() {
             options.batch,
             options.seed + 2,
         );
-        let t0 = Instant::now();
         let moc_ins = moctopus.insert_edges(&inserts);
-        clocks.engines[0].insert_ms = Some(ms(t0));
-        let t0 = Instant::now();
         let host_ins = baseline.insert_edges(&inserts);
-        clocks.engines[2].insert_ms = Some(ms(t0));
-        let t0 = Instant::now();
         let moc_del = moctopus.delete_edges(&deletes);
-        clocks.engines[0].delete_ms = Some(ms(t0));
-        let t0 = Instant::now();
         let host_del = baseline.delete_edges(&deletes);
-        clocks.engines[2].delete_ms = Some(ms(t0));
         insert_speedups.push(host_ins.latency().as_nanos() / moc_ins.latency().as_nanos().max(1.0));
         delete_speedups.push(host_del.latency().as_nanos() / moc_del.latency().as_nanos().max(1.0));
-        wall_clock.push(clocks);
     }
 
     let max = |v: &[f64]| v.iter().cloned().fold(0.0, f64::max);
@@ -337,13 +122,4 @@ fn main() {
         "\nThe reproduction targets the *direction and rough magnitude* of each claim on a\n\
          simulated platform and synthetic traces; see EXPERIMENTS.md for the full discussion."
     );
-
-    if let Some(path) = json_path {
-        let rpq_sweep = measure_rpq_sweep(&options);
-        let json = render_json(&options, &wall_clock, &rpq_sweep);
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("\nWall-clock bench baseline written to {path}"),
-            Err(e) => eprintln!("\nFailed to write {path}: {e}"),
-        }
-    }
 }

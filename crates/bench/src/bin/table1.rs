@@ -8,7 +8,7 @@ use graph_gen::GraphStats;
 use moctopus_bench::{HarnessOptions, TraceWorkload};
 
 fn main() {
-    let options = HarnessOptions::from_env();
+    let (options, _) = HarnessOptions::from_env(&[]);
     println!(
         "Table 1 — real-world graphs and their synthetic stand-ins (scale = {:.4})\n",
         options.scale

@@ -56,74 +56,97 @@ impl Default for HarnessOptions {
 
 impl HarnessOptions {
     /// The paper's 64 K batch, scaled, with a floor of 1024.
-    pub fn scaled_batch(scale: f64) -> usize {
+    fn scaled_batch(scale: f64) -> usize {
         ((64.0 * 1024.0 * scale) as usize).max(1024)
     }
 
-    /// Parses options from command-line arguments.
-    ///
-    /// Recognised flags: `--scale <f64>`, `--batch <usize>`, `--seed <u64>`,
-    /// `--traces <comma separated ids>`, `--threads <usize>` (`0` = available
-    /// parallelism). Unknown flags are ignored so binaries can add their own.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// The parser behind [`HarnessOptions::from_env`].
+    fn from_args<I: IntoIterator<Item = String>>(
+        args: I,
+        extra: &[ExtraFlag],
+    ) -> Result<(Self, ExtraArgs), UsageError> {
+        fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, UsageError> {
+            value.parse().map_err(|_| UsageError(format!("{flag}: cannot parse {value:?}")))
+        }
+        let missing_value = |flag: &str| UsageError(format!("{flag}: missing value"));
         let mut options = HarnessOptions::default();
+        let mut found = ExtraArgs::default();
         let mut explicit_batch = false;
-        let args: Vec<String> = args.into_iter().collect();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            let value = args.get(i + 1).cloned();
-            match (flag, value) {
-                ("--scale", Some(v)) => {
-                    if let Ok(s) = v.parse::<f64>() {
-                        options.scale = s.clamp(1e-6, 1.0);
+        let mut args = args.into_iter().peekable();
+        while let Some(flag) = args.next() {
+            let flag = flag.as_str();
+            if let Some(&kind) = extra.iter().find(|kind| kind.name() == flag) {
+                // Values are validated here and kept as text; the typed
+                // accessors of `ExtraArgs` re-parse what is known to parse.
+                let value = match kind {
+                    ExtraFlag::Switch(_) => None,
+                    ExtraFlag::OptionalText(_) => args.next_if(|next| !next.starts_with("--")),
+                    _ => {
+                        let v = args.next().ok_or_else(|| missing_value(flag))?;
+                        match kind {
+                            ExtraFlag::Count(_) => drop(parsed::<usize>(flag, &v)?),
+                            ExtraFlag::Fraction(_) => drop(parsed::<f64>(flag, &v)?),
+                            ExtraFlag::OnOff(_) if v != "on" && v != "off" => {
+                                return Err(UsageError(format!("{flag}: expected on or off")))
+                            }
+                            _ => {}
+                        }
+                        Some(v)
                     }
-                    i += 2;
+                };
+                found.0.push((kind.name(), value));
+                continue;
+            }
+            if !["--scale", "--batch", "--seed", "--traces", "--threads"].contains(&flag) {
+                return Err(UsageError(format!("unknown flag {flag:?}")));
+            }
+            let v = args.next().ok_or_else(|| missing_value(flag))?;
+            match flag {
+                "--scale" => options.scale = parsed::<f64>(flag, &v)?.clamp(1e-6, 1.0),
+                "--batch" => {
+                    options.batch = parsed::<usize>(flag, &v)?.max(1);
+                    explicit_batch = true;
                 }
-                ("--batch", Some(v)) => {
-                    if let Ok(b) = v.parse::<usize>() {
-                        options.batch = b.max(1);
-                        explicit_batch = true;
+                "--seed" => options.seed = parsed(flag, &v)?,
+                "--traces" => {
+                    let ids: Vec<usize> =
+                        v.split(',').map(|t| parsed(flag, t.trim())).collect::<Result<_, _>>()?;
+                    // Ids outside Table 1 are dropped, but not all of them:
+                    // an empty selection would mean the full sweep.
+                    options.traces = ids.into_iter().filter(|t| (1..=15).contains(t)).collect();
+                    if options.traces.is_empty() {
+                        return Err(UsageError(format!("{flag}: no trace id in 1..=15")));
                     }
-                    i += 2;
                 }
-                ("--seed", Some(v)) => {
-                    if let Ok(s) = v.parse::<u64>() {
-                        options.seed = s;
-                    }
-                    i += 2;
+                _ => {
+                    let t: usize = parsed(flag, &v)?;
+                    // 0 is the "available parallelism" sentinel.
+                    options.threads = if t == 0 { WorkerPool::available_parallelism() } else { t };
                 }
-                ("--traces", Some(v)) => {
-                    let ids: Vec<usize> = v
-                        .split(',')
-                        .filter_map(|t| t.trim().parse::<usize>().ok())
-                        .filter(|&t| (1..=15).contains(&t))
-                        .collect();
-                    if !ids.is_empty() {
-                        options.traces = ids;
-                    }
-                    i += 2;
-                }
-                ("--threads", Some(v)) => {
-                    if let Ok(t) = v.parse::<usize>() {
-                        // 0 is the "available parallelism" sentinel.
-                        options.threads =
-                            if t == 0 { WorkerPool::available_parallelism() } else { t };
-                    }
-                    i += 2;
-                }
-                _ => i += 1,
             }
         }
         if !explicit_batch {
             options.batch = Self::scaled_batch(options.scale);
         }
-        options
+        Ok((options, found))
     }
 
-    /// Parses options from `std::env::args()` (skipping the binary name).
-    pub fn from_env() -> Self {
-        Self::from_args(std::env::args().skip(1))
+    /// Parses the process's command line strictly: the shared flags
+    /// `--scale <f64>`, `--batch <usize>`, `--seed <u64>`, `--traces <comma
+    /// separated ids in 1..=15>`, `--threads <usize>` (`0` = available
+    /// parallelism), plus the `extra` flags the calling binary names. An
+    /// unknown flag, a missing value or a value that does not parse prints a
+    /// usage error to stderr and exits with status 2 — a typo must not
+    /// silently launch the default-scale sweep.
+    pub fn from_env(extra: &[ExtraFlag]) -> (Self, ExtraArgs) {
+        Self::from_args(std::env::args().skip(1), extra).unwrap_or_else(|UsageError(reason)| {
+            let extras: String = extra.iter().map(|kind| format!(" [{}]", kind.usage())).collect();
+            eprintln!(
+                "error: {reason}\nusage: [--scale F] [--batch N] [--seed N] [--traces ID,ID,...] \
+                 [--threads N]{extras}"
+            );
+            std::process::exit(2)
+        })
     }
 
     /// The system configuration used by the PIM engines and the baseline,
@@ -134,6 +157,106 @@ impl HarnessOptions {
         let scaled_cache = (22.0 * 1024.0 * 1024.0 * self.scale) as u64;
         cfg.pim.host.cache_capacity_bytes = scaled_cache.max(64 * 1024);
         cfg
+    }
+}
+
+/// A command line the harness refuses: what was wrong with it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct UsageError(String);
+
+/// A flag one binary accepts on top of the shared [`HarnessOptions`] flags,
+/// by the kind of value it takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExtraFlag {
+    /// `--flag`: present or absent.
+    Switch(&'static str),
+    /// `--flag N`: a `usize`.
+    Count(&'static str),
+    /// `--flag F`: an `f64`.
+    Fraction(&'static str),
+    /// `--flag TEXT`.
+    Text(&'static str),
+    /// `--flag [TEXT]`: the next argument is the value unless it is a flag.
+    OptionalText(&'static str),
+    /// `--flag on|off`.
+    OnOff(&'static str),
+}
+
+impl ExtraFlag {
+    fn name(self) -> &'static str {
+        match self {
+            ExtraFlag::Switch(name)
+            | ExtraFlag::Count(name)
+            | ExtraFlag::Fraction(name)
+            | ExtraFlag::Text(name)
+            | ExtraFlag::OptionalText(name)
+            | ExtraFlag::OnOff(name) => name,
+        }
+    }
+
+    fn usage(self) -> String {
+        match self {
+            ExtraFlag::Switch(name) => name.to_string(),
+            ExtraFlag::Count(name) => format!("{name} N"),
+            ExtraFlag::Fraction(name) => format!("{name} F"),
+            ExtraFlag::Text(name) => format!("{name} TEXT"),
+            ExtraFlag::OptionalText(name) => format!("{name} [TEXT]"),
+            ExtraFlag::OnOff(name) => format!("{name} on|off"),
+        }
+    }
+}
+
+/// The extra flags of the `rpq` binary.
+pub const RPQ_FLAGS: [ExtraFlag; 3] = [
+    ExtraFlag::Switch("--taxonomy"),
+    ExtraFlag::OnOff("--optimize"),
+    ExtraFlag::OptionalText("--json"),
+];
+
+/// The extra flags of the `serve` binary.
+pub const SERVE_FLAGS: [ExtraFlag; 10] = [
+    ExtraFlag::Count("--shards"),
+    ExtraFlag::Count("--clients"),
+    ExtraFlag::Count("--requests"),
+    ExtraFlag::Fraction("--update-fraction"),
+    ExtraFlag::Count("--distinct"),
+    ExtraFlag::Fraction("--burst"),
+    ExtraFlag::Fraction("--rotate"),
+    ExtraFlag::Text("--emit-trace"),
+    ExtraFlag::Text("--snapshot-dir"),
+    ExtraFlag::OptionalText("--json"),
+];
+
+/// The [`ExtraFlag`]s found on a command line, values already validated (a
+/// repeated flag reads as its last occurrence).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ExtraArgs(Vec<(&'static str, Option<String>)>);
+
+impl ExtraArgs {
+    /// Whether `flag` was given (with or without a value).
+    pub fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(name, _)| *name == flag)
+    }
+
+    /// The value of `flag` as given; `None` when the flag is absent or, for
+    /// an [`ExtraFlag::OptionalText`], was given bare.
+    pub fn text(&self, flag: &str) -> Option<&str> {
+        self.0.iter().rev().find(|(name, _)| *name == flag)?.1.as_deref()
+    }
+
+    /// The value of an [`ExtraFlag::Count`].
+    pub fn count(&self, flag: &str) -> Option<usize> {
+        self.text(flag)?.parse().ok()
+    }
+
+    /// The value of an [`ExtraFlag::Fraction`].
+    pub fn fraction(&self, flag: &str) -> Option<f64> {
+        self.text(flag)?.parse().ok()
+    }
+
+    /// The value of an [`ExtraFlag::OnOff`].
+    pub fn on(&self, flag: &str) -> Option<bool> {
+        self.text(flag).map(|value| value == "on")
     }
 }
 
@@ -191,8 +314,8 @@ impl TraceWorkload {
     }
 }
 
-/// The labelled query set swept by the `rpq` experiment binary (and recorded
-/// in the `summary --json` bench baseline): a fixed-length label chain, a
+/// The labelled query set swept by the `rpq` experiment binary: a
+/// fixed-length label chain, a
 /// star/alternation pattern, a plain k-hop, and a transitive closure — one
 /// representative of every execution strategy the engines implement.
 pub const RPQ_QUERY_SET: [&str; 4] = ["1/2/3", "1/(2|3)*/4", ".{2}", "1+"];
@@ -299,7 +422,7 @@ impl RpqWorkload {
     /// bidirectional plan — the backward useful-set pass starts from the
     /// rare label's few sources and never touches the ring — so this is the
     /// workload where the optimizer's priced win becomes a large *measured*
-    /// executed win (recorded in BENCH_PR10.json).
+    /// executed win (EXPERIMENTS.md).
     pub fn rare_closure(options: &HarnessOptions) -> Self {
         let nodes = Self::scaled_nodes(options.scale) as u64;
         let big = (nodes * 7 / 8).max(64);
@@ -379,13 +502,6 @@ pub fn fmt_ms(t: pim_sim::SimTime) -> String {
     format!("{:.3}", t.as_millis())
 }
 
-/// Prints a right-aligned table row from already formatted cells.
-pub fn print_row(cells: &[String], widths: &[usize]) {
-    let row: Vec<String> =
-        cells.iter().zip(widths).map(|(c, w)| format!("{c:>width$}", width = w)).collect();
-    println!("{}", row.join("  "));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,13 +514,13 @@ mod tests {
         assert!(o.scale > 0.0);
     }
 
+    fn parse(line: &str, extra: &[ExtraFlag]) -> Result<(HarnessOptions, ExtraArgs), UsageError> {
+        HarnessOptions::from_args(line.split_whitespace().map(str::to_string), extra)
+    }
+
     #[test]
     fn argument_parsing_overrides_defaults() {
-        let o = HarnessOptions::from_args(
-            ["--scale", "0.5", "--batch", "2048", "--seed", "7", "--traces", "1,2,99"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let (o, _) = parse("--scale 0.5 --batch 2048 --seed 7 --traces 1,2,99", &[]).unwrap();
         assert_eq!(o.scale, 0.5);
         assert_eq!(o.batch, 2048);
         assert_eq!(o.seed, 7);
@@ -413,30 +529,79 @@ mod tests {
 
     #[test]
     fn batch_follows_scale_unless_explicit() {
-        let o = HarnessOptions::from_args(["--scale", "1.0"].iter().map(|s| s.to_string()));
+        let (o, _) = parse("--scale 1.0", &[]).unwrap();
         assert_eq!(o.batch, 64 * 1024);
-        let o2 = HarnessOptions::from_args(
-            ["--scale", "1.0", "--batch", "128"].iter().map(|s| s.to_string()),
-        );
+        let (o2, _) = parse("--scale 1.0 --batch 128", &[]).unwrap();
         assert_eq!(o2.batch, 128);
     }
 
     #[test]
     fn threads_flag_overrides_and_zero_means_auto() {
-        let o = HarnessOptions::from_args(["--threads", "3"].iter().map(|s| s.to_string()));
+        let (o, _) = parse("--threads 3", &[]).unwrap();
         assert_eq!(o.threads, 3);
         assert_eq!(o.system_config().threads, 3);
-        let auto = HarnessOptions::from_args(["--threads", "0"].iter().map(|s| s.to_string()));
+        let (auto, _) = parse("--threads 0", &[]).unwrap();
         assert_eq!(auto.threads, moctopus_runtime::WorkerPool::available_parallelism());
         assert!(HarnessOptions::default().threads >= 1, "default follows the machine");
     }
 
     #[test]
-    fn unknown_flags_are_ignored() {
-        let o = HarnessOptions::from_args(
-            ["--nope", "x", "--scale", "0.25"].iter().map(|s| s.to_string()),
-        );
-        assert_eq!(o.scale, 0.25);
+    fn typos_missing_values_and_unparseable_values_are_usage_errors() {
+        let flags = [&RPQ_FLAGS[..], &SERVE_FLAGS[..]].concat();
+        for bad in [
+            "--sacle 1",
+            "--nope",
+            "--scale 0.25 --json out.json stray",
+            "--scale",
+            "--traces 1,2 --seed",
+            "--clients",
+            "--scale x",
+            "--batch -3",
+            "--seed 1.5",
+            "--traces 1,two",
+            "--traces 99",
+            "--threads many",
+            "--clients 4.5",
+            "--burst lots",
+            "--optimize maybe",
+        ] {
+            assert!(parse(bad, &flags).is_err(), "{bad:?} must be refused");
+        }
+        // A flag only another binary names is unknown here.
+        assert!(parse("--clients 4", &RPQ_FLAGS).is_err());
+        let UsageError(reason) = parse("--sacle 1", &[]).unwrap_err();
+        assert!(reason.contains("--sacle"), "the error names the offending flag: {reason}");
+    }
+
+    /// The flag set every binary documents, parsed with the flag tables the
+    /// binaries themselves pass.
+    #[test]
+    fn every_documented_flag_set_is_accepted() {
+        let shared = "--scale 0.002 --batch 64 --seed 9 --threads 2";
+        let (o, _) = parse(&format!("{shared} --traces 8,12"), &[]).unwrap();
+        assert_eq!((o.scale, o.batch, o.seed, o.threads), (0.002, 64, 9, 2));
+        assert_eq!(o.traces, vec![8, 12]);
+
+        let (_, rpq) =
+            parse(&format!("{shared} --taxonomy --optimize off --json"), &RPQ_FLAGS).unwrap();
+        assert!(rpq.has("--taxonomy") && rpq.has("--json"));
+        assert_eq!((rpq.on("--optimize"), rpq.text("--json")), (Some(false), None));
+
+        let (o, serve) = parse(
+            "--shards 2 --clients 3 --requests 40 --update-fraction 0.1 --distinct 6 --burst 0.2 \
+             --rotate 0.3 --emit-trace t.txt --snapshot-dir snap --json serve.json --json --seed 5",
+            &SERVE_FLAGS,
+        )
+        .unwrap();
+        assert_eq!(o.seed, 5, "a flag after a value-less --json is not swallowed as its path");
+        assert_eq!(serve.count("--shards"), Some(2));
+        assert_eq!(serve.count("--requests"), Some(40));
+        assert_eq!(serve.fraction("--update-fraction"), Some(0.1));
+        assert_eq!(serve.text("--emit-trace"), Some("t.txt"));
+        assert_eq!(serve.text("--snapshot-dir"), Some("snap"));
+        assert_eq!(serve.text("--json"), None, "the last occurrence wins");
+        assert_eq!(serve.count("--distinct"), Some(6));
+        assert_eq!(serve.fraction("--rotate"), Some(0.3));
     }
 
     #[test]

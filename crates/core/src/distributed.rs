@@ -711,6 +711,56 @@ impl DistributedPimEngine {
     // Queries
     // ------------------------------------------------------------------
 
+    /// Dispatch charge of both hop loops: every source that lives on a PIM
+    /// module is shipped to it (the Q matrix rows of the execution plan),
+    /// `entry_bytes` each.
+    fn charge_dispatch(&self, sources: &[NodeId], entry_bytes: u64, timeline: &mut Timeline) {
+        let dispatch_bytes: u64 =
+            sources.iter().filter(|&&s| matches!(self.owner(s), Some(PartitionId::Pim(_)))).count()
+                as u64
+                * entry_bytes;
+        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(dispatch_bytes));
+        timeline.transfers.record_cpu_to_pim(dispatch_bytes, 1);
+    }
+
+    /// One hop's barrier in both hop loops: reduces the workers' deltas in
+    /// ascending worker-id order, charges the merged delta to `timeline` and
+    /// returns it.
+    fn charge_hop(&mut self, deltas: &[StatsDelta], timeline: &mut Timeline) -> StatsDelta {
+        let mut delta = StatsDelta::new(self.config.pim.num_modules);
+        for worker_delta in deltas {
+            delta.merge(worker_delta);
+        }
+        let pim_time = self.pim.parallel_step(&delta.per_module);
+        timeline.charge(Phase::PimCompute, pim_time);
+        timeline.charge(Phase::HostCompute, delta.host_time);
+        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(delta.cpc_bytes));
+        // Inter-PIM forwarding has no hardware path on UPMEM: besides the
+        // double bus crossing, the host CPU inspects and re-routes every
+        // forwarded entry in software (~25 instructions each).
+        timeline.charge(
+            Phase::Ipc,
+            self.pim.ipc_transfer_cost(delta.ipc_bytes)
+                + self.pim.host_instructions_cost(delta.ipc_messages * 25),
+        );
+        timeline.transfers.record_pim_to_cpu(delta.cpc_bytes, 1);
+        timeline.transfers.record_inter_pim(delta.ipc_bytes, delta.ipc_messages);
+        delta
+    }
+
+    /// Reduction (`mwait`) of both hop loops: gathers every query's matched
+    /// destinations to the host and merges the per-module partial results.
+    fn charge_gather(&self, matched_pairs: usize, timeline: &mut Timeline) {
+        let gather_bytes = matched_pairs as u64 * ENTRY_BYTES;
+        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(gather_bytes));
+        timeline.transfers.record_pim_to_cpu(gather_bytes, 1);
+        timeline.charge(
+            Phase::Reduce,
+            self.pim.host_sequential_read_cost(gather_bytes)
+                + self.pim.host_instructions_cost(matched_pairs as u64 * 8),
+        );
+    }
+
     /// Answers a batch k-hop path query with full cost accounting.
     ///
     /// The hop loop is a batch-frontier engine: owner lookups are single
@@ -729,22 +779,6 @@ impl DistributedPimEngine {
         self.k_hop_batch_impl(sources, k, None)
     }
 
-    /// [`DistributedPimEngine::k_hop_batch`] plus the execution's dependency
-    /// footprint: the bucket of every visited node (sources and every hop's
-    /// merged frontier) and whether the host lane expanded a row. Tracking
-    /// reads only merged, thread-count-invariant state, so the deps — like
-    /// the stats — are byte-identical at every thread count, and no simulated
-    /// charge moves.
-    pub fn k_hop_batch_tracked(
-        &mut self,
-        sources: &[NodeId],
-        k: usize,
-    ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
-        let mut deps = QueryDeps::default();
-        let (results, stats) = self.k_hop_batch_impl(sources, k, Some(&mut deps));
-        (results, stats, deps)
-    }
-
     /// The shared k-hop loop; the tracked entry point passes a deps
     /// accumulator, the plain one passes `None` (zero work added).
     fn k_hop_batch_impl(
@@ -761,14 +795,7 @@ impl DistributedPimEngine {
         let mut expansions = 0usize;
 
         // ---- plan: dispatch accounting and worker layout -----------------
-        // Every source that lives on a PIM module must be shipped to it (the
-        // Q matrix rows of the execution plan).
-        let dispatch_bytes: u64 =
-            sources.iter().filter(|&&s| matches!(self.owner(s), Some(PartitionId::Pim(_)))).count()
-                as u64
-                * ENTRY_BYTES;
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(dispatch_bytes));
-        timeline.transfers.record_cpu_to_pim(dispatch_bytes, 1);
+        self.charge_dispatch(sources, ENTRY_BYTES, &mut timeline);
 
         let module_ranges = self.worker_layout();
         let mut ctxs = self.take_hop_ctxs(module_ranges.len());
@@ -818,24 +845,7 @@ impl DistributedPimEngine {
             });
 
             // ---- merge: id-ordered delta reduction + frontier union ------
-            let mut delta = StatsDelta::new(module_count);
-            for worker_delta in &deltas {
-                delta.merge(worker_delta);
-            }
-            let pim_time = self.pim.parallel_step(&delta.per_module);
-            timeline.charge(Phase::PimCompute, pim_time);
-            timeline.charge(Phase::HostCompute, delta.host_time);
-            timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(delta.cpc_bytes));
-            // Inter-PIM forwarding has no hardware path on UPMEM: besides the
-            // double bus crossing, the host CPU inspects and re-routes every
-            // forwarded entry in software (~25 instructions each).
-            timeline.charge(
-                Phase::Ipc,
-                self.pim.ipc_transfer_cost(delta.ipc_bytes)
-                    + self.pim.host_instructions_cost(delta.ipc_messages * 25),
-            );
-            timeline.transfers.record_pim_to_cpu(delta.cpc_bytes, 1);
-            timeline.transfers.record_inter_pim(delta.ipc_bytes, delta.ipc_messages);
+            let delta = self.charge_hop(&deltas, &mut timeline);
 
             next_frontiers.clear();
             for _ in 0..frontiers.len() {
@@ -866,17 +876,8 @@ impl DistributedPimEngine {
         self.scratch = scratch;
         self.put_hop_ctxs(ctxs);
 
-        // Reduction (`mwait`): gather every query's final frontier to the host
-        // and merge the per-module partial results.
         let matched_pairs: usize = frontiers.iter().map(Vec::len).sum();
-        let gather_bytes = matched_pairs as u64 * ENTRY_BYTES;
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(gather_bytes));
-        timeline.transfers.record_pim_to_cpu(gather_bytes, 1);
-        timeline.charge(
-            Phase::Reduce,
-            self.pim.host_sequential_read_cost(gather_bytes)
-                + self.pim.host_instructions_cost(matched_pairs as u64 * 8),
-        );
+        self.charge_gather(matched_pairs, &mut timeline);
 
         let stats =
             QueryStats { timeline, batch_size: sources.len(), hops: k, matched_pairs, expansions };
@@ -966,7 +967,7 @@ impl DistributedPimEngine {
     /// Plain k-hop expressions (`.{k}` and concatenations of `.`) take the
     /// [`DistributedPimEngine::k_hop_batch`] fast path, whose cost model is
     /// untouched — same-seed experiment outputs do not move. Everything else
-    /// is evaluated as an NFA product ([`DistributedPimEngine::nfa_product_batch`]).
+    /// is evaluated as an NFA product (`nfa_product_batch_impl`).
     pub fn rpq_batch(
         &mut self,
         expr: &RpqExpr,
@@ -980,19 +981,23 @@ impl DistributedPimEngine {
     }
 
     /// [`DistributedPimEngine::rpq_batch`] plus the execution's dependency
-    /// footprint (see [`DistributedPimEngine::k_hop_batch_tracked`]); k-hop
-    /// shapes take the tracked fast path, everything else the tracked NFA
-    /// product.
+    /// footprint: the bucket of every visited node (sources and every hop's
+    /// merged frontier) and whether the host lane expanded a row. Tracking
+    /// reads only merged, thread-count-invariant state, so the deps — like
+    /// the stats — are byte-identical at every thread count, and no simulated
+    /// charge moves. K-hop shapes take the tracked fast path, everything else
+    /// the tracked NFA product.
     pub fn rpq_batch_tracked(
         &mut self,
         expr: &RpqExpr,
         sources: &[NodeId],
     ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
+        let mut deps = QueryDeps::default();
         if let Some(k) = expr.as_k_hop() {
-            return self.k_hop_batch_tracked(sources, k);
+            let (results, stats) = self.k_hop_batch_impl(sources, k, Some(&mut deps));
+            return (results, stats, deps);
         }
         let nfa = Nfa::from_expr(expr);
-        let mut deps = QueryDeps::default();
         let (results, stats) = self.nfa_product_batch_impl(&nfa, sources, None, Some(&mut deps));
         (results, stats, deps)
     }
@@ -1258,6 +1263,13 @@ impl DistributedPimEngine {
         (results, stats)
     }
 
+    /// An empty product-pair set over this engine's key space for `nfa`:
+    /// `directory bound × automaton states` node-major keys.
+    fn product_set(&self, nfa: &Nfa) -> ProductSet {
+        let states = u32::try_from(nfa.state_count()).unwrap_or(u32::MAX);
+        ProductSet::new(self.directory_bound(), states)
+    }
+
     /// Batch NFA-product evaluation: the generalisation of the k-hop loop to
     /// arbitrary label automata.
     ///
@@ -1278,22 +1290,8 @@ impl DistributedPimEngine {
     /// A node is reported for a query as soon as *some* visited product state
     /// is accepting; if the automaton accepts the empty path the source
     /// itself is part of the answer, as in [`rpq::ReferenceEvaluator`].
-    pub fn nfa_product_batch(
-        &mut self,
-        nfa: &Nfa,
-        sources: &[NodeId],
-    ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.nfa_product_batch_impl(nfa, sources, None, None)
-    }
-
-    /// An empty product-pair set over this engine's key space for `nfa`:
-    /// `directory bound × automaton states` node-major keys.
-    fn product_set(&self, nfa: &Nfa) -> ProductSet {
-        let states = u32::try_from(nfa.state_count()).unwrap_or(u32::MAX);
-        ProductSet::new(self.directory_bound(), states)
-    }
-
-    /// The shared NFA-product entry point: charges a non-forward plan's
+    ///
+    /// This is the shared entry point: it charges a non-forward plan's
     /// preamble, runs the hop loop, and reads answers (and, for the tracked
     /// entry point, dependencies) off the per-query visited sets.
     ///
@@ -1343,17 +1341,8 @@ impl DistributedPimEngine {
             results.push(nodes);
         }
 
-        // Reduction (`mwait`): gather every query's accepted destinations to
-        // the host and merge the per-module partial results.
         let matched_pairs: usize = results.iter().map(Vec::len).sum();
-        let gather_bytes = matched_pairs as u64 * ENTRY_BYTES;
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(gather_bytes));
-        timeline.transfers.record_pim_to_cpu(gather_bytes, 1);
-        timeline.charge(
-            Phase::Reduce,
-            self.pim.host_sequential_read_cost(gather_bytes)
-                + self.pim.host_instructions_cost(matched_pairs as u64 * 8),
-        );
+        self.charge_gather(matched_pairs, &mut timeline);
 
         let stats =
             QueryStats { timeline, batch_size: sources.len(), hops, matched_pairs, expansions };
@@ -1380,14 +1369,8 @@ impl DistributedPimEngine {
         let host_resident_bytes: u64 = self.host_store.live_bytes();
         let mut expansions = 0usize;
 
-        // Dispatch: every PIM-resident source is shipped to its module
-        // together with the automaton start state.
-        let dispatch_bytes: u64 =
-            sources.iter().filter(|&&s| matches!(self.owner(s), Some(PartitionId::Pim(_)))).count()
-                as u64
-                * (ENTRY_BYTES + STATE_BYTES);
-        timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(dispatch_bytes));
-        timeline.transfers.record_cpu_to_pim(dispatch_bytes, 1);
+        // The automaton start state rides along with every dispatched source.
+        self.charge_dispatch(sources, ENTRY_BYTES + STATE_BYTES, timeline);
 
         // One visited set per query, persisting across hops. A `ProductSet`
         // is a tree until it holds `bound / 128` pairs and a `bound / 8`-byte
@@ -1454,21 +1437,7 @@ impl DistributedPimEngine {
             // across workers every surviving pair enters the visited set —
             // producing exactly the sequential loop's sorted, duplicate-free
             // next frontier and exactly its visited-set growth.
-            let mut delta = StatsDelta::new(module_count);
-            for worker_delta in &deltas {
-                delta.merge(worker_delta);
-            }
-            let pim_time = self.pim.parallel_step(&delta.per_module);
-            timeline.charge(Phase::PimCompute, pim_time);
-            timeline.charge(Phase::HostCompute, delta.host_time);
-            timeline.charge(Phase::Cpc, self.pim.cpc_transfer_cost(delta.cpc_bytes));
-            timeline.charge(
-                Phase::Ipc,
-                self.pim.ipc_transfer_cost(delta.ipc_bytes)
-                    + self.pim.host_instructions_cost(delta.ipc_messages * 25),
-            );
-            timeline.transfers.record_pim_to_cpu(delta.cpc_bytes, 1);
-            timeline.transfers.record_inter_pim(delta.ipc_bytes, delta.ipc_messages);
+            let delta = self.charge_hop(&deltas, timeline);
 
             for (q, next) in next_frontiers.iter_mut().enumerate() {
                 next.clear();

@@ -6,7 +6,7 @@ use crate::distributed::{DistributedPimEngine, PlacementPolicy};
 use crate::engine::GraphEngine;
 use crate::stats::{QueryStats, UpdateStats};
 use graph_partition::{HashPartitioner, PartitionMetrics};
-use graph_store::{Label, NodeId, SnapshotState};
+use graph_store::{Label, LabelStatsSnapshot, NodeId, SnapshotState};
 use rpq::{PlanStrategy, RpqExpr};
 
 /// The PIM-hash contrast system evaluated in the paper: the same PIM execution
@@ -66,94 +66,7 @@ impl PimHashSystem {
     }
 }
 
-impl GraphEngine for PimHashSystem {
-    fn name(&self) -> &'static str {
-        "PIM-hash"
-    }
-
-    fn insert_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-        self.engine.insert_edges(edges)
-    }
-
-    fn delete_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-        self.engine.delete_edges(edges)
-    }
-
-    fn insert_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-        self.engine.insert_labeled_edges(edges)
-    }
-
-    fn delete_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-        self.engine.delete_labeled_edges(edges)
-    }
-
-    fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.engine.k_hop_batch(sources, k)
-    }
-
-    fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.engine.rpq_batch(expr, sources)
-    }
-
-    fn rpq_batch_planned(
-        &mut self,
-        expr: &RpqExpr,
-        sources: &[NodeId],
-        strategy: PlanStrategy,
-    ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.engine.rpq_batch_planned(expr, sources, strategy)
-    }
-
-    fn rpq_batch_tracked(
-        &mut self,
-        expr: &RpqExpr,
-        sources: &[NodeId],
-    ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
-        self.engine.rpq_batch_tracked(expr, sources)
-    }
-
-    fn insert_labeled_edges_tracked(
-        &mut self,
-        edges: &[(NodeId, NodeId, Label)],
-    ) -> (UpdateStats, UpdateFootprint) {
-        self.engine.insert_labeled_edges_tracked(edges)
-    }
-
-    fn delete_labeled_edges_tracked(
-        &mut self,
-        edges: &[(NodeId, NodeId, Label)],
-    ) -> (UpdateStats, UpdateFootprint) {
-        self.engine.delete_labeled_edges_tracked(edges)
-    }
-
-    fn edge_count(&self) -> usize {
-        self.engine.edge_count()
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.engine.set_threads(threads);
-    }
-
-    fn threads(&self) -> usize {
-        self.engine.threads()
-    }
-
-    fn export_snapshot(&self) -> Option<SnapshotState> {
-        Some(self.engine.export_storage())
-    }
-
-    fn restore_snapshot(&mut self, snapshot: &SnapshotState) -> bool {
-        self.engine.restore_storage(snapshot)
-    }
-
-    fn label_stats(&self) -> graph_store::LabelStatsSnapshot {
-        self.engine.label_stats()
-    }
-
-    fn export_rev_rows(&self) -> Vec<(NodeId, Vec<(NodeId, graph_store::Label)>)> {
-        self.engine.export_rev_rows()
-    }
-}
+crate::system::impl_graph_engine_over_pim!(PimHashSystem, "PIM-hash");
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@ use crate::distributed::{DistributedPimEngine, PlacementPolicy};
 use crate::engine::GraphEngine;
 use crate::stats::{QueryStats, UpdateStats};
 use graph_partition::{GreedyAdaptivePartitioner, MigrationReport, PartitionMetrics};
-use graph_store::{Label, NodeId, PartitionId, SnapshotState};
+use graph_store::{Label, LabelStatsSnapshot, NodeId, PartitionId, SnapshotState};
 use pim_sim::Timeline;
 use rpq::{PlanStrategy, RpqExpr};
 
@@ -92,94 +92,114 @@ impl MoctopusSystem {
     }
 }
 
-impl GraphEngine for MoctopusSystem {
-    fn name(&self) -> &'static str {
-        "Moctopus"
-    }
+/// Implements [`GraphEngine`] for a system that is a
+/// [`DistributedPimEngine`] under one placement policy, held in a field named
+/// `engine`: every method forwards to the engine's inherent method, so the
+/// two PIM systems differ in their constructors and `name()` only. The
+/// invoking module imports the types of the trait's signatures.
+macro_rules! impl_graph_engine_over_pim {
+    ($system:ident, $name:literal) => {
+        impl GraphEngine for $system {
+            fn name(&self) -> &'static str {
+                $name
+            }
 
-    fn insert_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-        self.engine.insert_edges(edges)
-    }
+            fn insert_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
+                self.engine.insert_edges(edges)
+            }
 
-    fn delete_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-        self.engine.delete_edges(edges)
-    }
+            fn delete_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
+                self.engine.delete_edges(edges)
+            }
 
-    fn insert_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-        self.engine.insert_labeled_edges(edges)
-    }
+            fn insert_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
+                self.engine.insert_labeled_edges(edges)
+            }
 
-    fn delete_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-        self.engine.delete_labeled_edges(edges)
-    }
+            fn delete_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
+                self.engine.delete_labeled_edges(edges)
+            }
 
-    fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.engine.k_hop_batch(sources, k)
-    }
+            fn k_hop_batch(
+                &mut self,
+                sources: &[NodeId],
+                k: usize,
+            ) -> (Vec<Vec<NodeId>>, QueryStats) {
+                self.engine.k_hop_batch(sources, k)
+            }
 
-    fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.engine.rpq_batch(expr, sources)
-    }
+            fn rpq_batch(
+                &mut self,
+                expr: &RpqExpr,
+                sources: &[NodeId],
+            ) -> (Vec<Vec<NodeId>>, QueryStats) {
+                self.engine.rpq_batch(expr, sources)
+            }
 
-    fn rpq_batch_planned(
-        &mut self,
-        expr: &RpqExpr,
-        sources: &[NodeId],
-        strategy: PlanStrategy,
-    ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.engine.rpq_batch_planned(expr, sources, strategy)
-    }
+            fn rpq_batch_planned(
+                &mut self,
+                expr: &RpqExpr,
+                sources: &[NodeId],
+                strategy: PlanStrategy,
+            ) -> (Vec<Vec<NodeId>>, QueryStats) {
+                self.engine.rpq_batch_planned(expr, sources, strategy)
+            }
 
-    fn rpq_batch_tracked(
-        &mut self,
-        expr: &RpqExpr,
-        sources: &[NodeId],
-    ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
-        self.engine.rpq_batch_tracked(expr, sources)
-    }
+            fn rpq_batch_tracked(
+                &mut self,
+                expr: &RpqExpr,
+                sources: &[NodeId],
+            ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
+                self.engine.rpq_batch_tracked(expr, sources)
+            }
 
-    fn insert_labeled_edges_tracked(
-        &mut self,
-        edges: &[(NodeId, NodeId, Label)],
-    ) -> (UpdateStats, UpdateFootprint) {
-        self.engine.insert_labeled_edges_tracked(edges)
-    }
+            fn insert_labeled_edges_tracked(
+                &mut self,
+                edges: &[(NodeId, NodeId, Label)],
+            ) -> (UpdateStats, UpdateFootprint) {
+                self.engine.insert_labeled_edges_tracked(edges)
+            }
 
-    fn delete_labeled_edges_tracked(
-        &mut self,
-        edges: &[(NodeId, NodeId, Label)],
-    ) -> (UpdateStats, UpdateFootprint) {
-        self.engine.delete_labeled_edges_tracked(edges)
-    }
+            fn delete_labeled_edges_tracked(
+                &mut self,
+                edges: &[(NodeId, NodeId, Label)],
+            ) -> (UpdateStats, UpdateFootprint) {
+                self.engine.delete_labeled_edges_tracked(edges)
+            }
 
-    fn edge_count(&self) -> usize {
-        self.engine.edge_count()
-    }
+            fn edge_count(&self) -> usize {
+                self.engine.edge_count()
+            }
 
-    fn set_threads(&mut self, threads: usize) {
-        self.engine.set_threads(threads);
-    }
+            fn set_threads(&mut self, threads: usize) {
+                self.engine.set_threads(threads);
+            }
 
-    fn threads(&self) -> usize {
-        self.engine.threads()
-    }
+            fn threads(&self) -> usize {
+                self.engine.threads()
+            }
 
-    fn export_snapshot(&self) -> Option<SnapshotState> {
-        Some(self.engine.export_storage())
-    }
+            fn export_snapshot(&self) -> Option<SnapshotState> {
+                Some(self.engine.export_storage())
+            }
 
-    fn restore_snapshot(&mut self, snapshot: &SnapshotState) -> bool {
-        self.engine.restore_storage(snapshot)
-    }
+            fn restore_snapshot(&mut self, snapshot: &SnapshotState) -> bool {
+                self.engine.restore_storage(snapshot)
+            }
 
-    fn label_stats(&self) -> graph_store::LabelStatsSnapshot {
-        self.engine.label_stats()
-    }
+            fn label_stats(&self) -> LabelStatsSnapshot {
+                self.engine.label_stats()
+            }
 
-    fn export_rev_rows(&self) -> Vec<(NodeId, Vec<(NodeId, graph_store::Label)>)> {
-        self.engine.export_rev_rows()
-    }
+            fn export_rev_rows(&self) -> Vec<(NodeId, Vec<(NodeId, Label)>)> {
+                self.engine.export_rev_rows()
+            }
+        }
+    };
 }
+pub(crate) use impl_graph_engine_over_pim;
+
+impl_graph_engine_over_pim!(MoctopusSystem, "Moctopus");
 
 #[cfg(test)]
 mod tests {

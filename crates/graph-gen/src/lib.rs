@@ -32,7 +32,6 @@
 
 pub mod labels;
 pub mod powerlaw;
-pub mod rmat;
 pub mod road;
 pub mod stats;
 pub mod stream;

@@ -169,16 +169,6 @@ impl TraceSpec {
         TABLE1.iter().find(|t| t.trace_id == trace_id)
     }
 
-    /// Returns the spec with the given SNAP dataset name.
-    pub fn by_name(name: &str) -> Option<&'static TraceSpec> {
-        TABLE1.iter().find(|t| t.name == name)
-    }
-
-    /// The traces the paper groups as "less skewed" (#1, #2, #3, #7, #13–#15).
-    pub fn low_skew_ids() -> &'static [usize] {
-        &[1, 2, 3, 7, 13, 14, 15]
-    }
-
     /// The traces the paper groups as "highly skewed" (#5, #6, #8, #11, #12).
     pub fn high_skew_ids() -> &'static [usize] {
         &[5, 6, 8, 11, 12]
@@ -229,9 +219,8 @@ mod tests {
     #[test]
     fn lookup_by_id_and_name() {
         assert_eq!(TraceSpec::by_trace_id(8).unwrap().name, "wiki-Talk");
-        assert_eq!(TraceSpec::by_name("web-Stanford").unwrap().trace_id, 12);
+        assert_eq!(TraceSpec::by_trace_id(12).unwrap().name, "web-Stanford");
         assert!(TraceSpec::by_trace_id(16).is_none());
-        assert!(TraceSpec::by_name("missing").is_none());
     }
 
     #[test]
@@ -245,7 +234,6 @@ mod tests {
 
     #[test]
     fn skew_groups_match_paper() {
-        assert_eq!(TraceSpec::low_skew_ids().len(), 7);
         assert_eq!(TraceSpec::high_skew_ids().len(), 5);
         for id in TraceSpec::high_skew_ids() {
             assert!(TraceSpec::by_trace_id(*id).unwrap().high_degree_pct > 0.4);

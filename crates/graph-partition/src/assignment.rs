@@ -177,11 +177,6 @@ impl PartitionAssignment {
         self.slots.iter().enumerate().filter_map(|(i, &s)| decode(s).map(|p| (NodeId(i as u64), p)))
     }
 
-    /// All nodes currently assigned to the given partition (sorted).
-    pub fn nodes_in(&self, partition: PartitionId) -> Vec<NodeId> {
-        self.iter().filter(|&(_, p)| p == partition).map(|(n, _)| n).collect()
-    }
-
     /// The raw `node_partition_vector` slots, for a durable snapshot.
     ///
     /// Sentinel values (host / unassigned) are exported as-is; the per-
@@ -250,17 +245,6 @@ mod tests {
         assert_eq!(a.mean_pim_load(), 2.0);
         let least = a.least_loaded_pim();
         assert!(least == 2 || least == 3);
-    }
-
-    #[test]
-    fn nodes_in_returns_sorted_members() {
-        let mut a = PartitionAssignment::new(2);
-        a.assign(NodeId(5), PartitionId::Pim(1));
-        a.assign(NodeId(2), PartitionId::Pim(1));
-        a.assign(NodeId(9), PartitionId::Host);
-        assert_eq!(a.nodes_in(PartitionId::Pim(1)), vec![NodeId(2), NodeId(5)]);
-        assert_eq!(a.nodes_in(PartitionId::Host), vec![NodeId(9)]);
-        assert!(a.nodes_in(PartitionId::Pim(0)).is_empty());
     }
 
     #[test]

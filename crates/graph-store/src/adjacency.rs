@@ -121,11 +121,6 @@ impl AdjacencyGraph {
         self.out_edges.get(&node).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Out-neighbours of `node` restricted to `label`.
-    pub fn neighbors_with_label(&self, node: NodeId, label: Label) -> Vec<NodeId> {
-        self.neighbors(node).iter().filter(|&&(_, l)| l == label).map(|&(d, _)| d).collect()
-    }
-
     /// Out-degree of `node` (0 if the node is unknown).
     pub fn out_degree(&self, node: NodeId) -> usize {
         self.out_edges.get(&node).map(Vec::len).unwrap_or(0)
@@ -304,13 +299,6 @@ mod tests {
         assert!(!g.remove_edge(NodeId(0), NodeId(1), Label(0)));
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.out_degree(NodeId(0)), 1);
-    }
-
-    #[test]
-    fn neighbors_with_label_filters() {
-        let g = sample();
-        assert_eq!(g.neighbors_with_label(NodeId(1), Label(1)), vec![NodeId(2)]);
-        assert!(g.neighbors_with_label(NodeId(1), Label(0)).is_empty());
     }
 
     #[test]

@@ -208,11 +208,6 @@ impl DurableStore {
         self.wal.records()
     }
 
-    /// Bytes in the current WAL file.
-    pub fn wal_len_bytes(&self) -> u64 {
-        self.wal.len_bytes()
-    }
-
     /// Path of the current WAL file (the crash-injection smoke corrupts it).
     pub fn wal_path(&self) -> PathBuf {
         wal_path(&self.dir, self.generation)

@@ -1,15 +1,15 @@
-//! Plain edge-list import/export.
+//! Plain edge-list import.
 //!
 //! The SNAP datasets the paper evaluates on are distributed as whitespace
 //! separated `src dst` text files with `#` comment lines. This module parses
-//! and emits that format so externally downloaded traces can be dropped in as
-//! a substitute for the synthetic generators.
+//! that format so externally downloaded traces can be dropped in as a
+//! substitute for the synthetic generators.
 
 use crate::adjacency::AdjacencyGraph;
 use crate::error::GraphStoreError;
 use crate::ids::{Label, NodeId};
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 use std::path::Path;
 
 /// Parses a SNAP-style edge list from a reader.
@@ -51,24 +51,6 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<AdjacencyGraph, GraphStor
         graph.insert_edge(NodeId(src), NodeId(dst), Label::ANY);
     }
     Ok(graph)
-}
-
-/// Writes a graph as a SNAP-style edge list.
-///
-/// # Errors
-///
-/// Returns [`GraphStoreError::ParseEdgeList`] wrapping any I/O error message.
-pub fn write_edge_list<W: Write>(
-    graph: &AdjacencyGraph,
-    mut writer: W,
-) -> Result<(), GraphStoreError> {
-    let mut edges = graph.to_sorted_edges();
-    edges.dedup();
-    for (s, d, _) in edges {
-        writeln!(writer, "{} {}", s.0, d.0)
-            .map_err(|e| GraphStoreError::ParseEdgeList(e.to_string()))?;
-    }
-    Ok(())
 }
 
 /// A labelled edge list loaded from a SNAP-style file, with the original
@@ -186,16 +168,6 @@ mod tests {
 
         let text = "0\n";
         assert!(read_edge_list(text.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn roundtrip_preserves_edges() {
-        let text = "0 1\n1 2\n2 0\n";
-        let g = read_edge_list(text.as_bytes()).unwrap();
-        let mut out = Vec::new();
-        write_edge_list(&g, &mut out).unwrap();
-        let g2 = read_edge_list(out.as_slice()).unwrap();
-        assert_eq!(g.to_sorted_edges(), g2.to_sorted_edges());
     }
 
     #[test]

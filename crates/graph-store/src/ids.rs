@@ -79,15 +79,6 @@ impl PartitionId {
     pub fn is_host(self) -> bool {
         matches!(self, PartitionId::Host)
     }
-
-    /// Returns the PIM module index, or `None` for the host partition.
-    #[inline]
-    pub fn pim_index(self) -> Option<u32> {
-        match self {
-            PartitionId::Host => None,
-            PartitionId::Pim(i) => Some(i),
-        }
-    }
 }
 
 impl Default for PartitionId {
@@ -222,8 +213,6 @@ mod tests {
     #[test]
     fn partition_id_host_and_pim() {
         assert!(PartitionId::HOST.is_host());
-        assert_eq!(PartitionId::HOST.pim_index(), None);
-        assert_eq!(PartitionId::Pim(5).pim_index(), Some(5));
         assert!(!PartitionId::Pim(5).is_host());
     }
 

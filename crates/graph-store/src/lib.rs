@@ -6,11 +6,8 @@
 //!   and [`IdMap`], the hash map every id-keyed structure below uses.
 //! * [`rows`] — [`SortedRows`], the one sorted-row table behind the local
 //!   stores' forward and reverse rows and every other reverse index.
-//! * [`property`] — the property-graph data model (nodes/edges with labels and
-//!   property/value pairs) used by graph databases.
 //! * [`adjacency`] — a dynamic, labelled, directed adjacency-list graph; the
 //!   logical "whole graph" view used by generators and baselines.
-//! * [`csr`] — an immutable compressed-sparse-row snapshot for analytics.
 //! * [`local`] — the per-PIM-module *local graph storage*: a hash map from row
 //!   id (NodeId) to row data (labelled next-hop pairs), exactly as described
 //!   in Section 3.1 of the paper.
@@ -20,7 +17,7 @@
 //! * [`degree`] — out-degree tracking and the high-degree threshold (16).
 //! * [`labelstats`] — incrementally maintained per-label degree/cardinality
 //!   statistics, the input of the cost-based RPQ plan optimizer.
-//! * [`edgelist`] — plain and SNAP-style labelled edge-list import/export.
+//! * [`edgelist`] — plain and SNAP-style labelled edge-list import.
 //! * [`snapshot`] / [`wal`] / [`durable`] — the durable storage plane: a
 //!   versioned, checksummed snapshot format, an append-only labelled-edge
 //!   write-ahead log with per-record CRC and torn-tail-tolerant recovery, and
@@ -29,7 +26,7 @@
 //! # Examples
 //!
 //! ```
-//! use graph_store::prelude::*;
+//! use graph_store::{AdjacencyGraph, Label, NodeId};
 //!
 //! let mut g = AdjacencyGraph::new();
 //! g.insert_edge(NodeId(0), NodeId(1), Label::default());
@@ -40,7 +37,6 @@
 
 pub mod adjacency;
 mod bytes;
-pub mod csr;
 pub mod degree;
 pub mod durable;
 pub mod edgelist;
@@ -49,13 +45,11 @@ pub mod heterogeneous;
 pub mod ids;
 pub mod labelstats;
 pub mod local;
-pub mod property;
 pub mod rows;
 pub mod snapshot;
 pub mod wal;
 
 pub use adjacency::AdjacencyGraph;
-pub use csr::CsrGraph;
 pub use degree::{DegreeTracker, HIGH_DEGREE_THRESHOLD};
 pub use durable::{
     current_generation, generation_snapshot_path, generation_wal_path, DurableStore, RecoveredState,
@@ -65,19 +59,6 @@ pub use heterogeneous::{HeterogeneousStorage, UpdateCost, UpdateOutcome};
 pub use ids::{EdgeKey, IdMap, Label, LabeledEdgeKey, NodeId, PartitionId};
 pub use labelstats::{LabelCounters, LabelStatsSnapshot, LabelStatsTable};
 pub use local::LocalGraphStorage;
-pub use property::{PropertyGraph, PropertyValue};
 pub use rows::SortedRows;
 pub use snapshot::{HostRowSnapshot, LocalModuleSnapshot, SnapshotState};
 pub use wal::{TornTail, WalDecode, WalOp, WalRecord, WalWriter};
-
-/// Convenience re-exports of the most commonly used items.
-pub mod prelude {
-    pub use crate::adjacency::AdjacencyGraph;
-    pub use crate::csr::CsrGraph;
-    pub use crate::degree::{DegreeTracker, HIGH_DEGREE_THRESHOLD};
-    pub use crate::error::GraphStoreError;
-    pub use crate::heterogeneous::HeterogeneousStorage;
-    pub use crate::ids::{Label, NodeId, PartitionId};
-    pub use crate::local::LocalGraphStorage;
-    pub use crate::property::{PropertyGraph, PropertyValue};
-}

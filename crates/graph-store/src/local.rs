@@ -72,12 +72,6 @@ impl LocalGraphStorage {
         Self::default()
     }
 
-    /// Creates an empty segment that refuses to grow beyond `capacity_bytes`
-    /// (e.g. the 64 MB MRAM of an UPMEM PIM module).
-    pub fn with_capacity_bytes(capacity_bytes: u64) -> Self {
-        LocalGraphStorage { capacity_bytes: Some(capacity_bytes), ..Self::default() }
-    }
-
     /// Inserts a directed labelled edge into the row of `src`, returning the
     /// row's length before the write.
     ///
@@ -288,7 +282,7 @@ mod tests {
 
     #[test]
     fn capacity_is_enforced() {
-        let mut s = LocalGraphStorage::with_capacity_bytes(30);
+        let mut s = LocalGraphStorage::from_sorted_rows(Vec::new(), Some(30));
         s.insert_edge(NodeId(0), NodeId(1), ANY).unwrap(); // 10 + 16 = 26 bytes
         let err = s.insert_edge(NodeId(0), NodeId(2), ANY).unwrap_err();
         assert!(matches!(err, GraphStoreError::CapacityExceeded { .. }));

@@ -16,7 +16,8 @@ pub enum FileClass {
     Lib,
     /// Binary code of a member crate (`crates/X/src/bin/**`).
     Bin,
-    /// Criterion bench harnesses (`crates/X/benches/**`).
+    /// Bench harnesses (`crates/X/benches/**`; none since wall-clock moved to
+    /// `perf/`, but one that comes back is linted, D2 included).
     Bench,
     /// Workspace examples (`examples/**`).
     Example,

@@ -26,7 +26,7 @@
 //! | id | contract |
 //! |----|----------|
 //! | D1 `hash-iter-order` | no ordered iteration over `std` hash collections |
-//! | D2 `wall-clock-in-sim` | wall clocks/entropy only in `crates/bench` |
+//! | D2 `wall-clock-in-sim` | no wall clocks/entropy under `crates/` (they belong in `perf/`) |
 //! | D3 `float-accum-order` | `run_with` closures fold into per-worker state |
 //! | D4 `panic-in-lib` | library code returns errors instead of panicking |
 //! | D5 `fsync-before-rename` | graph-store publishes via tmp + fsync + rename |

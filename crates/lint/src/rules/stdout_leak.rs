@@ -2,7 +2,7 @@
 //!
 //! The contract since PR 4: stdout of every binary is byte-identical at
 //! every `--threads` and `--shards` value. Scaling knobs may only surface
-//! in the JSON emitters (`summary --json` records `"threads"`,
+//! in the JSON emitters (`serve --json` records `"threads"`,
 //! `ShardThroughput` is JSON-only). A `println!`/`print!` whose arguments —
 //! positional or inline `{name}` captures — mention a thread/shard/worker
 //! count is a leak waiting for a CI diff to flake.
@@ -107,7 +107,7 @@ fn finding(what: &str, hit: &str, line: u32) -> RawFinding {
             "`{what}` (matches `{hit}`) flows into stdout; thread/shard counts must be invisible \
              in non-JSON output"
         ),
-        hint: "route scaling-dependent values through the JSON emitters (summary --json, \
+        hint: "route scaling-dependent values through the JSON emitters (serve --json, \
                ShardThroughput) or drop them from stdout; if the text is genuinely \
                count-invariant, justify: // moctopus-lint: allow(stdout-thread-leak, \
                reason = \"...\")"

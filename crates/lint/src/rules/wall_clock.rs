@@ -1,11 +1,12 @@
-//! D2 `wall-clock-in-sim`: wall-clock and entropy sources outside the
-//! bench harness.
+//! D2 `wall-clock-in-sim`: wall-clock and entropy sources anywhere in the
+//! workspace.
 //!
 //! Every latency the system reports is *simulated* (`SimTime` from the
-//! pim-sim cost model); real clocks belong only to `crates/bench`, which
-//! measures the harness itself (`summary --json` wall-clock fields). A
-//! wall-clock read or an entropy source anywhere else either leaks
-//! run-dependent values into outputs or silently replaces the cost model.
+//! pim-sim cost model), the experiment binaries of `crates/bench` included;
+//! the one place that reads real clocks is the `perf/` benchmark harness, a
+//! package of its own outside the analyzed tree. A wall-clock read or an
+//! entropy source under `crates/` either leaks run-dependent values into
+//! outputs or silently replaces the cost model.
 
 use crate::engine::{FileClass, FileMeta, SourceFile};
 use crate::lexer::TokKind;
@@ -29,11 +30,11 @@ impl Rule for WallClockInSim {
     }
 
     fn summary(&self) -> &'static str {
-        "Instant::now/SystemTime/entropy sources outside crates/bench timing code"
+        "Instant::now/SystemTime/entropy sources in the workspace (wall-clock belongs in perf/)"
     }
 
     fn applies(&self, meta: &FileMeta) -> bool {
-        meta.crate_name != "bench" && meta.class != FileClass::Test
+        meta.class != FileClass::Test
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<RawFinding>) {
@@ -54,7 +55,7 @@ impl Rule for WallClockInSim {
                     line: t.line,
                     message: format!("wall-clock/entropy source `{name}` in simulation code"),
                     hint: "simulated latencies must come from the SimTime cost model; wall-clock \
-                           timing belongs in crates/bench, or justify: \
+                           timing belongs in perf/, or justify: \
                            // moctopus-lint: allow(wall-clock-in-sim, reason = \"...\")"
                         .to_string(),
                 });

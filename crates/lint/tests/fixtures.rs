@@ -10,8 +10,8 @@ use moctopus_lint::{classify, lint_file_with_meta, Finding, Report};
 /// `(fixture file, pretend workspace path it is linted under)`.
 ///
 /// The pretend path picks the file class and crate the rule scoping needs:
-/// D2's negative runs the *same kind of code* as its positive but inside
-/// `crates/bench`, the one zone where wall clocks are legal.
+/// D2 has a second positive inside `crates/bench`, which used to be the one
+/// zone where wall clocks were legal and no longer is.
 const FIXTURES: &[(&str, &str)] = &[
     ("hash_iter_order/positive.rs", "crates/core/src/d1_positive.rs"),
     ("hash_iter_order/negative.rs", "crates/core/src/d1_negative.rs"),
@@ -19,6 +19,7 @@ const FIXTURES: &[(&str, &str)] = &[
     ("hash_iter_order/idmap_negative.rs", "crates/graph-store/src/d1_idmap_negative.rs"),
     ("wall_clock_in_sim/positive.rs", "crates/pim-sim/src/d2_positive.rs"),
     ("wall_clock_in_sim/negative.rs", "crates/bench/src/d2_negative.rs"),
+    ("wall_clock_in_sim/bench_positive.rs", "crates/bench/src/bin/d2_bench_positive.rs"),
     ("float_accum_order/positive.rs", "crates/runtime/src/d3_positive.rs"),
     ("float_accum_order/negative.rs", "crates/runtime/src/d3_negative.rs"),
     ("panic_in_lib/positive.rs", "crates/core/src/d4_positive.rs"),
@@ -113,6 +114,18 @@ fn hash_iter_order_tracks_the_id_map_alias() {
         "crates/graph-store/src/d1_idmap_negative.rs",
     );
     assert!(findings.is_empty(), "point operations flagged: {:?}", rules_of(&findings));
+}
+
+/// D2 has no carve-out for the experiment harness: wall-clock belongs in
+/// `perf/`, which is outside the analyzed tree.
+#[test]
+fn wall_clock_is_flagged_in_the_bench_crate_too() {
+    for pretend in ["crates/bench/src/bin/d2_bench_positive.rs", "crates/bench/src/d2.rs"] {
+        let findings = lint_fixture("wall_clock_in_sim/bench_positive.rs", pretend);
+        assert_eq!(rules_of(&findings), vec!["wall-clock-in-sim"], "under {pretend}");
+        assert!(findings[0].message.contains("`Instant`"));
+        assert!(findings[0].hint.contains("perf/"), "the hint names where timing belongs");
+    }
 }
 
 #[test]

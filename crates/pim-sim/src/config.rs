@@ -116,11 +116,6 @@ impl PimConfig {
         }
     }
 
-    /// Aggregate streaming bandwidth of all modules combined, bytes/s.
-    pub fn aggregate_intra_bandwidth(&self) -> f64 {
-        self.intra_pim_bandwidth * self.num_modules as f64
-    }
-
     /// Ratio of the full system's CPU↔PIM bandwidth to its aggregate intra-PIM
     /// bandwidth (25 GB/s against 1.28 TB/s).
     ///
@@ -175,12 +170,5 @@ mod tests {
         assert!(host.sequential_bandwidth > 1e9);
         assert!(host.random_access_latency_ns > host.cache_hit_latency_ns);
         assert_eq!(host.cache_line_bytes, 64);
-    }
-
-    #[test]
-    fn aggregate_bandwidth_scales_with_modules() {
-        let a = PimConfig::upmem_rank();
-        let b = a.with_modules(128);
-        assert!((b.aggregate_intra_bandwidth() - 2.0 * a.aggregate_intra_bandwidth()).abs() < 1.0);
     }
 }

@@ -35,7 +35,6 @@
 //! ```
 
 pub mod config;
-pub mod energy;
 pub mod module;
 pub mod system;
 pub mod time;
@@ -43,7 +42,6 @@ pub mod timeline;
 pub mod transfer;
 
 pub use config::{HostConfig, PimConfig};
-pub use energy::{EnergyEstimate, EnergyModel};
 pub use module::PimModule;
 pub use system::PimSystem;
 pub use time::SimTime;

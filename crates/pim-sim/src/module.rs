@@ -86,11 +86,6 @@ impl PimModule {
         Ok(())
     }
 
-    /// Releases previously reserved MRAM (saturating at zero).
-    pub fn release_bytes(&mut self, bytes: u64) {
-        self.mram_used_bytes = self.mram_used_bytes.saturating_sub(bytes);
-    }
-
     /// Currently reserved MRAM bytes.
     pub fn mram_used_bytes(&self) -> u64 {
         self.mram_used_bytes
@@ -99,15 +94,6 @@ impl PimModule {
     /// MRAM capacity in bytes.
     pub fn mram_capacity_bytes(&self) -> u64 {
         self.mram_capacity_bytes
-    }
-
-    /// Fraction of MRAM currently in use.
-    pub fn mram_utilization(&self) -> f64 {
-        if self.mram_capacity_bytes == 0 {
-            0.0
-        } else {
-            self.mram_used_bytes as f64 / self.mram_capacity_bytes as f64
-        }
     }
 
     /// Adds busy time accumulated by a task executed on this module.
@@ -138,23 +124,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reserve_and_release_memory() {
-        let cfg = PimConfig::small_test();
-        let mut m = PimModule::new(3, &cfg);
-        m.reserve_bytes(1000).unwrap();
-        assert_eq!(m.mram_used_bytes(), 1000);
-        m.release_bytes(400);
-        assert_eq!(m.mram_used_bytes(), 600);
-        m.release_bytes(10_000);
-        assert_eq!(m.mram_used_bytes(), 0);
-    }
-
-    #[test]
     fn overflow_is_detected() {
         let cfg = PimConfig::small_test();
         let mut m = PimModule::new(1, &cfg);
         let cap = m.mram_capacity_bytes();
-        m.reserve_bytes(cap).unwrap();
+        m.reserve_bytes(1000).unwrap();
+        assert_eq!(m.mram_used_bytes(), 1000);
+        m.reserve_bytes(cap - 1000).unwrap();
         let err = m.reserve_bytes(1).unwrap_err();
         assert_eq!(err.module, 1);
         assert_eq!(err.capacity, cap);
@@ -172,14 +148,5 @@ mod tests {
         m.reset_busy_time();
         assert!(m.busy_time().is_zero());
         assert_eq!(m.tasks_executed(), 0);
-    }
-
-    #[test]
-    fn utilization_is_a_fraction() {
-        let cfg = PimConfig::small_test();
-        let mut m = PimModule::new(0, &cfg);
-        assert_eq!(m.mram_utilization(), 0.0);
-        m.reserve_bytes(cfg.mram_capacity_bytes / 2).unwrap();
-        assert!((m.mram_utilization() - 0.5).abs() < 1e-9);
     }
 }

@@ -1,7 +1,7 @@
 //! The simulated PIM system: cost-model entry points.
 
 use crate::config::PimConfig;
-use crate::module::{MramOverflow, PimModule};
+use crate::module::PimModule;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -55,24 +55,6 @@ impl PimSystem {
     /// Panics if `index >= module_count()`.
     pub fn module(&self, index: usize) -> &PimModule {
         &self.modules[index]
-    }
-
-    /// Mutable access to a module's state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= module_count()`.
-    pub fn module_mut(&mut self, index: usize) -> &mut PimModule {
-        &mut self.modules[index]
-    }
-
-    /// Reserves `bytes` of MRAM on module `index` (graph data placement).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MramOverflow`] if the module's 64 MB capacity is exceeded.
-    pub fn reserve_mram(&mut self, index: usize, bytes: u64) -> Result<(), MramOverflow> {
-        self.modules[index].reserve_bytes(bytes)
     }
 
     // ------------------------------------------------------------------
@@ -192,11 +174,6 @@ impl PimSystem {
     // Load-balance reporting
     // ------------------------------------------------------------------
 
-    /// Busy time of every module, in module order.
-    pub fn busy_times(&self) -> Vec<SimTime> {
-        self.modules.iter().map(|m| m.busy_time()).collect()
-    }
-
     /// Load-imbalance factor: max module busy time divided by the mean.
     ///
     /// Returns 1.0 when all modules are idle.
@@ -208,13 +185,6 @@ impl PimSystem {
             1.0
         } else {
             max / mean
-        }
-    }
-
-    /// Resets the busy-time counters of every module.
-    pub fn reset_busy_times(&mut self) {
-        for m in &mut self.modules {
-            m.reset_busy_time();
         }
     }
 }
@@ -287,8 +257,6 @@ mod tests {
         even[0] = SimTime::from_micros(100.0);
         s.parallel_step(&even);
         assert!(s.load_imbalance() > 2.0);
-        s.reset_busy_times();
-        assert_eq!(s.load_imbalance(), 1.0);
     }
 
     #[test]
@@ -307,16 +275,6 @@ mod tests {
         assert!(
             s.host_sequential_read_cost(bytes) < s.host_random_access_cost(bytes / 64, 1 << 30)
         );
-    }
-
-    #[test]
-    fn mram_reservation_propagates_overflow() {
-        let mut s = sys();
-        let cap = s.config().mram_capacity_bytes;
-        s.reserve_mram(0, cap).unwrap();
-        assert!(s.reserve_mram(0, 1).is_err());
-        assert!(s.reserve_mram(1, 1).is_ok());
-        assert_eq!(s.module(0).mram_used_bytes(), cap);
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl SimTime {
         SimTime::from_nanos(ms * 1e6)
     }
 
-    /// Creates a time span from seconds.
-    pub fn from_secs(s: f64) -> Self {
-        SimTime::from_nanos(s * 1e9)
-    }
-
     /// The span in nanoseconds.
     pub fn as_nanos(self) -> f64 {
         self.0
@@ -153,7 +148,7 @@ mod tests {
 
     #[test]
     fn conversions_are_consistent() {
-        let t = SimTime::from_secs(1.5);
+        let t = SimTime::from_millis(1500.0);
         assert_eq!(t.as_millis(), 1500.0);
         assert_eq!(t.as_micros(), 1.5e6);
         assert_eq!(t.as_nanos(), 1.5e9);
@@ -192,7 +187,7 @@ mod tests {
         assert_eq!(SimTime::from_nanos(12.0).to_string(), "12.0ns");
         assert_eq!(SimTime::from_micros(3.5).to_string(), "3.500us");
         assert_eq!(SimTime::from_millis(7.25).to_string(), "7.250ms");
-        assert_eq!(SimTime::from_secs(2.0).to_string(), "2.000s");
+        assert_eq!(SimTime::from_millis(2000.0).to_string(), "2.000s");
     }
 
     #[test]

@@ -111,20 +111,6 @@ impl Timeline {
     pub fn communication(&self) -> SimTime {
         self.cpc + self.ipc
     }
-
-    /// Returns the dominant phase (largest accumulated time).
-    pub fn dominant_phase(&self) -> Phase {
-        // moctopus-lint: allow(panic-in-lib, reason = "SimTime nanos are never NaN and Phase::ALL is a non-empty const array")
-        Phase::ALL
-            .into_iter()
-            .max_by(|&a, &b| {
-                self.time(a)
-                    .as_nanos()
-                    .partial_cmp(&self.time(b).as_nanos())
-                    .expect("phase times are finite")
-            })
-            .expect("ALL is non-empty")
-    }
 }
 
 impl Add for Timeline {
@@ -184,14 +170,6 @@ mod tests {
         t.charge(Phase::Cpc, SimTime::from_nanos(7.0));
         t.charge(Phase::Ipc, SimTime::from_nanos(3.0));
         assert_eq!(t.communication().as_nanos(), 10.0);
-    }
-
-    #[test]
-    fn dominant_phase_is_reported() {
-        let mut t = Timeline::new();
-        t.charge(Phase::PimCompute, SimTime::from_micros(1.0));
-        t.charge(Phase::Ipc, SimTime::from_micros(9.0));
-        assert_eq!(t.dominant_phase(), Phase::Ipc);
     }
 
     #[test]

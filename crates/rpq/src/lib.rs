@@ -46,5 +46,5 @@ pub use ast::{LabelSpec, RpqExpr};
 pub use eval::ReferenceEvaluator;
 pub use nfa::Nfa;
 pub use norm::LabelAlphabet;
-pub use optimizer::{choose_plan, rewritten_for, PlanChoice, PlanStrategy};
+pub use optimizer::{choose_plan, PlanChoice, PlanStrategy};
 pub use plan::{ExecutionPlan, PlanOp};

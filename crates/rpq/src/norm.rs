@@ -406,6 +406,29 @@ mod tests {
         assert!(RpqExpr::epsilon().is_nullable());
     }
 
+    /// The two ways a plan strategy factors a query — an `ε`-anchored
+    /// concatenation (the reversed sweep) and a `(prefix)/(suffix)` grouping
+    /// (the rare-label split) — are spellings of the query itself: built with
+    /// raw constructors they normalize back to the exact tree, so a query and
+    /// any plan-factored form of it share one cache row.
+    #[test]
+    fn epsilon_prefixes_and_regrouped_concatenations_normalize_away() {
+        for text in ["1/2/3", "1/(2|3)*/4", "1*/8", "1/8", "1+", ".{2}", "(1|8)+"] {
+            let e = norm(text);
+            let anchored = RpqExpr::Concat(vec![RpqExpr::epsilon(), e.clone()]);
+            assert_ne!(anchored, e);
+            assert_eq!(anchored.normalize(), e, "ε/({text})");
+            let RpqExpr::Concat(parts) = &e else { continue };
+            for at in 1..parts.len() {
+                let regrouped = RpqExpr::Concat(vec![
+                    RpqExpr::Concat(parts[..at].to_vec()),
+                    RpqExpr::Concat(parts[at..].to_vec()),
+                ]);
+                assert_eq!(regrouped.normalize(), e, "{text} regrouped at {at}");
+            }
+        }
+    }
+
     #[test]
     fn normalize_is_idempotent_on_query_corpus() {
         for text in
@@ -445,7 +468,7 @@ mod tests {
         assert_eq!(a.fingerprint(), norm("1/((3|2))*").fingerprint());
         assert_ne!(a.fingerprint(), norm("1/(2|4)*").fingerprint());
         // Pinned value: the fingerprint is part of the observable bench
-        // surface (BENCH_PR5.json), so accidental encoding changes must show.
+        // surface (`rpq --taxonomy`), so accidental encoding changes must show.
         assert_eq!(RpqExpr::any().fingerprint(), {
             let mut h = Fnv1a::new();
             h.write_u64(0x01);

@@ -15,17 +15,17 @@
 //! canonical forward NFA-product execution, so they are bit-identical under
 //! every strategy by construction; what [`choose_plan`] adds is a
 //! deterministic estimate of how much simulated work each strategy *would*
-//! perform, and the argmin over those estimates. Two further guarantees are
+//! perform, and the argmin over those estimates. One further guarantee is
 //! load-bearing and enforced by tests:
 //!
 //! * **Never worse than left-to-right.** [`PlanStrategy::Forward`] is always
 //!   a candidate and ties break in its favour, so
 //!   `chosen_cost <= forward_cost` on every query
 //!   ([`PlanChoice::chosen_cost`]).
-//! * **One cache row per language spelling.** [`rewritten_for`] respells an
-//!   expression the way the chosen strategy would factor it, and every
-//!   respelling normalizes back to the identical canonical tree — a query
-//!   and its plan-rewritten form share one cache key in `moctopus-server`.
+//!
+//! A strategy never changes the cache key either: the factorings a strategy
+//! stands for (`ε/e`, `(prefix)/(suffix)`) normalize back to `e`
+//! ([`RpqExpr::normalize`]).
 //!
 //! # The cost model
 //!
@@ -450,48 +450,6 @@ pub fn choose_plan(expr: &RpqExpr, stats: &LabelStatsSnapshot, batch_size: usize
     PlanChoice { strategy, forward_cost, chosen_cost }
 }
 
-/// Respells `expr` (assumed normalized) the way `strategy` factors it, such
-/// that the respelling **normalizes back to `expr` exactly** — the chosen
-/// strategy becomes part of the normalized form, and a query and its
-/// plan-rewritten form always share one cache row.
-///
-/// * [`PlanStrategy::Forward`] — the identity spelling.
-/// * [`PlanStrategy::Bidirectional`] — an `ε`-prefixed concatenation
-///   (`ε/e`): the reversed-sweep factorization anchored at the target end;
-///   normalization drops the `ε`.
-/// * [`PlanStrategy::RareLabelSplit`] — the two-part grouping
-///   `(prefix)/(suffix)` around the pivot; normalization flattens the
-///   nested concatenations.
-///
-/// # Examples
-///
-/// ```
-/// use rpq::{optimizer, parser};
-/// let e = parser::parse("1/2/8")?.normalize();
-/// let split = optimizer::PlanStrategy::RareLabelSplit { split_at: 2 };
-/// let respelt = optimizer::rewritten_for(&e, split);
-/// assert_ne!(respelt, e);            // a different spelling…
-/// assert_eq!(respelt.normalize(), e); // …of the same canonical form.
-/// # Ok::<(), rpq::parser::ParseRpqError>(())
-/// ```
-pub fn rewritten_for(expr: &RpqExpr, strategy: PlanStrategy) -> RpqExpr {
-    match strategy {
-        PlanStrategy::Forward => expr.clone(),
-        PlanStrategy::Bidirectional => RpqExpr::Concat(vec![RpqExpr::epsilon(), expr.clone()]),
-        PlanStrategy::RareLabelSplit { split_at } => match expr {
-            RpqExpr::Concat(parts) if split_at >= 1 && split_at < parts.len() => {
-                RpqExpr::Concat(vec![
-                    RpqExpr::Concat(parts[..split_at].to_vec()),
-                    RpqExpr::Concat(parts[split_at..].to_vec()),
-                ])
-            }
-            // A split position that does not match the tree degenerates to
-            // the ε-prefixed spelling (still normalizes to `expr`).
-            _ => RpqExpr::Concat(vec![RpqExpr::epsilon(), expr.clone()]),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,29 +553,6 @@ mod tests {
         let a = choose_plan(&e, &s, 32);
         let b = choose_plan(&e, &s, 32);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn rewritten_spellings_normalize_to_the_same_tree() {
-        let s = stats();
-        for text in ["1/2/3", "1/(2|3)*/4", "1*/8", "1/8", "1+", ".{2}", "(1|8)+"] {
-            let e = norm(text);
-            let choice = choose_plan(&e, &s, 16);
-            for strat in [
-                PlanStrategy::Forward,
-                PlanStrategy::Bidirectional,
-                choice.strategy,
-                PlanStrategy::RareLabelSplit { split_at: 1 },
-            ] {
-                let respelt = rewritten_for(&e, strat);
-                assert_eq!(
-                    respelt.normalize(),
-                    e,
-                    "{text}: {} respelling must normalize back",
-                    strat.describe()
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Matrix-based execution plans (the paper's `smxm` / `mwait` / `add` / `sub`
-//! operators) and a host-side executor over sparse matrices.
+//! Matrix-based execution plans (the paper's `smxm` / `mwait` operators) and
+//! a host-side executor over sparse matrices.
 //!
 //! The Query Processor translates a batch RPQ into a plan
 //! `ans = Q × Adj × … × Adj`: one [`PlanOp::Smxm`] per hop followed by an
-//! [`PlanOp::MWait`] that reduces/gathers the result. Graph updates become
-//! [`PlanOp::Add`] / [`PlanOp::Sub`] operators over a delta matrix. The
-//! [`HostMatrixEngine`] in this module executes such plans on the host with
+//! [`PlanOp::MWait`] that reduces/gathers the result. Graph updates (the
+//! paper's `add` / `sub` over a delta matrix) never go through a plan: they
+//! are [`HostMatrixEngine::apply_insertions`] /
+//! [`HostMatrixEngine::apply_deletions`]. The
+//! [`HostMatrixEngine`] in this module executes query plans on the host with
 //! GraphBLAS-style sparse kernels — exactly what the RedisGraph baseline does —
 //! and reports how much matrix data each operator touched so the simulator can
 //! charge memory-system costs.
@@ -24,10 +26,6 @@ pub enum PlanOp {
     Smxm(LabelSpec),
     /// Wait for all partial products and reduce them into the result matrix.
     MWait,
-    /// Apply an edge-insertion delta to the adjacency matrix (`Adj + delta`).
-    Add,
-    /// Apply an edge-deletion delta to the adjacency matrix (`Adj - delta`).
-    Sub,
 }
 
 /// A sequence of matrix operators produced by the query planner.
@@ -51,16 +49,6 @@ impl ExecutionPlan {
         let mut ops = vec![PlanOp::Smxm(LabelSpec::Any); k];
         ops.push(PlanOp::MWait);
         ExecutionPlan { ops }
-    }
-
-    /// The plan for a batch of edge insertions.
-    pub fn insert_batch() -> Self {
-        ExecutionPlan { ops: vec![PlanOp::Add] }
-    }
-
-    /// The plan for a batch of edge deletions.
-    pub fn delete_batch() -> Self {
-        ExecutionPlan { ops: vec![PlanOp::Sub] }
     }
 
     /// Compiles an RPQ expression into a chain of `smxm` operators.
@@ -151,6 +139,16 @@ impl HostExecutionStats {
         self.result_entries += other.result_entries;
         self.frontier_levels = self.frontier_levels.max(other.frontier_levels);
     }
+}
+
+/// What a non-forward strategy adds to [`HostMatrixEngine::sweep`] (the
+/// host-side counterpart of the PIM engine's pruning record).
+#[derive(Default)]
+struct Pruning<'a> {
+    /// Only these product pairs are expanded (`None` = every pair).
+    useful: Option<&'a HashSet<(usize, usize)>>,
+    /// Acceptance is restricted to these nodes (the split plan's prefix leg).
+    accept_nodes: Option<&'a HashSet<usize>>,
 }
 
 /// Host-side (RedisGraph-like) matrix engine: per-label adjacency matrices
@@ -245,12 +243,6 @@ impl HostMatrixEngine {
     ///
     /// Returns the matched destinations per source (sorted) and the execution
     /// statistics used for cost modelling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan contains `Add`/`Sub` operators (updates are applied
-    /// through [`HostMatrixEngine::apply_insertions`] /
-    /// [`HostMatrixEngine::apply_deletions`]).
     pub fn run(
         &self,
         plan: &ExecutionPlan,
@@ -301,10 +293,6 @@ impl HostMatrixEngine {
                     stats.bytes_read += current.nnz() as u64 * 8;
                     stats.result_entries = current.nnz();
                 }
-                PlanOp::Add | PlanOp::Sub => {
-                    // moctopus-lint: allow(panic-in-lib, reason = "plan construction never emits update ops into query plans; reaching this is a compiler bug")
-                    panic!("update operators are not part of a query plan");
-                }
             }
         }
         let results = (0..sources.len())
@@ -328,6 +316,34 @@ impl HostMatrixEngine {
     /// Results match [`crate::ReferenceEvaluator::evaluate`].
     pub fn run_nfa(&self, nfa: &Nfa, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, HostExecutionStats) {
         let mut stats = HostExecutionStats::default();
+        let results = self.sweep(nfa, sources, Pruning::default(), &mut stats, |out, _| out);
+        (results, stats)
+    }
+
+    /// The one level-by-level product sweep behind every automaton strategy.
+    ///
+    /// Per source, in this order: the empty path, then per level one row
+    /// fetch (plus the row's bytes) per `(frontier pair, transition)` and 8
+    /// bytes written per newly visited pair; the source's accepted nodes,
+    /// sorted and deduplicated, then pass through `answer` (the split plan's
+    /// join; the identity otherwise) before `result_entries` and
+    /// `frontier_levels` are updated.
+    ///
+    /// With [`Pruning::useful`] only useful pairs enter a frontier (a start
+    /// pair outside the set cannot produce results beyond the empty path, so
+    /// its row fetches are skipped); every discovered pair is still visited
+    /// and, if accepting, reported. With [`Pruning::accept_nodes`] a pair is
+    /// reported only when its node is in the set.
+    fn sweep(
+        &self,
+        nfa: &Nfa,
+        sources: &[NodeId],
+        pruning: Pruning,
+        stats: &mut HostExecutionStats,
+        mut answer: impl FnMut(Vec<NodeId>, &mut HostExecutionStats) -> Vec<NodeId>,
+    ) -> Vec<Vec<NodeId>> {
+        let accepts = |node: usize| pruning.accept_nodes.is_none_or(|set| set.contains(&node));
+        let expands = |pair: (usize, usize)| pruning.useful.is_none_or(|set| set.contains(&pair));
         let mut results = Vec::with_capacity(sources.len());
         let mut frontier: Vec<(usize, usize)> = Vec::new();
         let mut next: Vec<(usize, usize)> = Vec::new();
@@ -335,12 +351,14 @@ impl HostMatrixEngine {
             let mut visited: HashSet<(usize, usize)> = HashSet::new();
             let mut out: Vec<NodeId> = Vec::new();
             frontier.clear();
-            if nfa.accepts_empty() {
+            if nfa.accepts_empty() && accepts(src.index()) {
                 out.push(src);
             }
             if src.index() < self.node_bound {
                 visited.insert((src.index(), nfa.start()));
-                frontier.push((src.index(), nfa.start()));
+                if expands((src.index(), nfa.start())) {
+                    frontier.push((src.index(), nfa.start()));
+                }
             }
             let mut levels = 0usize;
             while !frontier.is_empty() {
@@ -354,10 +372,12 @@ impl HostMatrixEngine {
                         for &dst in row {
                             if visited.insert((dst, next_state)) {
                                 stats.bytes_written += 8;
-                                if nfa.is_accepting(next_state) {
+                                if nfa.is_accepting(next_state) && accepts(dst) {
                                     out.push(NodeId(dst as u64));
                                 }
-                                next.push((dst, next_state));
+                                if expands((dst, next_state)) {
+                                    next.push((dst, next_state));
+                                }
                             }
                         }
                     }
@@ -366,11 +386,12 @@ impl HostMatrixEngine {
             }
             out.sort_unstable();
             out.dedup();
+            let out = answer(out, stats);
             stats.result_entries += out.len();
             stats.frontier_levels = stats.frontier_levels.max(levels);
             results.push(out);
         }
-        (results, stats)
+        results
     }
 
     /// The adjacency row of `node` under one transition's label spec, without
@@ -496,54 +517,8 @@ impl HostMatrixEngine {
     ) -> (Vec<Vec<NodeId>>, HostExecutionStats) {
         let mut stats = HostExecutionStats::default();
         let useful = self.useful_pairs(nfa, None, &mut stats);
-        let mut results = Vec::with_capacity(sources.len());
-        let mut frontier: Vec<(usize, usize)> = Vec::new();
-        let mut next: Vec<(usize, usize)> = Vec::new();
-        for &src in sources {
-            let mut visited: HashSet<(usize, usize)> = HashSet::new();
-            let mut out: Vec<NodeId> = Vec::new();
-            frontier.clear();
-            if nfa.accepts_empty() {
-                out.push(src);
-            }
-            if src.index() < self.node_bound {
-                visited.insert((src.index(), nfa.start()));
-                // A start pair with no useful continuation cannot produce
-                // results beyond the empty path; skip its row fetches.
-                if useful.contains(&(src.index(), nfa.start())) {
-                    frontier.push((src.index(), nfa.start()));
-                }
-            }
-            let mut levels = 0usize;
-            while !frontier.is_empty() {
-                levels += 1;
-                next.clear();
-                for &(node, state) in frontier.iter() {
-                    for &(spec, next_state) in nfa.transitions_from(state) {
-                        let row = self.row_for(spec, node);
-                        stats.row_fetches += 1;
-                        stats.bytes_read += row.len() as u64 * 8;
-                        for &dst in row {
-                            if visited.insert((dst, next_state)) {
-                                stats.bytes_written += 8;
-                                if nfa.is_accepting(next_state) {
-                                    out.push(NodeId(dst as u64));
-                                }
-                                if useful.contains(&(dst, next_state)) {
-                                    next.push((dst, next_state));
-                                }
-                            }
-                        }
-                    }
-                }
-                std::mem::swap(&mut frontier, &mut next);
-            }
-            out.sort_unstable();
-            out.dedup();
-            stats.result_entries += out.len();
-            stats.frontier_levels = stats.frontier_levels.max(levels);
-            results.push(out);
-        }
+        let pruning = Pruning { useful: Some(&useful), accept_nodes: None };
+        let results = self.sweep(nfa, sources, pruning, &mut stats, |out, _| out);
         (results, stats)
     }
 
@@ -561,76 +536,31 @@ impl HostMatrixEngine {
         pivot_sources: &[NodeId],
         sources: &[NodeId],
     ) -> (Vec<Vec<NodeId>>, HostExecutionStats) {
-        let mut stats = HostExecutionStats::default();
-        let mids: Vec<usize> =
+        let mid_set: HashSet<usize> =
             pivot_sources.iter().map(|n| n.index()).filter(|&n| n < self.node_bound).collect();
-        let mid_set: HashSet<usize> = mids.iter().copied().collect();
         // Suffix leg: full forward sweep from every possible mid.
-        let (suffix_results, suffix_stats) = self.run_nfa(suffix, pivot_sources);
-        stats.merge(&suffix_stats);
+        let (suffix_results, mut stats) = self.run_nfa(suffix, pivot_sources);
         let mut suffix_answers: HashMap<usize, &Vec<NodeId>> = HashMap::new();
         for (m, ans) in pivot_sources.iter().zip(suffix_results.iter()) {
             suffix_answers.insert(m.index(), ans);
         }
-        // Prefix leg: forward product pruned by usefulness towards M.
+        // Prefix leg: forward product pruned by usefulness towards M, each
+        // source's answer the union of the suffix answers of every mid it
+        // reaches through the prefix.
         let useful = self.useful_pairs(prefix, Some(&mid_set), &mut stats);
-        let mut results = Vec::with_capacity(sources.len());
-        let mut frontier: Vec<(usize, usize)> = Vec::new();
-        let mut next: Vec<(usize, usize)> = Vec::new();
-        for &src in sources {
-            let mut visited: HashSet<(usize, usize)> = HashSet::new();
-            let mut mids_hit: Vec<usize> = Vec::new();
-            frontier.clear();
-            if prefix.accepts_empty() && mid_set.contains(&src.index()) {
-                mids_hit.push(src.index());
-            }
-            if src.index() < self.node_bound {
-                visited.insert((src.index(), prefix.start()));
-                if useful.contains(&(src.index(), prefix.start())) {
-                    frontier.push((src.index(), prefix.start()));
-                }
-            }
-            let mut levels = 0usize;
-            while !frontier.is_empty() {
-                levels += 1;
-                next.clear();
-                for &(node, state) in frontier.iter() {
-                    for &(spec, next_state) in prefix.transitions_from(state) {
-                        let row = self.row_for(spec, node);
-                        stats.row_fetches += 1;
-                        stats.bytes_read += row.len() as u64 * 8;
-                        for &dst in row {
-                            if visited.insert((dst, next_state)) {
-                                stats.bytes_written += 8;
-                                if prefix.is_accepting(next_state) && mid_set.contains(&dst) {
-                                    mids_hit.push(dst);
-                                }
-                                if useful.contains(&(dst, next_state)) {
-                                    next.push((dst, next_state));
-                                }
-                            }
-                        }
-                    }
-                }
-                std::mem::swap(&mut frontier, &mut next);
-            }
-            // Join: union of the suffix answers of every mid this source
-            // reaches through the prefix.
+        let pruning = Pruning { useful: Some(&useful), accept_nodes: Some(&mid_set) };
+        let results = self.sweep(prefix, sources, pruning, &mut stats, |mids_hit, stats| {
             let mut out: Vec<NodeId> = Vec::new();
-            mids_hit.sort_unstable();
-            mids_hit.dedup();
             for m in mids_hit {
-                if let Some(ans) = suffix_answers.get(&m) {
+                if let Some(ans) = suffix_answers.get(&m.index()) {
                     stats.bytes_read += ans.len() as u64 * 8;
                     out.extend(ans.iter().copied());
                 }
             }
             out.sort_unstable();
             out.dedup();
-            stats.result_entries += out.len();
-            stats.frontier_levels = stats.frontier_levels.max(levels);
-            results.push(out);
-        }
+            out
+        });
         (results, stats)
     }
 
@@ -820,12 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn update_plans_are_single_operators() {
-        assert_eq!(ExecutionPlan::insert_batch().ops(), &[PlanOp::Add]);
-        assert_eq!(ExecutionPlan::delete_batch().ops(), &[PlanOp::Sub]);
-    }
-
-    #[test]
     fn host_engine_matches_reference_two_hop() {
         let g = chain_graph();
         let engine = HostMatrixEngine::from_graph(&g);
@@ -992,14 +916,6 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "update operators")]
-    fn running_update_ops_as_a_query_panics() {
-        let g = chain_graph();
-        let engine = HostMatrixEngine::from_graph(&g);
-        let _ = engine.run(&ExecutionPlan::insert_batch(), &[NodeId(0)]);
-    }
-
     fn rare_label_graph() -> AdjacencyGraph {
         let mut g = AdjacencyGraph::new();
         // A dense any-label mesh with one rare label-9 edge hanging off it.
@@ -1076,6 +992,65 @@ mod tests {
             &sources,
         );
         assert_eq!(forward, split);
+    }
+
+    /// A 96-node labelled graph from a fixed multiplicative recurrence:
+    /// labels 1–3 common, label 9 on every 23rd edge.
+    fn generated_graph() -> AdjacencyGraph {
+        let mut g = AdjacencyGraph::new();
+        let mut x = 0x9e37_79b9u64;
+        for i in 0..400u64 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let (src, dst) = ((x >> 33) % 96, (x >> 17) % 96);
+            let label = if i % 23 == 0 { 9 } else { 1 + (x >> 50) % 3 };
+            g.insert_edge(NodeId(src), NodeId(dst), Label(label as u16));
+        }
+        g
+    }
+
+    /// Every [`HostExecutionStats`] counter of the forward, bidirectional and
+    /// split runs of `1*/9/1`, as `[row_fetches, bytes_read, bytes_written,
+    /// smxm_ops, frontier_levels, result_entries]`, against constants taken
+    /// at the commit before the three sweeps were folded into one
+    /// (`rpq --taxonomy` pins them only rounded into simulated milliseconds).
+    #[test]
+    fn host_sweep_statistics_are_pinned() {
+        let counters = |(_, s): (Vec<Vec<NodeId>>, HostExecutionStats)| {
+            let [ops, levels, entries] =
+                [s.smxm_ops, s.frontier_levels, s.result_entries].map(|c| c as u64);
+            [s.row_fetches, s.bytes_read, s.bytes_written, ops, levels, entries]
+        };
+        let prefix = RpqExpr::Star(Box::new(RpqExpr::label(1)));
+        let suffix = RpqExpr::concat(vec![RpqExpr::label(9), RpqExpr::label(1)]);
+        let whole = Nfa::from_expr(&RpqExpr::concat(vec![prefix.clone(), suffix.clone()]));
+        let (prefix, suffix) = (Nfa::from_expr(&prefix), Nfa::from_expr(&suffix));
+        let golden = [
+            (
+                rare_label_graph(),
+                22,
+                [[182, 2880, 648, 0, 5, 8], [203, 3984, 912, 0, 4, 8], [101, 3848, 720, 0, 3, 9]],
+            ),
+            (
+                generated_graph(),
+                96,
+                [
+                    [5779, 38752, 29632, 0, 20, 670],
+                    [4290, 38312, 30528, 0, 19, 670],
+                    [1839, 34072, 20912, 0, 18, 698],
+                ],
+            ),
+        ];
+        for (g, source_count, want) in golden {
+            let engine = HostMatrixEngine::from_graph(&g);
+            let sources: Vec<NodeId> = (0..source_count).map(NodeId).collect();
+            let pivots = g.label_stats().sources_of(Label(9));
+            let got = [
+                counters(engine.run_nfa(&whole, &sources)),
+                counters(engine.run_nfa_bidirectional(&whole, &sources)),
+                counters(engine.run_nfa_split(&prefix, &suffix, &pivots, &sources)),
+            ];
+            assert_eq!(got, want, "host sweep counters moved on the {source_count}-source graph");
+        }
     }
 
     #[test]

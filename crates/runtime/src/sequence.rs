@@ -260,18 +260,6 @@ impl<T> SequencedQueue<T> {
         inner[producer.0].shed
     }
 
-    /// The producer's current watermark: the last timestamp it submitted
-    /// (accepted *or* shed), `None` before its first submission.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `producer` was not returned by this queue's
-    /// [`SequencedQueue::register`].
-    pub fn last_timestamp(&self, producer: ProducerId) -> Option<u64> {
-        let inner = self.inner.lock().expect("sequence queue poisoned");
-        inner[producer.0].last_at
-    }
-
     /// Closes a producer: it will submit nothing further, so its watermark
     /// stops gating other producers' items. Closing twice is a no-op.
     ///
@@ -352,12 +340,6 @@ impl<T> SequencedQueue<T> {
         }
     }
 
-    /// True once every producer has closed and all items were delivered.
-    pub fn is_drained(&self) -> bool {
-        let inner = self.inner.lock().expect("sequence queue poisoned");
-        inner.iter().all(|p| p.closed && p.pending.is_empty())
-    }
-
     /// Core delivery rule, called under the lock: find the head item with
     /// the minimal `(timestamp, producer)` key and pop it if no open
     /// producer could still submit an earlier-sorting item.
@@ -391,6 +373,12 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// The producer's current watermark: the last timestamp it submitted
+    /// (accepted *or* shed), `None` before its first submission.
+    fn last_timestamp<T>(q: &SequencedQueue<T>, producer: ProducerId) -> Option<u64> {
+        q.inner.lock().expect("sequence queue poisoned")[producer.0].last_at
+    }
+
     #[test]
     fn single_producer_is_fifo() {
         let q = SequencedQueue::new();
@@ -404,7 +392,6 @@ mod tests {
             out.push(v);
         }
         assert_eq!(out, vec![1, 2, 3, 4, 5]);
-        assert!(q.is_drained());
     }
 
     #[test]
@@ -467,7 +454,7 @@ mod tests {
         assert_eq!(q.try_pop(), None);
         assert_eq!(q.submit(a, 1, "a@1").unwrap(), Admission::Accepted);
         assert_eq!(q.submit(a, 9, "a@9").unwrap(), Admission::Shed, "capacity 1 is exhausted");
-        assert_eq!(q.last_timestamp(a), Some(9), "the shed still promised `nothing before 9`");
+        assert_eq!(last_timestamp(&q, a), Some(9), "the shed still promised `nothing before 9`");
         assert_eq!(q.shed_count(a), 1);
         assert_eq!(q.shed_total(), 1);
         // a@1 delivers first (b is at 5), and then — because a's watermark
@@ -531,7 +518,6 @@ mod tests {
         assert_eq!(q.try_pop(), Some(4));
         q.close(p);
         assert_eq!(q.pop(), None);
-        assert!(q.is_drained());
         assert_eq!(q.shed_count(p), 3);
         assert_eq!(SequencedQueue::<u64>::bounded(1).capacity(), Some(1));
         assert_eq!(SequencedQueue::<u64>::new().capacity(), None);
@@ -562,7 +548,7 @@ mod tests {
                         for j in 0..40u64 {
                             let at = 1 + j * 3 + c as u64;
                             q.submit(pid, at, (at, c)).unwrap();
-                            let seen = q.last_timestamp(pid);
+                            let seen = last_timestamp(&q, pid);
                             assert!(seen >= Some(at), "watermark must cover every submission");
                             assert!(seen >= last_watermark, "watermark must never regress");
                             last_watermark = seen;
@@ -587,7 +573,7 @@ mod tests {
             });
             for &pid in &producers {
                 // Final watermark = the last submission (1 + 39*3 + c), shed or not.
-                assert_eq!(q.last_timestamp(pid), Some(118 + pid.index() as u64));
+                assert_eq!(last_timestamp(&q, pid), Some(118 + pid.index() as u64));
             }
         }
     }

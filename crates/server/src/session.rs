@@ -198,11 +198,6 @@ impl SubmitOutcome {
             SubmitOutcome::Shed => None,
         }
     }
-
-    /// True when the submission was refused by backpressure.
-    pub fn is_shed(&self) -> bool {
-        matches!(self, SubmitOutcome::Shed)
-    }
 }
 
 /// One client's handle: submit requests, drain responses, close.
@@ -413,9 +408,7 @@ mod tests {
         let mut accepted = 0;
         for at in 1..=6u64 {
             let outcome = flooder.submit(at, query("1", &[0])).unwrap();
-            if !outcome.is_shed() {
-                accepted += 1;
-            }
+            accepted += usize::from(outcome != SubmitOutcome::Shed);
         }
         assert_eq!(accepted, 2, "capacity 2 admits exactly two waiting requests");
         assert_eq!(flooder.shed_count(), 4);

@@ -33,7 +33,7 @@
 //! property `tests/shard_equivalence.rs` enforces and CI re-checks by
 //! diffing `serve` stdout across shard counts. Only the [`ShardThroughput`]
 //! clock — per-shard busy time and the max-over-shards makespan — depends on
-//! `N`, and it feeds BENCH_PR6.json, never the result path.
+//! `N`, and it feeds the `serve --json` record, never the result path.
 //!
 //! DepMask soundness across shards: dependency buckets are stable hashes of
 //! node ids ([`moctopus::dep_bucket`]), identical on every replica, so the
@@ -136,7 +136,7 @@ impl ShardPlan {
     }
 }
 
-/// Shard-count-*dependent* throughput accounting (BENCH_PR6.json only; the
+/// Shard-count-*dependent* throughput accounting (`serve --json` only; the
 /// result path never reads it — see the module docs).
 ///
 /// Simulated wall-clock model: shards execute their share of each request in
@@ -219,11 +219,6 @@ impl ShardedEngine {
             ..Default::default()
         }));
         ShardedEngine { shards, plan, owner, pool: WorkerPool::new(threads), clock }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The frozen plan.

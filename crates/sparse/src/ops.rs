@@ -110,14 +110,6 @@ pub fn ewise_difference(a: &SparseBoolMatrix, b: &SparseBoolMatrix) -> SparseBoo
     SparseBoolMatrix::from_rows(a.nrows(), a.ncols(), rows)
 }
 
-/// Reduces each row to its number of set entries.
-///
-/// The `mwait` operator gathers per-query result counts this way before the
-/// full result rows are shipped to the client.
-pub fn reduce_rows(a: &SparseBoolMatrix) -> Vec<usize> {
-    (0..a.nrows()).map(|r| a.row_nnz(r)).collect()
-}
-
 /// Raises the adjacency matrix to the `k`-th boolean power: `A^k`.
 ///
 /// `k = 0` returns the identity. This is the textbook definition of k-hop
@@ -202,12 +194,6 @@ mod tests {
         let a = SparseBoolMatrix::zeros(2, 2);
         let b = SparseBoolMatrix::zeros(3, 3);
         let _ = ewise_union(&a, &b);
-    }
-
-    #[test]
-    fn reduce_rows_counts_entries() {
-        let adj = chain();
-        assert_eq!(reduce_rows(&adj), vec![2, 1, 1, 0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Quickstart: the Figure 2 scenario from the paper.
 //!
-//! Builds the routing-connection property graph of Figure 2 (hosts identified
+//! Builds the routing-connection graph of Figure 2 (hosts identified
 //! by IP address, directed "connects-to" relationships), runs the batch 2-hop
 //! path query
 //!
@@ -13,19 +13,14 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use graph_store::{Label, NodeId, PropertyGraph, PropertyValue};
+use graph_store::{Label, NodeId};
 use moctopus::{GraphEngine, MoctopusConfig, MoctopusSystem};
-use std::error::Error;
 
-fn main() -> Result<(), Box<dyn Error>> {
-    // 1. Ingest the property graph exactly as a graph database client would.
-    let mut property_graph = PropertyGraph::new();
-    let hosts: Vec<NodeId> = (0..10)
-        .map(|i| {
-            property_graph.add_node("Host", [("ip", PropertyValue::from(format!("127.0.0.{i}")))])
-        })
-        .collect();
-    let connections = [
+fn main() {
+    // 1. The routing graph: host `i` has address 127.0.0.i; every connection
+    //    is one directed, untyped "connects-to" edge.
+    let ip_of = |host: u64| format!("127.0.0.{host}");
+    let connections: [(u64, u64); 12] = [
         (0, 1),
         (1, 2),
         (1, 4),
@@ -39,26 +34,22 @@ fn main() -> Result<(), Box<dyn Error>> {
         (6, 9),
         (8, 9),
     ];
-    for (src, dst) in connections {
-        property_graph.add_edge(hosts[src], hosts[dst], Label::ANY)?;
-    }
-    println!(
-        "ingested routing graph: {} hosts, {} connections",
-        property_graph.node_count(),
-        property_graph.edge_count()
-    );
+    let edges: Vec<(NodeId, NodeId, Label)> =
+        connections.iter().map(|&(src, dst)| (NodeId(src), NodeId(dst), Label::ANY)).collect();
 
-    // 2. Load the simplified adjacency view into Moctopus (8 PIM modules).
-    let adjacency = property_graph.to_adjacency();
-    let edges: Vec<(NodeId, NodeId)> = adjacency.edges().map(|(s, d, _)| (s, d)).collect();
-    let mut moctopus = MoctopusSystem::from_edge_stream(MoctopusConfig::small_test(), &edges);
+    // 2. Ingest the labelled edges into Moctopus (8 PIM modules) exactly as
+    //    a graph database client would, then let placement settle.
+    let mut moctopus = MoctopusSystem::new(MoctopusConfig::small_test());
+    let ingest = moctopus.insert_labeled_edges(&edges);
+    moctopus.refine_locality();
+    println!("ingested routing graph: 10 hosts, {} connections", ingest.applied);
 
-    // 3. Resolve the query's start nodes by property lookup, then run the
-    //    batch 2-hop path query.
+    // 3. Resolve the query's start nodes by address, then run the batch
+    //    2-hop path query.
     let start_ips = ["127.0.0.2", "127.0.0.3"];
     let sources: Vec<NodeId> = start_ips
         .iter()
-        .filter_map(|ip| property_graph.find_by_property("ip", &PropertyValue::from(*ip)))
+        .filter_map(|ip| (0..10u64).find(|&host| ip_of(host) == *ip).map(NodeId))
         .collect();
     let (results, stats) = moctopus.k_hop_batch(&sources, 2);
 
@@ -74,5 +65,4 @@ fn main() -> Result<(), Box<dyn Error>> {
         moctopus.host_row_count(),
         moctopus.partition_metrics().locality
     );
-    Ok(())
 }

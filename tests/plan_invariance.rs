@@ -18,7 +18,7 @@ use moctopus_server::{
     ServerConfig, ShardPlan, ShardedEngine,
 };
 use proptest::prelude::*;
-use rpq::{choose_plan, rewritten_for, LabelSpec, PlanStrategy, RpqExpr};
+use rpq::{choose_plan, LabelSpec, PlanStrategy, RpqExpr};
 
 /// Random RPQ expressions over the generator's label alphabet (1..=8), with
 /// the occasional any-label atom. Depth and width are kept small — plan
@@ -311,15 +311,20 @@ proptest! {
         prop_assert!(choice.chosen_cost <= choice.forward_cost);
         prop_assert_eq!(choose_plan(&normalized, &stats, batch), choice, "plan choice not deterministic");
 
-        let mut strategies = vec![PlanStrategy::Forward, PlanStrategy::Bidirectional];
+        // The spelling each strategy stands for: `ε/e` for the reversed
+        // sweep, `(prefix)/(suffix)` for a split at every position.
+        let mut respellings =
+            vec![(PlanStrategy::Bidirectional, RpqExpr::Concat(vec![RpqExpr::epsilon(), normalized.clone()]))];
         if let RpqExpr::Concat(parts) = &normalized {
-            strategies.extend((1..parts.len()).map(|split_at| PlanStrategy::RareLabelSplit { split_at }));
+            respellings.extend((1..parts.len()).map(|split_at| {
+                let halves = [&parts[..split_at], &parts[split_at..]];
+                (
+                    PlanStrategy::RareLabelSplit { split_at },
+                    RpqExpr::Concat(halves.map(|half| RpqExpr::Concat(half.to_vec())).to_vec()),
+                )
+            }));
         }
-        // Degenerate split positions must also collapse, not crash.
-        strategies.push(PlanStrategy::RareLabelSplit { split_at: 0 });
-        strategies.push(PlanStrategy::RareLabelSplit { split_at: 99 });
-        for strategy in strategies {
-            let respelled = rewritten_for(&normalized, strategy);
+        for (strategy, respelled) in respellings {
             prop_assert_eq!(
                 respelled.normalize(),
                 normalized.clone(),

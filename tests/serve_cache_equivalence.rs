@@ -347,9 +347,9 @@ fn concurrent_sessions_match_sequential_replay() {
 }
 
 /// A query and its plan-rewritten respellings occupy **one** cache row: the
-/// chosen strategy is part of the normalized form, so every spelling the
-/// optimizer can emit ([`rpq::optimizer::rewritten_for`]) collapses to the
-/// same cache key and the rewritten forms hit the row the original filled.
+/// factorings a plan strategy stands for — `ε/e` for the reversed sweep,
+/// `(prefix)/(suffix)` for a split — collapse to the same cache key, and the
+/// rewritten forms hit the row the original filled.
 #[test]
 fn query_and_plan_rewritten_form_share_one_cache_row() {
     let topology = graph_gen::uniform::generate(100, 3.5, 7);
@@ -370,12 +370,13 @@ fn query_and_plan_rewritten_form_share_one_cache_row() {
     let sources: Vec<NodeId> = (0..8u64).map(NodeId).collect();
     let plain = rpq::parser::parse("1/2/8").expect("query parses");
     let normalized = plain.normalize();
+    let rpq::RpqExpr::Concat(parts) = &normalized else { panic!("1/2/8 is a concatenation") };
     let respellings = [
-        rpq::optimizer::rewritten_for(&normalized, rpq::PlanStrategy::Bidirectional),
-        rpq::optimizer::rewritten_for(
-            &normalized,
-            rpq::PlanStrategy::RareLabelSplit { split_at: 2 },
-        ),
+        rpq::RpqExpr::Concat(vec![rpq::RpqExpr::epsilon(), normalized.clone()]),
+        rpq::RpqExpr::Concat(vec![
+            rpq::RpqExpr::Concat(parts[..2].to_vec()),
+            rpq::RpqExpr::Concat(parts[2..].to_vec()),
+        ]),
     ];
     // The respellings are genuinely different trees…
     for r in &respellings {
