@@ -13,6 +13,7 @@
 //!   substitution notes in EXPERIMENTS.md);
 //! * all latencies reported by the binaries are **simulated times** from the
 //!   [`pim_sim`] cost model, the quantity the paper's figures plot.
+#![forbid(unsafe_code)]
 
 pub mod serve;
 

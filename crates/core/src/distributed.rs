@@ -29,16 +29,17 @@
 //!
 //! The per-hop work of both query loops runs on a
 //! [`moctopus_runtime::WorkerPool`]: every hop is split into a *plan* stage
-//! (dispatch accounting, worker layout), an embarrassingly parallel *execute*
-//! stage (each worker owns a disjoint slice of PIM modules — worker 0 also
-//! owns the host lane — and expands only the frontier entries its computing
-//! nodes own, accumulating into a private [`StatsDelta`] and private frontier
-//! scratch), and a deterministic *merge* stage (worker deltas reduce in
-//! ascending worker-id order, candidate frontiers are sorted and deduplicated
-//! on the calling thread). Disjoint ownership plus the id-ordered merge keep
-//! every simulated number — including the order floating-point charges
-//! accumulate in — byte-identical at any thread count; CONCURRENCY.md walks
-//! the full argument.
+//! (dispatch accounting, worker count and module split), an embarrassingly
+//! parallel *execute* stage (each worker owns a disjoint slice of PIM modules
+//! — worker 0 also owns the host lane — and expands only the frontier entries
+//! its computing nodes own, accumulating into a private [`StatsDelta`] and
+//! private frontier scratch), and a deterministic *merge* stage (worker
+//! deltas reduce in ascending worker-id order on the calling thread; each
+//! query's candidates are sorted and deduplicated on the workers, a chunk of
+//! queries each). Disjoint ownership, the id-ordered reduction and set-valued
+//! frontiers keep every simulated number — including the order
+//! floating-point charges accumulate in — byte-identical at any thread
+//! count; CONCURRENCY.md walks the full argument.
 
 use crate::config::MoctopusConfig;
 use crate::deps::{QueryDeps, UpdateFootprint};
@@ -174,16 +175,26 @@ impl FrontierScratch {
 struct HopCtx {
     scratch: FrontierScratch,
     nexts: Vec<Vec<NodeId>>,
+    /// Row entries this worker scanned this hop (row length plus one per
+    /// expanded entry), per PIM module, the host lane's last: what the next
+    /// hop's module split is balanced on ([`balanced_ranges`]). Integers
+    /// beside the [`StatsDelta`], never in it: they count what the
+    /// simulator's threads did, not what the platform is charged, and no
+    /// output reads them. A worker fills only the slots it owns, so the sum
+    /// over a hop's workers is the same at every worker count.
+    scanned: Vec<u64>,
 }
 
 impl HopCtx {
-    /// Hands out one candidate buffer per query for the coming hop.
-    fn prepare(&mut self, queries: usize) {
+    /// Readies a hop: one candidate buffer per query, a zeroed scan tally.
+    fn prepare(&mut self, queries: usize, module_count: usize) {
         debug_assert!(self.nexts.is_empty(), "previous hop must have drained the candidates");
         for _ in 0..queries {
             let buf = self.scratch.take_buffer();
             self.nexts.push(buf);
         }
+        self.scanned.clear();
+        self.scanned.resize(module_count + 1, 0);
     }
 }
 
@@ -201,14 +212,17 @@ struct NfaHopCtx {
     nexts: Vec<Vec<(NodeId, u32)>>,
 }
 
-/// Frontier entries each *additional* worker of a hop must bring. Handing a
-/// hop to a scoped thread costs ≈ 16 µs (`runtime.pool.dispatch_us` in the
-/// `perf` record) and one frontier entry expands in 0.1–0.9 µs
-/// (`core.query.ns_per_expansion`), so dispatch alone is 20–160 entries of
-/// work; a worker has to repay it several times over — and the redundant
-/// frontier scan and the wider merge with it — before the second thread
-/// saves wall-clock rather than costing it.
-const ENTRIES_PER_EXTRA_WORKER: usize = 1024;
+/// Frontier entries each *additional* worker of a hop must bring.
+///
+/// Re-derived by the sweep of CONCURRENCY.md §4.1 (`closure`, two workers)
+/// once a hand-off was a message to a polling crew and no longer a thread
+/// wake-up: `ops_per_s` is flat from 16 to 512 (53.8 / 55.3 / 53.8 / 55.5 at
+/// 16 / 64 / 128 / 256; 52.8 / 52.6 at 256 / 512), lower at the old 1024
+/// (49.6 against 53.9 at 128, 6 of 6; 51.5 against 52.8 at 256, 5 of 5) and
+/// 15 % lower at 8192. 256 sits on the plateau short of its edge: the fewest
+/// hand-offs (two regions per hop) that still give every hop worth splitting
+/// a second worker, with margin for the hop that finds its worker asleep.
+const ENTRIES_PER_EXTRA_WORKER: usize = 256;
 
 /// Worker count actually used for one hop: the batch-level layout width
 /// clamped by the hop's *work*, one worker plus one more per
@@ -221,44 +235,84 @@ fn active_workers(layout_width: usize, frontier_entries: usize) -> usize {
     (1 + frontier_entries / ENTRIES_PER_EXTRA_WORKER).min(layout_width).max(1)
 }
 
-/// The k-hop merge stage: unions each query's per-worker candidate lists
-/// (worker-id order) into the hop's next frontier — the sorted set of all
-/// next-hops produced this hop.
+/// Splits `weights.len()` consecutive items into `parts` contiguous ranges
+/// of near-equal total weight, with `head` weight already on part 0.
 ///
-/// Worker-local epoch marks make each candidate list duplicate-free, so the
-/// union only has to order the entries and drop what distinct workers
-/// discovered independently. Node ids inside the owner directory are dense
-/// keys, so [`OrderedBitmap::sort_dedup`] does both with bit sets and a word
-/// scan when the hop is dense enough, and with a comparison sort otherwise;
-/// either way the result is the same vector. With a single worker the
-/// candidate list is swapped in, not copied.
-fn merge_khop_frontiers(
-    ctxs: &mut [HopCtx],
-    next_frontiers: &mut [Vec<NodeId>],
-    id_bound: u64,
-    bitmap: &mut OrderedBitmap,
+/// The k-hop execute stage splits the PIM modules by what the previous hop
+/// scanned on each (`HopCtx::scanned`), `head` being the host lane: one
+/// indivisible item that rides with worker 0, which then takes fewer modules
+/// (none, when the hubs alone are a fair share). Both merge stages split the
+/// queries by candidate count (`head` 0). A part takes items while it has
+/// nothing yet or more than half of the next one fits its fair share of
+/// what is left (re-computed per part, so one heavy item does not starve
+/// the parts behind it); the last part takes the rest.
+///
+/// The ranges are contiguous, cover `0..weights.len()` and depend only on
+/// `(head, weights, parts)` — deterministic tallies, never timing; with no
+/// weight at all (a first hop) they are the even [`chunk_ranges`]. Any such
+/// split yields the same output (CONCURRENCY.md §4): this one only decides
+/// how long the hop's slowest worker runs.
+fn balanced_ranges(head: u64, weights: &[u64], parts: usize) -> Vec<Range<usize>> {
+    let mut left = head + weights.iter().sum::<u64>();
+    if left == 0 {
+        return chunk_ranges(weights.len(), parts);
+    }
+    let mut ranges = Vec::with_capacity(parts);
+    let mut start = 0;
+    for part in 0..parts {
+        let parts_left = (parts - part) as u64;
+        let share = left.div_ceil(parts_left);
+        let mut taken = if part == 0 { head } else { 0 };
+        let mut end = start;
+        while end < weights.len()
+            && (parts_left == 1 || taken == 0 || 2 * taken + weights[end] <= 2 * share)
+        {
+            taken += weights[end];
+            end += 1;
+        }
+        ranges.push(start..end);
+        left -= taken;
+        start = end;
+    }
+    ranges
+}
+
+/// The per-query half of a merge stage, on the workers: runs
+/// `merge(bitmap, q, &mut per_query[q])` for every query `q`, one contiguous
+/// chunk of queries per worker ([`balanced_ranges`] over `candidates(q)`,
+/// the candidates `q` received this hop), one bitmap per worker. A query's
+/// next frontier is a function of its own candidate lists (and, for the NFA
+/// product, its own visited set) alone, so which worker merges it — like
+/// which worker produced a candidate — cannot show in the output.
+fn merge_per_query<S: Send>(
+    pool: &WorkerPool,
+    bitmaps: &mut [OrderedBitmap],
+    per_query: &mut [S],
+    candidates: impl Fn(usize) -> u64,
+    merge: impl Fn(&mut OrderedBitmap, usize, &mut S) + Sync,
 ) {
-    for (q, next) in next_frontiers.iter_mut().enumerate() {
-        if let [only] = ctxs {
-            std::mem::swap(next, &mut only.nexts[q]);
-        } else {
-            for ctx in ctxs.iter() {
-                next.extend_from_slice(&ctx.nexts[q]);
-            }
-        }
-        bitmap.sort_dedup(
-            next,
-            |n: NodeId| (n.0 < id_bound).then(|| n.index()),
-            |key| NodeId(key as u64),
-        );
+    let weights: Vec<u64> = (0..per_query.len()).map(candidates).collect();
+    let chunks = balanced_ranges(0, &weights, bitmaps.len());
+    let mut rest = per_query;
+    let mut parts: Vec<(&mut OrderedBitmap, &mut [S])> = Vec::with_capacity(chunks.len());
+    for (bitmap, chunk) in bitmaps.iter_mut().zip(&chunks) {
+        let (mine, tail) = std::mem::take(&mut rest).split_at_mut(chunk.len());
+        rest = tail;
+        parts.push((bitmap, mine));
     }
-    // Recycle every worker's spent candidate buffers into its own pool.
-    for ctx in ctxs {
-        for mut buf in ctx.nexts.drain(..) {
-            buf.clear();
-            ctx.scratch.recycle(buf);
+    pool.run_with(&mut parts, |worker, (bitmap, mine)| {
+        for (q, state) in chunks[worker].clone().zip(mine.iter_mut()) {
+            merge(bitmap, q, state);
         }
-    }
+    });
+}
+
+/// Takes a per-worker scratch vector out of the engine, grown to at least
+/// `workers` entries, so marks, buffers and bitmaps keep their capacity
+/// across hops, queries and batches; the caller puts it back when done.
+fn take_scratch<T: Default>(store: &mut Vec<T>, workers: usize) -> Vec<T> {
+    store.resize_with(workers.max(store.len()), T::default);
+    std::mem::take(store)
 }
 
 /// An unlabelled edge as the default-labelled edge it is.
@@ -298,15 +352,18 @@ pub struct DistributedPimEngine {
     edge_count: usize,
     scratch: FrontierScratch,
     pool: WorkerPool,
-    /// One private [`FrontierScratch`] per worker, persisted across batches
-    /// so hot-loop buffers and marks are never re-allocated per query.
-    worker_scratch: Vec<FrontierScratch>,
+    /// One private [`HopCtx`] per worker, persisted across batches so
+    /// hot-loop buffers and marks are never re-allocated per query.
+    hop_ctxs: Vec<HopCtx>,
     /// One private [`NfaHopCtx`] per worker, persisted across `rpq_batch`
     /// calls for the same reason.
-    nfa_scratch: Vec<NfaHopCtx>,
-    /// The merge stages' bitmap (all-zero between hops), shared by both
-    /// loops and sized once to the largest key a hop has produced.
-    merge_bitmap: OrderedBitmap,
+    nfa_ctxs: Vec<NfaHopCtx>,
+    /// The merge stages' bitmaps (all-zero between hops), one per worker,
+    /// shared by both loops, each sized once to the largest key it was handed.
+    merge_bitmaps: Vec<OrderedBitmap>,
+    /// The most workers any hop has run on: how the wide unit fixture knows
+    /// it left the inline path.
+    widest_hop: usize,
 }
 
 impl DistributedPimEngine {
@@ -326,9 +383,10 @@ impl DistributedPimEngine {
             host_store: HeterogeneousStorage::new(),
             edge_count: 0,
             scratch: FrontierScratch::default(),
-            worker_scratch: Vec::new(),
-            nfa_scratch: Vec::new(),
-            merge_bitmap: OrderedBitmap::new(),
+            hop_ctxs: Vec::new(),
+            nfa_ctxs: Vec::new(),
+            merge_bitmaps: Vec::new(),
+            widest_hop: 0,
         }
     }
 
@@ -348,49 +406,6 @@ impl DistributedPimEngine {
     /// Host worker threads the execution runtime is configured for.
     pub fn threads(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// The hop-loop worker layout for the current thread count: each worker
-    /// owns one contiguous range of PIM modules (worker 0 additionally owns
-    /// the host lane). At most one worker per module, so extra threads idle
-    /// rather than splitting a module's (order-sensitive) float accumulator.
-    fn worker_layout(&self) -> Vec<Range<usize>> {
-        let module_count = self.config.pim.num_modules;
-        chunk_ranges(module_count, self.pool.workers_for(module_count))
-    }
-
-    /// Takes the per-worker hop contexts out of the engine (grown on demand
-    /// when the thread count rose since the last batch).
-    fn take_hop_ctxs(&mut self, workers: usize) -> Vec<HopCtx> {
-        self.worker_scratch.resize_with(workers.max(self.worker_scratch.len()), Default::default);
-        self.worker_scratch
-            .drain(..workers)
-            .map(|scratch| HopCtx { scratch, nexts: Vec::new() })
-            .collect()
-    }
-
-    /// Returns hop contexts to the engine so their scratch capacity survives
-    /// into the next batch.
-    fn put_hop_ctxs(&mut self, ctxs: Vec<HopCtx>) {
-        let mut scratches: Vec<FrontierScratch> = ctxs.into_iter().map(|c| c.scratch).collect();
-        scratches.append(&mut self.worker_scratch);
-        self.worker_scratch = scratches;
-    }
-
-    /// Takes the per-worker NFA-product contexts out of the engine, sized to
-    /// `workers` (grown on demand when the thread count rose since the last
-    /// batch), so their marks and buffer capacities survive across
-    /// `rpq_batch` calls like the k-hop worker scratch does.
-    fn take_nfa_ctxs(&mut self, workers: usize) -> Vec<NfaHopCtx> {
-        self.nfa_scratch.resize_with(workers.max(self.nfa_scratch.len()), Default::default);
-        self.nfa_scratch.drain(..workers).collect()
-    }
-
-    /// Returns NFA-product contexts to the engine for the next batch.
-    fn put_nfa_ctxs(&mut self, ctxs: Vec<NfaHopCtx>) {
-        let mut scratches = ctxs;
-        scratches.append(&mut self.nfa_scratch);
-        self.nfa_scratch = scratches;
     }
 
     /// The system configuration.
@@ -788,18 +803,21 @@ impl DistributedPimEngine {
         mut track: Option<&mut QueryDeps>,
     ) -> (Vec<Vec<NodeId>>, QueryStats) {
         let module_count = self.config.pim.num_modules;
-        // Maintained incrementally by the heterogeneous storage; previously a
-        // full iteration over every host row per query batch.
+        // Maintained incrementally by the heterogeneous storage.
         let host_resident_bytes: u64 = self.host_store.live_bytes();
         let mut timeline = Timeline::new();
         let mut expansions = 0usize;
 
-        // ---- plan: dispatch accounting and worker layout -----------------
+        // ---- plan: dispatch accounting and worker layout. At most one worker
+        // per module: extra threads idle rather than split a module's
+        // (order-sensitive) float accumulator.
         self.charge_dispatch(sources, ENTRY_BYTES, &mut timeline);
-
-        let module_ranges = self.worker_layout();
-        let mut ctxs = self.take_hop_ctxs(module_ranges.len());
+        let layout_width = self.pool.workers_for(module_count);
+        let mut ctxs = take_scratch(&mut self.hop_ctxs, layout_width);
+        let mut bitmaps = take_scratch(&mut self.merge_bitmaps, layout_width);
         let id_bound = self.directory_bound();
+        // What the previous hop scanned: per module, then the host lane.
+        let mut scanned = vec![0u64; module_count + 1];
 
         if let Some(deps) = track.as_deref_mut() {
             for &s in sources {
@@ -825,13 +843,15 @@ impl DistributedPimEngine {
             expansions += frontier_entries;
 
             // ---- execute: embarrassingly parallel over module slices. The
-            // worker count is additionally clamped by the hop's work: a hop
-            // too small to repay a spawn/join barrier runs inline (output is
-            // thread-count invariant, so re-chunking per hop is free).
-            let active = active_workers(module_ranges.len(), frontier_entries);
-            let hop_ranges = chunk_ranges(module_count, active);
+            // worker count is clamped by the hop's work — a hop too small to
+            // repay a hand-off runs inline — and the modules are dealt to
+            // the workers by what the previous hop scanned on each (output
+            // is invariant under both, so re-splitting per hop is free).
+            let active = active_workers(layout_width, frontier_entries);
+            let hop_ranges =
+                balanced_ranges(scanned[module_count], &scanned[..module_count], active);
             for ctx in &mut ctxs[..active] {
-                ctx.prepare(frontiers.len());
+                ctx.prepare(frontiers.len(), module_count);
             }
             let this: &DistributedPimEngine = self;
             let deltas = this.pool.run_with(&mut ctxs[..active], |worker, ctx| {
@@ -843,8 +863,13 @@ impl DistributedPimEngine {
                     ctx,
                 )
             });
+            for (m, slot) in scanned.iter_mut().enumerate() {
+                *slot = ctxs[..active].iter().map(|ctx| ctx.scanned[m]).sum();
+            }
+            self.widest_hop = self.widest_hop.max(active);
 
-            // ---- merge: id-ordered delta reduction + frontier union ------
+            // ---- merge: id-ordered delta reduction on this thread, then
+            // the per-query frontier union on the workers ------------------
             let delta = self.charge_hop(&deltas, &mut timeline);
 
             next_frontiers.clear();
@@ -852,12 +877,46 @@ impl DistributedPimEngine {
                 let buf = scratch.take_buffer();
                 next_frontiers.push(buf);
             }
-            merge_khop_frontiers(
-                &mut ctxs[..active],
-                &mut next_frontiers,
-                id_bound,
-                &mut self.merge_bitmap,
-            );
+            // Worker-local marks make each candidate list duplicate-free, so
+            // the union only has to order a query's entries and drop what
+            // distinct workers found independently: `sort_dedup`, by bit sets
+            // and a word scan over the dense ids or by comparison sort — the
+            // same vector either way. One worker's lists are swapped in, not
+            // copied; several workers' are merged on those workers.
+            let order = |bitmap: &mut OrderedBitmap, next: &mut Vec<NodeId>| {
+                bitmap.sort_dedup(
+                    next,
+                    |n: NodeId| (n.0 < id_bound).then(|| n.index()),
+                    |key| NodeId(key as u64),
+                );
+            };
+            if let [only] = &mut ctxs[..active] {
+                for (next, candidates) in next_frontiers.iter_mut().zip(&mut only.nexts) {
+                    std::mem::swap(next, candidates);
+                    order(&mut bitmaps[0], next);
+                }
+            } else {
+                let lists = &ctxs[..active];
+                merge_per_query(
+                    &self.pool,
+                    &mut bitmaps[..active],
+                    &mut next_frontiers,
+                    |q| lists.iter().map(|ctx| ctx.nexts[q].len() as u64).sum(),
+                    |bitmap, q, next| {
+                        for ctx in lists {
+                            next.extend_from_slice(&ctx.nexts[q]);
+                        }
+                        order(bitmap, next);
+                    },
+                );
+            }
+            // Every worker's spent candidate buffers go back to its own pool.
+            for ctx in &mut ctxs[..active] {
+                for mut buf in ctx.nexts.drain(..) {
+                    buf.clear();
+                    ctx.scratch.recycle(buf);
+                }
+            }
             std::mem::swap(&mut frontiers, &mut next_frontiers);
             for spent in next_frontiers.drain(..) {
                 scratch.recycle(spent);
@@ -873,8 +932,9 @@ impl DistributedPimEngine {
                 }
             }
         }
+        self.merge_bitmaps = bitmaps;
         self.scratch = scratch;
-        self.put_hop_ctxs(ctxs);
+        self.hop_ctxs = ctxs;
 
         let matched_pairs: usize = frontiers.iter().map(Vec::len).sum();
         self.charge_gather(matched_pairs, &mut timeline);
@@ -902,7 +962,8 @@ impl DistributedPimEngine {
         host_resident_bytes: u64,
         ctx: &mut HopCtx,
     ) -> StatsDelta {
-        let mut delta = StatsDelta::new(self.config.pim.num_modules);
+        let module_count = self.config.pim.num_modules;
+        let mut delta = StatsDelta::new(module_count);
         for (q, frontier) in frontiers.iter().enumerate() {
             let next = &mut ctx.nexts[q];
             // One marker generation per (query, hop): a produced entry is
@@ -913,6 +974,7 @@ impl DistributedPimEngine {
                 match self.owner(v) {
                     Some(PartitionId::Host) if host_lane => {
                         let row_bytes = self.host_store.row_bytes(v);
+                        ctx.scanned[module_count] += 1 + row_bytes / ID_BYTES;
                         delta.host_time += self.pim.host_random_access_cost(1, host_resident_bytes)
                             + self.pim.host_sequential_read_cost(row_bytes);
                         for (u, _) in self.host_store.neighbors_iter(v) {
@@ -931,6 +993,7 @@ impl DistributedPimEngine {
                         let m = m as usize;
                         let row = self.local_stores[m].row(v).unwrap_or(&[]);
                         let row_bytes = row.len() as u64 * ID_BYTES;
+                        ctx.scanned[m] += 1 + row.len() as u64;
                         delta.per_module[m] += self.pim.pim_hash_lookup_cost(row_bytes);
                         for &(u, _) in row {
                             match self.owner(u) {
@@ -1400,8 +1463,30 @@ impl DistributedPimEngine {
         let mut next_frontiers: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); frontiers.len()];
         let mut hops = 0usize;
 
-        let module_ranges = self.worker_layout();
-        let mut ctxs = self.take_nfa_ctxs(module_ranges.len());
+        let layout_width = self.pool.workers_for(module_count);
+        let mut ctxs = take_scratch(&mut self.nfa_ctxs, layout_width);
+        let mut bitmaps = take_scratch(&mut self.merge_bitmaps, layout_width);
+
+        // One query's share of the merge stage: order and deduplicate its
+        // candidates, extend its visited set by the survivors, and keep only
+        // the useful ones in the frontier.
+        let merge_query =
+            |bitmap: &mut OrderedBitmap, next: &mut Vec<(NodeId, u32)>, seen: &mut ProductSet| {
+                bitmap.sort_dedup(
+                    next,
+                    |(node, state): (NodeId, u32)| seen.key(node.0, state),
+                    |key| {
+                        let (node, state) = seen.pair(key);
+                        (NodeId(node), state)
+                    },
+                );
+                for &(node, state) in next.iter() {
+                    seen.insert(node.0, state);
+                }
+                if let Some(useful) = useful {
+                    next.retain(|&(node, state)| useful.contains(node.0, state));
+                }
+            };
 
         while frontiers.iter().any(|f| !f.is_empty()) {
             hops += 1;
@@ -1410,10 +1495,11 @@ impl DistributedPimEngine {
 
             // ---- execute: workers expand their modules' product entries,
             // reading the per-query visited sets as an immutable snapshot
-            // (they are only extended at the merge barrier below). Like the
-            // k-hop loop, the worker count is clamped by the hop's work so
-            // long-tail closure hops skip the spawn/join barrier.
-            let active = active_workers(module_ranges.len(), frontier_entries);
+            // (they are only extended at the merge barrier below). As in the
+            // k-hop loop the worker count is clamped by the hop's work;
+            // unlike there the modules are dealt evenly — what a closure hop
+            // scanned says little about the next (CONCURRENCY.md §4.1).
+            let active = active_workers(layout_width, frontier_entries);
             let hop_ranges = chunk_ranges(module_count, active);
             for ctx in &mut ctxs[..active] {
                 ctx.nexts.resize(frontiers.len(), Vec::new());
@@ -1430,39 +1516,38 @@ impl DistributedPimEngine {
                     ctx,
                 )
             });
+            self.widest_hop = self.widest_hop.max(active);
 
-            // ---- merge: id-ordered delta reduction, then the frontier
-            // union. Candidates were filtered against the visited snapshot
-            // and deduplicated per worker, so once ordered and deduplicated
-            // across workers every surviving pair enters the visited set —
-            // producing exactly the sequential loop's sorted, duplicate-free
-            // next frontier and exactly its visited-set growth.
+            // ---- merge: id-ordered delta reduction on this thread, then the
+            // per-query frontier union on the workers. Candidates were
+            // filtered against the visited snapshot and deduplicated per
+            // worker, so once ordered and deduplicated across workers every
+            // survivor enters the visited set: exactly the sequential loop's
+            // sorted, duplicate-free next frontier and visited-set growth.
             let delta = self.charge_hop(&deltas, timeline);
 
-            for (q, next) in next_frontiers.iter_mut().enumerate() {
-                next.clear();
-                if let [only] = &mut ctxs[..active] {
-                    std::mem::swap(next, &mut only.nexts[q]);
-                } else {
-                    for ctx in &mut ctxs[..active] {
-                        next.append(&mut ctx.nexts[q]);
-                    }
+            if let [only] = &mut ctxs[..active] {
+                let per_query = next_frontiers.iter_mut().zip(&mut only.nexts).zip(&mut visited);
+                for ((next, candidates), seen) in per_query {
+                    std::mem::swap(next, candidates);
+                    merge_query(&mut bitmaps[0], next, seen);
                 }
-                let seen = &mut visited[q];
-                self.merge_bitmap.sort_dedup(
-                    next,
-                    |(node, state): (NodeId, u32)| seen.key(node.0, state),
-                    |key| {
-                        let (node, state) = seen.pair(key);
-                        (NodeId(node), state)
+            } else {
+                let lists = &ctxs[..active];
+                let mut per_query: Vec<_> = next_frontiers.iter_mut().zip(&mut visited).collect();
+                merge_per_query(
+                    &self.pool,
+                    &mut bitmaps[..active],
+                    &mut per_query,
+                    |q| lists.iter().map(|ctx| ctx.nexts[q].len() as u64).sum(),
+                    |bitmap, q, (next, seen)| {
+                        next.clear();
+                        for ctx in lists {
+                            next.extend_from_slice(&ctx.nexts[q]);
+                        }
+                        merge_query(bitmap, next, seen);
                     },
                 );
-                for &(node, state) in next.iter() {
-                    seen.insert(node.0, state);
-                }
-                if let Some(useful) = useful {
-                    next.retain(|&(node, state)| useful.contains(node.0, state));
-                }
             }
             if let Some(deps) = track.as_deref_mut() {
                 // Merged-delta host time is thread-count invariant.
@@ -1470,7 +1555,8 @@ impl DistributedPimEngine {
             }
             std::mem::swap(&mut frontiers, &mut next_frontiers);
         }
-        self.put_nfa_ctxs(ctxs);
+        self.merge_bitmaps = bitmaps;
+        self.nfa_ctxs = ctxs;
         (visited, hops, expansions)
     }
 
@@ -1497,7 +1583,10 @@ impl DistributedPimEngine {
     ) -> StatsDelta {
         let mut delta = StatsDelta::new(self.config.pim.num_modules);
         for (q, frontier) in frontiers.iter().enumerate() {
+            // Last hop's candidates stay readable until the merge stage has
+            // copied them out; the list is emptied here, by its owner.
             let next = &mut ctx.nexts[q];
+            next.clear();
             let snapshot = &visited[q];
             ctx.marks.next_epoch();
             // Marks first: duplicate productions (the common case under
@@ -2142,30 +2231,64 @@ mod tests {
                 assert_eq!(got, want, "k = {k}, round {round}");
                 assert_eq!(got_stats, want_stats, "k = {k}, round {round}");
             }
+            // The comparison means something only if the parallel engine left
+            // the inline path — in each loop, so the mark is reset in between.
+            assert_eq!(std::mem::take(&mut parallel.widest_hop), 3, "k-hop never ran wide");
             let expr = rpq::parser::parse("1/(2|3)*/1").unwrap();
             let (want, want_stats) = serial.rpq_batch(&expr, &sources);
             let (got, got_stats) = parallel.rpq_batch(&expr, &sources);
             assert_eq!(got, want, "round {round}");
             assert_eq!(got_stats, want_stats, "round {round}");
+            assert_eq!(std::mem::take(&mut parallel.widest_hop), 3, "the product never ran wide");
         }
+        assert_eq!(serial.widest_hop, 1, "one thread means one worker, whatever the hop");
+    }
+
+    #[test]
+    fn balanced_ranges_are_contiguous_cover_everything_and_follow_the_weights() {
+        let check = |head: u64, weights: &[u64], parts: usize| {
+            let ranges = balanced_ranges(head, weights, parts);
+            assert_eq!(ranges.len(), parts);
+            let mut next = 0;
+            for r in &ranges {
+                assert!(r.start == next && r.end >= next, "ranges must be contiguous: {ranges:?}");
+                next = r.end;
+            }
+            assert_eq!(next, weights.len(), "ranges must cover every item: {ranges:?}");
+            assert_eq!(ranges, balanced_ranges(head, weights, parts), "a pure function");
+            ranges
+        };
+        for parts in [1usize, 2, 3, 4, 8, 13] {
+            // No weight at all (a first hop): the even split.
+            assert_eq!(check(0, &[0; 8], parts), chunk_ranges(8, parts));
+            assert_eq!(check(0, &[], parts), chunk_ranges(0, parts));
+            // Equal weights: as even as `chunk_ranges`, to within one item.
+            let sizes: Vec<usize> = check(0, &[5; 64], parts).iter().map(Range::len).collect();
+            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1, "{sizes:?}");
+            check(7, &[3, 0, 0, 9, 1, 1, 40, 2], parts);
+        }
+        // A host lane as heavy as all the modules: worker 0 takes it alone;
+        // a lighter one: worker 0 takes correspondingly fewer modules.
+        assert_eq!(check(64, &[8; 8], 2), vec![0..0, 0..8]);
+        assert_eq!(check(32, &[8; 8], 2), vec![0..2, 2..8]);
+        // One heavy item does not starve the parts behind it, and with fewer
+        // items than parts the trailing parts are empty.
+        assert_eq!(check(0, &[100, 1, 1, 1, 1], 3), vec![0..1, 1..3, 3..5]);
+        assert_eq!(check(0, &[4, 4], 4), vec![0..1, 1..2, 2..2, 2..2]);
     }
 
     #[test]
     fn worker_count_is_clamped_by_frontier_work() {
-        // One worker, plus one per ENTRIES_PER_EXTRA_WORKER (1024) frontier
+        // One worker, plus one per ENTRIES_PER_EXTRA_WORKER (256) frontier
         // entries, never more than the layout is wide. These are the sizes
         // the fixtures in tests/parallel_equivalence.rs are built around.
-        assert_eq!(active_workers(8, 0), 1);
-        assert_eq!(active_workers(8, 1023), 1);
-        assert_eq!(active_workers(8, 1024), 2);
-        assert_eq!(active_workers(8, 3071), 3);
-        assert_eq!(active_workers(8, 3072), 4);
-        assert_eq!(active_workers(8, 7167), 7);
-        assert_eq!(active_workers(8, 7168), 8);
+        let wide = [(0, 1), (255, 1), (256, 2), (767, 3), (768, 4), (1791, 7), (1792, 8)];
+        for (entries, workers) in wide {
+            assert_eq!(active_workers(8, entries), workers, "{entries} entries");
+        }
         assert_eq!(active_workers(8, usize::MAX), 8);
-        assert_eq!(active_workers(2, 7168), 2);
-        assert_eq!(active_workers(1, 7168), 1);
-        assert_eq!(active_workers(0, 7168), 1, "a degenerate layout still gets a worker");
+        assert_eq!(active_workers(2, 1792), 2);
+        assert_eq!(active_workers(0, 1792), 1, "a degenerate layout still gets a worker");
     }
 
     #[test]

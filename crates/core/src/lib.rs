@@ -39,6 +39,7 @@
 //! assert_eq!(results[1], vec![NodeId(7)]);
 //! assert!(stats.timeline.total().as_nanos() > 0.0);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod deps;

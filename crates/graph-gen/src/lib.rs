@@ -29,6 +29,7 @@
 //! let graph = spec.generate(1.0 / 64.0, 42);
 //! assert!(graph.node_count() > 1000);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod labels;
 pub mod powerlaw;

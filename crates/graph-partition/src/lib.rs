@@ -30,6 +30,7 @@
 //! // Node 1 follows its first neighbour (node 0) onto the same module.
 //! assert_eq!(p.partition_of(NodeId(0)), p.partition_of(NodeId(1)));
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod adaptive;
 pub mod assignment;

@@ -34,6 +34,7 @@
 //! assert_eq!(g.out_degree(NodeId(0)), 1);
 //! assert_eq!(g.edge_count(), 2);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod adjacency;
 mod bytes;

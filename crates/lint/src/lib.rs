@@ -45,6 +45,7 @@
 //! assert_eq!(findings.len(), 1);
 //! assert_eq!(findings[0].rule, "hash-iter-order");
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod diag;
 pub mod engine;

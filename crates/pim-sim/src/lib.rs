@@ -33,6 +33,7 @@
 //! let step = sys.parallel_step(&times);
 //! assert!(step > SimTime::ZERO);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod module;

@@ -33,6 +33,7 @@
 //! assert_eq!(by_text, RpqExpr::k_hop(2));
 //! # Ok::<(), rpq::parser::ParseRpqError>(())
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod eval;

@@ -5,9 +5,9 @@
 //! host thread — correct, but the wall-clock of a `summary --scale 1` run is
 //! then bounded by a single core while the *simulated* numbers describe a
 //! massively parallel machine. This crate closes that gap: a dependency-free
-//! scoped-thread worker pool ([`WorkerPool`]) executes per-module work in
-//! parallel while the simulated cost model stays **byte-identical** at any
-//! thread count.
+//! worker pool with a persistent crew ([`WorkerPool`]) executes per-module
+//! work in parallel while the simulated cost model stays **byte-identical**
+//! at any thread count.
 //!
 //! The crate's second primitive extends the same philosophy from *execution*
 //! to *arrival*: [`SequencedQueue`] merges request streams from many
@@ -20,23 +20,18 @@
 //!
 //! Callers (the hop loops in `moctopus::distributed`, the matrix chains in
 //! `moctopus::HostBaseline`) keep same-seed output byte-identical by obeying
-//! three rules, documented in depth in the repository's CONCURRENCY.md:
+//! three rules; CONCURRENCY.md §4 carries the argument:
 //!
 //! 1. **Disjoint ownership** — each worker owns a contiguous slice of PIM
-//!    modules ([`chunk_ranges`]) plus, for worker 0, the host lane. A worker
-//!    only accumulates into the accumulator slots it owns, and it visits the
-//!    work items feeding each slot in the same global order the sequential
-//!    loop would, so every floating-point accumulator receives its additions
-//!    in the sequential order.
-//! 2. **Private scratch** — dedup marks, frontier buffers, and the per-worker
-//!    `StatsDelta` accumulators are owned by the worker (handed in through
-//!    [`WorkerPool::run_with`]'s per-worker contexts); nothing is shared
-//!    mutably during the parallel section.
-//! 3. **Id-ordered merge** — worker outputs are reduced on the calling thread
-//!    in ascending worker id order. Merging adds exact zeros into the slots a
-//!    worker does not own (IEEE-754 `0.0 + x == x` for the non-negative
-//!    simulated times involved), so the merged accumulators equal the
-//!    sequential ones bit for bit.
+//!    modules plus, for worker 0, the host lane, accumulates only into the
+//!    slots it owns, and visits the work feeding each slot in the sequential
+//!    loop's order, so every float accumulator sees the sequential additions.
+//! 2. **Private scratch** — marks, buffers and per-worker accumulators are
+//!    handed in through [`WorkerPool::run_with`]'s contexts; nothing is
+//!    shared mutably during a parallel region.
+//! 3. **Id-ordered reduction** — worker outputs come back in worker-id order
+//!    and are reduced on the calling thread; the slots a worker does not own
+//!    hold exact zeros, so the sums equal the sequential ones bit for bit.
 //!
 //! # Examples
 //!
@@ -53,6 +48,7 @@
 //! });
 //! assert_eq!(ctxs.iter().sum::<u64>(), 499_500);
 //! ```
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod sequence;
 
@@ -60,15 +56,25 @@ pub use sequence::{Admission, ProducerId, SequenceError, SequencedQueue};
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::{Mutex, OnceLock, PoisonError};
+use std::thread::{self, JoinHandle};
 
-/// A scoped-thread worker pool with a fixed thread count.
+/// A worker pool with a fixed thread count and a persistent worker crew.
 ///
-/// The pool is a *policy* object, not a set of live threads: each parallel
-/// region spawns scoped workers (`std::thread::scope`), runs worker 0 on the
-/// calling thread, and joins everything before returning, so borrowed data
-/// can flow into workers without `'static` bounds or unsafe erasure. With a
-/// thread count of 1 (or a single context) no thread is ever spawned and the
-/// closure runs inline — the sequential path *is* the parallel path.
+/// A pool of `threads` owns `threads - 1` OS threads — its *crew* — started
+/// by the first region that needs them and joined when the pool is dropped;
+/// worker 0 of every region is the calling thread. Between regions a crew
+/// worker polls its task channel a bounded number of times and then blocks
+/// on it, so back-to-back regions (the hops of one query batch) are handed
+/// over in about a microsecond while an idle engine burns no CPU. Borrowed
+/// data flows into workers without `'static` bounds: a region does not
+/// return — or unwind — before every worker is done with the closure it was
+/// lent. With one thread (or one context) no thread ever exists and the
+/// closure runs inline — the sequential path *is* the parallel path. A clone
+/// has the same width and a crew of its own; pools are equal when their
+/// widths are.
 ///
 /// # Examples
 ///
@@ -84,9 +90,9 @@ use std::ops::Range;
 /// assert_eq!(results, vec![0, 1]); // outputs are in worker-id order
 /// assert_eq!(partials, vec![1, 2]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPool {
     threads: usize,
+    crew: OnceLock<Crew>,
 }
 
 impl WorkerPool {
@@ -95,10 +101,11 @@ impl WorkerPool {
     /// `threads == 0` means "use [`WorkerPool::available_parallelism`]", so
     /// callers can expose a `--threads` flag whose default follows the
     /// machine. Any other value is taken literally (it may exceed the core
-    /// count; the OS then time-slices).
+    /// count; the OS then time-slices, and the crew parks between regions
+    /// instead of spinning).
     pub fn new(threads: usize) -> Self {
         let threads = if threads == 0 { Self::available_parallelism() } else { threads };
-        WorkerPool { threads }
+        WorkerPool { threads, crew: OnceLock::new() }
     }
 
     /// The number of hardware threads the current process can use, with a
@@ -116,12 +123,15 @@ impl WorkerPool {
     /// Runs `f(worker_id, &mut ctxs[worker_id])` for every context, in
     /// parallel, and returns the closure outputs **in worker-id order**.
     ///
-    /// The context slice defines how many workers actually run: callers size
-    /// it to `min(self.threads(), useful_parallelism)`. Worker 0 executes on
-    /// the calling thread; workers `1..` run on scoped threads that are
-    /// joined (in id order) before the call returns, so `f` may borrow
-    /// non-`'static` data freely. With zero contexts nothing runs; with one
-    /// context `f` is called inline and no thread is spawned.
+    /// The context slice defines how many workers run: callers size it to
+    /// `min(self.threads(), useful_parallelism)`. Worker 0 executes on the
+    /// calling thread, workers `1..` on the crew; the call returns once all
+    /// are done, so `f` may borrow non-`'static` data freely. With zero
+    /// contexts nothing runs; with one — or on a one-thread pool — `f` is
+    /// called inline and no thread exists. The pool never uses more than
+    /// [`WorkerPool::threads`] threads: surplus contexts are dealt round-robin
+    /// to the workers there are, and a region entered while the crew is busy
+    /// (a nested or concurrent call on the same pool) runs on its caller.
     ///
     /// Each worker gets exclusive `&mut` access to its own context — this is
     /// where callers hand every worker its private scratch (rule 2 of the
@@ -130,37 +140,44 @@ impl WorkerPool {
     ///
     /// # Panics
     ///
-    /// If a worker panics, the panic is resumed on the calling thread after
-    /// the remaining workers are joined (no result is silently dropped).
+    /// If workers panic — worker 0 included — the panic of the lowest worker
+    /// id is resumed on the calling thread, with its payload, once every
+    /// other worker has finished (nothing borrowed is in use by then).
     pub fn run_with<C, T, F>(&self, ctxs: &mut [C], f: F) -> Vec<T>
     where
         C: Send,
         T: Send,
         F: Fn(usize, &mut C) -> T + Sync,
     {
-        match ctxs {
-            [] => Vec::new(),
-            [only] => vec![f(0, only)],
-            [first, rest @ ..] => std::thread::scope(|scope| {
-                let f = &f;
-                let handles: Vec<_> = rest
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, ctx)| scope.spawn(move || f(i + 1, ctx)))
-                    .collect();
-                let mut results = Vec::with_capacity(handles.len() + 1);
-                results.push(f(0, first));
-                // Join in worker-id order; a worker panic is re-raised here
-                // once every sibling has been joined by the scope.
-                for handle in handles {
-                    match handle.join() {
-                        Ok(value) => results.push(value),
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-                results
-            }),
-        }
+        let width = self.threads.min(ctxs.len());
+        let crew = (width > 1).then(|| self.crew.get_or_init(|| Crew::start(self.threads)));
+        // A region that finds the crew taken (a nested or concurrent call)
+        // runs on its caller, like a one-thread region.
+        let claimed = crew.and_then(|crew| Some((crew, crew.done.try_lock().ok()?)));
+        let Some((crew, done)) = claimed else {
+            return ctxs.iter_mut().enumerate().map(|(worker, ctx)| f(worker, ctx)).collect();
+        };
+        // One slot per context: its worker takes the `&mut C` through the
+        // (never contended) lock and leaves the outcome there, panics included.
+        let slots: Vec<_> =
+            ctxs.iter_mut().map(|ctx| Mutex::new((ctx, None::<thread::Result<T>>))).collect();
+        crew.run(&done, width, &|member: usize| {
+            for worker in (member..slots.len()).step_by(width) {
+                let mut slot = slots[worker].lock().unwrap_or_else(PoisonError::into_inner);
+                let (ctx, outcome) = &mut *slot;
+                *outcome = Some(catch_unwind(AssertUnwindSafe(|| f(worker, ctx))));
+            }
+        });
+        // Released before a panic is re-raised, so the lock is never poisoned.
+        drop(done);
+        let outcomes = slots.into_iter().map(|slot| {
+            match slot.into_inner().unwrap_or_else(PoisonError::into_inner).1 {
+                Some(Ok(value)) => value,
+                Some(Err(payload)) => resume_unwind(payload),
+                None => unreachable!("Crew::run returns after every slot has been run"),
+            }
+        });
+        outcomes.collect()
     }
 
     /// Convenience wrapper over [`WorkerPool::run_with`] for workers that
@@ -180,6 +197,142 @@ impl WorkerPool {
     /// still produce one (empty) worker output to merge.
     pub fn workers_for(&self, items: usize) -> usize {
         self.threads.min(items).max(1)
+    }
+}
+
+impl Clone for WorkerPool {
+    /// A pool of the same width; its crew is its own and starts on demand.
+    fn clone(&self) -> Self {
+        WorkerPool::new(self.threads)
+    }
+}
+
+impl PartialEq for WorkerPool {
+    fn eq(&self, other: &Self) -> bool {
+        self.threads == other.threads
+    }
+}
+
+impl Eq for WorkerPool {}
+
+impl std::fmt::Debug for WorkerPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerPool").field("threads", &self.threads).finish()
+    }
+}
+
+/// Polls (one `try_recv` and one `std::hint::spin_loop` each) an idle crew
+/// worker — or a caller waiting for its crew — makes before it blocks.
+///
+/// Derived from a trace of the waits themselves (CONCURRENCY.md §2). A poll
+/// takes 31–34 ns on the reference box and waking a blocked worker 100–200 µs,
+/// so the budget has to outlast every wait *inside* a hop loop — the other
+/// worker's longer share of a hop, the inline hops between two wide ones —
+/// and nothing longer: 98.9 % of `closure`'s in-loop waits end within 1 ms
+/// and 94 % of `khop`'s within 4 ms; 2^17 polls ≈ 4.3 ms covers both. At
+/// 0.33 ms, 16 % of `closure`'s and 75 % of `khop`'s hand-offs found the
+/// worker asleep (`khop` 96.6 → 107.9 `ops_per_s` from there to here, 4 of
+/// 4). An idle worker polls ≈ 4 ms past its last task, then sleeps in `recv`.
+const SPIN_BUDGET: u32 = 1 << 17;
+
+/// A region as the crew sees it: `task(member)` runs member `member`'s contexts.
+type Task = &'static (dyn Fn(usize) + Sync);
+
+/// Receives from `channel`: polls it up to `budget` times, then blocks
+/// (parked until a message is sent). `None` once every sender is gone.
+fn poll<T>(channel: &Receiver<T>, budget: u32) -> Option<T> {
+    for _ in 0..budget {
+        match channel.try_recv() {
+            Ok(message) => return Some(message),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) => std::hint::spin_loop(),
+        }
+    }
+    channel.recv().ok()
+}
+
+/// The OS threads behind a [`WorkerPool`]: members `1..threads` of every
+/// region (member 0 is the calling thread).
+struct Crew {
+    /// One task channel per worker; hanging them up retires the crew.
+    tasks: Vec<Sender<Task>>,
+    workers: Vec<JoinHandle<()>>,
+    /// One message per worker done with the region in flight. The crew has a
+    /// single job slot: whoever holds this lock has it.
+    done: Mutex<Receiver<()>>,
+    /// [`SPIN_BUDGET`], or 0 when the pool is wider than the machine, where
+    /// a spinning worker only keeps a runnable one off its core.
+    spin_budget: u32,
+}
+
+impl Crew {
+    /// Spawns the `threads - 1` crew workers of a pool of `threads`.
+    fn start(threads: usize) -> Crew {
+        let fits = threads <= WorkerPool::available_parallelism();
+        let spin_budget = if fits { SPIN_BUDGET } else { 0 };
+        let (finished, done) = channel();
+        // Built before the first spawn: if a later spawn fails (it panics),
+        // dropping the crew retires the workers that did start.
+        let mut crew =
+            Crew { tasks: Vec::new(), workers: Vec::new(), done: Mutex::new(done), spin_budget };
+        for member in 1..threads {
+            let (task_in, tasks) = channel::<Task>();
+            let finished = finished.clone();
+            crew.tasks.push(task_in);
+            crew.workers.push(thread::spawn(move || {
+                while let Some(task) = poll(&tasks, spin_budget) {
+                    task(member);
+                    // Last use of `task` is above: from here on its region may end.
+                    let _ = finished.send(());
+                }
+            }));
+        }
+        crew
+    }
+
+    /// Runs `task(member)` for members `0..width` — 0 on the calling thread,
+    /// the rest on the crew — and returns when all of them have returned.
+    /// `done` is the caller's claim on the crew; `task` must not unwind.
+    fn run(&self, done: &Receiver<()>, width: usize, task: &(dyn Fn(usize) + Sync)) {
+        // SAFETY: only the lifetime of the reference (and of the closure's
+        // captures) is erased, so that long-lived threads can be lent a
+        // closure that borrows from the caller's stack. The erased reference
+        // exists only in the messages sent below, one per crew member of the
+        // region, and each member reports on `done` after its last use of it.
+        // `RegionEnd`, armed with the number of messages sent, keeps this
+        // function from returning *or unwinding* until as many reports have
+        // come back. So no use of the reference outlives the borrow it was
+        // made from (`tests/pool_contract.rs`, `panic_in_*`, exercises this).
+        let erased: Task = unsafe { std::mem::transmute(task) };
+        let sent = self.tasks[..width - 1].iter().filter(|to| to.send(erased).is_ok()).count();
+        let _end = RegionEnd { done, pending: sent, spin_budget: self.spin_budget };
+        task(0);
+    }
+}
+
+/// Ends a region: waits for a report from every crew worker in it. A drop
+/// guard, so the wait also happens if the caller's own share unwinds.
+struct RegionEnd<'a> {
+    done: &'a Receiver<()>,
+    pending: usize,
+    spin_budget: u32,
+}
+
+impl Drop for RegionEnd<'_> {
+    fn drop(&mut self) {
+        for _ in 0..self.pending {
+            poll(self.done, self.spin_budget);
+        }
+    }
+}
+
+impl Drop for Crew {
+    fn drop(&mut self) {
+        self.tasks.clear();
+        for worker in self.workers.drain(..) {
+            // A worker only ever runs `task`s that catch their own panics.
+            let _ = worker.join();
+        }
     }
 }
 
@@ -303,6 +456,20 @@ mod tests {
                 panic!("worker boom");
             }
         });
+    }
+
+    #[test]
+    fn a_pool_wider_than_the_machine_parks_without_spinning() {
+        let cores = WorkerPool::available_parallelism();
+        for (threads, budget) in [(cores + 1, 0), (cores, SPIN_BUDGET)] {
+            if threads == 1 {
+                continue; // no crew at all on a one-core box
+            }
+            let pool = WorkerPool::new(threads);
+            assert_eq!(pool.run(threads, |w| w), (0..threads).collect::<Vec<_>>());
+            let crew = pool.crew.get().expect("a wide region starts the crew");
+            assert_eq!(crew.spin_budget, budget, "{threads} threads on {cores} cores");
+        }
     }
 
     #[test]

@@ -70,6 +70,7 @@
 //! assert_eq!(hit.cache_outcome(), Some(CacheOutcome::Hit));
 //! assert!(server.totals().saved_nanos() > 0.0);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod durability;

@@ -40,6 +40,7 @@
 //! assert!(two_hop.contains(0, 2));
 //! assert!(!two_hop.contains(0, 1));
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod matrix;

@@ -20,6 +20,7 @@
 //!
 //! Start with [`moctopus`] — its crate docs carry the quick-start — and see
 //! `ARCHITECTURE.md` at the repository root for the end-to-end story.
+#![forbid(unsafe_code)]
 
 pub use graph_gen;
 pub use graph_partition;

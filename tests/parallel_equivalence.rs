@@ -216,14 +216,21 @@ fn set_threads_on_a_live_engine_keeps_outputs_identical() {
     }
 }
 
+/// Frontier entries each additional worker of a hop must bring: the hop
+/// loops clamp a hop's worker count by its work, one worker plus one per
+/// this many entries (`ENTRIES_PER_EXTRA_WORKER`, pinned — with the sizes
+/// used below — by a unit test next to `active_workers` in
+/// `moctopus::distributed`, which also asserts on a fixture of its own that
+/// such hops really leave the inline path).
+const ENTRIES_PER_EXTRA_WORKER: usize = 256;
+
 /// A batch whose first hop alone engages all 8 workers that `small_test`'s 8
-/// modules allow. The hop loops clamp each hop's worker count by its work —
-/// one worker plus one per 1024 frontier entries (pinned by a unit test next
-/// to `active_workers` in `moctopus::distributed`) — and a first hop has one
-/// entry per source, so 7 × 1024 sources cross the clamp at 2, 4 and 8
-/// threads by construction. The property tests above use 16 sources and run
-/// every hop inline; these fixtures are what keeps the multi-worker execute
-/// and merge stages covered.
+/// modules allow several times over: a first hop has one entry per source,
+/// so 7 × 1024 sources cross the clamp at 2, 4 and 8 threads by
+/// construction, and the merge stage's per-query chunks hold hundreds of
+/// queries each. The property tests above use 16 sources and run every hop
+/// inline; these fixtures are what keeps the multi-worker execute and merge
+/// stages covered.
 const WIDE_BATCH: usize = 7 * 1024;
 
 /// The wide fixture: a 240-node labelled uniform graph and `WIDE_BATCH`
@@ -270,4 +277,127 @@ fn wide_closure_batches_reach_every_worker_and_stay_identical() {
             }
         }
     }
+}
+
+/// `MOCTOPUS_THREADS` is how CI runs this suite — every suite — on the
+/// parallel path. `MoctopusConfig` maps a value it cannot parse to one
+/// thread, so a typo in a workflow file would leave the 4-thread legs green
+/// on the inline path alone; this is the test that goes red instead.
+#[test]
+fn a_set_moctopus_threads_variable_parses_and_reaches_the_default_config() {
+    let Ok(raw) = std::env::var("MOCTOPUS_THREADS") else { return };
+    let threads: usize = raw.parse().unwrap_or_else(|e| {
+        panic!("MOCTOPUS_THREADS={raw:?} is not a thread count ({e}): this run tested 1 thread")
+    });
+    assert_eq!(MoctopusConfig::paper_defaults().threads, threads);
+    assert_eq!(MoctopusConfig::small_test().threads, threads);
+}
+
+/// Thread counts for the fixtures below: 3 does not divide `small_test`'s 8
+/// modules, so the even and the weighted module split differ in more than
+/// the host lane.
+const SPLIT_THREAD_COUNTS: [usize; 4] = [2, 3, 4, 8];
+
+/// One engine's observable output for a fixture: answers, the complete
+/// stats, and (for tracked calls) the dependency footprint.
+type Observed = (Vec<Vec<NodeId>>, moctopus::QueryStats, Option<moctopus::QueryDeps>);
+
+/// Everything the hop loops can be asked, in one sweep: the k-hop loop, the
+/// NFA-product loop through its tracked entry point (answers, stats and
+/// deps), and the planned executions that run the same loop pruned — the
+/// bidirectional plan always, the rare-label split (whose host-side join is
+/// quadratic in the batch) on `small` batches only.
+fn observe(engine: &mut dyn GraphEngine, sources: &[NodeId], k: usize) -> Vec<Observed> {
+    let parse = |text: &str| rpq::parser::parse(text).expect("query set must parse");
+    let mut seen: Vec<Observed> = Vec::new();
+    let (answers, stats) = engine.k_hop_batch(sources, k);
+    seen.push((answers, stats, None));
+    for text in ["1+", "(1|8)+"] {
+        let (answers, stats, deps) = engine.rpq_batch_tracked(&parse(text), sources);
+        seen.push((answers, stats, Some(deps)));
+    }
+    let planned = [
+        ("(1|8)+", rpq::PlanStrategy::Bidirectional),
+        ("1*/8/2*", rpq::PlanStrategy::RareLabelSplit { split_at: 1 }),
+    ];
+    let small = sources.len() <= 16;
+    for (text, strategy) in planned.into_iter().take(if small { 2 } else { 1 }) {
+        let (answers, stats) = engine.rpq_batch_planned(&parse(text), sources, strategy);
+        seen.push((answers, stats, None));
+    }
+    seen
+}
+
+/// Asserts that every engine, at every thread count of
+/// [`SPLIT_THREAD_COUNTS`], observes on every batch of sources exactly what
+/// it does at one thread.
+fn assert_observations_match(edges: &[(NodeId, NodeId, Label)], batches: &[&[NodeId]], k: usize) {
+    let observe_all = |engine: &mut Box<dyn GraphEngine>| -> Vec<Observed> {
+        batches.iter().flat_map(|sources| observe(engine.as_mut(), sources, k)).collect()
+    };
+    let wants: Vec<_> = engines_at(1, edges).iter_mut().map(observe_all).collect();
+    for threads in SPLIT_THREAD_COUNTS {
+        for (engine, want) in engines_at(threads, edges).iter_mut().zip(&wants) {
+            let got = observe_all(engine);
+            for (i, (got, want)) in got.iter().zip(want).enumerate() {
+                let who = format!("{} at {threads} threads, observation {i}", engine.name());
+                assert_eq!(got.0, want.0, "{who}: answers differ");
+                assert_eq!(got.1, want.1, "{who}: stats differ");
+                assert_eq!(got.2, want.2, "{who}: deps differ");
+            }
+        }
+    }
+}
+
+/// The weighted module split. A power-law graph where a sixth of the nodes
+/// are hubs that most edges point at: under labor division (Moctopus) the
+/// host lane scans most entries of every hop past the first, so the k-hop
+/// loop's module → worker split — balanced on the previous hop's tallies —
+/// differs from the even one and changes from hop to hop, while PIM-hash
+/// (no host lane) and the first hop keep the even split.
+#[test]
+fn hub_heavy_batches_are_identical_under_the_weighted_split() {
+    let cfg = graph_gen::powerlaw::PowerLawConfig {
+        nodes: 120,
+        high_degree_fraction: 0.16,
+        mean_high_degree: 24.0,
+        hub_in_bias: 0.6,
+        ..Default::default()
+    };
+    let topology = graph_gen::powerlaw::generate(&cfg, 41);
+    let model = relabel(&topology, &LabelMixConfig::default(), 41);
+    let edges = graph_gen::labels::labeled_edge_stream(&model);
+    // The first hop already runs on two workers; the hub rows it scans make
+    // every later one wide enough for all eight.
+    let sources: Vec<NodeId> = (0..320u64).map(|i| NodeId(i % 120)).collect();
+    assert!(sources.len() >= ENTRIES_PER_EXTRA_WORKER);
+
+    let mut moctopus = MoctopusSystem::new(MoctopusConfig::small_test().with_threads(1));
+    moctopus.insert_labeled_edges(&edges);
+    assert!(moctopus.engine().host_row_count() >= 12, "the hubs were promoted to the host lane");
+
+    assert_observations_match(&edges, &[&sources], 3);
+}
+
+/// The per-query merge with fewer queries than workers. A fan — node 0
+/// points at 1200 nodes, each of which points on — so a *single* query's
+/// second hop carries 1200 frontier entries: enough for 4 workers (5 at 8
+/// threads) to expand it, and then to split a merge stage that has one
+/// query (or two) to hand out. Node 0 is a hub, so under labor division it
+/// is also a hop whose whole work is the host lane's.
+#[test]
+fn one_and_two_query_batches_are_identical_on_many_workers() {
+    let fan = 1200u64;
+    assert!(fan as usize >= 4 * ENTRIES_PER_EXTRA_WORKER);
+    let mut edges: LabeledBatch = Vec::new();
+    for i in 1..=fan {
+        edges.push((NodeId(0), NodeId(i), Label(1)));
+        edges.push((NodeId(i), NodeId(fan + i), Label(1)));
+        edges.push((NodeId(i), NodeId(2 * fan + 1 + i * 7 % fan), Label(8)));
+        edges.push((NodeId(fan + i), NodeId(2 * fan + 1 + i % 97), Label(2)));
+        if i % 50 == 0 {
+            edges.push((NodeId(fan + i), NodeId(0), Label(1)));
+        }
+    }
+    assert_observations_match(&edges, &[&[NodeId(0)], &[NodeId(0), NodeId(fan + 50)]], 3);
 }
