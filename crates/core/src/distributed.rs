@@ -53,7 +53,7 @@ use graph_store::{
     LocalGraphStorage, LocalModuleSnapshot, NodeId, PartitionId, SnapshotState,
 };
 use moctopus_runtime::{chunk_ranges, WorkerPool};
-use pim_sim::{Phase, PimSystem, Timeline};
+use pim_sim::{Phase, PimSystem, SimTime, Timeline};
 use rpq::{optimizer, LabelSpec, Nfa, PlanStrategy, RpqExpr};
 use sparse::{EpochMarks, OrderedBitmap, ProductSet};
 use std::ops::Range;
@@ -144,7 +144,7 @@ impl PlacementPolicy {
 ///
 /// The scratch only changes *how* frontiers are materialised, never what the
 /// cost model charges.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct FrontierScratch {
     marks: EpochMarks,
     pool: Vec<Vec<NodeId>>,
@@ -171,7 +171,7 @@ impl FrontierScratch {
 /// stage runs (determinism rule 2: private scratch); the merge stage drains
 /// `nexts` on the calling thread and the scratch survives inside the engine
 /// across hops, queries, and batches.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct HopCtx {
     scratch: FrontierScratch,
     nexts: Vec<Vec<NodeId>>,
@@ -199,17 +199,128 @@ impl HopCtx {
 }
 
 /// Per-worker context of one NFA-product execute stage: epoch marks over
-/// product keys (one generation per `(query, hop)`) plus per-query candidate
-/// lists.
+/// product keys (one generation per `(query, hop)`), per-query candidate
+/// lists — keys, like the frontiers — and the call's [`ExpansionMemo`].
 ///
 /// Unlike the k-hop loop the product traversal's cross-hop dedup lives in the
 /// per-query *global* visited sets; the marks only bound what one worker
 /// emits within one `(query, hop)` so candidate lists stay duplicate-free
 /// before the merge.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct NfaHopCtx {
     marks: EpochMarks,
-    nexts: Vec<Vec<(NodeId, u32)>>,
+    nexts: Vec<Vec<usize>>,
+    memo: ExpansionMemo,
+}
+
+/// What expanding one product pair charges and produces.
+///
+/// For the duration of one `nfa_product_visit` the engine is borrowed
+/// mutably, so no store, owner, `live_bytes` or automaton can change: all of
+/// this is a pure function of the pair, computed once per call and worker
+/// (`build_expansion`) and replayed for every query and hop that reaches the
+/// pair.
+#[derive(Debug, Clone, Copy)]
+struct Expansion {
+    /// The one `SimTime` the expansion adds to its lane's accumulator — the
+    /// value the accumulator receives, never a partial sum.
+    cost: SimTime,
+    /// The accumulator: a `per_module` index, the module count for the host.
+    lane: usize,
+    /// Matched transitions into another PIM module.
+    ipc_messages: u64,
+    /// Matched transitions that cross the CPU↔PIM bus.
+    cpc_entries: u64,
+    /// Where this pair's run of [`ExpansionMemo::successors`] ends (it starts
+    /// where the previous entry's ends).
+    successors_end: usize,
+}
+
+/// Slot values from here up tag a pair this worker does not expand with its
+/// lane; smaller non-zero values are an entry index plus one.
+const FOREIGN: u32 = 1 << 31;
+
+/// One slot of an [`ExpansionMemo`], decoded.
+enum Slot {
+    /// Not seen in this call.
+    Empty,
+    /// Expanded on the given lane, which was another worker's when seen.
+    Foreign(usize),
+    /// Built: an index into the entries.
+    Entry(usize),
+}
+
+/// One worker's expansion memo: scratch like the marks, valid for one batch
+/// call on one engine (CONCURRENCY.md §6 rule 8).
+///
+/// A `u32` slot per product key leads to the pair's [`Expansion`], or says
+/// which lane expands it (a pair on another worker's module costs its slot
+/// and its place in `touched`, nothing more). A call starts by zeroing the
+/// slots the previous one touched — never the key space — so a small query
+/// pays for what it expanded, and nothing outlives the call logically.
+#[derive(Debug, Default)]
+struct ExpansionMemo {
+    slots: Vec<u32>,
+    /// Every key whose slot is not zero.
+    touched: Vec<usize>,
+    entries: Vec<Expansion>,
+    /// Label-matched successor keys of every entry, back to back.
+    successors: Vec<usize>,
+}
+
+impl ExpansionMemo {
+    /// Empties the memo and sizes it for keys below `bound`.
+    fn reset(&mut self, bound: usize) {
+        for key in self.touched.drain(..) {
+            self.slots[key] = 0;
+        }
+        self.entries.clear();
+        self.successors.clear();
+        if self.slots.len() < bound {
+            // Every slot is zero here: a fresh zeroed table is the old one
+            // grown, and its untouched pages cost nothing.
+            self.slots = vec![0; bound];
+        }
+    }
+
+    #[inline]
+    fn slot(&self, key: usize) -> Slot {
+        match self.slots[key] {
+            0 => Slot::Empty,
+            tag if tag >= FOREIGN => Slot::Foreign((tag - FOREIGN) as usize),
+            index => Slot::Entry(index as usize - 1),
+        }
+    }
+
+    /// Writes `value` into the slot of `key`; `None` (a lane or an index the
+    /// slot cannot hold) leaves the pair to be derived again next time.
+    fn set_slot(&mut self, key: usize, value: Option<u32>) {
+        let Some(value) = value else { return };
+        if std::mem::replace(&mut self.slots[key], value) == 0 {
+            self.touched.push(key);
+        }
+    }
+
+    /// Remembers that `key` is expanded on `lane`, by another worker.
+    fn tag_foreign(&mut self, key: usize, lane: usize) {
+        self.set_slot(key, u32::try_from(lane).ok().and_then(|lane| lane.checked_add(FOREIGN)));
+    }
+
+    /// Files the expansion of `key`, whose successors the caller has pushed,
+    /// and returns its index.
+    fn push_entry(&mut self, key: usize, expansion: Expansion) -> usize {
+        let index = self.entries.len();
+        self.entries.push(expansion);
+        self.set_slot(key, u32::try_from(index + 1).ok().filter(|&slot| slot < FOREIGN));
+        index
+    }
+
+    /// The successor keys of entry `index`.
+    #[inline]
+    fn successors_of(&self, index: usize) -> &[usize] {
+        let start = index.checked_sub(1).map_or(0, |prev| self.entries[prev].successors_end);
+        &self.successors[start..self.entries[index].successors_end]
+    }
 }
 
 /// Frontier entries each *additional* worker of a hop must bring.
@@ -341,17 +452,14 @@ struct Pruning<'a> {
     preamble: StatsDelta,
 }
 
-/// Distributed graph engine over a simulated PIM platform.
-#[derive(Debug, Clone)]
-pub struct DistributedPimEngine {
-    config: MoctopusConfig,
-    pim: PimSystem,
-    policy: PlacementPolicy,
-    local_stores: Vec<LocalGraphStorage>,
-    host_store: HeterogeneousStorage,
-    edge_count: usize,
-    scratch: FrontierScratch,
-    pool: WorkerPool,
+/// The hop loops' working memory: wall-clock only, rebuilt by whichever call
+/// needs it next. Grouped so that cloning an engine does not copy megabytes
+/// of marks, buffers, bitmaps and memo tables that the clone's first call
+/// would overwrite anyway: a clone starts with empty scratch.
+#[derive(Debug, Default)]
+struct HopScratch {
+    /// The k-hop loop's calling-thread buffer pool.
+    frontier: FrontierScratch,
     /// One private [`HopCtx`] per worker, persisted across batches so
     /// hot-loop buffers and marks are never re-allocated per query.
     hop_ctxs: Vec<HopCtx>,
@@ -364,6 +472,25 @@ pub struct DistributedPimEngine {
     /// The most workers any hop has run on: how the wide unit fixture knows
     /// it left the inline path.
     widest_hop: usize,
+}
+
+impl Clone for HopScratch {
+    fn clone(&self) -> Self {
+        HopScratch::default()
+    }
+}
+
+/// Distributed graph engine over a simulated PIM platform.
+#[derive(Debug, Clone)]
+pub struct DistributedPimEngine {
+    config: MoctopusConfig,
+    pim: PimSystem,
+    policy: PlacementPolicy,
+    local_stores: Vec<LocalGraphStorage>,
+    host_store: HeterogeneousStorage,
+    edge_count: usize,
+    pool: WorkerPool,
+    scratch: HopScratch,
 }
 
 impl DistributedPimEngine {
@@ -382,11 +509,7 @@ impl DistributedPimEngine {
             local_stores,
             host_store: HeterogeneousStorage::new(),
             edge_count: 0,
-            scratch: FrontierScratch::default(),
-            hop_ctxs: Vec::new(),
-            nfa_ctxs: Vec::new(),
-            merge_bitmaps: Vec::new(),
-            widest_hop: 0,
+            scratch: HopScratch::default(),
         }
     }
 
@@ -413,7 +536,7 @@ impl DistributedPimEngine {
         &self.config
     }
 
-    /// The simulated PIM platform (busy times, load imbalance, MRAM usage).
+    /// The simulated PIM platform (busy times, load imbalance).
     pub fn pim(&self) -> &PimSystem {
         &self.pim
     }
@@ -813,8 +936,8 @@ impl DistributedPimEngine {
         // (order-sensitive) float accumulator.
         self.charge_dispatch(sources, ENTRY_BYTES, &mut timeline);
         let layout_width = self.pool.workers_for(module_count);
-        let mut ctxs = take_scratch(&mut self.hop_ctxs, layout_width);
-        let mut bitmaps = take_scratch(&mut self.merge_bitmaps, layout_width);
+        let mut ctxs = take_scratch(&mut self.scratch.hop_ctxs, layout_width);
+        let mut bitmaps = take_scratch(&mut self.scratch.merge_bitmaps, layout_width);
         let id_bound = self.directory_bound();
         // What the previous hop scanned: per module, then the host lane.
         let mut scanned = vec![0u64; module_count + 1];
@@ -824,7 +947,7 @@ impl DistributedPimEngine {
                 deps.nodes.insert(s);
             }
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = std::mem::take(&mut self.scratch.frontier);
         let mut frontiers: Vec<Vec<NodeId>> = sources
             .iter()
             .map(|&s| {
@@ -866,7 +989,7 @@ impl DistributedPimEngine {
             for (m, slot) in scanned.iter_mut().enumerate() {
                 *slot = ctxs[..active].iter().map(|ctx| ctx.scanned[m]).sum();
             }
-            self.widest_hop = self.widest_hop.max(active);
+            self.scratch.widest_hop = self.scratch.widest_hop.max(active);
 
             // ---- merge: id-ordered delta reduction on this thread, then
             // the per-query frontier union on the workers ------------------
@@ -932,9 +1055,9 @@ impl DistributedPimEngine {
                 }
             }
         }
-        self.merge_bitmaps = bitmaps;
-        self.scratch = scratch;
-        self.hop_ctxs = ctxs;
+        self.scratch.merge_bitmaps = bitmaps;
+        self.scratch.frontier = scratch;
+        self.scratch.hop_ctxs = ctxs;
 
         let matched_pairs: usize = frontiers.iter().map(Vec::len).sum();
         self.charge_gather(matched_pairs, &mut timeline);
@@ -1416,6 +1539,14 @@ impl DistributedPimEngine {
     /// hop until every frontier is empty. Returns the per-query visited sets
     /// with the hop and expansion counts; every charge lands in `timeline`.
     ///
+    /// Frontiers, candidate lists and memoised successors are node-major
+    /// product **keys** (`ProductSet::key`), not `(node, state)` pairs: a
+    /// pair is divided back out of its key only where its row is looked up
+    /// (once per call and worker, `build_expansion`) and in the answer scan.
+    /// A source outside the owner directory has no key, no owner and no row:
+    /// it counts as one expansion of the first hop and otherwise lives only
+    /// in its visited set.
+    ///
     /// With `useful` given, only useful pairs enter a frontier (a start pair
     /// outside the set can only contribute the empty path, which the visited
     /// set already records); every discovered pair still enters the visited
@@ -1442,56 +1573,47 @@ impl DistributedPimEngine {
         // trees however large the owner directory is, and only queries that
         // actually sweep the graph pay for (and profit from) bit tests.
         let start = nfa.start() as u32;
-        let mut visited: Vec<ProductSet> = sources
-            .iter()
-            .map(|&s| {
-                let mut seen = self.product_set(nfa);
-                seen.insert(s.0, start);
-                seen
-            })
-            .collect();
-        let mut frontiers: Vec<Vec<(NodeId, u32)>> = sources
-            .iter()
-            .map(|&s| {
-                if useful.is_none_or(|set| set.contains(s.0, start)) {
-                    vec![(s, start)]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let mut next_frontiers: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); frontiers.len()];
+        let shape = self.product_set(nfa);
+        let mut unkeyed_sources = 0usize;
+        let mut visited: Vec<ProductSet> = Vec::with_capacity(sources.len());
+        let mut frontiers: Vec<Vec<usize>> = Vec::with_capacity(sources.len());
+        for &s in sources {
+            let mut seen = shape.clone();
+            seen.insert(s.0, start);
+            visited.push(seen);
+            let enters = useful.is_none_or(|set| set.contains(s.0, start));
+            let key = shape.key(s.0, start).filter(|_| enters);
+            unkeyed_sources += usize::from(enters && key.is_none());
+            frontiers.push(key.into_iter().collect());
+        }
+        let mut next_frontiers: Vec<Vec<usize>> = vec![Vec::new(); frontiers.len()];
         let mut hops = 0usize;
 
         let layout_width = self.pool.workers_for(module_count);
-        let mut ctxs = take_scratch(&mut self.nfa_ctxs, layout_width);
-        let mut bitmaps = take_scratch(&mut self.merge_bitmaps, layout_width);
+        let mut ctxs = take_scratch(&mut self.scratch.nfa_ctxs, layout_width);
+        let mut bitmaps = take_scratch(&mut self.scratch.merge_bitmaps, layout_width);
+        for ctx in &mut ctxs[..layout_width] {
+            ctx.memo.reset(shape.bound());
+        }
 
         // One query's share of the merge stage: order and deduplicate its
         // candidates, extend its visited set by the survivors, and keep only
         // the useful ones in the frontier.
         let merge_query =
-            |bitmap: &mut OrderedBitmap, next: &mut Vec<(NodeId, u32)>, seen: &mut ProductSet| {
-                bitmap.sort_dedup(
-                    next,
-                    |(node, state): (NodeId, u32)| seen.key(node.0, state),
-                    |key| {
-                        let (node, state) = seen.pair(key);
-                        (NodeId(node), state)
-                    },
-                );
-                for &(node, state) in next.iter() {
-                    seen.insert(node.0, state);
+            |bitmap: &mut OrderedBitmap, next: &mut Vec<usize>, seen: &mut ProductSet| {
+                bitmap.sort_dedup(next, Some, |key| key);
+                for &key in next.iter() {
+                    seen.insert_key(key);
                 }
                 if let Some(useful) = useful {
-                    next.retain(|&(node, state)| useful.contains(node.0, state));
+                    next.retain(|&key| useful.contains_key(key));
                 }
             };
 
-        while frontiers.iter().any(|f| !f.is_empty()) {
+        while unkeyed_sources > 0 || frontiers.iter().any(|f| !f.is_empty()) {
             hops += 1;
             let frontier_entries = frontiers.iter().map(Vec::len).sum::<usize>();
-            expansions += frontier_entries;
+            expansions += frontier_entries + std::mem::take(&mut unkeyed_sources);
 
             // ---- execute: workers expand their modules' product entries,
             // reading the per-query visited sets as an immutable snapshot
@@ -1516,7 +1638,7 @@ impl DistributedPimEngine {
                     ctx,
                 )
             });
-            self.widest_hop = self.widest_hop.max(active);
+            self.scratch.widest_hop = self.scratch.widest_hop.max(active);
 
             // ---- merge: id-ordered delta reduction on this thread, then the
             // per-query frontier union on the workers. Candidates were
@@ -1555,8 +1677,8 @@ impl DistributedPimEngine {
             }
             std::mem::swap(&mut frontiers, &mut next_frontiers);
         }
-        self.merge_bitmaps = bitmaps;
-        self.nfa_ctxs = ctxs;
+        self.scratch.merge_bitmaps = bitmaps;
+        self.scratch.nfa_ctxs = ctxs;
         (visited, hops, expansions)
     }
 
@@ -1566,93 +1688,161 @@ impl DistributedPimEngine {
     /// Same ownership discipline: the worker walks every query's frontier in
     /// global order, expands only product entries whose node row lives on its
     /// modules (or the host for the host-lane worker), and charges into its
-    /// private delta. A candidate `(node, state)` pair is emitted when it is
-    /// new to both the worker's marks for this `(query, hop)` and the query's
-    /// visited snapshot (immutable during the hop); byte charges are per
-    /// matched transition, unconditional, exactly as in the sequential loop.
+    /// private delta. Expanding is **build-then-replay**: the first time a
+    /// call reaches a pair, [`DistributedPimEngine::build_expansion`] files
+    /// what the expansion charges and produces in the worker's memo; every
+    /// expansion, that first one included, then replays the entry — the same
+    /// float into the same accumulator in the same frontier order, the
+    /// per-matched-transition byte charges as three integer adds
+    /// (unconditional, exactly as in the sequential loop), and each successor
+    /// key emitted when it is new to both the worker's marks for this
+    /// `(query, hop)` and the query's visited snapshot (immutable during the
+    /// hop). Marks first: duplicate productions (the common case under
+    /// closures) cost one stamp compare.
     #[allow(clippy::too_many_arguments)]
     fn nfa_hop_worker(
         &self,
         my_modules: &Range<usize>,
         host_lane: bool,
         nfa: &Nfa,
-        frontiers: &[Vec<(NodeId, u32)>],
+        frontiers: &[Vec<usize>],
         visited: &[ProductSet],
         host_resident_bytes: u64,
         ctx: &mut NfaHopCtx,
     ) -> StatsDelta {
-        let mut delta = StatsDelta::new(self.config.pim.num_modules);
+        let module_count = self.config.pim.num_modules;
+        let mut delta = StatsDelta::new(module_count);
+        let NfaHopCtx { marks, nexts, memo } = ctx;
+        let mine = |lane: usize| my_modules.contains(&lane) || (host_lane && lane == module_count);
         for (q, frontier) in frontiers.iter().enumerate() {
             // Last hop's candidates stay readable until the merge stage has
             // copied them out; the list is emptied here, by its owner.
-            let next = &mut ctx.nexts[q];
+            let next = &mut nexts[q];
             next.clear();
             let snapshot = &visited[q];
-            ctx.marks.next_epoch();
-            // Marks first: duplicate productions (the common case under
-            // closures) cost one stamp compare; the visited snapshot is
-            // consulted only on first local sight. A pair without a key (its
-            // node lies outside the owner directory) skips the marks — the
-            // merge deduplicates it — and is looked up on the snapshot's
-            // sparse side.
-            let mut emit = |u: NodeId, state: u32| {
-                let first_sight = snapshot.key(u.0, state).is_none_or(|key| ctx.marks.mark(key));
-                if first_sight && !snapshot.contains(u.0, state) {
-                    next.push((u, state));
-                }
-            };
-            for &(v, state) in frontier {
-                let transitions = nfa.transitions_from(state as usize);
-                match self.owner(v) {
-                    Some(PartitionId::Host) if host_lane => {
-                        let scan_bytes =
-                            self.host_store.slot_count(v) as u64 * (ID_BYTES + LABEL_BYTES);
-                        delta.host_time += self.pim.host_random_access_cost(1, host_resident_bytes)
-                            + self.pim.host_sequential_read_cost(scan_bytes);
-                        for (u, label) in self.host_store.neighbors_iter(v) {
-                            for &(spec, next_state) in transitions {
-                                if !spec.matches(label) {
-                                    continue;
-                                }
-                                if matches!(self.owner(u), Some(PartitionId::Pim(_))) {
-                                    delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
-                                }
-                                emit(u, next_state as u32);
-                            }
-                        }
-                    }
-                    Some(PartitionId::Pim(m)) if my_modules.contains(&(m as usize)) => {
-                        let m = m as usize;
-                        let row = self.local_stores[m].row(v).unwrap_or(&[]);
-                        let scan_bytes = row.len() as u64 * (ID_BYTES + LABEL_BYTES);
-                        delta.per_module[m] += self.pim.pim_hash_lookup_cost(scan_bytes);
-                        for &(u, label) in row {
-                            for &(spec, next_state) in transitions {
-                                if !spec.matches(label) {
-                                    continue;
-                                }
-                                match self.owner(u) {
-                                    Some(PartitionId::Pim(m2)) if m2 as usize == m => {}
-                                    Some(PartitionId::Pim(_)) => {
-                                        delta.ipc_bytes += ENTRY_BYTES + STATE_BYTES;
-                                        delta.ipc_messages += 1;
-                                    }
-                                    _ => {
-                                        delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
-                                    }
-                                }
-                                emit(u, next_state as u32);
-                            }
-                        }
-                    }
+            marks.next_epoch();
+            for &key in frontier {
+                let index = match memo.slot(key) {
+                    Slot::Entry(index) => index,
+                    Slot::Foreign(lane) if !mine(lane) => continue,
+                    // First sight in this call — or tagged under an earlier
+                    // hop's module split and this worker's now.
                     _ => {
-                        // Another worker's module, or a node that has never
-                        // appeared in the edge stream (no outgoing edges).
+                        let (node, state) = snapshot.pair(key);
+                        let owner = self.owner(NodeId(node));
+                        let lane = match owner {
+                            Some(PartitionId::Pim(m)) => m as usize,
+                            Some(PartitionId::Host) => module_count,
+                            // Never in the edge stream: nobody's to expand.
+                            None => module_count + 1,
+                        };
+                        let Some(owner) = owner.filter(|_| mine(lane)) else {
+                            memo.tag_foreign(key, lane);
+                            continue;
+                        };
+                        let expansion = self.build_expansion(
+                            NodeId(node),
+                            owner,
+                            lane,
+                            nfa.transitions_from(state as usize),
+                            snapshot,
+                            host_resident_bytes,
+                            &mut memo.successors,
+                        );
+                        memo.push_entry(key, expansion)
+                    }
+                };
+                let expansion = memo.entries[index];
+                if !mine(expansion.lane) {
+                    continue;
+                }
+                if expansion.lane == module_count {
+                    delta.host_time += expansion.cost;
+                } else {
+                    delta.per_module[expansion.lane] += expansion.cost;
+                }
+                delta.ipc_messages += expansion.ipc_messages;
+                delta.ipc_bytes += expansion.ipc_messages * (ENTRY_BYTES + STATE_BYTES);
+                delta.cpc_bytes += expansion.cpc_entries * (ENTRY_BYTES + STATE_BYTES);
+                for &successor in memo.successors_of(index) {
+                    if marks.mark(successor) && !snapshot.contains_key(successor) {
+                        next.push(successor);
                     }
                 }
             }
         }
         delta
+    }
+
+    /// The build half of an expansion: scans the row of `node` at its
+    /// `owner` (accumulator `lane`), matches it against `transitions`,
+    /// appends the successors' keys to `successors` and returns what the scan
+    /// charges. `shape` is any set over the call's key space.
+    #[allow(clippy::too_many_arguments)]
+    fn build_expansion(
+        &self,
+        node: NodeId,
+        owner: PartitionId,
+        lane: usize,
+        transitions: &[(LabelSpec, usize)],
+        shape: &ProductSet,
+        host_resident_bytes: u64,
+        successors: &mut Vec<usize>,
+    ) -> Expansion {
+        let (mut ipc_messages, mut cpc_entries) = (0u64, 0u64);
+        // A label-constrained scan reads the id array and the label array.
+        let scan_bytes = |entries: usize| entries as u64 * (ID_BYTES + LABEL_BYTES);
+        let cost = match owner {
+            PartitionId::Host => {
+                let row = self.host_store.neighbors_iter(node);
+                // The host forwards a produced entry to the module owning it
+                // (or keeps it if the next row is also host-resident).
+                self.match_row(row, transitions, shape, successors, |to| {
+                    cpc_entries += u64::from(matches!(to, Some(PartitionId::Pim(_))));
+                });
+                let slots = self.host_store.slot_count(node);
+                self.pim.host_random_access_cost(1, host_resident_bytes)
+                    + self.pim.host_sequential_read_cost(scan_bytes(slots))
+            }
+            PartitionId::Pim(m) => {
+                let row = self.local_stores[m as usize].row(node).unwrap_or(&[]);
+                let charge = |to: Option<PartitionId>| match to {
+                    Some(PartitionId::Pim(m2)) if m2 == m => {}
+                    Some(PartitionId::Pim(_)) => ipc_messages += 1,
+                    // The destination row lives on the host (or is unknown):
+                    // the entry is gathered over the CPC link.
+                    _ => cpc_entries += 1,
+                };
+                self.match_row(row.iter().copied(), transitions, shape, successors, charge);
+                self.pim.pim_hash_lookup_cost(scan_bytes(row.len()))
+            }
+        };
+        Expansion { cost, lane, ipc_messages, cpc_entries, successors_end: successors.len() }
+    }
+
+    /// Appends to `successors` the key of every label-matched
+    /// `(row entry, transition)` pair, in row × transition order, reporting
+    /// each successor's owner to `charge`.
+    ///
+    /// A successor always has a key: a row names only nodes inside the owner
+    /// directory ([`DistributedPimEngine::directory_bound`]), and a key space
+    /// clamped below the directory has no slot table to get here with.
+    fn match_row(
+        &self,
+        row: impl Iterator<Item = (NodeId, Label)>,
+        transitions: &[(LabelSpec, usize)],
+        shape: &ProductSet,
+        successors: &mut Vec<usize>,
+        mut charge: impl FnMut(Option<PartitionId>),
+    ) {
+        for (u, label) in row {
+            for &(spec, next_state) in transitions {
+                if spec.matches(label) {
+                    charge(self.owner(u));
+                    successors.extend(shape.key(u.0, next_state as u32));
+                }
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2233,15 +2423,41 @@ mod tests {
             }
             // The comparison means something only if the parallel engine left
             // the inline path — in each loop, so the mark is reset in between.
-            assert_eq!(std::mem::take(&mut parallel.widest_hop), 3, "k-hop never ran wide");
+            assert_eq!(std::mem::take(&mut parallel.scratch.widest_hop), 3, "k-hop never ran wide");
             let expr = rpq::parser::parse("1/(2|3)*/1").unwrap();
             let (want, want_stats) = serial.rpq_batch(&expr, &sources);
             let (got, got_stats) = parallel.rpq_batch(&expr, &sources);
             assert_eq!(got, want, "round {round}");
             assert_eq!(got_stats, want_stats, "round {round}");
-            assert_eq!(std::mem::take(&mut parallel.widest_hop), 3, "the product never ran wide");
+            assert_eq!(
+                std::mem::take(&mut parallel.scratch.widest_hop),
+                3,
+                "the product never ran wide"
+            );
         }
-        assert_eq!(serial.widest_hop, 1, "one thread means one worker, whatever the hop");
+        assert_eq!(serial.scratch.widest_hop, 1, "one thread means one worker, whatever the hop");
+    }
+
+    #[test]
+    fn a_clone_leaves_the_scratch_behind_and_charges_identically() {
+        let mut original = moctopus_engine();
+        let edges: Vec<_> = ring_edges(300).into_iter().map(|(s, d)| (s, d, Label(1))).collect();
+        original.insert_labeled_edges(&edges);
+        let flood = rpq::parser::parse("1+").unwrap();
+        let sources: Vec<NodeId> = (0..8u64).map(NodeId).collect();
+        let want = original.rpq_batch(&flood, &sources);
+        let want_k = original.k_hop_batch(&sources, 3);
+        // The warmed engine holds marks, buffers, a bitmap and the last
+        // call's memo; its clone holds none of it.
+        let warmed = &original.scratch;
+        assert!(!warmed.nfa_ctxs[0].memo.entries.is_empty() && !warmed.hop_ctxs.is_empty());
+        let mut clone = original.clone();
+        let cold = &clone.scratch;
+        assert!(cold.nfa_ctxs.is_empty() && cold.hop_ctxs.is_empty());
+        assert!(cold.merge_bitmaps.is_empty() && cold.frontier.pool.is_empty());
+        assert_eq!(clone.rpq_batch(&flood, &sources), want);
+        assert_eq!(clone.k_hop_batch(&sources, 3), want_k);
+        assert_eq!(original.rpq_batch(&flood, &sources), want, "the original is unharmed");
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! accepts the empty path — without any structure being sized by the id. A
 //! set that indexed by such an id would ask the allocator for 128 GiB and
 //! up, so the test runs under a counting allocator and bounds the largest
-//! single request made while the queries run.
+//! single request made while the queries run. The one structure of the
+//! NFA-product loop that is sized by the key space at all — a worker's
+//! expansion-memo slot table, `4 × directory bound × automaton states` bytes —
+//! is what bounds the largest request of a many-state automaton, however
+//! little such a query expands.
 //!
 //! This file holds exactly one `#[test]`: the allocator is process-global,
 //! and a sibling test allocating concurrently would pollute the measurement.
@@ -153,4 +157,35 @@ fn hostile_source_ids_cost_nothing_of_their_size() {
         largest <= LARGEST_ALLOWED_REQUEST,
         "a query over hostile ids asked the allocator for {largest} bytes at once"
     );
+
+    // A source outside the directory has no product key and no owner: it is
+    // one expansion of one hop — the numbers the loop reported when it still
+    // carried `(node, state)` pairs — unless a pruned plan drops it up front.
+    let closure = rpq::parser::parse("1+").expect("fixture query parses");
+    for engine in &mut engines {
+        let (answers, stats) = engine.rpq_batch(&closure, &HOSTILE);
+        assert_eq!(answers, vec![Vec::new(); HOSTILE.len()]);
+        assert_eq!((stats.hops, stats.expansions), (1, HOSTILE.len()), "{}", engine.name());
+        let (_, pruned) = engine.rpq_batch_planned(&closure, &HOSTILE, PlanStrategy::Bidirectional);
+        assert_eq!((pruned.hops, pruned.expansions), (0, 0), "{} pruned", engine.name());
+    }
+
+    // A 64-atom concatenation (65 automaton states) whose first label no edge
+    // carries, over every node plus the hostile ids: a batch of dead ends.
+    // Nothing is sized by an id, and the largest request is a slot table.
+    let atoms: Vec<&str> =
+        std::iter::once("9").chain(["1", "2"].into_iter().cycle()).take(64).collect();
+    let long = rpq::parser::parse(&atoms.join("/")).expect("a concatenation parses");
+    let states = rpq::Nfa::from_expr(&long).state_count();
+    assert_eq!(states, 65);
+    let everyone: Vec<NodeId> = (0..600u64).map(NodeId).chain(HOSTILE).collect();
+    LARGEST_REQUEST.store(0, Ordering::Relaxed);
+    for engine in &mut engines {
+        let (answers, stats) = engine.rpq_batch(&long, &everyone);
+        assert!(answers.iter().all(Vec::is_empty), "{}", engine.name());
+        assert_eq!((stats.hops, stats.expansions), (1, everyone.len()), "{}", engine.name());
+    }
+    let largest = LARGEST_REQUEST.load(Ordering::Relaxed);
+    let slot_table = 4 * 600 * states;
+    assert!(largest <= slot_table, "{largest} bytes at once; a slot table is {slot_table}");
 }

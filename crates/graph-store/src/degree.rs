@@ -23,25 +23,19 @@ pub const HIGH_DEGREE_THRESHOLD: usize = 16;
 /// for _ in 0..17 {
 ///     t.record_insert(NodeId(0));
 /// }
-/// assert!(t.is_high_degree(NodeId(0)));
+/// assert!(t.degree(NodeId(0)) > t.threshold());
 /// assert_eq!(t.degree(NodeId(1)), 0);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DegreeTracker {
     degrees: IdMap<NodeId, usize>,
     threshold: usize,
-    high_degree_count: usize,
 }
 
 impl DegreeTracker {
     /// Creates a tracker with the given high-degree threshold.
     pub fn new(threshold: usize) -> Self {
-        DegreeTracker { degrees: IdMap::default(), threshold, high_degree_count: 0 }
-    }
-
-    /// Creates a tracker with the paper's threshold of 16.
-    pub fn with_paper_threshold() -> Self {
-        Self::new(HIGH_DEGREE_THRESHOLD)
+        DegreeTracker { degrees: IdMap::default(), threshold }
     }
 
     /// The configured high-degree threshold.
@@ -56,12 +50,7 @@ impl DegreeTracker {
     pub fn record_insert(&mut self, src: NodeId) -> bool {
         let d = self.degrees.entry(src).or_insert(0);
         *d += 1;
-        if *d == self.threshold + 1 {
-            self.high_degree_count += 1;
-            true
-        } else {
-            false
-        }
+        *d == self.threshold + 1
     }
 
     /// Records an out-edge deletion at `src`.
@@ -70,13 +59,8 @@ impl DegreeTracker {
     pub fn record_delete(&mut self, src: NodeId) -> bool {
         if let Some(d) = self.degrees.get_mut(&src) {
             if *d > 0 {
-                let was_high = *d > self.threshold;
                 *d -= 1;
-                let is_high = *d > self.threshold;
-                if was_high && !is_high {
-                    self.high_degree_count -= 1;
-                    return true;
-                }
+                return *d == self.threshold;
             }
         }
         false
@@ -85,21 +69,6 @@ impl DegreeTracker {
     /// Current out-degree of `node` (0 if unknown).
     pub fn degree(&self, node: NodeId) -> usize {
         self.degrees.get(&node).copied().unwrap_or(0)
-    }
-
-    /// Returns `true` if `node` is currently classified as high-degree.
-    pub fn is_high_degree(&self, node: NodeId) -> bool {
-        self.degree(node) > self.threshold
-    }
-
-    /// Number of nodes currently classified as high-degree.
-    pub fn high_degree_count(&self) -> usize {
-        self.high_degree_count
-    }
-
-    /// Number of nodes with at least one recorded out-edge ever.
-    pub fn tracked_nodes(&self) -> usize {
-        self.degrees.len()
     }
 
     /// Iterates over `(node, degree)` pairs in arbitrary order.
@@ -111,7 +80,7 @@ impl DegreeTracker {
     /// Exports the degree table sorted by node id, for a durable snapshot.
     ///
     /// Zero-degree entries (nodes whose edges were all deleted) are exported
-    /// too: they exist in the live map and keep `tracked_nodes` faithful.
+    /// too: they exist in the live map, and a restored tracker iterates them.
     pub fn export_entries(&self) -> Vec<(NodeId, u64)> {
         // moctopus-lint: allow(hash-iter-order, reason = "collected then sort_by_key on the next line before use")
         let mut entries: Vec<(NodeId, u64)> =
@@ -122,28 +91,15 @@ impl DegreeTracker {
 
     /// Rebuilds a tracker from entries exported by
     /// [`DegreeTracker::export_entries`].
-    ///
-    /// The high-degree count is recomputed from the entries so it can never
-    /// disagree with the table.
     pub fn from_entries(threshold: usize, entries: Vec<(NodeId, u64)>) -> Self {
-        let mut high_degree_count = 0;
-        let degrees: IdMap<NodeId, usize> = entries
-            .into_iter()
-            .map(|(n, d)| {
-                let d = d as usize;
-                if d > threshold {
-                    high_degree_count += 1;
-                }
-                (n, d)
-            })
-            .collect();
-        DegreeTracker { degrees, threshold, high_degree_count }
+        let degrees = entries.into_iter().map(|(n, d)| (n, d as usize)).collect();
+        DegreeTracker { degrees, threshold }
     }
 }
 
 impl Default for DegreeTracker {
     fn default() -> Self {
-        Self::with_paper_threshold()
+        Self::new(HIGH_DEGREE_THRESHOLD)
     }
 }
 
@@ -164,7 +120,6 @@ mod tests {
         assert!(!t.record_insert(NodeId(5)));
         assert!(t.record_insert(NodeId(5))); // degree 3 > 2
         assert!(!t.record_insert(NodeId(5)));
-        assert_eq!(t.high_degree_count(), 1);
     }
 
     #[test]
@@ -173,11 +128,10 @@ mod tests {
         for _ in 0..4 {
             t.record_insert(NodeId(1));
         }
-        assert!(t.is_high_degree(NodeId(1)));
         assert!(!t.record_delete(NodeId(1))); // degree 3, still high
         assert!(t.record_delete(NodeId(1))); // degree 2, demoted
-        assert!(!t.is_high_degree(NodeId(1)));
-        assert_eq!(t.high_degree_count(), 0);
+        assert!(!t.record_delete(NodeId(1))); // degree 1: nothing left to report
+        assert_eq!(t.degree(NodeId(1)), 1);
     }
 
     #[test]
@@ -193,7 +147,6 @@ mod tests {
         t.record_insert(NodeId(0));
         t.record_insert(NodeId(0));
         t.record_insert(NodeId(1));
-        assert_eq!(t.tracked_nodes(), 2);
         let mut degrees: Vec<_> = t.iter().collect();
         degrees.sort();
         assert_eq!(degrees, vec![(NodeId(0), 2), (NodeId(1), 1)]);
@@ -203,10 +156,9 @@ mod tests {
     fn threshold_is_strict() {
         let mut t = DegreeTracker::new(16);
         for _ in 0..16 {
-            t.record_insert(NodeId(7));
+            assert!(!t.record_insert(NodeId(7)), "degree 16 is not above 16");
         }
-        assert!(!t.is_high_degree(NodeId(7)));
-        t.record_insert(NodeId(7));
-        assert!(t.is_high_degree(NodeId(7)));
+        assert!(t.record_insert(NodeId(7)));
+        assert_eq!(t.degree(NodeId(7)), 17);
     }
 }

@@ -4,9 +4,9 @@
 //! The Query Processor translates a batch RPQ into a plan
 //! `ans = Q × Adj × … × Adj`: one [`PlanOp::Smxm`] per hop followed by an
 //! [`PlanOp::MWait`] that reduces/gathers the result. Graph updates (the
-//! paper's `add` / `sub` over a delta matrix) never go through a plan: they
-//! are [`HostMatrixEngine::apply_insertions`] /
-//! [`HostMatrixEngine::apply_deletions`]. The
+//! paper's `add` / `sub` over a delta matrix) never go through a plan: the
+//! host baseline applies them to its graph and rebuilds the matrices with
+//! [`HostMatrixEngine::from_graph`]. The
 //! [`HostMatrixEngine`] in this module executes query plans on the host with
 //! GraphBLAS-style sparse kernels — exactly what the RedisGraph baseline does —
 //! and reports how much matrix data each operator touched so the simulator can
@@ -16,7 +16,7 @@ use crate::ast::{LabelSpec, RpqExpr};
 use crate::nfa::Nfa;
 use graph_store::{AdjacencyGraph, Label, NodeId};
 use sparse::{ops, MatrixBuilder, SparseBoolMatrix};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// One operator of a matrix-based execution plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -563,148 +563,6 @@ impl HostMatrixEngine {
         });
         (results, stats)
     }
-
-    /// Applies a batch of labelled edge insertions (`Adj + delta`) and returns
-    /// the bytes of matrix data rewritten.
-    ///
-    /// The label-oblivious matrix receives the combined delta; each distinct
-    /// label's matrix receives exactly the edges carrying that label, so
-    /// `Exact(label)` plans see the update immediately. (The update path used
-    /// to touch only the [`Label::ANY`] matrix, leaving every other per-label
-    /// matrix stale.)
-    pub fn apply_insertions(&mut self, edges: &[(NodeId, NodeId, Label)]) -> u64 {
-        let delta_any = self.delta_matrix(edges, false);
-        let delta_any_t = self.delta_matrix(edges, true);
-        let before = self.any.nnz();
-        self.any = ops::ewise_union(&self.any, &delta_any);
-        let mut rewritten = (self.any.nnz() + before) as u64 * 8;
-        // The transposed mirror is rewritten alongside and charged
-        // explicitly: reverse indexes are not free to maintain.
-        let before_t = self.any_t.nnz();
-        self.any_t = ops::ewise_union(&self.any_t, &delta_any_t);
-        rewritten += (self.any_t.nnz() + before_t) as u64 * 8;
-        for transposed in [false, true] {
-            for (label, delta) in self.per_label_deltas(edges, transposed) {
-                let map = if transposed { &mut self.by_label_t } else { &mut self.by_label };
-                let entry = map
-                    .entry(label)
-                    .or_insert_with(|| SparseBoolMatrix::zeros(self.node_bound, self.node_bound));
-                let before = entry.nnz();
-                *entry = ops::ewise_union(entry, &delta);
-                rewritten += (entry.nnz() + before) as u64 * 8;
-            }
-        }
-        rewritten
-    }
-
-    /// Applies a batch of labelled edge deletions (`Adj - delta`) and returns
-    /// the bytes of matrix data rewritten.
-    ///
-    /// Per-label matrices are updated like on the insertion path. The
-    /// label-oblivious matrix drops a `(src, dst)` entry only when *no* label
-    /// still connects the pair after the batch, so deleting one label of a
-    /// multi-label pair leaves `.`-queries correct.
-    pub fn apply_deletions(&mut self, edges: &[(NodeId, NodeId, Label)]) -> u64 {
-        self.grow_for(edges);
-        let mut rewritten = 0u64;
-        for transposed in [false, true] {
-            for (label, delta) in self.per_label_deltas(edges, transposed) {
-                let map = if transposed { &mut self.by_label_t } else { &mut self.by_label };
-                let entry = map
-                    .entry(label)
-                    .or_insert_with(|| SparseBoolMatrix::zeros(self.node_bound, self.node_bound));
-                let before = entry.nnz();
-                *entry = ops::ewise_difference(entry, &delta);
-                rewritten += (entry.nnz() + before) as u64 * 8;
-            }
-        }
-        // With every per-label matrix updated, a pair leaves the
-        // label-oblivious matrix only if no label carries it any more.
-        let gone: Vec<(usize, usize)> = edges
-            .iter()
-            .map(|&(s, d, _)| (s.index(), d.index()))
-            // moctopus-lint: allow(hash-iter-order, reason = "existential probe over all values; any() over every label is order-independent")
-            .filter(|&(s, d)| !self.by_label.values().any(|m| m.contains(s, d)))
-            .collect();
-        let gone_t: Vec<(usize, usize)> = gone.iter().map(|&(s, d)| (d, s)).collect();
-        let delta_any = SparseBoolMatrix::from_triplets(self.node_bound, self.node_bound, &gone);
-        let before = self.any.nnz();
-        self.any = ops::ewise_difference(&self.any, &delta_any);
-        rewritten += (self.any.nnz() + before) as u64 * 8;
-        let delta_any_t =
-            SparseBoolMatrix::from_triplets(self.node_bound, self.node_bound, &gone_t);
-        let before_t = self.any_t.nnz();
-        self.any_t = ops::ewise_difference(&self.any_t, &delta_any_t);
-        rewritten += (self.any_t.nnz() + before_t) as u64 * 8;
-        rewritten
-    }
-
-    /// Grows the matrices so every endpoint in `edges` is addressable.
-    fn grow_for(&mut self, edges: &[(NodeId, NodeId, Label)]) {
-        let needed = edges.iter().map(|&(s, d, _)| s.index().max(d.index()) + 1).max().unwrap_or(0);
-        if needed > self.node_bound {
-            self.grow(needed);
-        }
-    }
-
-    /// Combined delta matrix over all labels (grows the engine if needed);
-    /// `transposed` swaps the coordinates for the mirrored matrices.
-    fn delta_matrix(
-        &mut self,
-        edges: &[(NodeId, NodeId, Label)],
-        transposed: bool,
-    ) -> SparseBoolMatrix {
-        self.grow_for(edges);
-        let triplets: Vec<(usize, usize)> = edges
-            .iter()
-            .map(
-                |&(s, d, _)| {
-                    if transposed {
-                        (d.index(), s.index())
-                    } else {
-                        (s.index(), d.index())
-                    }
-                },
-            )
-            .collect();
-        SparseBoolMatrix::from_triplets(self.node_bound, self.node_bound, &triplets)
-    }
-
-    /// One delta matrix per distinct label in the batch, in label order;
-    /// `transposed` swaps the coordinates for the mirrored matrices.
-    fn per_label_deltas(
-        &self,
-        edges: &[(NodeId, NodeId, Label)],
-        transposed: bool,
-    ) -> Vec<(Label, SparseBoolMatrix)> {
-        let mut grouped: BTreeMap<Label, Vec<(usize, usize)>> = BTreeMap::new();
-        for &(s, d, l) in edges {
-            grouped.entry(l).or_default().push(if transposed {
-                (d.index(), s.index())
-            } else {
-                (s.index(), d.index())
-            });
-        }
-        grouped
-            .into_iter()
-            .map(|(l, triplets)| {
-                (l, SparseBoolMatrix::from_triplets(self.node_bound, self.node_bound, &triplets))
-            })
-            .collect()
-    }
-
-    fn grow(&mut self, new_bound: usize) {
-        let grow_matrix = |m: &SparseBoolMatrix| {
-            SparseBoolMatrix::from_triplets(new_bound, new_bound, &m.to_triplets())
-        };
-        self.any = grow_matrix(&self.any);
-        self.any_t = grow_matrix(&self.any_t);
-        // moctopus-lint: allow(hash-iter-order, reason = "map-to-map rebuild; from_triplets sorts, so each grown matrix is order-independent")
-        self.by_label = self.by_label.iter().map(|(&l, m)| (l, grow_matrix(m))).collect();
-        // moctopus-lint: allow(hash-iter-order, reason = "map-to-map rebuild; from_triplets sorts, so each grown matrix is order-independent")
-        self.by_label_t = self.by_label_t.iter().map(|(&l, m)| (l, grow_matrix(m))).collect();
-        self.node_bound = new_bound;
-    }
 }
 
 #[cfg(test)]
@@ -806,81 +664,6 @@ mod tests {
         let mut merged = first;
         merged.merge(&rest);
         assert_eq!(merged, stats);
-    }
-
-    #[test]
-    fn insertions_and_deletions_update_query_results() {
-        let g = chain_graph();
-        let mut engine = HostMatrixEngine::from_graph(&g);
-        let plan = ExecutionPlan::k_hop(1);
-        let (before, _) = engine.run(&plan, &[NodeId(6)]);
-        assert!(before[0].is_empty());
-
-        let bytes = engine.apply_insertions(&[(NodeId(6), NodeId(0), Label::ANY)]);
-        assert!(bytes > 0);
-        let (after, _) = engine.run(&plan, &[NodeId(6)]);
-        assert_eq!(after[0], vec![NodeId(0)]);
-
-        engine.apply_deletions(&[(NodeId(6), NodeId(0), Label::ANY)]);
-        let (removed, _) = engine.run(&plan, &[NodeId(6)]);
-        assert!(removed[0].is_empty());
-    }
-
-    #[test]
-    fn labelled_updates_reach_the_per_label_matrix() {
-        // Regression test for the stale label-matrix bug: structural updates
-        // used to touch only the `Label::ANY` matrix, so an `Exact(label)`
-        // plan kept answering from the build-time snapshot.
-        let g = chain_graph();
-        let mut engine = HostMatrixEngine::from_graph(&g);
-        let plan = ExecutionPlan::from_expr(&RpqExpr::label(1)).unwrap();
-        let (before, _) = engine.run(&plan, &[NodeId(5)]);
-        assert!(before[0].is_empty());
-
-        engine.apply_insertions(&[(NodeId(5), NodeId(0), Label(1))]);
-        let (inserted, _) = engine.run(&plan, &[NodeId(5)]);
-        assert_eq!(inserted[0], vec![NodeId(0)], "label-1 plan must see the new label-1 edge");
-        // The any-label matrix saw the same structural update.
-        let (any_hop, _) = engine.run(&ExecutionPlan::k_hop(1), &[NodeId(5)]);
-        assert_eq!(any_hop[0], vec![NodeId(0), NodeId(6)]);
-
-        engine.apply_deletions(&[(NodeId(5), NodeId(0), Label(1))]);
-        let (deleted, _) = engine.run(&plan, &[NodeId(5)]);
-        assert!(deleted[0].is_empty(), "label-1 plan must see the label-1 deletion");
-    }
-
-    #[test]
-    fn deleting_one_label_of_a_multi_label_pair_keeps_any_queries_correct() {
-        let mut engine = HostMatrixEngine::from_graph(&AdjacencyGraph::new());
-        engine.apply_insertions(&[
-            (NodeId(0), NodeId(1), Label(1)),
-            (NodeId(0), NodeId(1), Label(2)),
-        ]);
-        engine.apply_deletions(&[(NodeId(0), NodeId(1), Label(1))]);
-
-        // The pair is still connected under label 2, so `.`-queries keep it…
-        let (any_hop, _) = engine.run(&ExecutionPlan::k_hop(1), &[NodeId(0)]);
-        assert_eq!(any_hop[0], vec![NodeId(1)]);
-        // …while the label-1 plan no longer matches it.
-        let label1 = ExecutionPlan::from_expr(&RpqExpr::label(1)).unwrap();
-        let (l1, _) = engine.run(&label1, &[NodeId(0)]);
-        assert!(l1[0].is_empty());
-
-        // Removing the last remaining label finally clears the ANY matrix.
-        engine.apply_deletions(&[(NodeId(0), NodeId(1), Label(2))]);
-        let (none, _) = engine.run(&ExecutionPlan::k_hop(1), &[NodeId(0)]);
-        assert!(none[0].is_empty());
-    }
-
-    #[test]
-    fn insertions_can_grow_the_matrix() {
-        let g = chain_graph();
-        let mut engine = HostMatrixEngine::from_graph(&g);
-        let old_bound = engine.node_bound();
-        engine.apply_insertions(&[(NodeId(50), NodeId(51), Label::ANY)]);
-        assert!(engine.node_bound() > old_bound);
-        let (result, _) = engine.run(&ExecutionPlan::k_hop(1), &[NodeId(50)]);
-        assert_eq!(result[0], vec![NodeId(51)]);
     }
 
     #[test]
@@ -1054,13 +837,12 @@ mod tests {
     }
 
     #[test]
-    fn transposes_stay_in_sync_under_updates() {
-        let mut engine = HostMatrixEngine::from_graph(&rare_label_graph());
-        engine.apply_insertions(&[
-            (NodeId(30), NodeId(31), Label(4)),
-            (NodeId(31), NodeId(3), Label(1)),
-        ]);
-        engine.apply_deletions(&[(NodeId(3), NodeId(20), Label(9))]);
+    fn transposes_mirror_every_forward_matrix() {
+        let mut graph = rare_label_graph();
+        graph.insert_edge(NodeId(30), NodeId(31), Label(4));
+        graph.insert_edge(NodeId(31), NodeId(3), Label(1));
+        graph.remove_edge(NodeId(3), NodeId(20), Label(9));
+        let engine = HostMatrixEngine::from_graph(&graph);
         for node in 0..engine.node_bound() {
             for spec in [LabelSpec::Any, LabelSpec::Exact(Label(1)), LabelSpec::Exact(Label(9))] {
                 for &dst in engine.row_for(spec, node) {

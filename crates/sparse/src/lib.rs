@@ -21,7 +21,12 @@
 //!   bits and scanning words.
 //! * [`ProductSet`] — a set of `(node, automaton state)` pairs that starts
 //!   sparse and promotes itself to a bitset: the per-query visited set of a
-//!   regular-path traversal.
+//!   regular-path traversal. A pair inside the key space *is* its node-major
+//!   key `node × states + state`; a traversal that carries keys (frontiers,
+//!   memoised successors) talks to the set through
+//!   [`ProductSet::insert_key`] / [`ProductSet::contains_key`] and never
+//!   multiplies or divides, and [`OrderedBitmap::sort_dedup`] orders such a
+//!   frontier with the identity mapping.
 //!
 //! # Examples
 //!

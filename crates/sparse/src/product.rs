@@ -12,21 +12,35 @@
 //! bigger than the sparse side it replaces. Memory stays proportional to
 //! what a query visits, whatever the size of the directory.
 //!
+//! The key is also the cheapest name a pair has: a traversal that carries
+//! its frontiers as keys tests and extends a set through
+//! [`ProductSet::contains_key`] / [`ProductSet::insert_key`] — one bit test
+//! once the set is dense — and goes back to `(node, state)` only where it
+//! needs the node (to find a row) or the state (to read an answer).
+//!
 //! Pairs outside the key space (a node at or past the bound — a query source
 //! the graph has never seen, say — or a state past the automaton's) never
-//! index an array: they stay on the sparse side forever, so a hostile id
+//! index an array: they live in a tree of their own forever, so a hostile id
 //! costs one tree entry, not an allocation of its own magnitude.
 
 use std::collections::BTreeSet;
 
 /// Promotion threshold: a set becomes a bitset when it holds at least
-/// `bound / PROMOTE_RATIO` keyed pairs. A sparse entry costs about 16 bytes
-/// (a padded `(u64, u32)` in a B-tree node) and a bitset `bound / 8` bytes,
-/// so from `len ≥ bound / 128` on the bitset is the smaller of the two.
+/// `bound / PROMOTE_RATIO` keyed pairs. A tree member costs 8 bytes of key
+/// plus its share of B-tree node headers and slack — 10 to 16 bytes — and a
+/// bitset `bound / 8` bytes, so from `len ≥ bound / 128` on the bitset is at
+/// most about the size of the tree it replaces, and every probe after that is
+/// a bit test.
 const PROMOTE_RATIO: u128 = 128;
 
 /// A set of `(node, state)` pairs over the node-major key space
 /// `node × states + state`, iterated in `(node, state)` order.
+///
+/// A traversal that already holds keys — a frontier carried as keys, a
+/// memoised successor list — uses [`ProductSet::insert_key`] and
+/// [`ProductSet::contains_key`] and pays neither the multiply of
+/// [`ProductSet::key`] nor the division of [`ProductSet::pair`]; the pair
+/// methods are those two behind a key computation.
 ///
 /// # Examples
 ///
@@ -40,6 +54,10 @@ const PROMOTE_RATIO: u128 = 128;
 /// assert!(seen.insert(1 << 40, 0)); // outside the key space: kept sparse
 /// assert!(seen.contains(7, 1) && seen.contains(1 << 40, 0));
 /// assert_eq!(seen.iter().collect::<Vec<_>>(), vec![(7, 1), (1 << 40, 0)]);
+///
+/// let key = seen.key(7, 1).expect("inside the key space");
+/// assert!(seen.contains_key(key) && !seen.insert_key(key));
+/// assert!(seen.insert_key(key + 1) && seen.contains(8, 0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProductSet {
@@ -47,13 +65,14 @@ pub struct ProductSet {
     nodes: u64,
     /// Automaton states per node.
     states: u64,
-    /// Every member while sparse; once dense, only the members that have no
-    /// key.
-    sparse: BTreeSet<(u64, u32)>,
+    /// The keys of the keyed members until promotion; empty afterwards.
+    tree: BTreeSet<usize>,
     /// One bit per key; empty until promotion.
     bits: Vec<u64>,
     /// Members that have a key, on whichever side they currently live.
     keyed: usize,
+    /// The members that have no key.
+    unkeyed: BTreeSet<(u64, u32)>,
 }
 
 impl ProductSet {
@@ -66,7 +85,8 @@ impl ProductSet {
             0 => 0,
             _ => nodes.min(usize::MAX as u64 / states),
         };
-        ProductSet { nodes, states, sparse: BTreeSet::new(), bits: Vec::new(), keyed: 0 }
+        let (tree, unkeyed) = (BTreeSet::new(), BTreeSet::new());
+        ProductSet { nodes, states, tree, bits: Vec::new(), keyed: 0, unkeyed }
     }
 
     /// Size of the key space: every key is below it.
@@ -93,16 +113,34 @@ impl ProductSet {
     /// Adds a pair; returns `true` if it was not yet a member.
     #[inline]
     pub fn insert(&mut self, node: u64, state: u32) -> bool {
-        let Some(key) = self.key(node, state) else {
-            return self.sparse.insert((node, state));
-        };
+        match self.key(node, state) {
+            Some(key) => self.insert_key(key),
+            None => self.unkeyed.insert((node, state)),
+        }
+    }
+
+    /// Returns `true` if the pair is a member.
+    #[inline]
+    pub fn contains(&self, node: u64, state: u32) -> bool {
+        match self.key(node, state) {
+            Some(key) => self.contains_key(key),
+            None => self.unkeyed.contains(&(node, state)),
+        }
+    }
+
+    /// [`ProductSet::insert`] for the pair `key` stands for. `key` must be
+    /// below [`ProductSet::bound`]: a key of this set, or of one of the same
+    /// shape.
+    #[inline]
+    pub fn insert_key(&mut self, key: usize) -> bool {
+        debug_assert!(key < self.bound(), "key {key} outside the key space");
         let fresh = if self.is_dense() {
             let (word, bit) = (key / 64, 1u64 << (key % 64));
             let fresh = self.bits[word] & bit == 0;
             self.bits[word] |= bit;
             fresh
         } else {
-            self.sparse.insert((node, state))
+            self.tree.insert(key)
         };
         if fresh {
             self.keyed += 1;
@@ -113,26 +151,22 @@ impl ProductSet {
         fresh
     }
 
-    /// Returns `true` if the pair is a member.
+    /// [`ProductSet::contains`] for the pair `key` stands for (a key at or
+    /// past the bound stands for none).
     #[inline]
-    pub fn contains(&self, node: u64, state: u32) -> bool {
-        match self.key(node, state) {
-            Some(key) if self.is_dense() => self.bits[key / 64] & (1u64 << (key % 64)) != 0,
-            _ => self.sparse.contains(&(node, state)),
+    pub fn contains_key(&self, key: usize) -> bool {
+        if self.is_dense() {
+            self.bits.get(key / 64).is_some_and(|word| word & (1u64 << (key % 64)) != 0)
+        } else {
+            self.tree.contains(&key)
         }
     }
 
     /// Moves every keyed member into a freshly allocated bitset.
     fn promote(&mut self) {
         self.bits = vec![0; self.bound().div_ceil(64)];
-        let members = std::mem::take(&mut self.sparse);
-        for (node, state) in members {
-            match self.key(node, state) {
-                Some(key) => self.bits[key / 64] |= 1u64 << (key % 64),
-                None => {
-                    self.sparse.insert((node, state));
-                }
-            }
+        for key in std::mem::take(&mut self.tree) {
+            self.bits[key / 64] |= 1u64 << (key % 64);
         }
     }
 
@@ -143,11 +177,7 @@ impl ProductSet {
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        if self.is_dense() {
-            self.keyed + self.sparse.len()
-        } else {
-            self.sparse.len()
-        }
+        self.keyed + self.unkeyed.len()
     }
 
     /// Returns `true` if the set has no member.
@@ -155,27 +185,35 @@ impl ProductSet {
         self.len() == 0
     }
 
-    /// The members in ascending `(node, state)` order: a word scan over the
-    /// bitset merged with the sparse side (a pair lives on exactly one).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        let mut sparse = self.sparse.iter().copied().peekable();
+    /// The keys of the keyed members, ascending: the tree, or a word scan
+    /// over the bitset (exactly one of the two is in use).
+    fn keys(&self) -> impl Iterator<Item = usize> + '_ {
         // The bitset cursor: `rest` holds the unread bits of word `index`.
         let (mut index, mut rest) = (0, self.bits.first().copied().unwrap_or(0));
-        std::iter::from_fn(move || {
+        let bits = std::iter::from_fn(move || {
             while rest == 0 && index + 1 < self.bits.len() {
                 index += 1;
                 rest = self.bits[index];
             }
-            if rest == 0 {
-                return sparse.next();
-            }
-            let keyed = self.pair(index * 64 + rest.trailing_zeros() as usize);
-            match sparse.peek() {
-                Some(&unkeyed) if unkeyed < keyed => sparse.next(),
-                _ => {
-                    rest &= rest - 1;
-                    Some(keyed)
-                }
+            (rest != 0).then(|| {
+                let key = index * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                key
+            })
+        });
+        self.tree.iter().copied().chain(bits)
+    }
+
+    /// The members in ascending `(node, state)` order: the keyed members in
+    /// key order merged with the unkeyed ones (a pair is one or the other).
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        let mut unkeyed = self.unkeyed.iter().copied().peekable();
+        let mut keyed = self.keys().map(|key| self.pair(key)).peekable();
+        std::iter::from_fn(move || {
+            let Some(&pair) = keyed.peek() else { return unkeyed.next() };
+            match unkeyed.peek() {
+                Some(&other) if other < pair => unkeyed.next(),
+                _ => keyed.next(),
             }
         })
     }

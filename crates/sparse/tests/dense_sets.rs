@@ -1,7 +1,8 @@
 //! Property tests of the two dense-key structures the hop loops rest on:
-//! [`ProductSet`] against a `BTreeSet` model across its promotion boundary,
-//! and [`OrderedBitmap::sort_dedup`] against `concat + sort_unstable + dedup`
-//! on both sides of its density switch.
+//! [`ProductSet`] against a `BTreeSet` model across its promotion boundary
+//! (through its pair and its key entry points), and
+//! [`OrderedBitmap::sort_dedup`] against `concat + sort_unstable + dedup` on
+//! both sides of its density switch.
 
 use proptest::prelude::*;
 use sparse::{OrderedBitmap, ProductSet};
@@ -49,6 +50,47 @@ proptest! {
             prop_assert_eq!(set.is_dense(), keyed > 0 && keyed * 128 >= set.bound());
         }
         prop_assert_eq!(set.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
+    }
+
+    /// A traversal that carries keys: `insert_key` / `contains_key` and the
+    /// pair methods are interchangeable step by step, on both sides of the
+    /// promotion boundary, in two sets driven through either entry point —
+    /// membership, freshness, an exact `len()` and the iteration all agree
+    /// with the model.
+    #[test]
+    fn key_and_pair_entry_points_are_interchangeable(
+        nodes in 1u64..400,
+        states in 1u32..5,
+        draws in proptest::collection::vec((0u64..1 << 20, 0u32..64, 0u8..11, 0u8..2), 1..200),
+    ) {
+        let mut by_key = ProductSet::new(nodes, states);
+        let mut by_pair = ProductSet::new(nodes, states);
+        let mut model: BTreeSet<(u64, u32)> = BTreeSet::new();
+        for &(a, b, kind, read_first) in &draws {
+            let (node, state) = pair_in(nodes, states, (a, b, kind));
+            let fresh = model.insert((node, state));
+            match by_key.key(node, state) {
+                Some(key) => {
+                    prop_assert_eq!(by_key.pair(key), (node, state));
+                    if read_first == 1 {
+                        prop_assert_eq!(by_key.contains_key(key), !fresh);
+                        prop_assert_eq!(by_pair.contains_key(key), !fresh);
+                    }
+                    prop_assert_eq!(by_key.insert_key(key), fresh);
+                    prop_assert!(by_key.contains_key(key) && by_key.contains(node, state));
+                }
+                None => prop_assert_eq!(by_key.insert(node, state), fresh),
+            }
+            prop_assert_eq!(by_pair.insert(node, state), fresh);
+            prop_assert_eq!(by_key.len(), model.len());
+            prop_assert_eq!(by_pair.len(), model.len());
+            prop_assert_eq!(by_key.is_dense(), by_pair.is_dense());
+        }
+        // A key at or past the bound stands for no pair, dense or not.
+        prop_assert!(!by_key.contains_key(by_key.bound()));
+        let want: Vec<(u64, u32)> = model.iter().copied().collect();
+        prop_assert_eq!(by_key.iter().collect::<Vec<_>>(), want.clone());
+        prop_assert_eq!(by_pair.iter().collect::<Vec<_>>(), want);
     }
 
     /// The bitmap-ordered merge equals the comparison-sort merge for random

@@ -401,3 +401,57 @@ fn one_and_two_query_batches_are_identical_on_many_workers() {
     }
     assert_observations_match(&edges, &[&[NodeId(0)], &[NodeId(0), NodeId(fan + 50)]], 3);
 }
+
+/// One call whose hops change worker count both ways — and with it the
+/// module → worker map under which the NFA-product loop's per-worker
+/// expansion memos were filled. Source 0 fans out to eight nodes, then
+/// through a gateway into a hub (a host-lane row under labor division) that
+/// floods 640 nodes, all of which funnel into one long chain: first hops of
+/// a few entries (inline), a flood hop (every worker a thread count allows),
+/// then a forty-hop tail (inline again). Source 1 reaches those eight nodes
+/// three hops late — *during* that flood, so pairs that worker 0 expanded
+/// inline are expanded again under a wide split, on whichever workers own
+/// their modules now — and replays the flood three hops later. Source 2
+/// comes in by a side door (another host-lane row) onto 100 of the flooded
+/// nodes once the floods are over: pairs that the flood's workers expanded
+/// and worker 0 only tagged are worker 0's now. Label-8 rungs and a label-2
+/// rail give the alternation and the split plan — two automata, two legs,
+/// one scratch — something to match; the tracked calls compare `QueryDeps`.
+#[test]
+fn hops_that_alternate_between_one_and_many_workers_are_identical() {
+    let (fan, tail) = (640u64, 40u64);
+    assert!(fan as usize >= 2 * ENTRIES_PER_EXTRA_WORKER);
+    let (gateway, hub, side, chain, rail) = (10, 11, 12, 1000, 2000);
+    let mut edges: LabeledBatch = vec![(NodeId(gateway), NodeId(hub), Label(1))];
+    let path = |edges: &mut LabeledBatch, nodes: &[u64]| {
+        for step in nodes.windows(2) {
+            edges.push((NodeId(step[0]), NodeId(step[1]), Label(1)));
+        }
+    };
+    for early in 40..48 {
+        path(&mut edges, &[0, early, gateway]);
+        // Source 1: three hops behind source 0.
+        path(&mut edges, &[1, 20, 21, 22, early]);
+    }
+    // Source 2: nine hops to the side door, which opens after both floods.
+    path(&mut edges, &[2, 30, 31, 32, 33, 34, 35, 36, 37, side]);
+    for i in 0..fan {
+        edges.push((NodeId(hub), NodeId(100 + i), Label(1)));
+        edges.push((NodeId(100 + i), NodeId(chain), Label(if i % 9 == 0 { 8 } else { 1 })));
+        if i < 100 {
+            edges.push((NodeId(side), NodeId(100 + i), Label(1)));
+        }
+    }
+    for i in 0..tail {
+        edges.push((NodeId(chain + i), NodeId(chain + i + 1), Label(1)));
+        edges.push((NodeId(chain + i), NodeId(rail + i), Label(8)));
+        edges.push((NodeId(rail + i), NodeId(rail + i + 1), Label(2)));
+    }
+
+    let mut moctopus = MoctopusSystem::new(MoctopusConfig::small_test().with_threads(1));
+    moctopus.insert_labeled_edges(&edges);
+    assert!(moctopus.engine().host_row_count() >= 2, "hub and side door are host-lane rows");
+
+    let sources = [NodeId(0), NodeId(1), NodeId(2)];
+    assert_observations_match(&edges, &[&sources, &sources[1..]], 3);
+}
