@@ -564,8 +564,8 @@ impl DistributedPimEngine {
     /// Merged per-label statistics across the whole storage plane: every
     /// PIM module's local store (in module-id order) plus the host store.
     ///
-    /// Each store maintains its table incrementally on its own mutation
-    /// paths (including row promotion/migration), so this is a pure merge —
+    /// Each store's row tables count their statistics inside every write
+    /// (row promotion and migration included), so this is a pure merge —
     /// no row is rescanned. The merge order is fixed, and
     /// [`LabelStatsSnapshot::merge`] is commutative summation, so the result
     /// is deterministic regardless of thread count.
@@ -1239,35 +1239,15 @@ impl DistributedPimEngine {
         }
     }
 
-    /// All nodes with at least one `spec`-matching outgoing edge, ascending.
-    ///
-    /// Exact labels read the per-store label statistics — maintained
-    /// incrementally by every mutation path, never by rescanning rows — whose
-    /// distinct-source sets are exact under the one-store-per-row invariant.
-    /// The any-label case walks the store row directories instead. Charged as
-    /// one host-side pass over the gathered id list.
+    /// All nodes with at least one `spec`-matching outgoing edge, ascending:
+    /// one scan of every store's rows (a row's remaining entries are skipped
+    /// once it matched), then a sort. Charged as one host-side pass over the
+    /// gathered id list.
     fn spec_sources(&self, spec: LabelSpec, delta: &mut StatsDelta) -> Vec<NodeId> {
         let mut ids: Vec<NodeId> = Vec::new();
-        match spec {
-            LabelSpec::Exact(l) => {
-                for store in &self.local_stores {
-                    ids.extend(store.label_stats().sources_of(l));
-                }
-                ids.extend(self.host_store.label_stats().sources_of(l));
-            }
-            LabelSpec::Any => {
-                for store in &self.local_stores {
-                    for (src, row) in store.iter() {
-                        if !row.is_empty() {
-                            ids.push(src);
-                        }
-                    }
-                }
-                for (src, row) in self.host_store.iter() {
-                    if !row.is_empty() {
-                        ids.push(src);
-                    }
-                }
+        for (src, _, label) in self.stored_edges() {
+            if ids.last() != Some(&src) && spec.matches(label) {
+                ids.push(src);
             }
         }
         ids.sort_unstable();

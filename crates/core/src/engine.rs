@@ -176,10 +176,11 @@ pub trait GraphEngine {
     /// statistics, the input of the cost-based RPQ plan optimizer
     /// (`rpq::optimizer`).
     ///
-    /// The statistics must be maintained **incrementally** on every labelled
-    /// update — never by rescanning stored rows — and must be a pure
-    /// observable: reading them can never change served results, query
-    /// statistics, or dependency footprints. The default returns an empty
+    /// The counters are maintained by the engine's row tables inside every
+    /// labelled write — never by rescanning stored rows — and hold no
+    /// per-node state: the planned executors scan rows for their seed lists.
+    /// Reading them must be a pure observable: it can never change served
+    /// results, query statistics, or dependency footprints. The default returns an empty
     /// snapshot, under which the optimizer degenerates to the left-to-right
     /// forward plan (always sound).
     fn label_stats(&self) -> LabelStatsSnapshot {

@@ -300,7 +300,7 @@ impl GraphEngine for HostBaseline {
     /// Planned execution over the matrix engine's transposed per-label
     /// matrices: bidirectional runs the backward useful-set sweep, the
     /// rare-label split seeds the suffix automaton at the pivot label's
-    /// source rows (taken from the incremental label statistics). Answers
+    /// source rows (found by one sorted scan of the rows). Answers
     /// are byte-identical to [`GraphEngine::rpq_batch`] under every
     /// strategy; only the executed row-fetch/byte profile differs.
     ///
@@ -330,7 +330,14 @@ impl GraphEngine for HostBaseline {
                 };
                 let prefix_nfa = Nfa::from_expr(&prefix);
                 let suffix_nfa = Nfa::from_expr(&suffix);
-                let pivots = self.graph.label_stats().sources_of(pivot);
+                // The pivot label's sources: one scan of the rows, sorted.
+                let mut pivots: Vec<NodeId> = Vec::new();
+                for (src, _, label) in self.graph.edges() {
+                    if pivots.last() != Some(&src) && label == pivot {
+                        pivots.push(src);
+                    }
+                }
+                pivots.sort_unstable();
                 self.matrix.run_nfa_split(&prefix_nfa, &suffix_nfa, &pivots, sources)
             }
         };

@@ -43,9 +43,9 @@ pub struct AdjacencyGraph {
     edge_count: usize,
     /// Largest node id ever seen plus one; used to size dense structures.
     id_bound: u64,
-    /// Per-label statistics, maintained on every labelled insert/delete (and
-    /// rebuilt alongside the edge count on snapshot restore).
-    stats: LabelStatsTable,
+    /// Per-label tally of the out-rows: edges, and rows holding the label
+    /// (the in-edge table's own tally counts the targets).
+    out_tally: LabelStatsTable,
 }
 
 impl AdjacencyGraph {
@@ -82,14 +82,19 @@ impl AdjacencyGraph {
         self.note_node(dst);
         self.id_bound = self.id_bound.max(src.0 + 1);
         let row = self.out_edges.entry(src).or_default();
-        if row.contains(&(dst, label)) {
-            return false;
+        // One pass rejects a duplicate and finds whether the row already
+        // holds the label.
+        let mut first = true;
+        for &(d, l) in row.iter() {
+            if (d, l) == (dst, label) {
+                return false;
+            }
+            first &= l != label;
         }
         row.push((dst, label));
         self.edge_count += 1;
-        self.stats.record_insert(src, dst, label);
+        self.out_tally.add(label, first);
         self.in_edges.insert(dst, (src, label));
-        self.stats.record_rev_insert(dst, label);
         true
     }
 
@@ -98,10 +103,10 @@ impl AdjacencyGraph {
         let Some(row) = self.out_edges.get_mut(&src) else { return false };
         let Some(pos) = row.iter().position(|&e| e == (dst, label)) else { return false };
         row.swap_remove(pos);
+        let last = !row.iter().any(|&(_, l)| l == label);
         self.edge_count -= 1;
-        self.stats.record_delete(src, dst, label);
+        self.out_tally.remove(label, last);
         self.in_edges.remove(dst, (src, label));
-        self.stats.record_rev_delete(dst, label);
         true
     }
 
@@ -226,20 +231,19 @@ impl AdjacencyGraph {
         let mut g = AdjacencyGraph { id_bound, ..AdjacencyGraph::default() };
         for (n, row) in rows {
             g.edge_count += row.len();
-            g.stats.record_row_installed(n, &row);
+            g.out_tally.add_row(row.iter().map(|&(_, l)| l));
             for &(dst, label) in &row {
-                if g.in_edges.insert(dst, (n, label)).1 {
-                    g.stats.record_rev_insert(dst, label);
-                }
+                g.in_edges.insert(dst, (n, label));
             }
             g.out_edges.insert(n, row);
         }
         g
     }
 
-    /// The incrementally maintained per-label statistics of this graph.
-    pub fn label_stats(&self) -> &LabelStatsTable {
-        &self.stats
+    /// This graph's per-label statistics: the out-rows' tally, with the
+    /// in-edge rows counted as targets.
+    pub fn label_stats(&self) -> LabelStatsTable {
+        self.out_tally.with_targets_from(self.in_edges.label_stats())
     }
 }
 
@@ -359,7 +363,7 @@ mod tests {
                 "incremental reverse rows diverged from rebuilt transpose at step {i}"
             );
         }
-        assert_eq!(g.label_stats().total_edges(), g.edge_count() as u64);
+        assert_eq!(g.label_stats().snapshot().total_edges, g.edge_count() as u64);
     }
 
     #[test]

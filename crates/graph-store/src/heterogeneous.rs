@@ -48,6 +48,17 @@ fn label_slot_bytes(label: Label) -> u64 {
     }
 }
 
+/// `true` if `slots` hold a live edge with `label`. A free slot carries
+/// `Label::ANY` beside its sentinel id and never counts.
+fn holds_live(slots: &[(NodeId, Label)], label: Label) -> bool {
+    slots.iter().any(|&(dst, l)| l == label && dst != FREE_SLOT)
+}
+
+/// The labels of the live slots.
+fn live_labels(slots: &[(NodeId, Label)]) -> impl Iterator<Item = Label> + '_ {
+    slots.iter().filter(|&&(dst, _)| dst != FREE_SLOT).map(|&(_, l)| l)
+}
+
 /// Where the work of one storage operation landed.
 ///
 /// All quantities are in the unit the PIM simulator charges for them.
@@ -114,9 +125,8 @@ pub struct HeterogeneousStorage {
     free_list_map: IdMap<NodeId, Vec<usize>>,
     /// Number of live edges across all rows.
     edge_count: usize,
-    /// Per-label statistics, maintained on every mutation path (insert,
-    /// delete, row install/take, snapshot rebuild) — never by rescanning.
-    stats: LabelStatsTable,
+    /// Per-label tally of the live slots: edges, and rows holding the label.
+    tally: LabelStatsTable,
     /// Reverse rows for nodes whose reverse placement is the host: strictly
     /// sorted `(source, label)` in-edges per node. A plain secondary index —
     /// reverse scans are sequential host reads, so no slot/free-list
@@ -141,10 +151,10 @@ impl HeterogeneousStorage {
             for &(dst, label) in &old.slots {
                 if dst != FREE_SLOT {
                     self.elem_position_map.remove(&(row, dst, label));
-                    self.stats.record_delete(row, dst, label);
                     cost.pim_mutations += 1;
                 }
             }
+            self.tally.remove_row(live_labels(&old.slots));
             self.edge_count -= old.live;
         }
         self.free_list_map.remove(&row);
@@ -156,13 +166,13 @@ impl HeterogeneousStorage {
             };
             position.insert(slots.len());
             slots.push((dst, label));
-            self.stats.record_insert(row, dst, label);
             cost.pim_mutations += 1;
             cost.host_bytes_written += label_slot_bytes(label);
         }
         let live = slots.len();
         cost.host_bytes_written += (live * std::mem::size_of::<NodeId>()) as u64;
         self.edge_count += live;
+        self.tally.add_row(live_labels(&slots));
         self.cols.insert(row, ColsVector { slots, live });
         cost
     }
@@ -175,10 +185,10 @@ impl HeterogeneousStorage {
         for &(dst, label) in &cols.slots {
             if dst != FREE_SLOT {
                 self.elem_position_map.remove(&(row, dst, label));
-                self.stats.record_delete(row, dst, label);
                 hops.push((dst, label));
             }
         }
+        self.tally.remove_row(live_labels(&hops));
         self.free_list_map.remove(&row);
         self.edge_count -= cols.live;
         Some(hops)
@@ -213,12 +223,13 @@ impl HeterogeneousStorage {
         position.insert(pos);
         cost.pim_mutations += 1;
         // Step 4: host writes the slot (id array, plus the label array for
-        // non-default labels).
+        // non-default labels). The row is read for the label tally first.
+        let first = !holds_live(&cols.slots, label);
         cols.slots[pos] = (dst, label);
         cols.live += 1;
         cost.host_bytes_written += std::mem::size_of::<NodeId>() as u64 + label_slot_bytes(label);
         self.edge_count += 1;
-        self.stats.record_insert(src, dst, label);
+        self.tally.add(label, first);
         UpdateOutcome { changed: true, cost }
     }
 
@@ -235,11 +246,12 @@ impl HeterogeneousStorage {
         let cols = self.cols.get_mut(&src).expect("row must exist for a mapped edge");
         cols.slots[pos] = (FREE_SLOT, Label::ANY);
         cols.live -= 1;
+        let last = !holds_live(&cols.slots, label);
         cost.host_bytes_written += std::mem::size_of::<NodeId>() as u64;
         self.free_list_map.entry(src).or_default().push(pos);
         cost.pim_mutations += 1;
         self.edge_count -= 1;
-        self.stats.record_delete(src, dst, label);
+        self.tally.remove(label, last);
         UpdateOutcome { changed: true, cost }
     }
 
@@ -295,9 +307,10 @@ impl HeterogeneousStorage {
         self.edge_count
     }
 
-    /// The incrementally maintained per-label statistics of this storage.
-    pub fn label_stats(&self) -> &LabelStatsTable {
-        &self.stats
+    /// This storage's per-label statistics: the tally of its `cols_vector`
+    /// rows, with the rows of its reverse table counted as targets.
+    pub fn label_stats(&self) -> LabelStatsTable {
+        self.tally.with_targets_from(self.rev_rows.label_stats())
     }
 
     /// Bytes of live next-hop ids resident on the host across all rows.
@@ -409,10 +422,10 @@ impl HeterogeneousStorage {
             for (pos, &(dst, label)) in slots.iter().enumerate() {
                 if dst != FREE_SLOT {
                     s.elem_position_map.insert((row, dst, label), pos);
-                    s.stats.record_insert(row, dst, label);
                     live += 1;
                 }
             }
+            s.tally.add_row(live_labels(&slots));
             s.edge_count += live;
             if !free.is_empty() {
                 s.free_list_map.insert(row, free.into_iter().map(|p| p as usize).collect());
@@ -627,7 +640,7 @@ mod tests {
             );
             s.check_invariants().unwrap();
         }
-        assert_eq!(s.label_stats().total_edges(), s.edge_count() as u64);
+        assert_eq!(s.label_stats().snapshot().total_edges, s.edge_count() as u64);
         assert_eq!(s.rev_edge_count(), s.edge_count());
         assert!(s.rev_bytes() > 0);
     }

@@ -15,8 +15,8 @@
 //!   high-degree nodes kept on the host: a contiguous `cols_vector` on the
 //!   host plus `elem_position_map` / `free_list_map` hash maps on the PIM side.
 //! * [`degree`] — out-degree tracking and the high-degree threshold (16).
-//! * [`labelstats`] — incrementally maintained per-label degree/cardinality
-//!   statistics, the input of the cost-based RPQ plan optimizer.
+//! * [`labelstats`] — per-label edge/cardinality counters, kept by the row
+//!   tables; the input of the cost-based RPQ plan optimizer.
 //! * [`edgelist`] — plain and SNAP-style labelled edge-list import.
 //! * [`snapshot`] / [`wal`] / [`durable`] — the durable storage plane: a
 //!   versioned, checksummed snapshot format, an append-only labelled-edge

@@ -27,8 +27,8 @@ use serde::{Deserialize, Serialize};
 /// searches instead of linear scans, and rows migrated between modules can be
 /// installed without re-normalising them. The same node pair may appear with
 /// several distinct labels (one boolean adjacency matrix per label). Forward
-/// and reverse rows are two [`SortedRows`] tables; this type adds the
-/// capacity gate, the byte model and the statistics hooks.
+/// and reverse rows are two [`SortedRows`] tables, which also count the label
+/// statistics; this type adds the capacity gate and the byte model.
 ///
 /// # Examples
 ///
@@ -46,9 +46,6 @@ use serde::{Deserialize, Serialize};
 pub struct LocalGraphStorage {
     rows: SortedRows,
     capacity_bytes: Option<u64>,
-    /// Per-label statistics, maintained on every mutation path (insert,
-    /// delete, row migration, snapshot rebuild) — never by rescanning rows.
-    stats: LabelStatsTable,
     /// Reverse rows: for each node whose reverse row this module owns, the
     /// strictly sorted `(source, label)` in-edges. Maintained explicitly by
     /// the engine's mirrored writes — forward mutations never touch it.
@@ -99,7 +96,6 @@ impl LocalGraphStorage {
         if !new {
             return Err(GraphStoreError::DuplicateEdge(src, dst));
         }
-        self.stats.record_insert(src, dst, label);
         Ok(prior)
     }
 
@@ -119,7 +115,6 @@ impl LocalGraphStorage {
         if !present {
             return Err(GraphStoreError::EdgeNotFound(src, dst));
         }
-        self.stats.record_delete(src, dst, label);
         Ok(prior)
     }
 
@@ -138,9 +133,7 @@ impl LocalGraphStorage {
     /// Removes an entire row and returns its labelled next-hop data, strictly
     /// sorted (used when a node is migrated to another computing node).
     pub fn take_row(&mut self, src: NodeId) -> Option<Vec<(NodeId, Label)>> {
-        let row = self.rows.take(src)?;
-        self.stats.record_row_taken(src, &row);
-        Some(row)
+        self.rows.take(src)
     }
 
     /// Installs a full row received from another computing node.
@@ -150,10 +143,7 @@ impl LocalGraphStorage {
     /// common migration path skips normalisation entirely; unsorted input is
     /// still accepted and normalised.
     pub fn install_row(&mut self, src: NodeId, next_hops: Vec<(NodeId, Label)>) {
-        self.take_row(src);
-        // Stats cover exactly what was stored (post dedup/replace).
-        let stored = self.rows.install(src, next_hops);
-        self.stats.record_row_installed(src, stored);
+        self.rows.install(src, next_hops);
     }
 
     /// Number of rows stored locally.
@@ -211,9 +201,10 @@ impl LocalGraphStorage {
         store
     }
 
-    /// The incrementally maintained per-label statistics of this segment.
-    pub fn label_stats(&self) -> &LabelStatsTable {
-        &self.stats
+    /// This segment's per-label statistics: its forward rows' tally, with
+    /// the rows of its reverse table counted as targets.
+    pub fn label_stats(&self) -> LabelStatsTable {
+        self.rows.label_stats().with_targets_from(self.rev_rows.label_stats())
     }
 
     reverse_row_api!();
@@ -405,8 +396,9 @@ mod tests {
                 "reverse rows diverged from the forward transpose at step {i}"
             );
         }
-        assert!(s.label_stats().total_edges() > 0);
-        assert_eq!(s.label_stats().total_edges(), s.edge_count() as u64);
+        let total_edges = s.label_stats().snapshot().total_edges;
+        assert!(total_edges > 0);
+        assert_eq!(total_edges, s.edge_count() as u64);
         assert_eq!(s.rev_edge_count(), s.edge_count());
         assert!(s.rev_bytes() > 0);
         assert_eq!(

@@ -4,10 +4,20 @@
 //! [`crate::LocalGraphStorage`] keeps two (forward rows and reverse rows),
 //! [`crate::HeterogeneousStorage`] one (reverse rows) and
 //! [`crate::AdjacencyGraph`] one (in-edges). The stores add what differs
-//! between them — layout, capacity, statistics hooks, cost policy — and leave
-//! probing, binary search, empty-row cleanup and entry counting here.
+//! between them — layout, capacity, cost policy — and leave probing, binary
+//! search, empty-row cleanup, entry counting and the label statistics here.
+//!
+//! The statistics are a [`LabelStatsTable`] tally: per label, the entries
+//! carrying it and the rows holding it. Every write updates it from the row
+//! it already holds. An insert into a row with no other entry of its label is
+//! a 0→1 transition, and a remove that leaves none is a 1→0 transition;
+//! finding out scans that one row and stops at the first other entry of the
+//! label, so only a row gaining or losing its only entry of a label pays a
+//! full scan. `take` and `install` move whole rows and adjust the tally once
+//! per distinct label of the row.
 
 use crate::ids::{IdMap, Label, NodeId};
+use crate::labelstats::LabelStatsTable;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 
@@ -34,6 +44,13 @@ use std::collections::hash_map::Entry;
 pub struct SortedRows {
     rows: IdMap<NodeId, Vec<(NodeId, Label)>>,
     entries: usize,
+    /// Per label: entries carrying it (`edges`), rows holding it (`sources`).
+    tally: LabelStatsTable,
+}
+
+/// `true` if `row` holds an entry with `label`.
+fn holds(row: &[(NodeId, Label)], label: Label) -> bool {
+    row.iter().any(|&(_, l)| l == label)
 }
 
 impl SortedRows {
@@ -43,6 +60,7 @@ impl SortedRows {
         let row = self.rows.entry(node).or_default();
         let prior = row.len();
         let Err(pos) = row.binary_search(&entry) else { return (prior, false) };
+        self.tally.add(entry.1, !holds(row, entry.1));
         row.insert(pos, entry);
         self.entries += 1;
         (prior, true)
@@ -54,11 +72,15 @@ impl SortedRows {
         let Entry::Occupied(mut slot) = self.rows.entry(node) else { return (0, false) };
         let prior = slot.get().len();
         let Ok(pos) = slot.get().binary_search(&entry) else { return (prior, false) };
-        if prior == 1 {
+        let last = if prior == 1 {
             slot.remove();
+            true
         } else {
-            slot.get_mut().remove(pos);
-        }
+            let row = slot.get_mut();
+            row.remove(pos);
+            !holds(row, entry.1)
+        };
+        self.tally.remove(entry.1, last);
         self.entries -= 1;
         (prior, true)
     }
@@ -73,13 +95,14 @@ impl SortedRows {
     pub fn take(&mut self, node: NodeId) -> Option<Vec<(NodeId, Label)>> {
         let row = self.rows.remove(&node)?;
         self.entries -= row.len();
+        self.tally.remove_row(row.iter().map(|&(_, l)| l));
         Some(row)
     }
 
     /// Replaces the row of `node` and returns the row as stored. Strictly
     /// sorted input (a row handed over by [`SortedRows::take`], a snapshot
     /// row) is stored verbatim; anything else is sorted and deduplicated
-    /// first. A caller that accounts for the row it replaces takes it first.
+    /// first.
     pub fn install(&mut self, node: NodeId, mut row: Vec<(NodeId, Label)>) -> &[(NodeId, Label)] {
         if !row.windows(2).all(|w| w[0] < w[1]) {
             row.sort_unstable();
@@ -90,6 +113,7 @@ impl SortedRows {
             return &[];
         }
         self.entries += row.len();
+        self.tally.add_row(row.iter().map(|&(_, l)| l));
         self.rows.entry(node).or_insert(row)
     }
 
@@ -108,6 +132,11 @@ impl SortedRows {
         self.entries
     }
 
+    /// The per-label tally: `edges` counts entries, `sources` counts rows.
+    pub(crate) fn label_stats(&self) -> &LabelStatsTable {
+        &self.tally
+    }
+
     /// Iterates the rows in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &[(NodeId, Label)])> + '_ {
         // moctopus-lint: allow(hash-iter-order, reason = "documented arbitrary-order API; durable exports go through export_sorted, which sorts")
@@ -124,9 +153,9 @@ impl SortedRows {
 }
 
 /// The reverse-row methods of a store that owns reverse rows — a
-/// `rev_rows: SortedRows` mirrored by the engine plus the `stats:
-/// LabelStatsTable` that counts distinct targets from it. Written once so the
-/// PIM-side and the host-side store cannot drift apart.
+/// `rev_rows: SortedRows` mirrored by the engine, whose tally counts the
+/// store's distinct targets. Written once so the PIM-side and the host-side
+/// store cannot drift apart.
 macro_rules! reverse_row_api {
     () => {
         /// Inserts a reverse-row entry: `dst` is reached by an edge from
@@ -152,7 +181,6 @@ macro_rules! reverse_row_api {
             if !new {
                 return Err(GraphStoreError::DuplicateEdge(src, dst));
             }
-            self.stats.record_rev_insert(dst, label);
             Ok(prior)
         }
 
@@ -172,7 +200,6 @@ macro_rules! reverse_row_api {
             if !present {
                 return Err(GraphStoreError::EdgeNotFound(src, dst));
             }
-            self.stats.record_rev_delete(dst, label);
             Ok(prior)
         }
 
@@ -185,9 +212,7 @@ macro_rules! reverse_row_api {
         /// Removes an entire reverse row and returns its strictly sorted
         /// contents (used when the node's placement migrates).
         pub fn take_rev_row(&mut self, dst: NodeId) -> Option<Vec<(NodeId, Label)>> {
-            let row = self.rev_rows.take(dst)?;
-            self.stats.record_rev_row_taken(dst, &row);
-            Some(row)
+            self.rev_rows.take(dst)
         }
 
         /// Installs a full reverse row received from another computing node.
@@ -195,9 +220,7 @@ macro_rules! reverse_row_api {
         /// Any existing reverse row for `dst` is replaced; presorted input
         /// (the migration path) is installed verbatim.
         pub fn install_rev_row(&mut self, dst: NodeId, in_edges: Vec<(NodeId, Label)>) {
-            self.take_rev_row(dst);
-            let stored = self.rev_rows.install(dst, in_edges);
-            self.stats.record_rev_row_installed(dst, stored);
+            self.rev_rows.install(dst, in_edges);
         }
 
         /// Number of reverse-row entries stored.
