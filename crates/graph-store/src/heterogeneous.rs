@@ -29,7 +29,7 @@ use std::collections::hash_map::Entry;
 /// A sentinel stored in free slots of a `cols_vector`.
 ///
 /// The paper's Figure 3 marks free positions with `-1`; we use `u64::MAX`.
-const FREE_SLOT: NodeId = NodeId(u64::MAX);
+pub(crate) const FREE_SLOT: NodeId = NodeId(u64::MAX);
 
 /// One exported host row, `(row, slots, free)`: the row id, its
 /// `cols_vector` slots verbatim (free slots hold the sentinel id), and the

@@ -7,14 +7,10 @@
 //! between them — layout, capacity, cost policy — and leave probing, binary
 //! search, empty-row cleanup, entry counting and the label statistics here.
 //!
-//! The statistics are a [`LabelStatsTable`] tally: per label, the entries
-//! carrying it and the rows holding it. Every write updates it from the row
-//! it already holds. An insert into a row with no other entry of its label is
-//! a 0→1 transition, and a remove that leaves none is a 1→0 transition;
-//! finding out scans that one row and stops at the first other entry of the
-//! label, so only a row gaining or losing its only entry of a label pays a
-//! full scan. `take` and `install` move whole rows and adjust the tally once
-//! per distinct label of the row.
+//! The statistics are a [`LabelStatsTable`] tally (per label: entries, rows)
+//! each write updates from its row: a 0↔1 transition scans that one row up to
+//! the first other entry of the label; `take` and `install` adjust once per
+//! distinct label.
 
 use crate::ids::{IdMap, Label, NodeId};
 use crate::labelstats::LabelStatsTable;

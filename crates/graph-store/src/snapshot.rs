@@ -17,6 +17,7 @@
 
 use crate::bytes::{u32_at, u64_at};
 use crate::error::GraphStoreError;
+use crate::heterogeneous::FREE_SLOT;
 use crate::ids::{Label, NodeId};
 use crate::wal::crc32;
 use std::io::Write;
@@ -156,6 +157,30 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The live edges of one host row, or why a store installing it as decoded
+/// would panic or overwrite a live edge.
+fn host_row_edges(slots: &[(NodeId, Label)], free: &[u64]) -> Result<u64, String> {
+    let mut freed = vec![false; slots.len()];
+    for &pos in free {
+        let Some(seen) = usize::try_from(pos).ok().and_then(|p| freed.get_mut(p)) else {
+            return Err(format!("free position {pos} is past its {} slots", slots.len()));
+        };
+        if std::mem::replace(seen, true) {
+            return Err(format!("free position {pos} is listed twice"));
+        }
+        if slots[pos as usize].0 != FREE_SLOT {
+            return Err(format!("free position {pos} holds a live edge"));
+        }
+    }
+    let mut live: Vec<(NodeId, Label)> =
+        slots.iter().copied().filter(|&(dst, _)| dst != FREE_SLOT).collect();
+    live.sort_unstable();
+    match live.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(format!("edge {:?} fills two slots", w[0])),
+        None => Ok(live.len() as u64),
+    }
+}
+
 impl SnapshotState {
     /// Serialises the snapshot payload (no file header or checksum).
     pub fn encode_payload(&self) -> Vec<u8> {
@@ -243,20 +268,29 @@ impl SnapshotState {
             let n_rows = r.count(16, "module rows")?;
             let mut rows = Vec::with_capacity(n_rows);
             for _ in 0..n_rows {
-                rows.push(r.row()?);
+                let at = r.at as u64;
+                let (node, hops) = r.row()?;
+                if !hops.windows(2).all(|w| w[0] < w[1]) {
+                    return Err((at, format!("module row {} is not strictly sorted", node.0)));
+                }
+                rows.push((node, hops));
             }
             local_modules.push(LocalModuleSnapshot { rows, capacity_bytes });
         }
 
         let n_host = r.count(24, "host rows")?;
         let mut host_rows = Vec::with_capacity(n_host);
+        let mut host_edges = 0u64;
         for _ in 0..n_host {
+            let at = r.at as u64;
             let (node, slots) = r.row()?;
             let n_free = r.count(8, "free list")?;
             let mut free = Vec::with_capacity(n_free);
             for _ in 0..n_free {
                 free.push(r.u64("free slot")?);
             }
+            host_edges += host_row_edges(&slots, &free)
+                .map_err(|why| (at, format!("host row {}: {why}", node.0)))?;
             host_rows.push(HostRowSnapshot { node, slots, free });
         }
 
@@ -289,6 +323,16 @@ impl SnapshotState {
 
         if r.at != bytes.len() {
             return Err((r.at as u64, format!("{} trailing bytes", bytes.len() - r.at)));
+        }
+        let row_edges: u64 = local_modules
+            .iter()
+            .flat_map(|m| &m.rows)
+            .chain(&adjacency_rows)
+            .map(|(_, hops)| hops.len() as u64)
+            .sum();
+        let held = row_edges + host_edges;
+        if held != edge_count {
+            return Err((8, format!("edge_count {edge_count}, but the rows hold {held} edges")));
         }
         Ok(SnapshotState {
             last_seq,
@@ -362,7 +406,7 @@ mod tests {
     fn sample() -> SnapshotState {
         SnapshotState {
             last_seq: 42,
-            edge_count: 5,
+            edge_count: 6,
             local_modules: vec![
                 LocalModuleSnapshot {
                     rows: vec![
