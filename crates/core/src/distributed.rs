@@ -1240,16 +1240,16 @@ impl DistributedPimEngine {
     }
 
     /// All nodes with at least one `spec`-matching outgoing edge, ascending:
-    /// one scan of every store's rows (a row's remaining entries are skipped
-    /// once it matched), then a sort. Charged as one host-side pass over the
-    /// gathered id list.
+    /// every store's rows holding the label (stores that lack it are
+    /// skipped, host rows answer from their label counts), then a sort.
+    /// Charged as one host-side pass over the gathered id list.
     fn spec_sources(&self, spec: LabelSpec, delta: &mut StatsDelta) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = Vec::new();
-        for (src, _, label) in self.stored_edges() {
-            if ids.last() != Some(&src) && spec.matches(label) {
-                ids.push(src);
-            }
-        }
+        let label = match spec {
+            LabelSpec::Exact(l) => Some(l),
+            LabelSpec::Any => None,
+        };
+        let local = self.local_stores.iter().flat_map(|s| s.rows_holding(label));
+        let mut ids: Vec<NodeId> = local.chain(self.host_store.rows_holding(label)).collect();
         ids.sort_unstable();
         ids.dedup();
         delta.host_time += self.pim.host_sequential_read_cost(ids.len() as u64 * ID_BYTES);
@@ -1845,7 +1845,7 @@ impl DistributedPimEngine {
         let local = self.local_stores.iter().flat_map(LocalGraphStorage::iter);
         let local = local.flat_map(|(src, row)| row.iter().map(move |&(dst, l)| (src, dst, l)));
         let host = self.host_store.iter();
-        local.chain(host.flat_map(|(src, row)| row.into_iter().map(move |(dst, l)| (src, dst, l))))
+        local.chain(host.flat_map(|(src, row)| row.map(move |(dst, l)| (src, dst, l))))
     }
 
     /// Runs the adaptive refinement: detects incorrectly partitioned nodes,
@@ -2162,6 +2162,42 @@ mod tests {
         let mut greedy = moctopus_engine();
         greedy.insert_labeled_edges(&edges);
         assert_eq!(greedy.assignment().partition_of(NodeId(0)), Some(PartitionId::Host));
+    }
+
+    #[test]
+    fn spec_sources_are_the_models_sorted_sources() {
+        // Two hubs past HIGH_DEGREE_THRESHOLD holding each of their labels
+        // several times (`Label::ANY` among them), plus churn; every fourth
+        // edge leaves again, so the hub rows keep free slots.
+        let edges: Vec<(NodeId, NodeId, Label)> = (1..=24u64)
+            .flat_map(|i| [(0, i, i % 3 + 1), (7, i + 16, i % 2 * 4), (i, i * 7 % 40, i % 5 + 1)])
+            .map(|(s, d, l)| (NodeId(s), NodeId(d), Label(l as u16)))
+            .collect();
+        let victims: Vec<_> = edges.iter().step_by(4).copied().collect();
+        let check = |e: &DistributedPimEngine, gone: &[(NodeId, NodeId, Label)], phase: &str| {
+            let model: std::collections::BTreeSet<_> =
+                edges.iter().filter(|v| !gone.contains(v)).collect();
+            let labels = model.iter().map(|v| v.2).chain([Label(99)]);
+            for spec in labels.map(LabelSpec::Exact).chain([LabelSpec::Any]) {
+                // The model iterates by source: equal sources are adjacent.
+                let mut want: Vec<NodeId> =
+                    model.iter().filter(|v| spec.matches(v.2)).map(|v| v.0).collect();
+                want.dedup();
+                let mut delta = StatsDelta::new(e.config.pim.num_modules);
+                assert_eq!(e.spec_sources(spec, &mut delta), want, "{phase}: {spec:?}");
+            }
+        };
+        for mut e in [moctopus_engine(), hash_engine()] {
+            e.insert_labeled_edges(&edges);
+            let hubs = [NodeId(0), NodeId(7)].map(|n| e.assignment().partition_of(n));
+            let greedy = !matches!(e.policy, PlacementPolicy::Hash(_));
+            assert_eq!(hubs == [Some(PartitionId::Host); 2], greedy, "hubs on the host");
+            check(&e, &[], "after promotion");
+            e.delete_labeled_edges(&victims);
+            check(&e, &victims, "after deletes");
+            e.refine_locality();
+            check(&e, &victims, "after migration");
+        }
     }
 
     #[test]

@@ -180,9 +180,9 @@ pub trait GraphEngine {
     /// labelled write — never by rescanning stored rows — and hold no
     /// per-node state: the planned executors scan rows for their seed lists.
     /// Reading them must be a pure observable: it can never change served
-    /// results, query statistics, or dependency footprints. The default returns an empty
-    /// snapshot, under which the optimizer degenerates to the left-to-right
-    /// forward plan (always sound).
+    /// results, query statistics, or dependency footprints. The default
+    /// returns an empty snapshot, under which the optimizer degenerates to
+    /// the left-to-right forward plan (always sound).
     fn label_stats(&self) -> LabelStatsSnapshot {
         LabelStatsSnapshot::default()
     }

@@ -330,14 +330,7 @@ impl GraphEngine for HostBaseline {
                 };
                 let prefix_nfa = Nfa::from_expr(&prefix);
                 let suffix_nfa = Nfa::from_expr(&suffix);
-                // The pivot label's sources: one scan of the rows, sorted.
-                let mut pivots: Vec<NodeId> = Vec::new();
-                for (src, _, label) in self.graph.edges() {
-                    if pivots.last() != Some(&src) && label == pivot {
-                        pivots.push(src);
-                    }
-                }
-                pivots.sort_unstable();
+                let pivots = self.graph.rows_holding(pivot);
                 self.matrix.run_nfa_split(&prefix_nfa, &suffix_nfa, &pivots, sources)
             }
         };

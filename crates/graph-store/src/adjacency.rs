@@ -8,7 +8,7 @@
 
 use crate::ids::{IdMap, Label, NodeId};
 use crate::labelstats::LabelStatsTable;
-use crate::rows::SortedRows;
+use crate::rows::{holds, SortedRows};
 use serde::{Deserialize, Serialize};
 
 /// A directed, labelled multigraph stored as per-node adjacency vectors.
@@ -103,7 +103,7 @@ impl AdjacencyGraph {
         let Some(row) = self.out_edges.get_mut(&src) else { return false };
         let Some(pos) = row.iter().position(|&e| e == (dst, label)) else { return false };
         row.swap_remove(pos);
-        let last = !row.iter().any(|&(_, l)| l == label);
+        let last = !holds(row, label);
         self.edge_count -= 1;
         self.out_tally.remove(label, last);
         self.in_edges.remove(dst, (src, label));
@@ -135,11 +135,6 @@ impl AdjacencyGraph {
     /// empty slice if the node has no in-edges.
     pub fn in_neighbors(&self, node: NodeId) -> &[(NodeId, Label)] {
         self.in_edges.get(node).unwrap_or(&[])
-    }
-
-    /// In-degree of `node` (0 if the node has no in-edges).
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        self.in_neighbors(node).len()
     }
 
     /// Exports every non-empty in-adjacency row, sorted by node id, with
@@ -181,6 +176,15 @@ impl AdjacencyGraph {
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Label)> + '_ {
         // moctopus-lint: allow(hash-iter-order, reason = "documented arbitrary-order API; order-sensitive callers go through export_rows/to_sorted_edges")
         self.out_edges.iter().flat_map(|(&s, row)| row.iter().map(move |&(d, l)| (s, d, l)))
+    }
+
+    /// Every node with an out-edge of `label`, ascending: one pass over the
+    /// rows, each read up to its first match. The split plan's pivots.
+    pub fn rows_holding(&self, label: Label) -> Vec<NodeId> {
+        let mut v: Vec<NodeId> =
+            self.nodes().filter(|&n| holds(self.neighbors(n), label)).collect();
+        v.sort_unstable();
+        v
     }
 
     /// Collects all edges into a vector sorted by `(src, dst, label)`.
@@ -370,8 +374,7 @@ mod tests {
     fn in_adjacency_mirrors_out_adjacency() {
         let mut g = sample();
         assert_eq!(g.in_neighbors(NodeId(2)), &[(NodeId(0), Label(0)), (NodeId(1), Label(1))]);
-        assert_eq!(g.in_degree(NodeId(2)), 2);
-        assert_eq!(g.in_degree(NodeId(0)), 1);
+        assert_eq!(g.in_neighbors(NodeId(0)).len(), 1);
         g.remove_edge(NodeId(1), NodeId(2), Label(1));
         assert_eq!(g.in_neighbors(NodeId(2)), &[(NodeId(0), Label(0))]);
         // Every (src, dst, label) appears exactly once on each side.

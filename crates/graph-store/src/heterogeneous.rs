@@ -48,15 +48,14 @@ fn label_slot_bytes(label: Label) -> u64 {
     }
 }
 
-/// `true` if `slots` hold a live edge with `label`. A free slot carries
-/// `Label::ANY` beside its sentinel id and never counts.
-fn holds_live(slots: &[(NodeId, Label)], label: Label) -> bool {
-    slots.iter().any(|&(dst, l)| l == label && dst != FREE_SLOT)
+/// The live slots, in slot order.
+fn live(slots: &[(NodeId, Label)]) -> impl Iterator<Item = (NodeId, Label)> + '_ {
+    slots.iter().copied().filter(|&(dst, _)| dst != FREE_SLOT)
 }
 
 /// The labels of the live slots.
 fn live_labels(slots: &[(NodeId, Label)]) -> impl Iterator<Item = Label> + '_ {
-    slots.iter().filter(|&&(dst, _)| dst != FREE_SLOT).map(|&(_, l)| l)
+    live(slots).map(|(_, l)| l)
 }
 
 /// Where the work of one storage operation landed.
@@ -99,6 +98,44 @@ pub struct UpdateOutcome {
 struct ColsVector {
     slots: Vec<(NodeId, Label)>,
     live: usize,
+    /// Live slots per label the row holds, so a write reads its label's
+    /// 0↔1 transition here instead of scanning a hub row. Free slots carry
+    /// `Label::ANY` beside the sentinel id and never count.
+    labels: Vec<(Label, u32)>,
+}
+
+impl ColsVector {
+    /// A row over `slots` as stored, free slots included.
+    fn new(slots: Vec<(NodeId, Label)>) -> Self {
+        let mut cols = ColsVector::default();
+        for (_, label) in live(&slots) {
+            cols.gain(label);
+        }
+        ColsVector { slots, ..cols }
+    }
+
+    /// One more live slot of `label`; `true` if it is the row's first.
+    fn gain(&mut self, label: Label) -> bool {
+        self.live += 1;
+        if let Some((_, n)) = self.labels.iter_mut().find(|(l, _)| *l == label) {
+            *n += 1;
+            return false;
+        }
+        self.labels.push((label, 1));
+        true
+    }
+
+    /// One live slot of `label` fewer; `true` if it was the row's last.
+    fn lose(&mut self, label: Label) -> bool {
+        self.live -= 1;
+        let Some(i) = self.labels.iter().position(|&(l, _)| l == label) else { return false };
+        self.labels[i].1 -= 1;
+        let last = self.labels[i].1 == 0;
+        if last {
+            self.labels.swap_remove(i);
+        }
+        last
+    }
 }
 
 /// Heterogeneous storage for the host-resident (high-degree) adjacency rows.
@@ -169,11 +206,11 @@ impl HeterogeneousStorage {
             cost.pim_mutations += 1;
             cost.host_bytes_written += label_slot_bytes(label);
         }
-        let live = slots.len();
-        cost.host_bytes_written += (live * std::mem::size_of::<NodeId>()) as u64;
-        self.edge_count += live;
-        self.tally.add_row(live_labels(&slots));
-        self.cols.insert(row, ColsVector { slots, live });
+        cost.host_bytes_written += (slots.len() * std::mem::size_of::<NodeId>()) as u64;
+        let cols = ColsVector::new(slots);
+        self.edge_count += cols.live;
+        self.tally.add_row(live_labels(&cols.slots));
+        self.cols.insert(row, cols);
         cost
     }
 
@@ -223,10 +260,9 @@ impl HeterogeneousStorage {
         position.insert(pos);
         cost.pim_mutations += 1;
         // Step 4: host writes the slot (id array, plus the label array for
-        // non-default labels). The row is read for the label tally first.
-        let first = !holds_live(&cols.slots, label);
+        // non-default labels).
         cols.slots[pos] = (dst, label);
-        cols.live += 1;
+        let first = cols.gain(label);
         cost.host_bytes_written += std::mem::size_of::<NodeId>() as u64 + label_slot_bytes(label);
         self.edge_count += 1;
         self.tally.add(label, first);
@@ -245,8 +281,7 @@ impl HeterogeneousStorage {
         // moctopus-lint: allow(panic-in-lib, reason = "elem_position_map membership (checked above) implies the row exists; divergence is a corruption bug check_invariants catches")
         let cols = self.cols.get_mut(&src).expect("row must exist for a mapped edge");
         cols.slots[pos] = (FREE_SLOT, Label::ANY);
-        cols.live -= 1;
-        let last = !holds_live(&cols.slots, label);
+        let last = cols.lose(label);
         cost.host_bytes_written += std::mem::size_of::<NodeId>() as u64;
         self.free_list_map.entry(src).or_default().push(pos);
         cost.pim_mutations += 1;
@@ -273,10 +308,7 @@ impl HeterogeneousStorage {
     /// Iterates the live labelled next-hops of `src` (slot order) without
     /// materialising them — the query hop loop scans hub rows this way.
     pub fn neighbors_iter(&self, src: NodeId) -> impl Iterator<Item = (NodeId, Label)> + '_ {
-        self.cols
-            .get(&src)
-            .into_iter()
-            .flat_map(|c| c.slots.iter().copied().filter(|&(d, _)| d != FREE_SLOT))
+        self.cols.get(&src).into_iter().flat_map(|c| live(&c.slots))
     }
 
     /// Bytes the host reads to fetch the id array of `src`'s row (one
@@ -324,12 +356,25 @@ impl HeterogeneousStorage {
         (self.edge_count * std::mem::size_of::<NodeId>()) as u64
     }
 
-    /// Iterates over rows as `(row, live labelled next-hops)`.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, Vec<(NodeId, Label)>)> + '_ {
-        // moctopus-lint: allow(hash-iter-order, reason = "arbitrary-order row view; the graph_view consumers reduce order-independently and durable exports use export_rows, which sorts")
-        self.cols
-            .iter()
-            .map(|(&r, c)| (r, c.slots.iter().copied().filter(|&(d, _)| d != FREE_SLOT).collect()))
+    /// Iterates over rows as `(row, live labelled next-hops)`, reading the
+    /// slots in place.
+    pub fn iter(
+        &self,
+    ) -> impl Iterator<Item = (NodeId, impl Iterator<Item = (NodeId, Label)> + '_)> + '_ {
+        self.rows().map(|(r, c)| (r, live(&c.slots)))
+    }
+
+    /// The rows holding a live `label` edge (any live edge for `None`), in
+    /// arbitrary order, read off each row's label counts, not its slots.
+    pub fn rows_holding(&self, label: Option<Label>) -> impl Iterator<Item = NodeId> + '_ {
+        let hit = move |c: &ColsVector| c.labels.iter().any(|&(l, _)| label.is_none_or(|x| x == l));
+        self.rows().filter(move |(_, c)| hit(c)).map(|(r, _)| r)
+    }
+
+    /// Every row with its `cols_vector`, in arbitrary order.
+    fn rows(&self) -> impl Iterator<Item = (NodeId, &ColsVector)> + '_ {
+        // moctopus-lint: allow(hash-iter-order, reason = "arbitrary-order row view; the graph_view consumers reduce order-independently, seed lists are sorted, and durable exports use export_rows, which sorts")
+        self.cols.iter().map(|(&r, c)| (r, c))
     }
 
     /// Validates internal consistency between the host-side `cols_vector`s and
@@ -418,19 +463,18 @@ impl HeterogeneousStorage {
     pub fn from_rows(rows: Vec<ExportedHostRow>) -> Self {
         let mut s = HeterogeneousStorage::new();
         for (row, slots, free) in rows {
-            let mut live = 0usize;
             for (pos, &(dst, label)) in slots.iter().enumerate() {
                 if dst != FREE_SLOT {
                     s.elem_position_map.insert((row, dst, label), pos);
-                    live += 1;
                 }
             }
-            s.tally.add_row(live_labels(&slots));
-            s.edge_count += live;
+            let cols = ColsVector::new(slots);
+            s.tally.add_row(live_labels(&cols.slots));
+            s.edge_count += cols.live;
             if !free.is_empty() {
                 s.free_list_map.insert(row, free.into_iter().map(|p| p as usize).collect());
             }
-            s.cols.insert(row, ColsVector { slots, live });
+            s.cols.insert(row, cols);
         }
         s
     }
@@ -570,7 +614,7 @@ mod tests {
         s.install_row(NodeId(1), vec![(NodeId(2), ANY), (NodeId(3), ANY)]);
         s.insert_edge(NodeId(4), NodeId(5), ANY);
         s.delete_edge(NodeId(1), NodeId(2), ANY);
-        let iterated: u64 = s.iter().map(|(_, hops)| hops.len() as u64 * 8).sum();
+        let iterated: u64 = s.iter().map(|(_, hops)| hops.count() as u64 * 8).sum();
         assert_eq!(s.live_bytes(), iterated);
         assert_eq!(s.live_bytes(), 16);
     }
@@ -668,7 +712,7 @@ mod tests {
         let mut s = HeterogeneousStorage::new();
         s.install_row(NodeId(1), vec![(NodeId(2), ANY)]);
         s.install_row(NodeId(3), vec![(NodeId(4), ANY), (NodeId(5), ANY)]);
-        let mut rows: Vec<_> = s.iter().map(|(r, hops)| (r, hops.len())).collect();
+        let mut rows: Vec<_> = s.iter().map(|(r, hops)| (r, hops.count())).collect();
         rows.sort();
         assert_eq!(rows, vec![(NodeId(1), 1), (NodeId(3), 2)]);
         assert_eq!(s.row_count(), 2);

@@ -12,7 +12,8 @@
 //! write reads off the row it already holds. The two layouts that are not
 //! sorted rows — the host `cols_vector` of [`crate::HeterogeneousStorage`] and
 //! the history-ordered out-rows of [`crate::AdjacencyGraph`] — call the same
-//! tally. A store's statistics are its forward table's tally (edges and
+//! tally; a host row reads its transitions from its own live-slot count per
+//! label instead of scanning a hub row. A store's statistics are its forward table's tally (edges and
 //! sources) plus its reverse table's row count (targets), so a snapshot never
 //! rescans stored rows.
 //!
@@ -22,7 +23,6 @@
 
 use crate::ids::Label;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Aggregate counters for one edge label.
 ///
@@ -57,19 +57,33 @@ pub struct LabelCounters {
 ///
 /// Kept by [`crate::SortedRows`] and by the two row layouts that are not
 /// sorted rows; read by the engines through [`LabelStatsTable::snapshot`].
-/// The table is keyed on a [`BTreeMap`] so snapshots list labels in
-/// ascending order deterministically. A label whose edge count reaches zero
-/// is dropped.
+/// The counters are a short list sorted by label (a graph has few labels),
+/// so a snapshot is one copy and lists labels in ascending order
+/// deterministically. A label whose edge count reaches zero is dropped.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LabelStatsTable {
-    per_label: BTreeMap<Label, LabelCounters>,
+    per_label: Vec<(Label, LabelCounters)>,
 }
 
 impl LabelStatsTable {
+    /// The position of `label`'s counters, or where they would go.
+    fn find(&self, label: Label) -> Result<usize, usize> {
+        self.per_label.binary_search_by_key(&label, |&(l, _)| l)
+    }
+
+    /// The counters of `label`, created at zero when absent.
+    fn counters_mut(&mut self, label: Label) -> &mut LabelCounters {
+        let i = self.find(label).unwrap_or_else(|i| {
+            self.per_label.insert(i, (label, LabelCounters::default()));
+            i
+        });
+        &mut self.per_label[i].1
+    }
+
     /// One entry of `label` entered a row; `first` says the row held no
     /// other entry of that label (a 0→1 transition).
     pub(crate) fn add(&mut self, label: Label, first: bool) {
-        let c = self.per_label.entry(label).or_default();
+        let c = self.counters_mut(label);
         c.edges += 1;
         c.sources += u64::from(first);
     }
@@ -83,7 +97,7 @@ impl LabelStatsTable {
     /// A whole row arrived: per distinct label, its entries and one row.
     pub(crate) fn add_row(&mut self, labels: impl IntoIterator<Item = Label>) {
         for (label, n) in label_runs(labels) {
-            let c = self.per_label.entry(label).or_default();
+            let c = self.counters_mut(label);
             c.edges += n;
             c.sources += 1;
         }
@@ -96,12 +110,18 @@ impl LabelStatsTable {
         }
     }
 
+    /// How many rows of the counted table hold `label`.
+    pub(crate) fn rows_holding(&self, label: Label) -> usize {
+        self.find(label).map_or(0, |i| self.per_label[i].1.sources as usize)
+    }
+
     fn shrink(&mut self, label: Label, edges: u64, rows: u64) {
-        let Some(c) = self.per_label.get_mut(&label) else { return };
+        let Ok(i) = self.find(label) else { return };
+        let c = &mut self.per_label[i].1;
         c.edges = c.edges.saturating_sub(edges);
         c.sources = c.sources.saturating_sub(rows);
         if c.edges == 0 {
-            self.per_label.remove(&label);
+            self.per_label.remove(i);
         }
     }
 
@@ -111,18 +131,16 @@ impl LabelStatsTable {
     /// which keeps summed counts exact when per-store snapshots merge.
     pub(crate) fn with_targets_from(&self, rev: &LabelStatsTable) -> LabelStatsTable {
         let mut table = self.clone();
-        for (&label, c) in &rev.per_label {
-            table.per_label.entry(label).or_default().targets += c.sources;
+        for &(label, c) in &rev.per_label {
+            table.counters_mut(label).targets += c.sources;
         }
         table
     }
 
     /// A deterministic point-in-time snapshot (labels ascending).
     pub fn snapshot(&self) -> LabelStatsSnapshot {
-        let per_label: Vec<(Label, LabelCounters)> =
-            self.per_label.iter().map(|(&label, &c)| (label, c)).collect();
-        let total_edges = per_label.iter().map(|(_, c)| c.edges).sum();
-        LabelStatsSnapshot { per_label, total_edges }
+        let total_edges = self.per_label.iter().map(|(_, c)| c.edges).sum();
+        LabelStatsSnapshot { per_label: self.per_label.clone(), total_edges }
     }
 }
 
@@ -186,7 +204,7 @@ impl LabelStatsSnapshot {
 mod tests {
     use super::*;
     use crate::ids::NodeId;
-    use crate::{LocalGraphStorage, SortedRows};
+    use crate::{AdjacencyGraph, LocalGraphStorage, SortedRows};
 
     fn e(node: u64, label: u16) -> (NodeId, Label) {
         (NodeId(node), Label(label))
@@ -208,15 +226,6 @@ mod tests {
             s.remove_edge(src, dst, label).and(s.remove_rev_edge(dst, src, label))
         };
         written.expect("both sides written");
-    }
-
-    /// The sources of `label`, by the sorted row scan the planned executors
-    /// gather their seeds with.
-    fn sources_of(rows: &SortedRows, label: u16) -> Vec<NodeId> {
-        let has = |row: &[(NodeId, Label)]| row.iter().any(|&(_, l)| l == Label(label));
-        let mut v: Vec<NodeId> = rows.iter().filter(|(_, row)| has(row)).map(|(n, _)| n).collect();
-        v.sort_unstable();
-        v
     }
 
     #[test]
@@ -277,17 +286,17 @@ mod tests {
 
     #[test]
     fn sources_of_is_sorted_and_exact() {
-        let mut t = SortedRows::default();
+        let mut g = AdjacencyGraph::new();
         for (src, dst, label) in [(9, 1, 2), (3, 1, 2), (9, 4, 2), (5, 1, 8)] {
-            t.insert(NodeId(src), e(dst, label));
+            g.insert_edge(NodeId(src), NodeId(dst), Label(label));
         }
-        assert_eq!(sources_of(&t, 2), vec![NodeId(3), NodeId(9)]);
-        assert_eq!(sources_of(&t, 8), vec![NodeId(5)]);
-        assert!(sources_of(&t, 1).is_empty());
-        t.remove(NodeId(9), e(1, 2));
-        t.remove(NodeId(9), e(4, 2));
-        assert_eq!(sources_of(&t, 2), vec![NodeId(3)]);
-        assert_eq!(t.label_stats().snapshot().counters(Label(2)).sources, 1);
+        assert_eq!(g.rows_holding(Label(2)), vec![NodeId(3), NodeId(9)]);
+        assert_eq!(g.rows_holding(Label(8)), vec![NodeId(5)]);
+        assert!(g.rows_holding(Label(1)).is_empty());
+        g.remove_edge(NodeId(9), NodeId(1), Label(2));
+        g.remove_edge(NodeId(9), NodeId(4), Label(2));
+        assert_eq!(g.rows_holding(Label(2)), vec![NodeId(3)]);
+        assert_eq!(g.label_stats().snapshot().counters(Label(2)).sources, 1);
     }
 
     #[test]

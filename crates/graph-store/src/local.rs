@@ -166,6 +166,12 @@ impl LocalGraphStorage {
         self.rows.iter()
     }
 
+    /// The nodes whose rows hold a `label` edge (any edge for `None`), in
+    /// arbitrary order: a row scan that skips a label this segment lacks.
+    pub fn rows_holding(&self, label: Option<Label>) -> impl Iterator<Item = NodeId> + '_ {
+        self.rows.holding(label)
+    }
+
     /// Approximate bytes resident in MRAM for this segment's forward rows
     /// (the capacity gate's input).
     pub fn resident_bytes(&self) -> u64 {

@@ -45,7 +45,7 @@ pub struct SortedRows {
 }
 
 /// `true` if `row` holds an entry with `label`.
-fn holds(row: &[(NodeId, Label)], label: Label) -> bool {
+pub(crate) fn holds(row: &[(NodeId, Label)], label: Label) -> bool {
     row.iter().any(|&(_, l)| l == label)
 }
 
@@ -131,6 +131,15 @@ impl SortedRows {
     /// The per-label tally: `edges` counts entries, `sources` counts rows.
     pub(crate) fn label_stats(&self) -> &LabelStatsTable {
         &self.tally
+    }
+
+    /// The nodes whose rows hold an entry of `label` (any entry for `None`),
+    /// in arbitrary order. The scan stops at the tally's row count, so a
+    /// label the table lacks costs nothing.
+    pub(crate) fn holding(&self, label: Option<Label>) -> impl Iterator<Item = NodeId> + '_ {
+        let rows = label.map_or(self.len(), |l| self.tally.rows_holding(l));
+        let hit = self.iter().filter(move |(_, row)| label.is_none_or(|l| holds(row, l)));
+        hit.map(|(n, _)| n).take(rows)
     }
 
     /// Iterates the rows in arbitrary order.

@@ -766,7 +766,7 @@ mod tests {
         let prefix_expr = RpqExpr::Star(Box::new(RpqExpr::label(1)));
         let suffix_expr = RpqExpr::concat(vec![RpqExpr::label(9), RpqExpr::label(1)]);
         let whole = RpqExpr::concat(vec![prefix_expr.clone(), suffix_expr.clone()]);
-        let pivots = pivot_rows(&g, Label(9));
+        let pivots = g.rows_holding(Label(9));
         let (forward, _) = engine.run_nfa(&Nfa::from_expr(&whole), &sources);
         let (split, _) = engine.run_nfa_split(
             &Nfa::from_expr(&prefix_expr),
@@ -775,15 +775,6 @@ mod tests {
             &sources,
         );
         assert_eq!(forward, split);
-    }
-
-    /// The sources of `label`, ascending: the split plan's pivots, by a
-    /// sorted scan of the rows.
-    fn pivot_rows(g: &AdjacencyGraph, label: Label) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = g.edges().filter(|e| e.2 == label).map(|e| e.0).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
     }
 
     /// A 96-node labelled graph from a fixed multiplicative recurrence:
@@ -835,7 +826,7 @@ mod tests {
         for (g, source_count, want) in golden {
             let engine = HostMatrixEngine::from_graph(&g);
             let sources: Vec<NodeId> = (0..source_count).map(NodeId).collect();
-            let pivots = pivot_rows(&g, Label(9));
+            let pivots = g.rows_holding(Label(9));
             let got = [
                 counters(engine.run_nfa(&whole, &sources)),
                 counters(engine.run_nfa_bidirectional(&whole, &sources)),

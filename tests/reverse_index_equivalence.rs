@@ -11,7 +11,9 @@
 //!   computed transpose of the forward rows, entry for entry; reverse-entry
 //!   counts and mirrored-byte accounting follow the same ledger; and the
 //!   per-label distinct-target statistics (exact since the reverse index
-//!   exists) match a brute-force recount.
+//!   exists) match a brute-force recount. A scripted prelude
+//!   (`scripted_steps`) drives the label transitions the row tables detect
+//!   from the row itself, with a recount after every step.
 //! * **Expressions** — [`RpqExpr::reverse`] is an involution, commutes with
 //!   normalization, and evaluating `e` forward agrees pair-for-pair with
 //!   evaluating `e.reverse()` on the transposed graph (the brute-force
@@ -116,6 +118,155 @@ fn nth_edge(edges: &EdgeSet, i: usize) -> (NodeId, NodeId, Label) {
     *edges.iter().nth(i % edges.len()).expect("nth_edge on non-empty set")
 }
 
+/// One churn step against a store under test and the model.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Insert(NodeId, NodeId, Label),
+    Delete(NodeId, NodeId, Label),
+    /// The node's forward and reverse rows leave whole and arrive whole
+    /// (`take` then `install`).
+    Move(NodeId),
+}
+
+/// The transitions a row scan must get right, run on every store before
+/// its random churn, each followed by an exact statistics check. Node ids
+/// stay below 8, the smallest churn id space.
+fn scripted_steps() -> Vec<Step> {
+    use Step::{Delete, Insert, Move};
+    let n = NodeId;
+    let (any, one, two, three) = (Label::ANY, Label(1), Label(2), Label(3));
+    vec![
+        // The same pair under two labels.
+        Insert(n(0), n(1), one),
+        Insert(n(0), n(1), two),
+        // Row 0 holds label 1 three times.
+        Insert(n(0), n(2), one),
+        Insert(n(0), n(3), one),
+        // Row 0 loses its last label-2 edge while label 1 remains.
+        Delete(n(0), n(1), two),
+        // Row 3 keeps an ANY edge throughout, so a row that still counts
+        // for ANY after losing its last live ANY entry shows as a source.
+        Insert(n(3), n(0), any),
+        // Row 2: a free slot between two ANY entries, then free ANY-marked
+        // slots and no live ANY entry, then a first live ANY entry again.
+        Insert(n(2), n(4), any),
+        Insert(n(2), n(5), three),
+        Insert(n(2), n(6), any),
+        Delete(n(2), n(5), three),
+        Delete(n(2), n(4), any),
+        Insert(n(2), n(7), three),
+        Delete(n(2), n(6), any),
+        Insert(n(2), n(1), any),
+        // The same between two label-1 entries of row 3.
+        Insert(n(3), n(4), one),
+        Insert(n(3), n(5), two),
+        Insert(n(3), n(6), one),
+        Delete(n(3), n(5), two),
+        Delete(n(3), n(4), one),
+        // Whole rows holding one label several times move: forward row 0
+        // (label 1 three times), reverse row 1 (label 1 from 0 and 3).
+        Insert(n(3), n(1), one),
+        Move(n(0)),
+        Move(n(1)),
+        // Label 6 reaches node 5 from node 4; where 4 and 5 live apart, the
+        // store holding 5 sees the label in its reverse rows only.
+        Insert(n(4), n(5), Label(6)),
+    ]
+}
+
+/// Applies `step` to two local segments under the engine's mirror
+/// discipline (forward row at `owner(src)`, reverse row at `owner(dst)`,
+/// both migrating together) and to the model.
+fn local_step(
+    segments: &mut [LocalGraphStorage; 2],
+    owner: &mut [usize],
+    model: &mut EdgeSet,
+    step: Step,
+) -> Result<(), TestCaseError> {
+    match step {
+        // Duplicates must error on *both* sides and change nothing.
+        Step::Insert(s, d, l) => {
+            let fwd = segments[owner[s.0 as usize]].insert_edge(s, d, l);
+            let rev = segments[owner[d.0 as usize]].insert_rev_edge(d, s, l);
+            if model.insert((s, d, l)) {
+                prop_assert!(fwd.is_ok() && rev.is_ok(), "fresh edge rejected");
+            } else {
+                prop_assert!(fwd.is_err() && rev.is_err(), "duplicate accepted");
+            }
+        }
+        Step::Delete(s, d, l) => {
+            let fwd = segments[owner[s.0 as usize]].remove_edge(s, d, l);
+            let rev = segments[owner[d.0 as usize]].remove_rev_edge(d, s, l);
+            if model.remove(&(s, d, l)) {
+                prop_assert!(fwd.is_ok() && rev.is_ok(), "stored edge not removed");
+            } else {
+                prop_assert!(fwd.is_err() && rev.is_err(), "absent edge removed");
+            }
+        }
+        Step::Move(n) => {
+            let from = owner[n.0 as usize];
+            let to = 1 - from;
+            if let Some(row) = segments[from].take_row(n) {
+                segments[to].install_row(n, row);
+            }
+            if let Some(rev) = segments[from].take_rev_row(n) {
+                segments[to].install_rev_row(n, rev);
+            }
+            owner[n.0 as usize] = to;
+        }
+    }
+    Ok(())
+}
+
+/// Applies `step` to a host store holding both directions and to the
+/// model; a move demotes the row and promotes it again.
+fn hetero_step(
+    store: &mut HeterogeneousStorage,
+    model: &mut EdgeSet,
+    step: Step,
+) -> Result<(), TestCaseError> {
+    match step {
+        Step::Insert(s, d, l) => {
+            let changed = store.insert_edge(s, d, l).changed;
+            prop_assert_eq!(changed, model.insert((s, d, l)));
+            if changed {
+                store.insert_rev_edge(d, s, l).expect("mirror of a fresh edge");
+            }
+        }
+        Step::Delete(s, d, l) => {
+            let changed = store.delete_edge(s, d, l).changed;
+            prop_assert_eq!(changed, model.remove(&(s, d, l)));
+            if changed {
+                store.remove_rev_edge(d, s, l).expect("mirrored entry");
+            }
+        }
+        Step::Move(n) => {
+            if let Some(row) = store.take_row(n) {
+                store.install_row(n, row);
+            }
+            if let Some(rev) = store.take_rev_row(n) {
+                store.install_rev_row(n, rev);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Applies `step` to the whole-graph view and to the model. The graph has
+/// no row hand-over, so a move rebuilds it from its exported rows.
+fn adjacency_step(
+    g: &mut AdjacencyGraph,
+    model: &mut EdgeSet,
+    step: Step,
+) -> Result<(), TestCaseError> {
+    match step {
+        Step::Insert(s, d, l) => prop_assert_eq!(g.insert_edge(s, d, l), model.insert((s, d, l))),
+        Step::Delete(s, d, l) => prop_assert_eq!(g.remove_edge(s, d, l), model.remove(&(s, d, l))),
+        Step::Move(_) => *g = AdjacencyGraph::from_rows(g.export_rows(), g.id_bound()),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -137,53 +288,39 @@ proptest! {
         let mut owner: Vec<usize> = (0..nodes).map(|n| (n % 2) as usize).collect();
         let mut model: EdgeSet = BTreeSet::new();
 
+        let merged = |segments: &[LocalGraphStorage; 2]| {
+            let mut snapshot = segments[0].label_stats().snapshot();
+            snapshot.merge(&segments[1].label_stats().snapshot());
+            snapshot
+        };
+        for (i, step) in scripted_steps().into_iter().enumerate() {
+            local_step(&mut segments, &mut owner, &mut model, step)?;
+            assert_stats_exact(&merged(&segments), &model, &format!("local step {i} {step:?}"))?;
+        }
+        // Nodes 4 and 5 start on different segments and never moved.
+        let c = segments[owner[5]].label_stats().snapshot().counters(Label(6));
+        prop_assert_eq!((c.edges, c.sources, c.targets), (0, 0, 1), "reverse-only label");
+
         for _ in 0..ops {
-            match mix.below(6) {
-                // Insert (duplicates must error on *both* sides and change nothing).
+            let step = match mix.below(6) {
                 0..=2 => {
                     let (s, d, l) = sample_edge(&mut mix, nodes);
-                    let fwd = segments[owner[s.0 as usize]].insert_edge(s, d, l);
-                    let rev = segments[owner[d.0 as usize]].insert_rev_edge(d, s, l);
-                    if model.insert((s, d, l)) {
-                        prop_assert!(fwd.is_ok() && rev.is_ok(), "fresh edge rejected");
-                    } else {
-                        prop_assert!(fwd.is_err() && rev.is_err(), "duplicate accepted");
-                    }
+                    Step::Insert(s, d, l)
                 }
                 // Delete an existing edge (or exercise the not-found path).
                 3..=4 => {
-                    if model.is_empty() || mix.below(8) == 0 {
-                        let (s, d, l) = sample_edge(&mut mix, nodes);
-                        if !model.contains(&(s, d, l)) {
-                            prop_assert!(segments[owner[s.0 as usize]].remove_edge(s, d, l).is_err());
-                            prop_assert!(
-                                segments[owner[d.0 as usize]].remove_rev_edge(d, s, l).is_err()
-                            );
-                        }
+                    let (s, d, l) = if model.is_empty() || mix.below(8) == 0 {
+                        sample_edge(&mut mix, nodes)
                     } else {
-                        let (s, d, l) = nth_edge(&model, mix.below(1 << 16) as usize);
-                        segments[owner[s.0 as usize]].remove_edge(s, d, l).expect("model edge");
-                        segments[owner[d.0 as usize]]
-                            .remove_rev_edge(d, s, l)
-                            .expect("mirrored entry");
-                        model.remove(&(s, d, l));
-                    }
+                        nth_edge(&model, mix.below(1 << 16) as usize)
+                    };
+                    Step::Delete(s, d, l)
                 }
                 // Migrate a node: forward row and reverse row move together
                 // (the colocation invariant the engines maintain).
-                _ => {
-                    let n = NodeId(mix.below(nodes));
-                    let from = owner[n.0 as usize];
-                    let to = 1 - from;
-                    if let Some(row) = segments[from].take_row(n) {
-                        segments[to].install_row(n, row);
-                    }
-                    if let Some(rev) = segments[from].take_rev_row(n) {
-                        segments[to].install_rev_row(n, rev);
-                    }
-                    owner[n.0 as usize] = to;
-                }
-            }
+                _ => Step::Move(NodeId(mix.below(nodes))),
+            };
+            local_step(&mut segments, &mut owner, &mut model, step)?;
         }
 
         // Union of forward rows across segments == the model.
@@ -223,9 +360,7 @@ proptest! {
         );
 
         // Merged statistics are exact — including distinct targets.
-        let mut snapshot = segments[0].label_stats().snapshot();
-        snapshot.merge(&segments[1].label_stats().snapshot());
-        assert_stats_exact(&snapshot, &model, "local segments")?;
+        assert_stats_exact(&merged(&segments), &model, "local segments")?;
     }
 
     /// [`HeterogeneousStorage`] (the host store behind promotions) under the
@@ -242,20 +377,26 @@ proptest! {
         let mut store = HeterogeneousStorage::new();
         let mut model: EdgeSet = BTreeSet::new();
 
+        for (i, step) in scripted_steps().into_iter().enumerate() {
+            hetero_step(&mut store, &mut model, step)?;
+            let context = format!("host step {i} {step:?}");
+            assert_stats_exact(&store.label_stats().snapshot(), &model, &context)?;
+        }
+        // A reverse-only label: an in-edge whose forward row lives elsewhere.
+        store.insert_rev_edge(NodeId(5), NodeId(4), Label(7)).expect("fresh reverse entry");
+        let c = store.label_stats().snapshot().counters(Label(7));
+        prop_assert_eq!((c.edges, c.sources, c.targets), (0, 0, 1), "reverse-only label");
+        store.remove_rev_edge(NodeId(5), NodeId(4), Label(7)).expect("stored reverse entry");
+
         for _ in 0..ops {
-            if mix.below(2) == 0 || model.is_empty() {
+            let step = if mix.below(2) == 0 || model.is_empty() {
                 let (s, d, l) = sample_edge(&mut mix, nodes);
-                let outcome = store.insert_edge(s, d, l);
-                prop_assert_eq!(outcome.changed, model.insert((s, d, l)));
-                if outcome.changed {
-                    store.insert_rev_edge(d, s, l).expect("mirror of a fresh edge");
-                }
+                Step::Insert(s, d, l)
             } else {
                 let (s, d, l) = nth_edge(&model, mix.below(1 << 16) as usize);
-                prop_assert!(store.delete_edge(s, d, l).changed);
-                store.remove_rev_edge(d, s, l).expect("mirrored entry");
-                model.remove(&(s, d, l));
-            }
+                Step::Delete(s, d, l)
+            };
+            hetero_step(&mut store, &mut model, step)?;
         }
 
         store.check_invariants().expect("slot maps stay consistent");
@@ -288,15 +429,20 @@ proptest! {
         let mut g = AdjacencyGraph::new();
         let mut model: EdgeSet = BTreeSet::new();
 
+        for (i, step) in scripted_steps().into_iter().enumerate() {
+            adjacency_step(&mut g, &mut model, step)?;
+            let context = format!("graph step {i} {step:?}");
+            assert_stats_exact(&g.label_stats().snapshot(), &model, &context)?;
+        }
         for _ in 0..ops {
-            if mix.below(3) > 0 || model.is_empty() {
+            let step = if mix.below(3) > 0 || model.is_empty() {
                 let (s, d, l) = sample_edge(&mut mix, nodes);
-                prop_assert_eq!(g.insert_edge(s, d, l), model.insert((s, d, l)));
+                Step::Insert(s, d, l)
             } else {
                 let (s, d, l) = nth_edge(&model, mix.below(1 << 16) as usize);
-                prop_assert!(g.remove_edge(s, d, l));
-                model.remove(&(s, d, l));
-            }
+                Step::Delete(s, d, l)
+            };
+            adjacency_step(&mut g, &mut model, step)?;
         }
 
         prop_assert_eq!(g.export_rev_rows(), transpose(&model));
