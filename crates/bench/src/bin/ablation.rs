@@ -56,16 +56,16 @@ fn main() {
             graph_partition::adaptive::partition_graph(&workload.graph, modules, 1.05, 3);
 
         let rows = [
-            ("hash", PartitionMetrics::compute(&workload.graph, hash.assignment()), 0usize),
-            ("LDG (offline)", PartitionMetrics::compute(&workload.graph, &ldg), 0),
+            ("hash", PartitionMetrics::compute(workload.graph.edges(), hash.assignment()), 0usize),
+            ("LDG (offline)", PartitionMetrics::compute(workload.graph.edges(), &ldg), 0),
             (
                 "adaptive",
-                PartitionMetrics::compute(&workload.graph, &adaptive.assignment),
+                PartitionMetrics::compute(workload.graph.edges(), &adaptive.assignment),
                 adaptive.migrations,
             ),
             (
                 "greedy-adaptive",
-                PartitionMetrics::compute(&workload.graph, greedy.assignment()),
+                PartitionMetrics::compute(workload.graph.edges(), greedy.assignment()),
                 greedy_report.migrated,
             ),
         ];
@@ -122,7 +122,7 @@ fn main() {
                 p.on_edge(s, d);
             }
             p.refine(&workload.graph);
-            let m = PartitionMetrics::compute(&workload.graph, p.assignment());
+            let m = PartitionMetrics::compute(workload.graph.edges(), p.assignment());
             println!("{:>8.2}  {:>10.3}  {:>10.3}", slack, m.locality, m.load_balance_factor);
         }
         println!();

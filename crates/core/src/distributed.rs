@@ -49,8 +49,8 @@ use graph_partition::{
     PartitionMetrics, StreamingPartitioner,
 };
 use graph_store::{
-    AdjacencyGraph, HeterogeneousStorage, HostRowSnapshot, Label, LabelStatsSnapshot,
-    LocalGraphStorage, LocalModuleSnapshot, NodeId, PartitionId, SnapshotState,
+    HeterogeneousStorage, HostRowSnapshot, Label, LabelStatsSnapshot, LocalGraphStorage,
+    LocalModuleSnapshot, NodeId, PartitionId, SnapshotState,
 };
 use moctopus_runtime::{chunk_ranges, WorkerPool};
 use pim_sim::{Phase, PimSystem, SimTime, Timeline};
@@ -1829,16 +1829,6 @@ impl DistributedPimEngine {
     // Refinement and inspection
     // ------------------------------------------------------------------
 
-    /// Reconstructs the logical whole-graph view from the distributed stores.
-    ///
-    /// Used by the refinement pass and by tests; the real system never needs
-    /// this because detection happens inside the modules during path matching.
-    pub fn graph_view(&self) -> AdjacencyGraph {
-        let mut g = AdjacencyGraph::new();
-        g.extend(self.stored_edges());
-        g
-    }
-
     /// Every stored edge, module stores first, then the host store; rows in
     /// arbitrary order (consumers are order-independent or sort).
     fn stored_edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Label)> + '_ {
@@ -1855,25 +1845,22 @@ impl DistributedPimEngine {
     /// In the real system detection piggybacks on every batch of path-matching
     /// queries, so the placement keeps improving over time; this method models
     /// that steady state by iterating the detect-and-migrate pass until it
-    /// converges (at most a handful of rounds). Returns the combined migration
-    /// report and the simulated time of the whole pass. For the hash placement
-    /// policy this is a no-op (the contrast system has no refinement).
+    /// converges (at most a handful of rounds), each round reading the
+    /// module stores' forward rows in place — no copy of the graph. Returns
+    /// the combined migration report and the simulated time of the whole
+    /// pass. A no-op under hash placement (the contrast system).
     pub fn refine_locality(&mut self) -> (MigrationReport, Timeline) {
         const MAX_ROUNDS: usize = 4;
         let mut timeline = Timeline::new();
         let mut combined = MigrationReport::default();
-        if matches!(self.policy, PlacementPolicy::Hash(_)) {
-            return (combined, timeline);
-        }
-        // Refinement rounds only move rows between stores — the logical
-        // topology never changes — so one materialised view serves every
-        // round (the pass used to rebuild it from scratch up to four times).
-        let view = self.graph_view();
         for _ in 0..MAX_ROUNDS {
-            let report = match &mut self.policy {
-                PlacementPolicy::GreedyAdaptive(p) => p.refine(&view),
-                PlacementPolicy::Hash(_) => unreachable!("hash policy returned above"),
-            };
+            let PlacementPolicy::GreedyAdaptive(p) = &mut self.policy else { break };
+            // Every PIM-resident node's out-row lives in its owner's store;
+            // host rows are never refined.
+            let mut rows: Vec<_> =
+                self.local_stores.iter().flat_map(LocalGraphStorage::iter).collect();
+            rows.sort_unstable_by_key(|&(node, _)| node);
+            let report = p.refine_rows(rows);
             let mut ipc_bytes = 0u64;
             for &(node, from, to) in &report.migrations {
                 let (PartitionId::Pim(from), PartitionId::Pim(to)) = (from, to) else { continue };
@@ -1905,7 +1892,7 @@ impl DistributedPimEngine {
 
     /// Partition-quality metrics of the current placement.
     pub fn partition_metrics(&self) -> PartitionMetrics {
-        PartitionMetrics::compute(&self.graph_view(), self.policy.assignment())
+        PartitionMetrics::compute(self.stored_edges(), self.policy.assignment())
     }
 
     // ------------------------------------------------------------------
@@ -2025,6 +2012,7 @@ impl DistributedPimEngine {
 mod tests {
     use super::*;
     use graph_partition::GreedyAdaptivePartitioner;
+    use graph_store::AdjacencyGraph;
     use pim_sim::SimTime;
 
     fn moctopus_engine() -> DistributedPimEngine {
@@ -2101,7 +2089,7 @@ mod tests {
     /// Merged per-label statistics stay incremental across the engine's
     /// structural paths — hub promotion to the host store, locality-driven
     /// row migration, deletes on both lanes — matching a from-scratch
-    /// rebuild (the logical graph view populates its own table from zero)
+    /// rebuild (a graph built from the stored edges tallies from zero)
     /// on **every** counter exactly: with reverse rows colocated at the
     /// destination's owner, distinct-target sets live in exactly one store
     /// each and summed counts are exact (they used to be an
@@ -2111,7 +2099,9 @@ mod tests {
         let check = |e: &DistributedPimEngine, phase: &str| {
             let got = e.label_stats();
             assert_eq!(got.total_edges as usize, e.edge_count(), "{phase}: total_edges drifted");
-            let want = e.graph_view().label_stats().snapshot();
+            let mut view = AdjacencyGraph::new();
+            view.extend(e.stored_edges());
+            let want = view.label_stats().snapshot();
             assert_eq!(got.per_label.len(), want.per_label.len(), "{phase}: label sets differ");
             for (&(l, g), &(lw, w)) in got.per_label.iter().zip(&want.per_label) {
                 assert_eq!(l, lw, "{phase}: label order differs");

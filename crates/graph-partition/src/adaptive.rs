@@ -105,9 +105,9 @@ mod tests {
         for (s, d, _) in g.edges() {
             hash.on_edge(s, d);
         }
-        let before = PartitionMetrics::compute(&g, hash.assignment());
+        let before = PartitionMetrics::compute(g.edges(), hash.assignment());
         let result = partition_graph(&g, 8, 1.10, 5);
-        let after = PartitionMetrics::compute(&g, &result.assignment);
+        let after = PartitionMetrics::compute(g.edges(), &result.assignment);
         assert!(after.locality > before.locality);
         assert!(result.migrations > 0, "adaptive refinement should migrate nodes");
     }

@@ -13,12 +13,14 @@
 //!   under-loaded modules (chosen by hash) when the target is full. Because
 //!   the first-neighbour guess is sometimes wrong, path matching later detects
 //!   *incorrectly partitioned* nodes — nodes that miss most of their next-hops
-//!   locally — and [`GreedyAdaptivePartitioner::refine`] migrates them to the
+//!   locally — and [`GreedyAdaptivePartitioner::refine_rows`] migrates them to the
 //!   module holding most of their neighbours.
 
 use crate::assignment::PartitionAssignment;
 use crate::StreamingPartitioner;
-use graph_store::{AdjacencyGraph, DegreeTracker, NodeId, PartitionId, HIGH_DEGREE_THRESHOLD};
+use graph_store::{
+    AdjacencyGraph, DegreeTracker, Label, NodeId, PartitionId, HIGH_DEGREE_THRESHOLD,
+};
 
 /// Tunable parameters of the greedy-adaptive partitioner.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -212,37 +214,43 @@ impl GreedyAdaptivePartitioner {
         self.degrees.record_delete(src);
     }
 
+    /// [`GreedyAdaptivePartitioner::refine_rows`] over the out-rows of
+    /// `graph`, whose `nodes()` come in hash order and are sorted first.
+    pub fn refine(&mut self, graph: &AdjacencyGraph) -> MigrationReport {
+        let mut nodes: Vec<NodeId> = graph.nodes().collect();
+        nodes.sort_unstable();
+        self.refine_rows(nodes.into_iter().map(|node| (node, graph.neighbors(node))))
+    }
+
     /// Detects incorrectly partitioned nodes and migrates them to the module
     /// holding most of their neighbours, respecting the capacity constraint.
     ///
-    /// In the real system the detection piggybacks on path matching inside the
-    /// PIM modules; here the pass inspects the graph directly, which yields
-    /// the same set of nodes.
-    pub fn refine(&mut self, graph: &AdjacencyGraph) -> MigrationReport {
+    /// `rows` pairs each node with its out-row (entries in any order) in
+    /// ascending id order: migration decisions are order-dependent, and every
+    /// downstream IPC/latency figure with them. Host-resident, unassigned and
+    /// row-less nodes are skipped. In the real system detection piggybacks on
+    /// path matching inside the PIM modules; the engine feeds this pass the
+    /// rows its module stores hold, read in place.
+    pub fn refine_rows<'a>(
+        &mut self,
+        rows: impl IntoIterator<Item = (NodeId, &'a [(NodeId, Label)])>,
+    ) -> MigrationReport {
         let mut report = MigrationReport::default();
         let limit = self.capacity_limit();
-        // Visit nodes in id order: `AdjacencyGraph::nodes()` iterates a
-        // HashMap (per-process random order) and migration decisions are
-        // order-dependent, so an unsorted pass makes the resulting placement
-        // — and every downstream IPC/latency figure — nondeterministic
-        // across runs of the same seeded experiment.
-        let mut nodes: Vec<NodeId> = graph.nodes().collect();
-        nodes.sort_unstable();
         // Histogram of neighbour placements across PIM modules, reused (and
         // re-zeroed) across the whole pass instead of allocated per node.
         let mut counts = vec![0usize; self.config.num_pim_modules];
-        for node in nodes {
+        for (node, row) in rows {
             let Some(PartitionId::Pim(current)) = self.assignment.partition_of(node) else {
                 continue; // host-resident or unknown nodes are not refined
             };
-            let neighbors = graph.neighbors(node);
-            if neighbors.is_empty() {
+            if row.is_empty() {
                 continue;
             }
             report.examined += 1;
             counts.fill(0);
             let mut pim_neighbors = 0usize;
-            for &(dst, _) in neighbors {
+            for &(dst, _) in row {
                 if let Some(PartitionId::Pim(m)) = self.assignment.partition_of(dst) {
                     counts[m as usize] += 1;
                     pim_neighbors += 1;
@@ -256,13 +264,10 @@ impl GreedyAdaptivePartitioner {
             if local_fraction >= self.config.mislocal_threshold {
                 continue;
             }
-            // moctopus-lint: allow(panic-in-lib, reason = "counts has num_modules entries and configs reject zero modules")
-            let (best, best_count) = counts
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &c)| c)
-                .map(|(i, &c)| (i as u32, c))
-                .expect("at least one module exists");
+            // The last module with the most neighbours.
+            let best = counts.iter().enumerate().max_by_key(|&(_, &c)| c);
+            let Some((best, &best_count)) = best else { continue };
+            let best = best as u32;
             if best == current || best_count <= local {
                 continue;
             }
@@ -304,7 +309,6 @@ impl StreamingPartitioner for GreedyAdaptivePartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graph_store::Label;
 
     #[test]
     fn first_neighbor_placement_preserves_locality() {

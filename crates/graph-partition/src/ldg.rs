@@ -105,8 +105,8 @@ mod tests {
         for (s, d, _) in g.edges() {
             hash.on_edge(s, d);
         }
-        let m_ldg = PartitionMetrics::compute(&g, &ldg);
-        let m_hash = PartitionMetrics::compute(&g, hash.assignment());
+        let m_ldg = PartitionMetrics::compute(g.edges(), &ldg);
+        let m_hash = PartitionMetrics::compute(g.edges(), hash.assignment());
         assert!(
             m_ldg.locality > m_hash.locality,
             "ldg {} vs hash {}",

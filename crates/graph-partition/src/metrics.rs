@@ -7,7 +7,7 @@
 //! every partitioning scheme.
 
 use crate::assignment::PartitionAssignment;
-use graph_store::{AdjacencyGraph, PartitionId};
+use graph_store::{Label, NodeId, PartitionId};
 use serde::{Deserialize, Serialize};
 
 /// Quality metrics of one node-to-partition assignment for one graph.
@@ -34,16 +34,20 @@ pub struct PartitionMetrics {
 }
 
 impl PartitionMetrics {
-    /// Computes the metrics of `assignment` for `graph`.
+    /// Computes the metrics of `assignment` for the graph holding `edges`
+    /// (any order).
     ///
     /// Nodes that the assignment does not cover are ignored (they contribute
     /// no edges), which lets the metric be computed mid-stream.
-    pub fn compute(graph: &AdjacencyGraph, assignment: &PartitionAssignment) -> Self {
+    pub fn compute(
+        edges: impl IntoIterator<Item = (NodeId, NodeId, Label)>,
+        assignment: &PartitionAssignment,
+    ) -> Self {
         let mut local_edges = 0usize;
         let mut cut_edges = 0usize;
         let mut to_host_edges = 0usize;
         let mut host_source_edges = 0usize;
-        for (src, dst, _) in graph.edges() {
+        for (src, dst, _) in edges {
             let Some(src_p) = assignment.partition_of(src) else { continue };
             let Some(dst_p) = assignment.partition_of(dst) else { continue };
             match (src_p, dst_p) {
@@ -81,7 +85,7 @@ impl PartitionMetrics {
 mod tests {
     use super::*;
     use crate::{GreedyAdaptivePartitioner, HashPartitioner, StreamingPartitioner};
-    use graph_store::{Label, NodeId};
+    use graph_store::AdjacencyGraph;
 
     fn two_cliques() -> AdjacencyGraph {
         let mut g = AdjacencyGraph::new();
@@ -107,7 +111,7 @@ mod tests {
         for u in 100u64..110 {
             a.assign(NodeId(u), PartitionId::Pim(1));
         }
-        let m = PartitionMetrics::compute(&g, &a);
+        let m = PartitionMetrics::compute(g.edges(), &a);
         assert_eq!(m.locality, 1.0);
         assert_eq!(m.cut_edges, 0);
         assert!((m.load_balance_factor - 1.0).abs() < 1e-9);
@@ -124,7 +128,7 @@ mod tests {
         for u in 100u64..110 {
             a.assign(NodeId(u), PartitionId::Pim((u % 2) as u32));
         }
-        let m = PartitionMetrics::compute(&g, &a);
+        let m = PartitionMetrics::compute(g.edges(), &a);
         assert!(m.locality < 0.6);
         assert!(m.cut_edges > 0);
     }
@@ -137,7 +141,7 @@ mod tests {
         let mut a = PartitionAssignment::new(1);
         a.assign(NodeId(0), PartitionId::Host);
         a.assign(NodeId(1), PartitionId::Pim(0));
-        let m = PartitionMetrics::compute(&g, &a);
+        let m = PartitionMetrics::compute(g.edges(), &a);
         assert_eq!(m.host_source_edges, 1);
         assert_eq!(m.to_host_edges, 1);
         assert_eq!(m.local_edges, 0);
@@ -148,7 +152,7 @@ mod tests {
     fn unassigned_nodes_are_ignored() {
         let g = two_cliques();
         let a = PartitionAssignment::new(2);
-        let m = PartitionMetrics::compute(&g, &a);
+        let m = PartitionMetrics::compute(g.edges(), &a);
         assert_eq!(m.pim_source_edges, 0);
         assert_eq!(m.locality, 1.0);
     }
@@ -175,8 +179,8 @@ mod tests {
             hash.on_edge(s, d);
         }
         greedy.refine(&g);
-        let m_greedy = PartitionMetrics::compute(&g, greedy.assignment());
-        let m_hash = PartitionMetrics::compute(&g, hash.assignment());
+        let m_greedy = PartitionMetrics::compute(g.edges(), greedy.assignment());
+        let m_hash = PartitionMetrics::compute(g.edges(), hash.assignment());
         assert!(
             m_greedy.locality > m_hash.locality * 1.5,
             "greedy locality {} should clearly beat hash {}",

@@ -373,7 +373,7 @@ impl HeterogeneousStorage {
 
     /// Every row with its `cols_vector`, in arbitrary order.
     fn rows(&self) -> impl Iterator<Item = (NodeId, &ColsVector)> + '_ {
-        // moctopus-lint: allow(hash-iter-order, reason = "arbitrary-order row view; the graph_view consumers reduce order-independently, seed lists are sorted, and durable exports use export_rows, which sorts")
+        // moctopus-lint: allow(hash-iter-order, reason = "arbitrary-order row view; the stored-edge consumers (partition metrics, reverse-row rebuild) reduce order-independently, seed lists are sorted, and durable exports use export_rows, which sorts")
         self.cols.iter().map(|(&r, c)| (r, c))
     }
 

@@ -14,7 +14,7 @@
 use graph_store::{Label, NodeId};
 use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
 use moctopus_server::{
-    CacheConfig, CacheOutcome, ConcurrentServer, ConsistencyMode, QueryServer, Request,
+    CacheConfig, CacheOutcome, CacheStats, ConcurrentServer, ConsistencyMode, QueryServer, Request,
     RequestKind, Response, ResponseBody, ServerConfig, Session,
 };
 use proptest::prelude::*;
@@ -108,11 +108,11 @@ fn replay(
     cache: Option<CacheConfig>,
     optimize: bool,
     log: &[Request],
-) -> (Vec<Response>, moctopus_server::ServeTotals) {
+) -> (Vec<Response>, moctopus_server::ServeTotals, Option<CacheStats>) {
     let mut server =
         QueryServer::new(engine, ServerConfig { cache, pricing, optimize, plan_override: None });
     let responses = log.iter().map(|request| server.execute_next(request.clone())).collect();
-    (responses, server.totals())
+    (responses, server.totals(), server.cache_stats())
 }
 
 /// The core assertion: cached serving equals uncached re-execution.
@@ -125,20 +125,26 @@ fn assert_cache_equivalence(
         let build = || engine_at(engine_idx, threads, edges);
         let (engine, cfg) = build();
         let name = engine.name();
-        let (bypass, _) = replay(engine, cfg, None, false, log);
+        let (bypass, _, _) = replay(engine, cfg, None, false, log);
         // Both consistency modes, each with the plan optimizer off and on:
         // plan choice must be invisible in every served byte (the
-        // plan-invariance contract), so all four runs must equal the
-        // optimizer-less uncached reference.
-        for (mode, optimize) in [
-            (ConsistencyMode::CostExact, false),
-            (ConsistencyMode::ResultExact, false),
-            (ConsistencyMode::CostExact, true),
-            (ConsistencyMode::ResultExact, true),
+        // plan-invariance contract), so all runs must equal the
+        // optimizer-less uncached reference. The two-entry cache evicts on
+        // nearly every miss.
+        for (mode, optimize, capacity) in [
+            (ConsistencyMode::CostExact, false, 64),
+            (ConsistencyMode::ResultExact, false, 64),
+            (ConsistencyMode::CostExact, true, 64),
+            (ConsistencyMode::ResultExact, true, 64),
+            (ConsistencyMode::CostExact, false, 2),
         ] {
             let (engine, cfg) = build();
-            let (cached, totals) =
-                replay(engine, cfg, Some(CacheConfig { mode, capacity: 64 }), optimize, log);
+            let (cached, totals, stats) =
+                replay(engine, cfg, Some(CacheConfig { mode, capacity }), optimize, log);
+            if capacity == 2 {
+                let evictions = stats.map_or(0, |s| s.evictions);
+                prop_assert!(evictions > 0, "{name}: the two-entry cache never evicted");
+            }
             prop_assert_eq!(cached.len(), bypass.len());
             let mut hits = 0u64;
             for (got, want) in cached.iter().zip(&bypass) {
@@ -307,7 +313,7 @@ fn concurrent_sessions_match_sequential_replay() {
     // optimizer is on in both runs: its counters are part of the totals
     // compared below, so planning must be deterministic under concurrency.
     let (engine, cfg) = engine_at(0, 1, &edges);
-    let (sequential, seq_totals) = replay(engine, cfg, Some(CacheConfig::default()), true, &log);
+    let (sequential, seq_totals, _) = replay(engine, cfg, Some(CacheConfig::default()), true, &log);
 
     // Concurrent run: the same log split round-robin over 3 racing sessions.
     let (engine, cfg) = engine_at(0, 1, &edges);

@@ -115,14 +115,21 @@ fn assert_shard_equivalence(
     edges: &[(NodeId, NodeId, Label)],
     log: &[Request],
 ) -> Result<(), TestCaseError> {
-    // Cache disabled plus all three modes; the reference cell is always
-    // shards = 1, threads = 1, replayed sequentially.
+    // Cache disabled, all three modes, and a two-entry cache that evicts on
+    // nearly every miss; the reference cell is always shards = 1,
+    // threads = 1, replayed sequentially.
+    let tiny = CacheConfig { mode: ConsistencyMode::CostExact, capacity: 2 };
     let configs: Vec<Option<CacheConfig>> = std::iter::once(None)
         .chain(MODES.iter().map(|&mode| Some(CacheConfig { mode, capacity: 64 })))
+        .chain([Some(tiny)])
         .collect();
     for cache in &configs {
         let (engine, cfg) = sharded_engine(1, 1, edges);
         let (want_responses, want_totals, want_cache) = replay(engine, cfg, *cache, log);
+        if *cache == Some(tiny) {
+            let evictions = want_cache.map_or(0, |s| s.evictions);
+            prop_assert!(evictions > 0, "the two-entry cache never evicted");
+        }
 
         for &shards in &SHARD_COUNTS {
             for &threads in &THREAD_COUNTS {
