@@ -399,8 +399,19 @@ impl GraphEngine for HostBaseline {
 
     /// Restoring marks the matrix engine dirty; the next query rebuilds it
     /// from the restored graph (rebuilds are simulation-cost-free, so live
-    /// and restored engines stay output-identical).
+    /// and restored engines stay output-identical). An image with any PIM
+    /// section was written by a PIM engine, whose edges live in sections this
+    /// engine does not read: it is rejected rather than restored as an empty
+    /// graph.
     fn restore_snapshot(&mut self, snapshot: &SnapshotState) -> bool {
+        if !snapshot.local_modules.is_empty()
+            || !snapshot.host_rows.is_empty()
+            || !snapshot.assignment_slots.is_empty()
+            || !snapshot.degrees.is_empty()
+            || !snapshot.promotions.is_empty()
+        {
+            return false;
+        }
         self.graph =
             AdjacencyGraph::from_rows(snapshot.adjacency_rows.clone(), snapshot.adjacency_id_bound);
         self.dirty = true;

@@ -16,6 +16,13 @@
 //! * [`HostBaseline`] — the RedisGraph-like baseline: GraphBLAS-style sparse
 //!   matrix execution on a single dedicated host core.
 //!
+//! The two PIM systems are one engine written once:
+//! [`distributed::DistributedPimEngine`], generic over its
+//! [`graph_partition::StreamingPartitioner`]. `MoctopusSystem` and
+//! `PimHashSystem` are type aliases of its greedy-adaptive and hash
+//! instantiations; they differ in their constructors, their `name()` and
+//! Moctopus' refinement pass, never in how a query or an update executes.
+//!
 //! All three implement the [`GraphEngine`] trait so experiments can sweep over
 //! them uniformly, and all three charge their work to the same
 //! [`pim_sim`] cost model, which reports a per-phase [`pim_sim::Timeline`]

@@ -1,13 +1,10 @@
 //! The PIM-hash contrast system.
 
 use crate::config::MoctopusConfig;
-use crate::deps::{QueryDeps, UpdateFootprint};
-use crate::distributed::{DistributedPimEngine, PlacementPolicy};
+use crate::distributed::DistributedPimEngine;
 use crate::engine::GraphEngine;
-use crate::stats::{QueryStats, UpdateStats};
-use graph_partition::{HashPartitioner, PartitionMetrics};
-use graph_store::{Label, LabelStatsSnapshot, NodeId, SnapshotState};
-use rpq::{PlanStrategy, RpqExpr};
+use graph_partition::HashPartitioner;
+use graph_store::NodeId;
 
 /// The PIM-hash contrast system evaluated in the paper: the same PIM execution
 /// engine as Moctopus but with every graph node assigned to a PIM module by a
@@ -28,18 +25,13 @@ use rpq::{PlanStrategy, RpqExpr};
 /// let (results, _) = system.k_hop_batch(&[NodeId(0)], 2);
 /// assert_eq!(results[0], vec![NodeId(2)]);
 /// ```
-#[derive(Debug, Clone)]
-pub struct PimHashSystem {
-    engine: DistributedPimEngine,
-}
+pub type PimHashSystem = DistributedPimEngine<HashPartitioner>;
 
 impl PimHashSystem {
     /// Creates an empty PIM-hash deployment.
     pub fn new(config: MoctopusConfig) -> Self {
         let partitioner = HashPartitioner::new(config.pim.num_modules);
-        PimHashSystem {
-            engine: DistributedPimEngine::new(config, PlacementPolicy::Hash(partitioner)),
-        }
+        DistributedPimEngine::with_partitioner("PIM-hash", config, partitioner)
     }
 
     /// Builds a system by streaming an edge list (no refinement exists for
@@ -49,24 +41,7 @@ impl PimHashSystem {
         system.insert_edges(edges);
         system
     }
-
-    /// Partition-quality metrics of the hash placement.
-    pub fn partition_metrics(&self) -> PartitionMetrics {
-        self.engine.partition_metrics()
-    }
-
-    /// Load-imbalance factor across PIM modules observed so far.
-    pub fn load_imbalance(&self) -> f64 {
-        self.engine.load_imbalance()
-    }
-
-    /// Access to the underlying distributed engine.
-    pub fn engine(&self) -> &DistributedPimEngine {
-        &self.engine
-    }
 }
-
-crate::system::impl_graph_engine_over_pim!(PimHashSystem, "PIM-hash");
 
 #[cfg(test)]
 mod tests {
@@ -133,9 +108,6 @@ mod tests {
         let mut system = PimHashSystem::new(MoctopusConfig::small_test());
         let edges: Vec<(NodeId, NodeId)> = (1..=30u64).map(|i| (NodeId(0), NodeId(i))).collect();
         system.insert_edges(&edges);
-        assert!(matches!(
-            system.engine().assignment().partition_of(NodeId(0)),
-            Some(PartitionId::Pim(_))
-        ));
+        assert!(matches!(system.assignment().partition_of(NodeId(0)), Some(PartitionId::Pim(_))));
     }
 }

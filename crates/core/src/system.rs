@@ -1,14 +1,10 @@
 //! The Moctopus system: the paper's primary contribution.
 
 use crate::config::MoctopusConfig;
-use crate::deps::{QueryDeps, UpdateFootprint};
-use crate::distributed::{DistributedPimEngine, PlacementPolicy};
+use crate::distributed::DistributedPimEngine;
 use crate::engine::GraphEngine;
-use crate::stats::{QueryStats, UpdateStats};
-use graph_partition::{GreedyAdaptivePartitioner, MigrationReport, PartitionMetrics};
-use graph_store::{Label, LabelStatsSnapshot, NodeId, PartitionId, SnapshotState};
-use pim_sim::Timeline;
-use rpq::{PlanStrategy, RpqExpr};
+use graph_partition::GreedyAdaptivePartitioner;
+use graph_store::NodeId;
 
 /// The Moctopus PIM-based graph data management system.
 ///
@@ -17,7 +13,8 @@ use rpq::{PlanStrategy, RpqExpr};
 /// high-degree rows to the host, the radical greedy heuristic keeps
 /// neighbouring low-degree rows on the same PIM module, a dynamic 1.05×
 /// capacity constraint maintains load balance, and the node migrator repairs
-/// incorrectly partitioned rows detected during path matching.
+/// incorrectly partitioned rows detected during path matching
+/// ([`DistributedPimEngine::refine_locality`]).
 ///
 /// # Examples
 ///
@@ -30,18 +27,13 @@ use rpq::{PlanStrategy, RpqExpr};
 /// let (results, _stats) = moctopus.k_hop_batch(&[NodeId(4)], 2);
 /// assert_eq!(results[0], vec![NodeId(6)]);
 /// ```
-#[derive(Debug, Clone)]
-pub struct MoctopusSystem {
-    engine: DistributedPimEngine,
-}
+pub type MoctopusSystem = DistributedPimEngine<GreedyAdaptivePartitioner>;
 
 impl MoctopusSystem {
     /// Creates an empty Moctopus deployment.
     pub fn new(config: MoctopusConfig) -> Self {
         let partitioner = GreedyAdaptivePartitioner::with_config(config.partitioner_config());
-        MoctopusSystem {
-            engine: DistributedPimEngine::new(config, PlacementPolicy::GreedyAdaptive(partitioner)),
-        }
+        DistributedPimEngine::with_partitioner("Moctopus", config, partitioner)
     }
 
     /// Builds a system by streaming an edge list through the partitioner and
@@ -53,153 +45,7 @@ impl MoctopusSystem {
         system.refine_locality();
         system
     }
-
-    /// The system configuration.
-    pub fn config(&self) -> &MoctopusConfig {
-        self.engine.config()
-    }
-
-    /// Runs the detection-and-migration refinement pass (Section 3.2.2) and
-    /// returns what it did and how long it took.
-    pub fn refine_locality(&mut self) -> (MigrationReport, Timeline) {
-        self.engine.refine_locality()
-    }
-
-    /// Partition-quality metrics of the current placement.
-    pub fn partition_metrics(&self) -> PartitionMetrics {
-        self.engine.partition_metrics()
-    }
-
-    /// Where a node's row currently lives.
-    pub fn partition_of(&self, node: NodeId) -> Option<PartitionId> {
-        self.engine.assignment().partition_of(node)
-    }
-
-    /// Number of rows promoted to the host (high-degree nodes).
-    pub fn host_row_count(&self) -> usize {
-        self.engine.host_row_count()
-    }
-
-    /// Load-imbalance factor across PIM modules observed so far.
-    pub fn load_imbalance(&self) -> f64 {
-        self.engine.load_imbalance()
-    }
-
-    /// Access to the underlying distributed engine (for experiments that need
-    /// transfer counters or the PIM platform state).
-    pub fn engine(&self) -> &DistributedPimEngine {
-        &self.engine
-    }
 }
-
-/// Implements [`GraphEngine`] for a system that is a
-/// [`DistributedPimEngine`] under one placement policy, held in a field named
-/// `engine`: every method forwards to the engine's inherent method, so the
-/// two PIM systems differ in their constructors and `name()` only. The
-/// invoking module imports the types of the trait's signatures.
-macro_rules! impl_graph_engine_over_pim {
-    ($system:ident, $name:literal) => {
-        impl GraphEngine for $system {
-            fn name(&self) -> &'static str {
-                $name
-            }
-
-            fn insert_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-                self.engine.insert_edges(edges)
-            }
-
-            fn delete_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-                self.engine.delete_edges(edges)
-            }
-
-            fn insert_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-                self.engine.insert_labeled_edges(edges)
-            }
-
-            fn delete_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-                self.engine.delete_labeled_edges(edges)
-            }
-
-            fn k_hop_batch(
-                &mut self,
-                sources: &[NodeId],
-                k: usize,
-            ) -> (Vec<Vec<NodeId>>, QueryStats) {
-                self.engine.k_hop_batch(sources, k)
-            }
-
-            fn rpq_batch(
-                &mut self,
-                expr: &RpqExpr,
-                sources: &[NodeId],
-            ) -> (Vec<Vec<NodeId>>, QueryStats) {
-                self.engine.rpq_batch(expr, sources)
-            }
-
-            fn rpq_batch_planned(
-                &mut self,
-                expr: &RpqExpr,
-                sources: &[NodeId],
-                strategy: PlanStrategy,
-            ) -> (Vec<Vec<NodeId>>, QueryStats) {
-                self.engine.rpq_batch_planned(expr, sources, strategy)
-            }
-
-            fn rpq_batch_tracked(
-                &mut self,
-                expr: &RpqExpr,
-                sources: &[NodeId],
-            ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
-                self.engine.rpq_batch_tracked(expr, sources)
-            }
-
-            fn insert_labeled_edges_tracked(
-                &mut self,
-                edges: &[(NodeId, NodeId, Label)],
-            ) -> (UpdateStats, UpdateFootprint) {
-                self.engine.insert_labeled_edges_tracked(edges)
-            }
-
-            fn delete_labeled_edges_tracked(
-                &mut self,
-                edges: &[(NodeId, NodeId, Label)],
-            ) -> (UpdateStats, UpdateFootprint) {
-                self.engine.delete_labeled_edges_tracked(edges)
-            }
-
-            fn edge_count(&self) -> usize {
-                self.engine.edge_count()
-            }
-
-            fn set_threads(&mut self, threads: usize) {
-                self.engine.set_threads(threads);
-            }
-
-            fn threads(&self) -> usize {
-                self.engine.threads()
-            }
-
-            fn export_snapshot(&self) -> Option<SnapshotState> {
-                Some(self.engine.export_storage())
-            }
-
-            fn restore_snapshot(&mut self, snapshot: &SnapshotState) -> bool {
-                self.engine.restore_storage(snapshot)
-            }
-
-            fn label_stats(&self) -> LabelStatsSnapshot {
-                self.engine.label_stats()
-            }
-
-            fn export_rev_rows(&self) -> Vec<(NodeId, Vec<(NodeId, Label)>)> {
-                self.engine.export_rev_rows()
-            }
-        }
-    };
-}
-pub(crate) use impl_graph_engine_over_pim;
-
-impl_graph_engine_over_pim!(MoctopusSystem, "Moctopus");
 
 #[cfg(test)]
 mod tests {

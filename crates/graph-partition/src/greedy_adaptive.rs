@@ -19,7 +19,7 @@
 use crate::assignment::PartitionAssignment;
 use crate::StreamingPartitioner;
 use graph_store::{
-    AdjacencyGraph, DegreeTracker, Label, NodeId, PartitionId, HIGH_DEGREE_THRESHOLD,
+    AdjacencyGraph, DegreeTracker, Label, NodeId, PartitionId, SnapshotState, HIGH_DEGREE_THRESHOLD,
 };
 
 /// Tunable parameters of the greedy-adaptive partitioner.
@@ -106,27 +106,6 @@ impl GreedyAdaptivePartitioner {
         }
     }
 
-    /// Rebuilds a partitioner from durable-snapshot parts: the raw assignment
-    /// slots, the degree table, and the promotion log.
-    ///
-    /// The restored partitioner makes exactly the decisions the exported one
-    /// would have made next: the assignment drives first-neighbour
-    /// inheritance and the capacity constraint, the degrees drive promotion
-    /// crossings, and the promotion log is carried for reporting.
-    pub fn from_snapshot_parts(
-        config: GreedyAdaptiveConfig,
-        assignment_slots: Vec<u32>,
-        degrees: Vec<(NodeId, u64)>,
-        promotions: Vec<NodeId>,
-    ) -> Self {
-        GreedyAdaptivePartitioner {
-            assignment: PartitionAssignment::from_slots(assignment_slots, config.num_pim_modules),
-            degrees: DegreeTracker::from_entries(config.high_degree_threshold, degrees),
-            config,
-            promotions,
-        }
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &GreedyAdaptiveConfig {
         &self.config
@@ -206,12 +185,6 @@ impl GreedyAdaptivePartitioner {
             self.assignment.assign(src, PartitionId::Host);
             self.promotions.push(src);
         }
-    }
-
-    /// Observes an edge deletion (degree bookkeeping only; the paper keeps
-    /// demoted hubs on the host, and so does the reproduction).
-    pub fn on_edge_delete(&mut self, src: NodeId, _dst: NodeId) {
-        self.degrees.record_delete(src);
     }
 
     /// [`GreedyAdaptivePartitioner::refine_rows`] over the out-rows of
@@ -301,8 +274,43 @@ impl StreamingPartitioner for GreedyAdaptivePartitioner {
         &self.assignment
     }
 
+    /// Degree bookkeeping only: the paper keeps demoted hubs on the host, and
+    /// so does the reproduction.
+    fn on_edge_delete(&mut self, src: NodeId, _dst: NodeId) {
+        self.degrees.record_delete(src);
+    }
+
     fn num_pim_modules(&self) -> usize {
         self.config.num_pim_modules
+    }
+
+    fn export_snapshot_parts(&self, image: &mut SnapshotState) {
+        image.assignment_slots = self.assignment.export_slots();
+        image.degrees = self.degrees.export_entries();
+        image.promotions = self.promotions.clone();
+    }
+
+    /// The restored partitioner makes exactly the decisions the exported one
+    /// would have made next: the assignment drives first-neighbour
+    /// inheritance and the capacity constraint, the degrees drive promotion
+    /// crossings, and the promotion log is carried for reporting. Every
+    /// stored row's source was counted on its way in, so an image in which
+    /// some row's source has no degree entry (the image's table is sorted
+    /// by node id) was written under another placement.
+    fn restore_snapshot_parts(&mut self, image: &SnapshotState) -> bool {
+        let counted = |node: &NodeId| image.degrees.binary_search_by_key(node, |&(n, _)| n).is_ok();
+        let module_rows = image.local_modules.iter().flat_map(|m| m.rows.iter().map(|(n, _)| n));
+        if !module_rows.chain(image.host_rows.iter().map(|r| &r.node)).all(counted) {
+            return false;
+        }
+        self.assignment = PartitionAssignment::from_slots(
+            image.assignment_slots.clone(),
+            self.config.num_pim_modules,
+        );
+        self.degrees =
+            DegreeTracker::from_entries(self.config.high_degree_threshold, image.degrees.clone());
+        self.promotions = image.promotions.clone();
+        true
     }
 }
 

@@ -9,7 +9,7 @@
 
 use crate::assignment::PartitionAssignment;
 use crate::StreamingPartitioner;
-use graph_store::{NodeId, PartitionId};
+use graph_store::{NodeId, PartitionId, SnapshotState};
 
 /// Stateless-hash streaming partitioner.
 ///
@@ -44,16 +44,6 @@ impl HashPartitioner {
         PartitionId::Pim((h % num_modules.max(1) as u64) as u32)
     }
 
-    /// Rebuilds a hash partitioner from durable-snapshot assignment slots.
-    ///
-    /// Hash placement is stateless, so the assignment alone (which records
-    /// every node ever observed) fully restores the partitioner.
-    pub fn from_snapshot_parts(num_pim_modules: usize, assignment_slots: Vec<u32>) -> Self {
-        HashPartitioner {
-            assignment: PartitionAssignment::from_slots(assignment_slots, num_pim_modules),
-        }
-    }
-
     fn ensure_assigned(&mut self, node: NodeId) {
         if !self.assignment.contains(node) {
             let p = Self::hash_partition(node, self.assignment.num_pim_modules());
@@ -78,6 +68,25 @@ impl StreamingPartitioner for HashPartitioner {
 
     fn num_pim_modules(&self) -> usize {
         self.assignment.num_pim_modules()
+    }
+
+    /// Hash placement is stateless, so the assignment alone (which records
+    /// every node ever observed) fully restores the partitioner. It keeps no
+    /// degrees, promotes nothing and places no row on the host, so an image
+    /// with a degree table, a promotion log, host rows or a host slot was
+    /// written under another placement.
+    fn restore_snapshot_parts(&mut self, image: &SnapshotState) -> bool {
+        if !image.degrees.is_empty() || !image.promotions.is_empty() || !image.host_rows.is_empty()
+        {
+            return false;
+        }
+        let assignment =
+            PartitionAssignment::from_slots(image.assignment_slots.clone(), self.num_pim_modules());
+        if assignment.host_node_count() > 0 {
+            return false;
+        }
+        self.assignment = assignment;
+        true
     }
 }
 

@@ -44,16 +44,23 @@ pub use greedy_adaptive::{GreedyAdaptiveConfig, GreedyAdaptivePartitioner, Migra
 pub use hash::HashPartitioner;
 pub use metrics::PartitionMetrics;
 
-use graph_store::{NodeId, PartitionId};
+use graph_store::{NodeId, PartitionId, SnapshotState};
 
 /// A partitioner that assigns graph nodes to computing nodes as edges stream in.
 ///
 /// Implementations are driven edge-by-edge, matching how a graph database
 /// ingests updates: the partitioner decides where a node lives the first time
-/// it appears in the edge stream.
+/// it appears in the edge stream. The provided methods fit a partitioner that
+/// keeps nothing beyond its assignment, such as [`HashPartitioner`].
 pub trait StreamingPartitioner {
     /// Observes an inserted edge and assigns any previously unseen endpoint.
     fn on_edge(&mut self, src: NodeId, dst: NodeId);
+
+    /// Observes a deleted edge. Placement never changes on a delete; the
+    /// default keeps no per-edge state to update.
+    fn on_edge_delete(&mut self, src: NodeId, dst: NodeId) {
+        let _ = (src, dst);
+    }
 
     /// The partition a node is currently assigned to, if it has been seen.
     fn partition_of(&self, node: NodeId) -> Option<PartitionId>;
@@ -63,4 +70,18 @@ pub trait StreamingPartitioner {
 
     /// Number of PIM modules the partitioner spreads nodes across.
     fn num_pim_modules(&self) -> usize;
+
+    /// Writes this partitioner's parts of a durable image: the raw
+    /// assignment slots and, for a partitioner that keeps them, the degree
+    /// table and promotion log. The default writes the slots only.
+    fn export_snapshot_parts(&self, image: &mut SnapshotState) {
+        image.assignment_slots = self.assignment().export_slots();
+    }
+
+    /// Replaces this partitioner's state with the one `image` records.
+    ///
+    /// Returns `false` — leaving the partitioner untouched — when the image
+    /// holds placement parts this partitioner cannot own, i.e. it was
+    /// written by an engine placing rows some other way.
+    fn restore_snapshot_parts(&mut self, image: &SnapshotState) -> bool;
 }

@@ -10,10 +10,10 @@
 //! the logical graph and the owner directory alone, so any divergence in the
 //! engine's cost accounting (bytes *or* float charge order) fails the test.
 
-use graph_partition::{GreedyAdaptivePartitioner, HashPartitioner, PartitionAssignment};
+use graph_partition::{PartitionAssignment, StreamingPartitioner};
 use graph_store::{AdjacencyGraph, NodeId, PartitionId};
-use moctopus::distributed::{DistributedPimEngine, PlacementPolicy};
-use moctopus::{MoctopusConfig, QueryStats};
+use moctopus::distributed::DistributedPimEngine;
+use moctopus::{GraphEngine, MoctopusConfig, MoctopusSystem, PimHashSystem, QueryStats};
 use pim_sim::{Phase, PimSystem, SimTime, Timeline};
 use proptest::prelude::*;
 use rpq::ReferenceEvaluator;
@@ -121,29 +121,30 @@ fn oracle_query_timeline(
     (frontiers, timeline, expansions)
 }
 
-fn engine_for(policy_id: usize, config: MoctopusConfig) -> DistributedPimEngine {
-    let policy = if policy_id == 0 {
-        PlacementPolicy::GreedyAdaptive(GreedyAdaptivePartitioner::with_config(
-            config.partitioner_config(),
-        ))
-    } else {
-        PlacementPolicy::Hash(HashPartitioner::new(config.pim.num_modules))
-    };
-    DistributedPimEngine::new(config, policy)
-}
-
 /// Loads a graph into an engine of the requested policy and checks, for each
 /// k, that results match the reference evaluator and that the timeline is
 /// identical to the oracle's naive formulation.
 fn check_engine(graph: &AdjacencyGraph, policy_id: usize) -> Result<(), TestCaseError> {
     let config = MoctopusConfig::small_test();
+    if policy_id == 0 {
+        engine_for(graph, MoctopusSystem::new(config), |engine| {
+            engine.refine_locality();
+        })
+    } else {
+        engine_for(graph, PimHashSystem::new(config), |_| {})
+    }
+}
+
+/// [`check_engine`] on one engine, `refine` run after the edges are in.
+fn engine_for<P: StreamingPartitioner + Sync + 'static>(
+    graph: &AdjacencyGraph,
+    mut engine: DistributedPimEngine<P>,
+    refine: fn(&mut DistributedPimEngine<P>),
+) -> Result<(), TestCaseError> {
     let mut edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
     edges.sort();
-    let mut engine = engine_for(policy_id, config);
     engine.insert_edges(&edges);
-    if policy_id == 0 {
-        engine.refine_locality();
-    }
+    refine(&mut engine);
     let reference = ReferenceEvaluator::new(graph);
     // A spread of known sources plus one id outside the graph (no-op path).
     let mut sources: Vec<NodeId> = (0..24u64).map(NodeId).collect();

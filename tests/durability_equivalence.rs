@@ -17,7 +17,7 @@
 //!   replay (sequence numbers, not file positions, decide).
 
 use graph_store::wal::{decode_wal_bytes, WalOp, WalRecord, WalWriter};
-use graph_store::{Label, NodeId};
+use graph_store::{GraphStoreError, Label, NodeId};
 use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
 use moctopus_server::{DurabilityOptions, DurableEngine};
 use proptest::prelude::*;
@@ -505,4 +505,48 @@ fn recovery_is_thread_count_invariant() {
     four.set_threads(4);
     assert_states_match(&mut one, &mut four, "threads 1 vs 4");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable image holds the sections of the engine kind that wrote it, so a
+/// store written by one kind and opened by another is reported corrupt —
+/// never restored as an empty graph (the host baseline reading a PIM image),
+/// with hub rows the hash placement never uses (PIM-hash reading a Moctopus
+/// image), or without the degree table that times promotions (Moctopus
+/// reading a PIM-hash image).
+#[test]
+fn an_image_written_by_another_engine_kind_is_rejected() {
+    // Two hubs past the promotion threshold, plus a labelled ring of chords.
+    let mut edges: Vec<(NodeId, NodeId, Label)> =
+        (1..=24u64).map(|i| (NodeId(0), NodeId(i), Label(1))).collect();
+    edges.extend((1..=20u64).map(|i| (NodeId(7), NodeId(30 + i), Label(2))));
+    edges.extend(
+        (0..40u64).map(|i| (NodeId(i), NodeId((i * 7 + 3) % 40), Label((i % 3) as u16 + 1))),
+    );
+    let mut moctopus = MoctopusSystem::new(MoctopusConfig::small_test());
+    moctopus.insert_labeled_edges(&edges);
+    assert_eq!(moctopus.host_row_count(), 2, "both hubs live on the host under Moctopus");
+
+    let options = DurabilityOptions { sync_every: 1, rotate_every: 0 };
+    for writer in 0..ENGINE_KINDS {
+        let dir = scratch_dir("crosskind");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut live = DurableEngine::open(fresh_engine(writer), &dir, options).unwrap();
+        live.insert_labeled_edges(&edges);
+        live.rotate().expect("rotation must succeed");
+        drop(live);
+        for reader in (0..ENGINE_KINDS).filter(|&kind| kind != writer) {
+            match DurableEngine::open(fresh_engine(reader), &dir, options) {
+                Err(GraphStoreError::Corrupt { .. }) => {}
+                Err(other) => panic!("kind {writer}'s image under kind {reader}: {other}"),
+                Ok(_) => panic!("kind {reader} restored an image written by kind {writer}"),
+            }
+        }
+        // The kind that wrote the image still recovers it.
+        let mut back = DurableEngine::open(fresh_engine(writer), &dir, options).unwrap();
+        assert!(back.report().restored_snapshot, "kind {writer}: snapshot must restore");
+        let mut mirror = fresh_engine(writer);
+        mirror.insert_labeled_edges(&edges);
+        assert_states_match(&mut back, mirror.as_mut(), &format!("kind {writer} after rejections"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

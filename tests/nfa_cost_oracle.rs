@@ -202,7 +202,7 @@ fn engines_at(threads: usize, edges: &[Edge]) -> Vec<Box<dyn GraphEngine>> {
 fn assignments(edges: &[Edge]) -> (Vec<PartitionAssignment>, usize) {
     let (mut moctopus, pim_hash) = systems_at(1, edges);
     moctopus.refine_locality();
-    let directories = [moctopus.engine(), pim_hash.engine()].map(|e| e.assignment().clone());
+    let directories = [moctopus.assignment().clone(), pim_hash.assignment().clone()];
     (directories.to_vec(), moctopus.host_row_count())
 }
 

@@ -374,7 +374,7 @@ fn hub_heavy_batches_are_identical_under_the_weighted_split() {
 
     let mut moctopus = MoctopusSystem::new(MoctopusConfig::small_test().with_threads(1));
     moctopus.insert_labeled_edges(&edges);
-    assert!(moctopus.engine().host_row_count() >= 12, "the hubs were promoted to the host lane");
+    assert!(moctopus.host_row_count() >= 12, "the hubs were promoted to the host lane");
 
     assert_observations_match(&edges, &[&sources], 3);
 }
@@ -450,7 +450,7 @@ fn hops_that_alternate_between_one_and_many_workers_are_identical() {
 
     let mut moctopus = MoctopusSystem::new(MoctopusConfig::small_test().with_threads(1));
     moctopus.insert_labeled_edges(&edges);
-    assert!(moctopus.engine().host_row_count() >= 2, "hub and side door are host-lane rows");
+    assert!(moctopus.host_row_count() >= 2, "hub and side door are host-lane rows");
 
     let sources = [NodeId(0), NodeId(1), NodeId(2)];
     assert_observations_match(&edges, &[&sources, &sources[1..]], 3);

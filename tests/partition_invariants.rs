@@ -4,7 +4,7 @@ use graph_partition::{
     GreedyAdaptiveConfig, GreedyAdaptivePartitioner, HashPartitioner, PartitionMetrics,
     StreamingPartitioner,
 };
-use graph_store::{AdjacencyGraph, Label, NodeId, PartitionId};
+use graph_store::{AdjacencyGraph, Label, NodeId, PartitionId, SnapshotState};
 use moctopus::distributed::DistributedPimEngine;
 use moctopus::{GraphEngine, MoctopusConfig, MoctopusSystem, Phase, PimHashSystem};
 use moctopus_bench::{HarnessOptions, RpqWorkload, TraceWorkload};
@@ -234,6 +234,11 @@ struct Refined {
     storage: u64,
 }
 
+/// The durable image of `system`.
+fn image(system: &MoctopusSystem) -> SnapshotState {
+    system.export_snapshot().expect("a PIM engine exports its storage plane")
+}
+
 fn refined(system: &mut MoctopusSystem) -> Refined {
     let (report, timeline) = system.refine_locality();
     let x = &timeline.transfers;
@@ -250,7 +255,7 @@ fn refined(system: &mut MoctopusSystem) -> Refined {
             x.cpu_to_pim_bytes,
             x.pim_to_cpu_bytes,
         ])),
-        storage: fnv(system.engine().export_storage().encode_file().into_iter().map(u64::from)),
+        storage: fnv(image(system).encode_file().into_iter().map(u64::from)),
     }
 }
 
@@ -276,7 +281,7 @@ fn engine_refinement_is_pinned() {
     assert_eq!(got, want, "trace 12: {got:#x?}");
     // `from_edge_stream` is ingest plus this very pass.
     let streamed = trace.moctopus(&options);
-    assert_eq!(streamed.engine().export_storage(), system.engine().export_storage());
+    assert_eq!(image(&streamed), image(&system));
 
     let options = HarnessOptions { scale: 0.02, threads: 1, ..HarnessOptions::default() };
     let rpq = RpqWorkload::power_law(&options);
@@ -296,11 +301,10 @@ fn engine_refinement_is_pinned() {
 /// `partition_metrics()` counts the edges the stores hold exactly as
 /// [`PartitionMetrics::compute`] counts a model graph of the same edges,
 /// after ingest, after refinement and after deletes.
-fn check_partition_metrics<S: GraphEngine>(
-    mut system: S,
-    engine: fn(&S) -> &DistributedPimEngine,
-    refine: fn(&mut S),
-) -> S {
+fn check_partition_metrics<P: StreamingPartitioner + Sync + 'static>(
+    mut system: DistributedPimEngine<P>,
+    refine: fn(&mut DistributedPimEngine<P>),
+) -> DistributedPimEngine<P> {
     let mut edges: Vec<(NodeId, NodeId, Label)> = Vec::new();
     // Two hubs past the promotion threshold, one of them interleaved with
     // the rest of the stream.
@@ -322,10 +326,9 @@ fn check_partition_metrics<S: GraphEngine>(
     for &(s, d, l) in &edges {
         model.insert_edge(s, d, l);
     }
-    let check = |system: &S, model: &AdjacencyGraph, phase: &str| {
-        let e = engine(system);
+    let check = |e: &DistributedPimEngine<P>, model: &AdjacencyGraph, phase: &str| {
         let want = PartitionMetrics::compute(model.edges(), e.assignment());
-        assert_eq!(e.partition_metrics(), want, "{}: {phase}", system.name());
+        assert_eq!(e.partition_metrics(), want, "{}: {phase}", e.name());
     };
 
     system.insert_labeled_edges(&edges);
@@ -343,18 +346,11 @@ fn check_partition_metrics<S: GraphEngine>(
 
 #[test]
 fn partition_metrics_count_the_stored_edges() {
-    let moctopus = check_partition_metrics(
-        MoctopusSystem::new(MoctopusConfig::small_test()),
-        MoctopusSystem::engine,
-        |s| {
+    let moctopus =
+        check_partition_metrics(MoctopusSystem::new(MoctopusConfig::small_test()), |s| {
             s.refine_locality();
-        },
-    );
+        });
     assert_eq!(moctopus.host_row_count(), 2, "both hubs live on the host");
     // Hash placement has no refinement pass to run.
-    check_partition_metrics(
-        PimHashSystem::new(MoctopusConfig::small_test()),
-        PimHashSystem::engine,
-        |_| {},
-    );
+    check_partition_metrics(PimHashSystem::new(MoctopusConfig::small_test()), |_| {});
 }
