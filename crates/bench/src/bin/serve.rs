@@ -6,17 +6,16 @@
 //! (`moctopus_bench::ServeTrace`: Zipf-popular query pool, configurable
 //! update fraction, same-timestamp burst rounds, rotated source batches,
 //! round-robin logical arrival across clients) through the
-//! `moctopus-server` layer four times, each over a freshly built sharded
+//! `moctopus-server` layer three times, each over a freshly built sharded
 //! engine (`--shards` full replicas behind one `ShardedEngine`):
 //!
-//! * `cost-exact`   — caching on, hits bit-identical in results *and* stats;
-//! * `result-exact` — caching on, label-precise invalidation only;
-//! * `row-exact`    — caching per (expression, source) row, shared across
-//!   overlapping batches;
-//! * `no-cache`     — every query executes on the engine (burst duplicates
+//! * `cost-exact` — caching on, hits bit-identical in results *and* stats;
+//! * `row-exact`  — caching per (expression, source) row, shared across
+//!   overlapping batches, with label-precise invalidation;
+//! * `no-cache`   — every query executes on the engine (burst duplicates
 //!   still collapse).
 //!
-//! It self-verifies on every run: all four modes must produce identical
+//! It self-verifies on every run: all three modes must produce identical
 //! query results (zero staleness), every `cost-exact` response's stats must
 //! equal the uncached run's, and a shard sweep (1, 2, 4 shards of the
 //! cost-exact mode) must produce byte-identical responses at every shard
@@ -511,10 +510,9 @@ fn main() {
     let cache_with = |mode| Some(CacheConfig { mode, ..CacheConfig::default() });
 
     let cost_exact = run("cost-exact", cache_with(ConsistencyMode::CostExact), shards);
-    let result_exact = run("result-exact", cache_with(ConsistencyMode::ResultExact), shards);
     let row_exact = run("row-exact", cache_with(ConsistencyMode::RowExact), shards);
     let no_cache = run("no-cache", None, shards);
-    cross_check(&no_cache, &[&cost_exact, &result_exact, &row_exact]);
+    cross_check(&no_cache, &[&cost_exact, &row_exact]);
 
     println!(
         "{:<14}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}  {:>6} {:>6} {:>6} {:>6}  {:>6}",
@@ -530,7 +528,7 @@ fn main() {
         "inval",
         "hit%"
     );
-    for m in [&cost_exact, &result_exact, &row_exact, &no_cache] {
+    for m in [&cost_exact, &row_exact, &no_cache] {
         let t = &m.totals;
         println!(
             "{:<14}  {:>10.3}  {:>10.3}  {:>10.3}  {:>10.3}  {:>10.3}  {:>6} {:>6} {:>6} {:>6}  \
@@ -557,10 +555,8 @@ fn main() {
         }
     };
     println!(
-        "\nsimulated serving-time speedup vs no-cache: cost-exact {:.2}x, result-exact {:.2}x, \
-         row-exact {:.2}x",
+        "\nsimulated serving-time speedup vs no-cache: cost-exact {:.2}x, row-exact {:.2}x",
         speedup(&cost_exact),
-        speedup(&result_exact),
         speedup(&row_exact)
     );
     println!(
@@ -611,7 +607,7 @@ fn main() {
             &cfg,
             shards,
             &workload,
-            &[&cost_exact, &result_exact, &row_exact, &no_cache],
+            &[&cost_exact, &row_exact, &no_cache],
             &sweep,
             trace.len(),
         );

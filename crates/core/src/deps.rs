@@ -191,7 +191,7 @@ pub struct UpdateFootprint {
     /// `true` if the engine couples *every* query's simulated cost to this
     /// update (e.g. the host baseline's cache-residency model reads the whole
     /// graph's byte size). Invalidates all entries under cost-exact
-    /// consistency but leaves result-exact precision intact.
+    /// consistency; row-exact entries depend on answers only and stay.
     pub cost_global: bool,
     /// `true` if nothing can be said at all: every cached entry must go, in
     /// every consistency mode. Default for engines without tracked hooks.

@@ -174,11 +174,13 @@ pub struct HostMatrixEngine {
     node_bound: usize,
     any: SparseBoolMatrix,
     by_label: HashMap<Label, SparseBoolMatrix>,
-    /// Transpose of `any`: row `d` lists the sources with an edge into `d`.
-    /// Maintained on every update path so reversed sweeps (the ALPHA-PIM
-    /// style transposed matrix chain) never rebuild from scratch.
+    /// Transpose of `any`: row `d` lists the sources with an edge into `d`,
+    /// for reversed sweeps (the ALPHA-PIM style transposed matrix chain).
+    /// Built with the forward matrices in [`HostMatrixEngine::from_graph`];
+    /// nothing updates it in place — the host baseline rebuilds all four
+    /// matrix families from its graph on the first query after an update.
     any_t: SparseBoolMatrix,
-    /// Transposes of the per-label matrices, maintained alongside them.
+    /// Transposes of the per-label matrices, built alongside them.
     by_label_t: HashMap<Label, SparseBoolMatrix>,
 }
 

@@ -31,20 +31,16 @@ pub enum ConsistencyMode {
     /// flags) in addition to the result tier.
     #[default]
     CostExact,
-    /// A surviving entry's answer is bit-identical to uncached re-execution;
-    /// its stats describe the (equally valid) execution that produced the
-    /// answer but may differ from a fresh run's micro-costs. Invalidates on
-    /// the per-label result tier only — strictly higher hit rates.
-    ResultExact,
     /// Entries are cached per *(expression, single source)* **row** instead
     /// of per whole batch: the server decomposes each query batch into one
     /// row per position, probes each row independently, and executes only
-    /// the missing rows. Two batches sharing any source now share cache
-    /// state, so overlapping-but-unequal batches (which `ResultExact` treats
-    /// as distinct keys) still hit. Row answers carry the same per-row
-    /// result-exactness guarantee as [`ConsistencyMode::ResultExact`], and
-    /// invalidation uses the identical result-tier filter; a response's
-    /// stats are the batch-order fold of its rows' stats.
+    /// the missing rows. Two batches sharing any source share cache state,
+    /// so overlapping-but-unequal batches still hit. A surviving row's
+    /// answer is bit-identical to uncached re-execution; its stats describe
+    /// the (equally valid) execution that produced it but may differ from a
+    /// fresh run's micro-costs, so invalidation uses the per-label result
+    /// tier only. A response's stats are the batch-order fold of its rows'
+    /// stats.
     RowExact,
 }
 
@@ -262,9 +258,7 @@ impl ResultCache {
                     ConsistencyMode::CostExact => {
                         results_hit || footprint.invalidates_costs(&entry.deps)
                     }
-                    // Row entries promise result-exactness per row — the
-                    // same tier, so the same filter.
-                    ConsistencyMode::ResultExact | ConsistencyMode::RowExact => results_hit,
+                    ConsistencyMode::RowExact => results_hit,
                 }
             })
             .map(|(key, _)| Arc::clone(key))
@@ -323,12 +317,13 @@ mod tests {
     }
 
     #[test]
-    fn label_mismatched_updates_keep_result_exact_entries() {
+    fn label_mismatched_updates_keep_row_exact_entries() {
         let mut cache =
-            ResultCache::new(CacheConfig { capacity: 8, mode: ConsistencyMode::ResultExact });
+            ResultCache::new(CacheConfig { capacity: 8, mode: ConsistencyMode::RowExact });
         let expr = rpq::parser::parse("1/1").unwrap().normalize();
         insert_probe(&mut cache, &expr, &[1]);
-        // Same node, different label: results cannot change.
+        // Same node, different label: results cannot change, so the row
+        // stays (a cost-exact cache drops it; see the next test).
         let fp = UpdateFootprint::from_edges(&[(NodeId(1), NodeId(9), graph_store::Label(7))]);
         assert_eq!(cache.invalidate(&fp), 0);
         // Same node, matching label: must go.

@@ -16,9 +16,10 @@
 //!   invalidated *precisely* through the engine-reported dependency
 //!   footprints (`moctopus::deps`): per-label source buckets for answers,
 //!   label-blind structural buckets plus a host-store flag for simulated
-//!   costs. Two consistency levels ([`ConsistencyMode`]); under the default
+//!   costs. Two consistency modes ([`ConsistencyMode`]): under the default
 //!   cost-exact mode a hit is bit-identical — results *and* stats — to
-//!   re-executing the query.
+//!   re-executing the query; row-exact mode caches per *(expression,
+//!   source)* row, so overlapping batches share entries.
 //! * [`ConcurrentServer`] / [`Session`] — many client threads submitting at
 //!   logical timestamps, executed in the deterministic total order
 //!   `(at, client, seq)` via `moctopus_runtime::SequencedQueue`, so
@@ -37,10 +38,8 @@
 //!   byte-identical — results, stats, dependency footprints — to a server
 //!   that never crashed (STORAGE.md).
 //!
-//! Three consistency modes ([`ConsistencyMode`], including per-row
-//! `RowExact` keys), plus same-timestamp miss collapsing
-//! ([`CacheOutcome::Collapsed`]) that absorbs viral duplicate queries even
-//! with the cache disabled.
+//! Same-timestamp miss collapsing ([`CacheOutcome::Collapsed`]) absorbs
+//! viral duplicate queries even with the cache disabled.
 //!
 //! SERVING.md walks the architecture, the cache-consistency argument (why
 //! stale reads are impossible), the cost accounting, and the scale-out

@@ -13,6 +13,7 @@ use crate::request::{CacheOutcome, Request, RequestId, RequestKind, Response, Re
 use graph_store::NodeId;
 use moctopus::{GraphEngine, MoctopusConfig, QueryStats};
 use pim_sim::{PimSystem, SimTime};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Host instructions charged per cache probe (hash the key, compare the
@@ -244,7 +245,7 @@ impl QueryServer {
         let expr = expr.normalize();
 
         // One key construction per request: probed by reference (collapse
-        // window, then cache), consumed by the miss-path insert.
+        // window, then cache), and finally moved into the collapse window.
         let key = CacheKey::new(expr, sources);
 
         // Miss collapsing: an identical query already executed at this exact
@@ -267,96 +268,80 @@ impl QueryServer {
             _ => self.window = Some(CollapseWindow { at, answers: HashMap::new() }),
         }
 
-        if self.cache.is_none() {
-            self.plan_query(&key);
-            let (results, stats) = self.engine.rpq_batch(key.expr(), key.sources());
-            self.run_shadow(&key, &results, &stats);
-            self.totals.engine_time += stats.latency();
-            self.totals.matched_pairs += stats.matched_pairs as u64;
-            self.record_in_window(&key, &results, stats);
-            return ResponseBody::Query { results, stats, cache: CacheOutcome::Bypass };
-        }
-        if self.cache.as_ref().map(|c| c.config().mode) == Some(ConsistencyMode::RowExact) {
-            return self.serve_query_by_rows(key);
-        }
-
-        // moctopus-lint: allow(panic-in-lib, reason = "the bypass branch above returned when self.cache is None")
-        let cache = self.cache.as_mut().expect("checked above");
-        if let Some((results, stats)) = cache.lookup(&key) {
-            let hit_cost = self.hit_cost(&stats);
-            self.totals.hit_time += hit_cost;
-            self.totals.avoided_time += stats.latency();
-            self.totals.matched_pairs += stats.matched_pairs as u64;
-            return ResponseBody::Query { results, stats, cache: CacheOutcome::Hit };
-        }
-
-        self.plan_query(&key);
-        let (results, stats, deps) = self.engine.rpq_batch_tracked(key.expr(), key.sources());
-        self.run_shadow(&key, &results, &stats);
-        self.totals.engine_time += stats.latency();
-        self.totals.matched_pairs += stats.matched_pairs as u64;
-        self.record_in_window(&key, &results, stats);
-        let alphabet = key.expr().label_alphabet();
-        // moctopus-lint: allow(panic-in-lib, reason = "same borrow re-taken after the engine call; the bypass branch returned when None")
-        let cache = self.cache.as_mut().expect("cache checked above");
-        cache.insert(key, results.clone(), stats, deps, alphabet);
-        ResponseBody::Query { results, stats, cache: CacheOutcome::Miss }
-    }
-
-    /// The [`ConsistencyMode::RowExact`] serving path: the batch decomposes
-    /// into one *(expression, source)* row per position, each probed and —
-    /// when missing — executed and cached independently, in batch order.
-    /// Overlapping-but-unequal batches share rows, so they share cache state;
-    /// a duplicate source later in the same batch hits the row its first
-    /// occurrence just filled. The response's stats are the batch-order fold
-    /// of the rows' stats ([`QueryStats::merge`]); the outcome is a hit only
-    /// if **no** row touched the engine.
-    fn serve_query_by_rows(&mut self, key: CacheKey) -> ResponseBody {
-        // Take the cache out of `self` for the loop: row serving interleaves
-        // cache probes with engine execution and pricing.
-        // moctopus-lint: allow(panic-in-lib, reason = "only reached via the RowExact dispatch, which required Some(cache)")
-        let mut cache = self.cache.take().expect("row mode implies a cache");
-        let alphabet = key.expr().label_alphabet();
-        let mut results: Vec<Vec<NodeId>> = Vec::with_capacity(key.sources().len());
-        let mut folded = QueryStats::default();
+        // The batch's cache keys. Under `RowExact` every source is its own
+        // *(expression, source)* key, so overlapping-but-unequal batches
+        // share rows and a duplicate source later in the batch hits the row
+        // its first occurrence just filled; otherwise the whole batch is one
+        // key (with no cache, one key executed untracked and never probed).
+        let per_row =
+            self.cache.as_ref().is_some_and(|c| c.config().mode == ConsistencyMode::RowExact);
+        let parts = if per_row { key.sources().len() } else { 1 };
+        let mut results = Vec::with_capacity(if per_row { parts } else { 0 });
+        let mut stats = QueryStats::default();
         let mut executed = false;
-        for &source in key.sources() {
-            let row_key = CacheKey::new(key.expr().clone(), vec![source]);
-            let (mut rows, stats) = match cache.lookup(&row_key) {
-                Some((rows, stats)) => {
-                    let hit_cost = self.hit_cost(&stats);
+        for i in 0..parts {
+            let part = if per_row {
+                Cow::Owned(CacheKey::new(key.expr().clone(), vec![key.sources()[i]]))
+            } else {
+                Cow::Borrowed(&key)
+            };
+            let hit = self.cache.as_mut().and_then(|c| c.lookup(&part));
+            let (part_results, part_stats) = match hit {
+                Some((part_results, part_stats)) => {
+                    let hit_cost = self.hit_cost(&part_stats);
                     self.totals.hit_time += hit_cost;
-                    self.totals.avoided_time += stats.latency();
-                    (rows, stats)
+                    self.totals.avoided_time += part_stats.latency();
+                    (part_results, part_stats)
                 }
                 None => {
                     if !executed {
                         // Plan once per executing query, against the full
-                        // batch — the same granularity as the other modes.
+                        // batch, whatever its keys.
                         self.plan_query(&key);
+                        executed = true;
                     }
-                    executed = true;
-                    let (rows, stats, deps) =
-                        self.engine.rpq_batch_tracked(row_key.expr(), row_key.sources());
-                    self.run_shadow(&row_key, &rows, &stats);
-                    self.totals.engine_time += stats.latency();
-                    cache.insert(row_key, rows.clone(), stats, deps, alphabet.clone());
-                    (rows, stats)
+                    let (part_results, part_stats, deps) = if self.cache.is_some() {
+                        let (r, s, deps) =
+                            self.engine.rpq_batch_tracked(part.expr(), part.sources());
+                        (r, s, Some(deps))
+                    } else {
+                        let (r, s) = self.engine.rpq_batch(part.expr(), part.sources());
+                        (r, s, None)
+                    };
+                    self.run_shadow(&part, &part_results, &part_stats);
+                    self.totals.engine_time += part_stats.latency();
+                    if let (Some(cache), Some(deps)) = (self.cache.as_mut(), deps) {
+                        let alphabet = part.expr().label_alphabet();
+                        let entry = part_results.clone();
+                        cache.insert(part.into_owned(), entry, part_stats, deps, alphabet);
+                    }
+                    (part_results, part_stats)
                 }
             };
-            self.totals.matched_pairs += stats.matched_pairs as u64;
-            // moctopus-lint: allow(panic-in-lib, reason = "rpq_batch returns exactly one row per source and row_key has one source")
-            results.push(rows.pop().expect("single-source batches return one row"));
-            folded.merge(&stats);
+            self.totals.matched_pairs += part_stats.matched_pairs as u64;
+            if per_row {
+                // A response's stats are the batch-order fold of its rows'.
+                results.extend(part_results);
+                stats.merge(&part_stats);
+            } else {
+                // Returned as is: folding into the default would turn a
+                // `-0.0` time into `+0.0`.
+                (results, stats) = (part_results, part_stats);
+            }
         }
-        self.cache = Some(cache);
-        let outcome = if executed {
-            self.record_in_window(&key, &results, folded);
-            CacheOutcome::Miss
-        } else {
-            CacheOutcome::Hit
+        let outcome = match (&self.cache, executed) {
+            (None, _) => CacheOutcome::Bypass,
+            (Some(_), true) => CacheOutcome::Miss,
+            (Some(_), false) => CacheOutcome::Hit,
         };
-        ResponseBody::Query { results, stats: folded, cache: outcome }
+        // Only executions enter the collapse window: a hit's duplicates hit
+        // the cache too.
+        if executed {
+            // moctopus-lint: allow(panic-in-lib, reason = "opened by the collapse check above; nothing since clears it")
+            let window = self.window.as_mut().expect("window opened above");
+            window.answers.insert(key, (results.clone(), stats));
+        }
+        ResponseBody::Query { results, stats, cache: outcome }
     }
 
     /// Runs the cost-based plan optimizer for a query about to execute, when
@@ -424,15 +409,6 @@ impl QueryServer {
         self.totals.shadow_chosen_time += stats.latency();
     }
 
-    /// Records an engine-produced answer in the collapse window (only
-    /// executions are recorded: a cache hit needs no collapsing, its
-    /// duplicates hit the cache too).
-    fn record_in_window(&mut self, key: &CacheKey, results: &[Vec<NodeId>], stats: QueryStats) {
-        // moctopus-lint: allow(panic-in-lib, reason = "serve_query opens the window before any path that records into it")
-        let window = self.window.as_mut().expect("window opened by serve_query");
-        window.answers.insert(key.clone(), (results.to_vec(), stats));
-    }
-
     fn serve_update(
         &mut self,
         edges: &[(graph_store::NodeId, graph_store::NodeId, graph_store::Label)],
@@ -442,24 +418,14 @@ impl QueryServer {
         // Any update ends the collapse window, even mid-timestamp: a later
         // identical query must re-execute against the changed graph.
         self.window = None;
-        let (stats, invalidated) = match self.cache.as_mut() {
-            Some(cache) => {
-                let (stats, footprint) = if insert {
-                    self.engine.insert_labeled_edges_tracked(edges)
-                } else {
-                    self.engine.delete_labeled_edges_tracked(edges)
-                };
-                (stats, cache.invalidate(&footprint))
-            }
-            None => {
-                let stats = if insert {
-                    self.engine.insert_labeled_edges(edges)
-                } else {
-                    self.engine.delete_labeled_edges(edges)
-                };
-                (stats, 0)
-            }
+        // Always tracked (tracking moves no charge); the footprint only has a
+        // consumer when a cache exists.
+        let (stats, footprint) = if insert {
+            self.engine.insert_labeled_edges_tracked(edges)
+        } else {
+            self.engine.delete_labeled_edges_tracked(edges)
         };
+        let invalidated = self.cache.as_mut().map_or(0, |cache| cache.invalidate(&footprint));
         self.totals.engine_time += stats.latency();
         ResponseBody::Update { stats, invalidated }
     }

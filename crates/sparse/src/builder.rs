@@ -5,10 +5,8 @@ use std::collections::BTreeSet;
 
 /// An updatable boolean matrix that freezes into a [`SparseBoolMatrix`].
 ///
-/// The builder backs the RedisGraph-like baseline's dynamic adjacency matrix:
-/// edge insertion (`set`), deletion (`unset`), and the `Adj ± delta` update
-/// operators are applied here, and a CSR snapshot is taken for query
-/// execution.
+/// The host matrix engine sets every edge of a graph snapshot here and
+/// freezes the result into CSR form for query execution.
 ///
 /// # Examples
 ///
@@ -17,9 +15,7 @@ use std::collections::BTreeSet;
 /// let mut b = MatrixBuilder::new(3, 3);
 /// assert!(b.set(0, 1));
 /// assert!(!b.set(0, 1));     // already present
-/// assert!(b.unset(0, 1));
-/// assert!(!b.unset(0, 1));   // already absent
-/// assert_eq!(b.build().nnz(), 0);
+/// assert_eq!(b.build().nnz(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MatrixBuilder {
@@ -33,15 +29,6 @@ impl MatrixBuilder {
     /// Creates an empty builder of the given shape.
     pub fn new(nrows: usize, ncols: usize) -> Self {
         MatrixBuilder { nrows, ncols, rows: vec![BTreeSet::new(); nrows], nnz: 0 }
-    }
-
-    /// Creates a builder pre-populated from an existing matrix.
-    pub fn from_matrix(matrix: &SparseBoolMatrix) -> Self {
-        let mut b = MatrixBuilder::new(matrix.nrows(), matrix.ncols());
-        for (r, c) in matrix.iter() {
-            b.set(r, c);
-        }
-        b
     }
 
     /// Number of rows.
@@ -84,18 +71,6 @@ impl MatrixBuilder {
         inserted
     }
 
-    /// Clears entry `(r, c)`. Returns `true` if the entry was present.
-    pub fn unset(&mut self, r: usize, c: usize) -> bool {
-        if r >= self.nrows {
-            return false;
-        }
-        let removed = self.rows[r].remove(&c);
-        if removed {
-            self.nnz -= 1;
-        }
-        removed
-    }
-
     /// Returns `true` if entry `(r, c)` is set.
     pub fn contains(&self, r: usize, c: usize) -> bool {
         r < self.nrows && self.rows[r].contains(&c)
@@ -117,27 +92,9 @@ impl MatrixBuilder {
     }
 }
 
-impl From<&SparseBoolMatrix> for MatrixBuilder {
-    fn from(m: &SparseBoolMatrix) -> Self {
-        MatrixBuilder::from_matrix(m)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn set_unset_roundtrip() {
-        let mut b = MatrixBuilder::new(2, 2);
-        assert!(b.set(0, 0));
-        assert!(b.set(1, 1));
-        assert_eq!(b.nnz(), 2);
-        assert!(b.unset(0, 0));
-        assert_eq!(b.nnz(), 1);
-        assert!(!b.contains(0, 0));
-        assert!(b.contains(1, 1));
-    }
 
     #[test]
     fn duplicate_operations_do_not_change_nnz() {
@@ -145,9 +102,6 @@ mod tests {
         b.set(0, 1);
         assert!(!b.set(0, 1));
         assert_eq!(b.nnz(), 1);
-        b.unset(0, 1);
-        assert!(!b.unset(0, 1));
-        assert_eq!(b.nnz(), 0);
     }
 
     #[test]
@@ -158,15 +112,6 @@ mod tests {
         b.set(0, 4);
         let m = b.build();
         assert_eq!(m.row(0), &[1, 3, 4]);
-    }
-
-    #[test]
-    fn from_matrix_roundtrip() {
-        let m = SparseBoolMatrix::from_triplets(3, 3, &[(0, 1), (2, 2)]);
-        let b = MatrixBuilder::from_matrix(&m);
-        assert_eq!(b.build(), m);
-        let b2: MatrixBuilder = (&m).into();
-        assert_eq!(b2.nnz(), 2);
     }
 
     #[test]
@@ -189,9 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn unset_out_of_bounds_is_noop() {
-        let mut b = MatrixBuilder::new(1, 1);
-        assert!(!b.unset(10, 10));
+    fn out_of_bounds_rows_are_empty() {
+        let b = MatrixBuilder::new(1, 1);
+        assert!(!b.contains(10, 10));
         assert_eq!(b.row_nnz(10), 0);
     }
 }

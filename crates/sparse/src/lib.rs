@@ -7,13 +7,10 @@
 //!
 //! * [`SparseBoolMatrix`] — an immutable CSR boolean matrix (the adjacency
 //!   matrix and the `Q` / `ans` matrices of the paper's execution plans).
-//! * [`MatrixBuilder`] — an incremental builder supporting edge insertion and
-//!   deletion before freezing into CSR form (the `Adj + delta` / `Adj - delta`
-//!   update operators).
-//! * [`SparseBoolVector`] — a sorted sparse boolean vector, used for
-//!   single-source frontiers.
-//! * [`ops`] — `mxm` (matrix × matrix), `vxm` (vector × matrix), element-wise
-//!   union/difference, and reductions, all over the boolean semiring.
+//! * [`MatrixBuilder`] — an incremental builder that sets entries before
+//!   freezing into CSR form.
+//! * [`ops`] — `mxm` (matrix × matrix) over the boolean semiring: one hop
+//!   of path matching.
 //! * [`EpochMarks`] — the SuiteSparse-style generation-stamped scratch set the
 //!   kernels (and the distributed query engine in `moctopus`) use to
 //!   deduplicate produced entries without per-row clearing, and
@@ -52,10 +49,8 @@ pub mod matrix;
 pub mod ops;
 pub mod product;
 pub mod scratch;
-pub mod vector;
 
 pub use builder::MatrixBuilder;
 pub use matrix::SparseBoolMatrix;
 pub use product::ProductSet;
 pub use scratch::{EpochMarks, OrderedBitmap};
-pub use vector::SparseBoolVector;

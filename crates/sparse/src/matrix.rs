@@ -5,7 +5,7 @@ use std::fmt;
 /// A boolean sparse matrix in compressed-sparse-row form.
 ///
 /// Rows store sorted, deduplicated column indices. The matrix is immutable;
-/// use [`MatrixBuilder`](crate::MatrixBuilder) to construct or modify one.
+/// use [`MatrixBuilder`](crate::MatrixBuilder) to construct one.
 ///
 /// # Examples
 ///
@@ -30,11 +30,6 @@ impl SparseBoolMatrix {
     /// Creates an empty matrix of the given shape.
     pub fn zeros(nrows: usize, ncols: usize) -> Self {
         SparseBoolMatrix { nrows, ncols, offsets: vec![0; nrows + 1], cols: Vec::new() }
-    }
-
-    /// Creates the identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        SparseBoolMatrix { nrows: n, ncols: n, offsets: (0..=n).collect(), cols: (0..n).collect() }
     }
 
     /// Builds a matrix from `(row, col)` triplets; duplicates are collapsed.
@@ -109,20 +104,6 @@ impl SparseBoolMatrix {
         (0..self.nrows).flat_map(move |r| self.row(r).iter().map(move |&c| (r, c)))
     }
 
-    /// Collects all set entries into `(row, col)` triplets.
-    pub fn to_triplets(&self) -> Vec<(usize, usize)> {
-        self.iter().collect()
-    }
-
-    /// The transpose of this matrix.
-    pub fn transpose(&self) -> SparseBoolMatrix {
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); self.ncols];
-        for (r, c) in self.iter() {
-            rows[c].push(r);
-        }
-        SparseBoolMatrix::from_rows(self.ncols, self.nrows, rows)
-    }
-
     /// Approximate resident bytes of the CSR arrays.
     pub fn approx_bytes(&self) -> u64 {
         ((self.offsets.len() + self.cols.len()) * std::mem::size_of::<usize>()) as u64
@@ -140,17 +121,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeros_and_identity() {
+    fn zeros_has_the_shape_and_no_entries() {
         let z = SparseBoolMatrix::zeros(3, 4);
         assert_eq!(z.nnz(), 0);
         assert!(z.is_empty());
         assert_eq!(z.nrows(), 3);
         assert_eq!(z.ncols(), 4);
-
-        let i = SparseBoolMatrix::identity(3);
-        assert_eq!(i.nnz(), 3);
-        assert!(i.contains(1, 1));
-        assert!(!i.contains(0, 1));
     }
 
     #[test]
@@ -167,22 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn transpose_swaps_indices() {
-        let m = SparseBoolMatrix::from_triplets(2, 3, &[(0, 2), (1, 0)]);
-        let t = m.transpose();
-        assert_eq!(t.nrows(), 3);
-        assert_eq!(t.ncols(), 2);
-        assert!(t.contains(2, 0));
-        assert!(t.contains(0, 1));
-        assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn iter_and_to_triplets_agree() {
+    fn iter_yields_the_triplets_in_row_order() {
         let trip = vec![(0, 1), (1, 0), (1, 2)];
         let m = SparseBoolMatrix::from_triplets(2, 3, &trip);
-        assert_eq!(m.to_triplets(), trip);
-        assert_eq!(m.iter().count(), 3);
+        assert_eq!(m.iter().collect::<Vec<_>>(), trip);
     }
 
     #[test]

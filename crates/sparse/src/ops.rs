@@ -1,13 +1,11 @@
 //! GraphBLAS-style operations over the boolean semiring.
 //!
-//! The paper's execution plans are sequences of these operations: `smxm`
-//! (sparse matrix × matrix) performs one hop of path matching, element-wise
-//! union/difference implement the `add`/`sub` graph-update operators, and the
-//! row reduction implements the `mwait` result gathering.
+//! The paper's execution plans are sequences of GraphBLAS operations; the
+//! one the host matrix engine runs is `smxm` (sparse matrix × matrix), which
+//! performs one hop of path matching.
 
 use crate::matrix::SparseBoolMatrix;
 use crate::scratch::EpochMarks;
-use crate::vector::SparseBoolVector;
 
 /// Boolean sparse matrix × matrix product (`C = A ⊕.⊗ B` over OR/AND).
 ///
@@ -57,72 +55,6 @@ pub fn mxm(a: &SparseBoolMatrix, b: &SparseBoolMatrix) -> SparseBoolMatrix {
     SparseBoolMatrix::from_rows(a.nrows(), b.ncols(), rows)
 }
 
-/// Sparse vector × matrix product (`w = v ⊕.⊗ A`): one hop from a frontier.
-///
-/// # Panics
-///
-/// Panics if `v.len() != a.nrows()`.
-pub fn vxm(v: &SparseBoolVector, a: &SparseBoolMatrix) -> SparseBoolVector {
-    assert_eq!(v.len(), a.nrows(), "dimension mismatch: |v|={} vs {} rows", v.len(), a.nrows());
-    let mut out = Vec::new();
-    let mut marks = EpochMarks::with_capacity(a.ncols());
-    marks.next_epoch();
-    for &i in v.indices() {
-        for &c in a.row(i) {
-            if marks.mark(c) {
-                out.push(c);
-            }
-        }
-    }
-    SparseBoolVector::from_indices(a.ncols(), out)
-}
-
-/// Element-wise union (`C = A ∪ B`), the `add` graph-update operator.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn ewise_union(a: &SparseBoolMatrix, b: &SparseBoolMatrix) -> SparseBoolMatrix {
-    assert_eq!((a.nrows(), a.ncols()), (b.nrows(), b.ncols()), "shape mismatch");
-    let mut rows: Vec<Vec<usize>> = Vec::with_capacity(a.nrows());
-    for r in 0..a.nrows() {
-        let mut row: Vec<usize> = a.row(r).to_vec();
-        row.extend_from_slice(b.row(r));
-        rows.push(row);
-    }
-    SparseBoolMatrix::from_rows(a.nrows(), a.ncols(), rows)
-}
-
-/// Element-wise difference (`C = A \ B`), the `sub` graph-update operator.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn ewise_difference(a: &SparseBoolMatrix, b: &SparseBoolMatrix) -> SparseBoolMatrix {
-    assert_eq!((a.nrows(), a.ncols()), (b.nrows(), b.ncols()), "shape mismatch");
-    let mut rows: Vec<Vec<usize>> = Vec::with_capacity(a.nrows());
-    for r in 0..a.nrows() {
-        let remove = b.row(r);
-        let row: Vec<usize> =
-            a.row(r).iter().copied().filter(|c| remove.binary_search(c).is_err()).collect();
-        rows.push(row);
-    }
-    SparseBoolMatrix::from_rows(a.nrows(), a.ncols(), rows)
-}
-
-/// Raises the adjacency matrix to the `k`-th boolean power: `A^k`.
-///
-/// `k = 0` returns the identity. This is the textbook definition of k-hop
-/// reachability from every source simultaneously.
-pub fn matrix_power(a: &SparseBoolMatrix, k: usize) -> SparseBoolMatrix {
-    assert_eq!(a.nrows(), a.ncols(), "matrix power requires a square matrix");
-    let mut result = SparseBoolMatrix::identity(a.nrows());
-    for _ in 0..k {
-        result = mxm(&result, a);
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,70 +86,15 @@ mod tests {
     }
 
     #[test]
-    fn vxm_expands_a_frontier() {
-        let adj = chain();
-        let v = SparseBoolVector::from_indices(4, vec![0]);
-        let one_hop = vxm(&v, &adj);
-        assert_eq!(one_hop.indices(), &[1, 2]);
-        let two_hop = vxm(&one_hop, &adj);
-        assert_eq!(two_hop.indices(), &[2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn vxm_checks_dimensions() {
-        let v = SparseBoolVector::zeros(3);
-        let a = SparseBoolMatrix::zeros(2, 2);
-        let _ = vxm(&v, &a);
-    }
-
-    #[test]
-    fn union_and_difference_are_inverse_for_disjoint_delta() {
-        let adj = chain();
-        let delta = SparseBoolMatrix::from_triplets(4, 4, &[(3, 0)]);
-        let grown = ewise_union(&adj, &delta);
-        assert_eq!(grown.nnz(), adj.nnz() + 1);
-        let shrunk = ewise_difference(&grown, &delta);
-        assert_eq!(shrunk, adj);
-    }
-
-    #[test]
-    fn difference_ignores_missing_entries() {
-        let adj = chain();
-        let delta = SparseBoolMatrix::from_triplets(4, 4, &[(3, 3)]);
-        assert_eq!(ewise_difference(&adj, &delta), adj);
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn union_checks_shapes() {
-        let a = SparseBoolMatrix::zeros(2, 2);
-        let b = SparseBoolMatrix::zeros(3, 3);
-        let _ = ewise_union(&a, &b);
-    }
-
-    #[test]
-    fn matrix_power_zero_is_identity() {
-        let adj = chain();
-        assert_eq!(matrix_power(&adj, 0), SparseBoolMatrix::identity(4));
-        assert_eq!(matrix_power(&adj, 1), adj);
-    }
-
-    #[test]
-    fn matrix_power_matches_repeated_mxm() {
-        let adj = chain();
-        let via_power = matrix_power(&adj, 3);
-        let manual = mxm(&mxm(&adj, &adj), &adj);
-        assert_eq!(via_power, manual);
-    }
-
-    #[test]
     fn mxm_on_builder_snapshots_is_consistent_with_updates() {
-        // Simulate the add/sub operator flow: update the builder, re-snapshot.
-        let mut b = MatrixBuilder::from_matrix(&chain());
+        // Simulate the add operator flow: update the builder, re-snapshot.
+        let mut b = MatrixBuilder::new(4, 4);
+        for (r, c) in chain().iter() {
+            b.set(r, c);
+        }
         b.set(3, 0);
         let adj2 = b.build();
-        let reach = matrix_power(&adj2, 4);
+        let reach = (1..4).fold(adj2.clone(), |acc, _| mxm(&acc, &adj2));
         // With the cycle closed, node 0 can reach itself in 4 hops.
         assert!(reach.contains(0, 0));
     }

@@ -29,8 +29,7 @@
 /// assert!(marks.mark(3)); // first visit
 /// assert!(!marks.mark(3)); // duplicate
 /// marks.next_epoch(); // O(1) clear
-/// assert!(!marks.is_marked(3));
-/// assert!(marks.mark(3));
+/// assert!(marks.mark(3)); // a first visit again
 /// ```
 #[derive(Debug, Clone)]
 pub struct EpochMarks {
@@ -82,12 +81,6 @@ impl EpochMarks {
             self.stamps[key] = self.epoch;
             true
         }
-    }
-
-    /// Returns `true` if `key` has been marked this epoch.
-    #[inline]
-    pub fn is_marked(&self, key: usize) -> bool {
-        self.stamps.get(key).is_some_and(|&s| s == self.epoch)
     }
 
     /// Number of keys the backing vector currently covers.
@@ -198,8 +191,7 @@ mod tests {
         m.next_epoch();
         assert!(m.mark(7));
         assert!(!m.mark(7));
-        assert!(m.is_marked(7));
-        assert!(!m.is_marked(8));
+        assert!(m.mark(8), "other keys stay unmarked");
     }
 
     #[test]
@@ -209,9 +201,8 @@ mod tests {
         m.mark(0);
         m.mark(15);
         m.next_epoch();
-        assert!(!m.is_marked(0));
-        assert!(!m.is_marked(15));
         assert!(m.mark(0));
+        assert!(m.mark(15));
     }
 
     #[test]
@@ -231,7 +222,6 @@ mod tests {
         m.next_epoch(); // epoch == u32::MAX
         m.mark(2);
         m.next_epoch(); // wraps: real clear, epoch restarts at 1
-        assert!(!m.is_marked(2));
         assert!(m.mark(2));
         assert!(!m.mark(2));
     }
@@ -268,7 +258,6 @@ mod tests {
         // Stamps default to 0 and the live epoch starts at 1, so a fresh
         // scratch has every key unmarked.
         let mut m = EpochMarks::with_capacity(4);
-        assert!(!m.is_marked(0));
         assert!(m.mark(0));
         assert!(!m.mark(0));
     }

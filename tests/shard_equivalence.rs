@@ -1,7 +1,7 @@
 //! Shard-count equivalence: serving any interleaving of queries and labelled
 //! updates through a [`ShardedEngine`] must be **observably identical** to the
 //! single-shard sequential replay — bit-identical responses, `ServeTotals`,
-//! and `CacheStats` — across shards {1, 2, 4} × threads {1, 4} × all three
+//! and `CacheStats` — across shards {1, 2, 4} × threads {1, 4} × both
 //! cache consistency modes, with racing client sessions thrown in.
 //!
 //! This is the executable form of SERVING.md §7 (why sharding is invisible):
@@ -27,10 +27,9 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 /// The acceptance matrix's thread counts.
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
-/// All three cache consistency modes (plus `None` = cache disabled, covered
+/// Both cache consistency modes (plus `None` = cache disabled, covered
 /// separately in [`assert_shard_equivalence`]).
-const MODES: [ConsistencyMode; 3] =
-    [ConsistencyMode::CostExact, ConsistencyMode::ResultExact, ConsistencyMode::RowExact];
+const MODES: [ConsistencyMode; 2] = [ConsistencyMode::CostExact, ConsistencyMode::RowExact];
 
 /// Query pool: label chain, closure + alternation, k-hop, transitive closure,
 /// and a nullable pattern so the epsilon path crosses the scatter/merge seam.
@@ -115,7 +114,7 @@ fn assert_shard_equivalence(
     edges: &[(NodeId, NodeId, Label)],
     log: &[Request],
 ) -> Result<(), TestCaseError> {
-    // Cache disabled, all three modes, and a two-entry cache that evicts on
+    // Cache disabled, both modes, and a two-entry cache that evicts on
     // nearly every miss; the reference cell is always shards = 1,
     // threads = 1, replayed sequentially.
     let tiny = CacheConfig { mode: ConsistencyMode::CostExact, capacity: 2 };
