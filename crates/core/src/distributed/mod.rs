@@ -66,7 +66,8 @@ use planned::Pruning;
 use rpq::{optimizer, Nfa, PlanStrategy, RpqExpr};
 use sparse::OrderedBitmap;
 use std::ops::Range;
-use update::{unlabelled, EdgeOp};
+use update::unlabelled;
+pub(crate) use update::EdgeOp;
 
 mod khop;
 mod nfa;

@@ -42,30 +42,26 @@ impl ErasedEngine {
         ids
     }
 
-    /// The in-adjacency row of `node`, read from wherever the node's forward
-    /// row lives (the colocation invariant).
-    fn rev_row_of(&self, node: NodeId) -> &[(NodeId, Label)] {
-        match self.owner(node) {
-            Some(PartitionId::Host) => self.host_store.rev_row(node).unwrap_or(&[]),
-            Some(PartitionId::Pim(m)) => self.local_stores[m as usize].rev_row(node).unwrap_or(&[]),
-            None => &[],
-        }
-    }
-
-    /// Charges one backward scan of `node`'s reverse row into `delta`
-    /// (id + label arrays, like the forward label-constrained scans).
-    fn charge_rev_scan(&self, node: NodeId, delta: &mut StatsDelta) {
-        let bytes = self.rev_row_of(node).len() as u64 * (ID_BYTES + LABEL_BYTES);
+    /// One backward scan: resolves where `node`'s forward row lives (the
+    /// colocation invariant puts its in-adjacency row there too), charges
+    /// the scan of that reverse row into `delta` (id + label arrays, like
+    /// the forward label-constrained scans) and returns the row.
+    fn rev_scan(&self, node: NodeId, delta: &mut StatsDelta) -> &[(NodeId, Label)] {
+        let bytes = |row: &[(NodeId, Label)]| row.len() as u64 * (ID_BYTES + LABEL_BYTES);
         match self.owner(node) {
             Some(PartitionId::Host) => {
+                let row = self.host_store.rev_row(node).unwrap_or(&[]);
                 let resident = self.host_store.live_bytes() + self.host_store.rev_bytes();
                 delta.host_time += self.pim.host_random_access_cost(1, resident)
-                    + self.pim.host_sequential_read_cost(bytes);
+                    + self.pim.host_sequential_read_cost(bytes(row));
+                row
             }
             Some(PartitionId::Pim(m)) => {
-                delta.per_module[m as usize] += self.pim.pim_hash_lookup_cost(bytes);
+                let row = self.local_stores[m as usize].rev_row(node).unwrap_or(&[]);
+                delta.per_module[m as usize] += self.pim.pim_hash_lookup_cost(bytes(row));
+                row
             }
-            None => {}
+            None => &[],
         }
     }
 
@@ -110,8 +106,7 @@ impl ErasedEngine {
                     }
                     Some(ms) => {
                         for &m in ms {
-                            self.charge_rev_scan(m, delta);
-                            for &(n, label) in self.rev_row_of(m) {
+                            for &(n, label) in self.rev_scan(m, delta) {
                                 if spec.matches(label) && useful.insert(n.0, from as u32) {
                                     work.push((n, from as u32));
                                     delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
@@ -126,8 +121,7 @@ impl ErasedEngine {
         // Closure: walk product transitions backward over reverse rows.
         while let Some((n, q)) = work.pop() {
             for &(spec, p) in &rev[q as usize] {
-                self.charge_rev_scan(n, delta);
-                for &(m, label) in self.rev_row_of(n) {
+                for &(m, label) in self.rev_scan(n, delta) {
                     if spec.matches(label) && useful.insert(m.0, p as u32) {
                         work.push((m, p as u32));
                         delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;

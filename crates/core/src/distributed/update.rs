@@ -13,9 +13,10 @@ pub(super) fn unlabelled(&(src, dst): &(NodeId, NodeId)) -> (NodeId, NodeId, Lab
     (src, dst, Label::ANY)
 }
 
-/// The two edge writes of the update funnel (`DistributedPimEngine::apply`).
+/// The two edge writes of the update funnel (`DistributedPimEngine::apply`)
+/// and of the host baseline's update loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum EdgeOp {
+pub(crate) enum EdgeOp {
     Insert,
     Delete,
 }

@@ -15,6 +15,7 @@
 
 use crate::config::MoctopusConfig;
 use crate::deps::UpdateFootprint;
+use crate::distributed::EdgeOp;
 use crate::engine::GraphEngine;
 use crate::stats::{QueryStats, UpdateStats};
 use graph_store::{AdjacencyGraph, Label, NodeId, SnapshotState};
@@ -98,10 +99,11 @@ impl HostBaseline {
         self.graph.approx_bytes()
     }
 
-    /// The shared insert loop; the unlabelled entry point streams
+    /// The one update loop; the unlabelled entry points stream
     /// [`Label::ANY`] in without materialising a labelled copy of the batch.
-    fn insert_edges_impl(
+    fn apply(
         &mut self,
+        op: EdgeOp,
         edges: impl Iterator<Item = (NodeId, NodeId, Label)>,
         batch_len: usize,
     ) -> UpdateStats {
@@ -109,13 +111,22 @@ impl HostBaseline {
         let resident = self.resident_bytes().max(1);
         let mut row_bytes_touched = 0u64;
         for (s, d, l) in edges {
-            row_bytes_touched += (self.graph.out_degree(s) as u64 + 1) * 8;
-            if self.graph.insert_edge(s, d, l) {
-                applied += 1;
-            }
+            let degree = self.graph.out_degree(s) as u64;
+            // An insert rewrites the row with its new entry; a delete
+            // compacts the row it searched (at least one entry's worth).
+            let (row_entries, changed) = match op {
+                EdgeOp::Insert => (degree + 1, self.graph.insert_edge(s, d, l)),
+                EdgeOp::Delete => (degree.max(1), self.graph.remove_edge(s, d, l)),
+            };
+            row_bytes_touched += row_entries * 8;
+            applied += usize::from(changed);
         }
         self.dirty = true;
 
+        let per_edge = match op {
+            EdgeOp::Insert => UPDATE_INSTRUCTIONS_PER_EDGE,
+            EdgeOp::Delete => UPDATE_INSTRUCTIONS_PER_EDGE + DELETE_EXTRA_INSTRUCTIONS_PER_EDGE,
+        };
         let mut timeline = Timeline::new();
         // One random access into the matrix per edge, the row rewrite, and the
         // per-edge bookkeeping of the delta-matrix machinery.
@@ -123,7 +134,7 @@ impl HostBaseline {
             Phase::HostCompute,
             self.pim.host_random_access_cost(batch_len as u64, resident)
                 + self.pim.host_sequential_read_cost(row_bytes_touched)
-                + self.pim.host_instructions_cost(batch_len as u64 * UPDATE_INSTRUCTIONS_PER_EDGE),
+                + self.pim.host_instructions_cost(batch_len as u64 * per_edge),
         );
         // Amortised delta merge: the whole matrix is eventually rewritten once
         // per update batch when the pending delta is flushed.
@@ -131,42 +142,15 @@ impl HostBaseline {
         UpdateStats { timeline, requested: batch_len, applied }
     }
 
-    /// The shared delete loop; see [`HostBaseline::insert_edges_impl`].
-    fn delete_edges_impl(
-        &mut self,
-        edges: impl Iterator<Item = (NodeId, NodeId, Label)>,
-        batch_len: usize,
-    ) -> UpdateStats {
-        let mut applied = 0usize;
-        let resident = self.resident_bytes().max(1);
-        let mut row_bytes_touched = 0u64;
-        for (s, d, l) in edges {
-            row_bytes_touched += (self.graph.out_degree(s) as u64).max(1) * 8;
-            if self.graph.remove_edge(s, d, l) {
-                applied += 1;
-            }
-        }
-        self.dirty = true;
-
-        let mut timeline = Timeline::new();
-        timeline.charge(
-            Phase::HostCompute,
-            self.pim.host_random_access_cost(batch_len as u64, resident)
-                + self.pim.host_sequential_read_cost(row_bytes_touched)
-                + self.pim.host_instructions_cost(
-                    batch_len as u64
-                        * (UPDATE_INSTRUCTIONS_PER_EDGE + DELETE_EXTRA_INSTRUCTIONS_PER_EDGE),
-                ),
-        );
-        timeline.charge(Phase::HostCompute, self.pim.host_sequential_read_cost(2 * resident));
-        UpdateStats { timeline, requested: batch_len, applied }
-    }
-
-    /// Charges one executed plan's statistics to the host cost model —
-    /// shared by the k-hop path and the general RPQ path so both execution
-    /// strategies (matrix chain and automaton sweep) are priced identically
-    /// per row fetch and per byte.
-    fn charge_query(&self, exec: &HostExecutionStats) -> Timeline {
+    /// Charges one executed plan's statistics to the host cost model and
+    /// builds its [`QueryStats`] — the one builder of every query path, so
+    /// all execution strategies (matrix chain, automaton sweep, planned
+    /// sweeps) are priced identically per row fetch and per byte. `results`
+    /// holds one row per source; the hop count is the plan's frontier levels.
+    fn finish(
+        &self,
+        (results, exec): (Vec<Vec<NodeId>>, HostExecutionStats),
+    ) -> (Vec<Vec<NodeId>>, QueryStats) {
         let resident = self.resident_bytes().max(1);
         let mut timeline = Timeline::new();
         // Each fetched adjacency row also pays the GraphBLAS kernel overhead
@@ -185,7 +169,14 @@ impl HostBaseline {
             self.pim.host_sequential_read_cost(exec.result_entries as u64 * 8)
                 + self.pim.host_instructions_cost(exec.result_entries as u64 * 8),
         );
-        timeline
+        let stats = QueryStats {
+            timeline,
+            batch_size: results.len(),
+            hops: exec.frontier_levels,
+            matched_pairs: results.iter().map(Vec::len).sum(),
+            expansions: exec.row_fetches as usize,
+        };
+        (results, stats)
     }
 
     /// Builds the tracked-update footprint: empty when nothing was applied
@@ -236,36 +227,25 @@ impl GraphEngine for HostBaseline {
     }
 
     fn insert_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-        self.insert_edges_impl(edges.iter().map(|&(s, d)| (s, d, Label::ANY)), edges.len())
+        self.apply(EdgeOp::Insert, edges.iter().map(|&(s, d)| (s, d, Label::ANY)), edges.len())
     }
 
     fn delete_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-        self.delete_edges_impl(edges.iter().map(|&(s, d)| (s, d, Label::ANY)), edges.len())
+        self.apply(EdgeOp::Delete, edges.iter().map(|&(s, d)| (s, d, Label::ANY)), edges.len())
     }
 
     fn insert_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-        self.insert_edges_impl(edges.iter().copied(), edges.len())
+        self.apply(EdgeOp::Insert, edges.iter().copied(), edges.len())
     }
 
     fn delete_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-        self.delete_edges_impl(edges.iter().copied(), edges.len())
+        self.apply(EdgeOp::Delete, edges.iter().copied(), edges.len())
     }
 
     fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
         self.refresh_matrix();
         let plan = ExecutionPlan::k_hop(k);
-        let (results, exec) = self.run_chunked(sources, |chunk| self.matrix.run(&plan, chunk));
-        let timeline = self.charge_query(&exec);
-
-        let matched_pairs = results.iter().map(Vec::len).sum();
-        let stats = QueryStats {
-            timeline,
-            batch_size: sources.len(),
-            hops: k,
-            matched_pairs,
-            expansions: exec.row_fetches as usize,
-        };
-        (results, stats)
+        self.finish(self.run_chunked(sources, |chunk| self.matrix.run(&plan, chunk)))
     }
 
     fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) {
@@ -277,31 +257,21 @@ impl GraphEngine for HostBaseline {
         self.refresh_matrix();
         // Fixed-length expressions stay matrix chains (`Q × A_l1 × … × A_lk`);
         // everything else sweeps the automaton over the per-label matrices.
-        let (results, exec) = match ExecutionPlan::from_expr(expr) {
+        let out = match ExecutionPlan::from_expr(expr) {
             Some(plan) => self.run_chunked(sources, |chunk| self.matrix.run(&plan, chunk)),
             None => {
                 let nfa = Nfa::from_expr(expr);
                 self.run_chunked(sources, |chunk| self.matrix.run_nfa(&nfa, chunk))
             }
         };
-        let timeline = self.charge_query(&exec);
-
-        let matched_pairs = results.iter().map(Vec::len).sum();
-        let stats = QueryStats {
-            timeline,
-            batch_size: sources.len(),
-            hops: exec.frontier_levels,
-            matched_pairs,
-            expansions: exec.row_fetches as usize,
-        };
-        (results, stats)
+        self.finish(out)
     }
 
-    /// Planned execution over the matrix engine's transposed per-label
-    /// matrices: bidirectional runs the backward useful-set sweep, the
-    /// rare-label split seeds the suffix automaton at the pivot label's
-    /// source rows (found by one sorted scan of the rows). Answers
-    /// are byte-identical to [`GraphEngine::rpq_batch`] under every
+    /// Planned execution: bidirectional runs the backward useful-set sweep
+    /// over the graph's in-rows, the rare-label split seeds the suffix
+    /// automaton at the pivot label's source rows (read off the per-label
+    /// matrix's row pointers, the same list the backward sweep seeds from).
+    /// Answers are byte-identical to [`GraphEngine::rpq_batch`] under every
     /// strategy; only the executed row-fetch/byte profile differs.
     ///
     /// Unlike the forward path this is **not** chunked over the worker
@@ -314,36 +284,24 @@ impl GraphEngine for HostBaseline {
         sources: &[NodeId],
         strategy: PlanStrategy,
     ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        if matches!(strategy, PlanStrategy::Forward) || expr.as_k_hop().is_some() {
+        if expr.as_k_hop().is_some() {
             return self.rpq_batch(expr, sources);
         }
         self.refresh_matrix();
-        let (results, exec) = match strategy {
-            PlanStrategy::Forward => unreachable!("handled above"),
+        let out = match strategy {
+            PlanStrategy::Forward => return self.rpq_batch(expr, sources),
             PlanStrategy::Bidirectional => {
-                let nfa = Nfa::from_expr(expr);
-                self.matrix.run_nfa_bidirectional(&nfa, sources)
+                self.matrix.run_nfa_bidirectional(&self.graph, &Nfa::from_expr(expr), sources)
             }
             PlanStrategy::RareLabelSplit { split_at } => {
                 let Some((prefix, suffix, pivot)) = optimizer::split_for(expr, split_at) else {
                     return self.rpq_batch(expr, sources);
                 };
-                let prefix_nfa = Nfa::from_expr(&prefix);
-                let suffix_nfa = Nfa::from_expr(&suffix);
-                let pivots = self.graph.rows_holding(pivot);
-                self.matrix.run_nfa_split(&prefix_nfa, &suffix_nfa, &pivots, sources)
+                let (prefix, suffix) = (Nfa::from_expr(&prefix), Nfa::from_expr(&suffix));
+                self.matrix.run_nfa_split(&self.graph, &prefix, &suffix, pivot, sources)
             }
         };
-        let timeline = self.charge_query(&exec);
-        let matched_pairs = results.iter().map(Vec::len).sum();
-        let stats = QueryStats {
-            timeline,
-            batch_size: sources.len(),
-            hops: exec.frontier_levels,
-            matched_pairs,
-            expansions: exec.row_fetches as usize,
-        };
-        (results, stats)
+        self.finish(out)
     }
 
     /// The baseline's update footprint: per-label result dependencies come

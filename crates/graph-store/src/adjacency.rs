@@ -178,15 +178,6 @@ impl AdjacencyGraph {
         self.out_edges.iter().flat_map(|(&s, row)| row.iter().map(move |&(d, l)| (s, d, l)))
     }
 
-    /// Every node with an out-edge of `label`, ascending: one pass over the
-    /// rows, each read up to its first match. The split plan's pivots.
-    pub fn rows_holding(&self, label: Label) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> =
-            self.nodes().filter(|&n| holds(self.neighbors(n), label)).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Collects all edges into a vector sorted by `(src, dst, label)`.
     ///
     /// Useful for deterministic comparisons in tests.

@@ -10,7 +10,9 @@
 //! [`HostMatrixEngine`] in this module executes query plans on the host with
 //! GraphBLAS-style sparse kernels — exactly what the RedisGraph baseline does —
 //! and reports how much matrix data each operator touched so the simulator can
-//! charge memory-system costs.
+//! charge memory-system costs. It holds forward matrices only: the backward
+//! sweeps read a transposed row off the graph's own sorted in-rows
+//! ([`AdjacencyGraph::in_neighbors`]).
 
 use crate::ast::{LabelSpec, RpqExpr};
 use crate::nfa::Nfa;
@@ -147,8 +149,9 @@ impl HostExecutionStats {
 struct Pruning<'a> {
     /// Only these product pairs are expanded (`None` = every pair).
     useful: Option<&'a HashSet<(usize, usize)>>,
-    /// Acceptance is restricted to these nodes (the split plan's prefix leg).
-    accept_nodes: Option<&'a HashSet<usize>>,
+    /// Acceptance is restricted to these nodes, ascending (the split plan's
+    /// prefix leg).
+    accept_nodes: Option<&'a [NodeId]>,
 }
 
 /// Host-side (RedisGraph-like) matrix engine: per-label adjacency matrices
@@ -174,56 +177,37 @@ pub struct HostMatrixEngine {
     node_bound: usize,
     any: SparseBoolMatrix,
     by_label: HashMap<Label, SparseBoolMatrix>,
-    /// Transpose of `any`: row `d` lists the sources with an edge into `d`,
-    /// for reversed sweeps (the ALPHA-PIM style transposed matrix chain).
-    /// Built with the forward matrices in [`HostMatrixEngine::from_graph`];
-    /// nothing updates it in place — the host baseline rebuilds all four
-    /// matrix families from its graph on the first query after an update.
-    any_t: SparseBoolMatrix,
-    /// Transposes of the per-label matrices, built alongside them.
-    by_label_t: HashMap<Label, SparseBoolMatrix>,
 }
 
 impl HostMatrixEngine {
-    /// Builds per-label adjacency matrices (and their transposes) from a
-    /// graph snapshot.
+    /// Builds the label-oblivious and the per-label adjacency matrices from a
+    /// graph snapshot (the host baseline rebuilds them after every update).
     pub fn from_graph(graph: &AdjacencyGraph) -> Self {
         let n = graph.id_bound() as usize;
         let mut any = MatrixBuilder::new(n, n);
-        let mut any_t = MatrixBuilder::new(n, n);
         let mut per_label: HashMap<Label, MatrixBuilder> = HashMap::new();
-        let mut per_label_t: HashMap<Label, MatrixBuilder> = HashMap::new();
         for (s, d, l) in graph.edges() {
             any.set(s.index(), d.index());
-            any_t.set(d.index(), s.index());
             per_label
                 .entry(l)
                 .or_insert_with(|| MatrixBuilder::new(n, n))
                 .set(s.index(), d.index());
-            per_label_t
-                .entry(l)
-                .or_insert_with(|| MatrixBuilder::new(n, n))
-                .set(d.index(), s.index());
         }
         HostMatrixEngine {
             node_bound: n,
             any: any.build(),
-            any_t: any_t.build(),
             // moctopus-lint: allow(hash-iter-order, reason = "map-to-map rebuild; MatrixBuilder::build sorts, so each value is order-independent")
             by_label: per_label.into_iter().map(|(l, b)| (l, b.build())).collect(),
-            // moctopus-lint: allow(hash-iter-order, reason = "map-to-map rebuild; MatrixBuilder::build sorts, so each value is order-independent")
-            by_label_t: per_label_t.into_iter().map(|(l, b)| (l, b.build())).collect(),
         }
     }
 
-    /// Number of rows/columns of the adjacency matrices.
-    pub fn node_bound(&self) -> usize {
-        self.node_bound
-    }
-
-    /// The label-oblivious adjacency matrix.
-    pub fn adjacency(&self) -> &SparseBoolMatrix {
-        &self.any
+    /// The adjacency matrix of one label spec; `None` for a label no edge
+    /// carries.
+    fn matrix(&self, spec: LabelSpec) -> Option<&SparseBoolMatrix> {
+        match spec {
+            LabelSpec::Any => Some(&self.any),
+            LabelSpec::Exact(l) => self.by_label.get(&l),
+        }
     }
 
     /// The adjacency matrix restricted to one label, borrowed: the plan
@@ -233,12 +217,9 @@ impl HostMatrixEngine {
     /// missing-label case materialises an (empty) owned matrix.
     fn adjacency_cow(&self, spec: LabelSpec) -> std::borrow::Cow<'_, SparseBoolMatrix> {
         use std::borrow::Cow;
-        match spec {
-            LabelSpec::Any => Cow::Borrowed(&self.any),
-            LabelSpec::Exact(l) => self.by_label.get(&l).map(Cow::Borrowed).unwrap_or_else(|| {
-                Cow::Owned(SparseBoolMatrix::zeros(self.node_bound, self.node_bound))
-            }),
-        }
+        self.matrix(spec).map(Cow::Borrowed).unwrap_or_else(|| {
+            Cow::Owned(SparseBoolMatrix::zeros(self.node_bound, self.node_bound))
+        })
     }
 
     /// Executes a query plan for a batch of source nodes.
@@ -344,7 +325,8 @@ impl HostMatrixEngine {
         stats: &mut HostExecutionStats,
         mut answer: impl FnMut(Vec<NodeId>, &mut HostExecutionStats) -> Vec<NodeId>,
     ) -> Vec<Vec<NodeId>> {
-        let accepts = |node: usize| pruning.accept_nodes.is_none_or(|set| set.contains(&node));
+        let accepts =
+            |node: NodeId| pruning.accept_nodes.is_none_or(|set| set.binary_search(&node).is_ok());
         let expands = |pair: (usize, usize)| pruning.useful.is_none_or(|set| set.contains(&pair));
         let mut results = Vec::with_capacity(sources.len());
         let mut frontier: Vec<(usize, usize)> = Vec::new();
@@ -353,7 +335,7 @@ impl HostMatrixEngine {
             let mut visited: HashSet<(usize, usize)> = HashSet::new();
             let mut out: Vec<NodeId> = Vec::new();
             frontier.clear();
-            if nfa.accepts_empty() && accepts(src.index()) {
+            if nfa.accepts_empty() && accepts(src) {
                 out.push(src);
             }
             if src.index() < self.node_bound {
@@ -374,7 +356,7 @@ impl HostMatrixEngine {
                         for &dst in row {
                             if visited.insert((dst, next_state)) {
                                 stats.bytes_written += 8;
-                                if nfa.is_accepting(next_state) && accepts(dst) {
+                                if nfa.is_accepting(next_state) && accepts(NodeId(dst as u64)) {
                                     out.push(NodeId(dst as u64));
                                 }
                                 if expands((dst, next_state)) {
@@ -399,57 +381,39 @@ impl HostMatrixEngine {
     /// The adjacency row of `node` under one transition's label spec, without
     /// materialising a matrix copy.
     fn row_for(&self, spec: LabelSpec, node: usize) -> &[usize] {
-        match spec {
-            LabelSpec::Any => self.any.row(node),
-            LabelSpec::Exact(l) => self.by_label.get(&l).map(|m| m.row(node)).unwrap_or(&[]),
-        }
+        self.matrix(spec).map_or(&[], |m| m.row(node))
     }
 
-    /// The **reverse** adjacency row of `node` under one transition's label
-    /// spec: the sources with a spec-matching edge into `node`, read from the
-    /// transposed matrices.
-    fn rev_row_for(&self, spec: LabelSpec, node: usize) -> &[usize] {
-        match spec {
-            LabelSpec::Any => self.any_t.row(node),
-            LabelSpec::Exact(l) => self.by_label_t.get(&l).map(|m| m.row(node)).unwrap_or(&[]),
-        }
+    /// Nodes with at least one out-edge matching `spec`, ascending, read off
+    /// the row pointers: the backward seeds and the split plan's pivots.
+    fn spec_sources(&self, spec: LabelSpec) -> Vec<NodeId> {
+        let Some(m) = self.matrix(spec) else { return Vec::new() };
+        (0..self.node_bound).filter(|&r| m.row_nnz(r) > 0).map(|r| NodeId(r as u64)).collect()
     }
 
-    /// Nodes with at least one out-edge matching `spec`, ascending — the
-    /// deterministic seed set for backward useful-set sweeps. Charged as one
-    /// sequential scan of the matrix row-pointer array.
-    fn spec_sources(&self, spec: LabelSpec, stats: &mut HostExecutionStats) -> Vec<usize> {
-        stats.bytes_read += self.node_bound as u64 * 8;
-        let m: &SparseBoolMatrix = match spec {
-            LabelSpec::Any => &self.any,
-            LabelSpec::Exact(l) => match self.by_label.get(&l) {
-                Some(m) => m,
-                None => return Vec::new(),
-            },
-        };
-        (0..self.node_bound).filter(|&r| m.row_nnz(r) > 0).collect()
-    }
-
-    /// Backward useful-set sweep over the transposed matrices.
+    /// Backward useful-set sweep over the graph's in-rows.
     ///
     /// Returns the set of product pairs `(node, state)` from which an
     /// accepting pair is reachable in **one or more** transitions. With
-    /// `accept_nodes` set, acceptance is restricted to landing on one of
-    /// those nodes (the split executor's pivot set); without it, any node
-    /// reached in an accepting state counts.
+    /// `accept_nodes` set (ascending), acceptance is restricted to landing on
+    /// one of those nodes (the split executor's pivots); without it, any node
+    /// reached in an accepting state counts, and the seeds are
+    /// [`HostMatrixEngine::spec_sources`], charged as one row-pointer scan.
     ///
     /// Work is accounted like the forward sweep: one row fetch plus the
-    /// row's bytes per `(frontier pair, reversed transition)`, 8 bytes
-    /// written per newly useful pair.
+    /// row's bytes per `(frontier pair, reversed transition)` (see
+    /// [`fetch_rev_row`]), 8 bytes written per newly useful pair.
     fn useful_pairs(
         &self,
+        graph: &AdjacencyGraph,
         nfa: &Nfa,
-        accept_nodes: Option<&HashSet<usize>>,
+        accept_nodes: Option<&[NodeId]>,
         stats: &mut HostExecutionStats,
     ) -> HashSet<(usize, usize)> {
         let rev_trans = nfa.reversed_transitions();
         let mut useful: HashSet<(usize, usize)> = HashSet::new();
         let mut frontier: Vec<(usize, usize)> = Vec::new();
+        let mut row: Vec<usize> = Vec::new();
         let push = |pair: (usize, usize),
                     useful: &mut HashSet<(usize, usize)>,
                     frontier: &mut Vec<(usize, usize)>,
@@ -468,18 +432,15 @@ impl HostMatrixEngine {
                 }
                 match accept_nodes {
                     None => {
-                        for n in self.spec_sources(spec, stats) {
-                            push((n, q), &mut useful, &mut frontier, stats);
+                        stats.bytes_read += self.node_bound as u64 * 8;
+                        for n in self.spec_sources(spec) {
+                            push((n.index(), q), &mut useful, &mut frontier, stats);
                         }
                     }
                     Some(targets) => {
-                        let mut sorted: Vec<usize> = targets.iter().copied().collect();
-                        sorted.sort_unstable();
-                        for m in sorted {
-                            let row = self.rev_row_for(spec, m);
-                            stats.row_fetches += 1;
-                            stats.bytes_read += row.len() as u64 * 8;
-                            for &n in row {
+                        for m in targets {
+                            fetch_rev_row(graph, spec, m.index(), &mut row, stats);
+                            for &n in &row {
                                 push((n, q), &mut useful, &mut frontier, stats);
                             }
                         }
@@ -491,14 +452,9 @@ impl HostMatrixEngine {
         // useful pair under some transition.
         while let Some((m, q2)) = frontier.pop() {
             for &(spec, q) in &rev_trans[q2] {
-                let row = self.rev_row_for(spec, m);
-                stats.row_fetches += 1;
-                stats.bytes_read += row.len() as u64 * 8;
-                for &n in row {
-                    if useful.insert((n, q)) {
-                        stats.bytes_written += 8;
-                        frontier.push((n, q));
-                    }
+                fetch_rev_row(graph, spec, m, &mut row, stats);
+                for &n in &row {
+                    push((n, q), &mut useful, &mut frontier, stats);
                 }
             }
         }
@@ -506,57 +462,55 @@ impl HostMatrixEngine {
     }
 
     /// Evaluates an RPQ automaton with the **bidirectional** strategy: a
-    /// backward useful-set sweep over the transposed matrices first, then the
+    /// backward useful-set sweep over `graph`'s in-rows first, then the
     /// forward product pruned to pairs that can still reach an accepting
-    /// state. Results are identical to [`HostMatrixEngine::run_nfa`] — every
-    /// prefix of an accepting path is useful, so no accepting pair is ever
-    /// pruned — while the work accounted can be far smaller when acceptance
-    /// hinges on a rare label.
+    /// state (`graph` is the one the engine was built from). Results are
+    /// identical to [`HostMatrixEngine::run_nfa`] — every prefix of an
+    /// accepting path is useful, so no accepting pair is ever pruned — while
+    /// the work accounted can be far smaller when acceptance hinges on a
+    /// rare label.
     pub fn run_nfa_bidirectional(
         &self,
+        graph: &AdjacencyGraph,
         nfa: &Nfa,
         sources: &[NodeId],
     ) -> (Vec<Vec<NodeId>>, HostExecutionStats) {
         let mut stats = HostExecutionStats::default();
-        let useful = self.useful_pairs(nfa, None, &mut stats);
+        let useful = self.useful_pairs(graph, nfa, None, &mut stats);
         let pruning = Pruning { useful: Some(&useful), accept_nodes: None };
         let results = self.sweep(nfa, sources, pruning, &mut stats, |out, _| out);
         (results, stats)
     }
 
     /// Evaluates a concatenation split at a rare exact-label pivot: the
-    /// suffix automaton runs forward from the pivot's source set `M`, the
-    /// prefix automaton runs forward from the real sources pruned by a
-    /// backward sweep whose acceptance is restricted to `M`, and the per-mid
-    /// answers join. `pivot_sources` must be exactly the nodes with an
-    /// out-edge of the pivot label; results are identical to running the full
-    /// automaton forward.
+    /// suffix automaton runs forward from the pivot's source set `M`
+    /// (uncharged), the prefix automaton runs forward from the real sources
+    /// pruned by a backward sweep over `graph`'s in-rows whose acceptance is
+    /// restricted to `M`, and the per-mid answers join. Results are identical
+    /// to running the full automaton forward.
     pub fn run_nfa_split(
         &self,
+        graph: &AdjacencyGraph,
         prefix: &Nfa,
         suffix: &Nfa,
-        pivot_sources: &[NodeId],
+        pivot: Label,
         sources: &[NodeId],
     ) -> (Vec<Vec<NodeId>>, HostExecutionStats) {
-        let mid_set: HashSet<usize> =
-            pivot_sources.iter().map(|n| n.index()).filter(|&n| n < self.node_bound).collect();
+        let pivots = self.spec_sources(LabelSpec::Exact(pivot));
         // Suffix leg: full forward sweep from every possible mid.
-        let (suffix_results, mut stats) = self.run_nfa(suffix, pivot_sources);
-        let mut suffix_answers: HashMap<usize, &Vec<NodeId>> = HashMap::new();
-        for (m, ans) in pivot_sources.iter().zip(suffix_results.iter()) {
-            suffix_answers.insert(m.index(), ans);
-        }
+        let (suffix_results, mut stats) = self.run_nfa(suffix, &pivots);
         // Prefix leg: forward product pruned by usefulness towards M, each
         // source's answer the union of the suffix answers of every mid it
-        // reaches through the prefix.
-        let useful = self.useful_pairs(prefix, Some(&mid_set), &mut stats);
-        let pruning = Pruning { useful: Some(&useful), accept_nodes: Some(&mid_set) };
+        // reaches through the prefix (`pivots` is ascending, and
+        // `suffix_results` is in its order).
+        let useful = self.useful_pairs(graph, prefix, Some(&pivots), &mut stats);
+        let pruning = Pruning { useful: Some(&useful), accept_nodes: Some(&pivots) };
         let results = self.sweep(prefix, sources, pruning, &mut stats, |mids_hit, stats| {
             let mut out: Vec<NodeId> = Vec::new();
             for m in mids_hit {
-                if let Some(ans) = suffix_answers.get(&m.index()) {
-                    stats.bytes_read += ans.len() as u64 * 8;
-                    out.extend(ans.iter().copied());
+                if let Ok(i) = pivots.binary_search(&m) {
+                    stats.bytes_read += suffix_results[i].len() as u64 * 8;
+                    out.extend_from_slice(&suffix_results[i]);
                 }
             }
             out.sort_unstable();
@@ -565,6 +519,27 @@ impl HostMatrixEngine {
         });
         (results, stats)
     }
+}
+
+/// One reverse-row fetch into `row`: the distinct sources with a
+/// `spec`-matching edge into `node`, ascending — what a transposed matrix row
+/// holds — filtered from the graph's sorted in-row, and charged like a
+/// forward fetch (one row fetch, 8 bytes per source kept).
+fn fetch_rev_row(
+    graph: &AdjacencyGraph,
+    spec: LabelSpec,
+    node: usize,
+    row: &mut Vec<usize>,
+    stats: &mut HostExecutionStats,
+) {
+    row.clear();
+    for &(src, label) in graph.in_neighbors(NodeId(node as u64)) {
+        if spec.matches(label) && row.last() != Some(&src.index()) {
+            row.push(src.index());
+        }
+    }
+    stats.row_fetches += 1;
+    stats.bytes_read += row.len() as u64 * 8;
 }
 
 #[cfg(test)]
@@ -733,7 +708,7 @@ mod tests {
         ] {
             let nfa = Nfa::from_expr(&expr);
             let (forward, fwd_stats) = engine.run_nfa(&nfa, &sources);
-            let (bidi, _) = engine.run_nfa_bidirectional(&nfa, &sources);
+            let (bidi, _) = engine.run_nfa_bidirectional(&g, &nfa, &sources);
             assert_eq!(forward, bidi, "bidirectional diverged for {expr}");
             assert!(fwd_stats.result_entries == bidi.iter().map(Vec::len).sum::<usize>());
         }
@@ -751,7 +726,7 @@ mod tests {
         ]);
         let nfa = Nfa::from_expr(&expr);
         let (_, fwd) = engine.run_nfa(&nfa, &sources);
-        let (_, bidi) = engine.run_nfa_bidirectional(&nfa, &sources);
+        let (_, bidi) = engine.run_nfa_bidirectional(&g, &nfa, &sources);
         assert!(
             bidi.row_fetches < fwd.row_fetches,
             "pruned sweep must fetch fewer rows: {} vs {}",
@@ -768,12 +743,12 @@ mod tests {
         let prefix_expr = RpqExpr::Star(Box::new(RpqExpr::label(1)));
         let suffix_expr = RpqExpr::concat(vec![RpqExpr::label(9), RpqExpr::label(1)]);
         let whole = RpqExpr::concat(vec![prefix_expr.clone(), suffix_expr.clone()]);
-        let pivots = g.rows_holding(Label(9));
         let (forward, _) = engine.run_nfa(&Nfa::from_expr(&whole), &sources);
         let (split, _) = engine.run_nfa_split(
+            &g,
             &Nfa::from_expr(&prefix_expr),
             &Nfa::from_expr(&suffix_expr),
-            &pivots,
+            Label(9),
             &sources,
         );
         assert_eq!(forward, split);
@@ -828,38 +803,39 @@ mod tests {
         for (g, source_count, want) in golden {
             let engine = HostMatrixEngine::from_graph(&g);
             let sources: Vec<NodeId> = (0..source_count).map(NodeId).collect();
-            let pivots = g.rows_holding(Label(9));
             let got = [
                 counters(engine.run_nfa(&whole, &sources)),
-                counters(engine.run_nfa_bidirectional(&whole, &sources)),
-                counters(engine.run_nfa_split(&prefix, &suffix, &pivots, &sources)),
+                counters(engine.run_nfa_bidirectional(&g, &whole, &sources)),
+                counters(engine.run_nfa_split(&g, &prefix, &suffix, Label(9), &sources)),
             ];
             assert_eq!(got, want, "host sweep counters moved on the {source_count}-source graph");
         }
     }
 
     #[test]
-    fn transposes_mirror_every_forward_matrix() {
+    fn reverse_rows_mirror_every_forward_matrix() {
         let mut graph = rare_label_graph();
         graph.insert_edge(NodeId(30), NodeId(31), Label(4));
         graph.insert_edge(NodeId(31), NodeId(3), Label(1));
+        graph.insert_edge(NodeId(31), NodeId(3), Label(4));
         graph.remove_edge(NodeId(3), NodeId(20), Label(9));
         let engine = HostMatrixEngine::from_graph(&graph);
-        for node in 0..engine.node_bound() {
+        let mut stats = HostExecutionStats::default();
+        let (mut rev, mut entries) = (Vec::new(), 0);
+        for node in 0..engine.node_bound {
             for spec in [LabelSpec::Any, LabelSpec::Exact(Label(1)), LabelSpec::Exact(Label(9))] {
-                for &dst in engine.row_for(spec, node) {
-                    assert!(
-                        engine.rev_row_for(spec, dst).contains(&node),
-                        "missing transposed entry {node}->{dst} under {spec:?}"
-                    );
-                }
-                for &src in engine.rev_row_for(spec, node) {
-                    assert!(
-                        engine.row_for(spec, src).contains(&node),
-                        "stale transposed entry {src}->{node} under {spec:?}"
-                    );
-                }
+                // The fetched row is the transposed matrix row: distinct
+                // sources, ascending, exactly the forward entries.
+                fetch_rev_row(&graph, spec, node, &mut rev, &mut stats);
+                let want: Vec<usize> = (0..engine.node_bound)
+                    .filter(|&src| engine.row_for(spec, src).contains(&node))
+                    .collect();
+                assert_eq!(rev, want, "reverse row of {node} under {spec:?}");
+                entries += want.len() as u64;
             }
         }
+        // One fetch per row, charged by the filtered row's length.
+        assert_eq!(stats.row_fetches, engine.node_bound as u64 * 3);
+        assert_eq!(stats.bytes_read, entries * 8);
     }
 }

@@ -72,8 +72,9 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Default group count: matches the paper configuration's 16 PIM modules,
-    /// and divides evenly across 1, 2, and 4 shards.
+    /// Default group count: the paper configuration's 64 PIM modules
+    /// (`PimConfig::upmem_rank`) in groups of four, and divides evenly
+    /// across 1, 2, and 4 shards.
     pub const DEFAULT_GROUPS: usize = 16;
 
     /// A plan with no recorded placements: every node maps through the
@@ -315,25 +316,48 @@ impl ShardedEngine {
         outputs
     }
 
-    /// Scatter/execute/merge for the two untracked query entry points.
+    /// The one scatter/execute/merge loop of every query entry point: each
+    /// group sub-batch runs on its owning replica, rows go back to their
+    /// batch positions, stats and dependency footprints merge in batch
+    /// order, and the throughput clock is charged once.
     fn query_scattered(
         &mut self,
         sources: &[NodeId],
-        f: impl Fn(&mut Box<dyn GraphEngine + Send>, &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) + Sync,
-    ) -> (Vec<Vec<NodeId>>, QueryStats) {
+        f: impl Fn(
+                &mut Box<dyn GraphEngine + Send>,
+                &[NodeId],
+            ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps)
+            + Sync,
+    ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
         let batches = self.scatter(sources);
         let outputs = self.run_scattered(&batches, |engine, chunk| f(engine, chunk));
         let mut results: Vec<Vec<NodeId>> = vec![Vec::new(); sources.len()];
         let mut stats = QueryStats::default();
+        let mut deps = QueryDeps::default();
         let mut latencies = Vec::with_capacity(outputs.len());
-        for (batch_idx, (rows, sub)) in outputs {
+        for (batch_idx, (rows, sub, sub_deps)) in outputs {
             latencies.push((batch_idx, sub.latency()));
             for (&pos, row) in batches[batch_idx].positions.iter().zip(rows) {
                 results[pos] = row;
             }
             stats.merge(&sub);
+            deps.merge(&sub_deps);
         }
         self.charge_query(&batches, &latencies);
+        (results, stats, deps)
+    }
+
+    /// [`ShardedEngine::query_scattered`] for the untracked entry points:
+    /// each sub-batch reports an empty footprint and the union is dropped.
+    fn query_untracked(
+        &mut self,
+        sources: &[NodeId],
+        f: impl Fn(&mut Box<dyn GraphEngine + Send>, &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) + Sync,
+    ) -> (Vec<Vec<NodeId>>, QueryStats) {
+        let (results, stats, _) = self.query_scattered(sources, |engine, chunk| {
+            let (rows, stats) = f(engine, chunk);
+            (rows, stats, QueryDeps::default())
+        });
         (results, stats)
     }
 }
@@ -379,11 +403,11 @@ impl GraphEngine for ShardedEngine {
     }
 
     fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.query_scattered(sources, |engine, chunk| engine.k_hop_batch(chunk, k))
+        self.query_untracked(sources, |engine, chunk| engine.k_hop_batch(chunk, k))
     }
 
     fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.query_scattered(sources, |engine, chunk| engine.rpq_batch(expr, chunk))
+        self.query_untracked(sources, |engine, chunk| engine.rpq_batch(expr, chunk))
     }
 
     /// Planned (shadow) execution scatters exactly like
@@ -397,7 +421,7 @@ impl GraphEngine for ShardedEngine {
         sources: &[NodeId],
         strategy: PlanStrategy,
     ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.query_scattered(sources, |engine, chunk| {
+        self.query_untracked(sources, |engine, chunk| {
             engine.rpq_batch_planned(expr, chunk, strategy)
         })
     }
@@ -407,23 +431,7 @@ impl GraphEngine for ShardedEngine {
         expr: &RpqExpr,
         sources: &[NodeId],
     ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
-        let batches = self.scatter(sources);
-        let outputs =
-            self.run_scattered(&batches, |engine, chunk| engine.rpq_batch_tracked(expr, chunk));
-        let mut results: Vec<Vec<NodeId>> = vec![Vec::new(); sources.len()];
-        let mut stats = QueryStats::default();
-        let mut deps = QueryDeps::default();
-        let mut latencies = Vec::with_capacity(outputs.len());
-        for (batch_idx, (rows, sub, sub_deps)) in outputs {
-            latencies.push((batch_idx, sub.latency()));
-            for (&pos, row) in batches[batch_idx].positions.iter().zip(rows) {
-                results[pos] = row;
-            }
-            stats.merge(&sub);
-            deps.merge(&sub_deps);
-        }
-        self.charge_query(&batches, &latencies);
-        (results, stats, deps)
+        self.query_scattered(sources, |engine, chunk| engine.rpq_batch_tracked(expr, chunk))
     }
 
     fn edge_count(&self) -> usize {

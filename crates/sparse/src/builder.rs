@@ -31,30 +31,9 @@ impl MatrixBuilder {
         MatrixBuilder { nrows, ncols, rows: vec![BTreeSet::new(); nrows], nnz: 0 }
     }
 
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
     /// Number of set entries.
     pub fn nnz(&self) -> usize {
         self.nnz
-    }
-
-    /// Grows the shape to at least `nrows` × `ncols` (never shrinks).
-    pub fn grow(&mut self, nrows: usize, ncols: usize) {
-        if nrows > self.nrows {
-            self.rows.resize(nrows, BTreeSet::new());
-            self.nrows = nrows;
-        }
-        if ncols > self.ncols {
-            self.ncols = ncols;
-        }
     }
 
     /// Sets entry `(r, c)`. Returns `true` if the entry was newly set.
@@ -112,18 +91,6 @@ mod tests {
         b.set(0, 4);
         let m = b.build();
         assert_eq!(m.row(0), &[1, 3, 4]);
-    }
-
-    #[test]
-    fn grow_extends_shape() {
-        let mut b = MatrixBuilder::new(1, 1);
-        b.grow(3, 4);
-        b.set(2, 3);
-        assert_eq!(b.nrows(), 3);
-        assert_eq!(b.ncols(), 4);
-        b.grow(2, 2); // never shrinks
-        assert_eq!(b.nrows(), 3);
-        assert!(b.contains(2, 3));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Pins the update path's simulated costs bit for bit.
 //!
-//! A seeded labelled churn runs on both PIM engines through every update
-//! entry point and folds what the update path reports — every
+//! A seeded labelled churn runs on both PIM engines and on the host baseline
+//! through every update entry point and folds what the update path reports — every
 //! [`UpdateStats`] timeline's `f64` bits and transfer counters,
 //! `requested`/`applied`, every [`UpdateFootprint`], the refinement pass —
 //! and what it leaves behind — the snapshot file image, the reverse rows,
@@ -9,12 +9,14 @@
 //! at the commit *before* the update funnel and the storage plane's maps were
 //! rewritten (PR 18) and must never move without a stated reason: nothing
 //! else pins the order in which update-side float charges accumulate except
-//! the experiment binaries' rounded stdout.
+//! the experiment binaries' rounded stdout. The host baseline's constants
+//! were computed at the commit before its insert and delete loops became
+//! one.
 
 use graph_store::{Label, NodeId};
 use moctopus::{
-    GraphEngine, MoctopusConfig, MoctopusSystem, Phase, PimHashSystem, Timeline, UpdateFootprint,
-    UpdateStats,
+    GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, Phase, PimHashSystem, Timeline,
+    UpdateFootprint, UpdateStats,
 };
 
 type Edge = (NodeId, NodeId, Label);
@@ -116,7 +118,8 @@ fn unlabelled(edges: &[Edge]) -> Vec<(NodeId, NodeId)> {
     edges.iter().map(|&(s, d, _)| (s, d)).collect()
 }
 
-/// The churn. `refine` runs between the two halves (a no-op on PIM-hash).
+/// The churn. `refine` runs between the two halves (a no-op on PIM-hash and
+/// on the host baseline).
 fn churn<E: GraphEngine>(engine: &mut E, refine: impl FnOnce(&mut E, &mut Fold)) -> Golden {
     let mut rng = Rng(0x18_5eed);
     let mut run = Run { costs: Fold::new(), footprints: Fold::new() };
@@ -173,7 +176,7 @@ fn churn<E: GraphEngine>(engine: &mut E, refine: impl FnOnce(&mut E, &mut Fold))
 
     let mut state = Fold::new();
     state.word(engine.edge_count() as u64);
-    let snapshot = engine.export_snapshot().expect("PIM engines export snapshots");
+    let snapshot = engine.export_snapshot().expect("every engine here exports snapshots");
     state.bytes(&snapshot.encode_file());
     state.bytes(format!("{:?}", engine.export_rev_rows()).as_bytes());
     state.bytes(format!("{:?}", engine.label_stats()).as_bytes());
@@ -192,6 +195,10 @@ fn pim_hash(config: MoctopusConfig) -> Golden {
     churn(&mut PimHashSystem::new(config), |_, _| {})
 }
 
+fn host_baseline(config: MoctopusConfig) -> Golden {
+    churn(&mut HostBaseline::new(config), |_, _| {})
+}
+
 const MOCTOPUS: Golden = Golden {
     costs: 0x9753_a362_52a5_2fb4,
     footprints: 0x1406_af35_2089_d41f,
@@ -201,6 +208,11 @@ const PIM_HASH: Golden = Golden {
     costs: 0x27a3_5e20_93c4_f89d,
     footprints: 0x58cf_36d5_5d2b_b715,
     state: 0x8666_4f60_8c1f_4736,
+};
+const HOST_BASELINE: Golden = Golden {
+    costs: 0x83af_b988_64d4_061c,
+    footprints: 0xd1c7_4387_44d8_2f3e,
+    state: 0xd40d_d7f2_336d_cfe3,
 };
 
 #[test]
@@ -218,6 +230,14 @@ fn pim_hash_update_costs_match_the_pinned_checksums() {
     let base = MoctopusConfig::small_test();
     for config in [base, base.with_threads(1), base.with_threads(4)] {
         assert_eq!(pim_hash(config), PIM_HASH, "threads = {}", config.threads);
+    }
+}
+
+#[test]
+fn host_baseline_update_costs_match_the_pinned_checksums() {
+    let base = MoctopusConfig::small_test();
+    for config in [base, base.with_threads(1), base.with_threads(4)] {
+        assert_eq!(host_baseline(config), HOST_BASELINE, "threads = {}", config.threads);
     }
 }
 
