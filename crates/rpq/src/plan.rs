@@ -812,6 +812,43 @@ mod tests {
         }
     }
 
+    /// Every [`HostExecutionStats`] counter of [`HostMatrixEngine::run`], as
+    /// `[row_fetches, bytes_read, bytes_written, smxm_ops, frontier_levels,
+    /// result_entries]`, against constants taken while the executor still
+    /// multiplied CSR matrices: unlabelled chains, labelled chains, the zero
+    /// hop, a label no edge carries, a source past the id bound, and one
+    /// node pair joined under two labels (the any-label row counts it once).
+    #[test]
+    fn host_chain_statistics_are_pinned() {
+        let mut sources: Vec<NodeId> = (0..96).map(NodeId).collect();
+        sources.push(NodeId(500));
+        let generated = generated_graph();
+        let mut twin = AdjacencyGraph::new();
+        for (s, d, l) in [(0, 1, 1), (0, 1, 2), (0, 2, 1), (1, 2, 2), (2, 0, 3)] {
+            twin.insert_edge(NodeId(s), NodeId(d), Label(l));
+        }
+        let cases: [(&AdjacencyGraph, &str, &[NodeId], [u64; 6]); 9] = [
+            (&generated, ".{1}", &sources, [96, 7072, 3152, 1, 1, 394]),
+            (&generated, ".{2}", &sources, [490, 32472, 15304, 2, 2, 1519]),
+            (&generated, ".{3}", &sources, [2009, 119272, 51008, 3, 3, 4463]),
+            (&generated, "1/2", &sources, [227, 5640, 2424, 2, 2, 172]),
+            (&generated, ".{0}", &sources, [0, 776, 0, 0, 0, 97]),
+            (&generated, "7/1", &sources, [96, 768, 0, 2, 2, 0]),
+            (&generated, "2", &[NodeId(500), NodeId(3)], [1, 56, 24, 1, 1, 3]),
+            (&twin, ".", &[NodeId(0), NodeId(1), NodeId(2), NodeId(9)], [3, 88, 32, 1, 1, 4]),
+            (&twin, ".{2}", &[NodeId(0), NodeId(1), NodeId(2)], [7, 168, 72, 2, 2, 5]),
+        ];
+        for (g, text, sources, want) in cases {
+            let engine = HostMatrixEngine::from_graph(g);
+            let plan = ExecutionPlan::from_expr(&crate::parser::parse(text).unwrap()).unwrap();
+            let (_, s) = engine.run(&plan, sources);
+            let [ops, levels, entries] =
+                [s.smxm_ops, s.frontier_levels, s.result_entries].map(|c| c as u64);
+            let got = [s.row_fetches, s.bytes_read, s.bytes_written, ops, levels, entries];
+            assert_eq!(got, want, "host chain counters moved for {text}");
+        }
+    }
+
     #[test]
     fn reverse_rows_mirror_every_forward_matrix() {
         let mut graph = rare_label_graph();
