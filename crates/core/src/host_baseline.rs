@@ -2,9 +2,10 @@
 //!
 //! RedisGraph evaluates graph queries by compiling them into GraphBLAS sparse
 //! matrix algebra and executing the plan on one dedicated CPU core. The
-//! baseline here does exactly that, using the workspace's `sparse` kernels
-//! through [`rpq::plan::HostMatrixEngine`], and charges the work to the same
-//! host-side cost model the PIM engines use for their host portions:
+//! baseline here runs the same row-wise plans through
+//! [`rpq::plan::HostMatrixEngine`], which reads each adjacency-matrix row off
+//! the graph's sorted rows, and charges the work to the same host-side cost
+//! model the PIM engines use for their host portions:
 //!
 //! * each `smxm` operator pays one random DRAM access per adjacency-row fetch
 //!   (pointer chasing through a matrix far larger than the last-level cache —
@@ -53,12 +54,8 @@ const DELETE_EXTRA_INSTRUCTIONS_PER_EDGE: u64 = 3500;
 pub struct HostBaseline {
     /// Cost model (only the host-side helpers are used).
     pim: PimSystem,
-    /// Logical graph contents (kept to rebuild the matrix engine after updates).
+    /// Logical graph contents: the rows every query plan reads.
     graph: AdjacencyGraph,
-    /// GraphBLAS-style execution engine over the current snapshot.
-    matrix: HostMatrixEngine,
-    /// True when `matrix` is stale relative to `graph`.
-    dirty: bool,
     /// Execution runtime: query batches are chunked over these workers, each
     /// running the whole per-label matrix chain (or automaton sweep) for its
     /// chunk of sources. The *simulated* engine stays a single dedicated
@@ -69,12 +66,9 @@ pub struct HostBaseline {
 impl HostBaseline {
     /// Creates an empty baseline engine.
     pub fn new(config: MoctopusConfig) -> Self {
-        let graph = AdjacencyGraph::new();
         HostBaseline {
             pim: PimSystem::new(config.pim),
-            matrix: HostMatrixEngine::from_graph(&graph),
-            graph,
-            dirty: false,
+            graph: AdjacencyGraph::new(),
             pool: WorkerPool::new(config.threads),
         }
     }
@@ -86,11 +80,9 @@ impl HostBaseline {
         engine
     }
 
-    fn refresh_matrix(&mut self) {
-        if self.dirty {
-            self.matrix = HostMatrixEngine::from_graph(&self.graph);
-            self.dirty = false;
-        }
+    /// The plan executor over the current graph.
+    fn engine(&self) -> HostMatrixEngine<'_> {
+        HostMatrixEngine::new(&self.graph)
     }
 
     /// Bytes of the adjacency structure resident in DRAM, used to decide how
@@ -121,7 +113,6 @@ impl HostBaseline {
             row_bytes_touched += row_entries * 8;
             applied += usize::from(changed);
         }
-        self.dirty = true;
 
         let per_edge = match op {
             EdgeOp::Insert => UPDATE_INSTRUCTIONS_PER_EDGE,
@@ -243,9 +234,8 @@ impl GraphEngine for HostBaseline {
     }
 
     fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.refresh_matrix();
         let plan = ExecutionPlan::k_hop(k);
-        self.finish(self.run_chunked(sources, |chunk| self.matrix.run(&plan, chunk)))
+        self.finish(self.run_chunked(sources, |chunk| self.engine().run(&plan, chunk)))
     }
 
     fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) {
@@ -254,14 +244,13 @@ impl GraphEngine for HostBaseline {
         if let Some(k) = expr.as_k_hop() {
             return self.k_hop_batch(sources, k);
         }
-        self.refresh_matrix();
         // Fixed-length expressions stay matrix chains (`Q × A_l1 × … × A_lk`);
-        // everything else sweeps the automaton over the per-label matrices.
+        // everything else sweeps the automaton over the per-label rows.
         let out = match ExecutionPlan::from_expr(expr) {
-            Some(plan) => self.run_chunked(sources, |chunk| self.matrix.run(&plan, chunk)),
+            Some(plan) => self.run_chunked(sources, |chunk| self.engine().run(&plan, chunk)),
             None => {
                 let nfa = Nfa::from_expr(expr);
-                self.run_chunked(sources, |chunk| self.matrix.run_nfa(&nfa, chunk))
+                self.run_chunked(sources, |chunk| self.engine().run_nfa(&nfa, chunk))
             }
         };
         self.finish(out)
@@ -269,8 +258,8 @@ impl GraphEngine for HostBaseline {
 
     /// Planned execution: bidirectional runs the backward useful-set sweep
     /// over the graph's in-rows, the rare-label split seeds the suffix
-    /// automaton at the pivot label's source rows (read off the per-label
-    /// matrix's row pointers, the same list the backward sweep seeds from).
+    /// automaton at the pivot label's source rows (the graph's out-rows
+    /// holding the label, the same list the backward sweep seeds from).
     /// Answers are byte-identical to [`GraphEngine::rpq_batch`] under every
     /// strategy; only the executed row-fetch/byte profile differs.
     ///
@@ -287,18 +276,17 @@ impl GraphEngine for HostBaseline {
         if expr.as_k_hop().is_some() {
             return self.rpq_batch(expr, sources);
         }
-        self.refresh_matrix();
         let out = match strategy {
             PlanStrategy::Forward => return self.rpq_batch(expr, sources),
             PlanStrategy::Bidirectional => {
-                self.matrix.run_nfa_bidirectional(&self.graph, &Nfa::from_expr(expr), sources)
+                self.engine().run_nfa_bidirectional(&Nfa::from_expr(expr), sources)
             }
             PlanStrategy::RareLabelSplit { split_at } => {
                 let Some((prefix, suffix, pivot)) = optimizer::split_for(expr, split_at) else {
                     return self.rpq_batch(expr, sources);
                 };
                 let (prefix, suffix) = (Nfa::from_expr(&prefix), Nfa::from_expr(&suffix));
-                self.matrix.run_nfa_split(&self.graph, &prefix, &suffix, pivot, sources)
+                self.engine().run_nfa_split(&prefix, &suffix, pivot, sources)
             }
         };
         self.finish(out)
@@ -344,8 +332,8 @@ impl GraphEngine for HostBaseline {
         self.pool.threads()
     }
 
-    /// The baseline's storage plane is its adjacency graph; the matrix engine
-    /// is a pure function of it and is rebuilt lazily.
+    /// The baseline's storage plane is its adjacency graph, exported as
+    /// canonical sorted rows; the plan executor keeps nothing else.
     fn export_snapshot(&self) -> Option<SnapshotState> {
         Some(SnapshotState {
             edge_count: self.graph.edge_count() as u64,
@@ -355,12 +343,11 @@ impl GraphEngine for HostBaseline {
         })
     }
 
-    /// Restoring marks the matrix engine dirty; the next query rebuilds it
-    /// from the restored graph (rebuilds are simulation-cost-free, so live
-    /// and restored engines stay output-identical). An image with any PIM
-    /// section was written by a PIM engine, whose edges live in sections this
-    /// engine does not read: it is rejected rather than restored as an empty
-    /// graph.
+    /// Restoring rebuilds the graph from its rows; the next query reads them
+    /// as a live engine would, so live and restored engines stay
+    /// output-identical. An image with any PIM section was written by a PIM
+    /// engine, whose edges live in sections this engine does not read: it is
+    /// rejected rather than restored as an empty graph.
     fn restore_snapshot(&mut self, snapshot: &SnapshotState) -> bool {
         if !snapshot.local_modules.is_empty()
             || !snapshot.host_rows.is_empty()
@@ -372,7 +359,6 @@ impl GraphEngine for HostBaseline {
         }
         self.graph =
             AdjacencyGraph::from_rows(snapshot.adjacency_rows.clone(), snapshot.adjacency_id_bound);
-        self.dirty = true;
         true
     }
 

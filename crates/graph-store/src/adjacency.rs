@@ -8,10 +8,10 @@
 
 use crate::ids::{IdMap, Label, NodeId};
 use crate::labelstats::LabelStatsTable;
-use crate::rows::{holds, SortedRows};
+use crate::rows::SortedRows;
 use serde::{Deserialize, Serialize};
 
-/// A directed, labelled multigraph stored as per-node adjacency vectors.
+/// A directed, labelled multigraph stored as per-node adjacency rows.
 ///
 /// Parallel edges with the *same* label are collapsed (the adjacency matrix is
 /// boolean), but the same node pair may be connected by edges with different
@@ -32,20 +32,20 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AdjacencyGraph {
-    /// Out-neighbours per node: `(destination, label)` pairs.
-    out_edges: IdMap<NodeId, Vec<(NodeId, Label)>>,
+    /// Every registered node: edge endpoints, [`AdjacencyGraph::note_node`]
+    /// calls and nodes whose rows deletes emptied. The host baseline's cost
+    /// model reads its size through `node_count` and `approx_bytes`.
+    nodes: IdMap<NodeId, ()>,
+    /// Out-neighbours per node: `(destination, label)` pairs, kept **strictly
+    /// sorted**; their tally counts each label's edges and source rows.
+    out_edges: SortedRows,
     /// In-neighbours per node: `(source, label)` pairs, kept **strictly
-    /// sorted**. The whole-graph view owns both directions, so the reverse
-    /// side is maintained on the same insert/delete path as the forward side
-    /// (and re-derived by transposition on snapshot restore).
+    /// sorted** on the same insert/delete path as the out-rows (and
+    /// re-derived by transposition on snapshot restore); their tally counts
+    /// each label's targets.
     in_edges: SortedRows,
-    /// Number of directed edges currently stored.
-    edge_count: usize,
     /// Largest node id ever seen plus one; used to size dense structures.
     id_bound: u64,
-    /// Per-label tally of the out-rows: edges, and rows holding the label
-    /// (the in-edge table's own tally counts the targets).
-    out_tally: LabelStatsTable,
 }
 
 impl AdjacencyGraph {
@@ -57,7 +57,7 @@ impl AdjacencyGraph {
     /// Creates an empty graph with room pre-allocated for `nodes` nodes.
     pub fn with_capacity(nodes: usize) -> Self {
         let mut g = AdjacencyGraph::new();
-        g.out_edges.reserve(nodes);
+        g.nodes.reserve(nodes);
         g
     }
 
@@ -80,61 +80,58 @@ impl AdjacencyGraph {
     /// Both endpoints become known nodes even if they had no prior edges.
     pub fn insert_edge(&mut self, src: NodeId, dst: NodeId, label: Label) -> bool {
         self.note_node(dst);
-        self.id_bound = self.id_bound.max(src.0 + 1);
-        let row = self.out_edges.entry(src).or_default();
-        // One pass rejects a duplicate and finds whether the row already
-        // holds the label.
-        let mut first = true;
-        for &(d, l) in row.iter() {
-            if (d, l) == (dst, label) {
-                return false;
-            }
-            first &= l != label;
+        let (prior, new) = self.out_edges.insert(src, (dst, label));
+        if prior == 0 {
+            // A node without a row may not be registered yet.
+            self.note_node(src);
         }
-        row.push((dst, label));
-        self.edge_count += 1;
-        self.out_tally.add(label, first);
-        self.in_edges.insert(dst, (src, label));
-        true
+        if new {
+            self.in_edges.insert(dst, (src, label));
+        }
+        new
     }
 
     /// Removes a directed edge. Returns `true` if the edge existed.
     pub fn remove_edge(&mut self, src: NodeId, dst: NodeId, label: Label) -> bool {
-        let Some(row) = self.out_edges.get_mut(&src) else { return false };
-        let Some(pos) = row.iter().position(|&e| e == (dst, label)) else { return false };
-        row.swap_remove(pos);
-        let last = !holds(row, label);
-        self.edge_count -= 1;
-        self.out_tally.remove(label, last);
-        self.in_edges.remove(dst, (src, label));
-        true
+        let (_, present) = self.out_edges.remove(src, (dst, label));
+        if present {
+            self.in_edges.remove(dst, (src, label));
+        }
+        present
     }
 
     /// Returns `true` if the edge is present.
     pub fn has_edge(&self, src: NodeId, dst: NodeId, label: Label) -> bool {
-        self.out_edges.get(&src).is_some_and(|row| row.contains(&(dst, label)))
+        self.neighbors(src).binary_search(&(dst, label)).is_ok()
     }
 
     /// Registers a node without adding any edges.
     pub fn note_node(&mut self, node: NodeId) {
-        self.out_edges.entry(node).or_default();
+        self.nodes.entry(node).or_default();
         self.id_bound = self.id_bound.max(node.0 + 1);
     }
 
-    /// Out-neighbours of `node` (with labels); empty slice if unknown.
+    /// Out-neighbours of `node` (`(destination, label)` pairs, strictly
+    /// ascending); empty slice if the node has no out-edges.
     pub fn neighbors(&self, node: NodeId) -> &[(NodeId, Label)] {
-        self.out_edges.get(&node).map(Vec::as_slice).unwrap_or(&[])
+        self.out_edges.get(node).unwrap_or(&[])
     }
 
     /// Out-degree of `node` (0 if the node is unknown).
     pub fn out_degree(&self, node: NodeId) -> usize {
-        self.out_edges.get(&node).map(Vec::len).unwrap_or(0)
+        self.neighbors(node).len()
     }
 
     /// In-neighbours of `node` (`(source, label)` pairs, strictly ascending);
     /// empty slice if the node has no in-edges.
     pub fn in_neighbors(&self, node: NodeId) -> &[(NodeId, Label)] {
         self.in_edges.get(node).unwrap_or(&[])
+    }
+
+    /// The nodes with an out-edge carrying `label` (any out-edge for
+    /// `None`), in arbitrary order.
+    pub fn rows_holding(&self, label: Option<Label>) -> impl Iterator<Item = NodeId> + '_ {
+        self.out_edges.holding(label)
     }
 
     /// Exports every non-empty in-adjacency row, sorted by node id, with
@@ -146,12 +143,12 @@ impl AdjacencyGraph {
 
     /// Number of nodes that have been registered (with or without edges).
     pub fn node_count(&self) -> usize {
-        self.out_edges.len()
+        self.nodes.len()
     }
 
     /// Number of directed edges stored.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.out_edges.entries()
     }
 
     /// One greater than the largest node id ever seen.
@@ -163,19 +160,19 @@ impl AdjacencyGraph {
 
     /// Returns `true` if the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.out_edges.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Iterates over every node id in the graph (arbitrary order).
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         // moctopus-lint: allow(hash-iter-order, reason = "documented arbitrary-order API; order-sensitive callers go through export_rows/to_sorted_edges")
-        self.out_edges.keys().copied()
+        self.nodes.keys().copied()
     }
 
-    /// Iterates over every directed edge as `(src, dst, label)`.
+    /// Iterates over every directed edge as `(src, dst, label)`: rows in
+    /// arbitrary order, each row ascending.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Label)> + '_ {
-        // moctopus-lint: allow(hash-iter-order, reason = "documented arbitrary-order API; order-sensitive callers go through export_rows/to_sorted_edges")
-        self.out_edges.iter().flat_map(|(&s, row)| row.iter().map(move |&(d, l)| (s, d, l)))
+        self.out_edges.iter().flat_map(|(s, row)| row.iter().map(move |&(d, l)| (s, d, l)))
     }
 
     /// Collects all edges into a vector sorted by `(src, dst, label)`.
@@ -189,8 +186,7 @@ impl AdjacencyGraph {
 
     /// Number of nodes whose out-degree strictly exceeds `threshold`.
     pub fn count_high_degree(&self, threshold: usize) -> usize {
-        // moctopus-lint: allow(hash-iter-order, reason = "reduced with count(); a cardinality is order-independent")
-        self.out_edges.values().filter(|row| row.len() > threshold).count()
+        self.out_edges.iter().filter(|(_, row)| row.len() > threshold).count()
     }
 
     /// Approximate resident bytes of the adjacency data (for memory budgeting).
@@ -198,47 +194,42 @@ impl AdjacencyGraph {
         let per_edge = std::mem::size_of::<(NodeId, Label)>() as u64;
         let per_node =
             (std::mem::size_of::<NodeId>() + std::mem::size_of::<Vec<(NodeId, Label)>>()) as u64;
-        self.edge_count as u64 * per_edge + self.out_edges.len() as u64 * per_node
+        self.edge_count() as u64 * per_edge + self.nodes.len() as u64 * per_node
     }
 
-    /// Exports every row for a durable snapshot, sorted by node id.
-    ///
-    /// Row contents are exported **verbatim** — insertion/`swap_remove` order
-    /// is history-dependent and must be preserved so a restored graph keeps
-    /// producing identical row scans. Edge-less rows (registered via
-    /// [`AdjacencyGraph::note_node`]) are included: they count toward
-    /// `node_count` and `approx_bytes`, which the host baseline's cost model
-    /// reads.
+    /// Exports every registered node's row for a durable snapshot, sorted by
+    /// node id, each row strictly sorted: the canonical image, which no
+    /// insert or delete order can reach. Edge-less rows (registered via
+    /// [`AdjacencyGraph::note_node`] or emptied by deletes) are included:
+    /// they count toward `node_count` and `approx_bytes`, which the host
+    /// baseline's cost model reads.
     pub fn export_rows(&self) -> Vec<(NodeId, Vec<(NodeId, Label)>)> {
-        // moctopus-lint: allow(hash-iter-order, reason = "collected then sort_by_key on the next line before use")
-        let mut rows: Vec<(NodeId, Vec<(NodeId, Label)>)> =
-            self.out_edges.iter().map(|(&n, v)| (n, v.clone())).collect();
-        rows.sort_by_key(|&(n, _)| n);
-        rows
+        let mut ids: Vec<NodeId> = self.nodes().collect();
+        ids.sort_unstable();
+        ids.into_iter().map(|n| (n, self.neighbors(n).to_vec())).collect()
     }
 
     /// Rebuilds a graph from rows exported by
     /// [`AdjacencyGraph::export_rows`] plus the saved id bound.
     ///
-    /// The edge count is recomputed from the rows; the id bound is taken
-    /// as-is (it can exceed every present id after deletions).
+    /// Every row id is registered; a row that is not strictly sorted is
+    /// sorted and deduplicated. The id bound is taken as-is (it can exceed
+    /// every present id after deletions).
     pub fn from_rows(rows: Vec<(NodeId, Vec<(NodeId, Label)>)>, id_bound: u64) -> Self {
         let mut g = AdjacencyGraph { id_bound, ..AdjacencyGraph::default() };
         for (n, row) in rows {
-            g.edge_count += row.len();
-            g.out_tally.add_row(row.iter().map(|&(_, l)| l));
-            for &(dst, label) in &row {
+            g.nodes.insert(n, ());
+            for &(dst, label) in g.out_edges.install(n, row) {
                 g.in_edges.insert(dst, (n, label));
             }
-            g.out_edges.insert(n, row);
         }
         g
     }
 
     /// This graph's per-label statistics: the out-rows' tally, with the
-    /// in-edge rows counted as targets.
+    /// in-rows' tally counted as targets.
     pub fn label_stats(&self) -> LabelStatsTable {
-        self.out_tally.with_targets_from(self.in_edges.label_stats())
+        self.out_edges.label_stats().with_targets_from(self.in_edges.label_stats())
     }
 }
 
@@ -377,6 +368,31 @@ mod tests {
             .collect();
         reverse.sort();
         assert_eq!(forward, reverse);
+    }
+
+    #[test]
+    fn node_registry_round_trips_through_sorted_rows() {
+        let mut g = sample();
+        g.note_node(NodeId(9)); // registered, never an endpoint
+        for (d, l) in [(7, 2), (3, 1), (5, 2), (3, 0)] {
+            g.insert_edge(NodeId(4), NodeId(d), Label(l));
+        }
+        g.insert_edge(NodeId(6), NodeId(4), Label(1));
+        g.remove_edge(NodeId(6), NodeId(4), Label(1)); // row 6 emptied
+        let rows = g.export_rows();
+        assert!(rows.iter().all(|(_, row)| row.windows(2).all(|w| w[0] < w[1])));
+        assert!(rows.contains(&(NodeId(9), vec![])) && rows.contains(&(NodeId(6), vec![])));
+        let back = AdjacencyGraph::from_rows(rows.clone(), g.id_bound());
+        assert_eq!(back.export_rows(), rows);
+        assert_eq!(
+            [back.node_count(), back.edge_count(), back.id_bound() as usize],
+            [g.node_count(), g.edge_count(), g.id_bound() as usize]
+        );
+        assert_eq!(back.approx_bytes(), g.approx_bytes());
+        assert_eq!(back.label_stats().snapshot(), g.label_stats().snapshot());
+        assert_eq!(back.export_rev_rows(), g.export_rev_rows());
+        assert_eq!(g.node_count(), 9);
+        assert_eq!(g.neighbors(NodeId(4)).first(), Some(&(NodeId(3), Label(0))));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! * [`ids`] — strongly-typed identifiers ([`NodeId`], [`PartitionId`], [`Label`])
 //!   and [`IdMap`], the hash map every id-keyed structure below uses.
 //! * [`rows`] — [`SortedRows`], the one sorted-row table behind the local
-//!   stores' forward and reverse rows and every other reverse index.
+//!   stores' and the whole-graph view's forward and reverse rows and every
+//!   other reverse index.
 //! * [`adjacency`] — a dynamic, labelled, directed adjacency-list graph; the
 //!   logical "whole graph" view used by generators and baselines.
 //! * [`local`] — the per-PIM-module *local graph storage*: a hash map from row

@@ -1,9 +1,10 @@
 //! The sorted-row table: the one implementation of "a map from node to a
 //! strictly sorted `(neighbour, label)` row".
 //!
-//! [`crate::LocalGraphStorage`] keeps two (forward rows and reverse rows),
-//! [`crate::HeterogeneousStorage`] one (reverse rows) and
-//! [`crate::AdjacencyGraph`] one (in-edges). The stores add what differs
+//! [`crate::LocalGraphStorage`] and [`crate::AdjacencyGraph`] keep two
+//! (forward rows and reverse rows), [`crate::HeterogeneousStorage`] one
+//! (reverse rows; its forward hub rows keep the paper's slot layout). The
+//! stores add what differs
 //! between them — layout, capacity, cost policy — and leave probing, binary
 //! search, empty-row cleanup, entry counting and the label statistics here.
 //!
@@ -45,7 +46,7 @@ pub struct SortedRows {
 }
 
 /// `true` if `row` holds an entry with `label`.
-pub(crate) fn holds(row: &[(NodeId, Label)], label: Label) -> bool {
+fn holds(row: &[(NodeId, Label)], label: Label) -> bool {
     row.iter().any(|&(_, l)| l == label)
 }
 

@@ -10,7 +10,9 @@
 //!
 //! The byte format is hand-rolled little-endian (not `serde`): hash-map
 //! iteration order must never leak into the encoding, so every section is
-//! sorted by node id at export and row contents are written verbatim. The
+//! strictly ascending by node id, module and adjacency rows are strictly
+//! sorted, and only the host rows' slot layout is written as the store holds
+//! it. The decoder rejects an image that breaks any of these. The
 //! file layout is `[magic "MSNP"][version: u32][payload_len: u64][payload]
 //! [crc: u32]` where `crc` is the CRC-32 of the payload — one checksum over
 //! the whole image, verified before a single field is trusted.
@@ -71,7 +73,8 @@ pub struct SnapshotState {
     pub degrees: Vec<(NodeId, u64)>,
     /// Promotion log of the greedy-adaptive partitioner, in promotion order.
     pub promotions: Vec<NodeId>,
-    /// Host-baseline adjacency rows, sorted by node id, contents verbatim.
+    /// Host-baseline adjacency rows, strictly ascending by node id, each
+    /// strictly sorted; every id is below `adjacency_id_bound`.
     pub adjacency_rows: Vec<(NodeId, Vec<(NodeId, Label)>)>,
     /// The adjacency graph's id bound (one past the largest id ever seen).
     pub adjacency_id_bound: u64,
@@ -144,14 +147,34 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    fn row(&mut self) -> Result<DecodedRow, (u64, String)> {
+    /// One row of a `what` section, whose row ids ascend strictly: `prev`
+    /// holds the section's previous id.
+    fn row(&mut self, what: &str, prev: &mut Option<NodeId>) -> Result<DecodedRow, (u64, String)> {
+        let at = self.at as u64;
         let node = NodeId(self.u64("row id")?);
+        if let Some(p) = prev.replace(node).filter(|&p| p >= node) {
+            return Err((at, format!("{what} row {} follows row {}", node.0, p.0)));
+        }
         let n = self.count(10, "row hops")?;
         let mut hops = Vec::with_capacity(n);
         for _ in 0..n {
             let dst = NodeId(self.u64("hop id")?);
             let label = Label(self.u16("hop label")?);
             hops.push((dst, label));
+        }
+        Ok((node, hops))
+    }
+
+    /// [`Reader::row`] for a section whose rows are strictly sorted.
+    fn sorted_row(
+        &mut self,
+        what: &str,
+        prev: &mut Option<NodeId>,
+    ) -> Result<DecodedRow, (u64, String)> {
+        let at = self.at as u64;
+        let (node, hops) = self.row(what, prev)?;
+        if !hops.windows(2).all(|w| w[0] < w[1]) {
+            return Err((at, format!("{what} row {} is not strictly sorted", node.0)));
         }
         Ok((node, hops))
     }
@@ -267,13 +290,9 @@ impl SnapshotState {
             };
             let n_rows = r.count(16, "module rows")?;
             let mut rows = Vec::with_capacity(n_rows);
+            let mut prev = None;
             for _ in 0..n_rows {
-                let at = r.at as u64;
-                let (node, hops) = r.row()?;
-                if !hops.windows(2).all(|w| w[0] < w[1]) {
-                    return Err((at, format!("module row {} is not strictly sorted", node.0)));
-                }
-                rows.push((node, hops));
+                rows.push(r.sorted_row("module", &mut prev)?);
             }
             local_modules.push(LocalModuleSnapshot { rows, capacity_bytes });
         }
@@ -281,9 +300,10 @@ impl SnapshotState {
         let n_host = r.count(24, "host rows")?;
         let mut host_rows = Vec::with_capacity(n_host);
         let mut host_edges = 0u64;
+        let mut prev = None;
         for _ in 0..n_host {
             let at = r.at as u64;
-            let (node, slots) = r.row()?;
+            let (node, slots) = r.row("host", &mut prev)?;
             let n_free = r.count(8, "free list")?;
             let mut free = Vec::with_capacity(n_free);
             for _ in 0..n_free {
@@ -316,10 +336,19 @@ impl SnapshotState {
 
         let n_adj = r.count(16, "adjacency rows")?;
         let mut adjacency_rows = Vec::with_capacity(n_adj);
+        let mut prev = None;
         for _ in 0..n_adj {
-            adjacency_rows.push(r.row()?);
+            adjacency_rows.push(r.sorted_row("adjacency", &mut prev)?);
         }
+        let bound_at = r.at as u64;
         let adjacency_id_bound = r.u64("adjacency id bound")?;
+        let ids = adjacency_rows.iter().flat_map(|(n, hops)| hops.iter().map(|h| h.0).chain([*n]));
+        if let Some(id) = ids.filter(|id| id.0 >= adjacency_id_bound).max() {
+            return Err((
+                bound_at,
+                format!("adjacency id {} is not below the id bound {adjacency_id_bound}", id.0),
+            ));
+        }
 
         if r.at != bytes.len() {
             return Err((r.at as u64, format!("{} trailing bytes", bytes.len() - r.at)));

@@ -6,20 +6,27 @@
 //! bounds; one at a live slot, or listed twice, makes a later insert
 //! overwrite a live edge; a live edge in two slots leaves one slot out of the
 //! position map; an `edge_count` the rows do not hold underflows on a later
-//! delete. Each such image — checksum intact — must fail to decode with a
-//! reason, and reading it from disk must report the file as corrupt.
+//! delete. A row id repeated within a section makes the second row replace
+//! the first on install, leaving `edge_count` or the position map behind; an
+//! adjacency row out of order, or an id at or past the saved id bound, is an
+//! image no graph exports. Each such image — checksum intact — must fail to
+//! decode with a reason, and reading it from disk must report the file as
+//! corrupt.
 
 use graph_store::{
     GraphStoreError, HostRowSnapshot, Label, LocalModuleSnapshot, NodeId, SnapshotState,
 };
 
-/// A consistent image: a module row and a host row with one free slot —
-/// four edges in all.
+/// A consistent image: two module rows, a host row with one free slot, and
+/// two adjacency rows (one edge-less) — seven edges in all.
 fn image() -> SnapshotState {
     SnapshotState {
-        edge_count: 4,
+        edge_count: 7,
         local_modules: vec![LocalModuleSnapshot {
-            rows: vec![(NodeId(1), vec![(NodeId(2), Label(3)), (NodeId(4), Label::ANY)])],
+            rows: vec![
+                (NodeId(1), vec![(NodeId(2), Label(3)), (NodeId(4), Label::ANY)]),
+                (NodeId(3), vec![(NodeId(1), Label(3))]),
+            ],
             capacity_bytes: None,
         }],
         host_rows: vec![HostRowSnapshot {
@@ -31,6 +38,11 @@ fn image() -> SnapshotState {
             ],
             free: vec![1],
         }],
+        adjacency_rows: vec![
+            (NodeId(0), vec![(NodeId(2), Label(1)), (NodeId(7), Label(1))]),
+            (NodeId(2), vec![]),
+        ],
+        adjacency_id_bound: 8,
         ..SnapshotState::default()
     }
 }
@@ -44,14 +56,23 @@ fn a_consistent_image_decodes() {
 #[test]
 fn rows_a_store_would_trust_blindly_are_rejected() {
     type Corrupt = fn(&mut SnapshotState);
-    let cases: [(&str, Corrupt); 7] = [
+    let cases: [(&str, Corrupt); 13] = [
         ("past its 3 slots", |s| s.host_rows[0].free = vec![3]),
         ("holds a live edge", |s| s.host_rows[0].free = vec![0]),
         ("listed twice", |s| s.host_rows[0].free = vec![1, 1]),
         ("fills two slots", |s| s.host_rows[0].slots[2] = (NodeId(5), Label::ANY)),
-        ("hold 4 edges", |s| s.edge_count = 5),
-        ("hold 4 edges", |s| s.edge_count = 3),
-        ("not strictly sorted", |s| s.local_modules[0].rows[0].1.reverse()),
+        ("hold 7 edges", |s| s.edge_count = 8),
+        ("hold 7 edges", |s| s.edge_count = 6),
+        ("module row 1 is not strictly sorted", |s| s.local_modules[0].rows[0].1.reverse()),
+        ("module row 1 follows row 1", |s| s.local_modules[0].rows[1].0 = NodeId(1)),
+        ("host row 9 follows row 9", |s| {
+            let twin = HostRowSnapshot { slots: vec![], free: vec![], ..s.host_rows[0].clone() };
+            s.host_rows.push(twin);
+        }),
+        ("adjacency row 0 follows row 2", |s| s.adjacency_rows.swap(0, 1)),
+        ("adjacency row 0 is not strictly sorted", |s| s.adjacency_rows[0].1.reverse()),
+        ("adjacency id 8 is not below the id bound 8", |s| s.adjacency_rows[1].0 = NodeId(8)),
+        ("adjacency id 7 is not below the id bound 7", |s| s.adjacency_id_bound = 7),
     ];
     for (reason, corrupt) in cases {
         let mut image = image();

@@ -16,9 +16,10 @@
 //! * [`nfa`] — Glushkov (ε-free) automaton construction.
 //! * [`eval`] — a reference evaluator (product-automaton BFS) used to verify
 //!   every other engine in the workspace.
-//! * [`plan`] — matrix-based execution plans (`smxm`, `mwait`, `add`, `sub`
-//!   operators) and the host-side executor over [`sparse`] matrices, which is
-//!   the RedisGraph-like baseline's query path.
+//! * [`plan`] — matrix-based execution plans (`smxm` and `mwait`
+//!   operators) and the host-side executor that runs them row by row over
+//!   the graph's sorted rows, which is the RedisGraph-like baseline's query
+//!   path.
 //! * [`optimizer`] — cost-based plan selection (forward vs bidirectional vs
 //!   rare-label-first split) over incrementally maintained per-label
 //!   statistics, with the plan-invariance contract that served results are

@@ -1,24 +1,24 @@
 //! Matrix-based execution plans (the paper's `smxm` / `mwait` operators) and
-//! a host-side executor over sparse matrices.
+//! a host-side executor that runs them over the graph's own rows.
 //!
 //! The Query Processor translates a batch RPQ into a plan
 //! `ans = Q × Adj × … × Adj`: one [`PlanOp::Smxm`] per hop followed by an
 //! [`PlanOp::MWait`] that reduces/gathers the result. Graph updates (the
 //! paper's `add` / `sub` over a delta matrix) never go through a plan: the
-//! host baseline applies them to its graph and rebuilds the matrices with
-//! [`HostMatrixEngine::from_graph`]. The
-//! [`HostMatrixEngine`] in this module executes query plans on the host with
-//! GraphBLAS-style sparse kernels — exactly what the RedisGraph baseline does —
-//! and reports how much matrix data each operator touched so the simulator can
-//! charge memory-system costs. It holds forward matrices only: the backward
-//! sweeps read a transposed row off the graph's own sorted in-rows
-//! ([`AdjacencyGraph::in_neighbors`]).
+//! host baseline applies them to its [`AdjacencyGraph`], and the next query
+//! reads the updated rows. The [`HostMatrixEngine`] in this module executes
+//! query plans on the host the way the RedisGraph baseline's GraphBLAS
+//! kernels do — Gustavson's row-wise product, one adjacency-row fetch per
+//! frontier entry — and reports how much matrix data each operator touched
+//! so the simulator can charge memory-system costs. It keeps no matrix: a
+//! row of a label's adjacency matrix (or of its transpose) is the graph's
+//! sorted out-row ([`AdjacencyGraph::neighbors`]) or in-row
+//! ([`AdjacencyGraph::in_neighbors`]) filtered by the label.
 
 use crate::ast::{LabelSpec, RpqExpr};
 use crate::nfa::Nfa;
 use graph_store::{AdjacencyGraph, Label, NodeId};
-use sparse::{ops, MatrixBuilder, SparseBoolMatrix};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// One operator of a matrix-based execution plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,8 +154,9 @@ struct Pruning<'a> {
     accept_nodes: Option<&'a [NodeId]>,
 }
 
-/// Host-side (RedisGraph-like) matrix engine: per-label adjacency matrices
-/// plus a plan executor.
+/// Host-side (RedisGraph-like) matrix engine: a plan executor over a borrowed
+/// graph, whose sorted rows stand in for the rows of every per-label
+/// adjacency matrix and of its transpose.
 ///
 /// # Examples
 ///
@@ -167,121 +168,72 @@ struct Pruning<'a> {
 /// let mut g = AdjacencyGraph::new();
 /// g.insert_edge(NodeId(0), NodeId(1), Label(0));
 /// g.insert_edge(NodeId(1), NodeId(2), Label(0));
-/// let engine = HostMatrixEngine::from_graph(&g);
+/// let engine = HostMatrixEngine::new(&g);
 /// let (result, stats) = engine.run(&ExecutionPlan::k_hop(2), &[NodeId(0)]);
 /// assert_eq!(result[0], vec![NodeId(2)]);
 /// assert!(stats.bytes_read > 0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct HostMatrixEngine {
-    node_bound: usize,
-    any: SparseBoolMatrix,
-    by_label: HashMap<Label, SparseBoolMatrix>,
+#[derive(Debug, Clone, Copy)]
+pub struct HostMatrixEngine<'g> {
+    graph: &'g AdjacencyGraph,
 }
 
-impl HostMatrixEngine {
-    /// Builds the label-oblivious and the per-label adjacency matrices from a
-    /// graph snapshot (the host baseline rebuilds them after every update).
-    pub fn from_graph(graph: &AdjacencyGraph) -> Self {
-        let n = graph.id_bound() as usize;
-        let mut any = MatrixBuilder::new(n, n);
-        let mut per_label: HashMap<Label, MatrixBuilder> = HashMap::new();
-        for (s, d, l) in graph.edges() {
-            any.set(s.index(), d.index());
-            per_label
-                .entry(l)
-                .or_insert_with(|| MatrixBuilder::new(n, n))
-                .set(s.index(), d.index());
-        }
-        HostMatrixEngine {
-            node_bound: n,
-            any: any.build(),
-            // moctopus-lint: allow(hash-iter-order, reason = "map-to-map rebuild; MatrixBuilder::build sorts, so each value is order-independent")
-            by_label: per_label.into_iter().map(|(l, b)| (l, b.build())).collect(),
-        }
+impl<'g> HostMatrixEngine<'g> {
+    /// An executor over `graph`'s rows as they are: an update to the graph
+    /// needs nothing rebuilt before the next query.
+    pub fn new(graph: &'g AdjacencyGraph) -> Self {
+        HostMatrixEngine { graph }
     }
 
-    /// The adjacency matrix of one label spec; `None` for a label no edge
-    /// carries.
-    fn matrix(&self, spec: LabelSpec) -> Option<&SparseBoolMatrix> {
-        match spec {
-            LabelSpec::Any => Some(&self.any),
-            LabelSpec::Exact(l) => self.by_label.get(&l),
-        }
-    }
-
-    /// The adjacency matrix restricted to one label, borrowed: the plan
-    /// executor runs one `smxm` per hop per source chunk, so cloning the
-    /// whole adjacency matrix per operator (multiplied by the worker count
-    /// under chunked execution) would dominate; only the
-    /// missing-label case materialises an (empty) owned matrix.
-    fn adjacency_cow(&self, spec: LabelSpec) -> std::borrow::Cow<'_, SparseBoolMatrix> {
-        use std::borrow::Cow;
-        self.matrix(spec).map(Cow::Borrowed).unwrap_or_else(|| {
-            Cow::Owned(SparseBoolMatrix::zeros(self.node_bound, self.node_bound))
-        })
+    /// The adjacency matrices' dimension: one past the largest node id.
+    fn node_bound(&self) -> usize {
+        self.graph.id_bound() as usize
     }
 
     /// Executes a query plan for a batch of source nodes.
     ///
     /// Returns the matched destinations per source (sorted) and the execution
-    /// statistics used for cost modelling.
+    /// statistics used for cost modelling. Each source is one row of the
+    /// frontier matrix `Q`, so the product runs source by source: per `smxm`,
+    /// one row fetch per frontier entry, 8 bytes read per frontier entry and
+    /// per distinct matching neighbour fetched, 8 bytes written per entry of
+    /// the next frontier; the `mwait` reads 8 bytes per result entry. A
+    /// source at or past the bound has no entry in `Q` — except under a
+    /// zero-hop plan (`.{0}` and every other epsilon expression), whose empty
+    /// path matches every source.
     pub fn run(
         &self,
         plan: &ExecutionPlan,
         sources: &[NodeId],
     ) -> (Vec<Vec<NodeId>>, HostExecutionStats) {
-        // A zero-hop query plan (`[MWait]` alone — the normal form of `.{0}`
-        // and every other epsilon expression) matches exactly the empty path:
-        // every source reaches itself and nothing else. The Q-matrix below
-        // cannot express that for sources beyond the matrix bound (their rows
-        // would be empty), so answer it directly. Per-source accounting keeps
-        // the chunk-merge contract of [`HostExecutionStats::merge`] intact.
-        if plan.ops().iter().all(|op| matches!(op, PlanOp::MWait)) {
-            let stats = HostExecutionStats {
-                bytes_read: sources.len() as u64 * 8,
-                result_entries: sources.len(),
-                ..HostExecutionStats::default()
-            };
-            return (sources.iter().map(|&s| vec![s]).collect(), stats);
-        }
-        let mut stats = HostExecutionStats::default();
-        // Build the Q matrix: one row per query in the batch.
-        let mut q_builder = MatrixBuilder::new(sources.len(), self.node_bound);
-        for (row, src) in sources.iter().enumerate() {
-            if src.index() < self.node_bound {
-                q_builder.set(row, src.index());
+        let hops = plan.hop_count();
+        let mut stats =
+            HostExecutionStats { smxm_ops: hops, frontier_levels: hops, ..Default::default() };
+        let (mut frontier, mut next, mut row) = (Vec::new(), Vec::new(), Vec::new());
+        let mut results = Vec::with_capacity(sources.len());
+        for &src in sources {
+            frontier.clear();
+            if hops == 0 || src.index() < self.node_bound() {
+                frontier.push(src.index());
             }
-        }
-        let mut current = q_builder.build();
-        for op in plan.ops() {
-            match op {
-                PlanOp::Smxm(spec) => {
-                    let adj = self.adjacency_cow(*spec);
-                    stats.smxm_ops += 1;
-                    // Gustavson's algorithm touches one adjacency row per set
-                    // entry of the current frontier matrix.
-                    let mut touched_bytes = 0u64;
-                    let mut fetches = 0u64;
-                    for (_, col) in current.iter() {
-                        fetches += 1;
-                        touched_bytes += adj.row_nnz(col) as u64 * 8;
-                    }
-                    stats.row_fetches += fetches;
-                    stats.bytes_read += current.nnz() as u64 * 8 + touched_bytes;
-                    current = ops::mxm(&current, &adj);
-                    stats.bytes_written += current.nnz() as u64 * 8;
+            for op in plan.ops() {
+                stats.bytes_read += frontier.len() as u64 * 8;
+                let PlanOp::Smxm(spec) = *op else {
+                    stats.result_entries += frontier.len();
+                    continue;
+                };
+                next.clear();
+                for &node in &frontier {
+                    fetch(self.graph.neighbors(NodeId(node as u64)), spec, &mut row, &mut stats);
+                    next.extend_from_slice(&row);
                 }
-                PlanOp::MWait => {
-                    stats.bytes_read += current.nnz() as u64 * 8;
-                    stats.result_entries = current.nnz();
-                }
+                next.sort_unstable();
+                next.dedup();
+                stats.bytes_written += next.len() as u64 * 8;
+                std::mem::swap(&mut frontier, &mut next);
             }
+            results.push(frontier.iter().map(|&n| NodeId(n as u64)).collect());
         }
-        let results = (0..sources.len())
-            .map(|row| current.row(row).iter().map(|&c| NodeId(c as u64)).collect())
-            .collect();
-        stats.frontier_levels = stats.smxm_ops;
         (results, stats)
     }
 
@@ -331,6 +283,7 @@ impl HostMatrixEngine {
         let mut results = Vec::with_capacity(sources.len());
         let mut frontier: Vec<(usize, usize)> = Vec::new();
         let mut next: Vec<(usize, usize)> = Vec::new();
+        let mut row: Vec<usize> = Vec::new();
         for &src in sources {
             let mut visited: HashSet<(usize, usize)> = HashSet::new();
             let mut out: Vec<NodeId> = Vec::new();
@@ -338,7 +291,7 @@ impl HostMatrixEngine {
             if nfa.accepts_empty() && accepts(src) {
                 out.push(src);
             }
-            if src.index() < self.node_bound {
+            if src.index() < self.node_bound() {
                 visited.insert((src.index(), nfa.start()));
                 if expands((src.index(), nfa.start())) {
                     frontier.push((src.index(), nfa.start()));
@@ -350,10 +303,8 @@ impl HostMatrixEngine {
                 next.clear();
                 for &(node, state) in frontier.iter() {
                     for &(spec, next_state) in nfa.transitions_from(state) {
-                        let row = self.row_for(spec, node);
-                        stats.row_fetches += 1;
-                        stats.bytes_read += row.len() as u64 * 8;
-                        for &dst in row {
+                        fetch(self.graph.neighbors(NodeId(node as u64)), spec, &mut row, stats);
+                        for &dst in &row {
                             if visited.insert((dst, next_state)) {
                                 stats.bytes_written += 8;
                                 if nfa.is_accepting(next_state) && accepts(NodeId(dst as u64)) {
@@ -378,17 +329,16 @@ impl HostMatrixEngine {
         results
     }
 
-    /// The adjacency row of `node` under one transition's label spec, without
-    /// materialising a matrix copy.
-    fn row_for(&self, spec: LabelSpec, node: usize) -> &[usize] {
-        self.matrix(spec).map_or(&[], |m| m.row(node))
-    }
-
     /// Nodes with at least one out-edge matching `spec`, ascending, read off
-    /// the row pointers: the backward seeds and the split plan's pivots.
+    /// the graph's rows: the backward seeds and the split plan's pivots.
     fn spec_sources(&self, spec: LabelSpec) -> Vec<NodeId> {
-        let Some(m) = self.matrix(spec) else { return Vec::new() };
-        (0..self.node_bound).filter(|&r| m.row_nnz(r) > 0).map(|r| NodeId(r as u64)).collect()
+        let label = match spec {
+            LabelSpec::Any => None,
+            LabelSpec::Exact(l) => Some(l),
+        };
+        let mut nodes: Vec<NodeId> = self.graph.rows_holding(label).collect();
+        nodes.sort_unstable();
+        nodes
     }
 
     /// Backward useful-set sweep over the graph's in-rows.
@@ -402,10 +352,9 @@ impl HostMatrixEngine {
     ///
     /// Work is accounted like the forward sweep: one row fetch plus the
     /// row's bytes per `(frontier pair, reversed transition)` (see
-    /// [`fetch_rev_row`]), 8 bytes written per newly useful pair.
+    /// [`fetch`]), 8 bytes written per newly useful pair.
     fn useful_pairs(
         &self,
-        graph: &AdjacencyGraph,
         nfa: &Nfa,
         accept_nodes: Option<&[NodeId]>,
         stats: &mut HostExecutionStats,
@@ -432,14 +381,14 @@ impl HostMatrixEngine {
                 }
                 match accept_nodes {
                     None => {
-                        stats.bytes_read += self.node_bound as u64 * 8;
+                        stats.bytes_read += self.node_bound() as u64 * 8;
                         for n in self.spec_sources(spec) {
                             push((n.index(), q), &mut useful, &mut frontier, stats);
                         }
                     }
                     Some(targets) => {
                         for m in targets {
-                            fetch_rev_row(graph, spec, m.index(), &mut row, stats);
+                            fetch(self.graph.in_neighbors(*m), spec, &mut row, stats);
                             for &n in &row {
                                 push((n, q), &mut useful, &mut frontier, stats);
                             }
@@ -452,7 +401,7 @@ impl HostMatrixEngine {
         // useful pair under some transition.
         while let Some((m, q2)) = frontier.pop() {
             for &(spec, q) in &rev_trans[q2] {
-                fetch_rev_row(graph, spec, m, &mut row, stats);
+                fetch(self.graph.in_neighbors(NodeId(m as u64)), spec, &mut row, stats);
                 for &n in &row {
                     push((n, q), &mut useful, &mut frontier, stats);
                 }
@@ -462,21 +411,19 @@ impl HostMatrixEngine {
     }
 
     /// Evaluates an RPQ automaton with the **bidirectional** strategy: a
-    /// backward useful-set sweep over `graph`'s in-rows first, then the
+    /// backward useful-set sweep over the graph's in-rows first, then the
     /// forward product pruned to pairs that can still reach an accepting
-    /// state (`graph` is the one the engine was built from). Results are
-    /// identical to [`HostMatrixEngine::run_nfa`] — every prefix of an
-    /// accepting path is useful, so no accepting pair is ever pruned — while
-    /// the work accounted can be far smaller when acceptance hinges on a
-    /// rare label.
+    /// state. Results are identical to [`HostMatrixEngine::run_nfa`] — every
+    /// prefix of an accepting path is useful, so no accepting pair is ever
+    /// pruned — while the work accounted can be far smaller when acceptance
+    /// hinges on a rare label.
     pub fn run_nfa_bidirectional(
         &self,
-        graph: &AdjacencyGraph,
         nfa: &Nfa,
         sources: &[NodeId],
     ) -> (Vec<Vec<NodeId>>, HostExecutionStats) {
         let mut stats = HostExecutionStats::default();
-        let useful = self.useful_pairs(graph, nfa, None, &mut stats);
+        let useful = self.useful_pairs(nfa, None, &mut stats);
         let pruning = Pruning { useful: Some(&useful), accept_nodes: None };
         let results = self.sweep(nfa, sources, pruning, &mut stats, |out, _| out);
         (results, stats)
@@ -485,12 +432,11 @@ impl HostMatrixEngine {
     /// Evaluates a concatenation split at a rare exact-label pivot: the
     /// suffix automaton runs forward from the pivot's source set `M`
     /// (uncharged), the prefix automaton runs forward from the real sources
-    /// pruned by a backward sweep over `graph`'s in-rows whose acceptance is
+    /// pruned by a backward sweep over the graph's in-rows whose acceptance is
     /// restricted to `M`, and the per-mid answers join. Results are identical
     /// to running the full automaton forward.
     pub fn run_nfa_split(
         &self,
-        graph: &AdjacencyGraph,
         prefix: &Nfa,
         suffix: &Nfa,
         pivot: Label,
@@ -503,7 +449,7 @@ impl HostMatrixEngine {
         // source's answer the union of the suffix answers of every mid it
         // reaches through the prefix (`pivots` is ascending, and
         // `suffix_results` is in its order).
-        let useful = self.useful_pairs(graph, prefix, Some(&pivots), &mut stats);
+        let useful = self.useful_pairs(prefix, Some(&pivots), &mut stats);
         let pruning = Pruning { useful: Some(&useful), accept_nodes: Some(&pivots) };
         let results = self.sweep(prefix, sources, pruning, &mut stats, |mids_hit, stats| {
             let mut out: Vec<NodeId> = Vec::new();
@@ -521,21 +467,21 @@ impl HostMatrixEngine {
     }
 }
 
-/// One reverse-row fetch into `row`: the distinct sources with a
-/// `spec`-matching edge into `node`, ascending — what a transposed matrix row
-/// holds — filtered from the graph's sorted in-row, and charged like a
-/// forward fetch (one row fetch, 8 bytes per source kept).
-fn fetch_rev_row(
-    graph: &AdjacencyGraph,
+/// One adjacency-row fetch into `row`: the distinct neighbours in `entries`
+/// (one of the graph's sorted out-rows or in-rows) joined by a `spec`-matching
+/// edge, ascending — what a row of the label's adjacency matrix, or of its
+/// transpose, holds — charged as one row fetch plus 8 bytes per neighbour
+/// kept.
+fn fetch(
+    entries: &[(NodeId, Label)],
     spec: LabelSpec,
-    node: usize,
     row: &mut Vec<usize>,
     stats: &mut HostExecutionStats,
 ) {
     row.clear();
-    for &(src, label) in graph.in_neighbors(NodeId(node as u64)) {
-        if spec.matches(label) && row.last() != Some(&src.index()) {
-            row.push(src.index());
+    for &(n, label) in entries {
+        if spec.matches(label) && row.last() != Some(&n.index()) {
+            row.push(n.index());
         }
     }
     stats.row_fetches += 1;
@@ -587,7 +533,7 @@ mod tests {
     #[test]
     fn host_engine_matches_reference_two_hop() {
         let g = chain_graph();
-        let engine = HostMatrixEngine::from_graph(&g);
+        let engine = HostMatrixEngine::new(&g);
         let (result, stats) = engine.run(&ExecutionPlan::k_hop(2), &[NodeId(0), NodeId(4)]);
         assert_eq!(result[0], vec![NodeId(2), NodeId(4)]); // 0->1->2 and 0->3->4
         assert_eq!(result[1], vec![NodeId(6)]);
@@ -599,7 +545,7 @@ mod tests {
     #[test]
     fn label_restricted_plan_uses_label_matrix() {
         let g = chain_graph();
-        let engine = HostMatrixEngine::from_graph(&g);
+        let engine = HostMatrixEngine::new(&g);
         let expr = RpqExpr::concat(vec![RpqExpr::label(1), RpqExpr::label(0)]);
         let plan = ExecutionPlan::from_expr(&expr).unwrap();
         let (result, _) = engine.run(&plan, &[NodeId(0)]);
@@ -614,7 +560,7 @@ mod tests {
     #[test]
     fn sources_outside_the_matrix_yield_empty_rows() {
         let g = chain_graph();
-        let engine = HostMatrixEngine::from_graph(&g);
+        let engine = HostMatrixEngine::new(&g);
         let (result, _) = engine.run(&ExecutionPlan::k_hop(1), &[NodeId(1000)]);
         assert!(result[0].is_empty());
     }
@@ -626,7 +572,7 @@ mod tests {
         // empty path matches *every* source, in or out of the matrix — and
         // `result_entries` undercounted accordingly.
         let g = chain_graph();
-        let engine = HostMatrixEngine::from_graph(&g);
+        let engine = HostMatrixEngine::new(&g);
         let plan = ExecutionPlan::from_expr(&RpqExpr::k_hop(0)).unwrap();
         assert_eq!(plan.hop_count(), 0);
         let sources = [NodeId(0), NodeId(1000), NodeId(3)];
@@ -652,7 +598,7 @@ mod tests {
         g.insert_edge(NodeId(2), NodeId(3), Label(2));
         g.insert_edge(NodeId(2), NodeId(1), Label(2));
         g.insert_edge(NodeId(3), NodeId(4), Label(3));
-        let engine = HostMatrixEngine::from_graph(&g);
+        let engine = HostMatrixEngine::new(&g);
         let reference = crate::ReferenceEvaluator::new(&g);
         let sources: Vec<NodeId> = (0..5u64).map(NodeId).collect();
         for expr in [
@@ -694,7 +640,7 @@ mod tests {
     #[test]
     fn bidirectional_matches_forward_run_nfa() {
         let g = rare_label_graph();
-        let engine = HostMatrixEngine::from_graph(&g);
+        let engine = HostMatrixEngine::new(&g);
         let sources: Vec<NodeId> = (0..22u64).map(NodeId).collect();
         for expr in [
             RpqExpr::concat(vec![RpqExpr::Star(Box::new(RpqExpr::any())), RpqExpr::label(9)]),
@@ -708,7 +654,7 @@ mod tests {
         ] {
             let nfa = Nfa::from_expr(&expr);
             let (forward, fwd_stats) = engine.run_nfa(&nfa, &sources);
-            let (bidi, _) = engine.run_nfa_bidirectional(&g, &nfa, &sources);
+            let (bidi, _) = engine.run_nfa_bidirectional(&nfa, &sources);
             assert_eq!(forward, bidi, "bidirectional diverged for {expr}");
             assert!(fwd_stats.result_entries == bidi.iter().map(Vec::len).sum::<usize>());
         }
@@ -717,7 +663,7 @@ mod tests {
     #[test]
     fn bidirectional_prunes_rare_label_closures() {
         let g = rare_label_graph();
-        let engine = HostMatrixEngine::from_graph(&g);
+        let engine = HostMatrixEngine::new(&g);
         let sources: Vec<NodeId> = (0..22u64).map(NodeId).collect();
         let expr = RpqExpr::concat(vec![
             RpqExpr::Star(Box::new(RpqExpr::any())),
@@ -726,7 +672,7 @@ mod tests {
         ]);
         let nfa = Nfa::from_expr(&expr);
         let (_, fwd) = engine.run_nfa(&nfa, &sources);
-        let (_, bidi) = engine.run_nfa_bidirectional(&g, &nfa, &sources);
+        let (_, bidi) = engine.run_nfa_bidirectional(&nfa, &sources);
         assert!(
             bidi.row_fetches < fwd.row_fetches,
             "pruned sweep must fetch fewer rows: {} vs {}",
@@ -738,14 +684,13 @@ mod tests {
     #[test]
     fn split_matches_forward_run_nfa() {
         let g = rare_label_graph();
-        let engine = HostMatrixEngine::from_graph(&g);
+        let engine = HostMatrixEngine::new(&g);
         let sources: Vec<NodeId> = (0..22u64).map(NodeId).collect();
         let prefix_expr = RpqExpr::Star(Box::new(RpqExpr::label(1)));
         let suffix_expr = RpqExpr::concat(vec![RpqExpr::label(9), RpqExpr::label(1)]);
         let whole = RpqExpr::concat(vec![prefix_expr.clone(), suffix_expr.clone()]);
         let (forward, _) = engine.run_nfa(&Nfa::from_expr(&whole), &sources);
         let (split, _) = engine.run_nfa_split(
-            &g,
             &Nfa::from_expr(&prefix_expr),
             &Nfa::from_expr(&suffix_expr),
             Label(9),
@@ -801,12 +746,12 @@ mod tests {
             ),
         ];
         for (g, source_count, want) in golden {
-            let engine = HostMatrixEngine::from_graph(&g);
+            let engine = HostMatrixEngine::new(&g);
             let sources: Vec<NodeId> = (0..source_count).map(NodeId).collect();
             let got = [
                 counters(engine.run_nfa(&whole, &sources)),
-                counters(engine.run_nfa_bidirectional(&g, &whole, &sources)),
-                counters(engine.run_nfa_split(&g, &prefix, &suffix, Label(9), &sources)),
+                counters(engine.run_nfa_bidirectional(&whole, &sources)),
+                counters(engine.run_nfa_split(&prefix, &suffix, Label(9), &sources)),
             ];
             assert_eq!(got, want, "host sweep counters moved on the {source_count}-source graph");
         }
@@ -839,7 +784,7 @@ mod tests {
             (&twin, ".{2}", &[NodeId(0), NodeId(1), NodeId(2)], [7, 168, 72, 2, 2, 5]),
         ];
         for (g, text, sources, want) in cases {
-            let engine = HostMatrixEngine::from_graph(g);
+            let engine = HostMatrixEngine::new(g);
             let plan = ExecutionPlan::from_expr(&crate::parser::parse(text).unwrap()).unwrap();
             let (_, s) = engine.run(&plan, sources);
             let [ops, levels, entries] =
@@ -856,23 +801,28 @@ mod tests {
         graph.insert_edge(NodeId(31), NodeId(3), Label(1));
         graph.insert_edge(NodeId(31), NodeId(3), Label(4));
         graph.remove_edge(NodeId(3), NodeId(20), Label(9));
-        let engine = HostMatrixEngine::from_graph(&graph);
+        let bound = graph.id_bound();
         let mut stats = HostExecutionStats::default();
-        let (mut rev, mut entries) = (Vec::new(), 0);
-        for node in 0..engine.node_bound {
+        let (mut rev, mut fwd, mut entries) = (Vec::new(), Vec::new(), 0);
+        for node in 0..bound {
             for spec in [LabelSpec::Any, LabelSpec::Exact(Label(1)), LabelSpec::Exact(Label(9))] {
-                // The fetched row is the transposed matrix row: distinct
+                // The fetched in-row is the transposed matrix row: distinct
                 // sources, ascending, exactly the forward entries.
-                fetch_rev_row(&graph, spec, node, &mut rev, &mut stats);
-                let want: Vec<usize> = (0..engine.node_bound)
-                    .filter(|&src| engine.row_for(spec, src).contains(&node))
+                fetch(graph.in_neighbors(NodeId(node)), spec, &mut rev, &mut stats);
+                let want: Vec<usize> = (0..bound)
+                    .filter(|&src| {
+                        let mut unused = HostExecutionStats::default();
+                        fetch(graph.neighbors(NodeId(src)), spec, &mut fwd, &mut unused);
+                        fwd.contains(&(node as usize))
+                    })
+                    .map(|src| src as usize)
                     .collect();
                 assert_eq!(rev, want, "reverse row of {node} under {spec:?}");
                 entries += want.len() as u64;
             }
         }
         // One fetch per row, charged by the filtered row's length.
-        assert_eq!(stats.row_fetches, engine.node_bound as u64 * 3);
+        assert_eq!(stats.row_fetches, bound * 3);
         assert_eq!(stats.bytes_read, entries * 8);
     }
 }

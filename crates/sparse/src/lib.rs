@@ -1,14 +1,14 @@
-//! Boolean sparse matrices with GraphBLAS-style operations.
+//! Dense scratch sets for graph traversals, and a boolean sparse matrix
+//! kernel.
 //!
 //! RedisGraph — the baseline system in the Moctopus paper — evaluates graph
 //! queries by translating them into sparse matrix algebra over the boolean
-//! semiring (GraphBLAS). This crate provides the same substrate for the
-//! reproduction:
+//! semiring (GraphBLAS). The reproduction's baseline runs those plans row by
+//! row over the graph's own sorted rows (`rpq::plan::HostMatrixEngine`), so
+//! the matrix half of this crate is only the contrast kernel the benchmark's
+//! `sparse.mxm.ns_per_nnz` layer times:
 //!
-//! * [`SparseBoolMatrix`] — an immutable CSR boolean matrix (the adjacency
-//!   matrix and the `Q` / `ans` matrices of the paper's execution plans).
-//! * [`MatrixBuilder`] — an incremental builder that sets entries before
-//!   freezing into CSR form.
+//! * [`SparseBoolMatrix`] — an immutable CSR boolean matrix.
 //! * [`ops`] — `mxm` (matrix × matrix) over the boolean semiring: one hop
 //!   of path matching.
 //! * [`EpochMarks`] — the SuiteSparse-style generation-stamped scratch set the
@@ -28,29 +28,22 @@
 //! # Examples
 //!
 //! ```
-//! use sparse::{MatrixBuilder, ops};
+//! use sparse::{ops, SparseBoolMatrix};
 //!
 //! // A 3-node cycle 0 -> 1 -> 2 -> 0.
-//! let mut b = MatrixBuilder::new(3, 3);
-//! b.set(0, 1);
-//! b.set(1, 2);
-//! b.set(2, 0);
-//! let adj = b.build();
+//! let adj = SparseBoolMatrix::from_triplets(3, 3, &[(0, 1), (1, 2), (2, 0)]);
 //!
 //! // Two-hop reachability = Adj * Adj.
 //! let two_hop = ops::mxm(&adj, &adj);
-//! assert!(two_hop.contains(0, 2));
-//! assert!(!two_hop.contains(0, 1));
+//! assert_eq!(two_hop.row(0), &[2]);
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod builder;
 pub mod matrix;
 pub mod ops;
 pub mod product;
 pub mod scratch;
 
-pub use builder::MatrixBuilder;
 pub use matrix::SparseBoolMatrix;
 pub use product::ProductSet;
 pub use scratch::{EpochMarks, OrderedBitmap};

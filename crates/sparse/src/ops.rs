@@ -1,8 +1,10 @@
 //! GraphBLAS-style operations over the boolean semiring.
 //!
-//! The paper's execution plans are sequences of GraphBLAS operations; the
-//! one the host matrix engine runs is `smxm` (sparse matrix × matrix), which
-//! performs one hop of path matching.
+//! The paper's execution plans are sequences of GraphBLAS operations; `smxm`
+//! (sparse matrix × matrix) performs one hop of path matching. The host
+//! baseline runs that product row by row over the graph's own rows
+//! (`rpq::plan::HostMatrixEngine`); this kernel remains as the contrast the
+//! benchmark times.
 
 use crate::matrix::SparseBoolMatrix;
 use crate::scratch::EpochMarks;
@@ -25,8 +27,7 @@ use crate::scratch::EpochMarks;
 /// let a = SparseBoolMatrix::from_triplets(1, 3, &[(0, 1)]);
 /// let b = SparseBoolMatrix::from_triplets(3, 2, &[(1, 0)]);
 /// let c = ops::mxm(&a, &b);
-/// assert!(c.contains(0, 0));
-/// assert_eq!(c.nnz(), 1);
+/// assert_eq!(c.row(0), &[0]);
 /// ```
 pub fn mxm(a: &SparseBoolMatrix, b: &SparseBoolMatrix) -> SparseBoolMatrix {
     assert_eq!(
@@ -58,7 +59,6 @@ pub fn mxm(a: &SparseBoolMatrix, b: &SparseBoolMatrix) -> SparseBoolMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MatrixBuilder;
 
     /// 0 -> 1 -> 2 -> 3, plus 0 -> 2.
     fn chain() -> SparseBoolMatrix {
@@ -70,32 +70,25 @@ mod tests {
         let adj = chain();
         let two = mxm(&adj, &adj);
         // 0 -> {1,2} -> {2,3}; 1 -> 2 -> 3; 2 -> 3 -> {}.
-        assert!(two.contains(0, 2));
-        assert!(two.contains(0, 3));
-        assert!(two.contains(1, 3));
-        assert!(!two.contains(2, 3));
-        assert_eq!(two.nnz(), 3);
+        assert_eq!(two.iter().collect::<Vec<_>>(), [(0, 2), (0, 3), (1, 3)]);
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn mxm_checks_dimensions() {
-        let a = SparseBoolMatrix::zeros(2, 3);
-        let b = SparseBoolMatrix::zeros(2, 3);
+        let a = SparseBoolMatrix::from_triplets(2, 3, &[]);
+        let b = SparseBoolMatrix::from_triplets(2, 3, &[]);
         let _ = mxm(&a, &b);
     }
 
     #[test]
     fn mxm_on_builder_snapshots_is_consistent_with_updates() {
-        // Simulate the add operator flow: update the builder, re-snapshot.
-        let mut b = MatrixBuilder::new(4, 4);
-        for (r, c) in chain().iter() {
-            b.set(r, c);
-        }
-        b.set(3, 0);
-        let adj2 = b.build();
+        // Simulate the add operator flow: add an edge, re-snapshot.
+        let mut triplets: Vec<(usize, usize)> = chain().iter().collect();
+        triplets.push((3, 0));
+        let adj2 = SparseBoolMatrix::from_triplets(4, 4, &triplets);
         let reach = (1..4).fold(adj2.clone(), |acc, _| mxm(&acc, &adj2));
         // With the cycle closed, node 0 can reach itself in 4 hops.
-        assert!(reach.contains(0, 0));
+        assert_eq!(reach.row(0).first(), Some(&0));
     }
 }

@@ -15,7 +15,8 @@ use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let graph = graph_gen::road::generate(30_000, 0.08, 42);
-    let edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
+    let mut edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
+    edges.sort();
     let sources = graph_gen::stream::sample_start_nodes(&graph, 1024, 7);
     println!(
         "synthetic road network: {} intersections, {} road segments, batch = {} queries",

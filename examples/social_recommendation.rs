@@ -32,7 +32,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         stats.nodes, stats.edges, stats.high_degree_pct
     );
 
-    let edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
+    let mut edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
+    edges.sort();
     let config = MoctopusConfig::paper_defaults();
     let mut moctopus = MoctopusSystem::from_edge_stream(config, &edges);
     let mut pim_hash = PimHashSystem::from_edge_stream(config, &edges);

@@ -21,7 +21,7 @@ fn labelled_graph(n: u64) -> AdjacencyGraph {
 #[test]
 fn parsed_k_hop_matches_matrix_plan() {
     let g = labelled_graph(40);
-    let engine = HostMatrixEngine::from_graph(&g);
+    let engine = HostMatrixEngine::new(&g);
     let reference = ReferenceEvaluator::new(&g);
     let sources: Vec<NodeId> = (0..10u64).map(NodeId).collect();
 
@@ -41,7 +41,7 @@ fn parsed_k_hop_matches_matrix_plan() {
 #[test]
 fn label_constrained_chain_matches_automaton() {
     let g = labelled_graph(30);
-    let engine = HostMatrixEngine::from_graph(&g);
+    let engine = HostMatrixEngine::new(&g);
     let reference = ReferenceEvaluator::new(&g);
     let sources: Vec<NodeId> = (0..30u64).map(NodeId).collect();
 
@@ -112,7 +112,7 @@ proptest! {
     #[test]
     fn matrix_and_automaton_agree(seed in 0u64..500, k in 1usize..4) {
         let graph = graph_gen::uniform::generate(120, 3.0, seed);
-        let engine = HostMatrixEngine::from_graph(&graph);
+        let engine = HostMatrixEngine::new(&graph);
         let reference = ReferenceEvaluator::new(&graph);
         let sources: Vec<NodeId> = (0..8u64).map(NodeId).collect();
         let expr = RpqExpr::k_hop(k);
