@@ -1,5 +1,7 @@
 //! Immutable CSR boolean sparse matrix.
 
+use std::fmt;
+
 /// A boolean sparse matrix in compressed-sparse-row form.
 ///
 /// Rows store sorted, deduplicated column indices. The matrix is immutable;
@@ -10,7 +12,8 @@
 /// ```
 /// use sparse::SparseBoolMatrix;
 /// let m = SparseBoolMatrix::from_triplets(2, 3, &[(0, 2), (1, 0), (0, 2)]);
-/// assert_eq!(m.row(0), &[2]);
+/// assert_eq!(m.nnz(), 2);
+/// assert!(m.contains(0, 2));
 /// assert_eq!(m.row(1), &[0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -24,6 +27,11 @@ pub struct SparseBoolMatrix {
 }
 
 impl SparseBoolMatrix {
+    /// Creates an empty matrix of the given shape.
+    pub fn zeros(nrows: usize, ncols: usize) -> Self {
+        SparseBoolMatrix { nrows, ncols, offsets: vec![0; nrows + 1], cols: Vec::new() }
+    }
+
     /// Builds a matrix from `(row, col)` triplets; duplicates are collapsed.
     ///
     /// # Panics
@@ -63,6 +71,16 @@ impl SparseBoolMatrix {
         self.ncols
     }
 
+    /// Number of stored (true) entries.
+    pub fn nnz(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Returns `true` if no entry is set.
+    pub fn is_empty(&self) -> bool {
+        self.cols.is_empty()
+    }
+
     /// The sorted column indices of row `r` (empty if out of range).
     pub fn row(&self, r: usize) -> &[usize] {
         if r >= self.nrows {
@@ -76,9 +94,25 @@ impl SparseBoolMatrix {
         self.row(r).len()
     }
 
+    /// Returns `true` if entry `(r, c)` is set.
+    pub fn contains(&self, r: usize, c: usize) -> bool {
+        self.row(r).binary_search(&c).is_ok()
+    }
+
     /// Iterates over all set entries as `(row, col)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.nrows).flat_map(move |r| self.row(r).iter().map(move |&c| (r, c)))
+    }
+
+    /// Approximate resident bytes of the CSR arrays.
+    pub fn approx_bytes(&self) -> u64 {
+        ((self.offsets.len() + self.cols.len()) * std::mem::size_of::<usize>()) as u64
+    }
+}
+
+impl fmt::Display for SparseBoolMatrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SparseBoolMatrix {}x{} ({} nnz)", self.nrows, self.ncols, self.nnz())
     }
 }
 
@@ -87,10 +121,19 @@ mod tests {
     use super::*;
 
     #[test]
+    fn zeros_has_the_shape_and_no_entries() {
+        let z = SparseBoolMatrix::zeros(3, 4);
+        assert_eq!(z.nnz(), 0);
+        assert!(z.is_empty());
+        assert_eq!(z.nrows(), 3);
+        assert_eq!(z.ncols(), 4);
+    }
+
+    #[test]
     fn from_triplets_sorts_and_dedups() {
         let m = SparseBoolMatrix::from_triplets(2, 5, &[(0, 4), (0, 1), (0, 4), (1, 0)]);
         assert_eq!(m.row(0), &[1, 4]);
-        assert_eq!(m.iter().count(), 3);
+        assert_eq!(m.nnz(), 3);
     }
 
     #[test]
@@ -111,5 +154,18 @@ mod tests {
         let m = SparseBoolMatrix::from_triplets(2, 2, &[(0, 0)]);
         assert_eq!(m.row(99), &[]);
         assert_eq!(m.row_nnz(99), 0);
+        assert!(!m.contains(99, 0));
+    }
+
+    #[test]
+    fn display_reports_shape_and_nnz() {
+        let m = SparseBoolMatrix::from_triplets(2, 2, &[(0, 0)]);
+        assert_eq!(m.to_string(), "SparseBoolMatrix 2x2 (1 nnz)");
+    }
+
+    #[test]
+    fn approx_bytes_nonzero() {
+        let m = SparseBoolMatrix::from_triplets(4, 4, &[(0, 1), (2, 3)]);
+        assert!(m.approx_bytes() > 0);
     }
 }
