@@ -80,16 +80,16 @@ fn trace_config(extra: &ExtraArgs) -> ServeTraceConfig {
         cfg.requests_per_client = n.max(1);
     }
     if let Some(f) = extra.fraction("--update-fraction") {
-        cfg.update_fraction = f.clamp(0.0, 1.0);
+        cfg.update_fraction = f;
     }
     if let Some(n) = extra.count("--distinct") {
         cfg.distinct_queries = n.max(1);
     }
     if let Some(f) = extra.fraction("--burst") {
-        cfg.burst_fraction = f.clamp(0.0, 1.0);
+        cfg.burst_fraction = f;
     }
     if let Some(f) = extra.fraction("--rotate") {
-        cfg.rotate_fraction = f.clamp(0.0, 1.0);
+        cfg.rotate_fraction = f;
     }
     cfg
 }

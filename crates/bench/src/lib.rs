@@ -69,6 +69,20 @@ impl HarnessOptions {
         fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, UsageError> {
             value.parse().map_err(|_| UsageError(format!("{flag}: cannot parse {value:?}")))
         }
+        // Rejects NaN and the infinities too: no comparison holds for NaN.
+        fn parsed_within(
+            flag: &str,
+            value: &str,
+            range: &str,
+            within: impl Fn(f64) -> bool,
+        ) -> Result<f64, UsageError> {
+            let x = parsed(flag, value)?;
+            if within(x) {
+                Ok(x)
+            } else {
+                Err(UsageError(format!("{flag}: {value} is outside {range}")))
+            }
+        }
         let missing_value = |flag: &str| UsageError(format!("{flag}: missing value"));
         let mut options = HarnessOptions::default();
         let mut found = ExtraArgs::default();
@@ -86,7 +100,9 @@ impl HarnessOptions {
                         let v = args.next().ok_or_else(|| missing_value(flag))?;
                         match kind {
                             ExtraFlag::Count(_) => drop(parsed::<usize>(flag, &v)?),
-                            ExtraFlag::Fraction(_) => drop(parsed::<f64>(flag, &v)?),
+                            ExtraFlag::Fraction(_) => {
+                                parsed_within(flag, &v, "[0, 1]", |x| (0.0..=1.0).contains(&x))?;
+                            }
                             ExtraFlag::OnOff(_) if v != "on" && v != "off" => {
                                 return Err(UsageError(format!("{flag}: expected on or off")))
                             }
@@ -103,7 +119,9 @@ impl HarnessOptions {
             }
             let v = args.next().ok_or_else(|| missing_value(flag))?;
             match flag {
-                "--scale" => options.scale = parsed::<f64>(flag, &v)?.clamp(1e-6, 1.0),
+                "--scale" => {
+                    options.scale = parsed_within(flag, &v, "(0, 1]", |x| x > 0.0 && x <= 1.0)?
+                }
                 "--batch" => {
                     options.batch = parsed::<usize>(flag, &v)?.max(1);
                     explicit_batch = true;
@@ -133,12 +151,13 @@ impl HarnessOptions {
     }
 
     /// Parses the process's command line strictly: the shared flags
-    /// `--scale <f64>`, `--batch <usize>`, `--seed <u64>`, `--traces <comma
-    /// separated ids in 1..=15>`, `--threads <usize>` (`0` = available
-    /// parallelism), plus the `extra` flags the calling binary names. An
-    /// unknown flag, a missing value or a value that does not parse prints a
-    /// usage error to stderr and exits with status 2 — a typo must not
-    /// silently launch the default-scale sweep.
+    /// `--scale <f64 in (0, 1]>`, `--batch <usize>`, `--seed <u64>`,
+    /// `--traces <comma separated ids in 1..=15>`, `--threads <usize>` (`0` =
+    /// available parallelism), plus the `extra` flags the calling binary
+    /// names. An unknown flag, a missing value, or a value that does not parse
+    /// or is out of range (`NaN` included) prints a usage error to stderr and
+    /// exits with status 2 — a typo must not silently launch the default-scale
+    /// sweep.
     pub fn from_env(extra: &[ExtraFlag]) -> (Self, ExtraArgs) {
         Self::from_args(std::env::args().skip(1), extra).unwrap_or_else(|UsageError(reason)| {
             let extras: String = extra.iter().map(|kind| format!(" [{}]", kind.usage())).collect();
@@ -173,7 +192,7 @@ pub enum ExtraFlag {
     Switch(&'static str),
     /// `--flag N`: a `usize`.
     Count(&'static str),
-    /// `--flag F`: an `f64`.
+    /// `--flag F`: an `f64` in `[0, 1]`.
     Fraction(&'static str),
     /// `--flag TEXT`.
     Text(&'static str),
@@ -565,6 +584,15 @@ mod tests {
             "--clients 4.5",
             "--burst lots",
             "--optimize maybe",
+            "--scale nan",
+            "--scale inf",
+            "--scale 0",
+            "--scale -0.5",
+            "--scale 5",
+            "--burst nan",
+            "--rotate 1.5",
+            "--update-fraction -0.1",
+            "--update-fraction inf",
         ] {
             assert!(parse(bad, &flags).is_err(), "{bad:?} must be refused");
         }

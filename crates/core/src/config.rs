@@ -17,16 +17,9 @@ use pim_sim::PimConfig;
 pub struct MoctopusConfig {
     /// The simulated PIM platform (module count, bandwidths, latencies).
     pub pim: PimConfig,
-    /// Out-degree above which a node is promoted to the host (paper: 16).
-    pub high_degree_threshold: usize,
-    /// Capacity slack of the dynamic load-balance constraint (paper: 1.05).
-    pub capacity_slack: f64,
     /// Enables labor division (host handles high-degree nodes). Disabled for
     /// the PIM-hash contrast system and for ablations.
     pub labor_division: bool,
-    /// Fraction of locally-hit next-hops below which a node counts as
-    /// incorrectly partitioned during refinement.
-    pub mislocal_threshold: f64,
     /// Host worker threads the engines use to execute per-module work in
     /// parallel (`moctopus_runtime::WorkerPool`). `0` means "use the
     /// machine's available parallelism". This knob changes **wall-clock
@@ -48,10 +41,7 @@ impl MoctopusConfig {
     pub fn paper_defaults() -> Self {
         MoctopusConfig {
             pim: PimConfig::upmem_rank(),
-            high_degree_threshold: graph_store::HIGH_DEGREE_THRESHOLD,
-            capacity_slack: 1.05,
             labor_division: true,
-            mislocal_threshold: 0.5,
             threads: Self::default_threads(),
         }
     }
@@ -80,14 +70,13 @@ impl MoctopusConfig {
         self
     }
 
-    /// The partitioner configuration implied by this system configuration.
+    /// The partitioner configuration implied by this system configuration:
+    /// the paper's defaults over this module count, with this labor-division
+    /// setting.
     pub fn partitioner_config(&self) -> GreedyAdaptiveConfig {
         GreedyAdaptiveConfig {
-            num_pim_modules: self.pim.num_modules,
-            high_degree_threshold: self.high_degree_threshold,
-            capacity_slack: self.capacity_slack,
             labor_division: self.labor_division,
-            mislocal_threshold: self.mislocal_threshold,
+            ..GreedyAdaptiveConfig::paper_defaults(self.pim.num_modules)
         }
     }
 }
@@ -106,8 +95,6 @@ mod tests {
     fn paper_defaults_match_paper_parameters() {
         let cfg = MoctopusConfig::paper_defaults();
         assert_eq!(cfg.pim.num_modules, 64);
-        assert_eq!(cfg.high_degree_threshold, 16);
-        assert!((cfg.capacity_slack - 1.05).abs() < 1e-9);
         assert!(cfg.labor_division);
     }
 
@@ -120,13 +107,16 @@ mod tests {
 
     #[test]
     fn partitioner_config_mirrors_flags() {
-        let mut cfg = MoctopusConfig::small_test();
-        cfg.labor_division = false;
-        cfg.mislocal_threshold = 0.25;
-        let p = cfg.partitioner_config();
-        assert!(!p.labor_division);
-        assert_eq!(p.mislocal_threshold, 0.25);
-        assert_eq!(p.num_pim_modules, 8);
+        let cfg = MoctopusConfig::small_test();
+        assert_eq!(cfg.partitioner_config(), GreedyAdaptiveConfig::paper_defaults(8));
+        let off = MoctopusConfig { labor_division: false, ..cfg };
+        assert_eq!(
+            off.partitioner_config(),
+            GreedyAdaptiveConfig {
+                labor_division: false,
+                ..GreedyAdaptiveConfig::paper_defaults(8)
+            }
+        );
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Query and update statistics reported by every engine.
 
 use pim_sim::{SimTime, Timeline};
-use serde::{Deserialize, Serialize};
 
 /// Statistics of one batch query execution.
 ///
 /// The `timeline` is the engine's simulated-time breakdown — the quantity the
 /// paper's figures report — and the remaining fields describe the workload.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueryStats {
     /// Per-phase simulated time and transfer counters.
     pub timeline: Timeline,
@@ -52,7 +51,7 @@ impl QueryStats {
 }
 
 /// Statistics of one batch update (insertion or deletion) execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct UpdateStats {
     /// Per-phase simulated time and transfer counters.
     pub timeline: Timeline,

@@ -1,7 +1,6 @@
 //! Graph statistics used to regenerate Table 1.
 
 use graph_store::{AdjacencyGraph, HIGH_DEGREE_THRESHOLD};
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a generated (or loaded) graph.
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.nodes, 256);
 /// assert_eq!(stats.high_degree_nodes, 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphStats {
     /// Number of nodes.
     pub nodes: usize,

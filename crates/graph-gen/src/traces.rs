@@ -9,10 +9,9 @@ use crate::powerlaw::{self, PowerLawConfig};
 use crate::road;
 use crate::uniform;
 use graph_store::AdjacencyGraph;
-use serde::{Deserialize, Serialize};
 
 /// The structural family a trace belongs to, which selects the generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphFamily {
     /// Near-planar road networks (traces #1–#3): no hubs, high locality.
     Road,
@@ -23,7 +22,7 @@ pub enum GraphFamily {
 }
 
 /// Specification of one evaluation trace (one row of Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     /// Trace id used throughout the paper's figures (#1–#15).
     pub trace_id: usize,

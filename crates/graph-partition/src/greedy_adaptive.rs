@@ -18,37 +18,29 @@
 
 use crate::assignment::PartitionAssignment;
 use crate::StreamingPartitioner;
-use graph_store::{
-    AdjacencyGraph, DegreeTracker, Label, NodeId, PartitionId, SnapshotState, HIGH_DEGREE_THRESHOLD,
-};
+use graph_store::{AdjacencyGraph, DegreeTracker, Label, NodeId, PartitionId, SnapshotState};
 
-/// Tunable parameters of the greedy-adaptive partitioner.
+/// A PIM-resident node whose locally-hit next-hop fraction falls below this
+/// value is considered incorrectly partitioned (refinement target).
+const MISLOCAL_THRESHOLD: f64 = 0.5;
+
+/// Tunable parameters of the greedy-adaptive partitioner. The high-degree
+/// threshold is [`HIGH_DEGREE_THRESHOLD`](graph_store::HIGH_DEGREE_THRESHOLD).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GreedyAdaptiveConfig {
     /// Number of PIM modules to spread low-degree nodes across.
     pub num_pim_modules: usize,
-    /// Out-degree above which a node is promoted to the host (paper: 16).
-    pub high_degree_threshold: usize,
     /// Capacity slack factor over the mean PIM load (paper: 1.05).
     pub capacity_slack: f64,
     /// Enables the labor-division promotion of high-degree nodes to the host.
     /// Disabled only for ablation studies.
     pub labor_division: bool,
-    /// A PIM-resident node whose locally-hit next-hop fraction falls below
-    /// this value is considered incorrectly partitioned (refinement target).
-    pub mislocal_threshold: f64,
 }
 
 impl GreedyAdaptiveConfig {
     /// The paper's default configuration for `num_pim_modules` modules.
     pub fn paper_defaults(num_pim_modules: usize) -> Self {
-        GreedyAdaptiveConfig {
-            num_pim_modules,
-            high_degree_threshold: HIGH_DEGREE_THRESHOLD,
-            capacity_slack: 1.05,
-            labor_division: true,
-            mislocal_threshold: 0.5,
-        }
+        GreedyAdaptiveConfig { num_pim_modules, capacity_slack: 1.05, labor_division: true }
     }
 }
 
@@ -100,15 +92,10 @@ impl GreedyAdaptivePartitioner {
     pub fn with_config(config: GreedyAdaptiveConfig) -> Self {
         GreedyAdaptivePartitioner {
             assignment: PartitionAssignment::new(config.num_pim_modules),
-            degrees: DegreeTracker::new(config.high_degree_threshold),
+            degrees: DegreeTracker::new(),
             config,
             promotions: Vec::new(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &GreedyAdaptiveConfig {
-        &self.config
     }
 
     /// Nodes promoted to the host so far, in promotion order.
@@ -234,7 +221,7 @@ impl GreedyAdaptivePartitioner {
             }
             let local = counts[current as usize];
             let local_fraction = local as f64 / pim_neighbors as f64;
-            if local_fraction >= self.config.mislocal_threshold {
+            if local_fraction >= MISLOCAL_THRESHOLD {
                 continue;
             }
             // The last module with the most neighbours.
@@ -307,8 +294,7 @@ impl StreamingPartitioner for GreedyAdaptivePartitioner {
             image.assignment_slots.clone(),
             self.config.num_pim_modules,
         );
-        self.degrees =
-            DegreeTracker::from_entries(self.config.high_degree_threshold, image.degrees.clone());
+        self.degrees = DegreeTracker::from_entries(image.degrees.clone());
         self.promotions = image.promotions.clone();
         true
     }

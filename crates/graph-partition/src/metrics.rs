@@ -8,10 +8,9 @@
 
 use crate::assignment::PartitionAssignment;
 use graph_store::{Label, NodeId, PartitionId};
-use serde::{Deserialize, Serialize};
 
 /// Quality metrics of one node-to-partition assignment for one graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionMetrics {
     /// Edges whose source row lives on a PIM module.
     pub pim_source_edges: usize,

@@ -9,7 +9,6 @@
 use crate::ids::{IdMap, Label, NodeId};
 use crate::labelstats::LabelStatsTable;
 use crate::rows::SortedRows;
-use serde::{Deserialize, Serialize};
 
 /// A directed, labelled multigraph stored as per-node adjacency rows.
 ///
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(g.remove_edge(NodeId(0), NodeId(1), Label(1)));
 /// assert_eq!(g.out_degree(NodeId(0)), 1);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AdjacencyGraph {
     /// Every registered node: edge endpoints, [`AdjacencyGraph::note_node`]
     /// calls and nodes whose rows deletes emptied. The host baseline's cost

@@ -7,7 +7,6 @@
 //! node crosses the threshold and must move to the host side.
 
 use crate::ids::{IdMap, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Out-degree above which a node is considered high-degree (paper, Table 1).
 pub const HIGH_DEGREE_THRESHOLD: usize = 16;
@@ -19,28 +18,22 @@ pub const HIGH_DEGREE_THRESHOLD: usize = 16;
 /// ```
 /// use graph_store::{DegreeTracker, NodeId, HIGH_DEGREE_THRESHOLD};
 ///
-/// let mut t = DegreeTracker::new(HIGH_DEGREE_THRESHOLD);
+/// let mut t = DegreeTracker::new();
 /// for _ in 0..17 {
 ///     t.record_insert(NodeId(0));
 /// }
-/// assert!(t.degree(NodeId(0)) > t.threshold());
+/// assert!(t.degree(NodeId(0)) > HIGH_DEGREE_THRESHOLD);
 /// assert_eq!(t.degree(NodeId(1)), 0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DegreeTracker {
     degrees: IdMap<NodeId, usize>,
-    threshold: usize,
 }
 
 impl DegreeTracker {
-    /// Creates a tracker with the given high-degree threshold.
-    pub fn new(threshold: usize) -> Self {
-        DegreeTracker { degrees: IdMap::default(), threshold }
-    }
-
-    /// The configured high-degree threshold.
-    pub fn threshold(&self) -> usize {
-        self.threshold
+    /// Creates an empty tracker.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Records an out-edge insertion at `src`.
@@ -50,7 +43,7 @@ impl DegreeTracker {
     pub fn record_insert(&mut self, src: NodeId) -> bool {
         let d = self.degrees.entry(src).or_insert(0);
         *d += 1;
-        *d == self.threshold + 1
+        *d == HIGH_DEGREE_THRESHOLD + 1
     }
 
     /// Records an out-edge deletion at `src`.
@@ -60,7 +53,7 @@ impl DegreeTracker {
         if let Some(d) = self.degrees.get_mut(&src) {
             if *d > 0 {
                 *d -= 1;
-                return *d == self.threshold;
+                return *d == HIGH_DEGREE_THRESHOLD;
             }
         }
         false
@@ -91,15 +84,8 @@ impl DegreeTracker {
 
     /// Rebuilds a tracker from entries exported by
     /// [`DegreeTracker::export_entries`].
-    pub fn from_entries(threshold: usize, entries: Vec<(NodeId, u64)>) -> Self {
-        let degrees = entries.into_iter().map(|(n, d)| (n, d as usize)).collect();
-        DegreeTracker { degrees, threshold }
-    }
-}
-
-impl Default for DegreeTracker {
-    fn default() -> Self {
-        Self::new(HIGH_DEGREE_THRESHOLD)
+    pub fn from_entries(entries: Vec<(NodeId, u64)>) -> Self {
+        DegreeTracker { degrees: entries.into_iter().map(|(n, d)| (n, d as usize)).collect() }
     }
 }
 
@@ -109,29 +95,30 @@ mod tests {
 
     #[test]
     fn default_uses_paper_threshold() {
-        let t = DegreeTracker::default();
-        assert_eq!(t.threshold(), 16);
+        // Paper, Table 1: high-degree means out-degree above 16.
+        assert_eq!(HIGH_DEGREE_THRESHOLD, 16);
     }
 
     #[test]
     fn crossing_threshold_is_reported_once() {
-        let mut t = DegreeTracker::new(2);
-        assert!(!t.record_insert(NodeId(5)));
-        assert!(!t.record_insert(NodeId(5)));
-        assert!(t.record_insert(NodeId(5))); // degree 3 > 2
+        let mut t = DegreeTracker::new();
+        for _ in 0..HIGH_DEGREE_THRESHOLD {
+            assert!(!t.record_insert(NodeId(5)));
+        }
+        assert!(t.record_insert(NodeId(5))); // degree 17 > 16
         assert!(!t.record_insert(NodeId(5)));
     }
 
     #[test]
     fn deletion_can_demote_a_node() {
-        let mut t = DegreeTracker::new(2);
-        for _ in 0..4 {
+        let mut t = DegreeTracker::new();
+        for _ in 0..HIGH_DEGREE_THRESHOLD + 2 {
             t.record_insert(NodeId(1));
         }
-        assert!(!t.record_delete(NodeId(1))); // degree 3, still high
-        assert!(t.record_delete(NodeId(1))); // degree 2, demoted
-        assert!(!t.record_delete(NodeId(1))); // degree 1: nothing left to report
-        assert_eq!(t.degree(NodeId(1)), 1);
+        assert!(!t.record_delete(NodeId(1))); // degree 17, still high
+        assert!(t.record_delete(NodeId(1))); // degree 16, demoted
+        assert!(!t.record_delete(NodeId(1))); // degree 15: nothing left to report
+        assert_eq!(t.degree(NodeId(1)), 15);
     }
 
     #[test]
@@ -154,7 +141,7 @@ mod tests {
 
     #[test]
     fn threshold_is_strict() {
-        let mut t = DegreeTracker::new(16);
+        let mut t = DegreeTracker::new();
         for _ in 0..16 {
             assert!(!t.record_insert(NodeId(7)), "degree 16 is not above 16");
         }

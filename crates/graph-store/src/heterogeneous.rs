@@ -23,7 +23,6 @@ use crate::error::GraphStoreError;
 use crate::ids::{IdMap, Label, LabeledEdgeKey, NodeId};
 use crate::labelstats::LabelStatsTable;
 use crate::rows::{reverse_row_api, SortedRows};
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 
 /// A sentinel stored in free slots of a `cols_vector`.
@@ -61,7 +60,7 @@ fn live_labels(slots: &[(NodeId, Label)]) -> impl Iterator<Item = Label> + '_ {
 /// Where the work of one storage operation landed.
 ///
 /// All quantities are in the unit the PIM simulator charges for them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateCost {
     /// Bytes the host CPU read from its DRAM (sequential).
     pub host_bytes_read: u64,
@@ -84,7 +83,7 @@ impl UpdateCost {
 }
 
 /// Result of an insert/delete against the heterogeneous storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateOutcome {
     /// Whether the structure changed (false for duplicate insert / missing delete).
     pub changed: bool,
@@ -94,7 +93,7 @@ pub struct UpdateOutcome {
 
 /// One high-degree row: the host-resident contiguous `cols_vector` (next-hop
 /// ids plus the parallel label array).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct ColsVector {
     slots: Vec<(NodeId, Label)>,
     live: usize,
@@ -152,7 +151,7 @@ impl ColsVector {
 /// // A second insert of the same labelled edge is detected on the PIM side.
 /// assert!(!s.insert_edge(NodeId(1), NodeId(2), Label::ANY).changed);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HeterogeneousStorage {
     /// Host side: contiguous next-hop arrays.
     cols: IdMap<NodeId, ColsVector>,

@@ -1,6 +1,5 @@
 //! Strongly-typed identifiers shared by every crate in the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -19,9 +18,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// assert_eq!(n.index(), 42);
 /// assert_eq!(format!("{n}"), "n42");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u64);
 
 impl NodeId {
@@ -62,7 +59,7 @@ impl From<usize> for NodeId {
 /// assert!(PartitionId::HOST.is_host());
 /// assert!(!PartitionId::Pim(3).is_host());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PartitionId {
     /// The host CPU partition (stores high-degree nodes).
     Host,
@@ -108,9 +105,7 @@ impl fmt::Display for PartitionId {
 /// let knows = Label(1);
 /// assert_ne!(knows, Label::default());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Label(pub u16);
 
 impl Label {

@@ -22,7 +22,6 @@
 //! plan-invariance contract in ARCHITECTURE.md §optimizer).
 
 use crate::ids::Label;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate counters for one edge label.
 ///
@@ -43,7 +42,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((c.edges, c.sources, c.targets), (2, 1, 2));
 /// # Ok::<(), graph_store::GraphStoreError>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LabelCounters {
     /// Number of stored edges carrying the label.
     pub edges: u64,
@@ -60,7 +59,7 @@ pub struct LabelCounters {
 /// The counters are a short list sorted by label (a graph has few labels),
 /// so a snapshot is one copy and lists labels in ascending order
 /// deterministically. A label whose edge count reaches zero is dropped.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LabelStatsTable {
     per_label: Vec<(Label, LabelCounters)>,
 }
@@ -157,7 +156,7 @@ fn label_runs(labels: impl IntoIterator<Item = Label>) -> Vec<(Label, u64)> {
 /// ([`LabelStatsSnapshot::merge`]). Every node's forward row lives in exactly
 /// one store, so summed source counts are exact; every node's reverse row
 /// also lives in exactly one store, so summed target counts are exact too.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabelStatsSnapshot {
     /// Counters per label, ascending by label id.
     pub per_label: Vec<(Label, LabelCounters)>,

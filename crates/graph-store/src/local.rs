@@ -4,8 +4,9 @@
 //! by row (graph node). The paper stores the slice in a hash map from row id
 //! (NodeId) to row data (the next-hop NodeIds), chosen for its concurrency and
 //! scalability on the wimpy PIM cores. [`LocalGraphStorage`] reproduces that
-//! structure and additionally tracks the resident bytes so the simulator can
-//! enforce the 64 MB MRAM capacity of an UPMEM module.
+//! structure and additionally tracks the resident bytes, which an optional
+//! capacity gate checks. The engines build their stores with no cap, so the
+//! 64 MB MRAM of an UPMEM module is not enforced.
 //!
 //! Rows carry the property-graph edge label alongside each next-hop id, so
 //! regular path queries can match label constraints inside the module without
@@ -18,7 +19,6 @@ use crate::error::GraphStoreError;
 use crate::ids::{Label, NodeId};
 use crate::labelstats::LabelStatsTable;
 use crate::rows::{reverse_row_api, SortedRows};
-use serde::{Deserialize, Serialize};
 
 /// Hash-map based adjacency-matrix segment held by one PIM module.
 ///
@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.edge_count(), 2);
 /// # Ok::<(), graph_store::GraphStoreError>(())
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LocalGraphStorage {
     rows: SortedRows,
     capacity_bytes: Option<u64>,

@@ -15,7 +15,6 @@
 
 use crate::ids::{IdMap, Label, NodeId};
 use crate::labelstats::LabelStatsTable;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 
 /// Rows keyed by node, each a strictly ascending `(neighbour, label)` list;
@@ -37,7 +36,7 @@ use std::collections::hash_map::Entry;
 /// assert_eq!(rows.remove(NodeId(1), (NodeId(4), Label(2))), (2, true));
 /// assert_eq!(rows.entries(), 1);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SortedRows {
     rows: IdMap<NodeId, Vec<(NodeId, Label)>>,
     entries: usize,

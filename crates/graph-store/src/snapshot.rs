@@ -8,7 +8,7 @@
 //! host baseline's adjacency rows. Engines fill only the sections they own;
 //! unused sections stay empty and encode to a handful of bytes.
 //!
-//! The byte format is hand-rolled little-endian (not `serde`): hash-map
+//! The byte format is hand-rolled little-endian: hash-map
 //! iteration order must never leak into the encoding, so every section is
 //! strictly ascending by node id, module and adjacency rows are strictly
 //! sorted, and only the host rows' slot layout is written as the store holds

@@ -8,10 +8,8 @@
 //! whole 2048-module system — which is what makes CPC/IPC "less than 2 % of
 //! intra-PIM bandwidth".
 
-use serde::{Deserialize, Serialize};
-
 /// Host-CPU cost-model parameters (one dedicated core, as in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostConfig {
     /// Sequential DRAM read bandwidth available to the dedicated core, bytes/s.
     pub sequential_bandwidth: f64,
@@ -21,8 +19,6 @@ pub struct HostConfig {
     pub cache_hit_latency_ns: f64,
     /// Last-level cache capacity in bytes (22 MB L3 in the paper's Xeon).
     pub cache_capacity_bytes: u64,
-    /// Cache line size in bytes.
-    pub cache_line_bytes: u64,
     /// Simple-instruction throughput of the core, instructions/s.
     pub instruction_rate: f64,
 }
@@ -34,7 +30,6 @@ impl Default for HostConfig {
             random_access_latency_ns: 90.0,
             cache_hit_latency_ns: 18.0,
             cache_capacity_bytes: 22 * 1024 * 1024,
-            cache_line_bytes: 64,
             instruction_rate: 2.1e9 * 2.0, // 2.1 GHz, ~2 IPC on simple loops
         }
     }
@@ -52,12 +47,10 @@ impl Default for HostConfig {
 /// // intra-PIM bandwidth (the paper's "< 2%" figure).
 /// assert!(cfg.communication_ratio() < 0.02);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PimConfig {
     /// Number of PIM modules available to the system (a rank = 64 on UPMEM).
     pub num_modules: usize,
-    /// Local memory (MRAM) capacity per module, bytes (64 MB on UPMEM).
-    pub mram_capacity_bytes: u64,
     /// Streaming MRAM bandwidth available to one module's core, bytes/s.
     pub intra_pim_bandwidth: f64,
     /// Fixed latency of issuing one MRAM transfer from the module core, ns.
@@ -85,7 +78,6 @@ impl PimConfig {
     pub fn upmem_rank() -> Self {
         PimConfig {
             num_modules: 64,
-            mram_capacity_bytes: 64 * 1024 * 1024,
             // 1.28 TB/s over 2048 modules => 625 MB/s per module.
             intra_pim_bandwidth: 625.0e6,
             mram_access_latency_ns: 600.0,
@@ -140,7 +132,6 @@ mod tests {
     fn upmem_rank_matches_paper_figures() {
         let cfg = PimConfig::upmem_rank();
         assert_eq!(cfg.num_modules, 64);
-        assert_eq!(cfg.mram_capacity_bytes, 64 * 1024 * 1024);
         // The CPC/intra ratio must be below the 2% the paper quotes.
         assert!(cfg.communication_ratio() < 0.02, "ratio = {}", cfg.communication_ratio());
     }
@@ -161,7 +152,7 @@ mod tests {
     fn small_test_config_is_smaller() {
         let cfg = PimConfig::small_test();
         assert_eq!(cfg.num_modules, 8);
-        assert_eq!(cfg.mram_capacity_bytes, PimConfig::upmem_rank().mram_capacity_bytes);
+        assert_eq!(PimConfig { num_modules: 64, ..cfg }, PimConfig::upmem_rank());
     }
 
     #[test]
@@ -169,6 +160,5 @@ mod tests {
         let host = HostConfig::default();
         assert!(host.sequential_bandwidth > 1e9);
         assert!(host.random_access_latency_ns > host.cache_hit_latency_ns);
-        assert_eq!(host.cache_line_bytes, 64);
     }
 }

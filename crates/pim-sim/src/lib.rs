@@ -18,7 +18,11 @@
 //!    bus (<2 % of aggregate intra-PIM bandwidth).
 //! 3. **Parallel execution with stragglers** — a batch step completes when the
 //!    *slowest* module finishes, which is how load imbalance from graph
-//!    skewness turns into latency.
+//!    skewness turns into latency. [`PimSystem`] keeps each module's
+//!    accumulated busy time for its load-imbalance report.
+//!
+//! MRAM capacity is not modelled: the engines build their module stores
+//! without a cap.
 //!
 //! # Examples
 //!
@@ -36,14 +40,12 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod module;
 pub mod system;
 pub mod time;
 pub mod timeline;
 pub mod transfer;
 
 pub use config::{HostConfig, PimConfig};
-pub use module::PimModule;
 pub use system::PimSystem;
 pub use time::SimTime;
 pub use timeline::{Phase, Timeline};

@@ -1,9 +1,7 @@
 //! The simulated PIM system: cost-model entry points.
 
 use crate::config::PimConfig;
-use crate::module::PimModule;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A host CPU plus a set of PIM modules, with cost-model helpers.
 ///
@@ -25,17 +23,17 @@ use serde::{Deserialize, Serialize};
 /// let per_module = total_bytes / sys.module_count() as u64;
 /// assert!(sys.cpc_transfer_cost(total_bytes) > sys.mram_read_cost(per_module));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PimSystem {
     config: PimConfig,
-    modules: Vec<PimModule>,
+    /// Busy time each module has accumulated, for the load-imbalance report.
+    busy: Vec<SimTime>,
 }
 
 impl PimSystem {
     /// Creates a system with `config.num_modules` idle modules.
     pub fn new(config: PimConfig) -> Self {
-        let modules = (0..config.num_modules).map(|i| PimModule::new(i, &config)).collect();
-        PimSystem { config, modules }
+        PimSystem { busy: vec![SimTime::ZERO; config.num_modules], config }
     }
 
     /// The platform configuration.
@@ -45,16 +43,7 @@ impl PimSystem {
 
     /// Number of PIM modules.
     pub fn module_count(&self) -> usize {
-        self.modules.len()
-    }
-
-    /// Immutable access to a module's state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= module_count()`.
-    pub fn module(&self, index: usize) -> &PimModule {
-        &self.modules[index]
+        self.busy.len()
     }
 
     // ------------------------------------------------------------------
@@ -96,11 +85,11 @@ impl PimSystem {
     ///
     /// Panics if `per_module.len() != module_count()`.
     pub fn parallel_step(&mut self, per_module: &[SimTime]) -> SimTime {
-        assert_eq!(per_module.len(), self.modules.len(), "one time entry per module is required");
+        assert_eq!(per_module.len(), self.busy.len(), "one time entry per module is required");
         let mut max = SimTime::ZERO;
-        for (module, &t) in self.modules.iter_mut().zip(per_module) {
+        for (busy, &t) in self.busy.iter_mut().zip(per_module) {
             if !t.is_zero() {
-                module.add_busy_time(t);
+                *busy += t;
             }
             max = max.max(t);
         }
@@ -178,7 +167,7 @@ impl PimSystem {
     ///
     /// Returns 1.0 when all modules are idle.
     pub fn load_imbalance(&self) -> f64 {
-        let times: Vec<f64> = self.modules.iter().map(|m| m.busy_time().as_nanos()).collect();
+        let times: Vec<f64> = self.busy.iter().map(|t| t.as_nanos()).collect();
         let max = times.iter().cloned().fold(0.0, f64::max);
         let mean = times.iter().sum::<f64>() / times.len().max(1) as f64;
         if mean == 0.0 {
@@ -236,8 +225,10 @@ mod tests {
         times[5] = SimTime::from_micros(3.0);
         let step = s.parallel_step(&times);
         assert_eq!(step.as_micros(), 10.0);
-        assert_eq!(s.module(2).busy_time().as_micros(), 10.0);
-        assert_eq!(s.module(0).busy_time(), SimTime::ZERO);
+        assert_eq!(s.busy[2].as_micros(), 10.0);
+        assert_eq!(s.busy[0], SimTime::ZERO);
+        s.parallel_step(&times);
+        assert_eq!((s.busy[2].as_micros(), s.busy[5].as_micros()), (20.0, 6.0));
     }
 
     #[test]

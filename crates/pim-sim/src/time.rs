@@ -1,6 +1,5 @@
 //! Simulated time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -21,7 +20,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// assert!(a.max(b) == a);
 /// assert_eq!(SimTime::from_millis(1.0).as_micros(), 1000.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -9,12 +9,11 @@
 
 use crate::time::SimTime;
 use crate::transfer::TransferStats;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
 /// The phase a charged cost belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Work executed on the host CPU (high-degree rows, planning, merging).
     HostCompute,
@@ -59,7 +58,7 @@ impl fmt::Display for Phase {
 /// assert_eq!(t.total().as_micros(), 12.0);
 /// assert_eq!(t.time(Phase::Ipc).as_micros(), 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Timeline {
     host_compute: SimTime,
     pim_compute: SimTime,

@@ -1,6 +1,5 @@
 //! Accounting of data movement between the host and the PIM modules.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Byte and message counters for every class of data movement.
@@ -19,7 +18,7 @@ use std::ops::{Add, AddAssign};
 /// assert_eq!(stats.total_bytes(), 1280);
 /// assert_eq!(stats.inter_pim_bytes, 256);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransferStats {
     /// Bytes pushed from the host CPU to PIM modules.
     pub cpu_to_pim_bytes: u64,

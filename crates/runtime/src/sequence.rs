@@ -319,31 +319,20 @@ impl<T> SequencedQueue<T> {
     pub fn wait_deliverable(&self) -> bool {
         let mut inner = self.inner.lock().expect("sequence queue poisoned");
         loop {
-            // Probe without popping: same rule as `pop_deliverable`.
-            let head = inner
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| p.pending.front().map(|&(at, _)| (i, at)))
-                .min_by_key(|&(i, at)| (at, i));
-            if let Some((idx, at)) = head {
-                let safe = inner
-                    .iter()
-                    .enumerate()
-                    .all(|(i, p)| i == idx || p.closed || p.last_at.is_some_and(|last| last >= at));
-                if safe {
-                    return true;
-                }
-            } else if inner.iter().all(|p| p.closed) {
+            if Self::deliverable_head(&inner).is_some() {
+                return true;
+            }
+            if inner.iter().all(|p| p.closed && p.pending.is_empty()) {
                 return false;
             }
             inner = self.changed.wait(inner).expect("sequence queue poisoned");
         }
     }
 
-    /// Core delivery rule, called under the lock: find the head item with
-    /// the minimal `(timestamp, producer)` key and pop it if no open
-    /// producer could still submit an earlier-sorting item.
-    fn pop_deliverable(inner: &mut [Producer<T>]) -> Option<T> {
+    /// Core delivery rule, called under the lock: the producer whose head
+    /// item has the minimal `(timestamp, producer)` key, if no open producer
+    /// could still submit an earlier-sorting item.
+    fn deliverable_head(inner: &[Producer<T>]) -> Option<usize> {
         // The minimal pending head across producers (ties: lowest id, which
         // `<` on (at, index) gives for free since iteration is in id order).
         let (idx, at) = inner
@@ -359,11 +348,13 @@ impl<T> SequencedQueue<T> {
             .iter()
             .enumerate()
             .all(|(i, p)| i == idx || p.closed || p.last_at.is_some_and(|last| last >= at));
-        if !safe {
-            return None;
-        }
-        // moctopus-lint: allow(panic-in-lib, reason = "the caller dequeues only after peeking this queue's non-empty head under the same lock")
-        let (_, item) = inner[idx].pending.pop_front().expect("head checked above");
+        safe.then_some(idx)
+    }
+
+    /// Pops the deliverable head item, if there is one.
+    fn pop_deliverable(inner: &mut [Producer<T>]) -> Option<T> {
+        let idx = Self::deliverable_head(inner)?;
+        let (_, item) = inner[idx].pending.pop_front()?;
         Some(item)
     }
 }

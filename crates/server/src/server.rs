@@ -334,11 +334,11 @@ impl QueryServer {
             (Some(_), true) => CacheOutcome::Miss,
             (Some(_), false) => CacheOutcome::Hit,
         };
-        // Only executions enter the collapse window: a hit's duplicates hit
-        // the cache too.
+        // Only executions enter the collapse window (opened for this `at` by
+        // the collapse check above): a hit's duplicates hit the cache too.
         if executed {
-            // moctopus-lint: allow(panic-in-lib, reason = "opened by the collapse check above; nothing since clears it")
-            let window = self.window.as_mut().expect("window opened above");
+            let window =
+                self.window.get_or_insert_with(|| CollapseWindow { at, answers: HashMap::new() });
             window.answers.insert(key, (results.clone(), stats));
         }
         ResponseBody::Query { results, stats, cache: outcome }

@@ -4,7 +4,9 @@ use graph_partition::{
     GreedyAdaptiveConfig, GreedyAdaptivePartitioner, HashPartitioner, PartitionMetrics,
     StreamingPartitioner,
 };
-use graph_store::{AdjacencyGraph, Label, NodeId, PartitionId, SnapshotState};
+use graph_store::{
+    AdjacencyGraph, Label, NodeId, PartitionId, SnapshotState, HIGH_DEGREE_THRESHOLD,
+};
 use moctopus::distributed::DistributedPimEngine;
 use moctopus::{GraphEngine, MoctopusConfig, MoctopusSystem, Phase, PimHashSystem};
 use moctopus_bench::{HarnessOptions, RpqWorkload, TraceWorkload};
@@ -64,7 +66,7 @@ proptest! {
         for node in g.nodes() {
             let part = p.partition_of(node);
             prop_assert!(part.is_some(), "node {node} was never assigned");
-            if g.out_degree(node) > p.config().high_degree_threshold {
+            if g.out_degree(node) > HIGH_DEGREE_THRESHOLD {
                 prop_assert_eq!(part, Some(PartitionId::Host), "hub {} must be on the host", node);
             }
         }
