@@ -608,9 +608,9 @@ impl<P: StreamingPartitioner + Sync + 'static> GraphEngine for DistributedPimEng
     }
 
     /// The image captures everything that drives future behaviour: each
-    /// module's local rows (and capacity limit), the host heterogeneous rows
-    /// with their exact slot layout and free-list pop order (slot reuse and
-    /// row-scan costs depend on both), and the partitioner's parts — the raw
+    /// module's local rows, the host heterogeneous rows with their exact
+    /// slot layout and free-list pop order (slot reuse and row-scan costs
+    /// depend on both), and the partitioner's parts — the raw
     /// assignment vector and, for the greedy-adaptive partitioner, the
     /// degree table and promotion log. Accumulated simulator busy time is
     /// deliberately *not* part of the image: it only feeds the cosmetic
@@ -620,10 +620,7 @@ impl<P: StreamingPartitioner + Sync + 'static> GraphEngine for DistributedPimEng
         let local_modules = self
             .local_stores
             .iter()
-            .map(|s| LocalModuleSnapshot {
-                rows: s.export_rows(),
-                capacity_bytes: s.capacity_bytes(),
-            })
+            .map(|s| LocalModuleSnapshot { rows: s.export_rows() })
             .collect();
         let host_rows = self
             .host_store
@@ -658,7 +655,7 @@ impl<P: StreamingPartitioner + Sync + 'static> GraphEngine for DistributedPimEng
         self.local_stores = snapshot
             .local_modules
             .iter()
-            .map(|m| LocalGraphStorage::from_sorted_rows(m.rows.clone(), m.capacity_bytes))
+            .map(|m| LocalGraphStorage::from_sorted_rows(m.rows.clone()))
             .collect();
         self.host_store = HeterogeneousStorage::from_rows(
             snapshot.host_rows.iter().map(|r| (r.node, r.slots.clone(), r.free.clone())).collect(),

@@ -61,10 +61,10 @@ impl ErasedEngine {
         for (src, dst, label) in edges {
             match self.owner(dst) {
                 Some(PartitionId::Host) => {
-                    let _ = self.host_store.insert_rev_edge(dst, src, label);
+                    self.host_store.insert_rev_edge(dst, src, label);
                 }
                 Some(PartitionId::Pim(m)) => {
-                    let _ = self.local_stores[m as usize].insert_rev_edge(dst, src, label);
+                    self.local_stores[m as usize].insert_rev_edge(dst, src, label);
                 }
                 None => {}
             }

@@ -43,9 +43,8 @@ impl ErasedEngine {
     ///    routing) and its charge: a PIM-resident reverse row pays the
     ///    CPU→PIM routing of the edge plus one MRAM entry write, a
     ///    host-resident one the host-side write (the host coordinator
-    ///    already holds the edge). The mirror cannot fail on its own: the
-    ///    forward store just deduplicated the edge, and reverse rows have no
-    ///    capacity gate (STORAGE.md).
+    ///    already holds the edge). The mirror always changes its row: the
+    ///    forward store just deduplicated the edge.
     pub(super) fn apply(
         &mut self,
         op: EdgeOp,
@@ -102,15 +101,10 @@ impl ErasedEngine {
                 }
                 PartitionId::Pim(m) => {
                     let store = &mut self.local_stores[m as usize];
-                    let written = if insert {
+                    let (row_len, applied) = if insert {
                         store.insert_edge(src, dst, label)
                     } else {
                         store.remove_edge(src, dst, label)
-                    };
-                    let (row_len, applied) = match written {
-                        Ok(prior_len) => (prior_len, true),
-                        // A write that changed nothing left the row as it was.
-                        Err(_) => (store.row(src).map_or(0, <[_]>::len), false),
                     };
                     delta.cpu_to_pim_bytes += EDGE_BYTES + label_bytes;
                     delta.per_module[m as usize] +=
@@ -128,20 +122,20 @@ impl ErasedEngine {
             match rev_owner {
                 Some(PartitionId::Host) => {
                     host_store = true;
-                    let _ = if insert {
-                        self.host_store.insert_rev_edge(dst, src, label)
+                    if insert {
+                        self.host_store.insert_rev_edge(dst, src, label);
                     } else {
-                        self.host_store.remove_rev_edge(dst, src, label)
-                    };
+                        self.host_store.remove_rev_edge(dst, src, label);
+                    }
                     delta.host_time += self.pim.host_sequential_read_cost(ID_BYTES + label_bytes);
                 }
                 Some(PartitionId::Pim(m)) => {
                     let store = &mut self.local_stores[m as usize];
-                    let _ = if insert {
-                        store.insert_rev_edge(dst, src, label)
+                    if insert {
+                        store.insert_rev_edge(dst, src, label);
                     } else {
-                        store.remove_rev_edge(dst, src, label)
-                    };
+                        store.remove_rev_edge(dst, src, label);
+                    }
                     delta.cpu_to_pim_bytes += EDGE_BYTES + label_bytes;
                     delta.per_module[m as usize] +=
                         self.pim.mram_write_cost(ID_BYTES + label_bytes);

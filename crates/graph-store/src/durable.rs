@@ -23,11 +23,11 @@
 //! below the snapshot's sequence number are filtered, making replay
 //! idempotent.
 
+use crate::bytes::{read_if_exists, write_atomic};
 use crate::error::GraphStoreError;
 use crate::ids::{Label, NodeId};
 use crate::snapshot::SnapshotState;
 use crate::wal::{TornTail, WalOp, WalRecord, WalWriter};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Name of the manifest file inside a store directory.
@@ -69,40 +69,37 @@ pub struct DurableStore {
     sync_every: usize,
 }
 
-fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
+/// Path of generation `generation`'s snapshot file inside `dir`.
+pub fn generation_snapshot_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("snapshot-{generation:08}.msnp"))
 }
 
-fn wal_path(dir: &Path, generation: u64) -> PathBuf {
+/// Path of generation `generation`'s WAL file inside `dir`.
+pub fn generation_wal_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("wal-{generation:08}.mwal"))
 }
 
+/// Flips the manifest to `generation`. The atomic write's directory fsync
+/// also persists the snapshot and WAL files created before it.
 fn write_manifest(dir: &Path, generation: u64) -> Result<(), GraphStoreError> {
-    let tmp = dir.join("MANIFEST.tmp");
-    let target = dir.join(MANIFEST_NAME);
     let contents = format!("{MANIFEST_HEADER}\ngeneration {generation}\n");
-    let mut file = std::fs::File::create(&tmp)
-        .map_err(|e| GraphStoreError::io(&tmp, "create manifest tmp", &e))?;
-    file.write_all(contents.as_bytes())
-        .map_err(|e| GraphStoreError::io(&tmp, "write manifest", &e))?;
-    file.sync_all().map_err(|e| GraphStoreError::io(&tmp, "sync manifest", &e))?;
-    drop(file);
-    std::fs::rename(&tmp, &target)
-        .map_err(|e| GraphStoreError::io(&target, "rename manifest into place", &e))?;
-    // Persist the rename itself (and any snapshot/WAL renames before it).
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    write_atomic(&dir.join(MANIFEST_NAME), contents.as_bytes(), "manifest")
 }
 
-fn read_manifest(dir: &Path) -> Result<Option<u64>, GraphStoreError> {
+/// The generation the directory's manifest currently names, or `None` if the
+/// directory has never been initialised. Lets external tooling (the serve
+/// crash smoke, CI) locate the live WAL without opening the store.
+///
+/// # Errors
+///
+/// An unreadable manifest is an I/O error; a malformed one is
+/// [`GraphStoreError::Corrupt`].
+pub fn current_generation(dir: &Path) -> Result<Option<u64>, GraphStoreError> {
     let path = dir.join(MANIFEST_NAME);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(GraphStoreError::io(&path, "read manifest", &e)),
-    };
+    let Some(bytes) = read_if_exists(&path, "manifest")? else { return Ok(None) };
+    let text = std::str::from_utf8(&bytes).map_err(|e| {
+        GraphStoreError::corrupt(&path, e.valid_up_to() as u64, 0, "manifest is not UTF-8")
+    })?;
     let mut lines = text.lines();
     if lines.next() != Some(MANIFEST_HEADER) {
         return Err(GraphStoreError::corrupt(&path, 0, 0, "bad manifest header"));
@@ -136,7 +133,7 @@ impl DurableStore {
     ) -> Result<(DurableStore, RecoveredState), GraphStoreError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| GraphStoreError::io(dir, "create store directory", &e))?;
-        let generation = match read_manifest(dir)? {
+        let generation = match current_generation(dir)? {
             Some(generation) => generation,
             None => {
                 write_manifest(dir, 0)?;
@@ -144,11 +141,12 @@ impl DurableStore {
             }
         };
         let snapshot = if generation > 0 {
-            Some(SnapshotState::read_file(&snapshot_path(dir, generation))?)
+            Some(SnapshotState::read_file(&generation_snapshot_path(dir, generation))?)
         } else {
             None
         };
-        let (wal, decode) = WalWriter::open_for_append(&wal_path(dir, generation), sync_every)?;
+        let (wal, decode) =
+            WalWriter::open_for_append(&generation_wal_path(dir, generation), sync_every)?;
         let floor = snapshot.as_ref().map(|s| s.last_seq).unwrap_or(0);
         let mut records = decode.records;
         records.retain(|r| r.seq > floor);
@@ -179,16 +177,16 @@ impl DurableStore {
     /// for the crash-safety argument.
     pub fn rotate(&mut self, snapshot: &SnapshotState) -> Result<(), GraphStoreError> {
         let next = self.generation + 1;
-        snapshot.write_file(&snapshot_path(&self.dir, next))?;
-        let wal = WalWriter::create(&wal_path(&self.dir, next), self.sync_every)?;
+        snapshot.write_file(&generation_snapshot_path(&self.dir, next))?;
+        let wal = WalWriter::create(&generation_wal_path(&self.dir, next), self.sync_every)?;
         write_manifest(&self.dir, next)?;
         let old = self.generation;
         self.wal = wal;
         self.generation = next;
         // The old generation is unreachable now; reclaim it best-effort.
-        let _ = std::fs::remove_file(wal_path(&self.dir, old));
+        let _ = std::fs::remove_file(generation_wal_path(&self.dir, old));
         if old > 0 {
-            let _ = std::fs::remove_file(snapshot_path(&self.dir, old));
+            let _ = std::fs::remove_file(generation_snapshot_path(&self.dir, old));
         }
         Ok(())
     }
@@ -210,25 +208,8 @@ impl DurableStore {
 
     /// Path of the current WAL file (the crash-injection smoke corrupts it).
     pub fn wal_path(&self) -> PathBuf {
-        wal_path(&self.dir, self.generation)
+        generation_wal_path(&self.dir, self.generation)
     }
-}
-
-/// The generation the directory's manifest currently names, or `None` if the
-/// directory has never been initialised. Lets external tooling (the serve
-/// crash smoke, CI) locate the live WAL without opening the store.
-pub fn current_generation(dir: &Path) -> Result<Option<u64>, GraphStoreError> {
-    read_manifest(dir)
-}
-
-/// Path of generation `generation`'s WAL file inside `dir`.
-pub fn generation_wal_path(dir: &Path, generation: u64) -> PathBuf {
-    wal_path(dir, generation)
-}
-
-/// Path of generation `generation`'s snapshot file inside `dir`.
-pub fn generation_snapshot_path(dir: &Path, generation: u64) -> PathBuf {
-    snapshot_path(dir, generation)
 }
 
 #[cfg(test)]
@@ -300,8 +281,8 @@ mod tests {
         assert_eq!(recovered.snapshot.as_ref().unwrap().last_seq, 2);
         assert_eq!(recovered.records, vec![rec(3, WalOp::Insert)]);
         // Old generation files were reclaimed.
-        assert!(!snapshot_path(store.dir(), 1).exists());
-        assert!(!wal_path(store.dir(), 0).exists());
+        assert!(!generation_snapshot_path(store.dir(), 1).exists());
+        assert!(!generation_wal_path(store.dir(), 0).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -334,7 +315,7 @@ mod tests {
             store.sync().unwrap();
         }
         // Crash mid-append: garbage half-frame at the tail.
-        let wal = wal_path(&dir, 0);
+        let wal = generation_wal_path(&dir, 0);
         let mut bytes = std::fs::read(&wal).unwrap();
         bytes.extend_from_slice(&[0xAB; 7]);
         std::fs::write(&wal, &bytes).unwrap();

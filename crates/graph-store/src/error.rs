@@ -20,15 +20,6 @@ pub enum GraphStoreError {
     NodeNotFound(NodeId),
     /// The edge referenced by the operation does not exist.
     EdgeNotFound(NodeId, NodeId),
-    /// The edge already exists and duplicate insertion was rejected.
-    DuplicateEdge(NodeId, NodeId),
-    /// A storage capacity limit (e.g. a PIM module's 64 MB MRAM) was exceeded.
-    CapacityExceeded {
-        /// Bytes the structure would need after the operation.
-        required: u64,
-        /// Bytes available to the structure.
-        capacity: u64,
-    },
     /// The input (e.g. an edge-list line) could not be parsed.
     ParseEdgeList(String),
     /// An I/O operation on a durability or edge-list file failed.
@@ -82,11 +73,6 @@ impl fmt::Display for GraphStoreError {
         match self {
             GraphStoreError::NodeNotFound(n) => write!(f, "node {n} not found"),
             GraphStoreError::EdgeNotFound(s, d) => write!(f, "edge {s} -> {d} not found"),
-            GraphStoreError::DuplicateEdge(s, d) => write!(f, "edge {s} -> {d} already exists"),
-            GraphStoreError::CapacityExceeded { required, capacity } => write!(
-                f,
-                "storage capacity exceeded: {required} bytes required, {capacity} available"
-            ),
             GraphStoreError::ParseEdgeList(line) => {
                 write!(f, "malformed edge-list line: {line:?}")
             }
@@ -111,19 +97,10 @@ mod tests {
         let cases: Vec<(GraphStoreError, &str)> = vec![
             (GraphStoreError::NodeNotFound(NodeId(1)), "node n1 not found"),
             (GraphStoreError::EdgeNotFound(NodeId(1), NodeId(2)), "edge n1 -> n2 not found"),
-            (GraphStoreError::DuplicateEdge(NodeId(3), NodeId(4)), "edge n3 -> n4 already exists"),
         ];
         for (err, expected) in cases {
             assert_eq!(err.to_string(), expected);
         }
-    }
-
-    #[test]
-    fn capacity_error_reports_both_sides() {
-        let err = GraphStoreError::CapacityExceeded { required: 100, capacity: 64 };
-        let msg = err.to_string();
-        assert!(msg.contains("100"));
-        assert!(msg.contains("64"));
     }
 
     #[test]

@@ -651,12 +651,12 @@ mod tests {
             let (src, dst, label) =
                 (NodeId(i % 5), NodeId((i * 7) % 13), Label((i % 3) as u16 + 1));
             if s.insert_edge(src, dst, label).changed {
-                s.insert_rev_edge(dst, src, label).unwrap();
+                assert!(s.insert_rev_edge(dst, src, label).1);
             }
             if i % 4 == 0 {
                 let (ds, dd, dl) = (NodeId((i + 1) % 5), NodeId((i * 7 + 7) % 13), Label(1));
                 if s.delete_edge(ds, dd, dl).changed {
-                    s.remove_rev_edge(dd, ds, dl).unwrap();
+                    assert!(s.remove_rev_edge(dd, ds, dl).1);
                 }
             }
             if i % 11 == 0 {
@@ -691,17 +691,17 @@ mod tests {
     #[test]
     fn rev_index_is_independent_of_forward_slots() {
         let mut s = HeterogeneousStorage::new();
-        s.insert_rev_edge(NodeId(7), NodeId(1), Label(2)).unwrap();
-        s.insert_rev_edge(NodeId(7), NodeId(1), Label(3)).unwrap();
-        assert!(s.insert_rev_edge(NodeId(7), NodeId(1), Label(2)).is_err());
+        assert!(s.insert_rev_edge(NodeId(7), NodeId(1), Label(2)).1);
+        assert!(s.insert_rev_edge(NodeId(7), NodeId(1), Label(3)).1);
+        assert_eq!(s.insert_rev_edge(NodeId(7), NodeId(1), Label(2)), (2, false));
         assert_eq!(s.rev_row(NodeId(7)).unwrap(), &[(NodeId(1), Label(2)), (NodeId(1), Label(3))]);
         // Reverse entries never count as live edges or host live bytes.
         assert_eq!(s.edge_count(), 0);
         assert_eq!(s.live_bytes(), 0);
         assert_eq!(s.rev_bytes(), 20);
         s.check_invariants().unwrap();
-        s.remove_rev_edge(NodeId(7), NodeId(1), Label(2)).unwrap();
-        s.remove_rev_edge(NodeId(7), NodeId(1), Label(3)).unwrap();
+        assert!(s.remove_rev_edge(NodeId(7), NodeId(1), Label(2)).1);
+        assert!(s.remove_rev_edge(NodeId(7), NodeId(1), Label(3)).1);
         assert!(s.rev_row(NodeId(7)).is_none());
         assert_eq!(s.label_stats().snapshot(), Default::default());
     }

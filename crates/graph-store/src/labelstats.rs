@@ -34,13 +34,12 @@ use crate::ids::Label;
 /// ```
 /// use graph_store::{Label, LocalGraphStorage, NodeId};
 /// let mut s = LocalGraphStorage::new();
-/// s.insert_edge(NodeId(0), NodeId(1), Label(3))?;
-/// s.insert_edge(NodeId(0), NodeId(2), Label(3))?;
-/// s.insert_rev_edge(NodeId(1), NodeId(0), Label(3))?;
-/// s.insert_rev_edge(NodeId(2), NodeId(0), Label(3))?;
+/// s.insert_edge(NodeId(0), NodeId(1), Label(3));
+/// s.insert_edge(NodeId(0), NodeId(2), Label(3));
+/// s.insert_rev_edge(NodeId(1), NodeId(0), Label(3));
+/// s.insert_rev_edge(NodeId(2), NodeId(0), Label(3));
 /// let c = s.label_stats().snapshot().counters(Label(3));
 /// assert_eq!((c.edges, c.sources, c.targets), (2, 1, 2));
-/// # Ok::<(), graph_store::GraphStoreError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LabelCounters {
@@ -220,11 +219,11 @@ mod tests {
     fn both(s: &mut LocalGraphStorage, (src, dst): (u64, u64), label: u16, insert: bool) {
         let (src, dst, label) = (NodeId(src), NodeId(dst), Label(label));
         let written = if insert {
-            s.insert_edge(src, dst, label).and(s.insert_rev_edge(dst, src, label))
+            [s.insert_edge(src, dst, label).1, s.insert_rev_edge(dst, src, label).1]
         } else {
-            s.remove_edge(src, dst, label).and(s.remove_rev_edge(dst, src, label))
+            [s.remove_edge(src, dst, label).1, s.remove_rev_edge(dst, src, label).1]
         };
-        written.expect("both sides written");
+        assert_eq!(written, [true, true], "both sides written");
     }
 
     #[test]
@@ -255,7 +254,7 @@ mod tests {
     #[test]
     fn forward_records_never_touch_targets() {
         let mut s = LocalGraphStorage::new();
-        s.insert_edge(NodeId(0), NodeId(1), Label(2)).unwrap();
+        assert!(s.insert_edge(NodeId(0), NodeId(1), Label(2)).1);
         assert_eq!(counters(&s, 2), (1, 1, 0));
     }
 
@@ -265,12 +264,12 @@ mod tests {
         // originate in other stores: edges == 0 there, but targets must
         // still be counted until the reverse entries leave.
         let mut s = LocalGraphStorage::new();
-        s.insert_rev_edge(NodeId(5), NodeId(1), Label(7)).unwrap();
-        s.insert_rev_edge(NodeId(5), NodeId(2), Label(7)).unwrap();
+        assert!(s.insert_rev_edge(NodeId(5), NodeId(1), Label(7)).1);
+        assert!(s.insert_rev_edge(NodeId(5), NodeId(2), Label(7)).1);
         assert_eq!(counters(&s, 7), (0, 0, 1));
-        s.remove_rev_edge(NodeId(5), NodeId(1), Label(7)).unwrap();
+        assert!(s.remove_rev_edge(NodeId(5), NodeId(1), Label(7)).1);
         assert_eq!(counters(&s, 7), (0, 0, 1));
-        s.remove_rev_edge(NodeId(5), NodeId(2), Label(7)).unwrap();
+        assert!(s.remove_rev_edge(NodeId(5), NodeId(2), Label(7)).1);
         assert_eq!(s.label_stats().snapshot(), LabelStatsSnapshot::default());
     }
 

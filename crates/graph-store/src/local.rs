@@ -4,9 +4,8 @@
 //! by row (graph node). The paper stores the slice in a hash map from row id
 //! (NodeId) to row data (the next-hop NodeIds), chosen for its concurrency and
 //! scalability on the wimpy PIM cores. [`LocalGraphStorage`] reproduces that
-//! structure and additionally tracks the resident bytes, which an optional
-//! capacity gate checks. The engines build their stores with no cap, so the
-//! 64 MB MRAM of an UPMEM module is not enforced.
+//! structure and additionally models the resident MRAM bytes. Nothing caps
+//! them: the 64 MB MRAM of an UPMEM module is not enforced.
 //!
 //! Rows carry the property-graph edge label alongside each next-hop id, so
 //! regular path queries can match label constraints inside the module without
@@ -15,7 +14,6 @@
 //! and a 2-byte label array that only label-constrained scans touch — the
 //! cost model charges the two arrays separately.
 
-use crate::error::GraphStoreError;
 use crate::ids::{Label, NodeId};
 use crate::labelstats::LabelStatsTable;
 use crate::rows::{reverse_row_api, SortedRows};
@@ -28,7 +26,7 @@ use crate::rows::{reverse_row_api, SortedRows};
 /// installed without re-normalising them. The same node pair may appear with
 /// several distinct labels (one boolean adjacency matrix per label). Forward
 /// and reverse rows are two [`SortedRows`] tables, which also count the label
-/// statistics; this type adds the capacity gate and the byte model.
+/// statistics; this type adds the byte model.
 ///
 /// # Examples
 ///
@@ -36,16 +34,15 @@ use crate::rows::{reverse_row_api, SortedRows};
 /// use graph_store::{Label, LocalGraphStorage, NodeId};
 ///
 /// let mut s = LocalGraphStorage::new();
-/// s.insert_edge(NodeId(4), NodeId(9), Label::ANY)?;
-/// s.insert_edge(NodeId(4), NodeId(7), Label(2))?;
+/// assert_eq!(s.insert_edge(NodeId(4), NodeId(9), Label::ANY), (0, true));
+/// assert_eq!(s.insert_edge(NodeId(4), NodeId(7), Label(2)), (1, true));
+/// assert_eq!(s.insert_edge(NodeId(4), NodeId(7), Label(2)), (2, false));
 /// assert_eq!(s.row(NodeId(4)).unwrap(), &[(NodeId(7), Label(2)), (NodeId(9), Label::ANY)]);
 /// assert_eq!(s.edge_count(), 2);
-/// # Ok::<(), graph_store::GraphStoreError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LocalGraphStorage {
     rows: SortedRows,
-    capacity_bytes: Option<u64>,
     /// Reverse rows: for each node whose reverse row this module owns, the
     /// strictly sorted `(source, label)` in-edges. Maintained explicitly by
     /// the engine's mirrored writes — forward mutations never touch it.
@@ -57,65 +54,29 @@ pub struct LocalGraphStorage {
 const EDGE_SLOT_BYTES: u64 = (std::mem::size_of::<NodeId>() + std::mem::size_of::<Label>()) as u64;
 
 /// Modeled MRAM bytes of a table: 8 bytes of id plus 2 bytes of label per
-/// entry, and 16 bytes of hash-map entry overhead per row — a close-enough
-/// model for capacity enforcement.
+/// entry, and 16 bytes of hash-map entry overhead per row.
 fn table_bytes(rows: &SortedRows) -> u64 {
     rows.entries() as u64 * EDGE_SLOT_BYTES + rows.len() as u64 * 16
 }
 
 impl LocalGraphStorage {
-    /// Creates an empty segment without a capacity limit.
+    /// Creates an empty segment.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Inserts a directed labelled edge into the row of `src`, returning the
-    /// row's length before the write.
-    ///
-    /// Duplicate edges are ignored (each per-label adjacency matrix is
-    /// boolean) and reported via [`GraphStoreError::DuplicateEdge`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphStoreError::CapacityExceeded`] when the insertion would
-    /// overflow the configured MRAM capacity, and
-    /// [`GraphStoreError::DuplicateEdge`] when the edge already exists.
-    pub fn insert_edge(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        label: Label,
-    ) -> Result<usize, GraphStoreError> {
-        if let Some(cap) = self.capacity_bytes {
-            let needed = self.resident_bytes() + EDGE_SLOT_BYTES;
-            if needed > cap {
-                return Err(GraphStoreError::CapacityExceeded { required: needed, capacity: cap });
-            }
-        }
-        let (prior, new) = self.rows.insert(src, (dst, label));
-        if !new {
-            return Err(GraphStoreError::DuplicateEdge(src, dst));
-        }
-        Ok(prior)
+    /// Inserts a directed labelled edge into the row of `src`. Returns the
+    /// row's length before the write and whether the edge was new: each
+    /// per-label adjacency matrix is boolean, so a duplicate changes nothing.
+    pub fn insert_edge(&mut self, src: NodeId, dst: NodeId, label: Label) -> (usize, bool) {
+        self.rows.insert(src, (dst, label))
     }
 
-    /// Removes a directed labelled edge from the row of `src`, returning the
-    /// row's length before the write.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphStoreError::EdgeNotFound`] when the edge is absent.
-    pub fn remove_edge(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        label: Label,
-    ) -> Result<usize, GraphStoreError> {
-        let (prior, present) = self.rows.remove(src, (dst, label));
-        if !present {
-            return Err(GraphStoreError::EdgeNotFound(src, dst));
-        }
-        Ok(prior)
+    /// Removes a directed labelled edge from the row of `src`. Returns the
+    /// row's length before the write (0 if there is no row) and whether the
+    /// edge was present.
+    pub fn remove_edge(&mut self, src: NodeId, dst: NodeId, label: Label) -> (usize, bool) {
+        self.rows.remove(src, (dst, label))
     }
 
     /// Returns the row (`(next-hop, label)` pairs, ascending) for `src`, if
@@ -172,15 +133,9 @@ impl LocalGraphStorage {
         self.rows.holding(label)
     }
 
-    /// Approximate bytes resident in MRAM for this segment's forward rows
-    /// (the capacity gate's input).
+    /// Approximate bytes resident in MRAM for this segment's forward rows.
     pub fn resident_bytes(&self) -> u64 {
         table_bytes(&self.rows)
-    }
-
-    /// The configured capacity in bytes, if any.
-    pub fn capacity_bytes(&self) -> Option<u64> {
-        self.capacity_bytes
     }
 
     /// Exports every row, sorted by row id, for a durable snapshot.
@@ -195,11 +150,8 @@ impl LocalGraphStorage {
 
     /// Rebuilds a segment from rows exported by
     /// [`LocalGraphStorage::export_rows`] (strictly sorted, as exported).
-    pub fn from_sorted_rows(
-        sorted_rows: Vec<(NodeId, Vec<(NodeId, Label)>)>,
-        capacity_bytes: Option<u64>,
-    ) -> Self {
-        let mut store = LocalGraphStorage { capacity_bytes, ..Self::default() };
+    pub fn from_sorted_rows(sorted_rows: Vec<(NodeId, Vec<(NodeId, Label)>)>) -> Self {
+        let mut store = Self::default();
         for (node, row) in sorted_rows {
             debug_assert!(row.windows(2).all(|w| w[0] < w[1]), "snapshot row must be sorted");
             store.install_row(node, row);
@@ -216,8 +168,8 @@ impl LocalGraphStorage {
     reverse_row_api!();
 
     /// Approximate MRAM bytes of the reverse index, modelled exactly like
-    /// forward rows but reported separately so capacity enforcement and the
-    /// placement policy keep seeing forward bytes only.
+    /// forward rows but reported separately, so forward residency stays
+    /// forward bytes only.
     pub fn rev_bytes(&self) -> u64 {
         table_bytes(&self.rev_rows)
     }
@@ -232,9 +184,9 @@ mod tests {
     #[test]
     fn insert_and_lookup_rows() {
         let mut s = LocalGraphStorage::new();
-        s.insert_edge(NodeId(1), NodeId(2), ANY).unwrap();
-        s.insert_edge(NodeId(1), NodeId(3), ANY).unwrap();
-        s.insert_edge(NodeId(2), NodeId(1), ANY).unwrap();
+        assert!(s.insert_edge(NodeId(1), NodeId(2), ANY).1);
+        assert!(s.insert_edge(NodeId(1), NodeId(3), ANY).1);
+        assert!(s.insert_edge(NodeId(2), NodeId(1), ANY).1);
         assert_eq!(s.row_count(), 2);
         assert_eq!(s.edge_count(), 3);
         assert_eq!(s.row(NodeId(1)).unwrap(), &[(NodeId(2), ANY), (NodeId(3), ANY)]);
@@ -242,55 +194,44 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_insert_is_an_error() {
+    fn duplicate_insert_and_absent_delete_change_nothing() {
         let mut s = LocalGraphStorage::new();
-        s.insert_edge(NodeId(1), NodeId(2), ANY).unwrap();
-        let err = s.insert_edge(NodeId(1), NodeId(2), ANY).unwrap_err();
-        assert_eq!(err, GraphStoreError::DuplicateEdge(NodeId(1), NodeId(2)));
+        assert_eq!(s.insert_edge(NodeId(1), NodeId(2), ANY), (0, true));
+        assert_eq!(s.insert_edge(NodeId(1), NodeId(2), ANY), (1, false));
+        assert_eq!(s.remove_edge(NodeId(1), NodeId(3), ANY), (1, false));
+        assert_eq!(s.remove_edge(NodeId(7), NodeId(2), ANY), (0, false));
         assert_eq!(s.edge_count(), 1);
     }
 
     #[test]
     fn same_pair_with_another_label_is_a_new_edge() {
         let mut s = LocalGraphStorage::new();
-        s.insert_edge(NodeId(1), NodeId(2), Label(1)).unwrap();
-        s.insert_edge(NodeId(1), NodeId(2), Label(2)).unwrap();
+        assert!(s.insert_edge(NodeId(1), NodeId(2), Label(1)).1);
+        assert!(s.insert_edge(NodeId(1), NodeId(2), Label(2)).1);
         assert_eq!(s.edge_count(), 2);
         assert_eq!(s.row(NodeId(1)).unwrap(), &[(NodeId(2), Label(1)), (NodeId(2), Label(2))]);
-        s.remove_edge(NodeId(1), NodeId(2), Label(1)).unwrap();
+        assert!(s.remove_edge(NodeId(1), NodeId(2), Label(1)).1);
         assert_eq!(s.row(NodeId(1)).unwrap(), &[(NodeId(2), Label(2))]);
     }
 
     #[test]
     fn remove_edge_and_row_cleanup() {
         let mut s = LocalGraphStorage::new();
-        s.insert_edge(NodeId(1), NodeId(2), ANY).unwrap();
-        s.remove_edge(NodeId(1), NodeId(2), ANY).unwrap();
+        assert!(s.insert_edge(NodeId(1), NodeId(2), ANY).1);
+        assert!(s.remove_edge(NodeId(1), NodeId(2), ANY).1);
         assert!(!s.contains_row(NodeId(1)));
         assert_eq!(s.edge_count(), 0);
-        assert!(matches!(
-            s.remove_edge(NodeId(1), NodeId(2), ANY),
-            Err(GraphStoreError::EdgeNotFound(_, _))
-        ));
+        assert_eq!(s.remove_edge(NodeId(1), NodeId(2), ANY), (0, false));
         // Removing a present pair under the wrong label is also not found.
-        s.insert_edge(NodeId(1), NodeId(2), Label(3)).unwrap();
-        assert!(s.remove_edge(NodeId(1), NodeId(2), Label(4)).is_err());
-    }
-
-    #[test]
-    fn capacity_is_enforced() {
-        let mut s = LocalGraphStorage::from_sorted_rows(Vec::new(), Some(30));
-        s.insert_edge(NodeId(0), NodeId(1), ANY).unwrap(); // 10 + 16 = 26 bytes
-        let err = s.insert_edge(NodeId(0), NodeId(2), ANY).unwrap_err();
-        assert!(matches!(err, GraphStoreError::CapacityExceeded { .. }));
-        assert_eq!(s.edge_count(), 1);
+        assert!(s.insert_edge(NodeId(1), NodeId(2), Label(3)).1);
+        assert_eq!(s.remove_edge(NodeId(1), NodeId(2), Label(4)), (1, false));
     }
 
     #[test]
     fn take_and_install_row_preserve_edge_count() {
         let mut a = LocalGraphStorage::new();
-        a.insert_edge(NodeId(5), NodeId(6), ANY).unwrap();
-        a.insert_edge(NodeId(5), NodeId(7), Label(1)).unwrap();
+        assert!(a.insert_edge(NodeId(5), NodeId(6), ANY).1);
+        assert!(a.insert_edge(NodeId(5), NodeId(7), Label(1)).1);
         let row = a.take_row(NodeId(5)).unwrap();
         assert_eq!(a.edge_count(), 0);
 
@@ -314,12 +255,12 @@ mod tests {
     fn rows_stay_sorted_under_churn() {
         let mut s = LocalGraphStorage::new();
         for dst in [9u64, 3, 7, 1, 5] {
-            s.insert_edge(NodeId(0), NodeId(dst), ANY).unwrap();
+            assert!(s.insert_edge(NodeId(0), NodeId(dst), ANY).1);
         }
         let dsts: Vec<u64> = s.row(NodeId(0)).unwrap().iter().map(|&(d, _)| d.0).collect();
         assert_eq!(dsts, vec![1, 3, 5, 7, 9]);
-        s.remove_edge(NodeId(0), NodeId(5), ANY).unwrap();
-        s.insert_edge(NodeId(0), NodeId(4), ANY).unwrap();
+        assert!(s.remove_edge(NodeId(0), NodeId(5), ANY).1);
+        assert!(s.insert_edge(NodeId(0), NodeId(4), ANY).1);
         let dsts: Vec<u64> = s.row(NodeId(0)).unwrap().iter().map(|&(d, _)| d.0).collect();
         assert_eq!(dsts, vec![1, 3, 4, 7, 9]);
     }
@@ -336,7 +277,7 @@ mod tests {
     fn resident_bytes_reflects_contents() {
         let mut s = LocalGraphStorage::new();
         assert_eq!(s.resident_bytes(), 0);
-        s.insert_edge(NodeId(0), NodeId(1), ANY).unwrap();
+        assert!(s.insert_edge(NodeId(0), NodeId(1), ANY).1);
         assert_eq!(s.resident_bytes(), 10 + 16);
     }
 
@@ -370,13 +311,13 @@ mod tests {
         for i in 0..40u64 {
             let (src, dst, label) =
                 (NodeId(i % 7), NodeId((i * 3) % 11), Label((i % 4) as u16 + 1));
-            if s.insert_edge(src, dst, label).is_ok() {
-                s.insert_rev_edge(dst, src, label).unwrap();
+            if s.insert_edge(src, dst, label).1 {
+                assert!(s.insert_rev_edge(dst, src, label).1);
             }
             if i % 5 == 0 {
                 let (ds, dd, dl) = (NodeId((i + 2) % 7), NodeId((i * 3 + 6) % 11), Label(1));
-                if s.remove_edge(ds, dd, dl).is_ok() {
-                    s.remove_rev_edge(dd, ds, dl).unwrap();
+                if s.remove_edge(ds, dd, dl).1 {
+                    assert!(s.remove_rev_edge(dd, ds, dl).1);
                 }
             }
             if i % 9 == 0 {
@@ -387,7 +328,7 @@ mod tests {
                     s.install_rev_row(NodeId((i * 3) % 11), rev);
                 }
             }
-            let mut rebuilt = LocalGraphStorage::from_sorted_rows(s.export_rows(), None);
+            let mut rebuilt = LocalGraphStorage::from_sorted_rows(s.export_rows());
             for (n, rev) in transpose(&s.export_rows()) {
                 rebuilt.install_rev_row(n, rev);
             }
@@ -409,17 +350,17 @@ mod tests {
         assert!(s.rev_bytes() > 0);
         assert_eq!(
             s.resident_bytes(),
-            LocalGraphStorage::from_sorted_rows(s.export_rows(), None).resident_bytes()
+            LocalGraphStorage::from_sorted_rows(s.export_rows()).resident_bytes()
         );
     }
 
     #[test]
     fn rev_rows_are_sorted_and_duplicate_rejected() {
         let mut s = LocalGraphStorage::new();
-        s.insert_rev_edge(NodeId(4), NodeId(9), Label(1)).unwrap();
-        s.insert_rev_edge(NodeId(4), NodeId(2), Label(1)).unwrap();
-        s.insert_rev_edge(NodeId(4), NodeId(2), Label(3)).unwrap();
-        assert!(s.insert_rev_edge(NodeId(4), NodeId(2), Label(1)).is_err());
+        assert!(s.insert_rev_edge(NodeId(4), NodeId(9), Label(1)).1);
+        assert!(s.insert_rev_edge(NodeId(4), NodeId(2), Label(1)).1);
+        assert!(s.insert_rev_edge(NodeId(4), NodeId(2), Label(3)).1);
+        assert_eq!(s.insert_rev_edge(NodeId(4), NodeId(2), Label(1)), (3, false));
         assert_eq!(
             s.rev_row(NodeId(4)).unwrap(),
             &[(NodeId(2), Label(1)), (NodeId(2), Label(3)), (NodeId(9), Label(1))]
@@ -428,8 +369,8 @@ mod tests {
         // Reverse rows never count toward forward residency.
         assert_eq!(s.resident_bytes(), 0);
         assert_eq!(s.rev_bytes(), 3 * 10 + 16);
-        s.remove_rev_edge(NodeId(4), NodeId(9), Label(1)).unwrap();
-        assert!(s.remove_rev_edge(NodeId(4), NodeId(9), Label(1)).is_err());
+        assert!(s.remove_rev_edge(NodeId(4), NodeId(9), Label(1)).1);
+        assert_eq!(s.remove_rev_edge(NodeId(4), NodeId(9), Label(1)), (2, false));
         let taken = s.take_rev_row(NodeId(4)).unwrap();
         assert_eq!(taken.len(), 2);
         assert_eq!(s.rev_bytes(), 0);

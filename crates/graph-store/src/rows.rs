@@ -4,9 +4,9 @@
 //! [`crate::LocalGraphStorage`] and [`crate::AdjacencyGraph`] keep two
 //! (forward rows and reverse rows), [`crate::HeterogeneousStorage`] one
 //! (reverse rows; its forward hub rows keep the paper's slot layout). The
-//! stores add what differs
-//! between them — layout, capacity, cost policy — and leave probing, binary
-//! search, empty-row cleanup, entry counting and the label statistics here.
+//! stores add what differs between them — layout, byte model, cost policy —
+//! and leave probing, binary search, empty-row cleanup, entry counting and
+//! the label statistics here.
 //!
 //! The statistics are a [`LabelStatsTable`] tally (per label: entries, rows)
 //! each write updates from its row: a 0↔1 transition scans that one row up to
@@ -165,47 +165,21 @@ macro_rules! reverse_row_api {
     () => {
         /// Inserts a reverse-row entry: `dst` is reached by an edge from
         /// `src` with `label`. The entry lands in the reverse row of `dst`,
-        /// which this store must own; the row's length before the write is
-        /// returned.
+        /// which this store must own. Returns the row's length before the
+        /// write and whether the entry was new.
         ///
         /// Reverse rows mirror forward rows held elsewhere: they never count
-        /// toward forward residency (capacity and placement stay driven by
-        /// forward data alone); `rev_bytes` reports their footprint.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`GraphStoreError::DuplicateEdge`] when the entry already
-        /// exists.
-        pub fn insert_rev_edge(
-            &mut self,
-            dst: NodeId,
-            src: NodeId,
-            label: Label,
-        ) -> Result<usize, GraphStoreError> {
-            let (prior, new) = self.rev_rows.insert(dst, (src, label));
-            if !new {
-                return Err(GraphStoreError::DuplicateEdge(src, dst));
-            }
-            Ok(prior)
+        /// toward forward residency (placement stays driven by forward data
+        /// alone); `rev_bytes` reports their footprint.
+        pub fn insert_rev_edge(&mut self, dst: NodeId, src: NodeId, label: Label) -> (usize, bool) {
+            self.rev_rows.insert(dst, (src, label))
         }
 
-        /// Removes a reverse-row entry from the reverse row of `dst`,
-        /// returning the row's length before the write.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`GraphStoreError::EdgeNotFound`] when the entry is absent.
-        pub fn remove_rev_edge(
-            &mut self,
-            dst: NodeId,
-            src: NodeId,
-            label: Label,
-        ) -> Result<usize, GraphStoreError> {
-            let (prior, present) = self.rev_rows.remove(dst, (src, label));
-            if !present {
-                return Err(GraphStoreError::EdgeNotFound(src, dst));
-            }
-            Ok(prior)
+        /// Removes a reverse-row entry from the reverse row of `dst`.
+        /// Returns the row's length before the write (0 if there is no row)
+        /// and whether the entry was present.
+        pub fn remove_rev_edge(&mut self, dst: NodeId, src: NodeId, label: Label) -> (usize, bool) {
+            self.rev_rows.remove(dst, (src, label))
         }
 
         /// Returns the reverse row (`(source, label)` pairs, ascending) for

@@ -15,14 +15,19 @@
 //! it. The decoder rejects an image that breaks any of these. The
 //! file layout is `[magic "MSNP"][version: u32][payload_len: u64][payload]
 //! [crc: u32]` where `crc` is the CRC-32 of the payload — one checksum over
-//! the whole image, verified before a single field is trusted.
+//! the whole image, verified before a single field is trusted. Every field
+//! is read through the crate's one checked cursor (`bytes::Reader`), so a
+//! malformed image is an `(offset, reason)` error, never a panic.
+//!
+//! Each module section opens with a tag byte that once announced an MRAM
+//! capacity. No engine ever set one, so the encoder writes 0 and the decoder
+//! rejects any other value.
 
-use crate::bytes::{u32_at, u64_at};
+use crate::bytes::{put_u16, put_u32, put_u64, write_atomic, DecodeError, Reader};
 use crate::error::GraphStoreError;
 use crate::heterogeneous::FREE_SLOT;
 use crate::ids::{Label, NodeId};
 use crate::wal::crc32;
-use std::io::Write;
 use std::path::Path;
 
 /// Magic bytes opening every snapshot file.
@@ -31,13 +36,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MSNP";
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// One PIM module's local storage image: rows sorted by id, contents
-/// verbatim, plus the module's configured MRAM capacity.
+/// verbatim.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LocalModuleSnapshot {
     /// `(row id, strictly sorted labelled next-hops)`, sorted by row id.
     pub rows: Vec<(NodeId, Vec<(NodeId, Label)>)>,
-    /// The module's capacity limit in bytes, if one was configured.
-    pub capacity_bytes: Option<u64>,
 }
 
 /// One host-resident heterogeneous row: `cols_vector` slots verbatim (free
@@ -80,77 +83,23 @@ pub struct SnapshotState {
     pub adjacency_id_bound: u64,
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_row(out: &mut Vec<u8>, node: NodeId, hops: &[(NodeId, Label)]) {
     put_u64(out, node.0);
     put_u64(out, hops.len() as u64);
     for &(dst, label) in hops {
         put_u64(out, dst.0);
-        out.extend_from_slice(&label.0.to_le_bytes());
+        put_u16(out, label.0);
     }
 }
 
 /// One decoded adjacency row: `(row id, labelled hops)`.
 type DecodedRow = (NodeId, Vec<(NodeId, Label)>);
 
-/// Sequential byte reader with offset tracking for decode errors.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], (u64, String)> {
-        if self.bytes.len() - self.at < n {
-            return Err((
-                self.at as u64,
-                format!("truncated {what}: need {n} bytes, {} left", self.bytes.len() - self.at),
-            ));
-        }
-        let s = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, (u64, String)> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, (u64, String)> {
-        Ok(crate::bytes::u16_at(self.take(2, what)?, 0))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, (u64, String)> {
-        Ok(u32_at(self.take(4, what)?, 0))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, (u64, String)> {
-        Ok(u64_at(self.take(8, what)?, 0))
-    }
-
-    /// A count about to size an allocation: bounded by the bytes that could
-    /// possibly back it, so corrupt lengths cannot trigger huge allocations.
-    fn count(&mut self, min_elem_bytes: usize, what: &str) -> Result<usize, (u64, String)> {
-        let offset = self.at as u64;
-        let n = self.u64(what)?;
-        let left = (self.bytes.len() - self.at) as u64;
-        if n > left / min_elem_bytes.max(1) as u64 {
-            return Err((offset, format!("implausible {what} count {n} ({left} bytes left)")));
-        }
-        Ok(n as usize)
-    }
-
+impl Reader<'_> {
     /// One row of a `what` section, whose row ids ascend strictly: `prev`
     /// holds the section's previous id.
-    fn row(&mut self, what: &str, prev: &mut Option<NodeId>) -> Result<DecodedRow, (u64, String)> {
-        let at = self.at as u64;
+    fn row(&mut self, what: &str, prev: &mut Option<NodeId>) -> Result<DecodedRow, DecodeError> {
+        let at = self.offset();
         let node = NodeId(self.u64("row id")?);
         if let Some(p) = prev.replace(node).filter(|&p| p >= node) {
             return Err((at, format!("{what} row {} follows row {}", node.0, p.0)));
@@ -170,8 +119,8 @@ impl<'a> Reader<'a> {
         &mut self,
         what: &str,
         prev: &mut Option<NodeId>,
-    ) -> Result<DecodedRow, (u64, String)> {
-        let at = self.at as u64;
+    ) -> Result<DecodedRow, DecodeError> {
+        let at = self.offset();
         let (node, hops) = self.row(what, prev)?;
         if !hops.windows(2).all(|w| w[0] < w[1]) {
             return Err((at, format!("{what} row {} is not strictly sorted", node.0)));
@@ -213,13 +162,7 @@ impl SnapshotState {
 
         put_u64(&mut out, self.local_modules.len() as u64);
         for module in &self.local_modules {
-            match module.capacity_bytes {
-                Some(cap) => {
-                    out.push(1);
-                    put_u64(&mut out, cap);
-                }
-                None => out.push(0),
-            }
+            out.push(0); // capacity tag: none
             put_u64(&mut out, module.rows.len() as u64);
             for (node, hops) in &module.rows {
                 put_row(&mut out, *node, hops);
@@ -276,25 +219,25 @@ impl SnapshotState {
     /// Returns `(offset, reason)` on malformed input; counts are sanity-
     /// bounded against the remaining bytes before any allocation.
     pub fn decode_payload(bytes: &[u8]) -> Result<SnapshotState, (u64, String)> {
-        let mut r = Reader { bytes, at: 0 };
+        let mut r = Reader::new(bytes);
         let last_seq = r.u64("last_seq")?;
         let edge_count = r.u64("edge_count")?;
 
         let n_modules = r.count(9, "local modules")?;
         let mut local_modules = Vec::with_capacity(n_modules);
         for _ in 0..n_modules {
-            let capacity_bytes = match r.u8("capacity tag")? {
-                0 => None,
-                1 => Some(r.u64("capacity bytes")?),
-                t => return Err(((r.at - 1) as u64, format!("bad capacity tag {t}"))),
-            };
+            let tag_at = r.offset();
+            let tag = r.u8("capacity tag")?;
+            if tag != 0 {
+                return Err((tag_at, format!("module names an MRAM capacity (tag {tag})")));
+            }
             let n_rows = r.count(16, "module rows")?;
             let mut rows = Vec::with_capacity(n_rows);
             let mut prev = None;
             for _ in 0..n_rows {
                 rows.push(r.sorted_row("module", &mut prev)?);
             }
-            local_modules.push(LocalModuleSnapshot { rows, capacity_bytes });
+            local_modules.push(LocalModuleSnapshot { rows });
         }
 
         let n_host = r.count(24, "host rows")?;
@@ -302,7 +245,7 @@ impl SnapshotState {
         let mut host_edges = 0u64;
         let mut prev = None;
         for _ in 0..n_host {
-            let at = r.at as u64;
+            let at = r.offset();
             let (node, slots) = r.row("host", &mut prev)?;
             let n_free = r.count(8, "free list")?;
             let mut free = Vec::with_capacity(n_free);
@@ -340,7 +283,7 @@ impl SnapshotState {
         for _ in 0..n_adj {
             adjacency_rows.push(r.sorted_row("adjacency", &mut prev)?);
         }
-        let bound_at = r.at as u64;
+        let bound_at = r.offset();
         let adjacency_id_bound = r.u64("adjacency id bound")?;
         let ids = adjacency_rows.iter().flat_map(|(n, hops)| hops.iter().map(|h| h.0).chain([*n]));
         if let Some(id) = ids.filter(|id| id.0 >= adjacency_id_bound).max() {
@@ -350,8 +293,8 @@ impl SnapshotState {
             ));
         }
 
-        if r.at != bytes.len() {
-            return Err((r.at as u64, format!("{} trailing bytes", bytes.len() - r.at)));
+        if r.remaining() != 0 {
+            return Err((r.offset(), format!("{} trailing bytes", r.remaining())));
         }
         let row_edges: u64 = local_modules
             .iter()
@@ -381,19 +324,20 @@ impl SnapshotState {
         if bytes.len() < 16 {
             return Err((0, format!("file too short: {} bytes", bytes.len())));
         }
-        if bytes[0..4] != SNAPSHOT_MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.array::<4>("magic")? != SNAPSHOT_MAGIC {
             return Err((0, "bad magic".to_string()));
         }
-        let version = u32_at(bytes, 4);
+        let version = r.u32("version")?;
         if version != SNAPSHOT_VERSION {
             return Err((4, format!("unsupported version {version}")));
         }
-        let payload_len = u64_at(bytes, 8);
+        let payload_len = r.u64("payload length")?;
         if payload_len != (bytes.len() as u64).saturating_sub(20) {
             return Err((8, format!("payload length {payload_len} vs file {}", bytes.len())));
         }
-        let payload = &bytes[16..16 + payload_len as usize];
-        let stored = u32_at(bytes, 16 + payload_len as usize);
+        let payload = r.take(payload_len as usize, "payload")?;
+        let stored = r.u32("crc")?;
         let actual = crc32(payload);
         if stored != actual {
             return Err((
@@ -405,18 +349,9 @@ impl SnapshotState {
     }
 
     /// Writes the snapshot to `path` atomically: a `.tmp` sibling is written
-    /// and fsynced, then renamed over the target.
+    /// and fsynced, then renamed over the target and the directory fsynced.
     pub fn write_file(&self, path: &Path) -> Result<(), GraphStoreError> {
-        let bytes = self.encode_file();
-        let tmp = path.with_extension("tmp");
-        let mut file = std::fs::File::create(&tmp)
-            .map_err(|e| GraphStoreError::io(&tmp, "create snapshot tmp", &e))?;
-        file.write_all(&bytes).map_err(|e| GraphStoreError::io(&tmp, "write snapshot", &e))?;
-        file.sync_all().map_err(|e| GraphStoreError::io(&tmp, "sync snapshot", &e))?;
-        drop(file);
-        std::fs::rename(&tmp, path)
-            .map_err(|e| GraphStoreError::io(path, "rename snapshot into place", &e))?;
-        Ok(())
+        write_atomic(path, &self.encode_file(), "snapshot")
     }
 
     /// Reads and verifies a snapshot from `path`.
@@ -442,9 +377,8 @@ mod tests {
                         (NodeId(1), vec![(NodeId(2), Label(3)), (NodeId(4), Label::ANY)]),
                         (NodeId(7), vec![(NodeId(1), Label::ANY)]),
                     ],
-                    capacity_bytes: Some(64 << 20),
                 },
-                LocalModuleSnapshot { rows: Vec::new(), capacity_bytes: None },
+                LocalModuleSnapshot { rows: Vec::new() },
             ],
             host_rows: vec![HostRowSnapshot {
                 node: NodeId(9),

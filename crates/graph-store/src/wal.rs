@@ -13,15 +13,19 @@
 //! or corrupted tail therefore costs at most the records past the last intact
 //! frame, and can never surface garbage as a decoded record.
 //!
+//! Every field is read through the crate's one checked cursor
+//! (`bytes::Reader`), so no input, however short or corrupt, can make the
+//! decoder panic.
+//!
 //! [`WalWriter`] is the file-backed append side with fsync batching: records
 //! are flushed to the OS on every append and fsynced every `sync_every`
 //! records (and on [`WalWriter::sync`]).
 
-use crate::bytes::{u16_at, u32_at, u64_at};
+use crate::bytes::{put_u16, put_u32, put_u64, read_if_exists, DecodeError, Reader};
 use crate::error::GraphStoreError;
 use crate::ids::{Label, NodeId};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every WAL file.
@@ -70,10 +74,11 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = u32::MAX;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = (u32_at(w, 0) ^ crc) as usize;
-        let hi = u32_at(w, 4) as usize;
+    let (words, tail) = bytes.as_chunks::<8>();
+    for &w in words {
+        let word = u64::from_le_bytes(w);
+        let lo = (word as u32 ^ crc) as usize;
+        let hi = (word >> 32) as usize;
         crc = t[7][lo & 0xFF]
             ^ t[6][(lo >> 8) & 0xFF]
             ^ t[5][(lo >> 16) & 0xFF]
@@ -83,7 +88,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             ^ t[1][(hi >> 16) & 0xFF]
             ^ t[0][hi >> 24];
     }
-    for &b in words.remainder() {
+    for &b in tail {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
@@ -143,36 +148,36 @@ impl WalRecord {
     /// Returns `Err(reason)` if the bytes are not exactly one well-formed
     /// record — decoding never guesses at partially valid input.
     pub fn decode_payload(bytes: &[u8]) -> Result<WalRecord, String> {
-        if bytes.len() < MIN_PAYLOAD_LEN {
-            return Err(format!("payload too short: {} bytes", bytes.len()));
-        }
-        let seq = u64_at(bytes, 0);
-        let op =
-            WalOp::from_code(bytes[8]).ok_or_else(|| format!("unknown op code {}", bytes[8]))?;
-        let count = u32_at(bytes, 9) as usize;
-        let expected = MIN_PAYLOAD_LEN + count * EDGE_ENCODED_LEN;
-        if bytes.len() != expected {
-            return Err(format!(
-                "payload length {} does not match {count} edges (expected {expected})",
-                bytes.len()
-            ));
-        }
-        let mut edges = Vec::with_capacity(count);
-        let mut at = MIN_PAYLOAD_LEN;
-        for _ in 0..count {
-            let src = u64_at(bytes, at);
-            let dst = u64_at(bytes, at + 8);
-            let label = u16_at(bytes, at + 16);
-            edges.push((NodeId(src), NodeId(dst), Label(label)));
-            at += EDGE_ENCODED_LEN;
-        }
-        Ok(WalRecord { seq, op, edges })
+        decode_record(&mut Reader::new(bytes)).map_err(|(_, why)| why)
     }
 
     /// Appends the framed record (`len`, `crc`, payload) to `out`.
     pub fn encode_frame(&self, out: &mut Vec<u8>) {
         encode_frame(out, self.seq, self.op, &self.edges);
     }
+}
+
+/// [`WalRecord::decode_payload`] with the offset of a failure kept.
+fn decode_record(r: &mut Reader<'_>) -> Result<WalRecord, DecodeError> {
+    let seq = r.u64("seq")?;
+    let code = r.u8("op")?;
+    let op = WalOp::from_code(code).ok_or_else(|| (8, format!("unknown op code {code}")))?;
+    let count = r.u32("edge count")? as u64;
+    let len = r.offset() + r.remaining() as u64;
+    let expected = MIN_PAYLOAD_LEN as u64 + count * EDGE_ENCODED_LEN as u64;
+    if len != expected {
+        return Err((
+            r.offset(),
+            format!("payload length {len} does not match {count} edges (expected {expected})"),
+        ));
+    }
+    let mut edges = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        let src = NodeId(r.u64("edge src")?);
+        let dst = NodeId(r.u64("edge dst")?);
+        edges.push((src, dst, Label(r.u16("edge label")?)));
+    }
+    Ok(WalRecord { seq, op, edges })
 }
 
 /// The one frame encoder, over a *borrowed* batch: the payload is written
@@ -183,13 +188,13 @@ fn encode_frame(out: &mut Vec<u8>, seq: u64, op: WalOp, edges: &[(NodeId, NodeId
     let payload = header + FRAME_HEADER_LEN;
     out.reserve(FRAME_HEADER_LEN + MIN_PAYLOAD_LEN + edges.len() * EDGE_ENCODED_LEN);
     out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
-    out.extend_from_slice(&seq.to_le_bytes());
+    put_u64(out, seq);
     out.push(op.code());
-    out.extend_from_slice(&(edges.len() as u32).to_le_bytes());
+    put_u32(out, edges.len() as u32);
     for &(src, dst, label) in edges {
-        out.extend_from_slice(&src.0.to_le_bytes());
-        out.extend_from_slice(&dst.0.to_le_bytes());
-        out.extend_from_slice(&label.0.to_le_bytes());
+        put_u64(out, src.0);
+        put_u64(out, dst.0);
+        put_u16(out, label.0);
     }
     let (len, crc) = ((out.len() - payload) as u32, crc32(&out[payload..]));
     out[header..header + 4].copy_from_slice(&len.to_le_bytes());
@@ -199,7 +204,7 @@ fn encode_frame(out: &mut Vec<u8>, seq: u64, op: WalOp, edges: &[(NodeId, NodeId
 /// Writes the 8-byte WAL file header into `out`.
 pub fn encode_wal_header(out: &mut Vec<u8>) {
     out.extend_from_slice(&WAL_MAGIC);
-    out.extend_from_slice(&WAL_VERSION.to_le_bytes());
+    put_u32(out, WAL_VERSION);
 }
 
 /// Where and why [`decode_wal_bytes`] stopped before the end of the input.
@@ -225,6 +230,13 @@ pub struct WalDecode {
     pub torn: Option<TornTail>,
 }
 
+impl WalDecode {
+    /// The decode of a log that does not exist yet: clean and empty.
+    fn empty() -> WalDecode {
+        WalDecode { records: Vec::new(), valid_len: WAL_HEADER_LEN as u64, torn: None }
+    }
+}
+
 /// Decodes a WAL byte stream, tolerating a torn or corrupted tail.
 ///
 /// Validation order per frame: enough bytes for the frame header, declared
@@ -233,82 +245,58 @@ pub struct WalDecode {
 /// after it is trusted. A missing or corrupted *file header* rejects the
 /// whole stream (zero records): frames cannot be located without it.
 pub fn decode_wal_bytes(bytes: &[u8]) -> WalDecode {
-    let torn_at = |offset: usize, index: u64, reason: String| TornTail {
-        offset: offset as u64,
-        record_index: index,
-        reason,
-    };
-    if bytes.len() < WAL_HEADER_LEN {
-        return WalDecode {
-            records: Vec::new(),
-            valid_len: 0,
-            torn: Some(torn_at(0, 0, format!("file header torn: {} bytes", bytes.len()))),
-        };
-    }
-    if bytes[0..4] != WAL_MAGIC {
-        return WalDecode {
-            records: Vec::new(),
-            valid_len: 0,
-            torn: Some(torn_at(0, 0, "bad magic".to_string())),
-        };
-    }
-    let version = u32_at(bytes, 4);
-    if version != WAL_VERSION {
-        return WalDecode {
-            records: Vec::new(),
-            valid_len: 0,
-            torn: Some(torn_at(4, 0, format!("unsupported version {version}"))),
-        };
-    }
-
+    let mut r = Reader::new(bytes);
     let mut records = Vec::new();
-    let mut at = WAL_HEADER_LEN;
-    loop {
-        if at == bytes.len() {
-            return WalDecode { records, valid_len: at as u64, torn: None };
-        }
-        let index = records.len() as u64;
-        if bytes.len() - at < FRAME_HEADER_LEN {
-            let reason = format!("torn frame header: {} bytes", bytes.len() - at);
-            return WalDecode {
-                records,
-                valid_len: at as u64,
-                torn: Some(torn_at(at, index, reason)),
-            };
-        }
-        let len = u32_at(bytes, at) as usize;
-        let crc = u32_at(bytes, at + 4);
-        let body = at + FRAME_HEADER_LEN;
-        if len > bytes.len() - body {
-            let reason = format!("torn payload: {len} declared, {} present", bytes.len() - body);
-            return WalDecode {
-                records,
-                valid_len: at as u64,
-                torn: Some(torn_at(at, index, reason)),
-            };
-        }
-        let payload = &bytes[body..body + len];
-        let actual = crc32(payload);
-        if actual != crc {
-            let reason = format!("crc mismatch: stored {crc:#010x}, computed {actual:#010x}");
-            return WalDecode {
-                records,
-                valid_len: at as u64,
-                torn: Some(torn_at(at, index, reason)),
-            };
-        }
-        match WalRecord::decode_payload(payload) {
-            Ok(record) => records.push(record),
-            Err(reason) => {
-                return WalDecode {
-                    records,
-                    valid_len: at as u64,
-                    torn: Some(torn_at(at, index, reason)),
-                };
+    let (valid_len, torn) = match decode_wal_header(&mut r) {
+        Err((offset, reason)) => (0, Some(TornTail { offset, record_index: 0, reason })),
+        Ok(()) => loop {
+            let at = r.offset();
+            if r.remaining() == 0 {
+                break (at, None);
             }
-        }
-        at = body + len;
+            match decode_frame(&mut r) {
+                Ok(record) => records.push(record),
+                Err(reason) => {
+                    let record_index = records.len() as u64;
+                    break (at, Some(TornTail { offset: at, record_index, reason }));
+                }
+            }
+        },
+    };
+    WalDecode { records, valid_len, torn }
+}
+
+/// Checks the 8-byte file header: magic, then version.
+fn decode_wal_header(r: &mut Reader<'_>) -> Result<(), DecodeError> {
+    let len = r.remaining();
+    let (Ok(magic), Ok(version)) = (r.array::<4>("magic"), r.u32("version")) else {
+        return Err((0, format!("file header torn: {len} bytes")));
+    };
+    if magic != WAL_MAGIC {
+        return Err((0, "bad magic".to_string()));
     }
+    if version != WAL_VERSION {
+        return Err((4, format!("unsupported version {version}")));
+    }
+    Ok(())
+}
+
+/// Reads one frame: whole header, whole payload, matching CRC, well-formed
+/// record — in that order.
+fn decode_frame(r: &mut Reader<'_>) -> Result<WalRecord, String> {
+    let left = r.remaining();
+    let (Ok(len), Ok(crc)) = (r.u32("frame length"), r.u32("frame crc")) else {
+        return Err(format!("torn frame header: {left} bytes"));
+    };
+    let present = left - FRAME_HEADER_LEN;
+    let payload = r
+        .take(len as usize, "payload")
+        .map_err(|_| format!("torn payload: {len} declared, {present} present"))?;
+    let actual = crc32(payload);
+    if actual != crc {
+        return Err(format!("crc mismatch: stored {crc:#010x}, computed {actual:#010x}"));
+    }
+    WalRecord::decode_payload(payload)
 }
 
 /// File-backed append side of the WAL, with fsync batching.
@@ -325,6 +313,18 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
+    fn new(file: File, path: &Path, sync_every: usize, len: u64, records: u64) -> WalWriter {
+        WalWriter {
+            file,
+            path: path.to_path_buf(),
+            sync_every: sync_every.max(1),
+            unsynced: 0,
+            len,
+            records,
+            frame: Vec::new(),
+        }
+    }
+
     /// Creates (or truncates) a WAL file, writes the header, and fsyncs.
     ///
     /// `sync_every` is the fsync batch size: the file is fsynced after every
@@ -340,69 +340,37 @@ impl WalWriter {
         encode_wal_header(&mut header);
         file.write_all(&header).map_err(|e| GraphStoreError::io(path, "write wal header", &e))?;
         file.sync_all().map_err(|e| GraphStoreError::io(path, "sync wal header", &e))?;
-        Ok(WalWriter {
-            file,
-            path: path.to_path_buf(),
-            sync_every: sync_every.max(1),
-            unsynced: 0,
-            len: WAL_HEADER_LEN as u64,
-            records: 0,
-            frame: Vec::new(),
-        })
+        Ok(WalWriter::new(file, path, sync_every, WAL_HEADER_LEN as u64, 0))
     }
 
     /// Opens an existing WAL for appending, after decoding what it holds.
     ///
     /// A torn tail is truncated away so appends extend the last whole record;
-    /// a missing, unreadable, or header-corrupt file is recreated empty. The
-    /// decoded prefix is returned for replay.
+    /// a missing or header-corrupt file is recreated empty. The decoded
+    /// prefix is returned for replay.
     pub fn open_for_append(
         path: &Path,
         sync_every: usize,
     ) -> Result<(WalWriter, WalDecode), GraphStoreError> {
-        let bytes = match std::fs::File::open(path) {
-            Ok(mut f) => {
-                let mut buf = Vec::new();
-                f.read_to_end(&mut buf).map_err(|e| GraphStoreError::io(path, "read wal", &e))?;
-                buf
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                // No log yet: start one. Clean empty decode, nothing torn.
-                let writer = WalWriter::create(path, sync_every)?;
-                let decode =
-                    WalDecode { records: Vec::new(), valid_len: WAL_HEADER_LEN as u64, torn: None };
-                return Ok((writer, decode));
-            }
-            Err(e) => return Err(GraphStoreError::io(path, "open wal", &e)),
+        let bytes = read_if_exists(path, "wal")?;
+        let decode = bytes.as_deref().map_or_else(WalDecode::empty, decode_wal_bytes);
+        let file_len = match bytes {
+            Some(bytes) if decode.valid_len > 0 => bytes.len() as u64,
+            _ => return Ok((WalWriter::create(path, sync_every)?, decode)),
         };
-        let decode = decode_wal_bytes(&bytes);
-        if decode.valid_len == 0 {
-            // Missing file or torn/corrupt header: start a fresh log.
-            let writer = WalWriter::create(path, sync_every)?;
-            return Ok((writer, decode));
-        }
+        // Append mode: every write lands at the end, which the truncation
+        // below moves to the end of the last whole record.
         let file = OpenOptions::new()
-            .write(true)
+            .append(true)
             .open(path)
             .map_err(|e| GraphStoreError::io(path, "open wal for append", &e))?;
-        if decode.valid_len < bytes.len() as u64 {
+        if decode.valid_len < file_len {
             file.set_len(decode.valid_len)
                 .map_err(|e| GraphStoreError::io(path, "truncate torn wal tail", &e))?;
             file.sync_all().map_err(|e| GraphStoreError::io(path, "sync truncated wal", &e))?;
         }
-        use std::io::Seek;
-        let mut file = file;
-        file.seek(std::io::SeekFrom::Start(decode.valid_len))
-            .map_err(|e| GraphStoreError::io(path, "seek wal end", &e))?;
-        let writer = WalWriter {
-            file,
-            path: path.to_path_buf(),
-            sync_every: sync_every.max(1),
-            unsynced: 0,
-            len: decode.valid_len,
-            records: decode.records.len() as u64,
-            frame: Vec::new(),
-        };
+        let writer =
+            WalWriter::new(file, path, sync_every, decode.valid_len, decode.records.len() as u64);
         Ok((writer, decode))
     }
 
@@ -462,22 +430,8 @@ impl WalWriter {
 ///
 /// A missing file decodes as an empty, clean log.
 pub fn read_wal_file(path: &Path) -> Result<WalDecode, GraphStoreError> {
-    let bytes = match std::fs::File::open(path) {
-        Ok(mut f) => {
-            let mut buf = Vec::new();
-            f.read_to_end(&mut buf).map_err(|e| GraphStoreError::io(path, "read wal", &e))?;
-            buf
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(WalDecode {
-                records: Vec::new(),
-                valid_len: WAL_HEADER_LEN as u64,
-                torn: None,
-            });
-        }
-        Err(e) => return Err(GraphStoreError::io(path, "open wal", &e)),
-    };
-    Ok(decode_wal_bytes(&bytes))
+    let bytes = read_if_exists(path, "wal")?;
+    Ok(bytes.as_deref().map_or_else(WalDecode::empty, decode_wal_bytes))
 }
 
 #[cfg(test)]

@@ -74,8 +74,8 @@ fn label_statistics_cost_memory_per_label_not_per_node() {
     let before = live_bytes();
     let mut store = LocalGraphStorage::new();
     for (src, dst, label) in edges() {
-        store.insert_edge(src, dst, label).expect("a fresh edge");
-        store.insert_rev_edge(dst, src, label).expect("a fresh mirror entry");
+        assert!(store.insert_edge(src, dst, label).1, "a fresh edge");
+        assert!(store.insert_rev_edge(dst, src, label).1, "a fresh mirror entry");
     }
     let store_bytes = live_bytes() - before;
 

@@ -27,7 +27,6 @@ fn image() -> SnapshotState {
                 (NodeId(1), vec![(NodeId(2), Label(3)), (NodeId(4), Label::ANY)]),
                 (NodeId(3), vec![(NodeId(1), Label(3))]),
             ],
-            capacity_bytes: None,
         }],
         host_rows: vec![HostRowSnapshot {
             node: NodeId(9),

@@ -101,11 +101,9 @@ impl RpqExpr {
                 other => flat.push(other),
             }
         }
-        if flat.len() == 1 {
-            // moctopus-lint: allow(panic-in-lib, reason = "pop of a vec whose length the branch guard pins to 1")
-            flat.pop().expect("length checked")
-        } else {
-            RpqExpr::Concat(flat)
+        match <[RpqExpr; 1]>::try_from(flat) {
+            Ok([only]) => only,
+            Err(flat) => RpqExpr::Concat(flat),
         }
     }
 
@@ -118,25 +116,27 @@ impl RpqExpr {
                 other => flat.push(other),
             }
         }
-        if flat.len() == 1 {
-            // moctopus-lint: allow(panic-in-lib, reason = "pop of a vec whose length the branch guard pins to 1")
-            flat.pop().expect("length checked")
-        } else {
-            RpqExpr::Alt(flat)
+        match <[RpqExpr; 1]>::try_from(flat) {
+            Ok([only]) => only,
+            Err(flat) => RpqExpr::Alt(flat),
         }
     }
 
-    /// The minimum number of edges a matching path can have.
+    /// The minimum number of edges a matching path can have, or `usize::MAX`
+    /// if no path matches (an empty alternation, or anything that requires
+    /// one).
     pub fn min_path_length(&self) -> usize {
         match self {
             RpqExpr::Atom(_) => 1,
-            RpqExpr::Concat(parts) => parts.iter().map(RpqExpr::min_path_length).sum(),
+            RpqExpr::Concat(parts) => {
+                parts.iter().map(RpqExpr::min_path_length).fold(0, usize::saturating_add)
+            }
             RpqExpr::Alt(branches) => {
-                branches.iter().map(RpqExpr::min_path_length).min().unwrap_or(0)
+                branches.iter().map(RpqExpr::min_path_length).min().unwrap_or(usize::MAX)
             }
             RpqExpr::Star(_) | RpqExpr::Optional(_) => 0,
             RpqExpr::Plus(inner) => inner.min_path_length(),
-            RpqExpr::Repeat { expr, min, .. } => expr.min_path_length() * min,
+            RpqExpr::Repeat { expr, min, .. } => expr.min_path_length().saturating_mul(*min),
         }
     }
 

@@ -36,10 +36,10 @@ impl RpqExpr {
     /// Returns `true` if the expression matches *only* the empty path.
     ///
     /// An expression whose maximum path length is zero cannot traverse any
-    /// edge, and every such expression is nullable (a bounded repetition with
-    /// `max == 0` accepts zero repetitions), so its language is exactly `{ε}`.
+    /// edge; if it is also nullable its language is exactly `{ε}`. (An empty
+    /// alternation has no path longer than zero either, but matches none.)
     pub fn is_epsilon(&self) -> bool {
-        self.max_path_length() == Some(0)
+        self.max_path_length() == Some(0) && self.is_nullable()
     }
 
     /// Returns `true` if the empty path matches (the language contains `ε`).
@@ -460,6 +460,20 @@ mod tests {
             let got = eval.evaluate(&expr.normalize(), &sources);
             assert_eq!(got, want, "normalize changed the language of {text:?}");
         }
+        // The empty alternation matches no path, so it is neither ε nor
+        // nullable, and nothing built on it may lose or gain paths.
+        let none = || RpqExpr::Alt(Vec::new());
+        for expr in [
+            none(),
+            RpqExpr::Optional(Box::new(none())),
+            RpqExpr::Star(Box::new(none())),
+            RpqExpr::Concat(vec![none(), RpqExpr::label(1)]),
+        ] {
+            let want = eval.evaluate(&expr, &sources);
+            let got = eval.evaluate(&expr.normalize(), &sources);
+            assert_eq!(got, want, "normalize changed the language of {expr:?}");
+        }
+        assert!(!none().is_epsilon() && !none().is_nullable());
     }
 
     #[test]

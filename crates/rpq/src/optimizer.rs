@@ -297,19 +297,6 @@ pub fn split_for(expr: &RpqExpr, split_at: usize) -> Option<(RpqExpr, RpqExpr, L
     Some((prefix, suffix, pivot))
 }
 
-/// Whether `expr` accepts the empty word (expression-level nullability,
-/// agreeing with `Nfa::accepts_empty` on the compiled automaton).
-fn nullable(expr: &RpqExpr) -> bool {
-    match expr {
-        RpqExpr::Atom(_) => false,
-        RpqExpr::Concat(parts) => parts.iter().all(nullable),
-        RpqExpr::Alt(branches) => branches.iter().any(nullable),
-        RpqExpr::Star(_) | RpqExpr::Optional(_) => true,
-        RpqExpr::Plus(inner) => nullable(inner),
-        RpqExpr::Repeat { expr, min, .. } => *min == 0 || nullable(expr),
-    }
-}
-
 /// Estimated size of the backward base seed for `reversed` (the reversed
 /// expression): the population an executor's useful-set pass must enumerate
 /// before any reverse row is walked. Executors cannot know which end nodes
@@ -327,7 +314,7 @@ fn seed_population(reversed: &RpqExpr, stats: &LabelStatsSnapshot, cap: u64) -> 
             let mut seed = 0u64;
             for part in parts {
                 seed = seed.saturating_add(seed_population(part, stats, cap));
-                if !nullable(part) {
+                if !part.is_nullable() {
                     break;
                 }
             }

@@ -191,15 +191,15 @@ impl ResultCache {
     /// entry's LRU tick.
     pub fn lookup(&mut self, key: &CacheKey) -> Option<(Vec<Vec<NodeId>>, QueryStats)> {
         self.tick += 1;
-        let Some(shared) = self.entries.get_key_value(key).map(|(k, _)| Arc::clone(k)) else {
+        let Some(entry) = self.entries.get_mut(key) else {
             self.stats.misses += 1;
             return None;
         };
-        // moctopus-lint: allow(panic-in-lib, reason = "get_key_value on the line above proved the key present; &mut self excludes interleaving")
-        let entry = self.entries.get_mut(key).expect("key present above");
-        self.lru.remove(&entry.last_used);
+        // The entry's LRU slot holds the shared key; it moves to the new tick.
+        if let Some(shared) = self.lru.remove(&entry.last_used) {
+            self.lru.insert(self.tick, shared);
+        }
         entry.last_used = self.tick;
-        self.lru.insert(self.tick, shared);
         self.stats.hits += 1;
         Some((entry.results.clone(), entry.stats))
     }
@@ -222,8 +222,7 @@ impl ResultCache {
             self.lru.remove(&old.last_used);
         }
         while self.entries.len() >= self.config.capacity {
-            // moctopus-lint: allow(panic-in-lib, reason = "loop guard keeps entries non-empty and every entry has an lru slot by construction")
-            let (_, victim) = self.lru.pop_first().expect("lru tracks every entry");
+            let Some((_, victim)) = self.lru.pop_first() else { break };
             self.entries.remove(&*victim);
             self.stats.evictions += 1;
         }
@@ -247,29 +246,26 @@ impl ResultCache {
             return 0;
         }
         let mode = self.config.mode;
-        // moctopus-lint: allow(hash-iter-order, reason = "builds the doomed *set*; all members are removed below, so collection order is invisible")
-        let doomed: Vec<Arc<CacheKey>> = self
-            .entries
-            .iter()
-            .filter(|(_, entry)| {
-                let results_hit =
-                    footprint.invalidates_results(&entry.deps, |l| entry.alphabet.contains(l));
-                match mode {
-                    ConsistencyMode::CostExact => {
-                        results_hit || footprint.invalidates_costs(&entry.deps)
-                    }
-                    ConsistencyMode::RowExact => results_hit,
+        let before = self.entries.len();
+        let lru = &mut self.lru;
+        // moctopus-lint: allow(hash-iter-order, reason = "removes the doomed *set*; each removal touches only its own entry and LRU slot, so visiting order is invisible")
+        self.entries.retain(|_, entry| {
+            let results_hit =
+                footprint.invalidates_results(&entry.deps, |l| entry.alphabet.contains(l));
+            let doomed = match mode {
+                ConsistencyMode::CostExact => {
+                    results_hit || footprint.invalidates_costs(&entry.deps)
                 }
-            })
-            .map(|(key, _)| Arc::clone(key))
-            .collect();
-        for key in &doomed {
-            // moctopus-lint: allow(panic-in-lib, reason = "doomed was collected from entries under &mut self; nothing removed them since")
-            let entry = self.entries.remove(&**key).expect("doomed keys exist");
-            self.lru.remove(&entry.last_used);
-        }
-        self.stats.invalidated += doomed.len() as u64;
-        doomed.len()
+                ConsistencyMode::RowExact => results_hit,
+            };
+            if doomed {
+                lru.remove(&entry.last_used);
+            }
+            !doomed
+        });
+        let removed = before - self.entries.len();
+        self.stats.invalidated += removed as u64;
+        removed
     }
 }
 

@@ -184,23 +184,23 @@ fn local_step(
     step: Step,
 ) -> Result<(), TestCaseError> {
     match step {
-        // Duplicates must error on *both* sides and change nothing.
+        // Duplicates must be reported unchanged on *both* sides.
         Step::Insert(s, d, l) => {
-            let fwd = segments[owner[s.0 as usize]].insert_edge(s, d, l);
-            let rev = segments[owner[d.0 as usize]].insert_rev_edge(d, s, l);
+            let (_, fwd) = segments[owner[s.0 as usize]].insert_edge(s, d, l);
+            let (_, rev) = segments[owner[d.0 as usize]].insert_rev_edge(d, s, l);
             if model.insert((s, d, l)) {
-                prop_assert!(fwd.is_ok() && rev.is_ok(), "fresh edge rejected");
+                prop_assert!(fwd && rev, "fresh edge rejected");
             } else {
-                prop_assert!(fwd.is_err() && rev.is_err(), "duplicate accepted");
+                prop_assert!(!fwd && !rev, "duplicate accepted");
             }
         }
         Step::Delete(s, d, l) => {
-            let fwd = segments[owner[s.0 as usize]].remove_edge(s, d, l);
-            let rev = segments[owner[d.0 as usize]].remove_rev_edge(d, s, l);
+            let (_, fwd) = segments[owner[s.0 as usize]].remove_edge(s, d, l);
+            let (_, rev) = segments[owner[d.0 as usize]].remove_rev_edge(d, s, l);
             if model.remove(&(s, d, l)) {
-                prop_assert!(fwd.is_ok() && rev.is_ok(), "stored edge not removed");
+                prop_assert!(fwd && rev, "stored edge not removed");
             } else {
-                prop_assert!(fwd.is_err() && rev.is_err(), "absent edge removed");
+                prop_assert!(!fwd && !rev, "absent edge removed");
             }
         }
         Step::Move(n) => {
@@ -230,14 +230,14 @@ fn hetero_step(
             let changed = store.insert_edge(s, d, l).changed;
             prop_assert_eq!(changed, model.insert((s, d, l)));
             if changed {
-                store.insert_rev_edge(d, s, l).expect("mirror of a fresh edge");
+                prop_assert!(store.insert_rev_edge(d, s, l).1, "mirror of a fresh edge");
             }
         }
         Step::Delete(s, d, l) => {
             let changed = store.delete_edge(s, d, l).changed;
             prop_assert_eq!(changed, model.remove(&(s, d, l)));
             if changed {
-                store.remove_rev_edge(d, s, l).expect("mirrored entry");
+                prop_assert!(store.remove_rev_edge(d, s, l).1, "mirrored entry");
             }
         }
         Step::Move(n) => {
@@ -383,10 +383,10 @@ proptest! {
             assert_stats_exact(&store.label_stats().snapshot(), &model, &context)?;
         }
         // A reverse-only label: an in-edge whose forward row lives elsewhere.
-        store.insert_rev_edge(NodeId(5), NodeId(4), Label(7)).expect("fresh reverse entry");
+        prop_assert!(store.insert_rev_edge(NodeId(5), NodeId(4), Label(7)).1, "fresh reverse entry");
         let c = store.label_stats().snapshot().counters(Label(7));
         prop_assert_eq!((c.edges, c.sources, c.targets), (0, 0, 1), "reverse-only label");
-        store.remove_rev_edge(NodeId(5), NodeId(4), Label(7)).expect("stored reverse entry");
+        prop_assert!(store.remove_rev_edge(NodeId(5), NodeId(4), Label(7)).1, "stored reverse entry");
 
         for _ in 0..ops {
             let step = if mix.below(2) == 0 || model.is_empty() {
