@@ -1,7 +1,7 @@
 //! The batch k-hop loop: plan → execute → merge per hop over the worker
-//! pool, with owner lookups in the dense directory, epoch-marked dedup and
-//! recycled frontier buffers (CONCURRENCY.md §3.1; the worker clamp and the
-//! scan-balanced module split are §4.1).
+//! pool, with transfers charged per row from owner-class tallies,
+//! epoch-marked dedup and recycled frontier buffers (CONCURRENCY.md §3.1;
+//! the worker clamp and the scan-balanced module split are §4.1).
 
 use super::{
     active_workers, balanced_ranges, merge_per_query, take_scratch, ErasedEngine, ENTRY_BYTES,
@@ -42,11 +42,6 @@ impl FrontierScratch {
         buf.clear();
         buf
     }
-
-    /// Returns a spent buffer to the pool.
-    fn recycle(&mut self, buf: Vec<NodeId>) {
-        self.pool.push(buf);
-    }
 }
 
 /// Per-worker context of one k-hop execute stage: the worker's private
@@ -74,10 +69,7 @@ impl HopCtx {
     /// Readies a hop: one candidate buffer per query, a zeroed scan tally.
     fn prepare(&mut self, queries: usize, module_count: usize) {
         debug_assert!(self.nexts.is_empty(), "previous hop must have drained the candidates");
-        for _ in 0..queries {
-            let buf = self.scratch.take_buffer();
-            self.nexts.push(buf);
-        }
+        self.nexts.extend((0..queries).map(|_| self.scratch.take_buffer()));
         self.scanned.clear();
         self.scanned.resize(module_count + 1, 0);
     }
@@ -163,10 +155,7 @@ impl ErasedEngine {
             let delta = self.charge_hop(&deltas, &mut timeline);
 
             next_frontiers.clear();
-            for _ in 0..frontiers.len() {
-                let buf = scratch.take_buffer();
-                next_frontiers.push(buf);
-            }
+            next_frontiers.extend((0..frontiers.len()).map(|_| scratch.take_buffer()));
             // Worker-local marks make each candidate list duplicate-free, so
             // the union only has to order a query's entries and drop what
             // distinct workers found independently: `sort_dedup`, by bit sets
@@ -200,17 +189,13 @@ impl ErasedEngine {
                     },
                 );
             }
-            // Every worker's spent candidate buffers go back to its own pool.
+            // Every worker's spent candidate buffers go back to its own pool
+            // (`take_buffer` clears them).
             for ctx in &mut ctxs[..active] {
-                for mut buf in ctx.nexts.drain(..) {
-                    buf.clear();
-                    ctx.scratch.recycle(buf);
-                }
+                ctx.scratch.pool.append(&mut ctx.nexts);
             }
             std::mem::swap(&mut frontiers, &mut next_frontiers);
-            for spent in next_frontiers.drain(..) {
-                scratch.recycle(spent);
-            }
+            scratch.pool.append(&mut next_frontiers);
             if let Some(deps) = track.as_deref_mut() {
                 // Merged state only: the hop's frontier union and the merged
                 // delta are thread-count invariant, so the deps are too.
@@ -240,10 +225,11 @@ impl ErasedEngine {
     /// expands only the entries whose row lives on one of its modules (or on
     /// the host, for the host-lane worker), so each `per_module` slot — and
     /// `host_time` — receives its floating-point charges in exactly the
-    /// sequential order. Produced next-hops are deduplicated per
-    /// `(query, hop)` with the worker's private epoch marks; transfer bytes
-    /// are still charged per produced entry, exactly as in the sequential
-    /// loop.
+    /// sequential order. An expansion's transfers are charged per row, from
+    /// the row's [`RowTally`](super::RowTally): the same integer sums the
+    /// per-entry charges of the sequential loop add up to. Produced
+    /// next-hops are deduplicated per `(query, hop)` with the worker's
+    /// private epoch marks.
     fn khop_hop_worker(
         &self,
         my_modules: &Range<usize>,
@@ -254,58 +240,42 @@ impl ErasedEngine {
     ) -> StatsDelta {
         let module_count = self.config.pim.num_modules;
         let mut delta = StatsDelta::new(module_count);
-        // One call through the partitioner's vtable; every lookup below is
-        // a load from the dense owner directory.
-        let owners = self.partitioner.assignment();
+        let row_owner = self.owner_lookup();
         for (q, frontier) in frontiers.iter().enumerate() {
             let next = &mut ctx.nexts[q];
+            let marks = &mut ctx.scratch.marks;
             // One marker generation per (query, hop): a produced entry is
-            // pushed only on first sight, so the candidate list is
+            // kept only on first sight, so the candidate list is
             // duplicate-free (within this worker) by construction.
-            ctx.scratch.marks.next_epoch();
+            marks.next_epoch();
             for &v in frontier {
-                match owners.partition_of(v) {
+                match row_owner(v) {
                     Some(PartitionId::Host) if host_lane => {
-                        let row_bytes = self.host_store.row_bytes(v);
-                        ctx.scanned[module_count] += 1 + row_bytes / ID_BYTES;
+                        let (slots, row) = self.host_store.row_scan(v);
+                        ctx.scanned[module_count] += 1 + slots as u64;
                         delta.host_time += self.pim.host_random_access_cost(1, host_resident_bytes)
-                            + self.pim.host_sequential_read_cost(row_bytes);
-                        for (u, _) in self.host_store.neighbors_iter(v) {
-                            // The host forwards the produced entry to the
-                            // module owning it (or keeps it if the next
-                            // row is also host-resident).
-                            if matches!(owners.partition_of(u), Some(PartitionId::Pim(_))) {
-                                delta.cpc_bytes += ENTRY_BYTES;
-                            }
-                            if ctx.scratch.marks.mark(u.index()) {
-                                next.push(u);
-                            }
-                        }
+                            + self.pim.host_sequential_read_cost(slots as u64 * ID_BYTES);
+                        // The host forwards each produced entry whose next
+                        // row lives on a module, and keeps the rest.
+                        let tally = self.tallies.get(v.index()).copied().unwrap_or_default();
+                        delta.cpc_bytes += u64::from(tally.on_pim) * ENTRY_BYTES;
+                        push_first_sights(marks, next, slots, row.map(|(u, _)| u));
                     }
                     Some(PartitionId::Pim(m)) if my_modules.contains(&(m as usize)) => {
                         let m = m as usize;
                         let row = self.local_stores[m].row(v).unwrap_or(&[]);
-                        let row_bytes = row.len() as u64 * ID_BYTES;
-                        ctx.scanned[m] += 1 + row.len() as u64;
-                        delta.per_module[m] += self.pim.pim_hash_lookup_cost(row_bytes);
-                        for &(u, _) in row {
-                            match owners.partition_of(u) {
-                                Some(PartitionId::Pim(m2)) if m2 as usize == m => {}
-                                Some(PartitionId::Pim(_)) => {
-                                    delta.ipc_bytes += ENTRY_BYTES;
-                                    delta.ipc_messages += 1;
-                                }
-                                _ => {
-                                    // Destination row lives on the host (or
-                                    // is unknown): the entry is gathered
-                                    // over the CPC link.
-                                    delta.cpc_bytes += ENTRY_BYTES;
-                                }
-                            }
-                            if ctx.scratch.marks.mark(u.index()) {
-                                next.push(u);
-                            }
-                        }
+                        let len = row.len() as u64;
+                        ctx.scanned[m] += 1 + len;
+                        delta.per_module[m] += self.pim.pim_hash_lookup_cost(len * ID_BYTES);
+                        // An entry whose next row is on another module is
+                        // forwarded (IPC); one whose next row is on the host
+                        // (or unknown) is gathered over the CPC link.
+                        let tally = self.tallies.get(v.index()).copied().unwrap_or_default();
+                        let forwarded = u64::from(tally.on_pim - tally.on_own);
+                        delta.ipc_bytes += forwarded * ENTRY_BYTES;
+                        delta.ipc_messages += forwarded;
+                        delta.cpc_bytes += (len - u64::from(tally.on_pim)) * ENTRY_BYTES;
+                        push_first_sights(marks, next, row.len(), row.iter().map(|&(u, _)| u));
                     }
                     _ => {
                         // Another worker's module, or a node that has never
@@ -316,4 +286,23 @@ impl ErasedEngine {
         }
         delta
     }
+}
+
+/// Appends to `next` every node of `row` (at most `len` of them) not yet
+/// marked this generation: each node is written past the end and kept by
+/// advancing over it on first sight, so the loop has no branch on the mark.
+fn push_first_sights(
+    marks: &mut EpochMarks,
+    next: &mut Vec<NodeId>,
+    len: usize,
+    row: impl Iterator<Item = NodeId>,
+) {
+    let start = next.len();
+    next.resize(start + len, NodeId(0));
+    let mut end = start;
+    for u in row {
+        next[end] = u;
+        end += usize::from(marks.mark(u.index()));
+    }
+    next.truncate(end);
 }

@@ -110,6 +110,37 @@ fn row_label_wire_bytes(row: &[(NodeId, Label)]) -> u64 {
     row.iter().map(|&(_, l)| label_wire_bytes(l)).sum()
 }
 
+/// How one forward row's entries split by where their next rows live: on
+/// any PIM module, and on the row's own module (never, for a host row). The
+/// k-hop loop charges an expansion's transfers from these counts instead of
+/// every entry's owner; the engine keeps them exact where a row or an owner
+/// changes (ARCHITECTURE.md §1).
+#[derive(Debug, Clone, Copy, Default)]
+struct RowTally {
+    on_pim: u32,
+    on_own: u32,
+}
+
+impl RowTally {
+    /// Counts into (`insert`) or out of the tally one entry of a row on
+    /// `row` whose next row lives on `dst`.
+    fn count(&mut self, row: Option<PartitionId>, dst: Option<PartitionId>, insert: bool) {
+        if matches!(dst, Some(PartitionId::Pim(_))) {
+            let step = |n: u32, by: u32| if insert { n + by } else { n - by };
+            self.on_pim = step(self.on_pim, 1);
+            self.on_own = step(self.on_own, u32::from(row == dst));
+        }
+    }
+}
+
+/// `node`'s tally in a table indexed by node id, which grows to cover it.
+fn tally_slot(tallies: &mut Vec<RowTally>, node: NodeId) -> &mut RowTally {
+    if node.index() >= tallies.len() {
+        tallies.resize(node.index() + 1, RowTally::default());
+    }
+    &mut tallies[node.index()]
+}
+
 /// Frontier entries each *additional* worker of a hop must bring.
 ///
 /// Re-derived by the sweep of CONCURRENCY.md §4.1 (`closure`, two workers)
@@ -257,6 +288,9 @@ pub struct DistributedPimEngine<P: ?Sized> {
     local_stores: Vec<LocalGraphStorage>,
     host_store: HeterogeneousStorage,
     edge_count: usize,
+    /// One [`RowTally`] per node id, dense like the owner directory and
+    /// grown with it; not part of a snapshot (a restore recounts).
+    tallies: Vec<RowTally>,
     pool: WorkerPool,
     scratch: HopScratch,
     /// Last, so that an engine coerces to [`ErasedEngine`].
@@ -293,6 +327,7 @@ impl<P: StreamingPartitioner + Sync + 'static> DistributedPimEngine<P> {
             local_stores,
             host_store: HeterogeneousStorage::new(),
             edge_count: 0,
+            tallies: Vec::new(),
             scratch: HopScratch::default(),
             partitioner,
         }
@@ -368,6 +403,13 @@ impl ErasedEngine {
     /// `None` for a node no edge has named (such a node has no row anywhere).
     fn owner(&self, node: NodeId) -> Option<PartitionId> {
         self.partitioner.partition_of(node)
+    }
+
+    /// [`ErasedEngine::owner`] for a loop: one vtable call here, one
+    /// dense-directory load per call of the returned lookup.
+    fn owner_lookup(&self) -> impl Fn(NodeId) -> Option<PartitionId> + '_ {
+        let owners = self.partitioner.assignment();
+        move |node| owners.partition_of(node)
     }
 
     // ------------------------------------------------------------------
@@ -457,15 +499,15 @@ impl<P: StreamingPartitioner + Sync + 'static> GraphEngine for DistributedPimEng
 
     /// Answers a batch k-hop path query with full cost accounting.
     ///
-    /// The hop loop is a batch-frontier engine: owner lookups are single
-    /// dense-directory loads, produced next-hops are deduplicated with
-    /// epoch-stamped markers as they are pushed (the raw expansion is never
-    /// materialised), and frontier buffers are recycled across hops and
-    /// queries. Each hop runs as plan → execute → merge: the execute stage
-    /// fans the frontier out over the worker pool (disjoint module ownership,
-    /// private scratch), and the merge stage reduces the per-worker
-    /// [`StatsDelta`]s in worker-id order and sorts the merged candidate
-    /// frontiers. Every simulated charge — cpc/ipc/mram byte and
+    /// The hop loop is a batch-frontier engine: one dense-directory load per
+    /// frontier entry, transfers charged per row from its `RowTally`,
+    /// next-hops deduplicated with epoch-stamped markers as they are pushed
+    /// (the raw expansion is never materialised), frontier buffers recycled
+    /// across hops and queries. Each hop runs as plan → execute → merge: the
+    /// execute stage fans the frontier out over the worker pool (disjoint
+    /// module ownership, private scratch), and the merge stage reduces the
+    /// per-worker [`StatsDelta`]s in worker-id order and sorts the merged
+    /// candidate frontiers. Every simulated charge — cpc/ipc/mram byte and
     /// instruction — is identical to the naive sequential formulation at any
     /// thread count, including the order float charges accumulate in, so
     /// same-seed experiment outputs do not move.
@@ -662,6 +704,7 @@ impl<P: StreamingPartitioner + Sync + 'static> GraphEngine for DistributedPimEng
         );
         self.edge_count = snapshot.edge_count as usize;
         self.erased_mut().rebuild_rev_rows();
+        self.erased_mut().rebuild_tallies();
         true
     }
 

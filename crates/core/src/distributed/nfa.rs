@@ -488,13 +488,12 @@ impl ErasedEngine {
         let scan_bytes = |entries: usize| entries as u64 * (ID_BYTES + LABEL_BYTES);
         let cost = match owner {
             PartitionId::Host => {
-                let row = self.host_store.neighbors_iter(node);
+                let (slots, row) = self.host_store.row_scan(node);
                 // The host forwards a produced entry to the module owning it
                 // (or keeps it if the next row is also host-resident).
                 self.match_row(row, transitions, shape, successors, |to| {
                     cpc_entries += u64::from(matches!(to, Some(PartitionId::Pim(_))));
                 });
-                let slots = self.host_store.slot_count(node);
                 self.pim.host_random_access_cost(1, host_resident_bytes)
                     + self.pim.host_sequential_read_cost(scan_bytes(slots))
             }

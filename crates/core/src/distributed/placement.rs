@@ -3,7 +3,9 @@
 //! image. Every method here that moves a row takes `&mut self`, which is
 //! what ends an expansion memo's life (CONCURRENCY.md §6 rule 8).
 
-use super::{row_label_wire_bytes, DistributedPimEngine, ErasedEngine, ID_BYTES};
+use super::{
+    row_label_wire_bytes, tally_slot, DistributedPimEngine, ErasedEngine, RowTally, ID_BYTES,
+};
 use graph_partition::{
     GreedyAdaptivePartitioner, MigrationReport, PartitionMetrics, StreamingPartitioner,
 };
@@ -54,6 +56,18 @@ impl ErasedEngine {
         let mut edges = Vec::with_capacity(self.host_store.edge_count());
         edges.extend(host_edges(&self.host_store));
         self.mirror_rev_entries(edges);
+    }
+
+    /// Recounts every row's [`RowTally`] from scratch: after refinement
+    /// moved rows, and beside [`ErasedEngine::rebuild_rev_rows`] on restore.
+    pub(super) fn rebuild_tallies(&mut self) {
+        let owners = self.partitioner.assignment();
+        let mut tallies = vec![RowTally::default(); owners.id_bound() as usize];
+        for (src, dst, _) in self.stored_edges() {
+            let (row_owner, dst_owner) = (owners.partition_of(src), owners.partition_of(dst));
+            tally_slot(&mut tallies, src).count(row_owner, dst_owner, true);
+        }
+        self.tallies = tallies;
     }
 
     /// Inserts the reverse entry of every edge at its destination's owner.
@@ -121,6 +135,7 @@ impl DistributedPimEngine<GreedyAdaptivePartitioner> {
                 break;
             }
         }
+        self.erased_mut().rebuild_tallies();
         (combined, timeline)
     }
 }

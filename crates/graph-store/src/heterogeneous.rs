@@ -301,26 +301,17 @@ impl HeterogeneousStorage {
 
     /// Live labelled next-hops of `src` (host-side sequential read).
     pub fn neighbors(&self, src: NodeId) -> Vec<(NodeId, Label)> {
-        self.neighbors_iter(src).collect()
+        self.row_scan(src).1.collect()
     }
 
-    /// Iterates the live labelled next-hops of `src` (slot order) without
-    /// materialising them — the query hop loop scans hub rows this way.
-    pub fn neighbors_iter(&self, src: NodeId) -> impl Iterator<Item = (NodeId, Label)> + '_ {
-        self.cols.get(&src).into_iter().flat_map(|c| live(&c.slots))
-    }
-
-    /// Bytes the host reads to fetch the id array of `src`'s row (one
-    /// contiguous fetch over the whole `cols_vector`, including free slots;
-    /// the parallel label array is charged separately via
-    /// [`HeterogeneousStorage::slot_count`] when a scan is label-constrained).
-    pub fn row_bytes(&self, src: NodeId) -> u64 {
-        (self.slot_count(src) * std::mem::size_of::<NodeId>()) as u64
-    }
-
-    /// Number of slots (live + free) in `src`'s `cols_vector`.
-    pub fn slot_count(&self, src: NodeId) -> usize {
-        self.cols.get(&src).map(|c| c.slots.len()).unwrap_or(0)
+    /// `src`'s row as a query scan reads it, with one probe of the host
+    /// table: the slot count of its `cols_vector` (live and free: the host
+    /// fetches the whole id array, and a label-constrained scan the whole
+    /// label array too) and the live labelled next-hops in slot order, not
+    /// materialised.
+    pub fn row_scan(&self, src: NodeId) -> (usize, impl Iterator<Item = (NodeId, Label)> + '_) {
+        let slots = self.cols.get(&src).map_or(&[][..], |c| &c.slots[..]);
+        (slots.len(), live(slots))
     }
 
     /// Live out-degree of `src`.
@@ -431,9 +422,9 @@ impl HeterogeneousStorage {
     /// Each entry is `(row, slots, free)`: the host-side `cols_vector`
     /// **verbatim** — free slots included, as the sentinel id — plus the
     /// row's free list in its exact pop order. Both must be preserved
-    /// byte-for-byte: the slot layout determines `row_bytes` (and thus every
-    /// future query cost), and the free-list order determines which slot the
-    /// next insert reuses.
+    /// byte-for-byte: the slot layout determines a scan's slot count (and
+    /// thus every future query cost), and the free-list order determines
+    /// which slot the next insert reuses.
     pub fn export_rows(&self) -> Vec<ExportedHostRow> {
         // moctopus-lint: allow(hash-iter-order, reason = "collected then sorted by row id before use, below")
         let mut rows: Vec<ExportedHostRow> = self
@@ -493,7 +484,7 @@ mod tests {
         assert!(s.delete_edge(NodeId(1), NodeId(5), ANY).changed);
         // The freed slot (position 0) must be reused by the next insert.
         assert!(s.insert_edge(NodeId(1), NodeId(7), ANY).changed);
-        assert_eq!(s.row_bytes(NodeId(1)), 16); // still only two slots
+        assert_eq!(s.row_scan(NodeId(1)).0, 2); // still only two slots
         let mut n: Vec<NodeId> = s.neighbors(NodeId(1)).into_iter().map(|(d, _)| d).collect();
         n.sort();
         assert_eq!(n, vec![NodeId(6), NodeId(7)]);
@@ -598,11 +589,11 @@ mod tests {
             vec![(NodeId(5), ANY), (NodeId(6), ANY), (NodeId(7), ANY), (NodeId(4), ANY)],
         );
         s.delete_edge(NodeId(1), NodeId(6), ANY).changed.then_some(()).unwrap();
-        let before_bytes = s.row_bytes(NodeId(1));
+        let before = s.row_scan(NodeId(1)).0;
         let outcome = s.insert_edge(NodeId(1), NodeId(2), ANY);
         assert!(outcome.changed);
         assert_eq!(outcome.cost.host_bytes_written, 8);
-        assert_eq!(s.row_bytes(NodeId(1)), before_bytes); // slot reused, no growth
+        assert_eq!(s.row_scan(NodeId(1)).0, before); // slot reused, no growth
         assert!(s.has_edge(NodeId(1), NodeId(2), ANY));
         s.check_invariants().unwrap();
     }
