@@ -35,8 +35,9 @@ impl ErasedEngine {
     /// accumulators, so the order is what keeps every [`UpdateStats`]
     /// bit-identical (`tests/update_cost_golden.rs`):
     ///
-    /// 1. the partitioner sees the edge; an insert that pushes the source
-    ///    across the degree threshold migrates its rows to the host first;
+    /// 1. the partitioner sees the edge and, on an insert, names the
+    ///    source's owner after it; an insert that pushes the source across
+    ///    the degree threshold migrates its rows to the host first;
     /// 2. the forward write at the source's owner and its charge — one probe
     ///    of the row, whose length *before* the write prices the access;
     /// 3. if that changed the store, the mirrored write into the reverse row
@@ -64,9 +65,7 @@ impl ErasedEngine {
             let owner = if insert {
                 // Partitioning decision happens on edge arrival (radical greedy).
                 let before = self.owner(src);
-                self.partitioner.on_edge(src, dst);
-                // moctopus-lint: allow(panic-in-lib, reason = "on_edge unconditionally assigns src an owner on the line above")
-                let after = self.owner(src).expect("source was just assigned");
+                let after = self.partitioner.on_edge(src, dst);
                 // Labor division: the node may have just crossed the threshold.
                 if let (Some(PartitionId::Pim(old)), PartitionId::Host) = (before, after) {
                     self.promote_to_host(src, old as usize, &mut delta);

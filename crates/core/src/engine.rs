@@ -202,99 +202,6 @@ pub trait GraphEngine {
     }
 }
 
-/// Boxed engines are engines: forwarding impl so harnesses and the serving
-/// layer can hold `Box<dyn GraphEngine + Send>` and still pass it wherever an
-/// `impl GraphEngine` is expected (every call forwards to the boxed value's
-/// own implementation, overridden methods included).
-impl<T: GraphEngine + ?Sized> GraphEngine for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn insert_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-        (**self).insert_edges(edges)
-    }
-
-    fn delete_edges(&mut self, edges: &[(NodeId, NodeId)]) -> UpdateStats {
-        (**self).delete_edges(edges)
-    }
-
-    fn insert_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-        (**self).insert_labeled_edges(edges)
-    }
-
-    fn delete_labeled_edges(&mut self, edges: &[(NodeId, NodeId, Label)]) -> UpdateStats {
-        (**self).delete_labeled_edges(edges)
-    }
-
-    fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
-        (**self).k_hop_batch(sources, k)
-    }
-
-    fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) {
-        (**self).rpq_batch(expr, sources)
-    }
-
-    fn rpq_batch_planned(
-        &mut self,
-        expr: &RpqExpr,
-        sources: &[NodeId],
-        strategy: PlanStrategy,
-    ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        (**self).rpq_batch_planned(expr, sources, strategy)
-    }
-
-    fn rpq_batch_tracked(
-        &mut self,
-        expr: &RpqExpr,
-        sources: &[NodeId],
-    ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
-        (**self).rpq_batch_tracked(expr, sources)
-    }
-
-    fn insert_labeled_edges_tracked(
-        &mut self,
-        edges: &[(NodeId, NodeId, Label)],
-    ) -> (UpdateStats, UpdateFootprint) {
-        (**self).insert_labeled_edges_tracked(edges)
-    }
-
-    fn delete_labeled_edges_tracked(
-        &mut self,
-        edges: &[(NodeId, NodeId, Label)],
-    ) -> (UpdateStats, UpdateFootprint) {
-        (**self).delete_labeled_edges_tracked(edges)
-    }
-
-    fn edge_count(&self) -> usize {
-        (**self).edge_count()
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        (**self).set_threads(threads)
-    }
-
-    fn threads(&self) -> usize {
-        (**self).threads()
-    }
-
-    fn export_snapshot(&self) -> Option<SnapshotState> {
-        (**self).export_snapshot()
-    }
-
-    fn restore_snapshot(&mut self, snapshot: &SnapshotState) -> bool {
-        (**self).restore_snapshot(snapshot)
-    }
-
-    fn label_stats(&self) -> LabelStatsSnapshot {
-        (**self).label_stats()
-    }
-
-    fn export_rev_rows(&self) -> Vec<(NodeId, Vec<(NodeId, Label)>)> {
-        (**self).export_rev_rows()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

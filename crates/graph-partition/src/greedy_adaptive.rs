@@ -147,7 +147,7 @@ impl GreedyAdaptivePartitioner {
 
     /// Assigns a brand-new node given its first neighbour (the other endpoint
     /// of the edge that introduced it), following the radical greedy heuristic.
-    fn assign_new_node(&mut self, node: NodeId, first_neighbor: Option<NodeId>) {
+    fn assign_new_node(&mut self, node: NodeId, first_neighbor: Option<NodeId>) -> PartitionId {
         let target = first_neighbor
             .and_then(|n| self.assignment.partition_of(n))
             .and_then(|p| match p {
@@ -159,19 +159,20 @@ impl GreedyAdaptivePartitioner {
             })
             .unwrap_or_else(|| self.fallback_module(node));
         self.assignment.assign(node, PartitionId::Pim(target));
+        PartitionId::Pim(target)
     }
 
-    /// Records the degree increase of `src` and promotes it to the host when
-    /// it crosses the high-degree threshold (labor division).
-    fn bump_degree(&mut self, src: NodeId) {
+    /// Records the degree increase of `src`, whose partition is `owner`, and
+    /// promotes it to the host when it crosses the high-degree threshold
+    /// (labor division). Returns `src`'s partition afterwards.
+    fn bump_degree(&mut self, src: NodeId, owner: PartitionId) -> PartitionId {
         let crossed = self.degrees.record_insert(src);
-        if crossed
-            && self.config.labor_division
-            && self.assignment.partition_of(src) != Some(PartitionId::Host)
-        {
+        if crossed && self.config.labor_division && owner != PartitionId::Host {
             self.assignment.assign(src, PartitionId::Host);
             self.promotions.push(src);
+            return PartitionId::Host;
         }
+        owner
     }
 
     /// [`GreedyAdaptivePartitioner::refine_rows`] over the out-rows of
@@ -243,14 +244,15 @@ impl GreedyAdaptivePartitioner {
 }
 
 impl StreamingPartitioner for GreedyAdaptivePartitioner {
-    fn on_edge(&mut self, src: NodeId, dst: NodeId) {
-        if !self.assignment.contains(src) {
-            self.assign_new_node(src, Some(dst).filter(|d| self.assignment.contains(*d)));
-        }
+    fn on_edge(&mut self, src: NodeId, dst: NodeId) -> PartitionId {
+        let owner = match self.assignment.partition_of(src) {
+            Some(owner) => owner,
+            None => self.assign_new_node(src, Some(dst).filter(|d| self.assignment.contains(*d))),
+        };
         if !self.assignment.contains(dst) {
             self.assign_new_node(dst, Some(src));
         }
-        self.bump_degree(src);
+        self.bump_degree(src, owner)
     }
 
     fn partition_of(&self, node: NodeId) -> Option<PartitionId> {
@@ -321,9 +323,15 @@ mod tests {
     #[test]
     fn high_degree_nodes_are_promoted_to_host() {
         let mut p = GreedyAdaptivePartitioner::new(4);
-        for i in 1..=17u64 {
-            p.on_edge(NodeId(0), NodeId(i));
+        // `on_edge` names the source's owner after the edge: its module
+        // until the edge that crosses the threshold, the host from then on.
+        let module = p.on_edge(NodeId(0), NodeId(1));
+        assert!(matches!(module, PartitionId::Pim(_)));
+        for i in 2..=16u64 {
+            assert_eq!(p.on_edge(NodeId(0), NodeId(i)), module);
         }
+        assert_eq!(p.on_edge(NodeId(0), NodeId(17)), PartitionId::Host);
+        assert_eq!(p.on_edge(NodeId(0), NodeId(18)), PartitionId::Host);
         assert_eq!(p.partition_of(NodeId(0)), Some(PartitionId::Host));
         assert_eq!(p.promotions(), &[NodeId(0)]);
         // Low-degree neighbours stay on PIM modules.

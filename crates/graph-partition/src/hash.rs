@@ -44,18 +44,22 @@ impl HashPartitioner {
         PartitionId::Pim((h % num_modules.max(1) as u64) as u32)
     }
 
-    fn ensure_assigned(&mut self, node: NodeId) {
-        if !self.assignment.contains(node) {
-            let p = Self::hash_partition(node, self.assignment.num_pim_modules());
-            self.assignment.assign(node, p);
+    /// The node's partition, assigning its hash module on first sight.
+    fn ensure_assigned(&mut self, node: NodeId) -> PartitionId {
+        if let Some(p) = self.assignment.partition_of(node) {
+            return p;
         }
+        let p = Self::hash_partition(node, self.assignment.num_pim_modules());
+        self.assignment.assign(node, p);
+        p
     }
 }
 
 impl StreamingPartitioner for HashPartitioner {
-    fn on_edge(&mut self, src: NodeId, dst: NodeId) {
-        self.ensure_assigned(src);
+    fn on_edge(&mut self, src: NodeId, dst: NodeId) -> PartitionId {
+        let owner = self.ensure_assigned(src);
         self.ensure_assigned(dst);
+        owner
     }
 
     fn partition_of(&self, node: NodeId) -> Option<PartitionId> {
@@ -97,9 +101,10 @@ mod tests {
     #[test]
     fn placement_is_deterministic_and_never_host() {
         let mut p = HashPartitioner::new(4);
-        p.on_edge(NodeId(10), NodeId(11));
-        p.on_edge(NodeId(10), NodeId(12));
-        let first = p.partition_of(NodeId(10)).unwrap();
+        let first = p.on_edge(NodeId(10), NodeId(11));
+        assert_eq!(first, HashPartitioner::hash_partition(NodeId(10), 4));
+        assert_eq!(p.on_edge(NodeId(10), NodeId(12)), first);
+        assert_eq!(p.partition_of(NodeId(10)), Some(first));
         assert!(!first.is_host());
         // Re-observing the node never changes its placement.
         p.on_edge(NodeId(13), NodeId(10));

@@ -53,8 +53,10 @@ use graph_store::{NodeId, PartitionId, SnapshotState};
 /// it appears in the edge stream. The provided methods fit a partitioner that
 /// keeps nothing beyond its assignment, such as [`HashPartitioner`].
 pub trait StreamingPartitioner {
-    /// Observes an inserted edge and assigns any previously unseen endpoint.
-    fn on_edge(&mut self, src: NodeId, dst: NodeId);
+    /// Observes an inserted edge and assigns any previously unseen endpoint,
+    /// source first. Returns the source's partition after the edge, which a
+    /// promotion the edge triggered has already moved to the host.
+    fn on_edge(&mut self, src: NodeId, dst: NodeId) -> PartitionId;
 
     /// Observes a deleted edge. Placement never changes on a delete; the
     /// default keeps no per-edge state to update.

@@ -1,57 +1,15 @@
-//! Plain edge-list import.
+//! SNAP-style edge-list import.
 //!
 //! The SNAP datasets the paper evaluates on are distributed as whitespace
 //! separated `src dst` text files with `#` comment lines. This module parses
-//! that format so externally downloaded traces can be dropped in as a
-//! substitute for the synthetic generators.
+//! that format, with an optional label column, so externally downloaded
+//! traces can be dropped in as a substitute for the synthetic generators.
 
-use crate::adjacency::AdjacencyGraph;
 use crate::error::GraphStoreError;
 use crate::ids::{Label, NodeId};
 use std::collections::HashMap;
 use std::io::BufRead;
 use std::path::Path;
-
-/// Parses a SNAP-style edge list from a reader.
-///
-/// Lines starting with `#` (or empty lines) are ignored; every other line must
-/// contain two unsigned integers separated by whitespace.
-///
-/// # Errors
-///
-/// Returns [`GraphStoreError::ParseEdgeList`] for malformed lines and
-/// propagates I/O errors as parse errors containing the I/O message.
-///
-/// # Examples
-///
-/// ```
-/// use graph_store::edgelist::read_edge_list;
-/// let text = "# comment\n0 1\n1 2\n";
-/// let g = read_edge_list(text.as_bytes())?;
-/// assert_eq!(g.edge_count(), 2);
-/// # Ok::<(), graph_store::GraphStoreError>(())
-/// ```
-pub fn read_edge_list<R: BufRead>(reader: R) -> Result<AdjacencyGraph, GraphStoreError> {
-    let mut graph = AdjacencyGraph::new();
-    for line in reader.lines() {
-        let line = line.map_err(|e| GraphStoreError::ParseEdgeList(e.to_string()))?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace();
-        let src = parts
-            .next()
-            .and_then(|t| t.parse::<u64>().ok())
-            .ok_or_else(|| GraphStoreError::ParseEdgeList(line.clone()))?;
-        let dst = parts
-            .next()
-            .and_then(|t| t.parse::<u64>().ok())
-            .ok_or_else(|| GraphStoreError::ParseEdgeList(line.clone()))?;
-        graph.insert_edge(NodeId(src), NodeId(dst), Label::ANY);
-    }
-    Ok(graph)
-}
 
 /// A labelled edge list loaded from a SNAP-style file, with the original
 /// node ids compacted into a dense `0..node_count` range.
@@ -155,25 +113,27 @@ mod tests {
     #[test]
     fn parses_comments_and_blank_lines() {
         let text = "# SNAP header\n\n0 1\n1\t2\n  2   0  \n";
-        let g = read_edge_list(text.as_bytes()).unwrap();
-        assert_eq!(g.edge_count(), 3);
-        assert!(g.has_edge(NodeId(2), NodeId(0), Label::ANY));
+        let load = read_labeled_edge_list(text.as_bytes()).unwrap();
+        assert_eq!(load.lines, 3);
+        let [a, b, c] = [0, 1, 2].map(NodeId);
+        assert_eq!(load.edges, vec![(a, b, Label::ANY), (b, c, Label::ANY), (c, a, Label::ANY)]);
     }
 
     #[test]
     fn rejects_malformed_lines() {
-        let text = "0 1\nnot numbers\n";
-        let err = read_edge_list(text.as_bytes()).unwrap_err();
-        assert!(matches!(err, GraphStoreError::ParseEdgeList(_)));
-
-        let text = "0\n";
-        assert!(read_edge_list(text.as_bytes()).is_err());
+        let err = read_labeled_edge_list("0 1\nnot numbers\n".as_bytes()).unwrap_err();
+        match err {
+            GraphStoreError::ParseEdgeList(msg) => assert!(msg.contains("line 2"), "{msg}"),
+            other => panic!("unexpected error {other:?}"),
+        }
+        // One column is not an edge.
+        assert!(read_labeled_edge_list("0\n".as_bytes()).is_err());
     }
 
     #[test]
     fn empty_input_yields_empty_graph() {
-        let g = read_edge_list("".as_bytes()).unwrap();
-        assert!(g.is_empty());
+        let load = read_labeled_edge_list("".as_bytes()).unwrap();
+        assert_eq!(load, EdgeListLoad::default());
     }
 
     fn fixture_path() -> std::path::PathBuf {

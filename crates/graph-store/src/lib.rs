@@ -18,7 +18,7 @@
 //! * [`degree`] — out-degree tracking and the high-degree threshold (16).
 //! * [`labelstats`] — per-label edge/cardinality counters, kept by the row
 //!   tables; the input of the cost-based RPQ plan optimizer.
-//! * [`edgelist`] — plain and SNAP-style labelled edge-list import.
+//! * [`edgelist`] — SNAP-style (optionally labelled) edge-list import.
 //! * [`snapshot`] / [`wal`] / [`durable`] — the durable storage plane: a
 //!   versioned, checksummed snapshot format, an append-only labelled-edge
 //!   write-ahead log with per-record CRC and torn-tail-tolerant recovery, and

@@ -4,22 +4,21 @@
 //! returns all endpoint pairs connected by a path whose label sequence matches
 //! the expression. The Moctopus paper's evaluation focuses on the most common
 //! RPQ shape — the *k-hop path query* with fixed start nodes, processed in
-//! batches — and compiles it into a matrix-based execution plan
-//! (`ans = Q × Adj × … × Adj`) made of `smxm`/`mwait` operators.
+//! batches.
 //!
-//! This crate provides the full pipeline:
+//! This crate is the query language only; the engines that execute it,
+//! the RedisGraph-like host baseline's matrix chains included, live in
+//! `moctopus`:
 //!
 //! * [`ast`] — the RPQ expression tree ([`RpqExpr`]), including the
 //!   [`RpqExpr::k_hop`] constructor used throughout the evaluation.
 //! * [`parser`] — a SPARQL-property-path-flavoured text syntax
 //!   (`"1/2*"`, `".{3}"`, `"(1|2)+"`).
+//! * [`norm`] — normal forms: the canonical rewrite behind query
+//!   fingerprints, and the label alphabet of an expression.
 //! * [`nfa`] — Glushkov (ε-free) automaton construction.
 //! * [`eval`] — a reference evaluator (product-automaton BFS) used to verify
 //!   every other engine in the workspace.
-//! * [`plan`] — matrix-based execution plans (`smxm` and `mwait`
-//!   operators) and the host-side executor that runs them row by row over
-//!   the graph's sorted rows, which is the RedisGraph-like baseline's query
-//!   path.
 //! * [`optimizer`] — cost-based plan selection (forward vs bidirectional vs
 //!   rare-label-first split) over incrementally maintained per-label
 //!   statistics, with the plan-invariance contract that served results are
@@ -42,11 +41,9 @@ pub mod nfa;
 pub mod norm;
 pub mod optimizer;
 pub mod parser;
-pub mod plan;
 
 pub use ast::{LabelSpec, RpqExpr};
 pub use eval::ReferenceEvaluator;
 pub use nfa::Nfa;
 pub use norm::LabelAlphabet;
 pub use optimizer::{choose_plan, PlanChoice, PlanStrategy};
-pub use plan::{ExecutionPlan, PlanOp};

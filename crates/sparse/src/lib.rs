@@ -4,7 +4,7 @@
 //! RedisGraph — the baseline system in the Moctopus paper — evaluates graph
 //! queries by translating them into sparse matrix algebra over the boolean
 //! semiring (GraphBLAS). The reproduction's baseline runs those plans row by
-//! row over the graph's own sorted rows (`rpq::plan::HostMatrixEngine`), so
+//! row over the graph's own sorted rows (`moctopus::host_baseline`), so
 //! the matrix half of this crate is only the contrast kernel the benchmark's
 //! `sparse.mxm.ns_per_nnz` layer times:
 //!

@@ -3,7 +3,7 @@
 //! The paper's execution plans are sequences of GraphBLAS operations; `smxm`
 //! (sparse matrix × matrix) performs one hop of path matching. The host
 //! baseline runs that product row by row over the graph's own rows
-//! (`rpq::plan::HostMatrixEngine`); this kernel remains as the contrast the
+//! (`moctopus::host_baseline`); this kernel remains as the contrast the
 //! benchmark times.
 
 use crate::matrix::SparseBoolMatrix;

@@ -1,10 +1,10 @@
 //! End-to-end RPQ pipeline tests: text syntax -> AST -> automaton ->
-//! evaluation, cross-checked against the matrix execution plans.
+//! evaluation, cross-checked against the host baseline's matrix chains.
 
 use graph_store::{AdjacencyGraph, Label, NodeId};
+use moctopus::{GraphEngine, HostBaseline, MoctopusConfig};
 use proptest::prelude::*;
-use rpq::plan::HostMatrixEngine;
-use rpq::{parser, ExecutionPlan, ReferenceEvaluator, RpqExpr};
+use rpq::{parser, ReferenceEvaluator, RpqExpr};
 
 /// A small multi-label graph: a ring over label 0 with chords over label 1.
 fn labelled_graph(n: u64) -> AdjacencyGraph {
@@ -18,18 +18,25 @@ fn labelled_graph(n: u64) -> AdjacencyGraph {
     g
 }
 
+/// A host baseline holding exactly `graph`'s labelled edges.
+fn host_baseline(graph: &AdjacencyGraph) -> HostBaseline {
+    let mut engine = HostBaseline::new(MoctopusConfig::small_test());
+    engine.insert_labeled_edges(&graph.to_sorted_edges());
+    engine
+}
+
 #[test]
 fn parsed_k_hop_matches_matrix_plan() {
     let g = labelled_graph(40);
-    let engine = HostMatrixEngine::new(&g);
+    let mut engine = host_baseline(&g);
     let reference = ReferenceEvaluator::new(&g);
     let sources: Vec<NodeId> = (0..10u64).map(NodeId).collect();
 
     for k in 1..=4usize {
         let expr = parser::parse(&format!(".{{{k}}}")).expect("valid query text");
         assert_eq!(expr, RpqExpr::k_hop(k));
-        let plan = ExecutionPlan::from_expr(&expr).expect("k-hop has a matrix plan");
-        let (matrix_results, _) = engine.run(&plan, &sources);
+        let (matrix_results, stats) = engine.rpq_batch(&expr, &sources);
+        assert_eq!(stats.hops, k, "a k-hop query runs as a k-step matrix chain");
         let nfa_results = reference.evaluate(&expr, &sources);
         for (m, n) in matrix_results.iter().zip(nfa_results.iter()) {
             let n: Vec<NodeId> = n.iter().copied().collect();
@@ -41,14 +48,14 @@ fn parsed_k_hop_matches_matrix_plan() {
 #[test]
 fn label_constrained_chain_matches_automaton() {
     let g = labelled_graph(30);
-    let engine = HostMatrixEngine::new(&g);
+    let mut engine = host_baseline(&g);
     let reference = ReferenceEvaluator::new(&g);
     let sources: Vec<NodeId> = (0..30u64).map(NodeId).collect();
 
-    for text in ["0/0", "1/0", "0/1/0", "1", "(0){3}"] {
+    for (text, hops) in [("0/0", 2), ("1/0", 2), ("0/1/0", 3), ("1", 1), ("(0){3}", 3)] {
         let expr = parser::parse(text).expect("valid query text");
-        let plan = ExecutionPlan::from_expr(&expr).expect("fixed-length query");
-        let (matrix_results, _) = engine.run(&plan, &sources);
+        let (matrix_results, stats) = engine.rpq_batch(&expr, &sources);
+        assert_eq!(stats.hops, hops, "{text:?} runs as a matrix chain, one level per hop");
         let nfa_results = reference.evaluate(&expr, &sources);
         for (i, (m, n)) in matrix_results.iter().zip(nfa_results.iter()).enumerate() {
             let n: Vec<NodeId> = n.iter().copied().collect();
@@ -63,9 +70,14 @@ fn unbounded_queries_fall_back_to_the_automaton() {
     let reference = ReferenceEvaluator::new(&g);
     // Transitive closure over label 0 from node 0 reaches the whole ring.
     let expr = parser::parse("0+").expect("valid query text");
-    assert!(ExecutionPlan::from_expr(&expr).is_none(), "unbounded queries have no matrix chain");
     let results = reference.evaluate(&expr, &[NodeId(0)]);
     assert_eq!(results[0].len(), 20);
+    // No matrix chain has a fixed length for it: the host baseline sweeps
+    // the automaton, one level per ring step (the last one finds nothing
+    // new), and agrees with the reference.
+    let (swept, stats) = host_baseline(&g).rpq_batch(&expr, &[NodeId(0)]);
+    assert_eq!(swept[0], results[0].iter().copied().collect::<Vec<_>>());
+    assert_eq!(stats.hops, 21);
 }
 
 #[test]
@@ -112,12 +124,11 @@ proptest! {
     #[test]
     fn matrix_and_automaton_agree(seed in 0u64..500, k in 1usize..4) {
         let graph = graph_gen::uniform::generate(120, 3.0, seed);
-        let engine = HostMatrixEngine::new(&graph);
+        let mut engine = host_baseline(&graph);
         let reference = ReferenceEvaluator::new(&graph);
         let sources: Vec<NodeId> = (0..8u64).map(NodeId).collect();
         let expr = RpqExpr::k_hop(k);
-        let plan = ExecutionPlan::from_expr(&expr).expect("k-hop plan");
-        let (matrix_results, _) = engine.run(&plan, &sources);
+        let (matrix_results, _) = engine.k_hop_batch(&sources, k);
         let nfa_results = reference.evaluate(&expr, &sources);
         for (m, n) in matrix_results.iter().zip(nfa_results.iter()) {
             let n: Vec<NodeId> = n.iter().copied().collect();
