@@ -99,6 +99,13 @@ impl DepMask {
         self.0 == 0
     }
 
+    /// Returns `true` if every bucket is set: no insert can change the set,
+    /// so a traversal that floods the graph stops hashing its nodes.
+    #[inline]
+    pub fn is_full(self) -> bool {
+        self == DepMask::ALL
+    }
+
     /// Number of buckets in the set.
     pub fn len(self) -> u32 {
         self.0.count_ones()
@@ -302,6 +309,13 @@ mod tests {
         let mut c = DepMask::EMPTY;
         c.union(a);
         assert_eq!(c, a);
+    }
+
+    #[test]
+    fn a_full_mask_stays_full() {
+        let mut mask = DepMask::ALL;
+        (0..64).chain([12345, u64::MAX]).for_each(|id| mask.insert(NodeId(id)));
+        assert!(mask.is_full() && !DepMask::EMPTY.is_full());
     }
 
     #[test]

@@ -14,21 +14,11 @@ use pim_sim::Timeline;
 use sparse::{EpochMarks, OrderedBitmap};
 use std::ops::Range;
 
-/// Reusable scratch state of the batch-frontier hop loop.
-///
-/// `k_hop_batch` is the innermost loop of every experiment binary, so its
-/// working memory survives across hops, queries, and whole batches instead of
-/// being allocated per hop:
-///
-/// * `marks` — one [`EpochMarks`] generation per `(query, hop)` deduplicates
-///   produced next-hops in O(1) per entry, replacing the `sort` + `dedup`
-///   over the duplicate-laden raw expansion;
-/// * `pool` — recycled frontier buffers; each hop's spent frontiers are
-///   returned to the pool and handed back out (capacity intact) as the next
-///   hop's output buffers.
-///
-/// The scratch only changes *how* frontiers are materialised, never what the
-/// cost model charges.
+/// Reusable scratch state of the batch-frontier hop loop, kept across hops,
+/// queries and batches: `marks`, one [`EpochMarks`] generation per
+/// `(query, hop)` deduplicating produced next-hops in O(1) each, and `pool`,
+/// recycled frontier buffers handed back out (capacity intact) as the next
+/// hop's. It changes *how* frontiers are materialised, never a charge.
 #[derive(Debug, Default)]
 pub(super) struct FrontierScratch {
     marks: EpochMarks,
@@ -44,24 +34,18 @@ impl FrontierScratch {
     }
 }
 
-/// Per-worker context of one k-hop execute stage: the worker's private
-/// dedup marks and buffer pool, plus its per-query candidate frontiers.
-///
-/// Everything in here is owned exclusively by one worker while the execute
-/// stage runs (determinism rule 2: private scratch); the merge stage drains
-/// `nexts` on the calling thread and the scratch survives inside the engine
-/// across hops, queries, and batches.
+/// Per-worker context of one k-hop execute stage, owned by one worker while
+/// it runs (CONCURRENCY.md §6 rule 2): private dedup marks and buffer pool,
+/// plus the per-query candidate frontiers the merge stage drains.
 #[derive(Debug, Default)]
 pub(super) struct HopCtx {
     scratch: FrontierScratch,
     nexts: Vec<Vec<NodeId>>,
     /// Row entries this worker scanned this hop (row length plus one per
     /// expanded entry), per PIM module, the host lane's last: what the next
-    /// hop's module split is balanced on ([`balanced_ranges`]). Integers
-    /// beside the [`StatsDelta`], never in it: they count what the
-    /// simulator's threads did, not what the platform is charged, and no
-    /// output reads them. A worker fills only the slots it owns, so the sum
-    /// over a hop's workers is the same at every worker count.
+    /// hop's module split is balanced on ([`balanced_ranges`]). Kept beside
+    /// the [`StatsDelta`], never in it, and no output reads them; summed over
+    /// a hop's workers they are the same at every worker count.
     scanned: Vec<u64>,
 }
 
@@ -124,11 +108,9 @@ impl ErasedEngine {
             let frontier_entries = frontiers.iter().map(Vec::len).sum::<usize>();
             expansions += frontier_entries;
 
-            // ---- execute: embarrassingly parallel over module slices. The
-            // worker count is clamped by the hop's work — a hop too small to
-            // repay a hand-off runs inline — and the modules are dealt to
-            // the workers by what the previous hop scanned on each (output
-            // is invariant under both, so re-splitting per hop is free).
+            // ---- execute: parallel over module slices, the worker count
+            // clamped by the hop's work and the modules dealt by what the
+            // previous hop scanned on each (output is invariant under both).
             let active = active_workers(layout_width, frontier_entries);
             let hop_ranges =
                 balanced_ranges(scanned[module_count], &scanned[..module_count], active);
@@ -157,11 +139,9 @@ impl ErasedEngine {
             next_frontiers.clear();
             next_frontiers.extend((0..frontiers.len()).map(|_| scratch.take_buffer()));
             // Worker-local marks make each candidate list duplicate-free, so
-            // the union only has to order a query's entries and drop what
-            // distinct workers found independently: `sort_dedup`, by bit sets
-            // and a word scan over the dense ids or by comparison sort — the
-            // same vector either way. One worker's lists are swapped in, not
-            // copied; several workers' are merged on those workers.
+            // the union only orders a query's entries and drops what distinct
+            // workers found independently (`sort_dedup`). One worker's lists
+            // are swapped in, not copied; several workers' merge on them.
             let order = |bitmap: &mut OrderedBitmap, next: &mut Vec<NodeId>| {
                 bitmap.sort_dedup(
                     next,
@@ -200,10 +180,11 @@ impl ErasedEngine {
                 // Merged state only: the hop's frontier union and the merged
                 // delta are thread-count invariant, so the deps are too.
                 deps.host_lane |= !delta.host_time.is_zero();
-                for frontier in &frontiers {
-                    for &v in frontier {
-                        deps.nodes.insert(v);
+                for &v in frontiers.iter().flatten() {
+                    if deps.nodes.is_full() {
+                        break;
                     }
+                    deps.nodes.insert(v);
                 }
             }
         }

@@ -37,17 +37,17 @@
 //!
 //! The per-hop work of both query loops runs on a
 //! [`moctopus_runtime::WorkerPool`]: every hop is split into a *plan* stage
-//! (dispatch accounting, worker count and module split), an embarrassingly
-//! parallel *execute* stage (each worker owns a disjoint slice of PIM modules
-//! — worker 0 also owns the host lane — and expands only the frontier entries
-//! its computing nodes own, accumulating into a private [`StatsDelta`] and
-//! private frontier scratch), and a deterministic *merge* stage (worker
-//! deltas reduce in ascending worker-id order on the calling thread; each
-//! query's candidates are sorted and deduplicated on the workers, a chunk of
-//! queries each). Disjoint ownership, the id-ordered reduction and set-valued
-//! frontiers keep every simulated number — including the order
-//! floating-point charges accumulate in — byte-identical at any thread
-//! count; CONCURRENCY.md walks the full argument.
+//! (dispatch accounting, worker count and split), an embarrassingly parallel
+//! *execute* stage and a deterministic *merge* stage. A k-hop worker owns a
+//! disjoint slice of PIM modules — worker 0 also owns the host lane — and
+//! charges into a private [`StatsDelta`]; an NFA-product worker owns a
+//! contiguous key range of the hop's frontiers and logs its float charges,
+//! which the calling thread adds in frontier order. Worker deltas reduce in
+//! ascending worker-id order on the calling thread; each query's candidates
+//! are sorted and deduplicated on the workers, a chunk of queries each. Every
+//! simulated number — including the order floating-point charges accumulate
+//! in — is therefore byte-identical at any thread count; CONCURRENCY.md walks
+//! the full argument.
 
 use crate::config::MoctopusConfig;
 use crate::deps::{QueryDeps, UpdateFootprint};
@@ -141,25 +141,16 @@ fn tally_slot(tallies: &mut Vec<RowTally>, node: NodeId) -> &mut RowTally {
     &mut tallies[node.index()]
 }
 
-/// Frontier entries each *additional* worker of a hop must bring.
-///
-/// Re-derived by the sweep of CONCURRENCY.md §4.1 (`closure`, two workers)
-/// once a hand-off was a message to a polling crew and no longer a thread
-/// wake-up: `ops_per_s` is flat from 16 to 512 (53.8 / 55.3 / 53.8 / 55.5 at
-/// 16 / 64 / 128 / 256; 52.8 / 52.6 at 256 / 512), lower at the old 1024
-/// (49.6 against 53.9 at 128, 6 of 6; 51.5 against 52.8 at 256, 5 of 5) and
-/// 15 % lower at 8192. 256 sits on the plateau short of its edge: the fewest
-/// hand-offs (two regions per hop) that still give every hop worth splitting
-/// a second worker, with margin for the hop that finds its worker asleep.
+/// Frontier entries each *additional* worker of a hop must bring: on the
+/// plateau of the sweep in CONCURRENCY.md §4.1 (`closure` is flat from 16 to
+/// 512 and slower from 1024 up), short of its edge.
 const ENTRIES_PER_EXTRA_WORKER: usize = 256;
 
 /// Worker count actually used for one hop: the batch-level layout width
 /// clamped by the hop's *work*, one worker plus one more per
-/// [`ENTRIES_PER_EXTRA_WORKER`] frontier entries. Long-tail closure hops and
-/// small batches therefore run inline on the calling thread. The determinism
-/// contract makes any clamp value produce identical output (CONCURRENCY.md
-/// §4: no step of the argument uses which worker owns a module), so this is
-/// purely a wall-clock decision.
+/// [`ENTRIES_PER_EXTRA_WORKER`] frontier entries, so long-tail closure hops
+/// and small batches run inline. Any clamp gives identical output
+/// (CONCURRENCY.md §4): a wall-clock decision only.
 fn active_workers(layout_width: usize, frontier_entries: usize) -> usize {
     (1 + frontier_entries / ENTRIES_PER_EXTRA_WORKER).min(layout_width).max(1)
 }
@@ -177,10 +168,9 @@ fn active_workers(layout_width: usize, frontier_entries: usize) -> usize {
 /// the parts behind it); the last part takes the rest.
 ///
 /// The ranges are contiguous, cover `0..weights.len()` and depend only on
-/// `(head, weights, parts)` — deterministic tallies, never timing; with no
-/// weight at all (a first hop) they are the even [`chunk_ranges`]. Any such
-/// split yields the same output (CONCURRENCY.md §4): this one only decides
-/// how long the hop's slowest worker runs.
+/// `(head, weights, parts)`; with no weight at all (a first hop) they are
+/// the even [`chunk_ranges`]. Any such split gives the same output
+/// (CONCURRENCY.md §4).
 fn balanced_ranges(head: u64, weights: &[u64], parts: usize) -> Vec<Range<usize>> {
     let mut left = head + weights.iter().sum::<u64>();
     if left == 0 {
@@ -497,20 +487,10 @@ impl<P: StreamingPartitioner + Sync + 'static> GraphEngine for DistributedPimEng
         self.erased_mut().apply(EdgeOp::Delete, &mut edges.iter().copied(), None)
     }
 
-    /// Answers a batch k-hop path query with full cost accounting.
-    ///
-    /// The hop loop is a batch-frontier engine: one dense-directory load per
-    /// frontier entry, transfers charged per row from its `RowTally`,
-    /// next-hops deduplicated with epoch-stamped markers as they are pushed
-    /// (the raw expansion is never materialised), frontier buffers recycled
-    /// across hops and queries. Each hop runs as plan → execute → merge: the
-    /// execute stage fans the frontier out over the worker pool (disjoint
-    /// module ownership, private scratch), and the merge stage reduces the
-    /// per-worker [`StatsDelta`]s in worker-id order and sorts the merged
-    /// candidate frontiers. Every simulated charge — cpc/ipc/mram byte and
-    /// instruction — is identical to the naive sequential formulation at any
-    /// thread count, including the order float charges accumulate in, so
-    /// same-seed experiment outputs do not move.
+    /// Answers a batch k-hop path query with full cost accounting: the
+    /// batch-frontier hop loop of `distributed/khop.rs`, whose every charge —
+    /// float order included — equals the naive sequential formulation's at
+    /// any thread count (CONCURRENCY.md §3.1, §4).
     fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
         self.erased_mut().k_hop_batch_impl(sources, k, None)
     }
@@ -527,27 +507,17 @@ impl<P: StreamingPartitioner + Sync + 'static> GraphEngine for DistributedPimEng
         self.erased_mut().nfa_product_batch_impl(&nfa, sources, None, None)
     }
 
-    /// [`PlanStrategy::Forward`] *is* the canonical path — same code, same
-    /// charges — and k-hop shapes always take it (plan choice is about label
-    /// asymmetry, which `.{k}` does not have). The non-forward strategies run
-    /// the same product loop — worker pool included — pruned with what a
-    /// sweep over the reverse adjacency index found:
-    ///
-    /// * [`PlanStrategy::Bidirectional`] first sweeps the reversed automaton
-    ///   backward over the in-adjacency rows to compute the *useful* product
-    ///   pairs — those from which an accepting pair is still reachable — then
-    ///   runs the forward product with its frontier restricted to useful
-    ///   pairs. Every proper prefix pair of an accepting path is useful, so
-    ///   pruning never drops an answer.
-    /// * [`PlanStrategy::RareLabelSplit`] seeds the suffix automaton at the
-    ///   pivot label's exact source set (from the reverse-maintained label
-    ///   statistics), runs the prefix automaton pruned toward those pivots,
-    ///   and joins the two halves on the host.
-    ///
-    /// A strategy that does not fit the expression (a split position with no
-    /// mandatory exact pivot) falls back to the forward path. Answers are
-    /// byte-identical under every strategy (`tests/plan_invariance.rs` and
-    /// `tests/rpq_taxonomy.rs` prove it).
+    /// [`PlanStrategy::Forward`] *is* the canonical path, and k-hop shapes
+    /// always take it. The non-forward strategies run the same product loop,
+    /// pruned with what a sweep over the reverse adjacency index found:
+    /// [`PlanStrategy::Bidirectional`] restricts the frontiers to the
+    /// *useful* pairs (an accepting pair is still reachable from them; every
+    /// proper prefix pair of an accepting path is one), and
+    /// [`PlanStrategy::RareLabelSplit`] seeds the suffix automaton at the
+    /// pivot label's sources, runs the prefix pruned toward them and joins
+    /// the halves on the host. A strategy that does not fit the expression
+    /// falls back to the forward path; answers are byte-identical under
+    /// every strategy (`tests/plan_invariance.rs`, `tests/rpq_taxonomy.rs`).
     fn rpq_batch_planned(
         &mut self,
         expr: &RpqExpr,

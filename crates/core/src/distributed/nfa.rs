@@ -1,7 +1,7 @@
 //! The NFA-product loop behind `rpq_batch` and the executed non-forward
-//! plans: frontiers of node-major product keys, per-query visited sets, and
-//! the build-then-replay expansion memo (CONCURRENCY.md §3.1 and §4.1; the
-//! memo's contract is §6 rule 8).
+//! plans: product-key frontiers, per-query visited sets, the expansion memo,
+//! each hop's key-range split and the charge log the calling thread replays
+//! (CONCURRENCY.md §3.1 and §4.1; the memo's contract is §6 rule 8).
 
 use super::planned::Pruning;
 use super::{
@@ -11,41 +11,46 @@ use super::{
 use crate::deps::QueryDeps;
 use crate::stats::{QueryStats, StatsDelta};
 use graph_store::{Label, NodeId, PartitionId};
-use moctopus_runtime::chunk_ranges;
+use moctopus_runtime::key_ranges;
 use pim_sim::{Phase, SimTime, Timeline};
 use rpq::{LabelSpec, Nfa};
 use sparse::{EpochMarks, OrderedBitmap, ProductSet};
 use std::ops::Range;
 
+/// One float charge of an expansion: the accumulator (a `per_module` index,
+/// or [`HOST_LANE`]) and the one `SimTime` it receives.
+type Charge = (u32, SimTime);
+
+/// The accumulator of a host-lane charge, `host_time`: past every module.
+const HOST_LANE: u32 = u32::MAX;
+
 /// Per-worker context of one NFA-product execute stage: epoch marks over
-/// product keys (one generation per `(query, hop)`), per-query candidate
-/// lists — keys, like the frontiers — and the call's [`ExpansionMemo`].
-///
-/// Unlike the k-hop loop the product traversal's cross-hop dedup lives in the
-/// per-query *global* visited sets; the marks only bound what one worker
-/// emits within one `(query, hop)` so candidate lists stay duplicate-free
-/// before the merge.
+/// product keys, one generation per `(query, hop)` (cross-hop dedup lives in
+/// the per-query visited sets; the marks keep one worker's candidate lists
+/// duplicate-free), per-query candidate lists of keys, the call's
+/// [`ExpansionMemo`] and the hop's charge log.
 #[derive(Debug, Default)]
 pub(super) struct NfaHopCtx {
     marks: EpochMarks,
     nexts: Vec<Vec<usize>>,
     pub(super) memo: ExpansionMemo,
+    /// This hop's float charges in this worker's frontier order; the worker
+    /// only logs them, the calling thread adds them ([`replay_charges`]).
+    charges: Vec<Charge>,
+    /// Where each query's run of `charges` ends.
+    charge_ends: Vec<usize>,
 }
 
 /// What expanding one product pair charges and produces.
 ///
-/// For the duration of one `nfa_product_visit` the engine is borrowed
-/// mutably, so no store, owner, `live_bytes` or automaton can change: all of
-/// this is a pure function of the pair, computed once per call and worker
-/// (`build_expansion`) and replayed for every query and hop that reaches the
-/// pair.
+/// While `nfa_product_visit` borrows the engine mutably no store, owner,
+/// `live_bytes` or automaton can change: this is a pure function of the
+/// pair, built once per call and worker and replayed for every reach.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Expansion {
-    /// The one `SimTime` the expansion adds to its lane's accumulator — the
-    /// value the accumulator receives, never a partial sum.
-    cost: SimTime,
-    /// The accumulator: a `per_module` index, the module count for the host.
-    lane: usize,
+    /// The float charge — the value the accumulator receives, never a
+    /// partial sum — or `None` for a node no edge has named (no row).
+    charge: Option<Charge>,
     /// Matched transitions into another PIM module.
     ipc_messages: u64,
     /// Matched transitions that cross the CPU↔PIM bus.
@@ -55,28 +60,13 @@ pub(super) struct Expansion {
     successors_end: usize,
 }
 
-/// Slot values from here up tag a pair this worker does not expand with its
-/// lane; smaller non-zero values are an entry index plus one.
-const FOREIGN: u32 = 1 << 31;
-
-/// One slot of an [`ExpansionMemo`], decoded.
-enum Slot {
-    /// Not seen in this call.
-    Empty,
-    /// Expanded on the given lane, which was another worker's when seen.
-    Foreign(usize),
-    /// Built: an index into the entries.
-    Entry(usize),
-}
-
 /// One worker's expansion memo: scratch like the marks, valid for one batch
 /// call on one engine (CONCURRENCY.md §6 rule 8).
 ///
-/// A `u32` slot per product key leads to the pair's [`Expansion`], or says
-/// which lane expands it (a pair on another worker's module costs its slot
-/// and its place in `touched`, nothing more). A call starts by zeroing the
-/// slots the previous one touched — never the key space — so a small query
-/// pays for what it expanded, and nothing outlives the call logically.
+/// A `u32` slot per product key is zero or the index of the pair's
+/// [`Expansion`] plus one. A call starts by zeroing the slots the previous
+/// one touched — never the key space — so a small query pays for what it
+/// expanded, and nothing outlives the call logically.
 #[derive(Debug, Default)]
 pub(super) struct ExpansionMemo {
     slots: Vec<u32>,
@@ -102,35 +92,22 @@ impl ExpansionMemo {
         }
     }
 
+    /// The entry index of `key`, if this call built one.
     #[inline]
-    fn slot(&self, key: usize) -> Slot {
-        match self.slots[key] {
-            0 => Slot::Empty,
-            tag if tag >= FOREIGN => Slot::Foreign((tag - FOREIGN) as usize),
-            index => Slot::Entry(index as usize - 1),
-        }
-    }
-
-    /// Writes `value` into the slot of `key`; `None` (a lane or an index the
-    /// slot cannot hold) leaves the pair to be derived again next time.
-    fn set_slot(&mut self, key: usize, value: Option<u32>) {
-        let Some(value) = value else { return };
-        if std::mem::replace(&mut self.slots[key], value) == 0 {
-            self.touched.push(key);
-        }
-    }
-
-    /// Remembers that `key` is expanded on `lane`, by another worker.
-    fn tag_foreign(&mut self, key: usize, lane: usize) {
-        self.set_slot(key, u32::try_from(lane).ok().and_then(|lane| lane.checked_add(FOREIGN)));
+    fn slot(&self, key: usize) -> Option<usize> {
+        (self.slots[key] as usize).checked_sub(1)
     }
 
     /// Files the expansion of `key`, whose successors the caller has pushed,
-    /// and returns its index.
+    /// and returns its index. An index the slot cannot hold leaves the pair
+    /// to be built again next time.
     fn push_entry(&mut self, key: usize, expansion: Expansion) -> usize {
         let index = self.entries.len();
         self.entries.push(expansion);
-        self.set_slot(key, u32::try_from(index + 1).ok().filter(|&slot| slot < FOREIGN));
+        if let Ok(slot) = u32::try_from(index + 1) {
+            self.slots[key] = slot;
+            self.touched.push(key);
+        }
         index
     }
 
@@ -139,6 +116,25 @@ impl ExpansionMemo {
     fn successors_of(&self, index: usize) -> &[usize] {
         let start = index.checked_sub(1).map_or(0, |prev| self.entries[prev].successors_end);
         &self.successors[start..self.entries[index].successors_end]
+    }
+}
+
+/// Adds one hop's logged float charges into `delta`: query by query and,
+/// within a query, worker by worker. The workers' key ranges ascend, so that
+/// is the sequential loop's global frontier order, and every accumulator
+/// receives the same values in the same order at any worker count
+/// (CONCURRENCY.md §4, property 1).
+fn replay_charges(ctxs: &[NfaHopCtx], queries: usize, delta: &mut StatsDelta) {
+    for q in 0..queries {
+        for ctx in ctxs {
+            let start = q.checked_sub(1).map_or(0, |prev| ctx.charge_ends[prev]);
+            for &(lane, cost) in &ctx.charges[start..ctx.charge_ends[q]] {
+                match delta.per_module.get_mut(lane as usize) {
+                    Some(slot) => *slot += cost,
+                    None => delta.host_time += cost,
+                }
+            }
+        }
     }
 }
 
@@ -155,30 +151,20 @@ impl ErasedEngine {
     ///
     /// Frontier entries become `(node, nfa_state)` pairs — the product of the
     /// data graph and the query automaton — deduplicated per query with a
-    /// *global* visited set over `state × node` (required for termination on
-    /// cyclic graphs under `*`/`+`). The per-hop structure is identical to
-    /// the k-hop loop (`k_hop_batch_impl`): each entry is expanded by the
-    /// computing node owning its row, every produced entry that leaves the
-    /// module is charged to the inter-PIM or CPC bus (`ENTRY_BYTES` plus
-    /// `STATE_BYTES` for the automaton state riding along), each hop's PIM
-    /// latency is the slowest module, and the final result is gathered and
-    /// reduced on the host. Label-constrained row scans read both the id
-    /// array and the label array, so they cost
-    /// `row_len × (ID_BYTES + LABEL_BYTES)` instead of the k-hop loop's
-    /// id-array-only `row_len × ID_BYTES`.
+    /// *global* visited set (required for termination on cyclic graphs under
+    /// `*`/`+`). Charges follow the k-hop loop's model (ARCHITECTURE.md §1),
+    /// with `STATE_BYTES` riding along every routed entry and label-constrained
+    /// scans reading the label array too: `row_len × (ID_BYTES + LABEL_BYTES)`.
     ///
     /// A node is reported for a query as soon as *some* visited product state
     /// is accepting; if the automaton accepts the empty path the source
     /// itself is part of the answer, as in [`rpq::ReferenceEvaluator`].
     ///
-    /// This is the shared entry point: it charges a non-forward plan's
-    /// preamble, runs the hop loop, and reads answers (and, for the tracked
-    /// entry point, dependencies) off the per-query visited sets.
-    ///
-    /// The visited sets contain every reached product pair — sources included
-    /// — in `(node, state)` order, so an ordered scan yields each query's
-    /// accepted nodes already ascending (a node reached in several accepting
-    /// states is adjacent to itself) and exactly its node-dependency set.
+    /// The shared entry point: charges a non-forward plan's preamble, runs
+    /// the hop loop, and reads answers (and dependencies) off the visited
+    /// sets, which hold every reached pair in `(node, state)` order: an
+    /// ordered scan yields each query's accepted nodes already ascending and
+    /// exactly its node-dependency set.
     pub(super) fn nfa_product_batch_impl(
         &mut self,
         nfa: &Nfa,
@@ -208,7 +194,7 @@ impl ErasedEngine {
         for seen in &visited {
             let mut nodes: Vec<NodeId> = Vec::new();
             for (node, state) in seen.iter() {
-                if let Some(deps) = track.as_deref_mut() {
+                if let Some(deps) = track.as_deref_mut().filter(|deps| !deps.nodes.is_full()) {
                     deps.nodes.insert(NodeId(node));
                 }
                 if nfa.is_accepting(state as usize)
@@ -234,12 +220,9 @@ impl ErasedEngine {
     /// with the hop and expansion counts; every charge lands in `timeline`.
     ///
     /// Frontiers, candidate lists and memoised successors are node-major
-    /// product **keys** (`ProductSet::key`), not `(node, state)` pairs: a
-    /// pair is divided back out of its key only where its row is looked up
-    /// (once per call and worker, `build_expansion`) and in the answer scan.
-    /// A source outside the owner directory has no key, no owner and no row:
-    /// it counts as one expansion of the first hop and otherwise lives only
-    /// in its visited set.
+    /// product **keys** (`ProductSet::key`). A source outside the owner
+    /// directory has no key, no owner and no row: it counts as one expansion
+    /// of the first hop and otherwise lives only in its visited set.
     ///
     /// With `useful` given, only useful pairs enter a frontier (a start pair
     /// outside the set can only contribute the empty path, which the visited
@@ -309,22 +292,21 @@ impl ErasedEngine {
             let frontier_entries = frontiers.iter().map(Vec::len).sum::<usize>();
             expansions += frontier_entries + std::mem::take(&mut unkeyed_sources);
 
-            // ---- execute: workers expand their modules' product entries,
-            // reading the per-query visited sets as an immutable snapshot
-            // (they are only extended at the merge barrier below). As in the
-            // k-hop loop the worker count is clamped by the hop's work;
-            // unlike there the modules are dealt evenly — what a closure hop
-            // scanned says little about the next (CONCURRENCY.md §4.1).
+            // ---- execute: each worker expands one contiguous key range of
+            // every query's frontier, whoever owns the rows, reading the
+            // per-query visited sets as an immutable snapshot (they are only
+            // extended at the merge barrier below). As in the k-hop loop the
+            // worker count is clamped by the hop's work; the ranges hold
+            // about equally many of this hop's entries (CONCURRENCY.md §4.1).
             let active = active_workers(layout_width, frontier_entries);
-            let hop_ranges = chunk_ranges(module_count, active);
+            let hop_keys = key_ranges(&frontiers, active);
             for ctx in &mut ctxs[..active] {
                 ctx.nexts.resize(frontiers.len(), Vec::new());
             }
             let this: &Self = self;
-            let deltas = this.pool.run_with(&mut ctxs[..active], |worker, ctx| {
+            let mut deltas = this.pool.run_with(&mut ctxs[..active], |worker, ctx| {
                 this.nfa_hop_worker(
-                    &hop_ranges[worker],
-                    worker == 0,
+                    &hop_keys[worker],
                     nfa,
                     &frontiers,
                     &visited,
@@ -334,12 +316,12 @@ impl ErasedEngine {
             });
             self.scratch.widest_hop = self.scratch.widest_hop.max(active);
 
-            // ---- merge: id-ordered delta reduction on this thread, then the
-            // per-query frontier union on the workers. Candidates were
-            // filtered against the visited snapshot and deduplicated per
-            // worker, so once ordered and deduplicated across workers every
-            // survivor enters the visited set: exactly the sequential loop's
-            // sorted, duplicate-free next frontier and visited-set growth.
+            // ---- merge: the logged float charges added on this thread in
+            // global frontier order, the integer deltas reduced in worker-id
+            // order, then the per-query frontier union on the workers: every
+            // candidate that survives ordering and deduplication across
+            // workers enters the visited set, exactly as sequentially.
+            replay_charges(&ctxs[..active], frontiers.len(), &mut deltas[0]);
             let delta = self.charge_hop(&deltas, timeline);
 
             if let [only] = &mut ctxs[..active] {
@@ -379,35 +361,29 @@ impl ErasedEngine {
     /// One worker's share of an NFA-product execute stage (the labelled
     /// generalisation of `khop_hop_worker`).
     ///
-    /// Same ownership discipline: the worker walks every query's frontier in
-    /// global order, expands only product entries whose node row lives on its
-    /// modules (or the host for the host-lane worker), and charges into its
-    /// private delta. Expanding is **build-then-replay**: the first time a
-    /// call reaches a pair, `build_expansion` files what the expansion
-    /// charges and produces in the worker's memo; every
-    /// expansion, that first one included, then replays the entry — the same
-    /// float into the same accumulator in the same frontier order, the
-    /// per-matched-transition byte charges as three integer adds
-    /// (unconditional, exactly as in the sequential loop), and each successor
-    /// key emitted when it is new to both the worker's marks for this
-    /// `(query, hop)` and the query's visited snapshot (immutable during the
-    /// hop). Marks first: duplicate productions (the common case under
-    /// closures) cost one stamp compare.
-    #[allow(clippy::too_many_arguments)]
+    /// The worker expands the `partition_point` slice of every query's
+    /// frontier that falls in its key range `keys`, query by query, whichever
+    /// module or host row owns a pair. Expanding is **build-then-replay**:
+    /// `build_expansion` files a pair's charges and successors in the
+    /// worker's memo on first sight in the call; every expansion then
+    /// replays the entry — its float charge onto the charge log
+    /// ([`replay_charges`]), its byte charges as three integer adds (made
+    /// unconditionally, §6 rule 2), and each successor key that is new to
+    /// both the worker's marks for this `(query, hop)` and the query's
+    /// visited snapshot (marks first: a duplicate costs one stamp compare).
     fn nfa_hop_worker(
         &self,
-        my_modules: &Range<usize>,
-        host_lane: bool,
+        keys: &Range<usize>,
         nfa: &Nfa,
         frontiers: &[Vec<usize>],
         visited: &[ProductSet],
         host_resident_bytes: u64,
         ctx: &mut NfaHopCtx,
     ) -> StatsDelta {
-        let module_count = self.config.pim.num_modules;
-        let mut delta = StatsDelta::new(module_count);
-        let NfaHopCtx { marks, nexts, memo } = ctx;
-        let mine = |lane: usize| my_modules.contains(&lane) || (host_lane && lane == module_count);
+        let mut delta = StatsDelta::new(self.config.pim.num_modules);
+        let NfaHopCtx { marks, nexts, memo, charges, charge_ends } = ctx;
+        charges.clear();
+        charge_ends.clear();
         for (q, frontier) in frontiers.iter().enumerate() {
             // Last hop's candidates stay readable until the merge stage has
             // copied them out; the list is emptied here, by its owner.
@@ -415,29 +391,15 @@ impl ErasedEngine {
             next.clear();
             let snapshot = &visited[q];
             marks.next_epoch();
-            for &key in frontier {
+            let first = frontier.partition_point(|&key| key < keys.start);
+            let last = first + frontier[first..].partition_point(|&key| key < keys.end);
+            for &key in &frontier[first..last] {
                 let index = match memo.slot(key) {
-                    Slot::Entry(index) => index,
-                    Slot::Foreign(lane) if !mine(lane) => continue,
-                    // First sight in this call — or tagged under an earlier
-                    // hop's module split and this worker's now.
-                    _ => {
+                    Some(index) => index,
+                    None => {
                         let (node, state) = snapshot.pair(key);
-                        let owner = self.owner(NodeId(node));
-                        let lane = match owner {
-                            Some(PartitionId::Pim(m)) => m as usize,
-                            Some(PartitionId::Host) => module_count,
-                            // Never in the edge stream: nobody's to expand.
-                            None => module_count + 1,
-                        };
-                        let Some(owner) = owner.filter(|_| mine(lane)) else {
-                            memo.tag_foreign(key, lane);
-                            continue;
-                        };
                         let expansion = self.build_expansion(
                             NodeId(node),
-                            owner,
-                            lane,
                             nfa.transitions_from(state as usize),
                             snapshot,
                             host_resident_bytes,
@@ -447,14 +409,7 @@ impl ErasedEngine {
                     }
                 };
                 let expansion = memo.entries[index];
-                if !mine(expansion.lane) {
-                    continue;
-                }
-                if expansion.lane == module_count {
-                    delta.host_time += expansion.cost;
-                } else {
-                    delta.per_module[expansion.lane] += expansion.cost;
-                }
+                charges.extend(expansion.charge);
                 delta.ipc_messages += expansion.ipc_messages;
                 delta.ipc_bytes += expansion.ipc_messages * (ENTRY_BYTES + STATE_BYTES);
                 delta.cpc_bytes += expansion.cpc_entries * (ENTRY_BYTES + STATE_BYTES);
@@ -464,20 +419,19 @@ impl ErasedEngine {
                     }
                 }
             }
+            charge_ends.push(charges.len());
         }
         delta
     }
 
-    /// The build half of an expansion: scans the row of `node` at its
-    /// `owner` (accumulator `lane`), matches it against `transitions`,
-    /// appends the successors' keys to `successors` and returns what the scan
-    /// charges. `shape` is any set over the call's key space.
-    #[allow(clippy::too_many_arguments)]
+    /// The build half of an expansion: scans the row of `node` where its
+    /// owner keeps it, matches it against `transitions`, appends the
+    /// successors' keys to `successors` and returns what the scan charges. A
+    /// node no edge has named has no owner and no row: nothing to charge.
+    /// `shape` is any set over the call's key space.
     fn build_expansion(
         &self,
         node: NodeId,
-        owner: PartitionId,
-        lane: usize,
         transitions: &[(LabelSpec, usize)],
         shape: &ProductSet,
         host_resident_bytes: u64,
@@ -486,18 +440,19 @@ impl ErasedEngine {
         let (mut ipc_messages, mut cpc_entries) = (0u64, 0u64);
         // A label-constrained scan reads the id array and the label array.
         let scan_bytes = |entries: usize| entries as u64 * (ID_BYTES + LABEL_BYTES);
-        let cost = match owner {
-            PartitionId::Host => {
+        let charge = match self.owner(node) {
+            Some(PartitionId::Host) => {
                 let (slots, row) = self.host_store.row_scan(node);
                 // The host forwards a produced entry to the module owning it
                 // (or keeps it if the next row is also host-resident).
                 self.match_row(row, transitions, shape, successors, |to| {
                     cpc_entries += u64::from(matches!(to, Some(PartitionId::Pim(_))));
                 });
-                self.pim.host_random_access_cost(1, host_resident_bytes)
-                    + self.pim.host_sequential_read_cost(scan_bytes(slots))
+                let cost = self.pim.host_random_access_cost(1, host_resident_bytes)
+                    + self.pim.host_sequential_read_cost(scan_bytes(slots));
+                Some((HOST_LANE, cost))
             }
-            PartitionId::Pim(m) => {
+            Some(PartitionId::Pim(m)) => {
                 let row = self.local_stores[m as usize].row(node).unwrap_or(&[]);
                 let charge = |to: Option<PartitionId>| match to {
                     Some(PartitionId::Pim(m2)) if m2 == m => {}
@@ -507,10 +462,11 @@ impl ErasedEngine {
                     _ => cpc_entries += 1,
                 };
                 self.match_row(row.iter().copied(), transitions, shape, successors, charge);
-                self.pim.pim_hash_lookup_cost(scan_bytes(row.len()))
+                Some((m, self.pim.pim_hash_lookup_cost(scan_bytes(row.len()))))
             }
+            None => None,
         };
-        Expansion { cost, lane, ipc_messages, cpc_entries, successors_end: successors.len() }
+        Expansion { charge, ipc_messages, cpc_entries, successors_end: successors.len() }
     }
 
     /// Appends to `successors` the key of every label-matched

@@ -500,6 +500,30 @@ fn balanced_ranges_are_contiguous_cover_everything_and_follow_the_weights() {
     assert_eq!(check(0, &[4, 4], 4), vec![0..1, 1..2, 2..2, 2..2]);
 }
 
+/// `tests/parallel_equivalence.rs`'s key-split fixture (nodes `1000..1601`
+/// reached in two automaton states, a hub on either side of the split),
+/// which that test compares at threads 1–4: its third hop leaves the inline
+/// path.
+#[test]
+fn a_key_split_between_two_states_of_one_node_runs_wide() {
+    let mut edges = vec![(NodeId(0), NodeId(1), Label(1)), (NodeId(0), NodeId(2), Label(8))];
+    for n in (1000..1601).map(NodeId) {
+        edges.extend([(NodeId(1), n, Label(1)), (NodeId(2), n, Label(8))]);
+        edges.push((n, NodeId(5000 + n.0 % 50), Label(1)));
+    }
+    for hub in [1003, 1597] {
+        edges.extend((0..20).map(|j| (NodeId(hub), NodeId(6000 + j), Label(8))));
+    }
+    let flood = rpq::parser::parse("(1|8)+").unwrap();
+    let mut serial = MoctopusSystem::new(MoctopusConfig::small_test().with_threads(1));
+    let mut parallel = MoctopusSystem::new(MoctopusConfig::small_test().with_threads(2));
+    for e in [&mut serial, &mut parallel] {
+        e.insert_labeled_edges(&edges);
+    }
+    assert_eq!(parallel.rpq_batch(&flood, &[NodeId(0)]), serial.rpq_batch(&flood, &[NodeId(0)]));
+    assert!(parallel.scratch.widest_hop > 1, "the product never ran wide");
+}
+
 #[test]
 fn worker_count_is_clamped_by_frontier_work() {
     // One worker, plus one per ENTRIES_PER_EXTRA_WORKER (256) frontier

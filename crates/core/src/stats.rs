@@ -76,22 +76,17 @@ impl UpdateStats {
 }
 
 /// Per-worker accumulator of one parallel execution stage (a hop of the
-/// batch-frontier loop, or one update batch).
+/// batch-frontier loop, or one update batch): **each worker has its own**
+/// full set of accumulators, which the barrier at the end of the stage
+/// reduces with [`StatsDelta::merge`] in ascending worker-id order.
 ///
-/// The hop loops used to thread half a dozen loose `&mut u64` / `&mut
-/// SimTime` counters through every helper; parallel execution makes that
-/// shape untenable (two workers cannot share one `&mut`). `StatsDelta`
-/// instead gives **each worker its own** full set of accumulators, which the
-/// barrier at the end of the stage reduces with [`StatsDelta::merge`] in
-/// ascending worker-id order.
-///
-/// Determinism (see CONCURRENCY.md): workers own disjoint PIM-module slices,
-/// so for every `per_module` slot at most one worker contributes a non-zero
-/// value and the merge adds exact IEEE-754 zeros from the rest — the merged
-/// delta is bit-identical to the one the sequential loop accumulates. The
-/// same holds for `host_time` (only the host-lane worker charges it); the
-/// byte and message counters are integers, where addition is exact and
-/// order-free.
+/// Determinism (see CONCURRENCY.md): a float slot (`per_module`,
+/// `host_time`) receives non-zero values from at most one delta — the k-hop
+/// worker that owns the module or the host lane, or the NFA-product loop's
+/// calling thread, which adds the workers' logged charges in frontier order —
+/// and the merge adds exact IEEE-754 zeros from the rest, so the merged delta
+/// is bit-identical to the sequential loop's. The byte and message counters
+/// are integers, where addition is exact and order-free.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsDelta {
     /// Simulated busy time charged to each PIM module this stage.

@@ -177,9 +177,6 @@ impl Hasher for IdHasher {
 /// capacity and insert history), so lint rule D1 tracks this alias too.
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
-/// A directed edge expressed as a `(source, destination)` pair.
-pub type EdgeKey = (NodeId, NodeId);
-
 /// A directed labelled edge expressed as a `(source, destination, label)`
 /// triple.
 ///

@@ -58,7 +58,7 @@ pub use durable::{
 };
 pub use error::GraphStoreError;
 pub use heterogeneous::{HeterogeneousStorage, UpdateCost, UpdateOutcome};
-pub use ids::{EdgeKey, IdMap, Label, LabeledEdgeKey, NodeId, PartitionId};
+pub use ids::{IdMap, Label, LabeledEdgeKey, NodeId, PartitionId};
 pub use labelstats::{LabelCounters, LabelStatsSnapshot, LabelStatsTable};
 pub use local::LocalGraphStorage;
 pub use rows::SortedRows;

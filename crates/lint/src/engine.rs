@@ -52,7 +52,7 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Is the 1-based `line` inside a test item?
-    pub fn in_test(&self, line: u32) -> bool {
+    fn in_test(&self, line: u32) -> bool {
         self.test_lines.get(line as usize).copied().unwrap_or(false)
     }
 }

@@ -22,10 +22,11 @@
 //! `moctopus::HostBaseline`) keep same-seed output byte-identical by obeying
 //! three rules; CONCURRENCY.md §4 carries the argument:
 //!
-//! 1. **Disjoint ownership** — each worker owns a contiguous slice of PIM
-//!    modules plus, for worker 0, the host lane, accumulates only into the
-//!    slots it owns, and visits the work feeding each slot in the sequential
-//!    loop's order, so every float accumulator sees the sequential additions.
+//! 1. **Disjoint ownership** — each worker owns a contiguous share of the
+//!    work ([`chunk_ranges`], a module split, or [`key_ranges`]) and adds a
+//!    float only into an accumulator no other worker adds to, in the
+//!    sequential loop's order; a worker that cannot own an accumulator logs
+//!    its charges for the calling thread to add in that order.
 //! 2. **Private scratch** — marks, buffers and per-worker accumulators are
 //!    handed in through [`WorkerPool::run_with`]'s contexts; nothing is
 //!    shared mutably during a parallel region.
@@ -376,6 +377,62 @@ pub fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
         start += size;
     }
     ranges
+}
+
+/// Splits a key space into `parts` contiguous, ascending ranges (the last
+/// runs to `usize::MAX`) that hold about equally many entries of the sorted
+/// `lists`: range `w` ends at the key of the entry at sorted position
+/// `(w + 1) × entries / parts`, which opens range `w + 1`. A pure function
+/// of the lists, like [`chunk_ranges`]; one part computes nothing. A worker
+/// takes its range's `partition_point` slice of every list: for
+/// `[[1, 4, 9], [2, 3]]` and two parts, `[0..3, 3..usize::MAX]`.
+pub fn key_ranges(lists: &[Vec<usize>], parts: usize) -> Vec<Range<usize>> {
+    let entries: usize = if parts > 1 { lists.iter().map(Vec::len).sum() } else { 0 };
+    let mut start = 0;
+    let mut ranges: Vec<Range<usize>> = (1..parts)
+        .map(|part| {
+            let end = nth_key(lists, part * entries / parts);
+            let range = start..end;
+            start = end;
+            range
+        })
+        .collect();
+    ranges.push(start..usize::MAX);
+    ranges
+}
+
+/// The key of the entry at sorted position `n` (below the entry count) of
+/// the sorted `lists`, 0 when they are empty: bisects the key span,
+/// narrowing every list to its entries inside the span and dropping the
+/// lists left empty (a one-entry list is looked at about twice); once one
+/// list is left the key is read off it by index.
+fn nth_key(lists: &[Vec<usize>], n: usize) -> usize {
+    let mut windows: Vec<&[usize]> =
+        lists.iter().filter(|list| !list.is_empty()).map(Vec::as_slice).collect();
+    // `below` ≤ `n` entries lie below `lo`, more than `n` below `hi`.
+    let mut lo = windows.iter().map(|w| w[0]).min().unwrap_or(0);
+    let mut hi = windows.iter().map(|w| w[w.len() - 1] + 1).max().unwrap_or(0);
+    let mut below = 0;
+    while hi - lo > 1 {
+        if let [only] = windows[..] {
+            return only[n - below];
+        }
+        let mid = lo + (hi - lo) / 2;
+        let cut = |w: &[usize]| w.partition_point(|&key| key < mid);
+        let left: usize = windows.iter().map(|w| cut(w)).sum();
+        let go_left = below + left > n;
+        if go_left {
+            hi = mid;
+        } else {
+            (lo, below) = (mid, below + left);
+        }
+        windows.retain_mut(|w| {
+            let (head, tail) = w.split_at(cut(w));
+            *w = if go_left { head } else { tail };
+            !w.is_empty()
+        });
+    }
+    lo
 }
 
 #[cfg(test)]

@@ -13,8 +13,10 @@
 //! fails the test.
 
 use graph_gen::labels::{relabel, LabelMixConfig};
+use graph_store::PartitionId;
 use graph_store::{AdjacencyGraph, Label, NodeId};
 use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
+use moctopus_runtime::key_ranges;
 use proptest::prelude::*;
 
 /// Thread counts the equivalence sweep compares against the 1-thread run.
@@ -402,21 +404,22 @@ fn one_and_two_query_batches_are_identical_on_many_workers() {
     assert_observations_match(&edges, &[&[NodeId(0)], &[NodeId(0), NodeId(fan + 50)]], 3);
 }
 
-/// One call whose hops change worker count both ways — and with it the
-/// module → worker map under which the NFA-product loop's per-worker
-/// expansion memos were filled. Source 0 fans out to eight nodes, then
-/// through a gateway into a hub (a host-lane row under labor division) that
-/// floods 640 nodes, all of which funnel into one long chain: first hops of
-/// a few entries (inline), a flood hop (every worker a thread count allows),
-/// then a forty-hop tail (inline again). Source 1 reaches those eight nodes
-/// three hops late — *during* that flood, so pairs that worker 0 expanded
-/// inline are expanded again under a wide split, on whichever workers own
-/// their modules now — and replays the flood three hops later. Source 2
-/// comes in by a side door (another host-lane row) onto 100 of the flooded
-/// nodes once the floods are over: pairs that the flood's workers expanded
-/// and worker 0 only tagged are worker 0's now. Label-8 rungs and a label-2
-/// rail give the alternation and the split plan — two automata, two legs,
-/// one scratch — something to match; the tracked calls compare `QueryDeps`.
+/// One call whose hops change worker count both ways — and with them the
+/// key ranges under which the NFA-product loop's per-worker expansion memos
+/// were filled. Source 0 fans out to eight nodes, then through a gateway
+/// into a hub (a host-lane row under labor division) that floods 640 nodes,
+/// all of which funnel into one long chain: first hops of a few entries
+/// (inline), a flood hop (every worker a thread count allows), then a
+/// forty-hop tail (inline again). Source 1 reaches those eight nodes three
+/// hops late — *during* that flood, so pairs that worker 0 built inline are
+/// expanded again under a wide split, by whichever workers' key ranges hold
+/// them now — and replays the flood three hops later. Source 2 comes in by a
+/// side door (another host-lane row) onto 100 of the flooded nodes once the
+/// floods are over: pairs that other workers built during the flood are
+/// worker 0's again, inline, and built anew in its memo. Label-8 rungs and a
+/// label-2 rail give the alternation and the split plan — two automata, two
+/// legs, one scratch — something to match; the tracked calls compare
+/// `QueryDeps`.
 #[test]
 fn hops_that_alternate_between_one_and_many_workers_are_identical() {
     let (fan, tail) = (640u64, 40u64);
@@ -454,4 +457,81 @@ fn hops_that_alternate_between_one_and_many_workers_are_identical() {
 
     let sources = [NodeId(0), NodeId(1), NodeId(2)];
     assert_observations_match(&edges, &[&sources, &sources[1..]], 3);
+}
+
+/// A key split between two automaton states of one node, with host-lane
+/// hubs on both sides of it. Source 0 reaches nodes 1 (label 1) and 2
+/// (label 8), hubs that point at the same 601 nodes `1000..1601` with their
+/// own label each, so under `(1|8)+` the third hop's frontier holds every
+/// one of them in two states: 1202 entries, whose middle — where two and
+/// four workers split the keys — falls between the two states of node 1300.
+/// Nodes 1003 and 1597, one on each side, are hubs too; every one of the 601
+/// has a label-1 edge on, so the bidirectional plan's pruning keeps the hop
+/// as wide. The second batch adds a source outside the owner directory,
+/// which has no key: counted as an expansion, never split or expanded. The
+/// same fixture in `moctopus::distributed`'s unit tests checks that the hop
+/// left the inline path.
+#[test]
+fn a_key_split_between_two_states_of_one_node_is_identical() {
+    let fan = 601u64;
+    assert!(2 * fan as usize >= 2 * ENTRIES_PER_EXTRA_WORKER);
+    let mut edges: LabeledBatch =
+        vec![(NodeId(0), NodeId(1), Label(1)), (NodeId(0), NodeId(2), Label(8))];
+    for i in 0..fan {
+        let n = NodeId(1000 + i);
+        edges.push((NodeId(1), n, Label(1)));
+        edges.push((NodeId(2), n, Label(8)));
+        edges.push((n, NodeId(5000 + i % 50), Label(1)));
+    }
+    for hub in [1003u64, 1000 + fan - 4] {
+        edges.extend((0..20).map(|j| (NodeId(hub), NodeId(6000 + j), Label(8))));
+    }
+    let mut moctopus = MoctopusSystem::new(MoctopusConfig::small_test().with_threads(1));
+    moctopus.insert_labeled_edges(&edges);
+    for hub in [1, 2, 1003, 1597] {
+        assert_eq!(moctopus.partition_of(NodeId(hub)), Some(PartitionId::Host), "hub {hub}");
+    }
+
+    // The third hop's frontier, rebuilt by hand as node-major product keys:
+    // two and four workers split it between the two states of node 1300,
+    // with a hub on each side.
+    let flood = rpq::parser::parse("(1|8)+").expect("query parses");
+    let nfa = rpq::Nfa::from_expr(&flood);
+    let (states, steps) = (nfa.state_count(), nfa.transitions_from(nfa.start()));
+    assert_eq!(steps.len(), 2, "one state after a label-1 step, one after a label-8 step");
+    let key = |node: usize| steps.iter().map(move |&(_, state)| node * states + state);
+    let mut frontier: Vec<usize> = (1000..1601).flat_map(key).collect();
+    frontier.sort_unstable();
+    for parts in [2, 4] {
+        let split = key_ranges(std::slice::from_ref(&frontier), parts)[parts / 2 - 1].end;
+        assert_eq!(((split - 1) / states, split / states), (1300, 1300), "{parts} workers");
+        assert!(frontier.binary_search(&split).is_ok(), "the second state opens the next range");
+        assert!(key(1003).all(|k| k < split) && key(1597).all(|k| k >= split));
+    }
+
+    let observe_all = |engine: &mut Box<dyn GraphEngine>| -> Vec<Observed> {
+        let mut seen: Vec<Observed> = Vec::new();
+        let unkeyed = NodeId(1 << 40);
+        for sources in [&[NodeId(0)][..], &[NodeId(0), NodeId(1), unkeyed, NodeId(1300)]] {
+            let (answers, stats) = engine.rpq_batch(&flood, sources);
+            seen.push((answers, stats, None));
+            let (answers, stats, deps) = engine.rpq_batch_tracked(&flood, sources);
+            seen.push((answers, stats, Some(deps)));
+            let bidirectional = rpq::PlanStrategy::Bidirectional;
+            let (answers, stats) = engine.rpq_batch_planned(&flood, sources, bidirectional);
+            seen.push((answers, stats, None));
+        }
+        seen
+    };
+    let wants: Vec<_> = engines_at(1, &edges).iter_mut().map(observe_all).collect();
+    for threads in [2, 3, 4] {
+        for (engine, want) in engines_at(threads, &edges).iter_mut().zip(&wants) {
+            for (i, (got, want)) in observe_all(engine).iter().zip(want).enumerate() {
+                let who = format!("{} at {threads} threads, observation {i}", engine.name());
+                assert_eq!(got.0, want.0, "{who}: answers differ");
+                assert_eq!(got.1, want.1, "{who}: stats differ");
+                assert_eq!(got.2, want.2, "{who}: deps differ");
+            }
+        }
+    }
 }

@@ -412,3 +412,36 @@ fn query_and_plan_rewritten_form_share_one_cache_row() {
     }
     assert_eq!(server.cache_len(), Some(1), "respellings must not add cache rows");
 }
+
+/// Once a flood has set all 64 dependency buckets the hop loops stop hashing
+/// visited nodes: the deps must still be exactly the buckets of every
+/// visited node, on both loops, whether or not the mask fills.
+#[test]
+fn saturated_deps_are_the_buckets_of_every_visited_node() {
+    use moctopus::deps::DepMask;
+    let graph = graph_gen::uniform::generate(600, 4.0, 29);
+    let edges: Vec<(NodeId, NodeId, Label)> =
+        graph.edges().map(|(s, d, _)| (s, d, Label(1))).collect();
+    let mut engine = MoctopusSystem::new(MoctopusConfig::small_test());
+    engine.insert_labeled_edges(&edges);
+    let sources = [NodeId(0), NodeId(7)];
+    let parse = |text: &str| rpq::parser::parse(text).expect("query parses");
+    let mask = |nodes: &mut dyn Iterator<Item = NodeId>| {
+        let mut mask = DepMask::EMPTY;
+        nodes.for_each(|node| mask.insert(node));
+        mask
+    };
+    // The sources and the nodes `1..=hops` steps away (every label is 1),
+    // and everything `1*` reaches.
+    let mut within = |hops: usize| {
+        let steps = (1..=hops).flat_map(|k| engine.k_hop_batch(&sources, k).0.concat());
+        mask(&mut sources.into_iter().chain(steps.collect::<Vec<_>>()))
+    };
+    let (near, far) = (within(2), within(9));
+    let everywhere = mask(&mut engine.rpq_batch(&parse("1*"), &sources).0.concat().into_iter());
+    assert!(!near.is_full() && far.is_full() && everywhere.is_full(), "{near} {far} {everywhere}");
+    for (text, want) in [(".{2}", near), (".{9}", far), ("1/1", near), ("1*", everywhere)] {
+        let (_, _, deps) = engine.rpq_batch_tracked(&parse(text), &sources);
+        assert_eq!(deps.nodes, want, "{text}");
+    }
+}
