@@ -144,8 +144,16 @@ impl HarnessOptions {
                 }
             }
         }
+        let cap = RpqWorkload::MAX_BATCH;
         if !explicit_batch {
             options.batch = Self::scaled_batch(options.scale);
+        } else if options.batch > cap && [&RPQ_FLAGS[..], &SERVE_FLAGS[..]].contains(&extra) {
+            // The labelled binaries clamp a scaled batch; one given
+            // explicitly is not cut behind the caller's back.
+            return Err(UsageError(format!(
+                "--batch: {} is above the cap of {cap}",
+                options.batch
+            )));
         }
         Ok((options, found))
     }
@@ -155,9 +163,9 @@ impl HarnessOptions {
     /// `--traces <comma separated ids in 1..=15>`, `--threads <usize>` (`0` =
     /// available parallelism), plus the `extra` flags the calling binary
     /// names. An unknown flag, a missing value, or a value that does not parse
-    /// or is out of range (`NaN` included) prints a usage error to stderr and
-    /// exits with status 2 — a typo must not silently launch the default-scale
-    /// sweep.
+    /// or is out of range (`NaN` included, and for `rpq` and `serve` a
+    /// `--batch` above 1 024) prints a usage error to stderr and exits with
+    /// status 2 — a typo must not silently launch the default-scale sweep.
     pub fn from_env(extra: &[ExtraFlag]) -> (Self, ExtraArgs) {
         Self::from_args(std::env::args().skip(1), extra).unwrap_or_else(|UsageError(reason)| {
             let extras: String = extra.iter().map(|kind| format!(" [{}]", kind.usage())).collect();
@@ -553,6 +561,17 @@ mod tests {
         assert_eq!(o.batch, 64 * 1024);
         let (o2, _) = parse("--scale 1.0 --batch 128", &[]).unwrap();
         assert_eq!(o2.batch, 128);
+    }
+
+    #[test]
+    fn an_explicit_labelled_batch_above_the_cap_is_a_usage_error() {
+        for flags in [&RPQ_FLAGS[..], &SERVE_FLAGS[..]] {
+            assert_eq!(parse("--batch 1024", flags).unwrap().0.batch, RpqWorkload::MAX_BATCH);
+            let UsageError(reason) = parse("--batch 1025", flags).unwrap_err();
+            assert!(reason.contains("--batch") && reason.contains("1024"), "{reason}");
+            assert_eq!(parse("--scale 1.0", flags).unwrap().0.batch, 64 * 1024, "scaled: clamped");
+        }
+        assert_eq!(parse("--batch 4096", &[]).unwrap().0.batch, 4096, "k-hop binaries: no cap");
     }
 
     #[test]

@@ -35,19 +35,16 @@
 //!
 //! # Parallel execution
 //!
-//! The per-hop work of both query loops runs on a
-//! [`moctopus_runtime::WorkerPool`]: every hop is split into a *plan* stage
-//! (dispatch accounting, worker count and split), an embarrassingly parallel
-//! *execute* stage and a deterministic *merge* stage. A k-hop worker owns a
-//! disjoint slice of PIM modules — worker 0 also owns the host lane — and
-//! charges into a private [`StatsDelta`]; an NFA-product worker owns a
-//! contiguous key range of the hop's frontiers and logs its float charges,
-//! which the calling thread adds in frontier order. Worker deltas reduce in
-//! ascending worker-id order on the calling thread; each query's candidates
-//! are sorted and deduplicated on the workers, a chunk of queries each. Every
-//! simulated number — including the order floating-point charges accumulate
-//! in — is therefore byte-identical at any thread count; CONCURRENCY.md walks
-//! the full argument.
+//! Both query loops run on a [`moctopus_runtime::WorkerPool`]. A k-hop
+//! worker owns a contiguous range of the batch's queries and runs all k hops
+//! on it, 64 queries to a lane group whose union frontier it scans once per
+//! hop; an NFA-product worker owns a contiguous key range of each hop's
+//! frontiers, and its hops end in a deterministic merge stage. Workers keep
+//! integer charges in a private [`StatsDelta`] and log their float charges,
+//! which the calling thread adds in frontier order (a lone worker adds its
+//! own). Every simulated number — including the order floating-point charges
+//! accumulate in — is therefore byte-identical at any thread count;
+//! CONCURRENCY.md walks the full argument.
 
 use crate::config::MoctopusConfig;
 use crate::deps::{QueryDeps, UpdateFootprint};
@@ -58,10 +55,10 @@ use graph_store::{
     HeterogeneousStorage, HostRowSnapshot, Label, LabelStatsSnapshot, LocalGraphStorage,
     LocalModuleSnapshot, NodeId, PartitionId, SnapshotState,
 };
-use khop::{FrontierScratch, HopCtx};
+use khop::KHopCtx;
 use moctopus_runtime::{chunk_ranges, WorkerPool};
 use nfa::NfaHopCtx;
-use pim_sim::{Phase, PimSystem, Timeline};
+use pim_sim::{Phase, PimSystem, SimTime, Timeline};
 use planned::Pruning;
 use rpq::{optimizer, Nfa, PlanStrategy, RpqExpr};
 use sparse::OrderedBitmap;
@@ -146,8 +143,8 @@ fn tally_slot(tallies: &mut Vec<RowTally>, node: NodeId) -> &mut RowTally {
 /// 512 and slower from 1024 up), short of its edge.
 const ENTRIES_PER_EXTRA_WORKER: usize = 256;
 
-/// Worker count actually used for one hop: the batch-level layout width
-/// clamped by the hop's *work*, one worker plus one more per
+/// Worker count actually used for one NFA-product hop: the batch-level
+/// layout width clamped by the hop's *work*, one worker plus one more per
 /// [`ENTRIES_PER_EXTRA_WORKER`] frontier entries, so long-tail closure hops
 /// and small batches run inline. Any clamp gives identical output
 /// (CONCURRENCY.md §4): a wall-clock decision only.
@@ -155,24 +152,13 @@ fn active_workers(layout_width: usize, frontier_entries: usize) -> usize {
     (1 + frontier_entries / ENTRIES_PER_EXTRA_WORKER).min(layout_width).max(1)
 }
 
-/// Splits `weights.len()` consecutive items into `parts` contiguous ranges
-/// of near-equal total weight, with `head` weight already on part 0.
-///
-/// The k-hop execute stage splits the PIM modules by what the previous hop
-/// scanned on each (`HopCtx::scanned`), `head` being the host lane: one
-/// indivisible item that rides with worker 0, which then takes fewer modules
-/// (none, when the hubs alone are a fair share). Both merge stages split the
-/// queries by candidate count (`head` 0). A part takes items while it has
-/// nothing yet or more than half of the next one fits its fair share of
-/// what is left (re-computed per part, so one heavy item does not starve
-/// the parts behind it); the last part takes the rest.
-///
-/// The ranges are contiguous, cover `0..weights.len()` and depend only on
-/// `(head, weights, parts)`; with no weight at all (a first hop) they are
-/// the even [`chunk_ranges`]. Any such split gives the same output
-/// (CONCURRENCY.md §4).
-fn balanced_ranges(head: u64, weights: &[u64], parts: usize) -> Vec<Range<usize>> {
-    let mut left = head + weights.iter().sum::<u64>();
+/// Splits `weights.len()` consecutive items (the NFA merge stage's queries,
+/// by candidate count) into `parts` contiguous ranges of near-equal weight.
+/// A part takes items while it has none or more than half of the next one
+/// fits its fair share of what is left, re-computed per part; the last part
+/// takes the rest. With no weight at all: the even [`chunk_ranges`].
+fn balanced_ranges(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
+    let mut left = weights.iter().sum::<u64>();
     if left == 0 {
         return chunk_ranges(weights.len(), parts);
     }
@@ -181,7 +167,7 @@ fn balanced_ranges(head: u64, weights: &[u64], parts: usize) -> Vec<Range<usize>
     for part in 0..parts {
         let parts_left = (parts - part) as u64;
         let share = left.div_ceil(parts_left);
-        let mut taken = if part == 0 { head } else { 0 };
+        let mut taken = 0;
         let mut end = start;
         while end < weights.len()
             && (parts_left == 1 || taken == 0 || 2 * taken + weights[end] <= 2 * share)
@@ -196,13 +182,74 @@ fn balanced_ranges(head: u64, weights: &[u64], parts: usize) -> Vec<Range<usize>
     ranges
 }
 
-/// The per-query half of a merge stage, on the workers: runs
+/// One float charge of an expansion: the accumulator (a `per_module` index,
+/// or [`HOST_LANE`]) and the one `SimTime` it receives.
+type Charge = (u32, SimTime);
+
+/// The accumulator of a host-lane charge, `host_time`: past every module.
+const HOST_LANE: u32 = u32::MAX;
+
+/// Adds `charge` to its accumulator in `delta`.
+#[inline]
+fn add_charge(delta: &mut StatsDelta, (lane, cost): Charge) {
+    match delta.per_module.get_mut(lane as usize) {
+        Some(slot) => *slot += cost,
+        None => delta.host_time += cost,
+    }
+}
+
+/// A hop-loop worker's float charges (CONCURRENCY.md §6 rule 1): a lone
+/// worker (`direct`) expands in global frontier order and adds each one
+/// straight into its delta; one of several logs them in runs — a query's of
+/// one hop in the NFA loop, a lane group's in the k-hop loop — which the
+/// calling thread adds in global frontier order ([`replay_charges`]).
+#[derive(Debug, Default)]
+struct ChargeLog {
+    direct: bool,
+    charges: Vec<Charge>,
+    /// Where each run ends.
+    ends: Vec<usize>,
+}
+
+impl ChargeLog {
+    fn reset(&mut self, direct: bool) {
+        self.direct = direct;
+        self.charges.clear();
+        self.ends.clear();
+    }
+
+    #[inline]
+    fn add(&mut self, delta: &mut StatsDelta, charge: Charge) {
+        if self.direct {
+            add_charge(delta, charge);
+        } else {
+            self.charges.push(charge);
+        }
+    }
+
+    fn end_run(&mut self) {
+        self.ends.push(self.charges.len());
+    }
+
+    fn run(&self, index: usize) -> &[Charge] {
+        let start = index.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.charges[start..self.ends[index]]
+    }
+}
+
+/// Adds logged runs into `delta` in the order given, the global frontier
+/// order, as at one worker (CONCURRENCY.md §4, property 1).
+fn replay_charges<'a>(runs: impl IntoIterator<Item = &'a [Charge]>, delta: &mut StatsDelta) {
+    runs.into_iter().flatten().for_each(|&charge| add_charge(delta, charge));
+}
+
+/// The per-query half of the NFA loop's merge stage, on the workers: runs
 /// `merge(bitmap, q, &mut per_query[q])` for every query `q`, one contiguous
 /// chunk of queries per worker ([`balanced_ranges`] over `candidates(q)`,
 /// the candidates `q` received this hop), one bitmap per worker. A query's
-/// next frontier is a function of its own candidate lists (and, for the NFA
-/// product, its own visited set) alone, so which worker merges it — like
-/// which worker produced a candidate — cannot show in the output.
+/// next frontier is a function of its own candidate lists and visited set
+/// alone, so which worker merges it — like which worker produced a
+/// candidate — cannot show in the output.
 fn merge_per_query<S: Send>(
     pool: &WorkerPool,
     bitmaps: &mut [OrderedBitmap],
@@ -211,7 +258,7 @@ fn merge_per_query<S: Send>(
     merge: impl Fn(&mut OrderedBitmap, usize, &mut S) + Sync,
 ) {
     let weights: Vec<u64> = (0..per_query.len()).map(candidates).collect();
-    let chunks = balanced_ranges(0, &weights, bitmaps.len());
+    let chunks = balanced_ranges(&weights, bitmaps.len());
     let mut rest = per_query;
     let mut parts: Vec<(&mut OrderedBitmap, &mut [S])> = Vec::with_capacity(chunks.len());
     for (bitmap, chunk) in bitmaps.iter_mut().zip(&chunks) {
@@ -227,7 +274,7 @@ fn merge_per_query<S: Send>(
 }
 
 /// Takes a per-worker scratch vector out of the engine, grown to at least
-/// `workers` entries, so marks, buffers and bitmaps keep their capacity
+/// `workers` entries, so lane arrays, marks and bitmaps keep their capacity
 /// across hops, queries and batches; the caller puts it back when done.
 fn take_scratch<T: Default>(store: &mut Vec<T>, workers: usize) -> Vec<T> {
     store.resize_with(workers.max(store.len()), T::default);
@@ -236,23 +283,21 @@ fn take_scratch<T: Default>(store: &mut Vec<T>, workers: usize) -> Vec<T> {
 
 /// The hop loops' working memory: wall-clock only, rebuilt by whichever call
 /// needs it next. Grouped so that cloning an engine does not copy megabytes
-/// of marks, buffers, bitmaps and memo tables that the clone's first call
+/// of lane masks, marks, bitmaps and memo tables that the clone's first call
 /// would overwrite anyway: a clone starts with empty scratch.
 #[derive(Debug, Default)]
 struct HopScratch {
-    /// The k-hop loop's calling-thread buffer pool.
-    frontier: FrontierScratch,
-    /// One private [`HopCtx`] per worker, persisted across batches so
-    /// hot-loop buffers and marks are never re-allocated per query.
-    hop_ctxs: Vec<HopCtx>,
+    /// One private [`KHopCtx`] per k-hop worker, persisted across batches so
+    /// its dense lane array is never re-allocated per call.
+    khop_ctxs: Vec<KHopCtx>,
     /// One private [`NfaHopCtx`] per worker, persisted across `rpq_batch`
     /// calls for the same reason.
     nfa_ctxs: Vec<NfaHopCtx>,
-    /// The merge stages' bitmaps (all-zero between hops), one per worker,
-    /// shared by both loops, each sized once to the largest key it was handed.
+    /// The NFA merge stage's bitmaps (all-zero between hops), one per
+    /// worker, each sized once to the largest key it was handed.
     merge_bitmaps: Vec<OrderedBitmap>,
-    /// The most workers any hop has run on: how the wide unit fixture knows
-    /// it left the inline path.
+    /// The most workers any NFA-product hop has run on: how the wide unit
+    /// fixture knows it left the inline path.
     widest_hop: usize,
 }
 
@@ -419,9 +464,13 @@ impl ErasedEngine {
     }
 
     /// One hop's barrier in both hop loops: reduces the workers' deltas in
-    /// ascending worker-id order, charges the merged delta to `timeline` and
-    /// returns it.
-    fn charge_hop(&mut self, deltas: &[StatsDelta], timeline: &mut Timeline) -> StatsDelta {
+    /// the order given (ascending worker id), charges the merged delta to
+    /// `timeline` and returns it.
+    fn charge_hop<'a>(
+        &mut self,
+        deltas: impl IntoIterator<Item = &'a StatsDelta>,
+        timeline: &mut Timeline,
+    ) -> StatsDelta {
         let mut delta = StatsDelta::new(self.config.pim.num_modules);
         for worker_delta in deltas {
             delta.merge(worker_delta);
@@ -543,11 +592,11 @@ impl<P: StreamingPartitioner + Sync + 'static> GraphEngine for DistributedPimEng
         }
     }
 
-    /// The bucket of every visited node (sources and every hop's merged
-    /// frontier) and whether the host lane expanded a row. Tracking reads
-    /// only merged, thread-count-invariant state, so the deps — like the
-    /// stats — are byte-identical at every thread count, and no simulated
-    /// charge moves. K-hop shapes take the tracked fast path, everything else
+    /// The bucket of every visited node (sources and every hop's frontiers)
+    /// and whether the host lane expanded a row. Tracking reads only
+    /// thread-count-invariant state — frontier sets and merged deltas — so
+    /// the deps, like the stats, are byte-identical at every thread count,
+    /// and no simulated charge moves. K-hop shapes take the tracked fast path, everything else
     /// the tracked NFA product.
     fn rpq_batch_tracked(
         &mut self,

@@ -5,40 +5,28 @@
 
 use super::planned::Pruning;
 use super::{
-    active_workers, merge_per_query, take_scratch, ErasedEngine, ENTRY_BYTES, ID_BYTES,
-    LABEL_BYTES, STATE_BYTES,
+    active_workers, merge_per_query, replay_charges, take_scratch, Charge, ChargeLog, ErasedEngine,
+    ENTRY_BYTES, HOST_LANE, ID_BYTES, LABEL_BYTES, STATE_BYTES,
 };
 use crate::deps::QueryDeps;
 use crate::stats::{QueryStats, StatsDelta};
 use graph_store::{Label, NodeId, PartitionId};
 use moctopus_runtime::key_ranges;
-use pim_sim::{Phase, SimTime, Timeline};
+use pim_sim::{Phase, Timeline};
 use rpq::{LabelSpec, Nfa};
 use sparse::{EpochMarks, OrderedBitmap, ProductSet};
 use std::ops::Range;
 
-/// One float charge of an expansion: the accumulator (a `per_module` index,
-/// or [`HOST_LANE`]) and the one `SimTime` it receives.
-type Charge = (u32, SimTime);
-
-/// The accumulator of a host-lane charge, `host_time`: past every module.
-const HOST_LANE: u32 = u32::MAX;
-
 /// Per-worker context of one NFA-product execute stage: epoch marks over
-/// product keys, one generation per `(query, hop)` (cross-hop dedup lives in
-/// the per-query visited sets; the marks keep one worker's candidate lists
-/// duplicate-free), per-query candidate lists of keys, the call's
-/// [`ExpansionMemo`] and the hop's charge log.
+/// product keys, one generation per `(query, hop)`, per-query candidate
+/// lists of keys, the call's [`ExpansionMemo`] and the hop's charge log, one
+/// run per query.
 #[derive(Debug, Default)]
 pub(super) struct NfaHopCtx {
     marks: EpochMarks,
     nexts: Vec<Vec<usize>>,
     pub(super) memo: ExpansionMemo,
-    /// This hop's float charges in this worker's frontier order; the worker
-    /// only logs them, the calling thread adds them ([`replay_charges`]).
-    charges: Vec<Charge>,
-    /// Where each query's run of `charges` ends.
-    charge_ends: Vec<usize>,
+    log: ChargeLog,
 }
 
 /// What expanding one product pair charges and produces.
@@ -116,25 +104,6 @@ impl ExpansionMemo {
     fn successors_of(&self, index: usize) -> &[usize] {
         let start = index.checked_sub(1).map_or(0, |prev| self.entries[prev].successors_end);
         &self.successors[start..self.entries[index].successors_end]
-    }
-}
-
-/// Adds one hop's logged float charges into `delta`: query by query and,
-/// within a query, worker by worker. The workers' key ranges ascend, so that
-/// is the sequential loop's global frontier order, and every accumulator
-/// receives the same values in the same order at any worker count
-/// (CONCURRENCY.md §4, property 1).
-fn replay_charges(ctxs: &[NfaHopCtx], queries: usize, delta: &mut StatsDelta) {
-    for q in 0..queries {
-        for ctx in ctxs {
-            let start = q.checked_sub(1).map_or(0, |prev| ctx.charge_ends[prev]);
-            for &(lane, cost) in &ctx.charges[start..ctx.charge_ends[q]] {
-                match delta.per_module.get_mut(lane as usize) {
-                    Some(slot) => *slot += cost,
-                    None => delta.host_time += cost,
-                }
-            }
-        }
     }
 }
 
@@ -278,7 +247,7 @@ impl ErasedEngine {
         // the useful ones in the frontier.
         let merge_query =
             |bitmap: &mut OrderedBitmap, next: &mut Vec<usize>, seen: &mut ProductSet| {
-                bitmap.sort_dedup(next, Some, |key| key);
+                bitmap.sort_dedup(next);
                 for &key in next.iter() {
                     seen.insert_key(key);
                 }
@@ -302,6 +271,7 @@ impl ErasedEngine {
             let hop_keys = key_ranges(&frontiers, active);
             for ctx in &mut ctxs[..active] {
                 ctx.nexts.resize(frontiers.len(), Vec::new());
+                ctx.log.reset(active == 1);
             }
             let this: &Self = self;
             let mut deltas = this.pool.run_with(&mut ctxs[..active], |worker, ctx| {
@@ -316,12 +286,18 @@ impl ErasedEngine {
             });
             self.scratch.widest_hop = self.scratch.widest_hop.max(active);
 
-            // ---- merge: the logged float charges added on this thread in
-            // global frontier order, the integer deltas reduced in worker-id
-            // order, then the per-query frontier union on the workers: every
-            // candidate that survives ordering and deduplication across
-            // workers enters the visited set, exactly as sequentially.
-            replay_charges(&ctxs[..active], frontiers.len(), &mut deltas[0]);
+            // ---- merge: several workers' logged float charges added on this
+            // thread query by query, worker by worker (global frontier
+            // order), the integer deltas reduced in worker-id order, then the
+            // per-query frontier union on the workers: every candidate that
+            // survives ordering and deduplication across workers enters the
+            // visited set, exactly as sequentially.
+            if active > 1 {
+                let logs = &ctxs[..active];
+                let runs =
+                    (0..frontiers.len()).flat_map(|q| logs.iter().map(move |c| c.log.run(q)));
+                replay_charges(runs, &mut deltas[0]);
+            }
             let delta = self.charge_hop(&deltas, timeline);
 
             if let [only] = &mut ctxs[..active] {
@@ -358,16 +334,15 @@ impl ErasedEngine {
         (visited, hops, expansions)
     }
 
-    /// One worker's share of an NFA-product execute stage (the labelled
-    /// generalisation of `khop_hop_worker`).
+    /// One worker's share of an NFA-product execute stage.
     ///
     /// The worker expands the `partition_point` slice of every query's
     /// frontier that falls in its key range `keys`, query by query, whichever
     /// module or host row owns a pair. Expanding is **build-then-replay**:
     /// `build_expansion` files a pair's charges and successors in the
     /// worker's memo on first sight in the call; every expansion then
-    /// replays the entry — its float charge onto the charge log
-    /// ([`replay_charges`]), its byte charges as three integer adds (made
+    /// replays the entry — its float charge into the worker's
+    /// [`ChargeLog`], its byte charges as three integer adds (made
     /// unconditionally, §6 rule 2), and each successor key that is new to
     /// both the worker's marks for this `(query, hop)` and the query's
     /// visited snapshot (marks first: a duplicate costs one stamp compare).
@@ -381,9 +356,7 @@ impl ErasedEngine {
         ctx: &mut NfaHopCtx,
     ) -> StatsDelta {
         let mut delta = StatsDelta::new(self.config.pim.num_modules);
-        let NfaHopCtx { marks, nexts, memo, charges, charge_ends } = ctx;
-        charges.clear();
-        charge_ends.clear();
+        let NfaHopCtx { marks, nexts, memo, log } = ctx;
         for (q, frontier) in frontiers.iter().enumerate() {
             // Last hop's candidates stay readable until the merge stage has
             // copied them out; the list is emptied here, by its owner.
@@ -409,7 +382,9 @@ impl ErasedEngine {
                     }
                 };
                 let expansion = memo.entries[index];
-                charges.extend(expansion.charge);
+                if let Some(charge) = expansion.charge {
+                    log.add(&mut delta, charge);
+                }
                 delta.ipc_messages += expansion.ipc_messages;
                 delta.ipc_bytes += expansion.ipc_messages * (ENTRY_BYTES + STATE_BYTES);
                 delta.cpc_bytes += expansion.cpc_entries * (ENTRY_BYTES + STATE_BYTES);
@@ -419,7 +394,7 @@ impl ErasedEngine {
                     }
                 }
             }
-            charge_ends.push(charges.len());
+            log.end_run();
         }
         delta
     }

@@ -403,9 +403,10 @@ fn thread_count_never_changes_results_or_charges() {
     let graph = graph_gen::uniform::generate(400, 4.0, 17);
     let edges: Vec<(NodeId, NodeId, Label)> =
         graph.edges().map(|(s, d, _)| (s, d, Label((d.0 % 3) as u16 + 1))).collect();
-    // 1100 sources: the first hop already carries more than
-    // ENTRIES_PER_EXTRA_WORKER entries and the later ones several times
-    // that, so all three workers run.
+    // 1100 sources: three k-hop query ranges of hundreds of queries each,
+    // and an NFA-product first hop with more than ENTRIES_PER_EXTRA_WORKER
+    // entries (the later ones several times that), so all three workers
+    // run in both loops.
     let sources: Vec<NodeId> = (0..1100u64).map(|i| NodeId(i % 400)).collect();
     assert!(active_workers(3, sources.len()) > 1);
 
@@ -429,8 +430,12 @@ fn thread_count_never_changes_results_or_charges() {
             assert_eq!(got_stats, want_stats, "k = {k}, round {round}");
         }
         // The comparison means something only if the parallel engine left
-        // the inline path — in each loop, so the mark is reset in between.
-        assert_eq!(std::mem::take(&mut parallel.scratch.widest_hop), 3, "k-hop never ran wide");
+        // the inline path — in each loop, so the marks are reset in between:
+        // a k-hop call splits its queries over three worker contexts, and
+        // each of them expanded some.
+        let khop_ctxs = std::mem::take(&mut parallel.scratch.khop_ctxs);
+        assert_eq!(khop_ctxs.len(), 3, "k-hop never ran wide");
+        assert!(khop_ctxs.iter().all(|ctx| ctx.expansions > 0), "a k-hop worker sat idle");
         let expr = rpq::parser::parse("1/(2|3)*/1").unwrap();
         let (want, want_stats) = serial.rpq_batch(&expr, &sources);
         let (got, got_stats) = parallel.rpq_batch(&expr, &sources);
@@ -443,6 +448,7 @@ fn thread_count_never_changes_results_or_charges() {
         );
     }
     assert_eq!(serial.scratch.widest_hop, 1, "one thread means one worker, whatever the hop");
+    assert_eq!(serial.scratch.khop_ctxs.len(), 1, "one thread means one k-hop worker");
 }
 
 #[test]
@@ -454,14 +460,14 @@ fn a_clone_leaves_the_scratch_behind_and_charges_identically() {
     let sources: Vec<NodeId> = (0..8u64).map(NodeId).collect();
     let want = original.rpq_batch(&flood, &sources);
     let want_k = original.k_hop_batch(&sources, 3);
-    // The warmed engine holds marks, buffers, a bitmap and the last
-    // call's memo; its clone holds none of it.
+    // The warmed engine holds marks, a bitmap, the last call's memo and a
+    // k-hop worker's lane array; its clone holds none of it.
     let warmed = &original.scratch;
-    assert!(!warmed.nfa_ctxs[0].memo.entries.is_empty() && !warmed.hop_ctxs.is_empty());
+    assert!(!warmed.nfa_ctxs[0].memo.entries.is_empty() && warmed.khop_ctxs[0].expansions > 0);
     let mut clone = original.clone();
     let cold = &clone.scratch;
-    assert!(cold.nfa_ctxs.is_empty() && cold.hop_ctxs.is_empty());
-    assert!(cold.merge_bitmaps.is_empty() && cold.frontier.pool.is_empty());
+    assert!(cold.nfa_ctxs.is_empty() && cold.khop_ctxs.is_empty());
+    assert!(cold.merge_bitmaps.is_empty());
     assert_eq!(clone.rpq_batch(&flood, &sources), want);
     assert_eq!(clone.k_hop_batch(&sources, 3), want_k);
     assert_eq!(original.rpq_batch(&flood, &sources), want, "the original is unharmed");
@@ -469,8 +475,8 @@ fn a_clone_leaves_the_scratch_behind_and_charges_identically() {
 
 #[test]
 fn balanced_ranges_are_contiguous_cover_everything_and_follow_the_weights() {
-    let check = |head: u64, weights: &[u64], parts: usize| {
-        let ranges = balanced_ranges(head, weights, parts);
+    let check = |weights: &[u64], parts: usize| {
+        let ranges = balanced_ranges(weights, parts);
         assert_eq!(ranges.len(), parts);
         let mut next = 0;
         for r in &ranges {
@@ -478,26 +484,22 @@ fn balanced_ranges_are_contiguous_cover_everything_and_follow_the_weights() {
             next = r.end;
         }
         assert_eq!(next, weights.len(), "ranges must cover every item: {ranges:?}");
-        assert_eq!(ranges, balanced_ranges(head, weights, parts), "a pure function");
+        assert_eq!(ranges, balanced_ranges(weights, parts), "a pure function");
         ranges
     };
     for parts in [1usize, 2, 3, 4, 8, 13] {
-        // No weight at all (a first hop): the even split.
-        assert_eq!(check(0, &[0; 8], parts), chunk_ranges(8, parts));
-        assert_eq!(check(0, &[], parts), chunk_ranges(0, parts));
+        // No weight at all: the even split.
+        assert_eq!(check(&[0; 8], parts), chunk_ranges(8, parts));
+        assert_eq!(check(&[], parts), chunk_ranges(0, parts));
         // Equal weights: as even as `chunk_ranges`, to within one item.
-        let sizes: Vec<usize> = check(0, &[5; 64], parts).iter().map(Range::len).collect();
+        let sizes: Vec<usize> = check(&[5; 64], parts).iter().map(Range::len).collect();
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1, "{sizes:?}");
-        check(7, &[3, 0, 0, 9, 1, 1, 40, 2], parts);
+        check(&[3, 0, 0, 9, 1, 1, 40, 2], parts);
     }
-    // A host lane as heavy as all the modules: worker 0 takes it alone;
-    // a lighter one: worker 0 takes correspondingly fewer modules.
-    assert_eq!(check(64, &[8; 8], 2), vec![0..0, 0..8]);
-    assert_eq!(check(32, &[8; 8], 2), vec![0..2, 2..8]);
     // One heavy item does not starve the parts behind it, and with fewer
     // items than parts the trailing parts are empty.
-    assert_eq!(check(0, &[100, 1, 1, 1, 1], 3), vec![0..1, 1..3, 3..5]);
-    assert_eq!(check(0, &[4, 4], 4), vec![0..1, 1..2, 2..2, 2..2]);
+    assert_eq!(check(&[100, 1, 1, 1, 1], 3), vec![0..1, 1..3, 3..5]);
+    assert_eq!(check(&[4, 4], 4), vec![0..1, 1..2, 2..2, 2..2]);
 }
 
 /// `tests/parallel_equivalence.rs`'s key-split fixture (nodes `1000..1601`

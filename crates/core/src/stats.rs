@@ -81,12 +81,11 @@ impl UpdateStats {
 /// reduces with [`StatsDelta::merge`] in ascending worker-id order.
 ///
 /// Determinism (see CONCURRENCY.md): a float slot (`per_module`,
-/// `host_time`) receives non-zero values from at most one delta — the k-hop
-/// worker that owns the module or the host lane, or the NFA-product loop's
-/// calling thread, which adds the workers' logged charges in frontier order —
-/// and the merge adds exact IEEE-754 zeros from the rest, so the merged delta
-/// is bit-identical to the sequential loop's. The byte and message counters
-/// are integers, where addition is exact and order-free.
+/// `host_time`) receives non-zero values from at most one delta — a lone
+/// worker's, or the calling thread's replay of several workers' logged
+/// charges in frontier order — and the merge adds exact IEEE-754 zeros from
+/// the rest, so the merged delta is bit-identical to the sequential loop's.
+/// Byte and message counters are integers: exact and order-free.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsDelta {
     /// Simulated busy time charged to each PIM module this stage.

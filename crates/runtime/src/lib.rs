@@ -23,7 +23,7 @@
 //! three rules; CONCURRENCY.md §4 carries the argument:
 //!
 //! 1. **Disjoint ownership** — each worker owns a contiguous share of the
-//!    work ([`chunk_ranges`], a module split, or [`key_ranges`]) and adds a
+//!    work ([`chunk_ranges`] of queries, or [`key_ranges`]) and adds a
 //!    float only into an accumulator no other worker adds to, in the
 //!    sequential loop's order; a worker that cannot own an accumulator logs
 //!    its charges for the calling thread to add in that order.

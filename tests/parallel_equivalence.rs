@@ -5,7 +5,8 @@
 //! and power-law graphs with interleaved labelled updates.
 //!
 //! This is the executable form of the determinism contract in CONCURRENCY.md
-//! (disjoint module ownership, private worker scratch, id-ordered merge):
+//! (disjoint worker ranges, private worker scratch, float charges added in
+//! frontier order, id-ordered merge):
 //! `QueryStats`/`UpdateStats` derive `PartialEq` over the full per-phase
 //! `Timeline` **including the floating-point `SimTime` values and the raw
 //! `TransferStats` counters**, so a single inequality anywhere — a float
@@ -218,19 +219,21 @@ fn set_threads_on_a_live_engine_keeps_outputs_identical() {
     }
 }
 
-/// Frontier entries each additional worker of a hop must bring: the hop
-/// loops clamp a hop's worker count by its work, one worker plus one per
-/// this many entries (`ENTRIES_PER_EXTRA_WORKER`, pinned — with the sizes
-/// used below — by a unit test next to `active_workers` in
+/// Frontier entries each additional worker of an NFA-product hop must
+/// bring: that loop clamps a hop's worker count by its work, one worker plus
+/// one per this many entries (`ENTRIES_PER_EXTRA_WORKER`, pinned — with the
+/// sizes used below — by a unit test next to `active_workers` in
 /// `moctopus::distributed`, which also asserts on a fixture of its own that
-/// such hops really leave the inline path).
+/// such hops really leave the inline path). The k-hop loop runs wide by
+/// query count: one worker per query range, as many as threads allow, so
+/// every k-hop fixture below with two or more sources runs wide.
 const ENTRIES_PER_EXTRA_WORKER: usize = 256;
 
-/// A batch whose first hop alone engages all 8 workers that `small_test`'s 8
-/// modules allow several times over: a first hop has one entry per source,
-/// so 7 × 1024 sources cross the clamp at 2, 4 and 8 threads by
-/// construction, and the merge stage's per-query chunks hold hundreds of
-/// queries each. The property tests above use 16 sources and run every hop
+/// A batch that engages all 8 workers several times over: a first hop has
+/// one entry per source, so 7 × 1024 sources cross the NFA loop's clamp at
+/// 2, 4 and 8 threads by construction, the merge stage's per-query chunks
+/// hold hundreds of queries each, and every k-hop worker owns hundreds of
+/// queries, several lane groups of 64. The property tests above use 16 sources and run every hop
 /// inline; these fixtures are what keeps the multi-worker execute and merge
 /// stages covered.
 const WIDE_BATCH: usize = 7 * 1024;
@@ -295,9 +298,8 @@ fn a_set_moctopus_threads_variable_parses_and_reaches_the_default_config() {
     assert_eq!(MoctopusConfig::small_test().threads, threads);
 }
 
-/// Thread counts for the fixtures below: 3 does not divide `small_test`'s 8
-/// modules, so the even and the weighted module split differ in more than
-/// the host lane.
+/// Thread counts for the fixtures below: 3 divides neither `small_test`'s
+/// 8 modules nor the batches, so query and key ranges differ in length.
 const SPLIT_THREAD_COUNTS: [usize; 4] = [2, 3, 4, 8];
 
 /// One engine's observable output for a fixture: answers, the complete
@@ -351,12 +353,12 @@ fn assert_observations_match(edges: &[(NodeId, NodeId, Label)], batches: &[&[Nod
     }
 }
 
-/// The weighted module split. A power-law graph where a sixth of the nodes
-/// are hubs that most edges point at: under labor division (Moctopus) the
-/// host lane scans most entries of every hop past the first, so the k-hop
-/// loop's module → worker split — balanced on the previous hop's tallies —
-/// differs from the even one and changes from hop to hop, while PIM-hash
-/// (no host lane) and the first hop keep the even split.
+/// Hub-heavy batches. A power-law graph where a sixth of the nodes are hubs
+/// that most edges point at: under labor division (Moctopus) the host lane
+/// scans most entries of every hop past the first, and the 320 queries
+/// share those hub rows across k-hop query ranges and lane groups, while
+/// PIM-hash has no host lane. (Named for the weighted module split the
+/// k-hop loop had before it split by query range.)
 #[test]
 fn hub_heavy_batches_are_identical_under_the_weighted_split() {
     let cfg = graph_gen::powerlaw::PowerLawConfig {
@@ -383,9 +385,10 @@ fn hub_heavy_batches_are_identical_under_the_weighted_split() {
 
 /// The per-query merge with fewer queries than workers. A fan — node 0
 /// points at 1200 nodes, each of which points on — so a *single* query's
-/// second hop carries 1200 frontier entries: enough for 4 workers (5 at 8
-/// threads) to expand it, and then to split a merge stage that has one
-/// query (or two) to hand out. Node 0 is a hub, so under labor division it
+/// second hop carries 1200 frontier entries: enough for 4 NFA-product
+/// workers (5 at 8 threads) to expand it, and then to split a merge stage
+/// that has one query (or two) to hand out; the k-hop loop runs the one
+/// query on one worker and the two on two. Node 0 is a hub, so under labor division it
 /// is also a hop whose whole work is the host lane's.
 #[test]
 fn one_and_two_query_batches_are_identical_on_many_workers() {
