@@ -150,10 +150,8 @@ impl HarnessOptions {
         } else if options.batch > cap && [&RPQ_FLAGS[..], &SERVE_FLAGS[..]].contains(&extra) {
             // The labelled binaries clamp a scaled batch; one given
             // explicitly is not cut behind the caller's back.
-            return Err(UsageError(format!(
-                "--batch: {} is above the cap of {cap}",
-                options.batch
-            )));
+            let reason = format!("--batch: {} is above the cap of {cap}", options.batch);
+            return Err(UsageError(reason));
         }
         Ok((options, found))
     }

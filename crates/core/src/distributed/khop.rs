@@ -4,7 +4,8 @@
 //! once per hop (CONCURRENCY.md §3.1; the measurement is §4.1).
 
 use super::{
-    replay_charges, take_scratch, Charge, ChargeLog, ErasedEngine, ENTRY_BYTES, HOST_LANE, ID_BYTES,
+    active_workers, replay_charges, take_scratch, Charge, ChargeLog, ErasedEngine, ENTRY_BYTES,
+    HOST_LANE, ID_BYTES,
 };
 use crate::deps::{DepMask, QueryDeps};
 use crate::stats::{QueryStats, StatsDelta};
@@ -15,18 +16,18 @@ use pim_sim::Timeline;
 /// Queries per lane group: one bit of a `u64` lane mask each.
 const LANES: usize = 64;
 
-/// A lane array is drained by a word scan of its touched span when at least
-/// one slot in this many is touched, and by sorting the touched slots
-/// otherwise.
+/// A drain scans a bitmap of the touched slots word by word over their span
+/// when at least one slot per this many words is touched, and sorts them otherwise.
 const DENSE_SPAN: usize = 16;
 
 /// Per directory slot, the lanes of a group's next frontiers that hold the
-/// slot, and the slots this hop made non-zero: all zero and empty between
-/// hops.
+/// slot; the slots this hop made non-zero; and one bit per slot for reading
+/// them in order: all zero and empty between hops.
 #[derive(Debug, Default)]
 struct LaneArray {
     words: Vec<u64>,
     touched: Vec<usize>,
+    bits: Vec<u64>,
 }
 
 impl LaneArray {
@@ -47,22 +48,24 @@ impl LaneArray {
     }
 
     /// Calls `visit` with every touched slot's node and word in ascending id
-    /// order, zeroing the words and emptying `touched`.
+    /// order, zeroing the words and bits and emptying `touched`.
     fn drain_in_order(&mut self, mut visit: impl FnMut(NodeId, u64)) {
-        let touched = &mut self.touched;
+        let LaneArray { words, touched, bits } = self;
         let (lo, hi) = touched.iter().fold((usize::MAX, 0), |(lo, hi), &s| (lo.min(s), hi.max(s)));
+        let mut take = |slot: usize| visit(NodeId(slot as u64), std::mem::take(&mut words[slot]));
         // Empty, `hi < lo`: the sort path, over nothing.
-        if hi.saturating_sub(lo) / DENSE_SPAN < touched.len() {
-            for (slot, word) in (lo..=hi).zip(&mut self.words[lo..=hi]) {
-                if *word != 0 {
-                    visit(NodeId(slot as u64), std::mem::take(word));
+        if (hi / 64).saturating_sub(lo / 64) / DENSE_SPAN < touched.len() {
+            touched.iter().for_each(|&slot| bits[slot / 64] |= 1 << (slot % 64));
+            for (index, word) in (lo / 64..).zip(&mut bits[lo / 64..=hi / 64]) {
+                let mut set = std::mem::take(word);
+                while set != 0 {
+                    take(index * 64 + set.trailing_zeros() as usize);
+                    set &= set - 1;
                 }
             }
         } else {
             touched.sort_unstable();
-            for &slot in touched.iter() {
-                visit(NodeId(slot as u64), std::mem::take(&mut self.words[slot]));
-            }
+            touched.iter().for_each(|&slot| take(slot));
         }
         touched.clear();
     }
@@ -115,34 +118,36 @@ impl ErasedEngine {
         if let Some(deps) = track.as_deref_mut() {
             sources.iter().for_each(|&s| deps.nodes.insert(s));
         }
-        // Never more workers than queries.
-        let workers = self.pool.workers_for(sources.len());
+        // Never more workers than queries; a call of at most one hop (its
+        // frontier: the sources) is clamped by its work as an NFA hop is.
+        let width = self.pool.workers_for(sources.len());
+        let workers = if k > 1 { width } else { active_workers(width, k * sources.len()) };
         let ranges = chunk_ranges(sources.len(), workers);
         let mut ctxs = take_scratch(&mut self.scratch.khop_ctxs, workers);
+        for ctx in &mut ctxs[..workers] {
+            ctx.log.reset(workers == 1);
+        }
         let this: &Self = self;
         let tracked = track.is_some();
         this.pool.run_with(&mut ctxs[..workers], |worker, ctx| {
-            this.khop_worker(&sources[ranges[worker].clone()], k, workers == 1, tracked, ctx);
+            this.khop_worker(&sources[ranges[worker].clone()], k, tracked, ctx);
         });
 
         let active = &mut ctxs[..workers];
         for hop in 0..k {
-            let replayed = (workers > 1).then(|| {
-                let mut delta = StatsDelta::new(self.config.pim.num_modules);
-                let runs = active.iter().zip(&ranges).flat_map(|(ctx, range)| {
-                    (0..range.len().div_ceil(LANES)).map(move |g| ctx.log.run(g * k + hop))
-                });
-                replay_charges(runs, &mut delta);
-                delta
+            // A lone worker's runs are empty: it added its own charges.
+            let mut replayed = StatsDelta::new(self.config.pim.num_modules);
+            let runs = active.iter().zip(&ranges).flat_map(|(ctx, range)| {
+                (0..range.len().div_ceil(LANES)).map(move |g| ctx.log.run(g * k + hop))
             });
-            let deltas = replayed.iter().chain(active.iter().map(|ctx| &ctx.deltas[hop]));
-            let delta = self.charge_hop(deltas, &mut timeline);
+            replay_charges(runs, &mut replayed);
+            let deltas = active.iter().map(|ctx| &ctx.deltas[hop]);
+            let delta = self.charge_hop(std::iter::once(&replayed).chain(deltas), &mut timeline);
             if let Some(deps) = track.as_deref_mut() {
                 deps.host_lane |= !delta.host_time.is_zero();
             }
         }
-        let answers: Vec<Vec<NodeId>> =
-            active.iter_mut().flat_map(|ctx| ctx.answers.drain(..)).collect();
+        let answers: Vec<_> = active.iter_mut().flat_map(|ctx| ctx.answers.drain(..)).collect();
         let expansions = active.iter().map(|ctx| ctx.expansions).sum();
         if let Some(deps) = track {
             active.iter().for_each(|ctx| deps.nodes.union(ctx.deps));
@@ -157,29 +162,20 @@ impl ErasedEngine {
     }
 
     /// One worker's share of a k-hop call: all `k` hops of the queries
-    /// `sources`, in lane groups of up to [`LANES`]; `direct` for the call's
-    /// only worker. Per group and hop it reads the frontiers off the lane
-    /// array in id order, expands each row of their union once for all of
-    /// its lanes, and then adds or logs each expansion's float charge lane by
-    /// lane, in frontier order: query order.
-    fn khop_worker(
-        &self,
-        sources: &[NodeId],
-        k: usize,
-        direct: bool,
-        track: bool,
-        ctx: &mut KHopCtx,
-    ) {
-        let module_count = self.config.pim.num_modules;
-        let host_resident_bytes = self.host_store.live_bytes();
+    /// `sources`, in lane groups of up to [`LANES`]. Per group and hop it
+    /// reads the frontiers off the lane array in id order, expands each row
+    /// of their union once for all of its lanes, and then hands each
+    /// expansion's float charge to its log (which adds it at once for the
+    /// call's only worker) lane by lane, in frontier order: query order.
+    fn khop_worker(&self, sources: &[NodeId], k: usize, track: bool, ctx: &mut KHopCtx) {
         let row_owner = self.owner_lookup();
         let KHopCtx { next, union, charges, frontiers, deltas, log, deps, expansions, answers } =
             ctx;
         next.words.resize(self.directory_bound() as usize, 0);
+        next.bits.resize(next.words.len().div_ceil(64), 0);
         frontiers.resize_with(LANES, Vec::new);
         deltas.clear();
-        deltas.resize_with(k, || StatsDelta::new(module_count));
-        log.reset(direct);
+        deltas.resize_with(k, || StatsDelta::new(self.config.pim.num_modules));
         (*deps, *expansions) = (DepMask::EMPTY, 0);
 
         for group in sources.chunks(LANES) {
@@ -208,8 +204,7 @@ impl ErasedEngine {
                 });
                 charges.clear();
                 for &(v, mask) in union.iter() {
-                    let owner = row_owner(v);
-                    charges.push(self.expand_row(v, owner, mask, host_resident_bytes, next, delta));
+                    charges.push(self.expand_row(v, row_owner(v), mask, next, delta));
                 }
                 for &i in frontiers[..group.len()].iter().flatten() {
                     *expansions += 1;
@@ -219,7 +214,7 @@ impl ErasedEngine {
                 }
                 log.end_run();
             }
-            // The last hop's next frontiers are the answers.
+            // The last hop's next frontiers are the answers, pushed in place.
             let first = answers.len();
             answers.resize(first + group.len(), Vec::new());
             let track_answers = track && !deps.is_full();
@@ -244,7 +239,6 @@ impl ErasedEngine {
         v: NodeId,
         owner: Option<PartitionId>,
         mask: u64,
-        host_resident_bytes: u64,
         next: &mut LaneArray,
         delta: &mut StatsDelta,
     ) -> Option<Charge> {
@@ -255,7 +249,7 @@ impl ErasedEngine {
                 let (slots, row) = self.host_store.row_scan(v);
                 delta.cpc_bytes += lanes * u64::from(tally.on_pim) * ENTRY_BYTES;
                 next.spread(mask, slots, row.map(|(u, _)| u));
-                let cost = self.pim.host_random_access_cost(1, host_resident_bytes)
+                let cost = self.pim.host_random_access_cost(1, self.host_store.live_bytes())
                     + self.pim.host_sequential_read_cost(slots as u64 * ID_BYTES);
                 Some((HOST_LANE, cost))
             }

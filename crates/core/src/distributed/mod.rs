@@ -143,10 +143,10 @@ fn tally_slot(tallies: &mut Vec<RowTally>, node: NodeId) -> &mut RowTally {
 /// 512 and slower from 1024 up), short of its edge.
 const ENTRIES_PER_EXTRA_WORKER: usize = 256;
 
-/// Worker count actually used for one NFA-product hop: the batch-level
-/// layout width clamped by the hop's *work*, one worker plus one more per
-/// [`ENTRIES_PER_EXTRA_WORKER`] frontier entries, so long-tail closure hops
-/// and small batches run inline. Any clamp gives identical output
+/// Worker count actually used for one NFA-product hop (or a k-hop call of
+/// at most one hop): the layout width clamped by the *work*, one worker plus
+/// one more per [`ENTRIES_PER_EXTRA_WORKER`] entries, so long-tail closure
+/// hops and small batches run inline. Any clamp gives identical output
 /// (CONCURRENCY.md §4): a wall-clock decision only.
 fn active_workers(layout_width: usize, frontier_entries: usize) -> usize {
     (1 + frontier_entries / ENTRIES_PER_EXTRA_WORKER).min(layout_width).max(1)
@@ -241,36 +241,6 @@ impl ChargeLog {
 /// order, as at one worker (CONCURRENCY.md §4, property 1).
 fn replay_charges<'a>(runs: impl IntoIterator<Item = &'a [Charge]>, delta: &mut StatsDelta) {
     runs.into_iter().flatten().for_each(|&charge| add_charge(delta, charge));
-}
-
-/// The per-query half of the NFA loop's merge stage, on the workers: runs
-/// `merge(bitmap, q, &mut per_query[q])` for every query `q`, one contiguous
-/// chunk of queries per worker ([`balanced_ranges`] over `candidates(q)`,
-/// the candidates `q` received this hop), one bitmap per worker. A query's
-/// next frontier is a function of its own candidate lists and visited set
-/// alone, so which worker merges it — like which worker produced a
-/// candidate — cannot show in the output.
-fn merge_per_query<S: Send>(
-    pool: &WorkerPool,
-    bitmaps: &mut [OrderedBitmap],
-    per_query: &mut [S],
-    candidates: impl Fn(usize) -> u64,
-    merge: impl Fn(&mut OrderedBitmap, usize, &mut S) + Sync,
-) {
-    let weights: Vec<u64> = (0..per_query.len()).map(candidates).collect();
-    let chunks = balanced_ranges(&weights, bitmaps.len());
-    let mut rest = per_query;
-    let mut parts: Vec<(&mut OrderedBitmap, &mut [S])> = Vec::with_capacity(chunks.len());
-    for (bitmap, chunk) in bitmaps.iter_mut().zip(&chunks) {
-        let (mine, tail) = std::mem::take(&mut rest).split_at_mut(chunk.len());
-        rest = tail;
-        parts.push((bitmap, mine));
-    }
-    pool.run_with(&mut parts, |worker, (bitmap, mine)| {
-        for (q, state) in chunks[worker].clone().zip(mine.iter_mut()) {
-            merge(bitmap, q, state);
-        }
-    });
 }
 
 /// Takes a per-worker scratch vector out of the engine, grown to at least
@@ -596,8 +566,8 @@ impl<P: StreamingPartitioner + Sync + 'static> GraphEngine for DistributedPimEng
     /// and whether the host lane expanded a row. Tracking reads only
     /// thread-count-invariant state — frontier sets and merged deltas — so
     /// the deps, like the stats, are byte-identical at every thread count,
-    /// and no simulated charge moves. K-hop shapes take the tracked fast path, everything else
-    /// the tracked NFA product.
+    /// and no simulated charge moves. K-hop shapes take the tracked fast
+    /// path, everything else the tracked NFA product.
     fn rpq_batch_tracked(
         &mut self,
         expr: &RpqExpr,

@@ -5,7 +5,7 @@
 
 use super::planned::Pruning;
 use super::{
-    active_workers, merge_per_query, replay_charges, take_scratch, Charge, ChargeLog, ErasedEngine,
+    active_workers, balanced_ranges, replay_charges, take_scratch, Charge, ChargeLog, ErasedEngine,
     ENTRY_BYTES, HOST_LANE, ID_BYTES, LABEL_BYTES, STATE_BYTES,
 };
 use crate::deps::QueryDeps;
@@ -247,7 +247,7 @@ impl ErasedEngine {
         // the useful ones in the frontier.
         let merge_query =
             |bitmap: &mut OrderedBitmap, next: &mut Vec<usize>, seen: &mut ProductSet| {
-                bitmap.sort_dedup(next);
+                bitmap.sort_dedup(next, Some, |key| key);
                 for &key in next.iter() {
                     seen.insert_key(key);
                 }
@@ -264,9 +264,9 @@ impl ErasedEngine {
             // ---- execute: each worker expands one contiguous key range of
             // every query's frontier, whoever owns the rows, reading the
             // per-query visited sets as an immutable snapshot (they are only
-            // extended at the merge barrier below). As in the k-hop loop the
-            // worker count is clamped by the hop's work; the ranges hold
-            // about equally many of this hop's entries (CONCURRENCY.md §4.1).
+            // extended at the merge barrier below). The worker count is
+            // clamped by the hop's work; the ranges hold about equally many
+            // of this hop's entries (CONCURRENCY.md §4.1).
             let active = active_workers(layout_width, frontier_entries);
             let hop_keys = key_ranges(&frontiers, active);
             for ctx in &mut ctxs[..active] {
@@ -307,21 +307,27 @@ impl ErasedEngine {
                     merge_query(&mut bitmaps[0], next, seen);
                 }
             } else {
+                // One chunk of queries per worker, balanced by candidates: a
+                // query's next frontier depends on its own lists and set alone.
                 let lists = &ctxs[..active];
-                let mut per_query: Vec<_> = next_frontiers.iter_mut().zip(&mut visited).collect();
-                merge_per_query(
-                    &self.pool,
-                    &mut bitmaps[..active],
-                    &mut per_query,
-                    |q| lists.iter().map(|ctx| ctx.nexts[q].len() as u64).sum(),
-                    |bitmap, q, (next, seen)| {
+                let weights: Vec<u64> = (0..frontiers.len())
+                    .map(|q| lists.iter().map(|ctx| ctx.nexts[q].len() as u64).sum())
+                    .collect();
+                let mut per_query = next_frontiers.iter_mut().zip(&mut visited).enumerate();
+                let mut parts: Vec<(_, Vec<_>)> = bitmaps
+                    .iter_mut()
+                    .zip(balanced_ranges(&weights, active))
+                    .map(|(bitmap, chunk)| (bitmap, per_query.by_ref().take(chunk.len()).collect()))
+                    .collect();
+                self.pool.run_with(&mut parts, |_, (bitmap, mine)| {
+                    for (q, (next, seen)) in mine.iter_mut() {
                         next.clear();
                         for ctx in lists {
-                            next.extend_from_slice(&ctx.nexts[q]);
+                            next.extend_from_slice(&ctx.nexts[*q]);
                         }
                         merge_query(bitmap, next, seen);
-                    },
-                );
+                    }
+                });
             }
             if let Some(deps) = track.as_deref_mut() {
                 // Merged-delta host time is thread-count invariant.

@@ -23,7 +23,7 @@
 //!   memoised successors) talks to the set through
 //!   [`ProductSet::insert_key`] / [`ProductSet::contains_key`] and never
 //!   multiplies or divides, and [`OrderedBitmap::sort_dedup`] orders such a
-//!   frontier's keys.
+//!   frontier with the identity mapping.
 //!
 //! # Examples
 //!

@@ -101,6 +101,7 @@ proptest! {
         bound in 64usize..40_000,
         raw in proptest::collection::vec(0usize..1 << 20, 0..1200),
         spread_pct in 1usize..101,
+        hostile in 0usize..8,
     ) {
         // `spread_pct` narrows the key range the candidates fall in, so the
         // cases straddle the one-item-per-16-words density switch.
@@ -108,13 +109,22 @@ proptest! {
         let mut bitmap = OrderedBitmap::new();
         // Two "hops" on one bitmap. A merge only ever sees the workers' lists
         // concatenated, so one list stands for any number of workers.
-        for candidates in raw.chunks(raw.len().div_ceil(2).max(1)) {
-            let mut keys: Vec<usize> = candidates.iter().map(|&k| k % range).collect();
-            let mut want = keys.clone();
+        for (hop, candidates) in raw.chunks(raw.len().div_ceil(2).max(1)).enumerate() {
+            let mut items: Vec<u64> = candidates.iter().map(|&k| (k % range) as u64).collect();
+            // One case in eight carries an item with no key: the whole call
+            // must take the comparison path and still agree.
+            if hostile == 0 && hop == 0 {
+                items.push(1 << 40);
+            }
+            let mut want = items.clone();
             want.sort_unstable();
             want.dedup();
-            bitmap.sort_dedup(&mut keys);
-            prop_assert_eq!(keys, want);
+            bitmap.sort_dedup(
+                &mut items,
+                |i| usize::try_from(i).ok().filter(|&k| k < bound),
+                |k| k as u64,
+            );
+            prop_assert_eq!(items, want);
         }
     }
 }

@@ -14,20 +14,21 @@
 //! itself, ids past it and `NodeId(u64::MAX)`. Answers, the complete
 //! `QueryStats` and the `QueryDeps` must equal the one-thread run and a
 //! per-query BFS priced by the naive formulation of ARCHITECTURE.md §1 (the
-//! cost oracle of `tests/batch_frontier_equivalence.rs`), float order
-//! included. The graph's far ids make some hops sparse in the directory and
+//! cost oracle `tests/cost_oracle/mod.rs`, shared with
+//! `batch_frontier_equivalence`), float order included. The graph's far ids make some hops sparse in the directory and
 //! its hubs give Moctopus a host lane.
 
-use graph_partition::{PartitionAssignment, StreamingPartitioner};
-use graph_store::{NodeId, PartitionId, HIGH_DEGREE_THRESHOLD};
+use graph_partition::StreamingPartitioner;
+use graph_store::{AdjacencyGraph, NodeId, HIGH_DEGREE_THRESHOLD};
 use moctopus::distributed::DistributedPimEngine;
 use moctopus::{GraphEngine, MoctopusConfig, MoctopusSystem, PimHashSystem, QueryDeps, QueryStats};
-use pim_sim::{Phase, PimSystem, SimTime, Timeline};
+use pim_sim::Phase;
 use rpq::RpqExpr;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-const ENTRY_BYTES: u64 = 8;
-const ID_BYTES: u64 = 8;
+mod cost_oracle;
+
+use cost_oracle::oracle_query_timeline;
 
 /// Nodes `0..NODES` form the graph's core.
 const NODES: u64 = 300;
@@ -38,9 +39,6 @@ const UNNAMED: u64 = 10_000;
 
 /// Batch sizes on and around every lane-group boundary.
 const BATCHES: [usize; 10] = [1, 2, 31, 32, 33, 63, 64, 65, 128, 130];
-
-/// The logical graph: every node's out-row, sorted.
-type Rows = BTreeMap<u64, Vec<u64>>;
 
 /// A ring, a stride, four hubs past the high-degree threshold and the far
 /// detours.
@@ -62,20 +60,6 @@ fn edges() -> Vec<(NodeId, NodeId)> {
     edges.into_iter().map(|(s, d)| (NodeId(s), NodeId(d))).collect()
 }
 
-/// The out-rows of `edges`, which arrive sorted and duplicate-free.
-fn rows(edges: &[(NodeId, NodeId)]) -> Rows {
-    let mut rows = Rows::new();
-    for &(s, d) in edges {
-        rows.entry(s.0).or_default().push(d.0);
-    }
-    rows
-}
-
-/// The out-row of `v`, empty for a node without one.
-fn row(rows: &Rows, v: NodeId) -> &[u64] {
-    rows.get(&v.0).map_or(&[], Vec::as_slice)
-}
-
 /// `len` sources: core nodes, far nodes, the unnamed id, the directory bound,
 /// ids past it and `u64::MAX`, every fifth one a repeat of the one before.
 fn batch(len: usize, bound: u64) -> Vec<NodeId> {
@@ -92,97 +76,29 @@ fn batch(len: usize, bound: u64) -> Vec<NodeId> {
     sources
 }
 
-/// Each query's BFS, hop by hop, priced as ARCHITECTURE.md §1 states it:
-/// every frontier entry of every query is one expansion, charged in query
-/// order and, within a query, in ascending node order. Insert-only, so a host
-/// row holds no free slot and its bytes are its out-degree × 8.
-fn oracle(
-    rows: &Rows,
-    assignment: &PartitionAssignment,
-    config: &MoctopusConfig,
+/// What the cost oracle prices for one call: its answers and stats, and as
+/// deps every node its frontiers hold at hops 0..=k plus the host lane when
+/// any hop charged host time.
+fn oracle<P: StreamingPartitioner + Sync + 'static>(
+    graph: &AdjacencyGraph,
+    engine: &DistributedPimEngine<P>,
     sources: &[NodeId],
     k: usize,
 ) -> (Vec<Vec<NodeId>>, QueryStats, QueryDeps) {
-    let mut pim = PimSystem::new(config.pim);
-    let mut timeline = Timeline::new();
-    let mut deps = QueryDeps::default();
-    let mut expansions = 0usize;
-    let host_resident_bytes: u64 = assignment
-        .iter()
-        .filter(|&(_, p)| p == PartitionId::Host)
-        .map(|(n, _)| row(rows, n).len() as u64 * ID_BYTES)
-        .sum();
-
-    let on_pim = |n: u64| matches!(assignment.partition_of(NodeId(n)), Some(PartitionId::Pim(_)));
-    let dispatch_bytes = sources.iter().filter(|s| on_pim(s.0)).count() as u64 * ENTRY_BYTES;
-    timeline.charge(Phase::Cpc, pim.cpc_transfer_cost(dispatch_bytes));
-    timeline.transfers.record_cpu_to_pim(dispatch_bytes, 1);
-
-    let mut frontiers: Vec<Vec<NodeId>> = sources.iter().map(|&s| vec![s]).collect();
-    for &s in sources {
-        deps.nodes.insert(s);
+    let price =
+        |hops| oracle_query_timeline(graph, engine.assignment(), engine.config(), sources, hops);
+    let (answers, timeline, expansions) = price(k);
+    let mut deps = QueryDeps {
+        host_lane: !timeline.time(Phase::HostCompute).is_zero(),
+        ..QueryDeps::default()
+    };
+    for hop in 0..=k {
+        price(hop).0.iter().flatten().for_each(|&v| deps.nodes.insert(v));
     }
-    for _hop in 0..k {
-        let mut per_module = vec![SimTime::ZERO; config.pim.num_modules];
-        let mut host_time = SimTime::ZERO;
-        let (mut ipc_bytes, mut ipc_messages, mut cpc_bytes) = (0u64, 0u64, 0u64);
-        for frontier in &mut frontiers {
-            let mut next = BTreeSet::new();
-            for &v in frontier.iter() {
-                expansions += 1;
-                let out = row(rows, v);
-                let bytes = out.len() as u64 * ID_BYTES;
-                match assignment.partition_of(v) {
-                    Some(PartitionId::Host) => {
-                        host_time += pim.host_random_access_cost(1, host_resident_bytes)
-                            + pim.host_sequential_read_cost(bytes);
-                        cpc_bytes +=
-                            out.iter().filter(|&&u| on_pim(u)).count() as u64 * ENTRY_BYTES;
-                    }
-                    Some(PartitionId::Pim(m)) => {
-                        per_module[m as usize] += pim.pim_hash_lookup_cost(bytes);
-                        for &u in out {
-                            match assignment.partition_of(NodeId(u)) {
-                                Some(PartitionId::Pim(m2)) if m2 == m => {}
-                                Some(PartitionId::Pim(_)) => {
-                                    ipc_bytes += ENTRY_BYTES;
-                                    ipc_messages += 1;
-                                }
-                                _ => cpc_bytes += ENTRY_BYTES,
-                            }
-                        }
-                    }
-                    None => continue,
-                }
-                next.extend(out.iter().map(|&u| NodeId(u)));
-            }
-            *frontier = next.into_iter().collect();
-            frontier.iter().for_each(|&u| deps.nodes.insert(u));
-        }
-        deps.host_lane |= !host_time.is_zero();
-        timeline.charge(Phase::PimCompute, pim.parallel_step(&per_module));
-        timeline.charge(Phase::HostCompute, host_time);
-        timeline.charge(Phase::Cpc, pim.cpc_transfer_cost(cpc_bytes));
-        timeline.charge(
-            Phase::Ipc,
-            pim.ipc_transfer_cost(ipc_bytes) + pim.host_instructions_cost(ipc_messages * 25),
-        );
-        timeline.transfers.record_pim_to_cpu(cpc_bytes, 1);
-        timeline.transfers.record_inter_pim(ipc_bytes, ipc_messages);
-    }
-
-    let matched_pairs: usize = frontiers.iter().map(Vec::len).sum();
-    let gather_bytes = matched_pairs as u64 * ENTRY_BYTES;
-    timeline.charge(Phase::Cpc, pim.cpc_transfer_cost(gather_bytes));
-    timeline.transfers.record_pim_to_cpu(gather_bytes, 1);
-    timeline.charge(
-        Phase::Reduce,
-        pim.host_sequential_read_cost(gather_bytes)
-            + pim.host_instructions_cost(matched_pairs as u64 * 8),
-    );
+    let matched_pairs = answers.iter().map(Vec::len).sum();
     let stats =
         QueryStats { timeline, batch_size: sources.len(), hops: k, matched_pairs, expansions };
-    (frontiers, stats, deps)
+    (answers, stats, deps)
 }
 
 /// What one engine answers for every batch and k, untracked and tracked.
@@ -192,7 +108,7 @@ type Observed = Vec<(Vec<Vec<NodeId>>, QueryStats, Option<QueryDeps>)>;
 /// oracle; returns the observations for the cross-thread comparison.
 fn observe<P: StreamingPartitioner + Sync + 'static>(
     engine: &mut DistributedPimEngine<P>,
-    rows: &Rows,
+    graph: &AdjacencyGraph,
 ) -> Observed {
     let bound = engine.assignment().id_bound();
     assert!(bound > FAR, "the far ids size the owner directory");
@@ -201,8 +117,7 @@ fn observe<P: StreamingPartitioner + Sync + 'static>(
     for len in BATCHES {
         let sources = batch(len, bound);
         for k in 0..=4 {
-            let (want, want_stats, want_deps) =
-                oracle(rows, engine.assignment(), engine.config(), &sources, k);
+            let (want, want_stats, want_deps) = oracle(graph, engine, &sources, k);
             let who = format!(
                 "{} at {} threads, {len} sources, k = {k}",
                 engine.name(),
@@ -223,7 +138,7 @@ fn observe<P: StreamingPartitioner + Sync + 'static>(
 }
 
 /// Both engines at `threads`: Moctopus refined, with its hubs on the host.
-fn observe_at(threads: usize, edges: &[(NodeId, NodeId)], rows: &Rows) -> [Observed; 2] {
+fn observe_at(threads: usize, edges: &[(NodeId, NodeId)], graph: &AdjacencyGraph) -> [Observed; 2] {
     let config = MoctopusConfig::small_test().with_threads(threads);
     let mut moctopus = MoctopusSystem::new(config);
     moctopus.insert_edges(edges);
@@ -231,15 +146,15 @@ fn observe_at(threads: usize, edges: &[(NodeId, NodeId)], rows: &Rows) -> [Obser
     assert!(moctopus.host_row_count() >= 4, "the hubs are host-lane rows");
     let mut hash = PimHashSystem::new(config);
     hash.insert_edges(edges);
-    [observe(&mut moctopus, rows), observe(&mut hash, rows)]
+    [observe(&mut moctopus, graph), observe(&mut hash, graph)]
 }
 
 #[test]
 fn lane_groups_match_the_per_query_oracle_and_one_thread_at_every_batch_size() {
     let edges = edges();
-    let rows = rows(&edges);
-    let serial = observe_at(1, &edges, &rows);
+    let graph = AdjacencyGraph::from_edges(edges.iter().copied());
+    let serial = observe_at(1, &edges, &graph);
     for threads in 2..=4 {
-        assert_eq!(observe_at(threads, &edges, &rows), serial, "{threads} threads");
+        assert_eq!(observe_at(threads, &edges, &graph), serial, "{threads} threads");
     }
 }

@@ -224,9 +224,10 @@ fn set_threads_on_a_live_engine_keeps_outputs_identical() {
 /// one per this many entries (`ENTRIES_PER_EXTRA_WORKER`, pinned — with the
 /// sizes used below — by a unit test next to `active_workers` in
 /// `moctopus::distributed`, which also asserts on a fixture of its own that
-/// such hops really leave the inline path). The k-hop loop runs wide by
-/// query count: one worker per query range, as many as threads allow, so
-/// every k-hop fixture below with two or more sources runs wide.
+/// such hops really leave the inline path). The k-hop loop runs a call of
+/// two or more hops wide by query count: one worker per query range, as
+/// many as threads allow, so every k-hop fixture below (k = 3) with two or
+/// more sources runs wide. A one-hop call is clamped like an NFA hop.
 const ENTRIES_PER_EXTRA_WORKER: usize = 256;
 
 /// A batch that engages all 8 workers several times over: a first hop has
