@@ -273,7 +273,9 @@ mod tests {
         let s = sys();
         let one = s.pim_instructions_cost(1000);
         let ten = s.pim_instructions_cost(10_000);
-        assert!((ten.as_nanos() - 10.0 * one.as_nanos()).abs() < 1e-6);
+        // Each cost is rounded to the picosecond once: within 1 ps.
+        let (tenfold, ps) = (one * 10, SimTime::from_nanos(1e-3));
+        assert!(ten <= tenfold + ps && tenfold <= ten + ps, "{ten:?} vs {tenfold:?}");
         let h1 = s.host_instructions_cost(1000);
         assert!(h1 < one, "host core is faster than a PIM core");
     }

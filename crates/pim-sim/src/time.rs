@@ -4,11 +4,16 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-/// A span of simulated time, stored in nanoseconds.
+/// A span of simulated time, stored in whole picoseconds.
 ///
-/// `SimTime` is the unit every cost-model function returns. It is a simple
-/// wrapper over `f64` nanoseconds with saturating-at-zero subtraction and the
-/// arithmetic needed for accumulating phase breakdowns.
+/// `SimTime` is the unit every cost-model function returns. A cost model
+/// computes in floating-point nanoseconds; the value is rounded to the
+/// nearest picosecond once, where the span is made from a float
+/// ([`from_nanos`](SimTime::from_nanos), [`from_micros`](SimTime::from_micros),
+/// [`from_millis`](SimTime::from_millis) and the `f64` scaling operators).
+/// Everything after that is integer arithmetic, saturating at both ends, so
+/// a sum of spans is exact and the same in any order or grouping: a
+/// parallel loop may add its charges wherever they arise.
 ///
 /// # Examples
 ///
@@ -19,17 +24,29 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// assert_eq!((a + b).as_nanos(), 2500.0);
 /// assert!(a.max(b) == a);
 /// assert_eq!(SimTime::from_millis(1.0).as_micros(), 1000.0);
+/// assert_eq!(SimTime::from_nanos(0.0004), SimTime::ZERO);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct SimTime(f64);
+pub struct SimTime(u64);
 
 impl SimTime {
     /// Zero elapsed time.
-    pub const ZERO: SimTime = SimTime(0.0);
+    pub const ZERO: SimTime = SimTime(0);
 
-    /// Creates a time span from nanoseconds.
+    /// Creates a time span from nanoseconds, rounded to the nearest
+    /// picosecond. A negative or NaN input is zero, and one past the largest
+    /// span saturates.
+    #[inline]
     pub fn from_nanos(ns: f64) -> Self {
-        SimTime(ns.max(0.0))
+        SimTime::from_picos(ns * 1e3)
+    }
+
+    /// The one rounding: `max` turns NaN into 0.0 and the cast saturates.
+    /// `+ 0.5` and a truncating cast round half up without `f64::round`,
+    /// which is a libm call on the cost model's hottest path.
+    #[inline]
+    fn from_picos(ps: f64) -> Self {
+        SimTime((ps.max(0.0) + 0.5) as u64)
     }
 
     /// Creates a time span from microseconds.
@@ -44,58 +61,52 @@ impl SimTime {
 
     /// The span in nanoseconds.
     pub fn as_nanos(self) -> f64 {
-        self.0
+        self.0 as f64 / 1e3
     }
 
     /// The span in microseconds.
     pub fn as_micros(self) -> f64 {
-        self.0 / 1e3
+        self.0 as f64 / 1e6
     }
 
     /// The span in milliseconds.
     pub fn as_millis(self) -> f64 {
-        self.0 / 1e6
+        self.0 as f64 / 1e9
     }
 
     /// The span in seconds.
     pub fn as_secs(self) -> f64 {
-        self.0 / 1e9
+        self.0 as f64 / 1e12
     }
 
     /// Returns the larger of two spans.
     pub fn max(self, other: SimTime) -> SimTime {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
+        SimTime(self.0.max(other.0))
     }
 
     /// Returns the smaller of two spans.
     pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
+        SimTime(self.0.min(other.0))
     }
 
     /// Returns `true` if the span is exactly zero.
     pub fn is_zero(self) -> bool {
-        self.0 == 0.0
+        self.0 == 0
     }
 }
 
 impl Add for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimTime) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -103,21 +114,30 @@ impl Sub for SimTime {
     type Output = SimTime;
     /// Saturating subtraction: never produces a negative span.
     fn sub(self, rhs: SimTime) -> SimTime {
-        SimTime((self.0 - rhs.0).max(0.0))
+        SimTime(self.0.saturating_sub(rhs.0))
+    }
+}
+
+impl Mul<u64> for SimTime {
+    type Output = SimTime;
+    /// Exact, saturating: `t * n` is `n` additions of `t`.
+    #[inline]
+    fn mul(self, rhs: u64) -> SimTime {
+        SimTime(self.0.saturating_mul(rhs))
     }
 }
 
 impl Mul<f64> for SimTime {
     type Output = SimTime;
     fn mul(self, rhs: f64) -> SimTime {
-        SimTime::from_nanos(self.0 * rhs)
+        SimTime::from_picos(self.0 as f64 * rhs)
     }
 }
 
 impl Div<f64> for SimTime {
     type Output = SimTime;
     fn div(self, rhs: f64) -> SimTime {
-        SimTime::from_nanos(self.0 / rhs)
+        SimTime::from_picos(self.0 as f64 / rhs)
     }
 }
 
@@ -129,14 +149,14 @@ impl Sum for SimTime {
 
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1e9 {
+        if self.0 >= 1_000_000_000_000 {
             write!(f, "{:.3}s", self.as_secs())
-        } else if self.0 >= 1e6 {
+        } else if self.0 >= 1_000_000_000 {
             write!(f, "{:.3}ms", self.as_millis())
-        } else if self.0 >= 1e3 {
+        } else if self.0 >= 1_000_000 {
             write!(f, "{:.3}us", self.as_micros())
         } else {
-            write!(f, "{:.1}ns", self.0)
+            write!(f, "{:.1}ns", self.as_nanos())
         }
     }
 }

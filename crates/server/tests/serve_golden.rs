@@ -13,7 +13,8 @@
 //! accounting cannot drift unnoticed.
 //!
 //! The constants were printed before the three query paths of
-//! `QueryServer` were folded into one loop. Print fresh ones with
+//! `QueryServer` were folded into one loop; the simulated-time bits were
+//! re-printed once, when `SimTime` became whole picoseconds. Print fresh ones with
 //! `SERVE_GOLDEN_PRINT=1 cargo test -p moctopus-server --test serve_golden
 //! -- --nocapture`, and only for a stated change to the serving semantics.
 
@@ -266,13 +267,13 @@ fn the_log_exercises_every_outcome() {
 fn pinned() -> [Golden; 4] {
     [
         Golden {
-            responses: 0xc2a3_5cd6_05b9_8ea2,
+            responses: 0x8d11_f53b_60db_cf43,
             totals: [
                 0x48,
                 0xc,
-                0x4153_1452_7c09_c09d,
-                0x40ac_91b6_db6d_b6dd,
-                0x4135_0e4f_9e79_e79e,
+                0x4153_1452_cde3_53f8,
+                0x40ac_91b6_c8b4_3958,
+                0x4135_0e50_00c4_9ba6,
                 0x5354,
                 0xc,
                 0x3c,
@@ -281,19 +282,19 @@ fn pinned() -> [Golden; 4] {
                 0x81c9,
                 0x3c,
                 0x0,
-                0x4152_d79d_6492_4926,
-                0x415d_57fb_1861_8610,
+                0x4152_d79d_b624_dd2f,
+                0x415d_57fb_8df3_b646,
             ],
             cache: None,
         },
         Golden {
-            responses: 0x428d_1e9f_842f_ca56,
+            responses: 0x7f24_34e8_c000_c183,
             totals: [
                 0x48,
                 0xc,
-                0x4152_574b_a6b4_6b47,
-                0x40b3_2124_9249_2492,
-                0x4138_026a_f3cf_3cf3,
+                0x4152_574b_f645_a1cb,
+                0x40b3_2124_9ba5_e354,
+                0x4138_026b_5f3b_645a,
                 0x5354,
                 0xa,
                 0x38,
@@ -302,19 +303,19 @@ fn pinned() -> [Golden; 4] {
                 0x7ba4,
                 0x38,
                 0x0,
-                0x4152_1a96_8f3c_f3d0,
-                0x415c_5cb5_2618_617f,
+                0x4152_1a96_de87_2b02,
+                0x415c_5cb5_9883_126f,
             ],
             cache: Some([0x6, 0x38, 0x38, 0x32, 0x0]),
         },
         Golden {
-            responses: 0xe990_85f3_4678_763b,
+            responses: 0x1759_23bc_2e90_8331,
             totals: [
                 0x48,
                 0xc,
-                0x415b_842f_a6b4_6b46,
-                0x40da_63a4_9249_2497,
-                0x4156_2643_bfff_ffff,
+                0x415b_842f_f22d_0e56,
+                0x40da_63a3_4395_8106,
+                0x4156_2643_fa5e_353f,
                 0x5354,
                 0x8,
                 0x29,
@@ -323,19 +324,19 @@ fn pinned() -> [Golden; 4] {
                 0x68f1,
                 0xad,
                 0x0,
-                0x415b_477a_8f3c_f3cf,
-                0x4171_b2ac_1e79_e799,
+                0x415b_477a_da6e_978d,
+                0x4171_b2ac_604d_d2f2,
             ],
             cache: Some([0xd9, 0xad, 0xad, 0x8b, 0x0]),
         },
         Golden {
-            responses: 0xffc7_c19b_cc99_c5fc,
+            responses: 0x1adb_c946_6614_0f76,
             totals: [
                 0x48,
                 0xc,
-                0x4163_b963_d79e_79d5,
-                0x40ac_91b6_db6d_b6dd,
-                0x4144_6f28_4444_4446,
+                0x4163_b964_0b5c_28f6,
+                0x40ac_91b6_c8b4_3958,
+                0x4144_6f28_80e5_6042,
                 0x5354,
                 0xc,
                 0x3b,
@@ -344,8 +345,8 @@ fn pinned() -> [Golden; 4] {
                 0x81c0,
                 0x16e,
                 0x0,
-                0x4163_9b09_4be2_be19,
-                0x417d_eee5_25f1_5f13,
+                0x4163_9b09_7f7c_ed91,
+                0x417d_eee5_965e_353f,
             ],
             cache: Some([0x0, 0x16e, 0x16e, 0x10, 0x15c]),
         },

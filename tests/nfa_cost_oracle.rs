@@ -465,10 +465,11 @@ fn pinned_checksums(threads: usize) -> Vec<[u64; 4]> {
 }
 
 /// `[rpq_batch, rpq_batch_tracked, bidirectional, rare-label split]` for
-/// Moctopus, then for PIM-hash — as the parent commit computed them.
+/// Moctopus, then for PIM-hash — as the parent commit computed them, re-pinned
+/// once when `SimTime` became whole picoseconds.
 const PINNED: [[u64; 4]; 2] = [
-    [0x3261_dfab_0737_17d2, 0xb579_1859_40b9_e242, 0xdbd9_b56f_0538_c598, 0x7452_1955_9f8e_efc9],
-    [0x525d_f455_78c8_cf64, 0x1def_5cf4_fa17_a029, 0xe4b4_f02c_da38_f847, 0x5a48_50d2_e183_17da],
+    [0x1c79_8798_fb01_832b, 0xf101_2a42_9949_af5b, 0xa221_859c_1f59_d3c4, 0x9f31_8cc2_8d23_10d9],
+    [0xbc0c_2427_d131_8418, 0xa20b_eca2_2715_296d, 0x9add_ed3e_de19_a743, 0xe910_1a05_98e9_6ede],
 ];
 
 #[test]

@@ -265,7 +265,9 @@ fn refined(system: &mut MoctopusSystem) -> Refined {
 /// order, the IPC it charges and the storage image it leaves — on a k-hop
 /// trace and on a labelled workload. The constants were printed at the
 /// commit before refinement read the module stores in place (it used to
-/// copy every stored edge into a whole-graph view first).
+/// copy every stored edge into a whole-graph view first); the labelled
+/// workload's `timeline` was re-pinned once when `SimTime` became whole
+/// picoseconds.
 #[test]
 fn engine_refinement_is_pinned() {
     let options = HarnessOptions { scale: 0.01, threads: 1, ..HarnessOptions::default() };
@@ -294,7 +296,7 @@ fn engine_refinement_is_pinned() {
         examined: 10_244,
         migrated: 1179,
         migrations: 0xf860_deff_36a9_e2ed,
-        timeline: 0xceb6_3a68_642f_e2c6,
+        timeline: 0x030b_4637_e315_c0e7,
         storage: 0xbc1c_1742_48d4_cb4f,
     };
     assert_eq!(got, want, "power-law: {got:#x?}");

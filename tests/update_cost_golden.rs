@@ -8,10 +8,10 @@
 //! the label statistics — into checksums. The constants below were computed
 //! at the commit *before* the update funnel and the storage plane's maps were
 //! rewritten (PR 18) and must never move without a stated reason: nothing
-//! else pins the order in which update-side float charges accumulate except
-//! the experiment binaries' rounded stdout. The host baseline's constants
-//! were computed at the commit before its insert and delete loops became
-//! one.
+//! else pins the update path's charges bit for bit except the experiment
+//! binaries' rounded stdout. The host baseline's constants were computed at
+//! the commit before its insert and delete loops became one. The three
+//! `costs` moved once, when `SimTime` became whole picoseconds.
 
 use graph_store::{Label, NodeId};
 use moctopus::{
@@ -200,12 +200,12 @@ fn host_baseline(config: MoctopusConfig) -> Golden {
 }
 
 const MOCTOPUS: Golden = Golden {
-    costs: 0x9753_a362_52a5_2fb4,
+    costs: 0xa845_dcf1_10c8_359c,
     footprints: 0x1406_af35_2089_d41f,
     state: 0x3b71_3477_4e63_ebcc,
 };
 const PIM_HASH: Golden = Golden {
-    costs: 0x27a3_5e20_93c4_f89d,
+    costs: 0x0f9c_271d_95dd_d114,
     footprints: 0x58cf_36d5_5d2b_b715,
     state: 0x8666_4f60_8c1f_4736,
 };
@@ -214,7 +214,7 @@ const PIM_HASH: Golden = Golden {
 /// adjacency row is sorted before `encode_file` (`costs` and `footprints`
 /// did not move).
 const HOST_BASELINE: Golden = Golden {
-    costs: 0x83af_b988_64d4_061c,
+    costs: 0x9dd2_8a65_eee6_b621,
     footprints: 0xd1c7_4387_44d8_2f3e,
     state: 0x8d9b_9e76_eb29_f1dd,
 };
