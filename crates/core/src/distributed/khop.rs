@@ -1,12 +1,10 @@
 //! The batch k-hop loop: each worker owns a contiguous range of the batch's
 //! queries and runs all k hops on it, up to 64 queries at a time as the
 //! lanes of a `u64` mask, scanning each row of a lane group's frontier union
-//! once per hop (CONCURRENCY.md §3.1; the measurement is §4.1).
+//! once per hop and charging it times the lanes that hold it
+//! (CONCURRENCY.md §3.1; the measurement is §4.1).
 
-use super::{
-    active_workers, replay_charges, take_scratch, Charge, ChargeLog, ErasedEngine, ENTRY_BYTES,
-    HOST_LANE, ID_BYTES,
-};
+use super::{active_workers, take_scratch, ErasedEngine, ENTRY_BYTES, ID_BYTES};
 use crate::deps::{DepMask, QueryDeps};
 use crate::stats::{QueryStats, StatsDelta};
 use graph_store::{NodeId, PartitionId};
@@ -71,15 +69,6 @@ impl LaneArray {
     }
 }
 
-/// The lanes set in `mask`, ascending.
-fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        let lane = (mask != 0).then(|| mask.trailing_zeros() as usize)?;
-        mask &= mask - 1;
-        Some(lane)
-    })
-}
-
 /// One k-hop worker's context for a whole call (CONCURRENCY.md §6 rule 2),
 /// kept across calls for its capacity.
 #[derive(Debug, Default)]
@@ -87,14 +76,8 @@ pub(super) struct KHopCtx {
     next: LaneArray,
     /// The group's frontier union, ascending, each node with its lanes.
     union: Vec<(NodeId, u64)>,
-    /// Per `union` entry, what expanding its row charges (`None`: no row).
-    charges: Vec<Option<Charge>>,
-    /// Per lane, its frontier as ascending indices into `union`.
-    frontiers: Vec<Vec<usize>>,
-    /// Per hop, the integer charges (a lone worker's float ones too).
+    /// Per hop, every charge of this worker's expansions.
     deltas: Vec<StatsDelta>,
-    /// One run per lane group and hop.
-    log: ChargeLog,
     /// The buckets of every node reached (tracked calls).
     deps: DepMask,
     pub(super) expansions: usize,
@@ -105,8 +88,7 @@ impl ErasedEngine {
     /// The shared k-hop loop; the tracked entry point passes a deps
     /// accumulator, the plain one passes `None` (zero work added). Each
     /// worker runs every hop of its query range; then this thread charges
-    /// the hops one by one, adding several workers' logged float charges
-    /// worker by worker — ranges ascend, so in query order.
+    /// the hops one by one from the workers' deltas.
     pub(super) fn k_hop_batch_impl(
         &mut self,
         sources: &[NodeId],
@@ -124,9 +106,6 @@ impl ErasedEngine {
         let workers = if k > 1 { width } else { active_workers(width, k * sources.len()) };
         let ranges = chunk_ranges(sources.len(), workers);
         let mut ctxs = take_scratch(&mut self.scratch.khop_ctxs, workers);
-        for ctx in &mut ctxs[..workers] {
-            ctx.log.reset(workers == 1);
-        }
         let this: &Self = self;
         let tracked = track.is_some();
         this.pool.run_with(&mut ctxs[..workers], |worker, ctx| {
@@ -135,14 +114,7 @@ impl ErasedEngine {
 
         let active = &mut ctxs[..workers];
         for hop in 0..k {
-            // A lone worker's runs are empty: it added its own charges.
-            let mut replayed = StatsDelta::new(self.config.pim.num_modules);
-            let runs = active.iter().zip(&ranges).flat_map(|(ctx, range)| {
-                (0..range.len().div_ceil(LANES)).map(move |g| ctx.log.run(g * k + hop))
-            });
-            replay_charges(runs, &mut replayed);
-            let deltas = active.iter().map(|ctx| &ctx.deltas[hop]);
-            let delta = self.charge_hop(std::iter::once(&replayed).chain(deltas), &mut timeline);
+            let delta = self.charge_hop(active.iter().map(|ctx| &ctx.deltas[hop]), &mut timeline);
             if let Some(deps) = track.as_deref_mut() {
                 deps.host_lane |= !delta.host_time.is_zero();
             }
@@ -163,17 +135,13 @@ impl ErasedEngine {
 
     /// One worker's share of a k-hop call: all `k` hops of the queries
     /// `sources`, in lane groups of up to [`LANES`]. Per group and hop it
-    /// reads the frontiers off the lane array in id order, expands each row
-    /// of their union once for all of its lanes, and then hands each
-    /// expansion's float charge to its log (which adds it at once for the
-    /// call's only worker) lane by lane, in frontier order: query order.
+    /// reads the frontiers' union off the lane array in id order and expands
+    /// each row of it once for all of its lanes.
     fn khop_worker(&self, sources: &[NodeId], k: usize, track: bool, ctx: &mut KHopCtx) {
         let row_owner = self.owner_lookup();
-        let KHopCtx { next, union, charges, frontiers, deltas, log, deps, expansions, answers } =
-            ctx;
+        let KHopCtx { next, union, deltas, deps, expansions, answers } = ctx;
         next.words.resize(self.directory_bound() as usize, 0);
         next.bits.resize(next.words.len().div_ceil(64), 0);
-        frontiers.resize_with(LANES, Vec::new);
         deltas.clear();
         deltas.resize_with(k, || StatsDelta::new(self.config.pim.num_modules));
         (*deps, *expansions) = (DepMask::EMPTY, 0);
@@ -193,33 +161,27 @@ impl ErasedEngine {
             }
             for (hop, delta) in deltas.iter_mut().enumerate() {
                 union.clear();
-                frontiers.iter_mut().for_each(Vec::clear);
                 let track_hop = track && hop > 0 && !deps.is_full();
                 next.drain_in_order(|v, mask| {
-                    lanes_of(mask).for_each(|lane| frontiers[lane].push(union.len()));
                     union.push((v, mask));
                     if track_hop {
                         deps.insert(v);
                     }
                 });
-                charges.clear();
                 for &(v, mask) in union.iter() {
-                    charges.push(self.expand_row(v, row_owner(v), mask, next, delta));
+                    *expansions += mask.count_ones() as usize;
+                    self.expand_row(v, row_owner(v), mask, next, delta);
                 }
-                for &i in frontiers[..group.len()].iter().flatten() {
-                    *expansions += 1;
-                    if let Some(charge) = charges[i] {
-                        log.add(delta, charge);
-                    }
-                }
-                log.end_run();
             }
             // The last hop's next frontiers are the answers, pushed in place.
             let first = answers.len();
             answers.resize(first + group.len(), Vec::new());
             let track_answers = track && !deps.is_full();
-            next.drain_in_order(|v, mask| {
-                lanes_of(mask).for_each(|lane| answers[first + lane].push(v));
+            next.drain_in_order(|v, mut lanes| {
+                while lanes != 0 {
+                    answers[first + lanes.trailing_zeros() as usize].push(v);
+                    lanes &= lanes - 1;
+                }
                 if track_answers {
                     deps.insert(v);
                 }
@@ -228,12 +190,13 @@ impl ErasedEngine {
     }
 
     /// Expands the row of `v`, which `owner` holds, for the lanes in `mask`:
-    /// ORs `mask` into `next` for every row entry, adds each lane's integer
-    /// charges to `delta` from the row's [`RowTally`](super::RowTally) and
-    /// returns the float charge one expansion makes (`None`: no owner). A
-    /// module row forwards (IPC) each entry whose next row is on another
-    /// module and gathers (CPC) each one whose next row is not on a module; a
-    /// host row forwards each entry whose next row is on a module.
+    /// ORs `mask` into `next` for every row entry and adds to `delta`, times
+    /// the lane count, the scan's time and the transfers counted by the
+    /// row's [`RowTally`](super::RowTally). A node with no owner has no row
+    /// and charges nothing. A module row forwards (IPC) each entry whose
+    /// next row is on another module and gathers (CPC) each one whose next
+    /// row is not on a module; a host row forwards each entry whose next row
+    /// is on a module.
     fn expand_row(
         &self,
         v: NodeId,
@@ -241,19 +204,19 @@ impl ErasedEngine {
         mask: u64,
         next: &mut LaneArray,
         delta: &mut StatsDelta,
-    ) -> Option<Charge> {
+    ) {
         let lanes = u64::from(mask.count_ones());
         let tally = self.tallies.get(v.index()).copied().unwrap_or_default();
-        match owner? {
-            PartitionId::Host => {
+        match owner {
+            Some(PartitionId::Host) => {
                 let (slots, row) = self.host_store.row_scan(v);
                 delta.cpc_bytes += lanes * u64::from(tally.on_pim) * ENTRY_BYTES;
                 next.spread(mask, slots, row.map(|(u, _)| u));
                 let cost = self.pim.host_random_access_cost(1, self.host_store.live_bytes())
                     + self.pim.host_sequential_read_cost(slots as u64 * ID_BYTES);
-                Some((HOST_LANE, cost))
+                delta.host_time += cost * lanes;
             }
-            PartitionId::Pim(m) => {
+            Some(PartitionId::Pim(m)) => {
                 let row = self.local_stores[m as usize].row(v).unwrap_or(&[]);
                 let len = row.len() as u64;
                 let forwarded = u64::from(tally.on_pim - tally.on_own);
@@ -261,8 +224,10 @@ impl ErasedEngine {
                 delta.ipc_messages += lanes * forwarded;
                 delta.cpc_bytes += lanes * (len - u64::from(tally.on_pim)) * ENTRY_BYTES;
                 next.spread(mask, row.len(), row.iter().map(|&(u, _)| u));
-                Some((m, self.pim.pim_hash_lookup_cost(len * ID_BYTES)))
+                delta.per_module[m as usize] +=
+                    self.pim.pim_hash_lookup_cost(len * ID_BYTES) * lanes;
             }
+            None => {}
         }
     }
 }

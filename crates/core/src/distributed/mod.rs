@@ -39,12 +39,12 @@
 //! worker owns a contiguous range of the batch's queries and runs all k hops
 //! on it, 64 queries to a lane group whose union frontier it scans once per
 //! hop; an NFA-product worker owns a contiguous key range of each hop's
-//! frontiers, and its hops end in a deterministic merge stage. Workers keep
-//! integer charges in a private [`StatsDelta`] and log their float charges,
-//! which the calling thread adds in frontier order (a lone worker adds its
-//! own). Every simulated number — including the order floating-point charges
-//! accumulate in — is therefore byte-identical at any thread count;
-//! CONCURRENCY.md walks the full argument.
+//! frontiers, and its hops end in a deterministic merge stage. Each worker
+//! adds every charge of its own expansions — simulated time included, in
+//! whole picoseconds — into a private [`StatsDelta`], and the calling thread
+//! sums the deltas. Integer sums over a partition of the work do not depend
+//! on the partition, so every simulated number is byte-identical at any
+//! thread count; CONCURRENCY.md walks the full argument.
 
 use crate::config::MoctopusConfig;
 use crate::deps::{QueryDeps, UpdateFootprint};
@@ -58,7 +58,7 @@ use graph_store::{
 use khop::KHopCtx;
 use moctopus_runtime::{chunk_ranges, WorkerPool};
 use nfa::NfaHopCtx;
-use pim_sim::{Phase, PimSystem, SimTime, Timeline};
+use pim_sim::{Phase, PimSystem, Timeline};
 use planned::Pruning;
 use rpq::{optimizer, Nfa, PlanStrategy, RpqExpr};
 use sparse::OrderedBitmap;
@@ -180,67 +180,6 @@ fn balanced_ranges(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
         start = end;
     }
     ranges
-}
-
-/// One float charge of an expansion: the accumulator (a `per_module` index,
-/// or [`HOST_LANE`]) and the one `SimTime` it receives.
-type Charge = (u32, SimTime);
-
-/// The accumulator of a host-lane charge, `host_time`: past every module.
-const HOST_LANE: u32 = u32::MAX;
-
-/// Adds `charge` to its accumulator in `delta`.
-#[inline]
-fn add_charge(delta: &mut StatsDelta, (lane, cost): Charge) {
-    match delta.per_module.get_mut(lane as usize) {
-        Some(slot) => *slot += cost,
-        None => delta.host_time += cost,
-    }
-}
-
-/// A hop-loop worker's float charges (CONCURRENCY.md §6 rule 1): a lone
-/// worker (`direct`) expands in global frontier order and adds each one
-/// straight into its delta; one of several logs them in runs — a query's of
-/// one hop in the NFA loop, a lane group's in the k-hop loop — which the
-/// calling thread adds in global frontier order ([`replay_charges`]).
-#[derive(Debug, Default)]
-struct ChargeLog {
-    direct: bool,
-    charges: Vec<Charge>,
-    /// Where each run ends.
-    ends: Vec<usize>,
-}
-
-impl ChargeLog {
-    fn reset(&mut self, direct: bool) {
-        self.direct = direct;
-        self.charges.clear();
-        self.ends.clear();
-    }
-
-    #[inline]
-    fn add(&mut self, delta: &mut StatsDelta, charge: Charge) {
-        if self.direct {
-            add_charge(delta, charge);
-        } else {
-            self.charges.push(charge);
-        }
-    }
-
-    fn end_run(&mut self) {
-        self.ends.push(self.charges.len());
-    }
-
-    fn run(&self, index: usize) -> &[Charge] {
-        let start = index.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-        &self.charges[start..self.ends[index]]
-    }
-}
-
-/// Adds logged runs into `delta` in the order given, the global frontier
-/// order, as at one worker (CONCURRENCY.md §4, property 1).
-fn replay_charges<'a>(runs: impl IntoIterator<Item = &'a [Charge]>, delta: &mut StatsDelta) {
-    runs.into_iter().flatten().for_each(|&charge| add_charge(delta, charge));
 }
 
 /// Takes a per-worker scratch vector out of the engine, grown to at least
@@ -433,8 +372,8 @@ impl ErasedEngine {
         timeline.transfers.record_cpu_to_pim(dispatch_bytes, 1);
     }
 
-    /// One hop's barrier in both hop loops: reduces the workers' deltas in
-    /// the order given (ascending worker id), charges the merged delta to
+    /// One hop's barrier in both hop loops: sums the workers' deltas (in any
+    /// order: every field is an integer), charges the merged delta to
     /// `timeline` and returns it.
     fn charge_hop<'a>(
         &mut self,
@@ -507,9 +446,9 @@ impl<P: StreamingPartitioner + Sync + 'static> GraphEngine for DistributedPimEng
     }
 
     /// Answers a batch k-hop path query with full cost accounting: the
-    /// batch-frontier hop loop of `distributed/khop.rs`, whose every charge —
-    /// float order included — equals the naive sequential formulation's at
-    /// any thread count (CONCURRENCY.md §3.1, §4).
+    /// batch-frontier hop loop of `distributed/khop.rs`, whose every charge
+    /// equals the naive sequential formulation's at any thread count
+    /// (CONCURRENCY.md §3.1, §4).
     fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
         self.erased_mut().k_hop_batch_impl(sources, k, None)
     }

@@ -1,33 +1,34 @@
 //! The NFA-product loop behind `rpq_batch` and the executed non-forward
-//! plans: product-key frontiers, per-query visited sets, the expansion memo,
-//! each hop's key-range split and the charge log the calling thread replays
-//! (CONCURRENCY.md §3.1 and §4.1; the memo's contract is §6 rule 8).
+//! plans: product-key frontiers, per-query visited sets, the expansion memo
+//! and each hop's key-range split (CONCURRENCY.md §3.1 and §4.1; the memo's
+//! contract is §6 rule 8).
 
 use super::planned::Pruning;
 use super::{
-    active_workers, balanced_ranges, replay_charges, take_scratch, Charge, ChargeLog, ErasedEngine,
-    ENTRY_BYTES, HOST_LANE, ID_BYTES, LABEL_BYTES, STATE_BYTES,
+    active_workers, balanced_ranges, take_scratch, ErasedEngine, ENTRY_BYTES, ID_BYTES,
+    LABEL_BYTES, STATE_BYTES,
 };
 use crate::deps::QueryDeps;
 use crate::stats::{QueryStats, StatsDelta};
 use graph_store::{Label, NodeId, PartitionId};
 use moctopus_runtime::key_ranges;
-use pim_sim::{Phase, Timeline};
+use pim_sim::{Phase, SimTime, Timeline};
 use rpq::{LabelSpec, Nfa};
 use sparse::{EpochMarks, OrderedBitmap, ProductSet};
 use std::ops::Range;
 
 /// Per-worker context of one NFA-product execute stage: epoch marks over
 /// product keys, one generation per `(query, hop)`, per-query candidate
-/// lists of keys, the call's [`ExpansionMemo`] and the hop's charge log, one
-/// run per query.
+/// lists of keys and the call's [`ExpansionMemo`].
 #[derive(Debug, Default)]
 pub(super) struct NfaHopCtx {
     marks: EpochMarks,
     nexts: Vec<Vec<usize>>,
     pub(super) memo: ExpansionMemo,
-    log: ChargeLog,
 }
+
+/// The [`Expansion::lane`] of `host_time`: past every module.
+const HOST_LANE: u32 = u32::MAX;
 
 /// What expanding one product pair charges and produces.
 ///
@@ -36,9 +37,10 @@ pub(super) struct NfaHopCtx {
 /// pair, built once per call and worker and replayed for every reach.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Expansion {
-    /// The float charge — the value the accumulator receives, never a
-    /// partial sum — or `None` for a node no edge has named (no row).
-    charge: Option<Charge>,
+    /// Where the expansion's time goes: a `per_module` index, or [`HOST_LANE`].
+    lane: u32,
+    /// One expansion's time, an addend (zero for a node no edge has named).
+    time: SimTime,
     /// Matched transitions into another PIM module.
     ipc_messages: u64,
     /// Matched transitions that cross the CPU↔PIM bus.
@@ -271,10 +273,9 @@ impl ErasedEngine {
             let hop_keys = key_ranges(&frontiers, active);
             for ctx in &mut ctxs[..active] {
                 ctx.nexts.resize(frontiers.len(), Vec::new());
-                ctx.log.reset(active == 1);
             }
             let this: &Self = self;
-            let mut deltas = this.pool.run_with(&mut ctxs[..active], |worker, ctx| {
+            let deltas = this.pool.run_with(&mut ctxs[..active], |worker, ctx| {
                 this.nfa_hop_worker(
                     &hop_keys[worker],
                     nfa,
@@ -286,18 +287,10 @@ impl ErasedEngine {
             });
             self.scratch.widest_hop = self.scratch.widest_hop.max(active);
 
-            // ---- merge: several workers' logged float charges added on this
-            // thread query by query, worker by worker (global frontier
-            // order), the integer deltas reduced in worker-id order, then the
+            // ---- merge: the workers' deltas summed on this thread, then the
             // per-query frontier union on the workers: every candidate that
             // survives ordering and deduplication across workers enters the
             // visited set, exactly as sequentially.
-            if active > 1 {
-                let logs = &ctxs[..active];
-                let runs =
-                    (0..frontiers.len()).flat_map(|q| logs.iter().map(move |c| c.log.run(q)));
-                replay_charges(runs, &mut deltas[0]);
-            }
             let delta = self.charge_hop(&deltas, timeline);
 
             if let [only] = &mut ctxs[..active] {
@@ -347,9 +340,9 @@ impl ErasedEngine {
     /// module or host row owns a pair. Expanding is **build-then-replay**:
     /// `build_expansion` files a pair's charges and successors in the
     /// worker's memo on first sight in the call; every expansion then
-    /// replays the entry — its float charge into the worker's
-    /// [`ChargeLog`], its byte charges as three integer adds (made
-    /// unconditionally, §6 rule 2), and each successor key that is new to
+    /// replays the entry — its time charge and its byte charges into the
+    /// worker's delta (made unconditionally, §6 rule 2), and each successor
+    /// key that is new to
     /// both the worker's marks for this `(query, hop)` and the query's
     /// visited snapshot (marks first: a duplicate costs one stamp compare).
     fn nfa_hop_worker(
@@ -362,7 +355,7 @@ impl ErasedEngine {
         ctx: &mut NfaHopCtx,
     ) -> StatsDelta {
         let mut delta = StatsDelta::new(self.config.pim.num_modules);
-        let NfaHopCtx { marks, nexts, memo, log } = ctx;
+        let NfaHopCtx { marks, nexts, memo } = ctx;
         for (q, frontier) in frontiers.iter().enumerate() {
             // Last hop's candidates stay readable until the merge stage has
             // copied them out; the list is emptied here, by its owner.
@@ -388,8 +381,9 @@ impl ErasedEngine {
                     }
                 };
                 let expansion = memo.entries[index];
-                if let Some(charge) = expansion.charge {
-                    log.add(&mut delta, charge);
+                match delta.per_module.get_mut(expansion.lane as usize) {
+                    Some(slot) => *slot += expansion.time,
+                    None => delta.host_time += expansion.time,
                 }
                 delta.ipc_messages += expansion.ipc_messages;
                 delta.ipc_bytes += expansion.ipc_messages * (ENTRY_BYTES + STATE_BYTES);
@@ -400,7 +394,6 @@ impl ErasedEngine {
                     }
                 }
             }
-            log.end_run();
         }
         delta
     }
@@ -421,7 +414,7 @@ impl ErasedEngine {
         let (mut ipc_messages, mut cpc_entries) = (0u64, 0u64);
         // A label-constrained scan reads the id array and the label array.
         let scan_bytes = |entries: usize| entries as u64 * (ID_BYTES + LABEL_BYTES);
-        let charge = match self.owner(node) {
+        let (lane, time) = match self.owner(node) {
             Some(PartitionId::Host) => {
                 let (slots, row) = self.host_store.row_scan(node);
                 // The host forwards a produced entry to the module owning it
@@ -431,7 +424,7 @@ impl ErasedEngine {
                 });
                 let cost = self.pim.host_random_access_cost(1, host_resident_bytes)
                     + self.pim.host_sequential_read_cost(scan_bytes(slots));
-                Some((HOST_LANE, cost))
+                (HOST_LANE, cost)
             }
             Some(PartitionId::Pim(m)) => {
                 let row = self.local_stores[m as usize].row(node).unwrap_or(&[]);
@@ -443,11 +436,11 @@ impl ErasedEngine {
                     _ => cpc_entries += 1,
                 };
                 self.match_row(row.iter().copied(), transitions, shape, successors, charge);
-                Some((m, self.pim.pim_hash_lookup_cost(scan_bytes(row.len()))))
+                (m, self.pim.pim_hash_lookup_cost(scan_bytes(row.len())))
             }
-            None => None,
+            None => (HOST_LANE, SimTime::ZERO),
         };
-        Expansion { charge, ipc_messages, cpc_entries, successors_end: successors.len() }
+        Expansion { lane, time, ipc_messages, cpc_entries, successors_end: successors.len() }
     }
 
     /// Appends to `successors` the key of every label-matched

@@ -31,9 +31,8 @@ impl ErasedEngine {
     /// so the loop is sequential. The batch arrives as a trait object so
     /// that the loop is not generic: it is compiled once, in this crate.
     ///
-    /// Per edge, in this order — `per_module[m]` and `host_time` are float
-    /// accumulators, so the order is what keeps every [`UpdateStats`]
-    /// bit-identical (`tests/update_cost_golden.rs`):
+    /// Per edge, in this order (`tests/update_cost_golden.rs` pins every
+    /// [`UpdateStats`] bit):
     ///
     /// 1. the partitioner sees the edge and, on an insert, names the
     ///    source's owner after it; an insert that pushes the source across

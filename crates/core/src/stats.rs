@@ -38,9 +38,8 @@ impl QueryStats {
     /// per-sub-batch maximum (every sub-batch runs the same expression, so the
     /// deepest frontier sweep defines the whole query's hop count).
     ///
-    /// Determinism: `SimTime` addition is IEEE-754 and therefore
-    /// order-sensitive — callers must merge in a fixed order (the shard plane
-    /// merges in ascending placement-group id) for byte-identical totals.
+    /// Every summed field is an integer (`SimTime` counts picoseconds), so
+    /// the merged totals do not depend on the order sub-batches merge in.
     pub fn merge(&mut self, other: &QueryStats) {
         self.timeline += other.timeline;
         self.batch_size += other.batch_size;
@@ -77,15 +76,14 @@ impl UpdateStats {
 
 /// Per-worker accumulator of one parallel execution stage (a hop of the
 /// batch-frontier loop, or one update batch): **each worker has its own**
-/// full set of accumulators, which the barrier at the end of the stage
-/// reduces with [`StatsDelta::merge`] in ascending worker-id order.
+/// full set of accumulators, into which it adds every charge of its own
+/// work, and the barrier at the end of the stage sums them with
+/// [`StatsDelta::merge`].
 ///
-/// Determinism (see CONCURRENCY.md): a float slot (`per_module`,
-/// `host_time`) receives non-zero values from at most one delta — a lone
-/// worker's, or the calling thread's replay of several workers' logged
-/// charges in frontier order — and the merge adds exact IEEE-754 zeros from
-/// the rest, so the merged delta is bit-identical to the sequential loop's.
-/// Byte and message counters are integers: exact and order-free.
+/// Determinism (see CONCURRENCY.md §4): every slot is an integer — time in
+/// whole picoseconds, bytes, messages — so a sum over a partition of the
+/// work is exact and the same for any partition and any merge order: the
+/// merged delta equals the sequential loop's bit for bit.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsDelta {
     /// Simulated busy time charged to each PIM module this stage.

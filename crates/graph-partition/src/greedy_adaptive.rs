@@ -128,21 +128,16 @@ impl GreedyAdaptivePartitioner {
     /// placement, so it counts and indexes the under-capacity modules in two
     /// passes instead of materialising a candidate vector per call. The
     /// selected module is identical to indexing the ascending candidate list.
+    /// With every module at the limit (e.g. perfectly balanced) it is plain
+    /// hashing over all modules.
     fn fallback_module(&self, node: NodeId) -> u32 {
         let limit = self.capacity_limit();
         let modules = self.config.num_pim_modules;
-        let under = (0..modules).filter(|&m| self.assignment.pim_node_count(m) < limit).count();
+        let under = |m: &usize| self.assignment.pim_node_count(*m) < limit;
         let h = node.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) as usize;
-        if under == 0 {
-            // Everyone is at the limit (e.g. perfectly balanced); fall back to
-            // plain hashing over all modules.
-            return (h % modules) as u32;
-        }
-        // moctopus-lint: allow(panic-in-lib, reason = "h % under < under, the count of this very filter computed above")
-        (0..modules)
-            .filter(|&m| self.assignment.pim_node_count(m) < limit)
-            .nth(h % under)
-            .expect("nth < count of under-capacity modules") as u32
+        h.checked_rem((0..modules).filter(under).count())
+            .and_then(|i| (0..modules).filter(under).nth(i))
+            .unwrap_or(h % modules) as u32
     }
 
     /// Assigns a brand-new node given its first neighbour (the other endpoint

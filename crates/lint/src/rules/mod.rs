@@ -3,7 +3,6 @@
 
 use crate::engine::{FileMeta, SourceFile};
 
-mod float_accum;
 mod fsync_rename;
 mod hash_iter;
 mod panic_lib;
@@ -33,12 +32,11 @@ pub trait Rule {
     fn check(&self, file: &SourceFile, out: &mut Vec<RawFinding>);
 }
 
-/// Every registered rule, in catalogue order D1..D6.
+/// Every registered rule, in catalogue order D1..D6 (D3 is retired).
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(hash_iter::HashIterOrder),
         Box::new(wall_clock::WallClockInSim),
-        Box::new(float_accum::FloatAccumOrder),
         Box::new(panic_lib::PanicInLib),
         Box::new(fsync_rename::FsyncBeforeRename),
         Box::new(stdout_leak::StdoutThreadLeak),

@@ -20,8 +20,6 @@ const FIXTURES: &[(&str, &str)] = &[
     ("wall_clock_in_sim/positive.rs", "crates/pim-sim/src/d2_positive.rs"),
     ("wall_clock_in_sim/negative.rs", "crates/bench/src/d2_negative.rs"),
     ("wall_clock_in_sim/bench_positive.rs", "crates/bench/src/bin/d2_bench_positive.rs"),
-    ("float_accum_order/positive.rs", "crates/runtime/src/d3_positive.rs"),
-    ("float_accum_order/negative.rs", "crates/runtime/src/d3_negative.rs"),
     ("panic_in_lib/positive.rs", "crates/core/src/d4_positive.rs"),
     ("panic_in_lib/negative.rs", "crates/core/src/d4_negative.rs"),
     ("fsync_before_rename/positive.rs", "crates/graph-store/src/d5_positive.rs"),
@@ -54,7 +52,6 @@ fn every_positive_fixture_fires_only_its_rule() {
     for rule in [
         "hash-iter-order",
         "wall-clock-in-sim",
-        "float-accum-order",
         "panic-in-lib",
         "fsync-before-rename",
         "stdout-thread-leak",
@@ -79,7 +76,6 @@ fn every_negative_fixture_is_clean() {
     for rule in [
         "hash_iter_order",
         "wall_clock_in_sim",
-        "float_accum_order",
         "panic_in_lib",
         "fsync_before_rename",
         "stdout_thread_leak",

@@ -88,9 +88,7 @@ impl PimSystem {
         assert_eq!(per_module.len(), self.busy.len(), "one time entry per module is required");
         let mut max = SimTime::ZERO;
         for (busy, &t) in self.busy.iter_mut().zip(per_module) {
-            if !t.is_zero() {
-                *busy += t;
-            }
+            *busy += t;
             max = max.max(t);
         }
         max

@@ -34,9 +34,8 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Creates a time span from nanoseconds, rounded to the nearest
-    /// picosecond. A negative or NaN input is zero, and one past the largest
-    /// span saturates.
-    #[inline]
+    /// picosecond. A negative or NaN input is zero, and an input past the
+    /// largest span saturates.
     pub fn from_nanos(ns: f64) -> Self {
         SimTime::from_picos(ns * 1e3)
     }
@@ -44,7 +43,6 @@ impl SimTime {
     /// The one rounding: `max` turns NaN into 0.0 and the cast saturates.
     /// `+ 0.5` and a truncating cast round half up without `f64::round`,
     /// which is a libm call on the cost model's hottest path.
-    #[inline]
     fn from_picos(ps: f64) -> Self {
         SimTime((ps.max(0.0) + 0.5) as u64)
     }
@@ -213,5 +211,63 @@ mod tests {
     fn zero_detection() {
         assert!(SimTime::ZERO.is_zero());
         assert!(!SimTime::from_nanos(0.1).is_zero());
+    }
+
+    /// Mixed cost values as the cost model makes them: fractions of a
+    /// nanosecond, odd microseconds, milliseconds, sub-picosecond dust.
+    fn mixed_costs() -> Vec<SimTime> {
+        let ns = [0.1, 0.7, 1e-9, 3.33, 0.001, 123.456, 2.5e6, 42.42, 1e3 / 3.0, 7.77e-4, 0.2];
+        (0..96).map(|i| SimTime::from_nanos(ns[i % ns.len()] * (1 + i / 7) as f64)).collect()
+    }
+
+    #[test]
+    fn a_shuffled_sum_has_the_same_bits_in_every_order_and_grouping() {
+        let (mut costs, mut state) = (mixed_costs(), 0x9e37_79b9_7f4a_7c15u64);
+        let forward: SimTime = costs.iter().copied().sum();
+        for round in 0..64 {
+            for i in (1..costs.len()).rev() {
+                state ^= state << 13; // xorshift, then a Fisher-Yates step
+                state ^= state >> 7;
+                state ^= state << 17;
+                costs.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            let parts: SimTime =
+                costs.chunks(1 + round % 13).map(|c| c.iter().copied().sum()).sum();
+            assert_eq!((costs.iter().copied().sum(), parts), (forward, forward), "round {round}");
+        }
+    }
+
+    #[test]
+    fn integer_scaling_is_repeated_addition() {
+        for (t, n) in mixed_costs().into_iter().flat_map(|t| [0, 1, 3, 64, 1000].map(|n| (t, n))) {
+            assert_eq!(t * n, (0..n).map(|_| t).sum(), "{t:?} * {n}");
+        }
+    }
+
+    #[test]
+    fn floats_round_to_the_nearest_picosecond_once() {
+        let ps = SimTime::from_nanos(0.001);
+        assert_eq!((SimTime::from_nanos(0.0004), SimTime::from_nanos(0.0005)), (SimTime::ZERO, ps));
+        assert_eq!((SimTime::from_micros(1e-6), SimTime::from_millis(1e-9)), (ps, ps));
+        let one = SimTime::from_nanos(1.0);
+        assert_eq!((one * 0.0004, one / 2e3, one * 1.2346), (SimTime::ZERO, ps, ps * 1235));
+    }
+
+    #[test]
+    fn negative_and_nan_inputs_clamp_to_zero() {
+        let five = SimTime::from_nanos(5.0);
+        for bad in [-1e-3, -5.0, f64::NEG_INFINITY, f64::NAN] {
+            let made =
+                [SimTime::from_nanos(bad), SimTime::from_micros(bad), SimTime::from_millis(bad)];
+            assert_eq!(made, [SimTime::ZERO; 3], "{bad}");
+            assert_eq!([five * bad, five / -bad.abs()], [SimTime::ZERO; 2], "{bad}");
+        }
+    }
+
+    #[test]
+    fn display_keeps_its_units_at_the_boundaries() {
+        let shown =
+            [0.04, 999.9, 1e3, 999_500.0, 1e6, 1e9].map(|ns| SimTime::from_nanos(ns).to_string());
+        assert_eq!(shown, ["0.0ns", "999.9ns", "1.000us", "999.500us", "1.000ms", "1.000s"]);
     }
 }

@@ -23,16 +23,15 @@
 //! three rules; CONCURRENCY.md §4 carries the argument:
 //!
 //! 1. **Disjoint ownership** — each worker owns a contiguous share of the
-//!    work ([`chunk_ranges`] of queries, or [`key_ranges`]) and adds a
-//!    float only into an accumulator no other worker adds to, in the
-//!    sequential loop's order; a worker that cannot own an accumulator logs
-//!    its charges for the calling thread to add in that order.
+//!    work ([`chunk_ranges`] of queries, or [`key_ranges`]) and charges it
+//!    into its own accumulators.
 //! 2. **Private scratch** — marks, buffers and per-worker accumulators are
 //!    handed in through [`WorkerPool::run_with`]'s contexts; nothing is
 //!    shared mutably during a parallel region.
-//! 3. **Id-ordered reduction** — worker outputs come back in worker-id order
-//!    and are reduced on the calling thread; the slots a worker does not own
-//!    hold exact zeros, so the sums equal the sequential ones bit for bit.
+//! 3. **Integer reduction** — worker outputs come back in worker-id order
+//!    and are reduced on the calling thread; every charge is an integer
+//!    (simulated time counts picoseconds), so the sums equal the sequential
+//!    ones bit for bit for any split of the work.
 //!
 //! # Examples
 //!
