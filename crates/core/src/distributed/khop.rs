@@ -36,12 +36,12 @@ impl LaneArray {
         let start = self.touched.len();
         self.touched.resize(start + len, 0);
         let mut end = start;
-        for u in row {
+        row.for_each(|u| {
             let word = &mut self.words[u.index()];
             self.touched[end] = u.index();
             end += usize::from(*word == 0);
             *word |= mask;
-        }
+        });
         self.touched.truncate(end);
     }
 
@@ -95,6 +95,7 @@ impl ErasedEngine {
         k: usize,
         mut track: Option<&mut QueryDeps>,
     ) -> (Vec<Vec<NodeId>>, QueryStats) {
+        self.prepare_row_view();
         let mut timeline = Timeline::new();
         self.charge_dispatch(sources, ENTRY_BYTES, &mut timeline);
         if let Some(deps) = track.as_deref_mut() {
@@ -127,6 +128,7 @@ impl ErasedEngine {
         self.scratch.khop_ctxs = ctxs;
 
         let matched_pairs: usize = answers.iter().map(Vec::len).sum();
+        self.view.work += expansions + matched_pairs;
         self.charge_gather(matched_pairs, &mut timeline);
         let stats =
             QueryStats { timeline, batch_size: sources.len(), hops: k, matched_pairs, expansions };
@@ -207,25 +209,22 @@ impl ErasedEngine {
     ) {
         let lanes = u64::from(mask.count_ones());
         let tally = self.tallies.get(v.index()).copied().unwrap_or_default();
+        let (scanned, row) = self.forward_row(v, owner);
+        next.spread(mask, scanned, row.map(|(u, _)| u));
+        let scan_bytes = scanned as u64 * ID_BYTES;
         match owner {
             Some(PartitionId::Host) => {
-                let (slots, row) = self.host_store.row_scan(v);
                 delta.cpc_bytes += lanes * u64::from(tally.on_pim) * ENTRY_BYTES;
-                next.spread(mask, slots, row.map(|(u, _)| u));
                 let cost = self.pim.host_random_access_cost(1, self.host_store.live_bytes())
-                    + self.pim.host_sequential_read_cost(slots as u64 * ID_BYTES);
+                    + self.pim.host_sequential_read_cost(scan_bytes);
                 delta.host_time += cost * lanes;
             }
             Some(PartitionId::Pim(m)) => {
-                let row = self.local_stores[m as usize].row(v).unwrap_or(&[]);
-                let len = row.len() as u64;
                 let forwarded = u64::from(tally.on_pim - tally.on_own);
                 delta.ipc_bytes += lanes * forwarded * ENTRY_BYTES;
                 delta.ipc_messages += lanes * forwarded;
-                delta.cpc_bytes += lanes * (len - u64::from(tally.on_pim)) * ENTRY_BYTES;
-                next.spread(mask, row.len(), row.iter().map(|&(u, _)| u));
-                delta.per_module[m as usize] +=
-                    self.pim.pim_hash_lookup_cost(len * ID_BYTES) * lanes;
+                delta.cpc_bytes += lanes * (scanned as u64 - u64::from(tally.on_pim)) * ENTRY_BYTES;
+                delta.per_module[m as usize] += self.pim.pim_hash_lookup_cost(scan_bytes) * lanes;
             }
             None => {}
         }

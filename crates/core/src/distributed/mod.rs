@@ -28,10 +28,10 @@
 //!   along, with the default label elided on the wire.
 //!
 //! The code is split by concern: `update` (the update funnel), `khop` and
-//! `nfa` (the two hop loops), `planned` (the non-forward plan executors) and
-//! `placement` (refinement, partition metrics, the restored image's reverse
-//! rows). This file holds the engine, what the two loops share, and the one
-//! [`GraphEngine`] impl.
+//! `nfa` (the two hop loops), `view` (where both read forward rows),
+//! `planned` (the non-forward plan executors) and `placement` (refinement,
+//! partition metrics, the restored image's reverse rows). This file holds
+//! the engine, what the two loops share, and the one [`GraphEngine`] impl.
 //!
 //! # Parallel execution
 //!
@@ -73,6 +73,7 @@ mod planned;
 #[cfg(test)]
 mod tests;
 mod update;
+mod view;
 
 /// Bytes of one routed frontier entry: the destination node id. Query
 /// membership is implicit in the per-query transfer buffers, so only the node
@@ -237,6 +238,7 @@ pub struct DistributedPimEngine<P: ?Sized> {
     tallies: Vec<RowTally>,
     pool: WorkerPool,
     scratch: HopScratch,
+    view: view::RowView,
     /// Last, so that an engine coerces to [`ErasedEngine`].
     partitioner: P,
 }
@@ -273,6 +275,7 @@ impl<P: StreamingPartitioner + Sync + 'static> DistributedPimEngine<P> {
             edge_count: 0,
             tallies: Vec::new(),
             scratch: HopScratch::default(),
+            view: view::RowView::default(),
             partitioner,
         }
     }
@@ -313,6 +316,12 @@ impl<P: StreamingPartitioner + Sync + 'static> DistributedPimEngine<P> {
     /// Load-imbalance factor observed so far (max module busy time / mean).
     pub fn load_imbalance(&self) -> f64 {
         self.pim.load_imbalance()
+    }
+
+    /// Whether the hop loops read forward rows from the row view: one is
+    /// built and no write has dropped it since.
+    pub fn reads_row_view(&self) -> bool {
+        self.view.built
     }
 
     /// This engine as the [`ErasedEngine`] its loops are written against.
@@ -631,6 +640,7 @@ impl<P: StreamingPartitioner + Sync + 'static> GraphEngine for DistributedPimEng
             snapshot.host_rows.iter().map(|r| (r.node, r.slots.clone(), r.free.clone())).collect(),
         );
         self.edge_count = snapshot.edge_count as usize;
+        self.view.drop_rows();
         self.erased_mut().rebuild_rev_rows();
         self.erased_mut().rebuild_tallies();
         true

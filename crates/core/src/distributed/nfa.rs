@@ -207,6 +207,7 @@ impl ErasedEngine {
         timeline: &mut Timeline,
         mut track: Option<&mut QueryDeps>,
     ) -> (Vec<ProductSet>, usize, usize) {
+        self.prepare_row_view();
         let module_count = self.config.pim.num_modules;
         let host_resident_bytes: u64 = self.host_store.live_bytes();
         let mut expansions = 0usize;
@@ -330,6 +331,7 @@ impl ErasedEngine {
         }
         self.scratch.merge_bitmaps = bitmaps;
         self.scratch.nfa_ctxs = ctxs;
+        self.view.work += expansions + visited.iter().map(ProductSet::len).sum::<usize>();
         (visited, hops, expansions)
     }
 
@@ -398,8 +400,8 @@ impl ErasedEngine {
         delta
     }
 
-    /// The build half of an expansion: scans the row of `node` where its
-    /// owner keeps it, matches it against `transitions`, appends the
+    /// The build half of an expansion: scans the row of `node` (the row view
+    /// or its owner's store), matches it against `transitions`, appends the
     /// successors' keys to `successors` and returns what the scan charges. A
     /// node no edge has named has no owner and no row: nothing to charge.
     /// `shape` is any set over the call's key space.
@@ -412,32 +414,29 @@ impl ErasedEngine {
         successors: &mut Vec<usize>,
     ) -> Expansion {
         let (mut ipc_messages, mut cpc_entries) = (0u64, 0u64);
+        let owner = self.owner(node);
+        let (scanned, row) = self.forward_row(node, owner);
+        self.match_row(row, transitions, shape, successors, |to| match (owner, to) {
+            // The host forwards a produced entry to the module owning it (or
+            // keeps it if the next row is also host-resident).
+            (Some(PartitionId::Host), _) => {
+                cpc_entries += u64::from(matches!(to, Some(PartitionId::Pim(_))));
+            }
+            (_, Some(PartitionId::Pim(_))) if to == owner => {}
+            (_, Some(PartitionId::Pim(_))) => ipc_messages += 1,
+            // The destination row lives on the host (or is unknown): the
+            // entry is gathered over the CPC link.
+            _ => cpc_entries += 1,
+        });
         // A label-constrained scan reads the id array and the label array.
-        let scan_bytes = |entries: usize| entries as u64 * (ID_BYTES + LABEL_BYTES);
-        let (lane, time) = match self.owner(node) {
+        let scan_bytes = scanned as u64 * (ID_BYTES + LABEL_BYTES);
+        let (lane, time) = match owner {
             Some(PartitionId::Host) => {
-                let (slots, row) = self.host_store.row_scan(node);
-                // The host forwards a produced entry to the module owning it
-                // (or keeps it if the next row is also host-resident).
-                self.match_row(row, transitions, shape, successors, |to| {
-                    cpc_entries += u64::from(matches!(to, Some(PartitionId::Pim(_))));
-                });
                 let cost = self.pim.host_random_access_cost(1, host_resident_bytes)
-                    + self.pim.host_sequential_read_cost(scan_bytes(slots));
+                    + self.pim.host_sequential_read_cost(scan_bytes);
                 (HOST_LANE, cost)
             }
-            Some(PartitionId::Pim(m)) => {
-                let row = self.local_stores[m as usize].row(node).unwrap_or(&[]);
-                let charge = |to: Option<PartitionId>| match to {
-                    Some(PartitionId::Pim(m2)) if m2 == m => {}
-                    Some(PartitionId::Pim(_)) => ipc_messages += 1,
-                    // The destination row lives on the host (or is unknown):
-                    // the entry is gathered over the CPC link.
-                    _ => cpc_entries += 1,
-                };
-                self.match_row(row.iter().copied(), transitions, shape, successors, charge);
-                (m, self.pim.pim_hash_lookup_cost(scan_bytes(row.len())))
-            }
+            Some(PartitionId::Pim(m)) => (m, self.pim.pim_hash_lookup_cost(scan_bytes)),
             None => (HOST_LANE, SimTime::ZERO),
         };
         Expansion { lane, time, ipc_messages, cpc_entries, successors_end: successors.len() }
@@ -460,13 +459,13 @@ impl ErasedEngine {
     ) {
         // One call through the partitioner's vtable per row, not per entry.
         let owners = self.partitioner.assignment();
-        for (u, label) in row {
+        row.for_each(|(u, label)| {
             for &(spec, next_state) in transitions {
                 if spec.matches(label) {
                     charge(owners.partition_of(u));
                     successors.extend(shape.key(u.0, next_state as u32));
                 }
             }
-        }
+        });
     }
 }

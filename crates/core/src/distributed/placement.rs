@@ -102,6 +102,7 @@ impl DistributedPimEngine<GreedyAdaptivePartitioner> {
         const MAX_ROUNDS: usize = 4;
         let mut timeline = Timeline::new();
         let mut combined = MigrationReport::default();
+        self.view.drop_rows();
         for _ in 0..MAX_ROUNDS {
             // Every PIM-resident node's out-row lives in its owner's store;
             // host rows are never refined.

@@ -58,6 +58,7 @@ impl ErasedEngine {
     ) -> UpdateStats {
         let batch_len = edges.len();
         let mut delta = StatsDelta::new(self.config.pim.num_modules);
+        self.view.drop_rows();
         let insert = op == EdgeOp::Insert;
 
         for (src, dst, label) in edges {

@@ -198,11 +198,12 @@ mod tests {
 
     /// Regression guard for the `StatsDelta` refactor: splitting a sequential
     /// accumulation across per-worker deltas with disjoint module ownership
-    /// and merging them in worker order must reproduce the sequential totals
-    /// bit for bit — including the floating-point `SimTime` slots.
+    /// and merging them must reproduce the sequential totals bit for bit,
+    /// every `SimTime` slot included.
     #[test]
     fn split_deltas_merge_to_the_sequential_totals() {
-        // Sequential accumulation over 4 modules with awkward float values.
+        // Sequential accumulation over 4 modules; each nanosecond value
+        // rounds once to whole picoseconds.
         let charges = [
             (0usize, 0.1f64),
             (2, 0.7),
@@ -243,7 +244,7 @@ mod tests {
         let mut merged = StatsDelta::new(4);
         merged.merge(&worker0);
         merged.merge(&worker1);
-        assert_eq!(merged, sequential, "id-ordered merge must be exact, not approximate");
+        assert_eq!(merged, sequential, "the merged deltas must equal the sequential totals");
     }
 
     #[test]

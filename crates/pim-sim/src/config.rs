@@ -71,7 +71,7 @@ impl PimConfig {
     /// aggregate intra-PIM bandwidth (< 2 %).
     pub const SYSTEM_CPC_BANDWIDTH: f64 = 25.0e9;
     /// Number of PIM modules in the full system the paper describes.
-    pub const SYSTEM_MODULES: usize = 2048;
+    const SYSTEM_MODULES: usize = 2048;
 
     /// Configuration of one UPMEM rank (64 modules), the setup used in the
     /// paper's evaluation alongside a dedicated host core.

@@ -8,7 +8,7 @@
 //! instructions per forwarded entry, straggler-dominated PIM steps, and the
 //! gather + reduce tail. The oracle (`tests/cost_oracle/mod.rs`) recomputes that formulation from
 //! the logical graph and the owner directory alone, so any divergence in the
-//! engine's cost accounting (bytes *or* float charge order) fails the test.
+//! engine's cost accounting (bytes *or* picoseconds) fails the test.
 
 use graph_partition::StreamingPartitioner;
 use graph_store::{AdjacencyGraph, NodeId};

@@ -4,8 +4,8 @@
 //! and runs each range in groups of up to 64 queries, one bit of a lane mask
 //! each: a row is scanned once per group and hop, its lanes ORed into a dense
 //! array that is then read in id order, by a word scan where the touched
-//! slots are dense and by a sort where they are sparse. The float charges of
-//! several workers are logged and added on the calling thread.
+//! slots are dense and by a sort where they are sparse. Each worker adds
+//! its own charges, in whole picoseconds, into a private delta.
 //!
 //! Every batch size around the group boundaries (1, 2, 31–33, 63–65, 128,
 //! 130 sources) runs at k = 0..4 on one to four threads, untracked and
@@ -15,8 +15,9 @@
 //! `QueryStats` and the `QueryDeps` must equal the one-thread run and a
 //! per-query BFS priced by the naive formulation of ARCHITECTURE.md §1 (the
 //! cost oracle `tests/cost_oracle/mod.rs`, shared with
-//! `batch_frontier_equivalence`), float order included. The graph's far ids make some hops sparse in the directory and
-//! its hubs give Moctopus a host lane.
+//! `batch_frontier_equivalence`), to the picosecond. The graph's far ids
+//! make some hops sparse in the directory and its hubs give Moctopus a host
+//! lane.
 
 use graph_partition::StreamingPartitioner;
 use graph_store::{AdjacencyGraph, NodeId, HIGH_DEGREE_THRESHOLD};

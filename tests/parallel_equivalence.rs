@@ -5,12 +5,12 @@
 //! and power-law graphs with interleaved labelled updates.
 //!
 //! This is the executable form of the determinism contract in CONCURRENCY.md
-//! (disjoint worker ranges, private worker scratch, float charges added in
-//! frontier order, id-ordered merge):
+//! (disjoint worker ranges, private worker scratch, integer charges summed
+//! in any order, id-ordered merge):
 //! `QueryStats`/`UpdateStats` derive `PartialEq` over the full per-phase
-//! `Timeline` **including the floating-point `SimTime` values and the raw
-//! `TransferStats` counters**, so a single inequality anywhere — a float
-//! accumulated in a different order, one byte charged on the wrong bus —
+//! `Timeline` **including every `SimTime` (whole picoseconds) and the raw
+//! `TransferStats` counters**, so a single inequality anywhere — one
+//! picosecond charged twice or dropped, one byte charged on the wrong bus —
 //! fails the test.
 
 use graph_gen::labels::{relabel, LabelMixConfig};

@@ -358,3 +358,34 @@ fn partition_metrics_count_the_stored_edges() {
     // Hash placement has no refinement pass to run.
     check_partition_metrics(PimHashSystem::new(MoctopusConfig::small_test()), |_| {});
 }
+
+#[test]
+fn locality_aware_placement_reduces_ipc() {
+    // Community graph streamed in order: Moctopus should incur much less
+    // inter-PIM traffic than hash placement (the Figure 5 effect).
+    let cfg = graph_gen::powerlaw::PowerLawConfig {
+        nodes: 2000,
+        high_degree_fraction: 0.02,
+        locality: 0.9,
+        community_size: 128,
+        ..Default::default()
+    };
+    let graph = graph_gen::powerlaw::generate(&cfg, 3);
+    let mut edges: Vec<(NodeId, NodeId)> = graph.edges().map(|(s, d, _)| (s, d)).collect();
+    edges.sort();
+    let mut moc = MoctopusSystem::new(MoctopusConfig::small_test());
+    let mut hash = PimHashSystem::new(MoctopusConfig::small_test());
+    moc.insert_edges(&edges);
+    hash.insert_edges(&edges);
+    moc.refine_locality();
+    let sources: Vec<NodeId> = (0..256u64).map(NodeId).collect();
+    let (_, moc_stats) = moc.k_hop_batch(&sources, 3);
+    let (_, hash_stats) = hash.k_hop_batch(&sources, 3);
+    assert!(
+        moc_stats.timeline.transfers.inter_pim_bytes * 2
+            < hash_stats.timeline.transfers.inter_pim_bytes,
+        "moctopus ipc {} should be well below hash ipc {}",
+        moc_stats.timeline.transfers.inter_pim_bytes,
+        hash_stats.timeline.transfers.inter_pim_bytes
+    );
+}

@@ -11,8 +11,10 @@
 //! * every strategy's rewritten spelling normalizes back to the exact tree it
 //!   was derived from, so a plan rewrite can never split a cache row.
 
+use graph_partition::StreamingPartitioner;
 use graph_store::{Label, NodeId};
-use moctopus::{GraphEngine, MoctopusConfig, MoctopusSystem};
+use moctopus::distributed::DistributedPimEngine;
+use moctopus::{GraphEngine, MoctopusConfig, MoctopusSystem, PimHashSystem};
 use moctopus_server::{
     CacheConfig, ConsistencyMode, QueryServer, Request, RequestKind, Response, ServeTotals,
     ServerConfig, ShardPlan, ShardedEngine,
@@ -333,4 +335,108 @@ proptest! {
             );
         }
     }
+}
+
+/// The byte-identity half of the planner contract: every strategy —
+/// forward, bidirectional over the reverse rows, rare-label split — must
+/// serve the exact same answers as the canonical forward path, on both
+/// placement policies, including on an engine restored from a durable
+/// image (whose reverse rows were rebuilt, not copied).
+#[test]
+fn planned_execution_matches_forward_answers() {
+    fn check<P: StreamingPartitioner + Sync + 'static>(
+        fresh: fn() -> DistributedPimEngine<P>,
+        refine: fn(&mut DistributedPimEngine<P>),
+        edges: &[(NodeId, NodeId, Label)],
+    ) {
+        let sources: Vec<NodeId> = (0..40u64).map(NodeId).collect();
+        let queries = ["1/2", "1+", "1/(2|3)*/1", "(1|2)*", "1*/8/2*", "3?/8"];
+        let strategies = [
+            PlanStrategy::Forward,
+            PlanStrategy::Bidirectional,
+            PlanStrategy::RareLabelSplit { split_at: 1 },
+        ];
+
+        let mut e = fresh();
+        e.insert_labeled_edges(edges);
+        refine(&mut e);
+
+        let mut twin = fresh();
+        assert!(twin.restore_snapshot(&e.export_snapshot().expect("PIM engines export images")));
+
+        for q in queries {
+            let expr = rpq::parser::parse(q).expect("query parses");
+            let (want, _) = e.rpq_batch(&expr, &sources);
+            for strategy in strategies {
+                let (got, _) = e.rpq_batch_planned(&expr, &sources, strategy);
+                assert_eq!(got, want, "{q} under {} drifted", strategy.describe());
+                let (restored, _) = twin.rpq_batch_planned(&expr, &sources, strategy);
+                assert_eq!(
+                    restored,
+                    want,
+                    "{q} under {} drifted on the restored twin",
+                    strategy.describe()
+                );
+            }
+        }
+    }
+
+    let graph = graph_gen::uniform::generate(300, 4.0, 13);
+    let mut edges: Vec<(NodeId, NodeId, Label)> =
+        graph.edges().map(|(s, d, _)| (s, d, Label((d.0 % 3) as u16 + 1))).collect();
+    // Sprinkle a rare label 8 so the split pivot has real sources.
+    for i in 0..12u64 {
+        edges.push((NodeId(i * 17 % 300), NodeId((i * 23 + 5) % 300), Label(8)));
+    }
+    let moctopus = || MoctopusSystem::new(MoctopusConfig::small_test());
+    let refine = |e: &mut MoctopusSystem| {
+        e.refine_locality();
+    };
+    check(moctopus, refine, &edges);
+    check(|| PimHashSystem::new(MoctopusConfig::small_test()), |_| {}, &edges);
+}
+
+/// The cost half: a closure that must end in a rare label lets the
+/// bidirectional executor's backward useful-set pass prune the forward
+/// frontier down to the small pocket that can actually reach the rare
+/// edge, while the forward plan floods the whole common-label component.
+#[test]
+fn bidirectional_execution_prunes_rare_closures() {
+    let mut edges: Vec<(NodeId, NodeId, Label)> = Vec::new();
+    // A 300-node label-1 component with chords — none of it reaches label 9.
+    for i in 0..300u64 {
+        edges.push((NodeId(i), NodeId((i + 1) % 300), Label(1)));
+        edges.push((NodeId(i), NodeId((i * 7 + 3) % 300), Label(1)));
+    }
+    // A small disjoint pocket whose chain ends in the rare label.
+    for i in 1000..1008u64 {
+        edges.push((NodeId(i), NodeId(i + 1), Label(1)));
+    }
+    edges.push((NodeId(1008), NodeId(2000), Label(9)));
+
+    let mut sources: Vec<NodeId> = (0..32u64).map(NodeId).collect();
+    sources.extend((1000..1004u64).map(NodeId));
+
+    let expr = rpq::parser::parse("1*/9").expect("query parses");
+    let mut fwd = MoctopusSystem::new(MoctopusConfig::small_test());
+    fwd.insert_labeled_edges(&edges);
+    let mut bidi = fwd.clone();
+
+    let (want, fwd_stats) = fwd.rpq_batch_planned(&expr, &sources, PlanStrategy::Forward);
+    let (got, bidi_stats) = bidi.rpq_batch_planned(&expr, &sources, PlanStrategy::Bidirectional);
+    assert_eq!(got, want, "pruning must never change answers");
+    assert!(want.iter().any(|r| !r.is_empty()), "the pocket sources must match");
+
+    assert!(
+        bidi_stats.expansions * 4 < fwd_stats.expansions,
+        "bidirectional expansions {} should be well below forward's {}",
+        bidi_stats.expansions,
+        fwd_stats.expansions
+    );
+    assert!(
+        bidi_stats.latency() < fwd_stats.latency(),
+        "bidirectional simulated latency {:?} should beat forward's {:?}",
+        bidi_stats.latency(),
+        fwd_stats.latency()
+    );
 }

@@ -12,7 +12,7 @@
 //! serve a stale answer or stale stats and fail the comparison.
 
 use graph_store::{Label, NodeId};
-use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
+use moctopus::{DepMask, GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
 use moctopus_server::{
     CacheConfig, CacheOutcome, CacheStats, ConcurrentServer, ConsistencyMode, QueryServer, Request,
     RequestKind, Response, ResponseBody, ServerConfig, Session,
@@ -443,5 +443,53 @@ fn saturated_deps_are_the_buckets_of_every_visited_node() {
     for (text, want) in [(".{2}", near), (".{9}", far), ("1/1", near), ("1*", everywhere)] {
         let (_, _, deps) = engine.rpq_batch_tracked(&parse(text), &sources);
         assert_eq!(deps.nodes, want, "{text}");
+    }
+}
+
+/// Tracking must be an observer: tracked calls return the same results
+/// and stats as untracked ones, and the deps cover every visited node.
+#[test]
+fn tracked_queries_match_untracked_and_cover_visited_nodes() {
+    let edges: Vec<(NodeId, NodeId)> = (0..32).map(|i| (NodeId(i), NodeId((i + 1) % 32))).collect();
+    let moctopus_engine = || MoctopusSystem::new(MoctopusConfig::small_test());
+    let mut plain = moctopus_engine();
+    let mut tracked = moctopus_engine();
+    plain.insert_edges(&edges);
+    tracked.insert_edges(&edges);
+
+    let sources = [NodeId(0), NodeId(9)];
+    let expr = rpq::RpqExpr::k_hop(3);
+    let (want, want_stats) = plain.rpq_batch(&expr, &sources);
+    let (got, got_stats, deps) = tracked.rpq_batch_tracked(&expr, &sources);
+    assert_eq!(got, want);
+    assert_eq!(got_stats, want_stats);
+    // Sources, every hop frontier, and the results are visited nodes.
+    let mut expected = DepMask::EMPTY;
+    for hop in 0..=3u64 {
+        expected.insert(NodeId(hop));
+        expected.insert(NodeId(9 + hop));
+    }
+    assert!(!deps.nodes.is_empty());
+    assert!(deps.nodes.intersects(expected));
+    for hop in 0..=3u64 {
+        let mut one = DepMask::EMPTY;
+        one.insert(NodeId(hop));
+        assert!(deps.nodes.intersects(one), "hop node {hop} must be a dependency");
+    }
+    assert!(!deps.host_lane, "a low-degree ring never touches the host lane");
+
+    // The NFA-product path tracks too (closure query on a labelled star).
+    let mut engine = moctopus_engine();
+    engine.insert_labeled_edges(&[
+        (NodeId(0), NodeId(1), Label(1)),
+        (NodeId(1), NodeId(2), Label(1)),
+    ]);
+    let star = rpq::parser::parse("1+").expect("query parses");
+    let (r, _, deps) = engine.rpq_batch_tracked(&star, &[NodeId(0)]);
+    assert_eq!(r[0], vec![NodeId(1), NodeId(2)]);
+    for n in 0..=2u64 {
+        let mut one = DepMask::EMPTY;
+        one.insert(NodeId(n));
+        assert!(deps.nodes.intersects(one), "visited node {n} must be a dependency");
     }
 }
