@@ -95,7 +95,7 @@ impl ErasedEngine {
         k: usize,
         mut track: Option<&mut QueryDeps>,
     ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.prepare_row_view();
+        self.prepare_row_view(false);
         let mut timeline = Timeline::new();
         self.charge_dispatch(sources, ENTRY_BYTES, &mut timeline);
         if let Some(deps) = track.as_deref_mut() {
@@ -209,8 +209,8 @@ impl ErasedEngine {
     ) {
         let lanes = u64::from(mask.count_ones());
         let tally = self.tallies.get(v.index()).copied().unwrap_or_default();
-        let (scanned, row) = self.forward_row(v, owner);
-        next.spread(mask, scanned, row.map(|(u, _)| u));
+        let (scanned, row) = self.forward_ids(v, owner);
+        next.spread(mask, scanned, row);
         let scan_bytes = scanned as u64 * ID_BYTES;
         match owner {
             Some(PartitionId::Host) => {

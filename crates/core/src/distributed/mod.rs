@@ -35,14 +35,16 @@
 //!
 //! # Parallel execution
 //!
-//! Both query loops run on a [`moctopus_runtime::WorkerPool`]. A k-hop
-//! worker owns a contiguous range of the batch's queries and runs all k hops
-//! on it, 64 queries to a lane group whose union frontier it scans once per
-//! hop; an NFA-product worker owns a contiguous key range of each hop's
-//! frontiers, and its hops end in a deterministic merge stage. Each worker
-//! adds every charge of its own expansions — simulated time included, in
-//! whole picoseconds — into a private [`StatsDelta`], and the calling thread
-//! sums the deltas. Integer sums over a partition of the work do not depend
+//! Both query loops run on a [`moctopus_runtime::WorkerPool`], in the same
+//! shape: a worker owns a contiguous range of the batch's queries and runs
+//! every hop of it with no barrier and no merge, up to 64 queries to a lane
+//! group, one bit of a `u64` lane mask each. The k-hop loop scans each row
+//! of a group's union frontier once per hop; the NFA-product loop expands
+//! each product key once per hop for all of its lanes, through a per-call
+//! memo of one entry per reached key. Each worker adds every charge of its
+//! own expansions — simulated time included, in whole picoseconds — into a
+//! private [`StatsDelta`] per hop, and the calling thread sums the deltas by
+//! hop. Integer sums over a partition of the work do not depend
 //! on the partition, so every simulated number is byte-identical at any
 //! thread count; CONCURRENCY.md walks the full argument.
 
@@ -56,13 +58,11 @@ use graph_store::{
     LocalModuleSnapshot, NodeId, PartitionId, SnapshotState,
 };
 use khop::KHopCtx;
-use moctopus_runtime::{chunk_ranges, WorkerPool};
-use nfa::NfaHopCtx;
+use moctopus_runtime::WorkerPool;
+use nfa::NfaCtx;
 use pim_sim::{Phase, PimSystem, Timeline};
 use planned::Pruning;
 use rpq::{optimizer, Nfa, PlanStrategy, RpqExpr};
-use sparse::OrderedBitmap;
-use std::ops::Range;
 use update::unlabelled;
 pub(crate) use update::EdgeOp;
 
@@ -139,53 +139,24 @@ fn tally_slot(tallies: &mut Vec<RowTally>, node: NodeId) -> &mut RowTally {
     &mut tallies[node.index()]
 }
 
-/// Frontier entries each *additional* worker of a hop must bring: on the
-/// plateau of the sweep in CONCURRENCY.md §4.1 (`closure` is flat from 16 to
-/// 512 and slower from 1024 up), short of its edge.
+/// Frontier entries each *additional* worker of a one-hop k-hop call must
+/// bring: on the plateau of the NFA-product hop sweep in CONCURRENCY.md §4.1
+/// (`closure` was flat from 16 to 512 and slower from 1024 up), short of its
+/// edge.
 const ENTRIES_PER_EXTRA_WORKER: usize = 256;
 
-/// Worker count actually used for one NFA-product hop (or a k-hop call of
-/// at most one hop): the layout width clamped by the *work*, one worker plus
-/// one more per [`ENTRIES_PER_EXTRA_WORKER`] entries, so long-tail closure
-/// hops and small batches run inline. Any clamp gives identical output
-/// (CONCURRENCY.md §4): a wall-clock decision only.
+/// Worker count actually used for a k-hop call of at most one hop: the
+/// layout width clamped by the *work*, one worker plus one more per
+/// [`ENTRIES_PER_EXTRA_WORKER`] frontier entries, so small batches run
+/// inline. Any clamp gives identical output (CONCURRENCY.md §4): a
+/// wall-clock decision only.
 fn active_workers(layout_width: usize, frontier_entries: usize) -> usize {
     (1 + frontier_entries / ENTRIES_PER_EXTRA_WORKER).min(layout_width).max(1)
 }
 
-/// Splits `weights.len()` consecutive items (the NFA merge stage's queries,
-/// by candidate count) into `parts` contiguous ranges of near-equal weight.
-/// A part takes items while it has none or more than half of the next one
-/// fits its fair share of what is left, re-computed per part; the last part
-/// takes the rest. With no weight at all: the even [`chunk_ranges`].
-fn balanced_ranges(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
-    let mut left = weights.iter().sum::<u64>();
-    if left == 0 {
-        return chunk_ranges(weights.len(), parts);
-    }
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for part in 0..parts {
-        let parts_left = (parts - part) as u64;
-        let share = left.div_ceil(parts_left);
-        let mut taken = 0;
-        let mut end = start;
-        while end < weights.len()
-            && (parts_left == 1 || taken == 0 || 2 * taken + weights[end] <= 2 * share)
-        {
-            taken += weights[end];
-            end += 1;
-        }
-        ranges.push(start..end);
-        left -= taken;
-        start = end;
-    }
-    ranges
-}
-
 /// Takes a per-worker scratch vector out of the engine, grown to at least
-/// `workers` entries, so lane arrays, marks and bitmaps keep their capacity
-/// across hops, queries and batches; the caller puts it back when done.
+/// `workers` entries, so lane arrays and memo tables keep their capacity
+/// across calls; the caller puts it back when done.
 fn take_scratch<T: Default>(store: &mut Vec<T>, workers: usize) -> Vec<T> {
     store.resize_with(workers.max(store.len()), T::default);
     std::mem::take(store)
@@ -193,22 +164,16 @@ fn take_scratch<T: Default>(store: &mut Vec<T>, workers: usize) -> Vec<T> {
 
 /// The hop loops' working memory: wall-clock only, rebuilt by whichever call
 /// needs it next. Grouped so that cloning an engine does not copy megabytes
-/// of lane masks, marks, bitmaps and memo tables that the clone's first call
-/// would overwrite anyway: a clone starts with empty scratch.
+/// of lane arrays and memo tables that the clone's first call would
+/// overwrite anyway: a clone starts with empty scratch.
 #[derive(Debug, Default)]
 struct HopScratch {
     /// One private [`KHopCtx`] per k-hop worker, persisted across batches so
     /// its dense lane array is never re-allocated per call.
     khop_ctxs: Vec<KHopCtx>,
-    /// One private [`NfaHopCtx`] per worker, persisted across `rpq_batch`
-    /// calls for the same reason.
-    nfa_ctxs: Vec<NfaHopCtx>,
-    /// The NFA merge stage's bitmaps (all-zero between hops), one per
-    /// worker, each sized once to the largest key it was handed.
-    merge_bitmaps: Vec<OrderedBitmap>,
-    /// The most workers any NFA-product hop has run on: how the wide unit
-    /// fixture knows it left the inline path.
-    widest_hop: usize,
+    /// One private [`NfaCtx`] per NFA-product worker, persisted across
+    /// `rpq_batch` calls for its memo slot table.
+    nfa_ctxs: Vec<NfaCtx>,
 }
 
 impl Clone for HopScratch {

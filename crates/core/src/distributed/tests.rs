@@ -372,10 +372,8 @@ fn thread_count_never_changes_results_or_charges() {
     let graph = graph_gen::uniform::generate(400, 4.0, 17);
     let edges: Vec<(NodeId, NodeId, Label)> =
         graph.edges().map(|(s, d, _)| (s, d, Label((d.0 % 3) as u16 + 1))).collect();
-    // 1100 sources: three k-hop query ranges of hundreds of queries each,
-    // and an NFA-product first hop with more than ENTRIES_PER_EXTRA_WORKER
-    // entries (the later ones several times that), so all three workers
-    // run in both loops.
+    // 1100 sources: three query ranges of hundreds of queries each, so all
+    // three workers run in both loops.
     let sources: Vec<NodeId> = (0..1100u64).map(|i| NodeId(i % 400)).collect();
     assert!(active_workers(3, sources.len()) > 1);
 
@@ -399,9 +397,9 @@ fn thread_count_never_changes_results_or_charges() {
             assert_eq!(got_stats, want_stats, "k = {k}, round {round}");
         }
         // The comparison means something only if the parallel engine left
-        // the inline path — in each loop, so the marks are reset in between:
-        // a k-hop call splits its queries over three worker contexts, and
-        // each of them expanded some.
+        // the inline path — in each loop, so the contexts are taken in
+        // between: a k-hop call splits its queries over three worker
+        // contexts, and each of them expanded some.
         let khop_ctxs = std::mem::take(&mut parallel.scratch.khop_ctxs);
         assert_eq!(khop_ctxs.len(), 3, "k-hop never ran wide");
         assert!(khop_ctxs.iter().all(|ctx| ctx.expansions > 0), "a k-hop worker sat idle");
@@ -410,13 +408,13 @@ fn thread_count_never_changes_results_or_charges() {
         let (got, got_stats) = parallel.rpq_batch(&expr, &sources);
         assert_eq!(got, want, "round {round}");
         assert_eq!(got_stats, want_stats, "round {round}");
-        assert_eq!(
-            std::mem::take(&mut parallel.scratch.widest_hop),
-            3,
-            "the product never ran wide"
-        );
+        // The product loop splits its lane groups over three worker
+        // contexts too, and each of them expanded some.
+        let nfa_ctxs = std::mem::take(&mut parallel.scratch.nfa_ctxs);
+        assert_eq!(nfa_ctxs.len(), 3, "the product never ran wide");
+        assert!(nfa_ctxs.iter().all(|ctx| ctx.expansions > 0), "a product worker sat idle");
     }
-    assert_eq!(serial.scratch.widest_hop, 1, "one thread means one worker, whatever the hop");
+    assert_eq!(serial.scratch.nfa_ctxs.len(), 1, "one thread means one product worker");
     assert_eq!(serial.scratch.khop_ctxs.len(), 1, "one thread means one k-hop worker");
 }
 
@@ -429,52 +427,23 @@ fn a_clone_leaves_the_scratch_behind_and_charges_identically() {
     let sources: Vec<NodeId> = (0..8u64).map(NodeId).collect();
     let want = original.rpq_batch(&flood, &sources);
     let want_k = original.k_hop_batch(&sources, 3);
-    // The warmed engine holds marks, a bitmap, the last call's memo and a
-    // k-hop worker's lane array; its clone holds none of it.
+    // The warmed engine holds the last call's memo entries and a k-hop
+    // worker's lane array; its clone holds none of it.
     let warmed = &original.scratch;
-    assert!(!warmed.nfa_ctxs[0].memo.entries.is_empty() && warmed.khop_ctxs[0].expansions > 0);
+    assert!(!warmed.nfa_ctxs[0].entries.is_empty() && warmed.khop_ctxs[0].expansions > 0);
     let mut clone = original.clone();
     let cold = &clone.scratch;
     assert!(cold.nfa_ctxs.is_empty() && cold.khop_ctxs.is_empty());
-    assert!(cold.merge_bitmaps.is_empty());
     assert_eq!(clone.rpq_batch(&flood, &sources), want);
     assert_eq!(clone.k_hop_batch(&sources, 3), want_k);
     assert_eq!(original.rpq_batch(&flood, &sources), want, "the original is unharmed");
 }
 
-#[test]
-fn balanced_ranges_are_contiguous_cover_everything_and_follow_the_weights() {
-    let check = |weights: &[u64], parts: usize| {
-        let ranges = balanced_ranges(weights, parts);
-        assert_eq!(ranges.len(), parts);
-        let mut next = 0;
-        for r in &ranges {
-            assert!(r.start == next && r.end >= next, "ranges must be contiguous: {ranges:?}");
-            next = r.end;
-        }
-        assert_eq!(next, weights.len(), "ranges must cover every item: {ranges:?}");
-        assert_eq!(ranges, balanced_ranges(weights, parts), "a pure function");
-        ranges
-    };
-    for parts in [1usize, 2, 3, 4, 8, 13] {
-        // No weight at all: the even split.
-        assert_eq!(check(&[0; 8], parts), chunk_ranges(8, parts));
-        assert_eq!(check(&[], parts), chunk_ranges(0, parts));
-        // Equal weights: as even as `chunk_ranges`, to within one item.
-        let sizes: Vec<usize> = check(&[5; 64], parts).iter().map(Range::len).collect();
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1, "{sizes:?}");
-        check(&[3, 0, 0, 9, 1, 1, 40, 2], parts);
-    }
-    // One heavy item does not starve the parts behind it, and with fewer
-    // items than parts the trailing parts are empty.
-    assert_eq!(check(&[100, 1, 1, 1, 1], 3), vec![0..1, 1..3, 3..5]);
-    assert_eq!(check(&[4, 4], 4), vec![0..1, 1..2, 2..2, 2..2]);
-}
-
 /// `tests/parallel_equivalence.rs`'s key-split fixture (nodes `1000..1601`
-/// reached in two automaton states, a hub on either side of the split),
-/// which that test compares at threads 1–4: its third hop leaves the inline
-/// path.
+/// reached in two automaton states, a hub on either side of node 1300),
+/// which that test compares at threads 1–4. A lone source runs on one
+/// worker; 128 sources are two lane groups on two workers, and each of
+/// them expands product pairs.
 #[test]
 fn a_key_split_between_two_states_of_one_node_runs_wide() {
     let mut edges = vec![(NodeId(0), NodeId(1), Label(1)), (NodeId(0), NodeId(2), Label(8))];
@@ -491,8 +460,14 @@ fn a_key_split_between_two_states_of_one_node_runs_wide() {
     for e in [&mut serial, &mut parallel] {
         e.insert_labeled_edges(&edges);
     }
-    assert_eq!(parallel.rpq_batch(&flood, &[NodeId(0)]), serial.rpq_batch(&flood, &[NodeId(0)]));
-    assert!(parallel.scratch.widest_hop > 1, "the product never ran wide");
+    let lone = [NodeId(0)];
+    assert_eq!(parallel.rpq_batch(&flood, &lone), serial.rpq_batch(&flood, &lone));
+    assert_eq!(parallel.scratch.nfa_ctxs[0].expansions, serial.scratch.nfa_ctxs[0].expansions);
+    let batch: Vec<NodeId> = [NodeId(0), NodeId(1), NodeId(1 << 40), NodeId(1300)].repeat(32);
+    assert_eq!(parallel.rpq_batch(&flood, &batch), serial.rpq_batch(&flood, &batch));
+    let ctxs = &parallel.scratch.nfa_ctxs;
+    assert_eq!(ctxs.len(), 2);
+    assert!(ctxs.iter().all(|ctx| ctx.expansions > 0), "the product never ran wide");
 }
 
 #[test]
@@ -509,11 +484,16 @@ fn worker_count_is_clamped_by_frontier_work() {
     assert_eq!(active_workers(0, 1792), 1, "a degenerate layout still gets a worker");
 }
 
+/// A batch of dead ends beside one long sweep: the loop keeps one memo
+/// entry per product key a worker reaches — with the lane words of its
+/// group — and nothing per query, so the dead ends cost an entry each
+/// however large the owner directory is.
 #[test]
 fn dead_end_batches_never_promote_a_visited_set() {
     // A 50 001-node owner directory (the edge into node 50 000 sizes it)
     // holding one 3000-node label-1 chain.
     let mut e = hash_engine();
+    e.set_threads(1);
     let mut edges: Vec<(NodeId, NodeId, Label)> =
         (0..2999u64).map(|i| (NodeId(i), NodeId(i + 1), Label(1))).collect();
     edges.push((NodeId(2999), NodeId(50_000), Label(2)));
@@ -529,21 +509,45 @@ fn dead_end_batches_never_promote_a_visited_set() {
     // ... and one that sweeps the chain.
     sources.push(NodeId(0));
 
-    let nfa = Nfa::from_expr(&rpq::parser::parse("1+").unwrap());
-    let mut timeline = Timeline::new();
-    let (visited, hops, _) =
-        e.erased_mut().nfa_product_visit(&nfa, &sources, None, &mut timeline, None);
-    assert_eq!(hops, 3000);
-    for (seen, source) in visited.iter().zip(&sources).take(1024) {
-        assert!(!seen.is_dense(), "dead-end source {source} promoted its visited set");
-        assert_eq!(seen.len(), 1);
+    let flood = rpq::parser::parse("1+").unwrap();
+    let (answers, stats) = e.rpq_batch(&flood, &sources);
+    assert_eq!(stats.hops, 3000);
+    assert!(answers[..1024].iter().all(Vec::is_empty));
+    assert_eq!(answers[1024].len(), 2999);
+    // One worker, one entry per keyed source (512 of them) plus one per
+    // pair the sweep reached past its source (3000, the last a dead end):
+    // nothing sized by the batch times the directory.
+    let ctx = &e.scratch.nfa_ctxs[0];
+    assert_eq!(ctx.entries.len(), 512 + 3000);
+    assert_eq!(e.scratch.nfa_ctxs.len(), 1);
+}
+
+/// An entry index past what a memo slot holds is filed in the overflow
+/// map, never wrapped: with the slot limit shrunk to eight entries every
+/// answer and charge equals an engine's that slots every entry.
+#[test]
+fn entry_indices_past_the_slot_limit_take_the_overflow_map() {
+    let graph = graph_gen::uniform::generate(200, 3.0, 5);
+    let edges: Vec<(NodeId, NodeId, Label)> =
+        graph.edges().map(|(s, d, _)| (s, d, Label((d.0 % 2) as u16 + 1))).collect();
+    let mut slotted = moctopus_engine();
+    slotted.set_threads(1);
+    slotted.insert_labeled_edges(&edges);
+    let mut capped = slotted.clone();
+    let mut ctx = nfa::NfaCtx::default();
+    ctx.slot_cap = 9;
+    capped.scratch.nfa_ctxs = vec![ctx];
+    let sources: Vec<NodeId> = (0..70u64).map(|i| NodeId(i * 3 % 200)).collect();
+    for text in ["1+", "(1|2)*/2", "1/2/1"] {
+        let expr = rpq::parser::parse(text).unwrap();
+        assert_eq!(
+            capped.rpq_batch_tracked(&expr, &sources),
+            slotted.rpq_batch_tracked(&expr, &sources)
+        );
+        let ctx = &capped.scratch.nfa_ctxs[0];
+        assert!(ctx.entries.len() > 8, "{text} never passed the limit");
+        assert_eq!(ctx.overflow.len(), ctx.entries.len() - 8, "{text}");
     }
-    // The sweep visited 3000 pairs of a `50 001 × states` key space:
-    // past `bound / 128`, so it — and only it — pays for a bitset.
-    let sweep = visited.last().unwrap();
-    assert_eq!(sweep.len(), 3000);
-    assert!(sweep.len() * 128 >= sweep.bound() && sweep.bound() > 100_000);
-    assert!(sweep.is_dense(), "a query that visits bound / 128 pairs gets its bitset");
 }
 
 #[test]

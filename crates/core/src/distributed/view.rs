@@ -6,14 +6,19 @@
 
 use super::ErasedEngine;
 use graph_store::{Label, NodeId, PartitionId};
+use std::ops::Range;
 
 /// Every forward row, contiguous in node-id order: node `n`'s entries are
 /// `ids[starts[n]..starts[n + 1]]` with their `labels`, in the order its
 /// store yields them (a module row ascending, a host row in slot order).
-/// Dropping it keeps the buffers, so a rebuild refills them in place.
+/// The label column is filled only once a labelled scan needs it: the
+/// k-hop loop never does. Dropping the view keeps the buffers, so a
+/// rebuild refills them in place.
 #[derive(Debug, Default)]
 pub(super) struct RowView {
     pub(super) built: bool,
+    /// Whether `labels` matches `ids`.
+    labelled: bool,
     /// Frontier entries the hop loops expanded plus the entries they
     /// produced since the view was dropped: a sum of thread-invariant
     /// counts, kept beside the stats and never in them.
@@ -34,39 +39,31 @@ impl Clone for RowView {
 impl RowView {
     /// Forgets the rows after a write; the buffers stay for the rebuild.
     pub(super) fn drop_rows(&mut self) {
-        (self.built, self.work) = (false, 0);
+        (self.built, self.labelled, self.work) = (false, false, 0);
     }
 }
 
-/// A row's entries from the view, a module store or the host store: one
-/// iterator type whose `fold` dispatches once per row, not once per entry.
-enum Entries<V, M, H> {
-    View(V),
-    Module(M),
-    Host(H),
+/// One of two iterators: a row from the view or from a store, a module row
+/// or a host row. Its `fold` dispatches once per row, not once per entry.
+enum Either<A, B> {
+    Left(A),
+    Right(B),
 }
 
-impl<T, V, M, H> Iterator for Entries<V, M, H>
-where
-    V: Iterator<Item = T>,
-    M: Iterator<Item = T>,
-    H: Iterator<Item = T>,
-{
+impl<T, A: Iterator<Item = T>, B: Iterator<Item = T>> Iterator for Either<A, B> {
     type Item = T;
 
     fn next(&mut self) -> Option<T> {
         match self {
-            Entries::View(it) => it.next(),
-            Entries::Module(it) => it.next(),
-            Entries::Host(it) => it.next(),
+            Either::Left(it) => it.next(),
+            Either::Right(it) => it.next(),
         }
     }
 
-    fn fold<B, F: FnMut(B, T) -> B>(self, init: B, f: F) -> B {
+    fn fold<Acc, F: FnMut(Acc, T) -> Acc>(self, init: Acc, f: F) -> Acc {
         match self {
-            Entries::View(it) => it.fold(init, f),
-            Entries::Module(it) => it.fold(init, f),
-            Entries::Host(it) => it.fold(init, f),
+            Either::Left(it) => it.fold(init, f),
+            Either::Right(it) => it.fold(init, f),
         }
     }
 }
@@ -75,36 +72,56 @@ impl ErasedEngine {
     /// Builds a dropped row view once the loops' work since the drop reaches
     /// the stored edge count, which a build reads once each: a run of
     /// queries between writes pays for at most about as much again, and one
-    /// that never gets there reads the stores. Runs on the calling thread
-    /// before any worker does. A directory bound or an edge count past
-    /// `u32` never builds a view.
-    pub(super) fn prepare_row_view(&mut self) {
+    /// that never gets there reads the stores. With `labels`, a built view
+    /// without its label column gets one. Runs on the calling thread before
+    /// any worker does. A directory bound or an edge count past `u32` never
+    /// builds a view.
+    pub(super) fn prepare_row_view(&mut self, labels: bool) {
         let bound = self.partitioner.assignment().id_bound();
         let fits = bound <= u64::from(u32::MAX) && self.edge_count <= u32::MAX as usize;
-        if self.view.built || self.view.work < self.edge_count || !fits {
-            return;
+        if !self.view.built {
+            if self.view.work < self.edge_count || !fits {
+                return;
+            }
+            let RowView { starts, host_slots, .. } = &mut self.view;
+            starts.clear();
+            starts.resize(bound as usize + 1, 0);
+            host_slots.clear();
+            for (node, row) in self.local_stores.iter().flat_map(|store| store.iter()) {
+                starts[node.index() + 1] = row.len() as u32;
+            }
+            for (node, row) in self.host_store.iter() {
+                starts[node.index() + 1] = row.count() as u32;
+                host_slots.push((node, self.host_store.row_scan(node).0));
+            }
+            host_slots.sort_unstable();
+            (1..starts.len()).for_each(|i| starts[i] += starts[i - 1]);
+            self.fill_view(false);
+            self.view.built = true;
         }
-        let RowView { starts, ids, labels, host_slots, .. } = &mut self.view;
-        starts.clear();
-        starts.resize(bound as usize + 1, 0);
-        host_slots.clear();
-        for (node, row) in self.local_stores.iter().flat_map(|store| store.iter()) {
-            starts[node.index() + 1] = row.len() as u32;
+        if labels && !self.view.labelled {
+            self.fill_view(true);
+            self.view.labelled = true;
         }
-        for (node, row) in self.host_store.iter() {
-            starts[node.index() + 1] = row.count() as u32;
-            host_slots.push((node, self.host_store.row_scan(node).0));
-        }
-        host_slots.sort_unstable();
-        (1..starts.len()).for_each(|i| starts[i] += starts[i - 1]);
+    }
+
+    /// Writes every forward row's ids (or, with `labels`, its labels) into
+    /// the view at the offsets `starts` holds.
+    fn fill_view(&mut self, labels: bool) {
+        let RowView { starts, ids, labels: column, .. } = &mut self.view;
         let total = starts[starts.len() - 1] as usize;
         // The rows tile `0..total`: every position is written below.
-        ids.resize(total, 0);
-        labels.resize(total, Label::ANY);
+        if labels {
+            column.resize(total, Label::ANY);
+        } else {
+            ids.resize(total, 0);
+        }
         let mut fill = |node: NodeId, row: &mut dyn Iterator<Item = (NodeId, Label)>| {
             let at = starts[node.index()] as usize;
-            for ((u, label), (id, l)) in row.zip(ids[at..].iter_mut().zip(&mut labels[at..])) {
-                (*id, *l) = (u.0 as u32, label);
+            if labels {
+                row.zip(&mut column[at..]).for_each(|((_, label), l)| *l = label);
+            } else {
+                row.zip(&mut ids[at..]).for_each(|((u, _), id)| *id = u.0 as u32);
             }
         };
         for (node, row) in self.local_stores.iter().flat_map(|store| store.iter()) {
@@ -113,43 +130,79 @@ impl ErasedEngine {
         for (node, mut row) in self.host_store.iter() {
             fill(node, &mut row);
         }
-        self.view.built = true;
     }
 
-    /// The forward row of `node`, which `owner` holds, as its store yields
-    /// it, with the entries a scan of it is charged for: a module row's
-    /// length, a host row's slot count (freed slots included). Read from the
-    /// row view when one is built, from the owner's store otherwise; a node
-    /// with no owner has no row.
+    /// The view's span of `node`'s row with the entries a scan of it is
+    /// charged for, when the view is built: a module row's length, a host
+    /// row's slot count (freed slots included).
+    fn view_span(&self, node: NodeId, owner: Option<PartitionId>) -> Option<(usize, Range<usize>)> {
+        let view = &self.view;
+        if !view.built {
+            return None;
+        }
+        let i = node.index();
+        let span = view.starts.get(i..i + 2).map_or(0..0, |w| w[0] as usize..w[1] as usize);
+        let scanned = match owner {
+            Some(PartitionId::Host) => view
+                .host_slots
+                .binary_search_by_key(&node, |&(n, _)| n)
+                .map_or(0, |at| view.host_slots[at].1),
+            _ => span.len(),
+        };
+        Some((scanned, span))
+    }
+
+    /// The forward row of `node` from its owner's store, with the entries
+    /// a scan of it is charged for; a node with no owner has no row.
+    fn store_row(
+        &self,
+        node: NodeId,
+        owner: Option<PartitionId>,
+    ) -> (usize, impl Iterator<Item = (NodeId, Label)> + '_) {
+        match owner {
+            Some(PartitionId::Host) => {
+                let (slots, row) = self.host_store.row_scan(node);
+                (slots, Either::Right(row))
+            }
+            Some(PartitionId::Pim(m)) => {
+                let row = self.local_stores[m as usize].row(node).unwrap_or(&[]);
+                (row.len(), Either::Left(row.iter().copied()))
+            }
+            None => (0, Either::Left([].iter().copied())),
+        }
+    }
+
+    /// The labelled forward row of `node`, which `owner` holds, as its
+    /// store yields it, with the entries a scan of it is charged for. Read
+    /// from the row view when one is built — its label column filled by
+    /// `prepare_row_view(true)` — and from the owner's store otherwise.
     pub(super) fn forward_row(
         &self,
         node: NodeId,
         owner: Option<PartitionId>,
     ) -> (usize, impl Iterator<Item = (NodeId, Label)> + '_) {
         let view = &self.view;
-        if view.built {
-            let i = node.index();
-            let span = view.starts.get(i..i + 2).map_or(0..0, |w| w[0] as usize..w[1] as usize);
-            let scanned = match owner {
-                Some(PartitionId::Host) => view
-                    .host_slots
-                    .binary_search_by_key(&node, |&(n, _)| n)
-                    .map_or(0, |at| view.host_slots[at].1),
-                _ => span.len(),
-            };
+        if let Some((scanned, span)) = self.view_span(node, owner) {
+            debug_assert!(view.labelled, "a labelled scan before the label column was filled");
             let entries = view.ids[span.clone()].iter().zip(&view.labels[span]);
-            return (scanned, Entries::View(entries.map(|(&u, &l)| (NodeId(u64::from(u)), l))));
+            return (scanned, Either::Left(entries.map(|(&u, &l)| (NodeId(u64::from(u)), l))));
         }
-        match owner {
-            Some(PartitionId::Host) => {
-                let (slots, row) = self.host_store.row_scan(node);
-                (slots, Entries::Host(row))
-            }
-            Some(PartitionId::Pim(m)) => {
-                let row = self.local_stores[m as usize].row(node).unwrap_or(&[]);
-                (row.len(), Entries::Module(row.iter().copied()))
-            }
-            None => (0, Entries::Module([].iter().copied())),
+        let (scanned, row) = self.store_row(node, owner);
+        (scanned, Either::Right(row))
+    }
+
+    /// [`ErasedEngine::forward_row`] without the labels: what the k-hop
+    /// loop scans, never reading the view's label column.
+    pub(super) fn forward_ids(
+        &self,
+        node: NodeId,
+        owner: Option<PartitionId>,
+    ) -> (usize, impl Iterator<Item = NodeId> + '_) {
+        if let Some((scanned, span)) = self.view_span(node, owner) {
+            let ids = self.view.ids[span].iter().map(|&u| NodeId(u64::from(u)));
+            return (scanned, Either::Left(ids));
         }
+        let (scanned, row) = self.store_row(node, owner);
+        (scanned, Either::Right(row.map(|(u, _)| u)))
     }
 }

@@ -1,8 +1,9 @@
 //! Hostile source ids against the dense hop-loop structures.
 //!
-//! The hop loops keep dense sets over the owner directory's id space
-//! (`sparse::ProductSet`, `sparse::OrderedBitmap`, `sparse::EpochMarks`). A
-//! query source is caller-supplied and may be any `u64`: `NodeId(1 << 40)`
+//! The hop loops keep dense structures over the owner directory's id space:
+//! the k-hop loop's lane array, the NFA-product memo's slot table and a
+//! pruned plan's `sparse::ProductSet`. The NFA-product loop's lane words
+//! live in its memo entries, one per key a call reaches. A query source is caller-supplied and may be any `u64`: `NodeId(1 << 40)`
 //! and `NodeId(u64::MAX)` must be answered like any other node the graph has
 //! never seen — an empty answer, or the source itself when the expression
 //! accepts the empty path — without any structure being sized by the id. A
@@ -10,8 +11,8 @@
 //! up, so the test runs under a counting allocator and bounds the largest
 //! single request made while the queries run. The one structure of the
 //! NFA-product loop that is sized by the key space at all — a worker's
-//! expansion-memo slot table, `4 × directory bound × automaton states` bytes —
-//! is what bounds the largest request of a many-state automaton, however
+//! memo slot table, `4 × directory bound × automaton states` bytes — is
+//! what bounds the largest request of a many-state automaton, however
 //! little such a query expands.
 //!
 //! This file holds exactly one `#[test]`: the allocator is process-global,

@@ -23,15 +23,15 @@
 //! three rules; CONCURRENCY.md §4 carries the argument:
 //!
 //! 1. **Disjoint ownership** — each worker owns a contiguous share of the
-//!    work ([`chunk_ranges`] of queries, or [`key_ranges`]) and charges it
-//!    into its own accumulators.
-//! 2. **Private scratch** — marks, buffers and per-worker accumulators are
-//!    handed in through [`WorkerPool::run_with`]'s contexts; nothing is
-//!    shared mutably during a parallel region.
+//!    work (a [`chunk_ranges`] range of the batch's queries, for every hop)
+//!    and charges it into its own accumulators.
+//! 2. **Private scratch** — lane words, memo tables, buffers and per-worker
+//!    accumulators are handed in through [`WorkerPool::run_with`]'s
+//!    contexts; nothing is shared mutably during a parallel region.
 //! 3. **Integer reduction** — worker outputs come back in worker-id order
-//!    and are reduced on the calling thread; every charge is an integer
-//!    (simulated time counts picoseconds), so the sums equal the sequential
-//!    ones bit for bit for any split of the work.
+//!    and are reduced on the calling thread, hop by hop; every charge is an
+//!    integer (simulated time counts picoseconds), so the sums equal the
+//!    sequential ones bit for bit for any split of the work.
 //!
 //! # Examples
 //!
@@ -376,62 +376,6 @@ pub fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
         start += size;
     }
     ranges
-}
-
-/// Splits a key space into `parts` contiguous, ascending ranges (the last
-/// runs to `usize::MAX`) that hold about equally many entries of the sorted
-/// `lists`: range `w` ends at the key of the entry at sorted position
-/// `(w + 1) × entries / parts`, which opens range `w + 1`. A pure function
-/// of the lists, like [`chunk_ranges`]; one part computes nothing. A worker
-/// takes its range's `partition_point` slice of every list: for
-/// `[[1, 4, 9], [2, 3]]` and two parts, `[0..3, 3..usize::MAX]`.
-pub fn key_ranges(lists: &[Vec<usize>], parts: usize) -> Vec<Range<usize>> {
-    let entries: usize = if parts > 1 { lists.iter().map(Vec::len).sum() } else { 0 };
-    let mut start = 0;
-    let mut ranges: Vec<Range<usize>> = (1..parts)
-        .map(|part| {
-            let end = nth_key(lists, part * entries / parts);
-            let range = start..end;
-            start = end;
-            range
-        })
-        .collect();
-    ranges.push(start..usize::MAX);
-    ranges
-}
-
-/// The key of the entry at sorted position `n` (below the entry count) of
-/// the sorted `lists`, 0 when they are empty: bisects the key span,
-/// narrowing every list to its entries inside the span and dropping the
-/// lists left empty (a one-entry list is looked at about twice); once one
-/// list is left the key is read off it by index.
-fn nth_key(lists: &[Vec<usize>], n: usize) -> usize {
-    let mut windows: Vec<&[usize]> =
-        lists.iter().filter(|list| !list.is_empty()).map(Vec::as_slice).collect();
-    // `below` ≤ `n` entries lie below `lo`, more than `n` below `hi`.
-    let mut lo = windows.iter().map(|w| w[0]).min().unwrap_or(0);
-    let mut hi = windows.iter().map(|w| w[w.len() - 1] + 1).max().unwrap_or(0);
-    let mut below = 0;
-    while hi - lo > 1 {
-        if let [only] = windows[..] {
-            return only[n - below];
-        }
-        let mid = lo + (hi - lo) / 2;
-        let cut = |w: &[usize]| w.partition_point(|&key| key < mid);
-        let left: usize = windows.iter().map(|w| cut(w)).sum();
-        let go_left = below + left > n;
-        if go_left {
-            hi = mid;
-        } else {
-            (lo, below) = (mid, below + left);
-        }
-        windows.retain_mut(|w| {
-            let (head, tail) = w.split_at(cut(w));
-            *w = if go_left { head } else { tail };
-            !w.is_empty()
-        });
-    }
-    lo
 }
 
 #[cfg(test)]

@@ -1,5 +1,4 @@
-//! Dense scratch sets for graph traversals, and a boolean sparse matrix
-//! kernel.
+//! Dense sets for graph traversals, and a boolean sparse matrix kernel.
 //!
 //! RedisGraph — the baseline system in the Moctopus paper — evaluates graph
 //! queries by translating them into sparse matrix algebra over the boolean
@@ -11,19 +10,15 @@
 //! * [`SparseBoolMatrix`] — an immutable CSR boolean matrix.
 //! * [`ops`] — `mxm` (matrix × matrix) over the boolean semiring: one hop
 //!   of path matching.
-//! * [`EpochMarks`] — the SuiteSparse-style generation-stamped scratch set the
-//!   kernels (and the distributed query engine in `moctopus`) use to
-//!   deduplicate produced entries without per-row clearing, and
-//!   [`OrderedBitmap`], which sorts and deduplicates a frontier by setting
-//!   bits and scanning words.
+//! * [`EpochMarks`] — the SuiteSparse-style generation-stamped scratch set
+//!   the kernels use to deduplicate produced entries without per-row
+//!   clearing.
 //! * [`ProductSet`] — a set of `(node, automaton state)` pairs that starts
-//!   sparse and promotes itself to a bitset: the per-query visited set of a
-//!   regular-path traversal. A pair inside the key space *is* its node-major
-//!   key `node × states + state`; a traversal that carries keys (frontiers,
-//!   memoised successors) talks to the set through
-//!   [`ProductSet::insert_key`] / [`ProductSet::contains_key`] and never
-//!   multiplies or divides, and [`OrderedBitmap::sort_dedup`] orders such a
-//!   frontier with the identity mapping.
+//!   sparse and promotes itself to a bitset: the useful set of a pruned
+//!   regular-path plan, and the key space `node × states + state` every
+//!   product traversal names its pairs by. A traversal that carries keys
+//!   talks to the set through [`ProductSet::insert_key`] /
+//!   [`ProductSet::contains_key`] and never multiplies or divides.
 //!
 //! # Examples
 //!
@@ -46,4 +41,4 @@ pub mod scratch;
 
 pub use matrix::SparseBoolMatrix;
 pub use product::ProductSet;
-pub use scratch::{EpochMarks, OrderedBitmap};
+pub use scratch::EpochMarks;

@@ -1,16 +1,16 @@
 //! A set of `(node, automaton state)` product pairs that is a bitset when
 //! that is the cheaper representation and an ordered tree otherwise.
 //!
-//! A regular-path traversal keeps, per query, the set of product pairs it has
-//! visited. The node ids that can be *reached* are bounded by the engine's
+//! A regular-path plan keeps sets of product pairs: the pairs a pruned
+//! plan's backward sweep found useful, say. The node ids that can be *reached* are bounded by the engine's
 //! dense owner directory, so the pairs map onto the **node-major key**
 //! `node × states + state` — whose order is the `(node, state)` tuple order —
 //! and membership can be one bit test. A bitset over the whole key space is
 //! only worth its `bound / 8` bytes for a query that visits a fair share of
-//! it, though, and a batch holds one set per query: [`ProductSet`] therefore
+//! it, though, and most sets hold far fewer pairs: [`ProductSet`] therefore
 //! starts sparse and promotes itself exactly once, when the bitset is no
 //! bigger than the sparse side it replaces. Memory stays proportional to
-//! what a query visits, whatever the size of the directory.
+//! what the set holds, whatever the size of the directory.
 //!
 //! The key is also the cheapest name a pair has: a traversal that carries
 //! its frontiers as keys tests and extends a set through

@@ -6,10 +6,7 @@
 //! at scale, so SuiteSparse:GraphBLAS instead keeps one `int64` scratch array
 //! whose entries are compared against a generation counter: bumping the
 //! counter invalidates every mark in O(1). [`EpochMarks`] packages that trick
-//! so the [`ops`](crate::ops) kernels and the distributed query engine in
-//! `moctopus` share one implementation. [`OrderedBitmap`] is the same idea
-//! for the step after: turning the produced entries into a sorted,
-//! duplicate-free frontier without a comparison sort.
+//! for the [`ops`](crate::ops) kernels and the benchmark's marks layer.
 
 /// A dense set over `usize` keys with O(1) bulk clear.
 ///
@@ -89,98 +86,6 @@ impl EpochMarks {
     }
 }
 
-/// Density switch of [`OrderedBitmap::sort_dedup`]: the word scan runs when
-/// there is at least one item per this many words between the smallest and
-/// the largest key; sparser inputs are cheaper to comparison-sort.
-const SCAN_WORDS_PER_ITEM: usize = 16;
-
-/// A reusable bitmap that sorts and deduplicates items by their dense keys:
-/// set one bit per item, then read the bits back in order.
-///
-/// This is the merge stage of a frontier expansion: per-worker candidate
-/// lists are concatenated, and the next frontier is their sorted,
-/// duplicate-free union. When the candidates are dense in their key range,
-/// setting bits and scanning the words between the smallest and the largest
-/// key replaces an `O(n log n)` comparison sort with one pass over the items
-/// and one over `span / 64` words. The bitmap is all-zero between calls (the
-/// scan clears each word as it reads it), so one instance serves every hop of
-/// every query.
-///
-/// # Examples
-///
-/// ```
-/// use sparse::OrderedBitmap;
-///
-/// let mut bitmap = OrderedBitmap::new();
-/// let mut items: Vec<u32> = vec![9, 3, 9, 4, 3];
-/// bitmap.sort_dedup(&mut items, |i| Some(i as usize), |k| k as u32);
-/// assert_eq!(items, vec![3, 4, 9]);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct OrderedBitmap {
-    words: Vec<u64>,
-}
-
-impl OrderedBitmap {
-    /// Creates an empty bitmap; it grows to the largest key it is handed.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sorts `items` ascending and removes duplicates.
-    ///
-    /// `key` maps an item to its dense key and `item` maps a key back; the
-    /// two must be inverse, and `key` must preserve order. `key` is also the
-    /// bound: an item it maps to `None` is never used as an index, and sends
-    /// the whole call down the comparison-sort path — as does an input too
-    /// sparse for a word scan to pay off. The choice depends only on the
-    /// items, and both paths produce the same vector.
-    pub fn sort_dedup<T: Copy + Ord>(
-        &mut self,
-        items: &mut Vec<T>,
-        key: impl Fn(T) -> Option<usize>,
-        item: impl Fn(usize) -> T,
-    ) {
-        if items.len() < 2 {
-            return;
-        }
-        let Some((first, last)) = Self::word_span(items, &key) else {
-            items.sort_unstable();
-            items.dedup();
-            return;
-        };
-        if self.words.len() <= last {
-            self.words.resize(last + 1, 0);
-        }
-        for &t in items.iter() {
-            if let Some(k) = key(t) {
-                self.words[k / 64] |= 1u64 << (k % 64);
-            }
-        }
-        items.clear();
-        for index in first..=last {
-            let mut word = std::mem::take(&mut self.words[index]);
-            while word != 0 {
-                items.push(item(index * 64 + word.trailing_zeros() as usize));
-                word &= word - 1;
-            }
-        }
-    }
-
-    /// The first and last word a scan over `items` would touch, or `None`
-    /// when an item has no key or the items are too sparse for a scan.
-    fn word_span<T: Copy>(items: &[T], key: impl Fn(T) -> Option<usize>) -> Option<(usize, usize)> {
-        let (mut lo, mut hi) = (usize::MAX, 0);
-        for &t in items {
-            let k = key(t)?;
-            lo = lo.min(k);
-            hi = hi.max(k);
-        }
-        let (first, last) = (lo / 64, hi / 64);
-        (items.len() >= (last - first + 1) / SCAN_WORDS_PER_ITEM).then_some((first, last))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,33 +129,6 @@ mod tests {
         m.next_epoch(); // wraps: real clear, epoch restarts at 1
         assert!(m.mark(2));
         assert!(!m.mark(2));
-    }
-
-    #[test]
-    fn ordered_bitmap_scans_dense_inputs_and_sorts_sparse_ones() {
-        let key = |i: u64| Some(i as usize);
-        let item = |k: usize| k as u64;
-
-        // 4 items over words 0..=63: 4 ≥ 64 / 16, so the scan path runs — it
-        // sizes the bitmap and leaves it all-zero for the next call.
-        let mut bitmap = OrderedBitmap::new();
-        let mut dense = vec![64 * 63, 5, 5, 70];
-        bitmap.sort_dedup(&mut dense, key, item);
-        assert_eq!(dense, vec![5, 70, 64 * 63]);
-        assert_eq!(bitmap.words, vec![0; 64]);
-
-        // 3 items over the same 64 words: 3 < 4, comparison sort, no bitmap.
-        let mut untouched = OrderedBitmap::new();
-        let mut sparse = vec![64 * 63, 5, 5];
-        untouched.sort_dedup(&mut sparse, key, item);
-        assert_eq!(sparse, vec![5, 64 * 63]);
-        assert!(untouched.words.is_empty());
-
-        // An item without a key is never an index: comparison sort again.
-        let mut hostile = vec![u64::MAX, 3, 1, 3, 2, 1];
-        untouched.sort_dedup(&mut hostile, |i| usize::try_from(i).ok().filter(|&k| k < 64), item);
-        assert_eq!(hostile, vec![1, 2, 3, u64::MAX]);
-        assert!(untouched.words.is_empty());
     }
 
     #[test]

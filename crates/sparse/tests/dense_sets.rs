@@ -1,11 +1,8 @@
-//! Property tests of the two dense-key structures the hop loops rest on:
-//! [`ProductSet`] against a `BTreeSet` model across its promotion boundary
-//! (through its pair and its key entry points), and
-//! [`OrderedBitmap::sort_dedup`] against `concat + sort_unstable + dedup` on
-//! both sides of its density switch.
+//! Property tests of [`ProductSet`] against a `BTreeSet` model across its
+//! promotion boundary, through its pair and its key entry points.
 
 use proptest::prelude::*;
-use sparse::{OrderedBitmap, ProductSet};
+use sparse::ProductSet;
 use std::collections::BTreeSet;
 
 /// Turns three raw draws into a pair that is mostly inside a `nodes × states`
@@ -91,40 +88,5 @@ proptest! {
         let want: Vec<(u64, u32)> = model.iter().copied().collect();
         prop_assert_eq!(by_key.iter().collect::<Vec<_>>(), want.clone());
         prop_assert_eq!(by_pair.iter().collect::<Vec<_>>(), want);
-    }
-
-    /// The bitmap-ordered merge equals the comparison-sort merge for random
-    /// multi-worker candidate lists, whether the scan or the sort path runs,
-    /// and leaves the bitmap clean for the next call.
-    #[test]
-    fn ordered_bitmap_matches_sort_and_dedup(
-        bound in 64usize..40_000,
-        raw in proptest::collection::vec(0usize..1 << 20, 0..1200),
-        spread_pct in 1usize..101,
-        hostile in 0usize..8,
-    ) {
-        // `spread_pct` narrows the key range the candidates fall in, so the
-        // cases straddle the one-item-per-16-words density switch.
-        let range = (bound * spread_pct / 100).max(1);
-        let mut bitmap = OrderedBitmap::new();
-        // Two "hops" on one bitmap. A merge only ever sees the workers' lists
-        // concatenated, so one list stands for any number of workers.
-        for (hop, candidates) in raw.chunks(raw.len().div_ceil(2).max(1)).enumerate() {
-            let mut items: Vec<u64> = candidates.iter().map(|&k| (k % range) as u64).collect();
-            // One case in eight carries an item with no key: the whole call
-            // must take the comparison path and still agree.
-            if hostile == 0 && hop == 0 {
-                items.push(1 << 40);
-            }
-            let mut want = items.clone();
-            want.sort_unstable();
-            want.dedup();
-            bitmap.sort_dedup(
-                &mut items,
-                |i| usize::try_from(i).ok().filter(|&k| k < bound),
-                |k| k as u64,
-            );
-            prop_assert_eq!(items, want);
-        }
     }
 }

@@ -17,7 +17,6 @@ use graph_gen::labels::{relabel, LabelMixConfig};
 use graph_store::PartitionId;
 use graph_store::{AdjacencyGraph, Label, NodeId};
 use moctopus::{GraphEngine, HostBaseline, MoctopusConfig, MoctopusSystem, PimHashSystem};
-use moctopus_runtime::key_ranges;
 use proptest::prelude::*;
 
 /// Thread counts the equivalence sweep compares against the 1-thread run.
@@ -219,24 +218,21 @@ fn set_threads_on_a_live_engine_keeps_outputs_identical() {
     }
 }
 
-/// Frontier entries each additional worker of an NFA-product hop must
-/// bring: that loop clamps a hop's worker count by its work, one worker plus
-/// one per this many entries (`ENTRIES_PER_EXTRA_WORKER`, pinned — with the
-/// sizes used below — by a unit test next to `active_workers` in
-/// `moctopus::distributed`, which also asserts on a fixture of its own that
-/// such hops really leave the inline path). The k-hop loop runs a call of
-/// two or more hops wide by query count: one worker per query range, as
-/// many as threads allow, so every k-hop fixture below (k = 3) with two or
-/// more sources runs wide. A one-hop call is clamped like an NFA hop.
+/// Frontier entries each additional worker of a one-hop k-hop call must
+/// bring (`ENTRIES_PER_EXTRA_WORKER`, pinned by a unit test next to
+/// `active_workers` in `moctopus::distributed`). The k-hop loop otherwise
+/// runs wide by query count, one worker per query range, so every k-hop
+/// fixture below with two or more sources runs wide; the NFA-product loop
+/// runs wide by 64-query lane group, so its calls leave the calling thread
+/// from 65 sources on (the wide and hub-heavy fixtures). The fixtures were
+/// sized when the NFA-product loop clamped each hop by this constant.
 const ENTRIES_PER_EXTRA_WORKER: usize = 256;
 
-/// A batch that engages all 8 workers several times over: a first hop has
-/// one entry per source, so 7 × 1024 sources cross the NFA loop's clamp at
-/// 2, 4 and 8 threads by construction, the merge stage's per-query chunks
-/// hold hundreds of queries each, and every k-hop worker owns hundreds of
-/// queries, several lane groups of 64. The property tests above use 16 sources and run every hop
-/// inline; these fixtures are what keeps the multi-worker execute and merge
-/// stages covered.
+/// A batch that engages all 8 workers several times over: 7 × 1024 sources
+/// are 112 lane groups of 64, so every worker of either loop owns hundreds
+/// of queries, several lane groups. The property tests above use 16
+/// sources, one lane group on one NFA-product worker; these fixtures are
+/// what keeps the multi-worker paths covered.
 const WIDE_BATCH: usize = 7 * 1024;
 
 /// The wide fixture: a 240-node labelled uniform graph and `WIDE_BATCH`
@@ -463,18 +459,18 @@ fn hops_that_alternate_between_one_and_many_workers_are_identical() {
     assert_observations_match(&edges, &[&sources, &sources[1..]], 3);
 }
 
-/// A key split between two automaton states of one node, with host-lane
-/// hubs on both sides of it. Source 0 reaches nodes 1 (label 1) and 2
-/// (label 8), hubs that point at the same 601 nodes `1000..1601` with their
-/// own label each, so under `(1|8)+` the third hop's frontier holds every
-/// one of them in two states: 1202 entries, whose middle — where two and
-/// four workers split the keys — falls between the two states of node 1300.
+/// Two automaton states of one node, with host-lane hubs on both sides of
+/// it. Source 0 reaches nodes 1 (label 1) and 2 (label 8), hubs that point
+/// at the same 601 nodes `1000..1601` with their own label each, so under
+/// `(1|8)+` the third hop's frontier holds every one of them in two states:
+/// 1202 entries around node 1300 (the middle of the key range, where the
+/// product loop split its hops until query ranges replaced the split).
 /// Nodes 1003 and 1597, one on each side, are hubs too; every one of the 601
 /// has a label-1 edge on, so the bidirectional plan's pruning keeps the hop
 /// as wide. The second batch adds a source outside the owner directory,
-/// which has no key: counted as an expansion, never split or expanded. The
-/// same fixture in `moctopus::distributed`'s unit tests checks that the hop
-/// left the inline path.
+/// which has no key: counted as an expansion, never expanded. The same
+/// fixture in `moctopus::distributed`'s unit tests runs it as 128 sources,
+/// two lane groups, and checks that both workers expanded.
 #[test]
 fn a_key_split_between_two_states_of_one_node_is_identical() {
     let fan = 601u64;
@@ -496,23 +492,7 @@ fn a_key_split_between_two_states_of_one_node_is_identical() {
         assert_eq!(moctopus.partition_of(NodeId(hub)), Some(PartitionId::Host), "hub {hub}");
     }
 
-    // The third hop's frontier, rebuilt by hand as node-major product keys:
-    // two and four workers split it between the two states of node 1300,
-    // with a hub on each side.
     let flood = rpq::parser::parse("(1|8)+").expect("query parses");
-    let nfa = rpq::Nfa::from_expr(&flood);
-    let (states, steps) = (nfa.state_count(), nfa.transitions_from(nfa.start()));
-    assert_eq!(steps.len(), 2, "one state after a label-1 step, one after a label-8 step");
-    let key = |node: usize| steps.iter().map(move |&(_, state)| node * states + state);
-    let mut frontier: Vec<usize> = (1000..1601).flat_map(key).collect();
-    frontier.sort_unstable();
-    for parts in [2, 4] {
-        let split = key_ranges(std::slice::from_ref(&frontier), parts)[parts / 2 - 1].end;
-        assert_eq!(((split - 1) / states, split / states), (1300, 1300), "{parts} workers");
-        assert!(frontier.binary_search(&split).is_ok(), "the second state opens the next range");
-        assert!(key(1003).all(|k| k < split) && key(1597).all(|k| k >= split));
-    }
-
     let observe_all = |engine: &mut Box<dyn GraphEngine>| -> Vec<Observed> {
         let mut seen: Vec<Observed> = Vec::new();
         let unkeyed = NodeId(1 << 40);
