@@ -101,8 +101,10 @@ impl ErasedEngine {
         if let Some(deps) = track.as_deref_mut() {
             sources.iter().for_each(|&s| deps.nodes.insert(s));
         }
-        // Never more workers than queries; a call of at most one hop (its
-        // frontier: the sources) is clamped by its work as an NFA hop is.
+        // Never more workers than queries. A call of at most one hop knows
+        // its whole work up front, its sources' rows, and is clamped by it
+        // (`active_workers`), so a call of a few queries runs inline; a
+        // deeper call goes wide by query count.
         let width = self.pool.workers_for(sources.len());
         let workers = if k > 1 { width } else { active_workers(width, k * sources.len()) };
         let ranges = chunk_ranges(sources.len(), workers);

@@ -140,9 +140,11 @@ fn tally_slot(tallies: &mut Vec<RowTally>, node: NodeId) -> &mut RowTally {
 }
 
 /// Frontier entries each *additional* worker of a one-hop k-hop call must
-/// bring: on the plateau of the NFA-product hop sweep in CONCURRENCY.md §4.1
-/// (`closure` was flat from 16 to 512 and slower from 1024 up), short of its
-/// edge.
+/// bring. Only such a call is clamped; no NFA-product call is. The number
+/// came from a sweep made while the NFA-product loop still clamped every hop
+/// by its width (CONCURRENCY.md §4.1): `closure` was flat from 16 to 512
+/// entries and slower from 1024 up, and 256 sat on that plateau, short of
+/// its edge.
 const ENTRIES_PER_EXTRA_WORKER: usize = 256;
 
 /// Worker count actually used for a k-hop call of at most one hop: the

@@ -14,7 +14,6 @@ use graph_store::{Label, NodeId, PartitionId};
 use moctopus_runtime::chunk_ranges;
 use pim_sim::{Phase, SimTime, Timeline};
 use rpq::{LabelSpec, Nfa};
-use sparse::ProductSet;
 use std::collections::BTreeMap;
 
 /// Most queries per lane group: one bit of a `u64` lane mask each.
@@ -27,6 +26,68 @@ const DENSE_SPAN: usize = 32;
 
 /// The [`Expansion::lane`] of `host_time`: past every module.
 const HOST_LANE: u32 = u32::MAX;
+
+/// The node-major key space of one call: the pair `(node, state)` is the
+/// key `node × states + state`, so key order is `(node, state)` order. A
+/// pair past it (a query source the graph has never seen, say) has no key
+/// and never indexes anything sized by the space.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct KeySpace {
+    /// Nodes covered, clamped so that every key fits a `usize`.
+    nodes: u64,
+    states: u64,
+}
+
+impl KeySpace {
+    pub(super) fn new(nodes: u64, states: u32) -> Self {
+        let states = u64::from(states);
+        let nodes = (usize::MAX as u64).checked_div(states).map_or(0, |cap| nodes.min(cap));
+        KeySpace { nodes, states }
+    }
+
+    /// Every key is below it.
+    pub(super) fn bound(self) -> usize {
+        (self.nodes * self.states) as usize
+    }
+
+    /// The key of `(node, state)`, or `None` for a pair outside the space.
+    #[inline]
+    pub(super) fn key(self, node: u64, state: u32) -> Option<usize> {
+        let state = u64::from(state);
+        (node < self.nodes && state < self.states).then(|| (node * self.states + state) as usize)
+    }
+
+    /// The pair a key stands for (the inverse of [`KeySpace::key`]).
+    #[inline]
+    pub(super) fn pair(self, key: usize) -> (u64, u32) {
+        let key = key as u64;
+        (key / self.states, (key % self.states) as u32)
+    }
+}
+
+/// A set of the keys of one [`KeySpace`], one bit per key: a pruned plan's
+/// useful pairs.
+#[derive(Debug)]
+pub(super) struct KeySet(Vec<u64>);
+
+impl KeySet {
+    pub(super) fn new(space: KeySpace) -> Self {
+        KeySet(vec![0; space.bound().div_ceil(64)])
+    }
+
+    /// Adds `key`; returns `true` if it was not yet a member.
+    pub(super) fn insert(&mut self, key: usize) -> bool {
+        let (word, bit) = (&mut self.0[key / 64], 1u64 << (key % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    #[inline]
+    pub(super) fn contains(&self, key: usize) -> bool {
+        self.0[key / 64] & (1u64 << (key % 64)) != 0
+    }
+}
 
 /// What expanding one product pair charges and where its successors are.
 ///
@@ -56,8 +117,6 @@ pub(super) struct Entry {
     key: usize,
     /// The key's expansion, once one of its lanes has expanded it.
     expansion: Option<Expansion>,
-    /// Whether the key may enter a frontier (a pruned plan's useful set).
-    useful: bool,
 }
 
 /// The lane words of an entry, apart from it: the successor loop and the
@@ -149,15 +208,14 @@ impl NfaCtx {
     }
 
     /// The entry of `key`, filed on first sight.
-    fn entry(&mut self, key: usize, call: &NfaCall) -> usize {
+    fn entry(&mut self, key: usize) -> usize {
         match self.slots[key] {
             0 => {}
             slot if slot == self.slot_cap => return self.overflow[&key],
             slot => return slot as usize - 1,
         }
         let index = self.entries.len();
-        let useful = call.useful.is_none_or(|set| set.contains_key(key));
-        self.entries.push(Entry { key, expansion: None, useful });
+        self.entries.push(Entry { key, expansion: None });
         self.lanes.push(Lanes::default());
         self.slots[key] = match u32::try_from(index + 1) {
             Ok(slot) if slot < self.slot_cap => slot,
@@ -181,8 +239,8 @@ impl NfaCtx {
 
     /// Moves every touched `next` word into `visited` and makes the lanes
     /// new to an entry — `next & !visited` — its lanes of the next frontier,
-    /// if the entry is useful (every entry is, unless `pruned`).
-    fn drain(&mut self, pruned: bool) {
+    /// if a pruned plan's `useful` set holds the entry's key.
+    fn drain(&mut self, useful: Option<&KeySet>) {
         let NfaCtx { entries, lanes, frontier, touched, reached, .. } = self;
         frontier.clear();
         for &index in touched.iter() {
@@ -193,7 +251,7 @@ impl NfaCtx {
                     reached.push(index);
                 }
                 words.visited |= new;
-                if !pruned || entries[index].useful {
+                if useful.is_none_or(|set| set.contains(entries[index].key)) {
                     frontier.push((index, new));
                 }
             }
@@ -206,9 +264,9 @@ impl NfaCtx {
 struct NfaCall<'a> {
     nfa: &'a Nfa,
     /// The call's key space: `directory bound × automaton states`.
-    shape: ProductSet,
-    useful: Option<&'a ProductSet>,
-    accept_nodes: Option<&'a ProductSet>,
+    space: KeySpace,
+    useful: Option<&'a KeySet>,
+    accept_nodes: Option<&'a [NodeId]>,
     host_resident_bytes: u64,
     track: bool,
 }
@@ -217,16 +275,15 @@ impl NfaCall<'_> {
     /// Whether `(node, state)` is an answer pair.
     fn accepts(&self, node: u64, state: u32) -> bool {
         self.nfa.is_accepting(state as usize)
-            && self.accept_nodes.is_none_or(|set| set.contains(node, 0))
+            && self.accept_nodes.is_none_or(|nodes| nodes.binary_search(&NodeId(node)).is_ok())
     }
 }
 
 impl ErasedEngine {
-    /// An empty product-pair set over this engine's key space for `nfa`:
-    /// `directory bound × automaton states` node-major keys.
-    pub(super) fn product_set(&self, nfa: &Nfa) -> ProductSet {
+    /// This engine's key space for `nfa`: `directory bound × states` keys.
+    pub(super) fn key_space(&self, nfa: &Nfa) -> KeySpace {
         let states = u32::try_from(nfa.state_count()).unwrap_or(u32::MAX);
-        ProductSet::new(self.directory_bound(), states)
+        KeySpace::new(self.directory_bound(), states)
     }
 
     /// Batch NFA-product evaluation: the generalisation of the k-hop loop to
@@ -283,7 +340,7 @@ impl ErasedEngine {
             .collect();
         let call = NfaCall {
             nfa,
-            shape: self.product_set(nfa),
+            space: self.key_space(nfa),
             useful,
             accept_nodes,
             host_resident_bytes: self.host_store.live_bytes(),
@@ -335,27 +392,27 @@ impl ErasedEngine {
     /// key, no owner and no row: it counts as one expansion of the first hop
     /// and is read back last.
     fn nfa_worker(&self, call: &NfaCall, sources: &[NodeId], ctx: &mut NfaCtx) {
-        ctx.reset(call.shape.bound());
+        ctx.reset(call.space.bound());
         let start = call.nfa.start() as u32;
         for group in sources.chunks(LANES) {
             let mut unkeyed = 0usize;
             for (lane, s) in group.iter().enumerate() {
-                match call.shape.key(s.0, start) {
+                match call.space.key(s.0, start) {
                     Some(key) => {
-                        let index = ctx.entry(key, call);
+                        let index = ctx.entry(key);
                         ctx.reach(index, 1 << lane);
                     }
                     None => {
+                        // No useful set holds an unkeyed pair.
                         ctx.visited_pairs += 1;
-                        unkeyed +=
-                            usize::from(call.useful.is_none_or(|set| set.contains(s.0, start)));
+                        unkeyed += usize::from(call.useful.is_none());
                         if call.track {
                             ctx.deps.insert(*s);
                         }
                     }
                 }
             }
-            ctx.drain(call.useful.is_some());
+            ctx.drain(call.useful);
             ctx.expansions += unkeyed;
             let mut hop = 0;
             while !ctx.frontier.is_empty() || (hop == 0 && unkeyed > 0) {
@@ -382,7 +439,7 @@ impl ErasedEngine {
                         ctx.reach(ctx.successors[at], mask);
                     }
                 }
-                ctx.drain(call.useful.is_some());
+                ctx.drain(call.useful);
                 hop += 1;
             }
             self.read_answers(call, group, ctx);
@@ -426,7 +483,7 @@ impl ErasedEngine {
         answers.resize(first + group.len(), Vec::new());
         for &(key, mut lanes) in order.iter() {
             *visited_pairs += lanes.count_ones() as usize;
-            let (node, state) = call.shape.pair(key);
+            let (node, state) = call.space.pair(key);
             if call.track {
                 deps.insert(NodeId(node));
             }
@@ -442,7 +499,7 @@ impl ErasedEngine {
         }
         let start = call.nfa.start() as u32;
         for (answer, s) in answers[first..].iter_mut().zip(group) {
-            if call.shape.key(s.0, start).is_none() && call.accepts(s.0, start) {
+            if call.space.key(s.0, start).is_none() && call.accepts(s.0, start) {
                 answer.push(*s);
             }
         }
@@ -454,14 +511,14 @@ impl ErasedEngine {
     /// stores and returns what the scan charges. A node no edge has named
     /// has no owner and no row: nothing to charge.
     fn build_expansion(&self, call: &NfaCall, index: usize, ctx: &mut NfaCtx) -> Expansion {
-        let (node, state) = call.shape.pair(ctx.entries[index].key);
+        let (node, state) = call.space.pair(ctx.entries[index].key);
         let node = NodeId(node);
         let (mut ipc_messages, mut cpc_entries) = (0u64, 0u64);
         let owner = self.owner(node);
         let (scanned, row) = self.forward_row(node, owner);
         let start = ctx.successors.len();
         let transitions = call.nfa.transitions_from(state as usize);
-        self.match_row(row, transitions, &call.shape, &mut ctx.successors, |to| {
+        self.match_row(row, transitions, call.space, &mut ctx.successors, |to| {
             match (owner, to) {
                 // The host forwards a produced entry to the module owning it
                 // (or keeps it if the next row is also host-resident).
@@ -476,7 +533,7 @@ impl ErasedEngine {
             }
         });
         for at in start..ctx.successors.len() {
-            ctx.successors[at] = ctx.entry(ctx.successors[at], call);
+            ctx.successors[at] = ctx.entry(ctx.successors[at]);
         }
         // A label-constrained scan reads the id array and the label array.
         let scan_bytes = scanned as u64 * (ID_BYTES + LABEL_BYTES);
@@ -506,7 +563,7 @@ impl ErasedEngine {
         &self,
         row: impl Iterator<Item = (NodeId, Label)>,
         transitions: &[(LabelSpec, usize)],
-        shape: &ProductSet,
+        space: KeySpace,
         successors: &mut Vec<usize>,
         mut charge: impl FnMut(Option<PartitionId>),
     ) {
@@ -516,7 +573,7 @@ impl ErasedEngine {
             for &(spec, next_state) in transitions {
                 if spec.matches(label) {
                     charge(owners.partition_of(u));
-                    successors.extend(shape.key(u.0, next_state as u32));
+                    successors.extend(space.key(u.0, next_state as u32));
                 }
             }
         });

@@ -3,22 +3,22 @@
 //! Both run the NFA-product loop, pruned (CONCURRENCY.md §3.1); the sweeps
 //! before it are sequential.
 
+use super::nfa::KeySet;
 use super::{ErasedEngine, ENTRY_BYTES, ID_BYTES, LABEL_BYTES, STATE_BYTES};
 use crate::stats::{QueryStats, StatsDelta};
 use graph_store::{Label, NodeId, PartitionId};
 use pim_sim::Phase;
 use rpq::{LabelSpec, Nfa, RpqExpr};
-use sparse::ProductSet;
 
 /// What an executed non-forward plan adds to the canonical NFA-product loop
 /// (`nfa_product_batch_impl`).
 pub(super) struct Pruning<'a> {
     /// Only these pairs are expanded (`None` = every pair, the split plan's
     /// suffix leg).
-    pub(super) useful: Option<&'a ProductSet>,
-    /// Acceptance is restricted to these nodes (the split plan's prefix leg;
-    /// a one-state [`ProductSet`]).
-    pub(super) accept_nodes: Option<&'a ProductSet>,
+    pub(super) useful: Option<&'a KeySet>,
+    /// Acceptance is restricted to these nodes, ascending (the split plan's
+    /// prefix leg).
+    pub(super) accept_nodes: Option<&'a [NodeId]>,
     /// Charges made before the loop — the backward useful-set sweep plus
     /// seed gathering — billed up front as one aggregate bulk phase.
     pub(super) preamble: StatsDelta,
@@ -84,9 +84,15 @@ impl ErasedEngine {
         nfa: &Nfa,
         accept_nodes: Option<&[NodeId]>,
         delta: &mut StatsDelta,
-    ) -> ProductSet {
+    ) -> KeySet {
         let rev = nfa.reversed_transitions();
-        let mut useful = self.product_set(nfa);
+        let space = self.key_space(nfa);
+        let mut useful = KeySet::new(space);
+        // A row names only nodes inside the owner directory, so every pair
+        // the sweep finds has a key.
+        let insert = |useful: &mut KeySet, node: NodeId, state: u32| {
+            space.key(node.0, state).is_some_and(|key| useful.insert(key))
+        };
         let mut work: Vec<(NodeId, u32)> = Vec::new();
 
         // Base: pairs one matching transition away from an accepting pair.
@@ -98,7 +104,7 @@ impl ErasedEngine {
                 match accept_nodes {
                     None => {
                         for n in self.spec_sources(spec, delta) {
-                            if useful.insert(n.0, from as u32) {
+                            if insert(&mut useful, n, from as u32) {
                                 work.push((n, from as u32));
                                 delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
                             }
@@ -107,7 +113,7 @@ impl ErasedEngine {
                     Some(ms) => {
                         for &m in ms {
                             for &(n, label) in self.rev_scan(m, delta) {
-                                if spec.matches(label) && useful.insert(n.0, from as u32) {
+                                if spec.matches(label) && insert(&mut useful, n, from as u32) {
                                     work.push((n, from as u32));
                                     delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
                                 }
@@ -122,7 +128,7 @@ impl ErasedEngine {
         while let Some((n, q)) = work.pop() {
             for &(spec, p) in &rev[q as usize] {
                 for &(m, label) in self.rev_scan(n, delta) {
-                    if spec.matches(label) && useful.insert(m.0, p as u32) {
+                    if spec.matches(label) && insert(&mut useful, m, p as u32) {
                         work.push((m, p as u32));
                         delta.cpc_bytes += ENTRY_BYTES + STATE_BYTES;
                     }
@@ -161,13 +167,9 @@ impl ErasedEngine {
         // reach an accepting pair *at a pivot node* stay in the frontier.
         let mut backward = StatsDelta::new(module_count);
         let prefix_useful = self.useful_pairs(&prefix_nfa, Some(&pivots), &mut backward);
-        let mut accept_set = ProductSet::new(self.directory_bound(), 1);
-        for &m in &pivots {
-            accept_set.insert(m.0, 0);
-        }
         let toward_pivots = Pruning {
             useful: Some(&prefix_useful),
-            accept_nodes: Some(&accept_set),
+            accept_nodes: Some(&pivots),
             preamble: backward,
         };
         let (mid_results, prefix_stats) =

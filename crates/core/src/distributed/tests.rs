@@ -522,6 +522,42 @@ fn dead_end_batches_never_promote_a_visited_set() {
     assert_eq!(e.scratch.nfa_ctxs.len(), 1);
 }
 
+/// Key order is `(node, state)` order: `read_answers` reads a group's
+/// reached keys in key order, and so hands out each lane's accepted nodes
+/// ascending.
+#[test]
+fn key_and_pair_are_inverse_and_order_preserving() {
+    let space = nfa::KeySpace::new(50, 3);
+    let mut useful = nfa::KeySet::new(space);
+    let mut last = None;
+    for node in 0..50u64 {
+        for state in 0..3u32 {
+            let key = space.key(node, state).expect("inside the key space");
+            assert_eq!(space.pair(key), (node, state));
+            assert!(last < Some(key));
+            last = Some(key);
+            assert!(!useful.contains(key) && useful.insert(key) && !useful.insert(key));
+        }
+    }
+    assert_eq!(last, Some(space.bound() - 1));
+    assert_eq!([space.key(50, 0), space.key(0, 3), space.key(1 << 40, 0)], [None; 3]);
+}
+
+/// A key space whose `nodes × states` would overflow is clamped, not
+/// wrapped; one with no states or no nodes has no keys at all.
+#[test]
+fn an_overflowing_key_space_is_clamped_not_wrapped() {
+    let space = nfa::KeySpace::new(u64::MAX, u32::MAX);
+    let nodes = usize::MAX as u64 / u64::from(u32::MAX);
+    assert_eq!(space.bound() as u64, nodes * u64::from(u32::MAX));
+    assert_eq!(space.key(nodes - 1, u32::MAX - 1), Some(space.bound() - 1));
+    assert_eq!([space.key(nodes, 0), space.key(u64::MAX, u32::MAX - 1)], [None; 2]);
+    for (nodes, states) in [(100, 0), (0, 4)] {
+        let empty = nfa::KeySpace::new(nodes, states);
+        assert_eq!((empty.bound(), empty.key(0, 0)), (0, None));
+    }
+}
+
 /// An entry index past what a memo slot holds is filed in the overflow
 /// map, never wrapped: with the slot limit shrunk to eight entries every
 /// answer and charge equals an engine's that slots every entry.

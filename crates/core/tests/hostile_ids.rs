@@ -2,16 +2,17 @@
 //!
 //! The hop loops keep dense structures over the owner directory's id space:
 //! the k-hop loop's lane array, the NFA-product memo's slot table and a
-//! pruned plan's `sparse::ProductSet`. The NFA-product loop's lane words
-//! live in its memo entries, one per key a call reaches. A query source is caller-supplied and may be any `u64`: `NodeId(1 << 40)`
+//! pruned plan's useful set, one bit per product key. The NFA-product
+//! loop's lane words live in its memo entries, one per key a call reaches.
+//! A query source is caller-supplied and may be any `u64`: `NodeId(1 << 40)`
 //! and `NodeId(u64::MAX)` must be answered like any other node the graph has
 //! never seen — an empty answer, or the source itself when the expression
 //! accepts the empty path — without any structure being sized by the id. A
 //! set that indexed by such an id would ask the allocator for 128 GiB and
 //! up, so the test runs under a counting allocator and bounds the largest
-//! single request made while the queries run. The one structure of the
-//! NFA-product loop that is sized by the key space at all — a worker's
-//! memo slot table, `4 × directory bound × automaton states` bytes — is
+//! single request made while the queries run. The largest structure sized
+//! by the key space — a worker's memo slot table, `4 × directory bound ×
+//! automaton states` bytes, against a useful set's one bit per key — is
 //! what bounds the largest request of a many-state automaton, however
 //! little such a query expands.
 //!

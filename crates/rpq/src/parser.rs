@@ -16,6 +16,12 @@
 //! Repetition bounds are capped at [`MAX_REPEAT`]: the automaton builder
 //! expands `e{min,max}` into `max` copies of `e`, so an unbounded count would
 //! let a ten-character query allocate billions of NFA states.
+//!
+//! Nesting is capped at `MAX_NESTING` (128) levels, of open parentheses and
+//! of the tree's height, where a postfix operator or a `/` or `|` with two or
+//! more operands is a level. Every pass over a parsed query recurses once per
+//! level, so a long run of `(` or `*` would otherwise overflow the stack and
+//! abort; past the cap, parsing fails at the `(` or operator one level over.
 
 use crate::ast::RpqExpr;
 use std::error::Error;
@@ -30,6 +36,10 @@ use std::fmt;
 /// exists to keep adversarial inputs like `.{1000000000}` from exhausting
 /// memory during NFA construction, which expands bounded repeats by copying.
 pub const MAX_REPEAT: usize = 1024;
+
+/// Most nesting levels a query may have (see the module docs): far past any
+/// real query, far below what overflows a 2 MiB stack in a debug build.
+const MAX_NESTING: usize = 128;
 
 /// Error produced when parsing an RPQ string fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,8 +83,8 @@ impl Error for ParseRpqError {}
 /// # Ok::<(), rpq::parser::ParseRpqError>(())
 /// ```
 pub fn parse(input: &str) -> Result<RpqExpr, ParseRpqError> {
-    let mut parser = Parser { chars: input.char_indices().collect(), pos: 0 };
-    let expr = parser.parse_alt()?;
+    let mut parser = Parser { chars: input.char_indices().collect(), pos: 0, open: 0 };
+    let (expr, _) = parser.parse_alt()?;
     parser.skip_ws();
     if parser.pos < parser.chars.len() {
         return Err(ParseRpqError::new("unexpected trailing input", parser.offset()));
@@ -99,6 +109,24 @@ pub fn parse(input: &str) -> Result<RpqExpr, ParseRpqError> {
 struct Parser {
     chars: Vec<(usize, char)>,
     pos: usize,
+    /// Parentheses open at the current position.
+    open: usize,
+}
+
+/// A parsed sub-expression and (an upper bound on) the height of its tree:
+/// zero for an atom, one more per enclosing operator.
+type Parsed = (RpqExpr, usize);
+
+/// The height of an operator over operands at most `height` high, or an
+/// error at `offset` if that is past [`MAX_NESTING`].
+fn nest(height: usize, offset: usize) -> Result<usize, ParseRpqError> {
+    if height >= MAX_NESTING {
+        return Err(ParseRpqError::new(
+            format!("expression nests deeper than {MAX_NESTING} levels"),
+            offset,
+        ));
+    }
+    Ok(height + 1)
 }
 
 impl Parser {
@@ -133,38 +161,48 @@ impl Parser {
         }
     }
 
-    fn parse_alt(&mut self) -> Result<RpqExpr, ParseRpqError> {
-        let mut branches = vec![self.parse_concat()?];
-        loop {
-            self.skip_ws();
-            if self.peek() == Some('|') {
-                self.pos += 1;
-                branches.push(self.parse_concat()?);
-            } else {
-                break;
-            }
-        }
-        Ok(RpqExpr::alt(branches))
+    fn parse_alt(&mut self) -> Result<Parsed, ParseRpqError> {
+        self.parse_list('|', Self::parse_concat, RpqExpr::alt)
     }
 
-    fn parse_concat(&mut self) -> Result<RpqExpr, ParseRpqError> {
-        let mut parts = vec![self.parse_postfix()?];
-        loop {
-            self.skip_ws();
-            if self.peek() == Some('/') {
-                self.pos += 1;
-                parts.push(self.parse_postfix()?);
-            } else {
-                break;
-            }
-        }
-        Ok(RpqExpr::concat(parts))
+    fn parse_concat(&mut self) -> Result<Parsed, ParseRpqError> {
+        self.parse_list('/', Self::parse_postfix, RpqExpr::concat)
     }
 
-    fn parse_postfix(&mut self) -> Result<RpqExpr, ParseRpqError> {
-        let mut expr = self.parse_atom()?;
+    /// One or more `operand`s separated by `sep`, joined by `join`: a level
+    /// over its highest operand when there are two or more.
+    fn parse_list(
+        &mut self,
+        sep: char,
+        operand: fn(&mut Self) -> Result<Parsed, ParseRpqError>,
+        join: fn(Vec<RpqExpr>) -> RpqExpr,
+    ) -> Result<Parsed, ParseRpqError> {
+        let (first, mut height) = operand(self)?;
+        let (mut operands, mut first_sep) = (vec![first], None);
         loop {
             self.skip_ws();
+            if self.peek() != Some(sep) {
+                break;
+            }
+            first_sep = first_sep.or(Some(self.offset()));
+            self.pos += 1;
+            let (next, next_height) = operand(self)?;
+            operands.push(next);
+            height = height.max(next_height);
+        }
+        if let Some(offset) = first_sep {
+            height = nest(height, offset)?;
+        }
+        Ok((join(operands), height))
+    }
+
+    fn parse_postfix(&mut self) -> Result<Parsed, ParseRpqError> {
+        let (mut expr, mut height) = self.parse_atom()?;
+        loop {
+            self.skip_ws();
+            if matches!(self.peek(), Some('*' | '+' | '?' | '{')) {
+                height = nest(height, self.offset())?;
+            }
             match self.peek() {
                 Some('*') => {
                     self.pos += 1;
@@ -216,20 +254,24 @@ impl Parser {
                 _ => break,
             }
         }
-        Ok(expr)
+        Ok((expr, height))
     }
 
-    fn parse_atom(&mut self) -> Result<RpqExpr, ParseRpqError> {
+    fn parse_atom(&mut self) -> Result<Parsed, ParseRpqError> {
         self.skip_ws();
         match self.peek() {
             Some('.') => {
                 self.pos += 1;
-                Ok(RpqExpr::any())
+                Ok((RpqExpr::any(), 0))
             }
             Some('(') => {
+                // Each open parenthesis is a level of the parser's own
+                // recursion, whatever the tree's height.
+                self.open = nest(self.open, self.offset())?;
                 self.pos += 1;
                 let inner = self.parse_alt()?;
                 self.expect(')')?;
+                self.open -= 1;
                 Ok(inner)
             }
             Some(c) if c.is_ascii_digit() => {
@@ -237,7 +279,7 @@ impl Parser {
                 if n > u16::MAX as usize {
                     return Err(ParseRpqError::new("label id exceeds u16::MAX", self.offset()));
                 }
-                Ok(RpqExpr::label(n as u16))
+                Ok((RpqExpr::label(n as u16), 0))
             }
             other => {
                 Err(ParseRpqError::new(format!("expected atom, found {other:?}"), self.offset()))

@@ -1,11 +1,12 @@
-//! Dense sets for graph traversals, and a boolean sparse matrix kernel.
+//! A boolean sparse matrix kernel and the scratch set it deduplicates with.
 //!
 //! RedisGraph — the baseline system in the Moctopus paper — evaluates graph
 //! queries by translating them into sparse matrix algebra over the boolean
 //! semiring (GraphBLAS). The reproduction's baseline runs those plans row by
-//! row over the graph's own sorted rows (`moctopus::host_baseline`), so
-//! the matrix half of this crate is only the contrast kernel the benchmark's
-//! `sparse.mxm.ns_per_nnz` layer times:
+//! row over the graph's own sorted rows (`moctopus::host_baseline`), and no
+//! workspace crate depends on this one: it is the contrast kernel that the
+//! benchmark's `sparse.mxm.ns_per_nnz` and `sparse.marks.ns_per_mark` layers
+//! time, and it goes once they retire.
 //!
 //! * [`SparseBoolMatrix`] — an immutable CSR boolean matrix.
 //! * [`ops`] — `mxm` (matrix × matrix) over the boolean semiring: one hop
@@ -13,12 +14,6 @@
 //! * [`EpochMarks`] — the SuiteSparse-style generation-stamped scratch set
 //!   the kernels use to deduplicate produced entries without per-row
 //!   clearing.
-//! * [`ProductSet`] — a set of `(node, automaton state)` pairs that starts
-//!   sparse and promotes itself to a bitset: the useful set of a pruned
-//!   regular-path plan, and the key space `node × states + state` every
-//!   product traversal names its pairs by. A traversal that carries keys
-//!   talks to the set through [`ProductSet::insert_key`] /
-//!   [`ProductSet::contains_key`] and never multiplies or divides.
 //!
 //! # Examples
 //!
@@ -36,9 +31,7 @@
 
 pub mod matrix;
 pub mod ops;
-pub mod product;
 pub mod scratch;
 
 pub use matrix::SparseBoolMatrix;
-pub use product::ProductSet;
 pub use scratch::EpochMarks;

@@ -3,12 +3,12 @@
 //! This crate exists so the repository-level integration tests (`tests/`) and
 //! runnable examples (`examples/`) have a package to hang off, and so
 //! `cargo doc` produces one landing page linking every layer. All real code
-//! lives in the member crates, re-exported here one module per crate:
+//! lives in the member crates, re-exported here one module per crate (all
+//! but `sparse`, a contrast kernel that only the benchmark times):
 //!
 //! | Module | Crate | Layer |
 //! |--------|-------|-------|
-//! | [`sparse`] | `crates/sparse` | GraphBLAS-style boolean matrices |
-//! | [`graph_store`] | `crates/graph-store` | adjacency / CSR / heterogeneous storage |
+//! //! | [`graph_store`] | `crates/graph-store` | adjacency / CSR / heterogeneous storage |
 //! | [`graph_gen`] | `crates/graph-gen` | synthetic trace generators |
 //! | [`graph_partition`] | `crates/graph-partition` | streaming partitioners |
 //! | [`pim_sim`] | `crates/pim-sim` | PIM hardware cost model |
@@ -31,4 +31,3 @@ pub use moctopus_runtime;
 pub use moctopus_server;
 pub use pim_sim;
 pub use rpq;
-pub use sparse;
