@@ -41,7 +41,10 @@
 //! group, one bit of a `u64` lane mask each. The k-hop loop scans each row
 //! of a group's union frontier once per hop; the NFA-product loop expands
 //! each product key once per hop for all of its lanes, through a per-call
-//! memo of one entry per reached key. Each worker adds every charge of its
+//! memo of one entry per reached key. An NFA-product call with fewer lane
+//! groups than workers splits its product keys by node range instead, and
+//! its workers post each other the successors they do not own, hop by hop
+//! (`nfa.rs`). Each worker adds every charge of its
 //! own expansions — simulated time included, in whole picoseconds — into a
 //! private [`StatsDelta`] per hop, and the calling thread sums the deltas by
 //! hop. Integer sums over a partition of the work do not depend
@@ -140,11 +143,11 @@ fn tally_slot(tallies: &mut Vec<RowTally>, node: NodeId) -> &mut RowTally {
 }
 
 /// Frontier entries each *additional* worker of a one-hop k-hop call must
-/// bring. Only such a call is clamped; no NFA-product call is. The number
-/// came from a sweep made while the NFA-product loop still clamped every hop
-/// by its width (CONCURRENCY.md §4.1): `closure` was flat from 16 to 512
-/// entries and slower from 1024 up, and 256 sat on that plateau, short of
-/// its edge.
+/// bring, and the entries below which a key-split NFA-product hop runs on
+/// the calling thread. The number came from a sweep made while the
+/// NFA-product loop still clamped every hop by its width (CONCURRENCY.md
+/// §4.1): `closure` was flat from 16 to 512 entries and slower from 1024
+/// up, and 256 sat on that plateau, short of its edge.
 const ENTRIES_PER_EXTRA_WORKER: usize = 256;
 
 /// Worker count actually used for a k-hop call of at most one hop: the

@@ -1,13 +1,18 @@
 //! The NFA-product loop behind `rpq_batch` and the executed non-forward
-//! plans. As in the k-hop loop, each worker owns a contiguous range of the
-//! batch's queries, in lane groups of up to 64 — one bit of a `u64` lane
-//! mask each — and runs every hop of them with no barrier and no merge. Per call
-//! a worker keeps one entry per product key it reaches: the key's memoised
+//! plans. A call with at least as many lane groups of up to 64 queries — one
+//! bit of a `u64` lane mask each — as the engine has workers gives each
+//! worker a contiguous range of the groups, and the worker runs every hop of
+//! them with no barrier and no merge. A call with fewer groups splits the
+//! product keys instead: each worker owns a contiguous node range and the
+//! keys of its nodes, expands its own keys and posts each successor it does
+//! not own to its owner, one hop at a time. Either way a worker keeps one
+//! entry per product key it reaches in the call: the key's memoised
 //! expansion and its group's `visited` and `next` lane words
 //! (CONCURRENCY.md §3.1 and §4.1; the memo's contract is §6 rule 8).
 
 use super::planned::Pruning;
-use super::{take_scratch, ErasedEngine, ENTRY_BYTES, ID_BYTES, LABEL_BYTES, STATE_BYTES};
+use super::{take_scratch, ErasedEngine, ENTRIES_PER_EXTRA_WORKER};
+use super::{ENTRY_BYTES, ID_BYTES, LABEL_BYTES, STATE_BYTES};
 use crate::deps::{DepMask, QueryDeps};
 use crate::stats::{QueryStats, StatsDelta};
 use graph_store::{Label, NodeId, PartitionId};
@@ -15,6 +20,8 @@ use moctopus_runtime::chunk_ranges;
 use pim_sim::{Phase, SimTime, Timeline};
 use rpq::{LabelSpec, Nfa};
 use std::collections::BTreeMap;
+use std::num::NonZeroU32;
+use std::ops::Range;
 
 /// Most queries per lane group: one bit of a `u64` lane mask each.
 const LANES: usize = 64;
@@ -25,7 +32,7 @@ const LANES: usize = 64;
 const DENSE_SPAN: usize = 32;
 
 /// The [`Expansion::lane`] of `host_time`: past every module.
-const HOST_LANE: u32 = u32::MAX;
+const HOST_LANE: NonZeroU32 = NonZeroU32::MAX;
 
 /// The node-major key space of one call: the pair `(node, state)` is the
 /// key `node × states + state`, so key order is `(node, state)` order. A
@@ -43,6 +50,16 @@ impl KeySpace {
         let states = u64::from(states);
         let nodes = (usize::MAX as u64).checked_div(states).map_or(0, |cap| nodes.min(cap));
         KeySpace { nodes, states }
+    }
+
+    /// Nodes covered.
+    pub(super) fn nodes(self) -> u64 {
+        self.nodes
+    }
+
+    /// The first key of `node`: the bound for a node past the space.
+    fn node_start(self, node: u64) -> usize {
+        (node.min(self.nodes) * self.states) as usize
     }
 
     /// Every key is below it.
@@ -96,27 +113,30 @@ impl KeySet {
 /// the pair, built once per call and worker and replayed for every lane and
 /// hop that expands it.
 #[derive(Debug, Clone, Copy)]
-struct Expansion {
-    /// Where the expansion's time goes: a `per_module` index, or [`HOST_LANE`].
-    lane: u32,
+pub(super) struct Expansion {
+    /// Where the expansion's time goes: one past a `per_module` index, or
+    /// [`HOST_LANE`]; never zero, so an entry's `Option` costs no tag.
+    lane: NonZeroU32,
     /// One expansion's time, an addend (zero for a node no edge has named).
     time: SimTime,
     /// Matched transitions into another PIM module.
     ipc_messages: u64,
     /// Matched transitions that cross the CPU↔PIM bus.
     cpc_entries: u64,
-    /// The pair's successors: `successors[start..end]` of the worker's
-    /// context, entry indices.
+    /// The pair's successors in the worker's context: entry indices in
+    /// `successors[start..owned]`, and in `successors[owned..end]` the keys
+    /// of the successors other workers own (a key-split call's).
     start: usize,
+    owned: usize,
     end: usize,
 }
 
 /// One product key a worker's call reached, less its lane words.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Entry {
-    key: usize,
+    pub(super) key: usize,
     /// The key's expansion, once one of its lanes has expanded it.
-    expansion: Option<Expansion>,
+    pub(super) expansion: Option<Expansion>,
 }
 
 /// The lane words of an entry, apart from it: the successor loop and the
@@ -132,13 +152,21 @@ struct Lanes {
 /// One NFA-product worker's context for a whole call (CONCURRENCY.md §6
 /// rule 8), kept across calls for its capacity.
 ///
-/// A `u32` slot per product key — the one structure sized by the key space —
-/// is zero or an entry index plus one. An index the slot cannot hold is
-/// filed under the slot value `slot_cap` in `overflow` instead, so an index
-/// never wraps. A call starts by zeroing the slots its predecessor's entries
-/// name — never the key space — so a small query pays for what it reached.
+/// A `u32` slot per product key the worker owns — the one structure sized
+/// by the key space — is zero or an entry index plus one. An index the slot
+/// cannot hold is filed under the slot value `slot_cap` in `overflow`
+/// instead, so an index never wraps. A call starts by zeroing the slots its
+/// predecessor's entries name — never the key space — so a small query pays
+/// for what it reached. Contexts sit side by side in the engine's scratch,
+/// and each is aligned to its own cache lines: the length words that one
+/// worker bumps per entry share no line with another worker's.
 #[derive(Debug)]
+#[repr(align(128))]
 pub(super) struct NfaCtx {
+    /// The keys this worker owns in the call: all of them, or in a
+    /// key-split call its node range's. `slots[key - keys.start]` is a
+    /// key's slot.
+    pub(super) keys: Range<usize>,
     slots: Vec<u32>,
     /// The slot value that sends a lookup to `overflow`: `u32::MAX`, lower
     /// only in the unit test of the overflow path.
@@ -157,19 +185,24 @@ pub(super) struct NfaCtx {
     reached: Vec<usize>,
     /// The current group's reached keys with their lanes, in key order.
     order: Vec<(usize, u64)>,
+    /// The accepting ones' nodes with their lanes, in node order.
+    accepted: Vec<(NodeId, u64)>,
     /// Per hop, every charge of this worker's expansions.
     deltas: Vec<StatsDelta>,
+    /// Per worker of a key-split call, the `(key, lanes)` pairs this hop's
+    /// expansions reached among that worker's keys.
+    outbox: Vec<Vec<(usize, u64)>>,
     /// The nodes of every reached pair (tracked calls).
     deps: DepMask,
     pub(super) expansions: usize,
     /// Pairs visited, summed over the worker's queries.
     visited_pairs: usize,
-    answers: Vec<Vec<NodeId>>,
 }
 
 impl Default for NfaCtx {
     fn default() -> Self {
         NfaCtx {
+            keys: 0..0,
             slots: Vec::new(),
             slot_cap: u32::MAX,
             overflow: BTreeMap::new(),
@@ -180,36 +213,41 @@ impl Default for NfaCtx {
             touched: Vec::new(),
             reached: Vec::new(),
             order: Vec::new(),
+            accepted: Vec::new(),
             deltas: Vec::new(),
+            outbox: Vec::new(),
             deps: DepMask::EMPTY,
             expansions: 0,
             visited_pairs: 0,
-            answers: Vec::new(),
         }
     }
 }
 
 impl NfaCtx {
-    /// Empties the context for a call over keys below `bound`.
-    fn reset(&mut self, bound: usize) {
+    /// Empties the context for a call in which it owns `keys`, with an
+    /// outbox for each of `workers`.
+    fn reset(&mut self, keys: Range<usize>, workers: usize) {
         for entry in self.entries.drain(..) {
-            self.slots[entry.key] = 0;
+            self.slots[entry.key - self.keys.start] = 0;
         }
         self.lanes.clear();
         self.overflow.clear();
         self.successors.clear();
         self.deltas.clear();
+        self.outbox.resize_with(workers, Vec::new);
         (self.deps, self.expansions, self.visited_pairs) = (DepMask::EMPTY, 0, 0);
-        if self.slots.len() < bound {
+        if self.slots.len() < keys.len() {
             // Every slot is zero here: a fresh zeroed table is the old one
             // grown, and its untouched pages cost nothing.
-            self.slots = vec![0; bound];
+            self.slots = vec![0; keys.len()];
         }
+        self.keys = keys;
     }
 
-    /// The entry of `key`, filed on first sight.
+    /// The entry of `key`, one of this worker's keys, filed on first sight.
     fn entry(&mut self, key: usize) -> usize {
-        match self.slots[key] {
+        let slot = key - self.keys.start;
+        match self.slots[slot] {
             0 => {}
             slot if slot == self.slot_cap => return self.overflow[&key],
             slot => return slot as usize - 1,
@@ -217,7 +255,7 @@ impl NfaCtx {
         let index = self.entries.len();
         self.entries.push(Entry { key, expansion: None });
         self.lanes.push(Lanes::default());
-        self.slots[key] = match u32::try_from(index + 1) {
+        self.slots[slot] = match u32::try_from(index + 1) {
             Ok(slot) if slot < self.slot_cap => slot,
             _ => {
                 self.overflow.insert(key, index);
@@ -265,6 +303,9 @@ struct NfaCall<'a> {
     nfa: &'a Nfa,
     /// The call's key space: `directory bound × automaton states`.
     space: KeySpace,
+    /// Where each worker's keys end but the last's, ascending, on node
+    /// boundaries: empty unless the call splits its keys.
+    cuts: Vec<usize>,
     useful: Option<&'a KeySet>,
     accept_nodes: Option<&'a [NodeId]>,
     host_resident_bytes: u64,
@@ -276,6 +317,121 @@ impl NfaCall<'_> {
     fn accepts(&self, node: u64, state: u32) -> bool {
         self.nfa.is_accepting(state as usize)
             && self.accept_nodes.is_none_or(|nodes| nodes.binary_search(&NodeId(node)).is_ok())
+    }
+
+    /// The worker that owns `key`.
+    #[inline]
+    fn owner_of(&self, key: usize) -> usize {
+        self.cuts.partition_point(|&cut| cut <= key)
+    }
+
+    /// The keys `worker` owns.
+    fn keys_of(&self, worker: usize) -> Range<usize> {
+        let start = worker.checked_sub(1).map_or(0, |before| self.cuts[before]);
+        start..self.cuts.get(worker).copied().unwrap_or(self.space.bound())
+    }
+
+    /// Files a group's start pairs with the workers that own them — a
+    /// source's lane is the first `next` word of its start key — and
+    /// drains them. Returns the group's unkeyed sources, which the first
+    /// context counts as visited pairs and, with no useful set, as
+    /// expansions of the first hop.
+    fn seed(&self, group: &[NodeId], ctxs: &mut [NfaCtx]) -> usize {
+        let start = self.nfa.start() as u32;
+        let mut unkeyed = 0usize;
+        for (lane, s) in group.iter().enumerate() {
+            match self.space.key(s.0, start) {
+                Some(key) => {
+                    let ctx = &mut ctxs[self.owner_of(key)];
+                    let index = ctx.entry(key);
+                    ctx.reach(index, 1 << lane);
+                }
+                None => {
+                    // No useful set holds an unkeyed pair.
+                    ctxs[0].visited_pairs += 1;
+                    unkeyed += usize::from(self.useful.is_none());
+                    if self.track {
+                        ctxs[0].deps.insert(*s);
+                    }
+                }
+            }
+        }
+        ctxs.iter_mut().for_each(|ctx| ctx.drain(self.useful));
+        ctxs[0].expansions += unkeyed;
+        unkeyed
+    }
+
+    /// Reads a finished group's reached keys among a worker's with their
+    /// `visited` lanes, in key order, zeroing the words; counts them as
+    /// visited pairs (and their nodes as deps, when tracked) and keeps the
+    /// accepting ones' nodes in `accepted`. Dense reached keys are read by a
+    /// scan of the slot table over their span, sparse ones sorted.
+    fn read_reached(&self, ctx: &mut NfaCtx) {
+        let NfaCtx { keys, slots, slot_cap, overflow, entries, lanes, reached, order, .. } = ctx;
+        order.clear();
+        let (lo, hi) = reached.iter().fold((usize::MAX, 0), |(lo, hi), &index| {
+            let key = entries[index].key;
+            (lo.min(key), hi.max(key))
+        });
+        // Empty, `hi < lo`: the sort path, over nothing.
+        if hi.saturating_sub(lo) / DENSE_SPAN < reached.len() {
+            let span = &slots[lo - keys.start..=hi - keys.start];
+            for (key, &slot) in (lo..).zip(span) {
+                let index = match slot {
+                    0 => continue,
+                    slot if slot == *slot_cap => overflow[&key],
+                    slot => slot as usize - 1,
+                };
+                let visited = std::mem::take(&mut lanes[index].visited);
+                if visited != 0 {
+                    order.push((key, visited));
+                }
+            }
+        } else {
+            for &index in reached.iter() {
+                order.push((entries[index].key, std::mem::take(&mut lanes[index].visited)));
+            }
+            order.sort_unstable();
+        }
+        reached.clear();
+        ctx.accepted.clear();
+        for &(key, lanes) in ctx.order.iter() {
+            ctx.visited_pairs += lanes.count_ones() as usize;
+            let (node, state) = self.space.pair(key);
+            if self.track {
+                ctx.deps.insert(NodeId(node));
+            }
+            if self.accepts(node, state) {
+                ctx.accepted.push((NodeId(node), lanes));
+            }
+        }
+    }
+
+    /// Pushes the source of each lane that has no key onto the lane's
+    /// answer, when the automaton accepts the empty path: past every key's
+    /// node, so last.
+    fn add_unkeyed(&self, group: &[NodeId], answers: &mut [Vec<NodeId>]) {
+        let start = self.nfa.start() as u32;
+        for (answer, s) in answers.iter_mut().zip(group) {
+            if self.space.key(s.0, start).is_none() && self.accepts(s.0, start) {
+                answer.push(*s);
+            }
+        }
+    }
+}
+
+/// Pushes a worker's `accepted` nodes onto the answers of their lanes:
+/// node-major keys put each lane's nodes in ascending order, and a node
+/// reached in two accepting states is pushed once.
+fn add_answers(accepted: &[(NodeId, u64)], answers: &mut [Vec<NodeId>]) {
+    for &(node, mut lanes) in accepted {
+        while lanes != 0 {
+            let answer = &mut answers[lanes.trailing_zeros() as usize];
+            if answer.last() != Some(&node) {
+                answer.push(node);
+            }
+            lanes &= lanes - 1;
+        }
     }
 }
 
@@ -301,8 +457,8 @@ impl ErasedEngine {
     /// itself is part of the answer, as in [`rpq::ReferenceEvaluator`].
     ///
     /// The shared entry point: charges a non-forward plan's preamble and the
-    /// dispatch, runs every worker's query range (`nfa_worker`), then charges
-    /// the hops one by one from the workers' per-hop deltas, as
+    /// dispatch, runs every worker's query range or, with fewer lane groups
+    /// than workers, every worker's keys (`run_groups`), then charges the hops one by one from the workers' per-hop deltas, as
     /// `k_hop_batch_impl` does.
     pub(super) fn nfa_product_batch_impl(
         &mut self,
@@ -329,30 +485,43 @@ impl ErasedEngine {
         // The automaton start state rides along with every dispatched source.
         self.charge_dispatch(sources, ENTRY_BYTES + STATE_BYTES, &mut timeline);
 
-        // Full lane groups, each worker a contiguous range of them: a batch
-        // of at most 64 queries runs on one worker, whose memo then builds
-        // each key once (CONCURRENCY.md §4.1 measures the alternatives).
+        // Full lane groups, each worker a contiguous range of them; with
+        // fewer groups than workers, each worker a node range's keys
+        // (CONCURRENCY.md §4.1 measures the alternatives).
         let groups = sources.len().div_ceil(LANES);
-        let workers = self.pool.workers_for(groups);
-        let ranges: Vec<_> = chunk_ranges(groups, workers)
-            .into_iter()
-            .map(|r| r.start * LANES..(r.end * LANES).min(sources.len()))
-            .collect();
+        let threads = self.pool.threads();
+        let split_keys = groups > 0 && groups < threads;
+        let space = self.key_space(nfa);
+        let cuts = match split_keys {
+            true => self.node_cuts(space.nodes(), threads),
+            false => Vec::new(),
+        };
         let call = NfaCall {
             nfa,
-            space: self.key_space(nfa),
+            space,
+            cuts: cuts.into_iter().map(|node| space.node_start(node)).collect(),
             useful,
             accept_nodes,
             host_resident_bytes: self.host_store.live_bytes(),
             track: track.is_some(),
         };
+        let workers = if split_keys { threads } else { self.pool.workers_for(groups) };
         let mut ctxs = take_scratch(&mut self.scratch.nfa_ctxs, workers);
-        let this: &Self = self;
-        this.pool.run_with(&mut ctxs[..workers], |worker, ctx| {
-            this.nfa_worker(&call, &sources[ranges[worker].clone()], ctx);
-        });
-
         let active = &mut ctxs[..workers];
+        let this: &Self = self;
+        let results: Vec<_> = if split_keys {
+            this.run_groups(&call, sources, active)
+        } else {
+            let ranges: Vec<_> = chunk_ranges(groups, workers)
+                .into_iter()
+                .map(|r| r.start * LANES..(r.end * LANES).min(sources.len()))
+                .collect();
+            let answers = this.pool.run_with(active, |worker, ctx| {
+                this.run_groups(&call, &sources[ranges[worker].clone()], std::slice::from_mut(ctx))
+            });
+            answers.into_iter().flatten().collect()
+        };
+
         let hops = active.iter().map(|ctx| ctx.deltas.len()).max().unwrap_or(0);
         for hop in 0..hops {
             let deltas = active.iter().filter_map(|ctx| ctx.deltas.get(hop));
@@ -361,7 +530,6 @@ impl ErasedEngine {
                 deps.host_lane |= !delta.host_time.is_zero();
             }
         }
-        let results: Vec<_> = active.iter_mut().flat_map(|ctx| ctx.answers.drain(..)).collect();
         let expansions = active.iter().map(|ctx| ctx.expansions).sum();
         let visited_pairs: usize = active.iter().map(|ctx| ctx.visited_pairs).sum();
         if let Some(deps) = track {
@@ -377,137 +545,123 @@ impl ErasedEngine {
         (results, stats)
     }
 
-    /// One worker's share of a call: every hop of the queries `sources`, in
-    /// lane groups of up to [`LANES`].
+    /// Every hop of the queries `sources`, in lane groups of up to
+    /// [`LANES`] that run one after another, over workers that split the
+    /// keys: one context that owns them all — a query range's worker — or
+    /// one per worker of a key-split call, each owning a node range's keys.
     ///
     /// Per group the sources' start pairs are the first `next` words, and
-    /// each hop drains the touched words into the frontier — the lanes new
-    /// to a key, if a pruned plan finds the key useful — then expands every
-    /// frontier entry for its lanes: **build-then-replay**, the first
-    /// expansion of a key in the call builds its [`Expansion`]
-    /// (`build_expansion`, successors filed as entries), and every expansion
-    /// adds its charges times the lane count into the worker's delta for
-    /// the hop (unconditionally, §6 rule 2) and ORs its lanes into every
-    /// successor's `next` word. A source outside the owner directory has no
-    /// key, no owner and no row: it counts as one expansion of the first hop
-    /// and is read back last.
-    fn nfa_worker(&self, call: &NfaCall, sources: &[NodeId], ctx: &mut NfaCtx) {
-        ctx.reset(call.space.bound());
-        let start = call.nfa.start() as u32;
+    /// each hop has two phases. *Expand*: every worker drains its touched
+    /// words into its frontier — the lanes new to a key, if a pruned plan
+    /// finds the key useful — and expands every frontier entry for its
+    /// lanes (`expand`), ORing them into the successors it owns and posting
+    /// the others' to their owners. *Deliver*: every worker files the pairs
+    /// posted to it and drains. A hop whose frontiers hold fewer than
+    /// [`ENTRIES_PER_EXTRA_WORKER`] entries runs both phases on the calling
+    /// thread, worker by worker. A lane's answers are the workers' in range
+    /// order — ascending — and a source outside the owner directory, which
+    /// has no key, no owner and no row, counts as one expansion of the
+    /// first hop and is read back last.
+    fn run_groups(
+        &self,
+        call: &NfaCall,
+        sources: &[NodeId],
+        ctxs: &mut [NfaCtx],
+    ) -> Vec<Vec<NodeId>> {
+        let workers = ctxs.len();
+        for (worker, ctx) in ctxs.iter_mut().enumerate() {
+            ctx.reset(call.keys_of(worker), workers);
+        }
+        let mut results = Vec::with_capacity(sources.len());
         for group in sources.chunks(LANES) {
-            let mut unkeyed = 0usize;
-            for (lane, s) in group.iter().enumerate() {
-                match call.space.key(s.0, start) {
-                    Some(key) => {
-                        let index = ctx.entry(key);
-                        ctx.reach(index, 1 << lane);
-                    }
-                    None => {
-                        // No useful set holds an unkeyed pair.
-                        ctx.visited_pairs += 1;
-                        unkeyed += usize::from(call.useful.is_none());
-                        if call.track {
-                            ctx.deps.insert(*s);
-                        }
-                    }
-                }
-            }
-            ctx.drain(call.useful);
-            ctx.expansions += unkeyed;
+            let unkeyed = call.seed(group, ctxs);
             let mut hop = 0;
-            while !ctx.frontier.is_empty() || (hop == 0 && unkeyed > 0) {
-                if ctx.deltas.len() == hop {
-                    ctx.deltas.push(StatsDelta::new(self.config.pim.num_modules));
+            loop {
+                let entries: usize = ctxs.iter().map(|ctx| ctx.frontier.len()).sum();
+                if entries == 0 && (hop > 0 || unkeyed == 0) {
+                    break;
                 }
-                for at in 0..ctx.frontier.len() {
-                    let (index, mask) = ctx.frontier[at];
-                    let expansion = match ctx.entries[index].expansion {
-                        Some(expansion) => expansion,
-                        None => self.build_expansion(call, index, ctx),
-                    };
-                    let lanes = u64::from(mask.count_ones());
-                    let delta = &mut ctx.deltas[hop];
-                    match delta.per_module.get_mut(expansion.lane as usize) {
-                        Some(slot) => *slot += expansion.time * lanes,
-                        None => delta.host_time += expansion.time * lanes,
+                let wide = entries >= ENTRIES_PER_EXTRA_WORKER;
+                self.each_worker(wide, ctxs, |_, ctx| self.expand(call, hop, ctx));
+                let mail: Vec<_> =
+                    ctxs.iter_mut().map(|ctx| std::mem::take(&mut ctx.outbox)).collect();
+                self.each_worker(wide, ctxs, |worker, ctx| {
+                    for &(key, mask) in mail.iter().flat_map(|outbox| &outbox[worker]) {
+                        let index = ctx.entry(key);
+                        ctx.reach(index, mask);
                     }
-                    delta.ipc_messages += lanes * expansion.ipc_messages;
-                    delta.ipc_bytes += lanes * expansion.ipc_messages * (ENTRY_BYTES + STATE_BYTES);
-                    delta.cpc_bytes += lanes * expansion.cpc_entries * (ENTRY_BYTES + STATE_BYTES);
-                    ctx.expansions += lanes as usize;
-                    for at in expansion.start..expansion.end {
-                        ctx.reach(ctx.successors[at], mask);
-                    }
+                    ctx.drain(call.useful);
+                });
+                for (ctx, mut outbox) in ctxs.iter_mut().zip(mail) {
+                    outbox.iter_mut().for_each(Vec::clear);
+                    ctx.outbox = outbox;
                 }
-                ctx.drain(call.useful);
                 hop += 1;
             }
-            self.read_answers(call, group, ctx);
+            let reached: usize = ctxs.iter().map(|ctx| ctx.reached.len()).sum();
+            let wide = reached >= ENTRIES_PER_EXTRA_WORKER;
+            self.each_worker(wide, ctxs, |_, ctx| call.read_reached(ctx));
+            let first = results.len();
+            results.resize(first + group.len(), Vec::new());
+            for ctx in ctxs.iter() {
+                add_answers(&ctx.accepted, &mut results[first..]);
+            }
+            call.add_unkeyed(group, &mut results[first..]);
+        }
+        results
+    }
+
+    /// Runs `f` for every worker's context: on the pool when `wide`, on the
+    /// calling thread in worker order otherwise.
+    fn each_worker(&self, wide: bool, ctxs: &mut [NfaCtx], f: impl Fn(usize, &mut NfaCtx) + Sync) {
+        if wide {
+            self.pool.run_with(ctxs, f);
+        } else {
+            ctxs.iter_mut().enumerate().for_each(|(worker, ctx)| f(worker, ctx));
         }
     }
 
-    /// Reads a finished group's answers, and its deps when tracked, off the
-    /// `visited` words in key order — node-major, so each lane's accepted
-    /// nodes come out ascending — with unkeyed sources last (their ids lie
-    /// past every key's node), and zeroes the words. Dense reached keys are
-    /// read by a scan of the slot table over their span, sparse ones sorted.
-    fn read_answers(&self, call: &NfaCall, group: &[NodeId], ctx: &mut NfaCtx) {
-        let NfaCtx { slots, slot_cap, overflow, entries, lanes, reached, order, .. } = ctx;
-        order.clear();
-        let (lo, hi) = reached.iter().fold((usize::MAX, 0), |(lo, hi), &index| {
-            let key = entries[index].key;
-            (lo.min(key), hi.max(key))
-        });
-        // Empty, `hi < lo`: the sort path, over nothing.
-        if hi.saturating_sub(lo) / DENSE_SPAN < reached.len() {
-            for (key, &slot) in (lo..).zip(&slots[lo..=hi]) {
-                let index = match slot {
-                    0 => continue,
-                    slot if slot == *slot_cap => overflow[&key],
-                    slot => slot as usize - 1,
-                };
-                let visited = std::mem::take(&mut lanes[index].visited);
-                if visited != 0 {
-                    order.push((key, visited));
-                }
-            }
-        } else {
-            for &index in reached.iter() {
-                order.push((entries[index].key, std::mem::take(&mut lanes[index].visited)));
-            }
-            order.sort_unstable();
+    /// Expands a worker's frontier for hop `hop` — **build-then-replay**:
+    /// the first expansion of a key in the call builds its [`Expansion`]
+    /// (`build_expansion`), and every expansion adds its charges times the
+    /// lane count into the worker's delta for the hop (unconditionally, §6
+    /// rule 2), ORs its lanes into the `next` word of every successor the
+    /// worker owns and posts them for every other successor to its owner.
+    /// A worker with nothing to expand still opens the hop's delta.
+    fn expand(&self, call: &NfaCall, hop: usize, ctx: &mut NfaCtx) {
+        if ctx.deltas.len() == hop {
+            ctx.deltas.push(StatsDelta::new(self.config.pim.num_modules));
         }
-        reached.clear();
-        let NfaCtx { order, answers, deps, visited_pairs, .. } = ctx;
-        let first = answers.len();
-        answers.resize(first + group.len(), Vec::new());
-        for &(key, mut lanes) in order.iter() {
-            *visited_pairs += lanes.count_ones() as usize;
-            let (node, state) = call.space.pair(key);
-            if call.track {
-                deps.insert(NodeId(node));
+        for at in 0..ctx.frontier.len() {
+            let (index, mask) = ctx.frontier[at];
+            let expansion = match ctx.entries[index].expansion {
+                Some(expansion) => expansion,
+                None => self.build_expansion(call, index, ctx),
+            };
+            let lanes = u64::from(mask.count_ones());
+            let delta = &mut ctx.deltas[hop];
+            match delta.per_module.get_mut(expansion.lane.get() as usize - 1) {
+                Some(slot) => *slot += expansion.time * lanes,
+                None => delta.host_time += expansion.time * lanes,
             }
-            if call.accepts(node, state) {
-                while lanes != 0 {
-                    let answer = &mut answers[first + lanes.trailing_zeros() as usize];
-                    if answer.last() != Some(&NodeId(node)) {
-                        answer.push(NodeId(node));
-                    }
-                    lanes &= lanes - 1;
-                }
+            delta.ipc_messages += lanes * expansion.ipc_messages;
+            delta.ipc_bytes += lanes * expansion.ipc_messages * (ENTRY_BYTES + STATE_BYTES);
+            delta.cpc_bytes += lanes * expansion.cpc_entries * (ENTRY_BYTES + STATE_BYTES);
+            ctx.expansions += lanes as usize;
+            for at in expansion.start..expansion.owned {
+                ctx.reach(ctx.successors[at], mask);
             }
-        }
-        let start = call.nfa.start() as u32;
-        for (answer, s) in answers[first..].iter_mut().zip(group) {
-            if call.space.key(s.0, start).is_none() && call.accepts(s.0, start) {
-                answer.push(*s);
+            for at in expansion.owned..expansion.end {
+                let key = ctx.successors[at];
+                ctx.outbox[call.owner_of(key)].push((key, mask));
             }
         }
     }
 
     /// The build half of an expansion: scans the row of entry `index`'s
     /// node (the row view or its owner's store), matches it against the
-    /// transitions of the entry's state, files the successors' entries, and
+    /// transitions of the entry's state, files the entries of the
+    /// successors the worker owns — first — and keeps the others' keys, and
     /// stores and returns what the scan charges. A node no edge has named
     /// has no owner and no row: nothing to charge.
     fn build_expansion(&self, call: &NfaCall, index: usize, ctx: &mut NfaCtx) -> Expansion {
@@ -532,8 +686,16 @@ impl ErasedEngine {
                 _ => cpc_entries += 1,
             }
         });
-        for at in start..ctx.successors.len() {
-            ctx.successors[at] = ctx.entry(ctx.successors[at]);
+        let end = ctx.successors.len();
+        let mut owned = start;
+        for at in start..end {
+            let key = ctx.successors[at];
+            if ctx.keys.contains(&key) {
+                let index = ctx.entry(key);
+                ctx.successors[at] = ctx.successors[owned];
+                ctx.successors[owned] = index;
+                owned += 1;
+            }
         }
         // A label-constrained scan reads the id array and the label array.
         let scan_bytes = scanned as u64 * (ID_BYTES + LABEL_BYTES);
@@ -543,11 +705,12 @@ impl ErasedEngine {
                     + self.pim.host_sequential_read_cost(scan_bytes);
                 (HOST_LANE, cost)
             }
-            Some(PartitionId::Pim(m)) => (m, self.pim.pim_hash_lookup_cost(scan_bytes)),
+            Some(PartitionId::Pim(m)) => {
+                (NonZeroU32::MIN.saturating_add(m), self.pim.pim_hash_lookup_cost(scan_bytes))
+            }
             None => (HOST_LANE, SimTime::ZERO),
         };
-        let end = ctx.successors.len();
-        let expansion = Expansion { lane, time, ipc_messages, cpc_entries, start, end };
+        let expansion = Expansion { lane, time, ipc_messages, cpc_entries, start, owned, end };
         ctx.entries[index].expansion = Some(expansion);
         expansion
     }

@@ -441,9 +441,13 @@ fn a_clone_leaves_the_scratch_behind_and_charges_identically() {
 
 /// `tests/parallel_equivalence.rs`'s key-split fixture (nodes `1000..1601`
 /// reached in two automaton states, a hub on either side of node 1300),
-/// which that test compares at threads 1–4. A lone source runs on one
-/// worker; 128 sources are two lane groups on two workers, and each of
-/// them expands product pairs.
+/// which that test compares at threads 1–4. A lone source is one lane group
+/// on two workers, so the call splits its keys: each worker expands pairs,
+/// builds only keys of its own node range — the ranges tile the keys and
+/// start and end on a node — and together they build each key the
+/// one-thread run builds, once. The second call reads the row view, whose offsets cut the ranges.
+/// 128 sources are two lane groups on two workers, and each of them expands
+/// product pairs.
 #[test]
 fn a_key_split_between_two_states_of_one_node_runs_wide() {
     let mut edges = vec![(NodeId(0), NodeId(1), Label(1)), (NodeId(0), NodeId(2), Label(8))];
@@ -455,14 +459,29 @@ fn a_key_split_between_two_states_of_one_node_runs_wide() {
         edges.extend((0..20).map(|j| (NodeId(hub), NodeId(6000 + j), Label(8))));
     }
     let flood = rpq::parser::parse("(1|8)+").unwrap();
+    let states = Nfa::from_expr(&flood).state_count();
+    let built = |ctx: &nfa::NfaCtx| ctx.entries.iter().filter(|e| e.expansion.is_some()).count();
     let mut serial = MoctopusSystem::new(MoctopusConfig::small_test().with_threads(1));
     let mut parallel = MoctopusSystem::new(MoctopusConfig::small_test().with_threads(2));
     for e in [&mut serial, &mut parallel] {
         e.insert_labeled_edges(&edges);
     }
     let lone = [NodeId(0)];
-    assert_eq!(parallel.rpq_batch(&flood, &lone), serial.rpq_batch(&flood, &lone));
-    assert_eq!(parallel.scratch.nfa_ctxs[0].expansions, serial.scratch.nfa_ctxs[0].expansions);
+    for view in [false, true] {
+        assert_eq!(parallel.rpq_batch(&flood, &lone), serial.rpq_batch(&flood, &lone));
+        assert_eq!(parallel.reads_row_view(), view);
+        let ctxs = &parallel.scratch.nfa_ctxs;
+        assert_eq!(ctxs.len(), 2);
+        assert!(ctxs.iter().all(|ctx| ctx.expansions > 0), "the lone group never ran wide");
+        let one_thread = built(&serial.scratch.nfa_ctxs[0]);
+        assert_eq!(ctxs.iter().map(built).sum::<usize>(), one_thread, "a key built twice");
+        let tiled = (ctxs[0].keys.start, ctxs[0].keys.end);
+        assert_eq!(tiled, (0, ctxs[1].keys.start), "ranges that do not tile the keys");
+        for ctx in ctxs {
+            assert_eq!((ctx.keys.start % states, ctx.keys.end % states), (0, 0), "off a node");
+            assert!(ctx.entries.iter().all(|e| ctx.keys.contains(&e.key)), "a foreign key");
+        }
+    }
     let batch: Vec<NodeId> = [NodeId(0), NodeId(1), NodeId(1 << 40), NodeId(1300)].repeat(32);
     assert_eq!(parallel.rpq_batch(&flood, &batch), serial.rpq_batch(&flood, &batch));
     let ctxs = &parallel.scratch.nfa_ctxs;
@@ -522,7 +541,7 @@ fn dead_end_batches_never_promote_a_visited_set() {
     assert_eq!(e.scratch.nfa_ctxs.len(), 1);
 }
 
-/// Key order is `(node, state)` order: `read_answers` reads a group's
+/// Key order is `(node, state)` order: `read_reached` reads a group's
 /// reached keys in key order, and so hands out each lane's accepted nodes
 /// ascending.
 #[test]

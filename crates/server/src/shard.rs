@@ -202,7 +202,9 @@ impl ShardedEngine {
     /// configuration) — typically freshly built from the same snapshot; the
     /// plane keeps them in lockstep afterwards by broadcasting updates.
     /// `threads` sizes the cross-shard worker pool (0 = available
-    /// parallelism); the replicas keep their own per-engine thread settings.
+    /// parallelism), and each replica gets `max(1, threads / replicas)`
+    /// engine threads in place of its own setting, so that the nested pools
+    /// never ask for more threads than `threads` together.
     ///
     /// # Panics
     ///
@@ -219,7 +221,19 @@ impl ShardedEngine {
             per_shard_busy: vec![SimTime::ZERO; shards.len()],
             ..Default::default()
         }));
-        ShardedEngine { shards, plan, owner, pool: WorkerPool::new(threads), clock }
+        let mut plane =
+            ShardedEngine { shards, plan, owner, pool: WorkerPool::new(threads), clock };
+        plane.share_threads();
+        plane
+    }
+
+    /// Gives each replica `max(1, threads / replicas)` of the plane's
+    /// threads.
+    fn share_threads(&mut self) {
+        let per_replica = (self.pool.threads() / self.shards.len()).max(1);
+        for shard in &mut self.shards {
+            shard.set_threads(per_replica);
+        }
     }
 
     /// The frozen plan.
@@ -438,11 +452,11 @@ impl GraphEngine for ShardedEngine {
         self.shards[0].edge_count()
     }
 
+    /// The cross-shard pool gets `threads`, each replica
+    /// `max(1, threads / replicas)` of them (`ShardedEngine::new`).
     fn set_threads(&mut self, threads: usize) {
         self.pool = WorkerPool::new(threads);
-        for shard in &mut self.shards {
-            shard.set_threads(threads);
-        }
+        self.share_threads();
     }
 
     fn threads(&self) -> usize {
@@ -567,6 +581,19 @@ mod tests {
         assert_eq!(t.per_shard_busy.len(), 4);
         assert!(t.makespan > SimTime::ZERO);
         assert!(t.busy_total() >= t.makespan, "total work can only exceed the parallel wall clock");
+    }
+
+    #[test]
+    fn replicas_share_the_planes_threads() {
+        let wide = || Box::new(MoctopusSystem::new(MoctopusConfig::small_test().with_threads(2)));
+        let replicas: Vec<Box<dyn GraphEngine + Send>> = (0..4).map(|_| wide() as _).collect();
+        let mut plane = ShardedEngine::new(replicas, ShardPlan::hashed(16), 2);
+        assert_eq!(plane.threads(), 2);
+        assert!(plane.shards.iter().all(|shard| shard.threads() == 1), "4 replicas on 2 threads");
+        plane.set_threads(8);
+        assert!(plane.shards.iter().all(|shard| shard.threads() == 2), "4 replicas on 8 threads");
+        let lone = ShardedEngine::new(vec![wide() as _], ShardPlan::hashed(16), 2);
+        assert_eq!(lone.shards[0].threads(), 2, "one replica keeps every thread");
     }
 
     #[test]
