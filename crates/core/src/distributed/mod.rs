@@ -41,10 +41,10 @@
 //! group, one bit of a `u64` lane mask each. The k-hop loop scans each row
 //! of a group's union frontier once per hop; the NFA-product loop expands
 //! each product key once per hop for all of its lanes, through a per-call
-//! memo of one entry per reached key. An NFA-product call with fewer lane
-//! groups than workers splits its product keys by node range instead, and
-//! its workers post each other the successors they do not own, hop by hop
-//! (`nfa.rs`). Each worker adds every charge of its
+//! memo of one entry per reached key. An NFA-product call of a single lane
+//! group (at most 64 queries) splits its product keys by node range
+//! instead, and its workers post each other the successors they do not
+//! own, hop by hop (`nfa.rs`). Each worker adds every charge of its
 //! own expansions — simulated time included, in whole picoseconds — into a
 //! private [`StatsDelta`] per hop, and the calling thread sums the deltas by
 //! hop. Integer sums over a partition of the work do not depend

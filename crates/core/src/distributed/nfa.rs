@@ -1,14 +1,14 @@
 //! The NFA-product loop behind `rpq_batch` and the executed non-forward
-//! plans. A call with at least as many lane groups of up to 64 queries — one
-//! bit of a `u64` lane mask each — as the engine has workers gives each
-//! worker a contiguous range of the groups, and the worker runs every hop of
-//! them with no barrier and no merge. A call with fewer groups splits the
-//! product keys instead: each worker owns a contiguous node range and the
-//! keys of its nodes, expands its own keys and posts each successor it does
-//! not own to its owner, one hop at a time. Either way a worker keeps one
-//! entry per product key it reaches in the call: the key's memoised
-//! expansion and its group's `visited` and `next` lane words
-//! (CONCURRENCY.md §3.1 and §4.1; the memo's contract is §6 rule 8).
+//! plans. A call of several lane groups of up to 64 queries — one bit of a
+//! `u64` lane mask each — gives each worker a contiguous range of the
+//! groups, and the worker runs every hop of them with no barrier and no
+//! merge. A call of one group splits the product keys instead: each worker
+//! owns a contiguous node range and the keys of its nodes, expands its own
+//! keys and posts each successor it does not own to its owner, one hop at a
+//! time. Either way a worker keeps one entry per product key it reaches in
+//! the call: the key's memoised expansion and its group's `visited` and
+//! `next` lane words (CONCURRENCY.md §3.1 and §4.1; the memo's contract is
+//! §6 rule 8).
 
 use super::planned::Pruning;
 use super::{take_scratch, ErasedEngine, ENTRIES_PER_EXTRA_WORKER};
@@ -53,7 +53,7 @@ impl KeySpace {
     }
 
     /// Nodes covered.
-    pub(super) fn nodes(self) -> u64 {
+    fn nodes(self) -> u64 {
         self.nodes
     }
 
@@ -457,9 +457,9 @@ impl ErasedEngine {
     /// itself is part of the answer, as in [`rpq::ReferenceEvaluator`].
     ///
     /// The shared entry point: charges a non-forward plan's preamble and the
-    /// dispatch, runs every worker's query range or, with fewer lane groups
-    /// than workers, every worker's keys (`run_groups`), then charges the hops one by one from the workers' per-hop deltas, as
-    /// `k_hop_batch_impl` does.
+    /// dispatch, runs every worker's query range or, for a lone lane group,
+    /// every worker's keys (`run_groups`), then charges the hops one by one
+    /// from the workers' per-hop deltas, as `k_hop_batch_impl` does.
     pub(super) fn nfa_product_batch_impl(
         &mut self,
         nfa: &Nfa,
@@ -485,21 +485,26 @@ impl ErasedEngine {
         // The automaton start state rides along with every dispatched source.
         self.charge_dispatch(sources, ENTRY_BYTES + STATE_BYTES, &mut timeline);
 
-        // Full lane groups, each worker a contiguous range of them; with
-        // fewer groups than workers, each worker a node range's keys
-        // (CONCURRENCY.md §4.1 measures the alternatives).
+        // Full lane groups, each worker a contiguous range of them; a lone
+        // group, each worker a node range's keys (CONCURRENCY.md §4.1
+        // measures the alternatives).
         let groups = sources.len().div_ceil(LANES);
         let threads = self.pool.threads();
-        let split_keys = groups > 0 && groups < threads;
+        let split_keys = groups == 1;
         let space = self.key_space(nfa);
+        // Equal node counts: cuts weighted by forward entries tied with
+        // them on `closure` (CONCURRENCY.md §4.1).
         let cuts = match split_keys {
-            true => self.node_cuts(space.nodes(), threads),
+            true => chunk_ranges(space.nodes() as usize, threads)[1..]
+                .iter()
+                .map(|nodes| space.node_start(nodes.start as u64))
+                .collect(),
             false => Vec::new(),
         };
         let call = NfaCall {
             nfa,
             space,
-            cuts: cuts.into_iter().map(|node| space.node_start(node)).collect(),
+            cuts,
             useful,
             accept_nodes,
             host_resident_bytes: self.host_store.live_bytes(),
@@ -573,6 +578,8 @@ impl ErasedEngine {
             ctx.reset(call.keys_of(worker), workers);
         }
         let mut results = Vec::with_capacity(sources.len());
+        // Per hop, each worker's outboxes while the others read them.
+        let mut mail = Vec::with_capacity(workers);
         for group in sources.chunks(LANES) {
             let unkeyed = call.seed(group, ctxs);
             let mut hop = 0;
@@ -583,18 +590,22 @@ impl ErasedEngine {
                 }
                 let wide = entries >= ENTRIES_PER_EXTRA_WORKER;
                 self.each_worker(wide, ctxs, |_, ctx| self.expand(call, hop, ctx));
-                let mail: Vec<_> =
-                    ctxs.iter_mut().map(|ctx| std::mem::take(&mut ctx.outbox)).collect();
-                self.each_worker(wide, ctxs, |worker, ctx| {
-                    for &(key, mask) in mail.iter().flat_map(|outbox| &outbox[worker]) {
-                        let index = ctx.entry(key);
-                        ctx.reach(index, mask);
-                    }
+                if let [ctx] = ctxs {
+                    // It owns every key: nothing was posted.
                     ctx.drain(call.useful);
-                });
-                for (ctx, mut outbox) in ctxs.iter_mut().zip(mail) {
-                    outbox.iter_mut().for_each(Vec::clear);
-                    ctx.outbox = outbox;
+                } else {
+                    mail.extend(ctxs.iter_mut().map(|ctx| std::mem::take(&mut ctx.outbox)));
+                    self.each_worker(wide, ctxs, |worker, ctx| {
+                        for &(key, mask) in mail.iter().flat_map(|outbox| &outbox[worker]) {
+                            let index = ctx.entry(key);
+                            ctx.reach(index, mask);
+                        }
+                        ctx.drain(call.useful);
+                    });
+                    for (ctx, mut outbox) in ctxs.iter_mut().zip(mail.drain(..)) {
+                        outbox.iter_mut().for_each(Vec::clear);
+                        ctx.outbox = outbox;
+                    }
                 }
                 hop += 1;
             }

@@ -445,7 +445,7 @@ fn a_clone_leaves_the_scratch_behind_and_charges_identically() {
 /// on two workers, so the call splits its keys: each worker expands pairs,
 /// builds only keys of its own node range — the ranges tile the keys and
 /// start and end on a node — and together they build each key the
-/// one-thread run builds, once. The second call reads the row view, whose offsets cut the ranges.
+/// one-thread run builds, once. The second call reads the row view.
 /// 128 sources are two lane groups on two workers, and each of them expands
 /// product pairs.
 #[test]

@@ -6,7 +6,6 @@
 
 use super::ErasedEngine;
 use graph_store::{Label, NodeId, PartitionId};
-use moctopus_runtime::chunk_ranges;
 use std::ops::Range;
 
 /// Every forward row, contiguous in node-id order: node `n`'s entries are
@@ -131,24 +130,6 @@ impl ErasedEngine {
         for (node, mut row) in self.host_store.iter() {
             fill(node, &mut row);
         }
-    }
-
-    /// `parts - 1` ascending node ids that cut `0..nodes` into contiguous
-    /// ranges holding about equal numbers of forward entries, read off the
-    /// view's row offsets; equal numbers of nodes when no view is built.
-    pub(super) fn node_cuts(&self, nodes: u64, parts: usize) -> Vec<u64> {
-        let view = &self.view;
-        if !view.built {
-            let ranges = chunk_ranges(nodes as usize, parts);
-            return ranges[1..].iter().map(|range| range.start as u64).collect();
-        }
-        let starts = view.starts.get(..=nodes as usize).unwrap_or_default();
-        let total = starts.last().map_or(0, |&end| u64::from(end));
-        let cut = |part| {
-            let target = total * part as u64 / parts as u64;
-            starts.partition_point(|&start| u64::from(start) < target) as u64
-        };
-        (1..parts).map(cut).collect()
     }
 
     /// The view's span of `node`'s row with the entries a scan of it is

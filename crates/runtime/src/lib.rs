@@ -24,9 +24,9 @@
 //!
 //! 1. **Disjoint ownership** — each worker owns a contiguous share of the
 //!    work for every hop — a [`chunk_ranges`] range of the batch's queries,
-//!    or, for an NFA-product call with fewer lane groups than workers, a
-//!    node range of its product keys, whose successors the other workers
-//!    post to it — and charges it into its own accumulators.
+//!    or, for an NFA-product call of a single lane group, a node range of
+//!    its product keys, whose successors the other workers post to it —
+//!    and charges it into its own accumulators.
 //! 2. **Private scratch** — lane words, memo tables, buffers and per-worker
 //!    accumulators are handed in through [`WorkerPool::run_with`]'s
 //!    contexts; nothing is shared mutably during a parallel region.
