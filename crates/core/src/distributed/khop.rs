@@ -4,6 +4,7 @@
 //! once per hop and charging it times the lanes that hold it
 //! (CONCURRENCY.md §3.1; the measurement is §4.1).
 
+use super::view::Column;
 use super::{active_workers, take_scratch, ErasedEngine, ENTRY_BYTES, ID_BYTES};
 use crate::deps::{DepMask, QueryDeps};
 use crate::stats::{QueryStats, StatsDelta};
@@ -95,7 +96,7 @@ impl ErasedEngine {
         k: usize,
         mut track: Option<&mut QueryDeps>,
     ) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.prepare_row_view(false);
+        self.prepare_row_view(Column::Owners);
         let mut timeline = Timeline::new();
         self.charge_dispatch(sources, ENTRY_BYTES, &mut timeline);
         if let Some(deps) = track.as_deref_mut() {
@@ -196,11 +197,11 @@ impl ErasedEngine {
     /// Expands the row of `v`, which `owner` holds, for the lanes in `mask`:
     /// ORs `mask` into `next` for every row entry and adds to `delta`, times
     /// the lane count, the scan's time and the transfers counted by the
-    /// row's [`RowTally`](super::RowTally). A node with no owner has no row
-    /// and charges nothing. A module row forwards (IPC) each entry whose
-    /// next row is on another module and gathers (CPC) each one whose next
-    /// row is not on a module; a host row forwards each entry whose next row
-    /// is on a module.
+    /// row's [`OwnerClasses`](super::view::OwnerClasses). A node with no
+    /// owner has no row and charges nothing. A module row forwards (IPC)
+    /// each entry whose next row is on another module and gathers (CPC) each
+    /// one whose next row is not on a module; a host row forwards each entry
+    /// whose next row is on a module.
     fn expand_row(
         &self,
         v: NodeId,
@@ -210,22 +211,22 @@ impl ErasedEngine {
         delta: &mut StatsDelta,
     ) {
         let lanes = u64::from(mask.count_ones());
-        let tally = self.tallies.get(v.index()).copied().unwrap_or_default();
-        let (scanned, row) = self.forward_ids(v, owner);
+        let (scanned, classes, row) = self.forward_ids(v, owner);
         next.spread(mask, scanned, row);
+        let (on_pim, on_own) = (u64::from(classes.on_pim), u64::from(classes.on_own));
         let scan_bytes = scanned as u64 * ID_BYTES;
         match owner {
             Some(PartitionId::Host) => {
-                delta.cpc_bytes += lanes * u64::from(tally.on_pim) * ENTRY_BYTES;
+                debug_assert_eq!(on_own, 0, "a host row has no own-module entries");
+                delta.cpc_bytes += lanes * on_pim * ENTRY_BYTES;
                 let cost = self.pim.host_random_access_cost(1, self.host_store.live_bytes())
                     + self.pim.host_sequential_read_cost(scan_bytes);
                 delta.host_time += cost * lanes;
             }
             Some(PartitionId::Pim(m)) => {
-                let forwarded = u64::from(tally.on_pim - tally.on_own);
-                delta.ipc_bytes += lanes * forwarded * ENTRY_BYTES;
-                delta.ipc_messages += lanes * forwarded;
-                delta.cpc_bytes += lanes * (scanned as u64 - u64::from(tally.on_pim)) * ENTRY_BYTES;
+                delta.ipc_bytes += lanes * (on_pim - on_own) * ENTRY_BYTES;
+                delta.ipc_messages += lanes * (on_pim - on_own);
+                delta.cpc_bytes += lanes * (scanned as u64 - on_pim) * ENTRY_BYTES;
                 delta.per_module[m as usize] += self.pim.pim_hash_lookup_cost(scan_bytes) * lanes;
             }
             None => {}

@@ -28,10 +28,11 @@
 //!   along, with the default label elided on the wire.
 //!
 //! The code is split by concern: `update` (the update funnel), `khop` and
-//! `nfa` (the two hop loops), `view` (where both read forward rows),
-//! `planned` (the non-forward plan executors) and `placement` (refinement,
-//! partition metrics, the restored image's reverse rows). This file holds
-//! the engine, what the two loops share, and the one [`GraphEngine`] impl.
+//! `nfa` (the two hop loops), `view` (where both read forward rows, and the
+//! k-hop loop its rows' owner classes), `planned` (the non-forward plan
+//! executors) and `placement` (refinement, partition metrics, the restored
+//! image's reverse rows). This file holds the engine, what the two loops
+//! share, and the one [`GraphEngine`] impl.
 //!
 //! # Parallel execution
 //!
@@ -111,37 +112,6 @@ fn row_label_wire_bytes(row: &[(NodeId, Label)]) -> u64 {
     row.iter().map(|&(_, l)| label_wire_bytes(l)).sum()
 }
 
-/// How one forward row's entries split by where their next rows live: on
-/// any PIM module, and on the row's own module (never, for a host row). The
-/// k-hop loop charges an expansion's transfers from these counts instead of
-/// every entry's owner; the engine keeps them exact where a row or an owner
-/// changes (ARCHITECTURE.md §1).
-#[derive(Debug, Clone, Copy, Default)]
-struct RowTally {
-    on_pim: u32,
-    on_own: u32,
-}
-
-impl RowTally {
-    /// Counts into (`insert`) or out of the tally one entry of a row on
-    /// `row` whose next row lives on `dst`.
-    fn count(&mut self, row: Option<PartitionId>, dst: Option<PartitionId>, insert: bool) {
-        if matches!(dst, Some(PartitionId::Pim(_))) {
-            let step = |n: u32, by: u32| if insert { n + by } else { n - by };
-            self.on_pim = step(self.on_pim, 1);
-            self.on_own = step(self.on_own, u32::from(row == dst));
-        }
-    }
-}
-
-/// `node`'s tally in a table indexed by node id, which grows to cover it.
-fn tally_slot(tallies: &mut Vec<RowTally>, node: NodeId) -> &mut RowTally {
-    if node.index() >= tallies.len() {
-        tallies.resize(node.index() + 1, RowTally::default());
-    }
-    &mut tallies[node.index()]
-}
-
 /// Frontier entries each *additional* worker of a one-hop k-hop call must
 /// bring, and the entries below which a key-split NFA-product hop runs on
 /// the calling thread. The number came from a sweep made while the
@@ -203,9 +173,6 @@ pub struct DistributedPimEngine<P: ?Sized> {
     local_stores: Vec<LocalGraphStorage>,
     host_store: HeterogeneousStorage,
     edge_count: usize,
-    /// One [`RowTally`] per node id, dense like the owner directory and
-    /// grown with it; not part of a snapshot (a restore recounts).
-    tallies: Vec<RowTally>,
     pool: WorkerPool,
     scratch: HopScratch,
     view: view::RowView,
@@ -243,7 +210,6 @@ impl<P: StreamingPartitioner + Sync + 'static> DistributedPimEngine<P> {
             local_stores,
             host_store: HeterogeneousStorage::new(),
             edge_count: 0,
-            tallies: Vec::new(),
             scratch: HopScratch::default(),
             view: view::RowView::default(),
             partitioner,
@@ -424,21 +390,14 @@ impl<P: StreamingPartitioner + Sync + 'static> GraphEngine for DistributedPimEng
         self.erased_mut().apply(EdgeOp::Delete, &mut edges.iter().copied(), None)
     }
 
-    /// Answers a batch k-hop path query with full cost accounting: the
-    /// batch-frontier hop loop of `distributed/khop.rs`, whose every charge
-    /// equals the naive sequential formulation's at any thread count
-    /// (CONCURRENCY.md §3.1, §4).
-    fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.erased_mut().k_hop_batch_impl(sources, k, None)
-    }
-
     /// Plain k-hop expressions (`.{k}` and concatenations of `.`) take the
-    /// k-hop fast path, whose cost model is untouched — same-seed experiment
-    /// outputs do not move. Everything else is evaluated as an NFA product
-    /// (`nfa_product_batch_impl`).
+    /// k-hop fast path: the batch-frontier hop loop of `distributed/khop.rs`,
+    /// whose every charge equals the naive sequential formulation's at any
+    /// thread count (CONCURRENCY.md §3.1, §4). Everything else is evaluated
+    /// as an NFA product (`nfa_product_batch_impl`).
     fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) {
         if let Some(k) = expr.as_k_hop() {
-            return self.k_hop_batch(sources, k);
+            return self.erased_mut().k_hop_batch_impl(sources, k, None);
         }
         let nfa = Nfa::from_expr(expr);
         self.erased_mut().nfa_product_batch_impl(&nfa, sources, None, None)
@@ -612,7 +571,6 @@ impl<P: StreamingPartitioner + Sync + 'static> GraphEngine for DistributedPimEng
         self.edge_count = snapshot.edge_count as usize;
         self.view.drop_rows();
         self.erased_mut().rebuild_rev_rows();
-        self.erased_mut().rebuild_tallies();
         true
     }
 

@@ -11,6 +11,7 @@
 //! §6 rule 8).
 
 use super::planned::Pruning;
+use super::view::Column;
 use super::{take_scratch, ErasedEngine, ENTRIES_PER_EXTRA_WORKER};
 use super::{ENTRY_BYTES, ID_BYTES, LABEL_BYTES, STATE_BYTES};
 use crate::deps::{DepMask, QueryDeps};
@@ -481,7 +482,7 @@ impl ErasedEngine {
             }
             None => (None, None),
         };
-        self.prepare_row_view(true);
+        self.prepare_row_view(Column::Labels);
         // The automaton start state rides along with every dispatched source.
         self.charge_dispatch(sources, ENTRY_BYTES + STATE_BYTES, &mut timeline);
 

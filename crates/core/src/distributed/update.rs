@@ -2,9 +2,7 @@
 //! not — runs one sequential loop over the batch and charges it at the
 //! batch's barrier (CONCURRENCY.md §3.1, the paragraph on updates).
 
-use super::{
-    label_wire_bytes, row_label_wire_bytes, tally_slot, ErasedEngine, EDGE_BYTES, ID_BYTES,
-};
+use super::{label_wire_bytes, row_label_wire_bytes, ErasedEngine, EDGE_BYTES, ID_BYTES};
 use crate::deps::UpdateFootprint;
 use crate::stats::{StatsDelta, UpdateStats};
 use graph_store::{Label, NodeId, PartitionId};
@@ -46,10 +44,8 @@ impl ErasedEngine {
     ///    CPU→PIM routing of the edge plus one MRAM entry write, a
     ///    host-resident one the host-side write (the host coordinator
     ///    already holds the edge). The mirror always changes its row: the
-    ///    forward store just deduplicated the edge. The same destination
-    ///    owner counts the entry into (or out of) the source row's
-    ///    [`RowTally`]; an unchanged store looks up no owner and counts
-    ///    nothing.
+    ///    forward store just deduplicated the edge; an unchanged store looks
+    ///    up no destination owner.
     pub(super) fn apply(
         &mut self,
         op: EdgeOp,
@@ -122,7 +118,6 @@ impl ErasedEngine {
             // arrival, so the lookup only misses for nodes outside the
             // stream (defensive).
             let rev_owner = if applied { self.owner(dst) } else { None };
-            tally_slot(&mut self.tallies, src).count(Some(owner), rev_owner, insert);
             delta.applied += usize::from(applied);
             match rev_owner {
                 Some(PartitionId::Host) => {
@@ -173,8 +168,7 @@ impl ErasedEngine {
     }
 
     /// Moves a newly promoted high-degree row from its PIM module to the host
-    /// (the Node Migrator of Figure 1), charging into the batch's delta, and
-    /// re-tallies the rows whose entries name it.
+    /// (the Node Migrator of Figure 1), charging into the batch's delta.
     fn promote_to_host(&mut self, node: NodeId, old_module: usize, delta: &mut StatsDelta) {
         if let Some(row) = self.local_stores[old_module].take_row(node) {
             let bytes = row.len() as u64 * ID_BYTES + row_label_wire_bytes(&row);
@@ -193,14 +187,5 @@ impl ErasedEngine {
             delta.host_time += self.pim.host_sequential_read_cost(bytes);
             self.host_store.install_rev_row(node, rev);
         }
-        // Every entry naming the node now names the host: one per in-edge
-        // and label, read off the reverse row just installed (its own
-        // self-loops included). A host row has no own-module entries.
-        let owners = self.partitioner.assignment();
-        let old = Some(PartitionId::Pim(old_module as u32));
-        for &(src, _) in self.host_store.rev_row(node).unwrap_or(&[]) {
-            tally_slot(&mut self.tallies, src).count(owners.partition_of(src), old, false);
-        }
-        tally_slot(&mut self.tallies, node).on_own = 0;
     }
 }

@@ -48,15 +48,16 @@ pub trait GraphEngine {
     /// Answers a batch k-hop path query: for every start node, the set of
     /// nodes reachable by a path of exactly `k` edges (boolean semantics,
     /// any label), sorted ascending. Also returns the simulated query costs.
-    fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats);
+    /// It is the regular path query `.{k}`: one way in for every engine.
+    fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
+        self.rpq_batch(&RpqExpr::k_hop(k), sources)
+    }
 
     /// Answers a batch regular path query: for every start node, the sorted
     /// set of nodes reachable by a path whose label sequence matches `expr`.
     ///
-    /// Results must agree with [`rpq::ReferenceEvaluator::evaluate`]; plain
-    /// k-hop shapes (`.{k}`) must take the same execution path — and charge
-    /// the same simulated costs — as
-    /// [`GraphEngine::k_hop_batch`].
+    /// Results must agree with [`rpq::ReferenceEvaluator::evaluate`];
+    /// [`GraphEngine::k_hop_batch`] is this method on `.{k}`.
     fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats);
 
     /// [`GraphEngine::rpq_batch`] executed under an explicit plan strategy —

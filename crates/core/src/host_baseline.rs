@@ -236,14 +236,9 @@ impl GraphEngine for HostBaseline {
         self.apply(EdgeOp::Delete, edges.iter().copied(), edges.len())
     }
 
-    fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
-        let chain = vec![LabelSpec::Any; k];
-        self.finish(self.run_chunked(sources, |chunk| run_chain(&self.graph, &chain, chunk)))
-    }
-
     fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) {
         // Fixed-length expressions stay matrix chains (`Q × A_l1 × … × A_lk`;
-        // a plain k-hop is the chain `k_hop_batch` runs); everything else
+        // a plain k-hop is the chain `[Any; k]`); everything else
         // sweeps the automaton over the per-label rows.
         let out = match label_chain(expr) {
             Some(chain) => self.run_chunked(sources, |chunk| run_chain(&self.graph, &chain, chunk)),

@@ -247,10 +247,6 @@ impl GraphEngine for DurableEngine {
         out
     }
 
-    fn k_hop_batch(&mut self, sources: &[NodeId], k: usize) -> (Vec<Vec<NodeId>>, QueryStats) {
-        self.engine.k_hop_batch(sources, k)
-    }
-
     fn rpq_batch(&mut self, expr: &RpqExpr, sources: &[NodeId]) -> (Vec<Vec<NodeId>>, QueryStats) {
         self.engine.rpq_batch(expr, sources)
     }
@@ -286,10 +282,6 @@ impl GraphEngine for DurableEngine {
 
     fn export_snapshot(&self) -> Option<SnapshotState> {
         self.engine.export_snapshot()
-    }
-
-    fn restore_snapshot(&mut self, snapshot: &SnapshotState) -> bool {
-        self.engine.restore_snapshot(snapshot)
     }
 
     fn label_stats(&self) -> graph_store::LabelStatsSnapshot {
@@ -359,6 +351,28 @@ mod tests {
         assert!(back.report().restored_snapshot);
         let (got, _) = back.k_hop_batch(&[NodeId(0)], 3);
         assert_eq!(got, want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A restore would bypass the log, so a durable engine refuses one: the
+    /// engine, and what a reopen recovers, stay the logged history.
+    #[test]
+    fn restoring_another_image_is_refused() {
+        let dir = tmp_dir("restore");
+        let mut live = fresh(&dir, DurabilityOptions::default());
+        live.insert_labeled_edges(&ring(16));
+        let sources = [NodeId(0), NodeId(5)];
+        let want = (live.k_hop_batch(&sources, 2), live.edge_count());
+        let mut other = MoctopusSystem::new(MoctopusConfig::small_test());
+        other.insert_labeled_edges(&ring(5));
+        let image = other.export_snapshot().expect("a PIM engine exports its image");
+        assert!(!live.restore_snapshot(&image));
+        assert_eq!((live.k_hop_batch(&sources, 2), live.edge_count()), want);
+        live.sync().unwrap();
+        drop(live);
+
+        let mut back = fresh(&dir, DurabilityOptions::default());
+        assert_eq!((back.k_hop_batch(&sources, 2), back.edge_count()), want);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,12 +1,15 @@
-//! The k-hop loop's owner-class tallies against a recount.
+//! The k-hop loop's owner-class counts against a fresh engine's.
 //!
 //! The k-hop loop charges an expansion's IPC and CPC transfers per row, from
-//! two counts the engine keeps for every forward row (entries whose next row
-//! is on a PIM module, and on the row's own module). The engine keeps them
-//! up to date on every forward write, on every promotion to the host, and by
-//! a recount after refinement and restore. A twin restored from the engine's
-//! snapshot counts every row from scratch, so after each step of an update
-//! stream the engine's k-hop answers and `QueryStats` must equal the twin's.
+//! two counts per forward row (entries whose next row is on a PIM module,
+//! and on the row's own module). They are derived, never kept across a
+//! write: a column of the row view, filled from the owner directory, or a
+//! count of the store row's entries by owner when no view is built. Writes
+//! move rows and owners — forward writes, promotions to the host,
+//! refinement, restore. A twin restored from the engine's snapshot counts
+//! every row on an engine that has seen none of those writes, so after each
+//! step of an update stream the engine's k-hop answers and `QueryStats` must
+//! equal the twin's.
 //! The streams cross the high-degree threshold (promotions, Moctopus only),
 //! carry self-loops and one node pair under two labels, and interleave
 //! refinement, snapshot/restore and clones, at one and two worker threads.
